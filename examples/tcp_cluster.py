@@ -28,7 +28,7 @@ def main() -> None:
     cipher = SimulatedCipher(KeyStore(b"tcp-cluster-demo-master-key-32b!"))
     with TcpFresqueCluster(config, cipher, seed=11) as cluster:
         print("node address book:")
-        for node in cluster._nodes:
+        for node in cluster._servers.values():
             print(f"  {node.name:<10} 127.0.0.1:{node.port}")
         lines = list(generator.raw_lines(3000))
         started = time.perf_counter()
@@ -40,7 +40,7 @@ def main() -> None:
         )
         result = cluster.make_client().range_query(380, 420)
         print(f"fever query -> {len(result.records)} records")
-        frames = sum(node.handled for node in cluster._nodes)
+        frames = sum(node.handled for node in cluster._servers.values())
         print(f"total frames handled across nodes: {frames}")
 
 

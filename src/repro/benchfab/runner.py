@@ -666,9 +666,7 @@ def _run_overhead(scenario, data_root, telemetry) -> Scorecard:
         total = max(1, len(lines))
         cpu = time.process_time()
         for position, line in enumerate(lines):
-            system._pump(
-                system.dispatcher.due_dummies((position + 1) / (total + 1))
-            )
+            system.pump_dummies((position + 1) / (total + 1))
             system.ingest(line)
         return time.process_time() - cpu
 

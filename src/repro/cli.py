@@ -111,12 +111,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_node(args: argparse.Namespace) -> int:
-    from repro.runtime.process import run_node
-
-    return run_node(args.role, args.config)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -147,17 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--records", type=int, default=4000)
     attack.add_argument("--dummies", type=int, default=200)
     attack.set_defaults(func=_cmd_attack)
-
-    node = sub.add_parser(
-        "node", help="serve one collector node (multi-process deployment)"
-    )
-    node.add_argument(
-        "--role", required=True, help="cn-<i>, checking, merger or cloud"
-    )
-    node.add_argument(
-        "--config", required=True, help="path to the cluster.json spec"
-    )
-    node.set_defaults(func=_cmd_node)
     return parser
 
 

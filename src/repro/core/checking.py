@@ -41,6 +41,7 @@ from repro.core.messages import (
     PairBatch,
     PublishingMsg,
     RemovedRecord,
+    Routed,
     TemplateMsg,
     ToCloudBatch,
     ToCloudPair,
@@ -91,7 +92,7 @@ class _PublicationState:
     absolved: set[int] = field(default_factory=set)
 
 
-class CheckingNode:
+class CheckingNode(Routed):
     """The sequential trusted node hosting randomer, checker and updater.
 
     Parameters
@@ -105,6 +106,16 @@ class CheckingNode:
         ``check`` stage per released pair and the ``publish`` stage per
         publication boundary, and tracks randomer occupancy.
     """
+
+    ROUTES = {
+        PairBatch: "on_pair_batch",
+        Pair: "on_pair",
+        NewPublication: "on_new_publication",
+        PublishingMsg: "on_publishing",
+        CnPublishing: "on_cn_publishing",
+        NodeDown: "on_node_down",
+        MembershipMsg: "on_membership",
+    }
 
     def __init__(
         self,
@@ -456,7 +467,7 @@ class CheckingNode:
         self.records_removed = state["records_removed"]
 
     def on_publishing(
-        self, publishing: int | PublishingMsg
+        self, message: PublishingMsg
     ) -> list[tuple[str, object]]:
         """The dispatcher's own *publishing* notice.
 
@@ -466,25 +477,19 @@ class CheckingNode:
         mode it marks the interval closed, which (together with the
         dead set) can itself complete the publication.
 
-        Accepts the full :class:`PublishingMsg` or (legacy call sites) a
-        bare publication number.  When the message carries a non-empty
-        ``nodes`` tuple it pins this publication's *expected* report set
-        — the exact participants the dispatcher broadcast to — so elastic
-        fleets finalise against the true membership, not a static count.
+        A non-empty ``nodes`` tuple pins this publication's *expected*
+        report set — the exact participants the dispatcher broadcast to
+        — so elastic fleets finalise against the true membership, not a
+        static count.
         """
-        publication = publishing
-        nodes: tuple[int, ...] = ()
-        if isinstance(publishing, PublishingMsg):
-            publication = publishing.publication
-            nodes = publishing.nodes
-        state = self._publications.get(publication)
+        state = self._publications.get(message.publication)
         if state is None or state.closed:
             return []
-        if nodes:
-            state.expected = set(nodes)
+        if message.nodes:
+            state.expected = set(message.nodes)
         state.interval_closed = True
         if self._complete(state):
-            return self._finalise(publication)
+            return self._finalise(message.publication)
         return []
 
     def _complete(self, state: _PublicationState) -> bool:

@@ -16,8 +16,10 @@ from repro.core.messages import (
     DoneMsg,
     Pair,
     PairBatch,
+    PublishingMsg,
     RawBatch,
     RawData,
+    Routed,
 )
 from repro.crypto.cipher import RecordCipher, record_nonce
 from repro.index.domain import DomainError
@@ -26,7 +28,7 @@ from repro.records.serialize import parse_raw_line, serialize_record
 from repro.telemetry.context import coalesce
 
 
-class ComputingNode:
+class ComputingNode(Routed):
     """One parser/encrypter worker.
 
     Parameters
@@ -41,6 +43,13 @@ class ComputingNode:
         Optional :class:`~repro.telemetry.Telemetry`; times the
         ``parse`` and ``encrypt`` stages per record.
     """
+
+    ROUTES = {
+        RawBatch: "on_raw_batch",
+        RawData: "on_raw",
+        PublishingMsg: "on_publishing",
+        DoneMsg: "on_done",
+    }
 
     def __init__(
         self,
@@ -263,14 +272,17 @@ class ComputingNode:
             return []
         return [("checking", batch)]
 
-    def on_publishing(self, publication: int) -> list[tuple[str, object]]:
-        """The dispatcher closed ``publication``: tell the checking node.
+    def on_publishing(
+        self, message: PublishingMsg
+    ) -> list[tuple[str, object]]:
+        """The dispatcher closed a publication: tell the checking node.
 
         If the node is still waiting for a previous publication's *done*,
         the acknowledgement is queued behind the held pairs so the
         checking node never finalises a publication whose pairs this node
         has not yet forwarded.
         """
+        publication = message.publication
         if self._waiting_done:
             self._held.append(("publishing", publication))
             return []

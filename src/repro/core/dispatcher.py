@@ -49,6 +49,7 @@ from repro.core.messages import (
     PublishingMsg,
     RawBatch,
     RawData,
+    Routed,
 )
 from repro.index.perturb import NoisePlan, draw_noise_plan
 from repro.index.tree import IndexTree
@@ -68,7 +69,7 @@ __all__ = [
 ]
 
 
-class Dispatcher:
+class Dispatcher(Routed):
     """Round-robin record distribution plus publication lifecycle.
 
     Parameters
@@ -87,6 +88,8 @@ class Dispatcher:
         :class:`~repro.telemetry.clock.SimulatedClock` so delay flushes
         fire without sleeping.
     """
+
+    ROUTES = {CreditGrant: "on_credit"}
 
     def __init__(
         self,
@@ -349,24 +352,27 @@ class Dispatcher:
         """Accumulate one raw line; forward a batch when a flush triggers."""
         return self._enqueue(line)
 
-    def offer_raw(self, line: str) -> list[tuple[str, object]] | None:
-        """Admission-controlled ingest: ``None`` means the record was shed.
+    def admit(self) -> bool:
+        """Admission decision for one arriving record; ``False`` = shed.
 
-        With ``config.ingest_queue_limit`` unset this is exactly
-        :meth:`on_raw`.  Over the limit, ``drop-newest`` rejects ``line``
-        (returns ``None``) while ``drop-oldest`` evicts the oldest
-        unflushed record to admit it — falling back to rejection when
-        nothing is evictable (the whole backlog is already flushed and
-        credit-deferred).
+        With ``config.ingest_queue_limit`` unset every record is
+        admitted.  Over the limit, ``drop-newest`` rejects the arrival
+        while ``drop-oldest`` evicts the oldest unflushed record to make
+        room — falling back to rejection when nothing is evictable (the
+        whole backlog is already flushed and credit-deferred).
         """
         decision = self.flow.admission.decide(self.backlog_records)
-        if decision is not ADMIT:
-            if decision == SHED_OLDEST and self._evict_oldest():
-                self.flow.admission.record_shed(DROP_OLDEST)
-                return self._enqueue(line)
-            self.flow.admission.record_shed(DROP_NEWEST)
-            return None
-        return self._enqueue(line)
+        if decision is ADMIT:
+            return True
+        if decision == SHED_OLDEST and self._evict_oldest():
+            self.flow.admission.record_shed(DROP_OLDEST)
+            return True
+        self.flow.admission.record_shed(DROP_NEWEST)
+        return False
+
+    def offer_raw(self, line: str) -> list[tuple[str, object]] | None:
+        """Admission-controlled :meth:`on_raw`: ``None`` means shed."""
+        return self._enqueue(line) if self.admit() else None
 
     def _evict_oldest(self) -> bool:
         """Drop the in-flight batch's oldest record; False when empty."""

@@ -40,10 +40,6 @@ equivalent for the controller state too.  With
 always returns the static configuration values, never consults the
 clock, and the dispatcher behaves exactly as before this module
 existed (the batch-equivalence harness pins it this way).
-
-The credit protocol is unsupported on :class:`ProcessCluster` (its
-address book has no ``dispatcher`` route); every other runtime routes
-grants back to the parent/driver.
 """
 
 from __future__ import annotations

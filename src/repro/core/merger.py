@@ -22,6 +22,7 @@ from repro.core.messages import (
     AlSnapshot,
     MergedPublication,
     RemovedRecord,
+    Routed,
     TemplateMsg,
 )
 from repro.crypto.cipher import RecordCipher, padding_nonce
@@ -58,7 +59,7 @@ class MergeReport:
     padding_encrypts: int
 
 
-class Merger:
+class Merger(Routed):
     """Publishing-task worker: index assembly and overflow arrays.
 
     Parameters
@@ -73,6 +74,12 @@ class Merger:
         Optional :class:`~repro.telemetry.Telemetry`; times the
         ``merge`` stage per publication.
     """
+
+    ROUTES = {
+        TemplateMsg: "on_template",
+        RemovedRecord: "on_removed",
+        AlSnapshot: "on_al",
+    }
 
     def __init__(
         self,

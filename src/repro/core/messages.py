@@ -299,3 +299,27 @@ class MergedPublication:
     publication: int
     tree: object  # IndexTree; typed loosely to avoid an import cycle
     overflow: dict = field(default_factory=dict)
+
+
+class Routed:
+    """A component that receives messages through a route table.
+
+    ``ROUTES`` maps a message class to the *name* of the handler method;
+    :meth:`handle` is "message in, routed ``(destination, message)``
+    outbox out" — the one contract every driver and transport delivers
+    through.  The method is looked up by name on every call, never
+    captured at construction: tracing wrappers and test doubles replace
+    ``on_*`` methods on a live instance and must be the ones that run.
+    """
+
+    ROUTES: dict[type, str] = {}
+
+    def handle(self, message) -> list[tuple[str, object]]:
+        """Apply one message; returns the outbox it gives rise to."""
+        name = self.ROUTES.get(type(message))
+        if name is None:
+            raise TypeError(
+                f"{type(self).__name__} cannot handle "
+                f"{type(message).__name__}"
+            )
+        return getattr(self, name)(message)

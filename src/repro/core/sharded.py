@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
+from repro.client.query_client import QueryClient
 from repro.cloud.node import FresqueCloud
 from repro.core.computing_node import ComputingNode
 from repro.core.config import FresqueConfig
-from repro.core.dispatcher import Dispatcher
 from repro.core.membership import stale_for
 from repro.core.merger import Merger
 from repro.core.messages import (
@@ -41,11 +40,12 @@ from repro.core.messages import (
     RawBatch,
     RawData,
     RemovedRecord,
+    Routed,
     TemplateMsg,
     ToCloudPair,
 )
 from repro.core.randomer import Randomer
-from repro.core.system import CloudAdapter
+from repro.core.system import CloudAdapter, FresqueSystem
 from repro.crypto.cipher import RecordCipher
 from repro.index.template import LeafArrays
 from repro.privacy.laplace import laplace_inverse_cdf
@@ -86,12 +86,21 @@ class PartialAl:
     counts: dict[int, int]  # leaf offset -> true count
 
 
-class CheckingShard:
+class CheckingShard(Routed):
     """One of ``c`` checking nodes, owning ``leaf mod c == shard_id``.
 
     Mirrors :class:`~repro.core.checking.CheckingNode` but emits
     :class:`PartialAl` instead of the full AL and a shard-tagged *done*.
     """
+
+    ROUTES = {
+        PairBatch: "on_pair_batch",
+        Pair: "on_pair",
+        NewPublication: "on_new_publication",
+        PublishingMsg: "on_publishing",
+        CnPublishing: "on_cn_publishing",
+        MembershipMsg: "on_membership",
+    }
 
     def __init__(
         self,
@@ -139,6 +148,13 @@ class CheckingShard:
             out.append(("merger", TemplateMsg(message.publication, message.plan)))
             out.append(("cloud", AnnouncePublication(message.publication)))
         return out
+
+    def on_publishing(
+        self, message: PublishingMsg
+    ) -> list[tuple[str, object]]:
+        """The dispatcher's own notice is informational: a shard
+        finalises on the computing nodes' :class:`CnPublishing`."""
+        return []
 
     def _check(self, pair: Pair) -> tuple[str, object]:
         self.pairs_processed += 1
@@ -252,6 +268,8 @@ class CheckingShard:
 class ShardedMerger(Merger):
     """Merger variant assembling the AL from per-shard partial snapshots."""
 
+    ROUTES = {**Merger.ROUTES, PartialAl: "on_partial_al"}
+
     def __init__(
         self,
         config: FresqueConfig,
@@ -325,12 +343,14 @@ class _RoutingComputingNode(ComputingNode):
             routed.extend(self._split_batch(payload))
         return routed
 
-    def on_publishing(self, publication: int) -> list[tuple[str, object]]:
+    def on_publishing(
+        self, message: PublishingMsg
+    ) -> list[tuple[str, object]]:
         if self._waiting_done:
-            self._held.append(("publishing", publication))
+            self._held.append(("publishing", message.publication))
             return []
         self._waiting_done = True
-        return self._broadcast_publishing(publication)
+        return self._broadcast_publishing(message.publication)
 
     def on_done(self, message: DoneMsg) -> list[tuple[str, object]]:
         # Wait for *every* shard's done before replaying held events.
@@ -355,11 +375,27 @@ class _RoutingComputingNode(ComputingNode):
         return out
 
 
-class ShardedFresqueSystem:
+class _ShardBroadcast:
+    """The ``checking`` address of a sharded deployment: what the
+    dispatcher sends there reaches every shard."""
+
+    def __init__(self, shards: list[CheckingShard]):
+        self._shards = shards
+
+    def handle(self, message) -> list[tuple[str, object]]:
+        out: list[tuple[str, object]] = []
+        for shard in self._shards:
+            out.extend(shard.handle(message))
+        return out
+
+
+class ShardedFresqueSystem(FresqueSystem):
     """FRESQUE with ``num_checking_shards`` parallel checking nodes.
 
-    Same public surface as :class:`~repro.core.system.FresqueSystem` for
-    the operations the tests and benchmarks use.
+    The synchronous :class:`~repro.core.system.FresqueSystem` driver
+    over a different component set: routing computing nodes, one
+    :class:`CheckingShard` per shard (addressed ``checking-<i>``) and a
+    :class:`ShardedMerger`.
     """
 
     def __init__(
@@ -371,116 +407,53 @@ class ShardedFresqueSystem:
     ):
         if num_checking_shards < 1:
             raise ValueError("need at least one checking shard")
-        self.config = config
-        self.cipher = cipher
         self.num_shards = num_checking_shards
-        rng = random.Random(seed)
-        self.dispatcher = Dispatcher(config, rng=random.Random(rng.random()))
-        self.computing_nodes = [
-            _RoutingComputingNode(i, config, cipher, num_checking_shards)
-            for i in range(config.num_computing_nodes)
-        ]
+        super().__init__(config, cipher, seed=seed)
+
+    def _new_node(self, node_id: int) -> ComputingNode:
+        return _RoutingComputingNode(
+            node_id, self.config, self.cipher, self.num_shards
+        )
+
+    def _build_components(self, rng: random.Random, cloud) -> None:
+        # Seed chain: dispatcher (drawn by the base), one draw per shard
+        # in shard order, then the merger.
+        config = self.config
+        for node_id in range(config.num_computing_nodes):
+            self._install_node(node_id)
         self.shards = [
             CheckingShard(
-                shard, num_checking_shards, config,
+                shard, self.num_shards, config,
                 rng=random.Random(rng.random()),
             )
-            for shard in range(num_checking_shards)
+            for shard in range(self.num_shards)
         ]
         self.merger = ShardedMerger(
-            config, cipher, num_checking_shards, rng=random.Random(rng.random())
+            config, self.cipher, self.num_shards,
+            rng=random.Random(rng.random()),
         )
         self.cloud = FresqueCloud(config.domain)
         self._cloud_adapter = CloudAdapter(self.cloud)
-        self._queue: deque[tuple[str, object]] = deque()
-        self._started = False
-
-    def _deliver(self, destination: str, message) -> list[tuple[str, object]]:
-        if destination.startswith("cn-"):
-            node = self.computing_nodes[int(destination[3:])]
-            if isinstance(message, RawBatch):
-                return node.on_raw_batch(message)
-            if isinstance(message, RawData):
-                return node.on_raw(message)
-            if isinstance(message, PublishingMsg):
-                return node.on_publishing(message.publication)
-            if isinstance(message, DoneMsg):
-                return node.on_done(message)
-        elif destination == "checking":
-            # Dispatcher broadcasts go to every shard.
-            out: list[tuple[str, object]] = []
-            for shard in self.shards:
-                if isinstance(message, NewPublication):
-                    out.extend(shard.on_new_publication(message))
-                elif isinstance(message, PublishingMsg):
-                    pass  # informational; shards wait for CnPublishing
-                else:
-                    raise TypeError(
-                        f"checking broadcast cannot carry "
-                        f"{type(message).__name__}"
-                    )
-            return out
-        elif destination.startswith("checking-"):
-            shard = self.shards[int(destination.split("-", 1)[1])]
-            if isinstance(message, PairBatch):
-                return shard.on_pair_batch(message)
-            if isinstance(message, Pair):
-                return shard.on_pair(message)
-            if isinstance(message, CnPublishing):
-                return shard.on_cn_publishing(message)
-        elif destination == "merger":
-            if isinstance(message, TemplateMsg):
-                return self.merger.on_template(message)
-            if isinstance(message, RemovedRecord):
-                return self.merger.on_removed(message)
-            if isinstance(message, PartialAl):
-                return self.merger.on_partial_al(message)
-        elif destination == "cloud":
-            return self._cloud_adapter.handle(message)
-        raise TypeError(
-            f"no handler for {type(message).__name__} at {destination!r}"
-        )
-
-    def _pump(self, outbox) -> None:
-        self._queue.extend(outbox)
-        while self._queue:
-            destination, message = self._queue.popleft()
-            self._queue.extend(self._deliver(destination, message))
-
-    def start(self) -> None:
-        """Open the first publication."""
-        if self._started:
-            raise RuntimeError("system already started")
-        self._started = True
-        self._pump(self.dispatcher.start_publication())
+        self._handlers["checking"] = _ShardBroadcast(self.shards).handle
+        for shard in self.shards:
+            self._handlers[shard.name] = shard.handle
+        self._handlers["merger"] = self.merger.handle
+        self._handlers["cloud"] = self._cloud_adapter.handle
 
     def run_publication(self, lines: list[str]) -> int:
         """Ingest ``lines``, close the publication, open the next one.
 
         Returns the number of pairs matched at the cloud.
         """
-        if not self._started:
-            self.start()
-        publication = self.dispatcher.publication
-        total = max(1, len(lines))
-        for position, line in enumerate(lines):
-            self._pump(self.dispatcher.due_dummies((position + 1) / (total + 1)))
-            self._pump(self.dispatcher.on_raw(line))
-        self._pump(self.dispatcher.end_publication())
-        self._pump(self.dispatcher.start_publication())
-        receipt = next(
-            r
-            for r in self._cloud_adapter.receipts
-            if r.publication == publication
-        )
-        return receipt.records_matched
+        self._feed(lines)
+        return self.finish_publication().records_matched
 
-    def query(self, low: float, high: float):
-        """End-to-end range query over the published data."""
-        from repro.client.query_client import QueryClient
-
-        return QueryClient(self.config.schema, self.cipher, self.cloud).range_query(
-            low, high
+    def make_client(self, schema=None) -> QueryClient:
+        """Query client over the cloud (the published data only)."""
+        return QueryClient(
+            schema if schema is not None else self.config.schema,
+            self.cipher,
+            self.cloud,
         )
 
 

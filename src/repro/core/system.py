@@ -1,16 +1,29 @@
-"""Synchronous in-process driver for a FRESQUE deployment.
+"""The collector driver, and its synchronous in-process form.
 
-Wires dispatcher, computing nodes, checking node, merger and cloud together
-and delivers their messages through a FIFO queue until quiescence.  This
-driver is the *functional* reference — it executes exactly the logic the
-threaded runtime and the discrete-event simulator run, without concurrency
-or timing, so tests can assert end-to-end correctness deterministically.
+:class:`FresqueSystem` is the one driver of a FRESQUE collector.  It
+alone builds the components (dispatcher, computing nodes, checking node,
+merger, cloud adapter) and their seed chain, it alone routes a message
+to a component (``handlers[destination](message)``), and it alone
+defines the dispatcher-facing surface: ``start``, ``ingest``, ``offer``,
+``pump_dummies``, ``close_publication``, the elastic-membership calls
+and ``run_publication``, over one lock and one ``_send_all(outbox)``.
+
+Run as is, it delivers every message in place through a FIFO queue until
+quiescence — the *functional* reference: exactly the logic the runtimes
+and the discrete-event simulator run, without concurrency or timing, so
+tests can assert end-to-end correctness deterministically.  The runtimes
+(threaded, TCP, shared memory) subclass it and supply only what differs
+per transport — how one message leaves (:meth:`FresqueSystem._send`),
+how to wait for a publication to drain (:meth:`FresqueSystem.settle`),
+and how a node is spawned, killed, salvaged and brought back; the list
+is "What a runtime supplies" in docs/RUNTIMES.md.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -22,23 +35,12 @@ from repro.core.config import FresqueConfig
 from repro.core.dispatcher import Dispatcher
 from repro.core.merger import Merger
 from repro.core.messages import (
-    AlSnapshot,
     AnnouncePublication,
     BufferFlush,
-    CnPublishing,
-    CreditGrant,
-    DoneMsg,
-    MembershipMsg,
     MergedPublication,
-    NewPublication,
-    NodeDown,
-    Pair,
-    PairBatch,
-    PublishingMsg,
     RawBatch,
     RawData,
-    RemovedRecord,
-    TemplateMsg,
+    Routed,
     ToCloudBatch,
     ToCloudPair,
 )
@@ -48,7 +50,7 @@ from repro.telemetry.clock import WALL_CLOCK
 from repro.telemetry.context import coalesce
 
 
-class CloudAdapter:
+class CloudAdapter(Routed):
     """Adapts the protocol messages onto :class:`FresqueCloud` calls.
 
     Receipt arrival is signalled through a :class:`threading.Condition`
@@ -56,29 +58,39 @@ class CloudAdapter:
     busy-polling :attr:`receipts`.
     """
 
+    ROUTES = {
+        AnnouncePublication: "_announce",
+        ToCloudPair: "_receive_pair",
+        ToCloudBatch: "_receive_pairs",
+        BufferFlush: "_receive_pairs",
+        MergedPublication: "_publish",
+    }
+
     def __init__(self, cloud: FresqueCloud):
         self.cloud = cloud
         self.receipts = []
         self._receipts_cond = threading.Condition()
 
-    def handle(self, message) -> list[tuple[str, object]]:
-        """Apply one protocol message to the cloud."""
-        if isinstance(message, AnnouncePublication):
-            self.cloud.announce_publication(message.publication)
-        elif isinstance(message, ToCloudPair):
-            self.cloud.receive_pair(
-                message.publication, message.leaf_offset, message.encrypted
+    def _announce(self, message: AnnouncePublication) -> list:
+        self.cloud.announce_publication(message.publication)
+        return []
+
+    def _receive_pair(self, message: ToCloudPair) -> list:
+        self.cloud.receive_pair(
+            message.publication, message.leaf_offset, message.encrypted
+        )
+        return []
+
+    def _receive_pairs(self, message: ToCloudBatch | BufferFlush) -> list:
+        self.cloud.receive_pairs(message.publication, message.pairs)
+        return []
+
+    def _publish(self, message: MergedPublication) -> list:
+        self._deliver_receipt(
+            self.cloud.receive_publication(
+                message.publication, message.tree, message.overflow
             )
-        elif isinstance(message, (ToCloudBatch, BufferFlush)):
-            self.cloud.receive_pairs(message.publication, message.pairs)
-        elif isinstance(message, MergedPublication):
-            self._deliver_receipt(
-                self.cloud.receive_publication(
-                    message.publication, message.tree, message.overflow
-                )
-            )
-        else:
-            raise TypeError(f"cloud cannot handle {type(message).__name__}")
+        )
         return []
 
     def _deliver_receipt(self, receipt) -> None:
@@ -163,8 +175,10 @@ class PublicationSummary:
     published_pairs: int
 
 
+
+
 class FresqueSystem:
-    """A complete single-process FRESQUE deployment.
+    """A complete FRESQUE collector; as is, a single-process deployment.
 
     Parameters
     ----------
@@ -184,6 +198,13 @@ class FresqueSystem:
         surviving cloud of a crashed collector during recovery.
     """
 
+    #: Time source handed to the dispatcher (``None``: telemetry or wall
+    #: clock) and the fault plan consulted once per sent message.  The
+    #: runtimes that take them as constructor arguments set them before
+    #: building the base.
+    _clock = None
+    _fault_plan = None
+
     def __init__(
         self,
         config: FresqueConfig,
@@ -197,22 +218,49 @@ class FresqueSystem:
         self.telemetry = coalesce(telemetry)
         rng = random.Random(seed)
         self.dispatcher = Dispatcher(
-            config, rng=random.Random(rng.random()), telemetry=telemetry
+            config,
+            rng=random.Random(rng.random()),
+            telemetry=telemetry,
+            clock=self._clock,
         )
-        self.computing_nodes = [
-            ComputingNode(i, config, cipher, telemetry=telemetry)
-            for i in range(config.num_computing_nodes)
-        ]
-        # Routing map keyed by node id: elastic membership can admit ids
-        # past the initial fleet and replace crashed incarnations.
-        self._nodes: dict[int, ComputingNode] = {
-            node.node_id: node for node in self.computing_nodes
-        }
+        #: Destination name → handler ("message in, outbox out"): the
+        #: route of every message, on every transport.
+        self._handlers = {"dispatcher": self.dispatcher.handle}
+        self.computing_nodes: list[ComputingNode] = []
+        # Keyed by node id: elastic membership can admit ids past the
+        # initial fleet and replace crashed incarnations.
+        self._nodes: dict[int, ComputingNode] = {}
+        self._build_components(rng, cloud)
+        self._queue: deque[tuple[str, object]] = deque()
+        #: Names of the computing nodes the driver degraded around.
+        self._dead: set[str] = set()
+        # The dispatcher is not thread-safe, and on the concurrent
+        # runtimes three threads reach it: the feeder, the flush poller
+        # and whichever thread delivers credit grants.  One lock
+        # serialises them — reentrant, because a send can fail into the
+        # degraded path, which sends again.
+        self._lock = threading.RLock()
+        self._started = False
+
+    def _build_components(self, rng: random.Random, cloud) -> None:
+        """Build everything behind the dispatcher and register it under
+        its destination name.
+
+        ``rng`` has already given the dispatcher its seed; the checking
+        node's and then the merger's are drawn here, in that order —
+        every equivalence fingerprint depends on this chain.
+        """
+        config, telemetry = self.config, self.telemetry
+        for node_id in range(config.num_computing_nodes):
+            self._install_node(node_id)
         self.checking = CheckingNode(
             config, rng=random.Random(rng.random()), telemetry=telemetry
         )
         self.merger = Merger(
-            config, cipher, rng=random.Random(rng.random()), telemetry=telemetry
+            config,
+            self.cipher,
+            rng=random.Random(rng.random()),
+            telemetry=telemetry,
         )
         self.cloud = (
             cloud
@@ -220,71 +268,199 @@ class FresqueSystem:
             else FresqueCloud(config.domain, telemetry=telemetry)
         )
         self._cloud_adapter = CloudAdapter(self.cloud)
-        self._queue: deque[tuple[str, object]] = deque()
-        self._started = False
+        self._handlers["checking"] = self.checking.handle
+        self._handlers["merger"] = self.merger.handle
+        self._handlers["cloud"] = self._cloud_adapter.handle
 
-    # ------------------------------------------------------------------
-    # Message routing
-    # ------------------------------------------------------------------
-
-    def _deliver(self, destination: str, message) -> list[tuple[str, object]]:
-        if destination.startswith("cn-"):
-            node = self._nodes[int(destination[3:])]
-            if isinstance(message, RawBatch):
-                return node.on_raw_batch(message)
-            if isinstance(message, RawData):
-                return node.on_raw(message)
-            if isinstance(message, PublishingMsg):
-                return node.on_publishing(message.publication)
-            if isinstance(message, DoneMsg):
-                return node.on_done(message)
-        elif destination == "checking":
-            if isinstance(message, PairBatch):
-                return self.checking.on_pair_batch(message)
-            if isinstance(message, NewPublication):
-                return self.checking.on_new_publication(message)
-            if isinstance(message, Pair):
-                return self.checking.on_pair(message)
-            if isinstance(message, PublishingMsg):
-                return self.checking.on_publishing(message)
-            if isinstance(message, CnPublishing):
-                return self.checking.on_cn_publishing(message)
-            if isinstance(message, NodeDown):
-                return self.checking.on_node_down(message)
-            if isinstance(message, MembershipMsg):
-                return self.checking.on_membership(message)
-        elif destination == "merger":
-            if isinstance(message, TemplateMsg):
-                return self.merger.on_template(message)
-            if isinstance(message, RemovedRecord):
-                return self.merger.on_removed(message)
-            if isinstance(message, AlSnapshot):
-                return self.merger.on_al(message)
-        elif destination == "cloud":
-            return self._cloud_adapter.handle(message)
-        elif destination == "dispatcher":
-            if isinstance(message, CreditGrant):
-                return self.dispatcher.on_credit(message)
-        raise TypeError(
-            f"no handler for {type(message).__name__} at {destination!r}"
+    def _new_node(self, node_id: int) -> ComputingNode:
+        return ComputingNode(
+            node_id, self.config, self.cipher, telemetry=self.telemetry
         )
 
-    def _pump(self, outbox: list[tuple[str, object]]) -> None:
-        self._queue.extend(outbox)
-        while self._queue:
-            destination, message = self._queue.popleft()
-            self._queue.extend(self._deliver(destination, message))
+    def _install_node(self, node_id: int) -> ComputingNode:
+        """Build computing node ``node_id`` and register it, in place of
+        a previous incarnation of the same id if there was one."""
+        node = self._new_node(node_id)
+        previous = self._nodes.get(node_id)
+        if previous is None:
+            self.computing_nodes.append(node)
+        else:
+            self.computing_nodes[self.computing_nodes.index(previous)] = node
+        self._nodes[node_id] = node
+        self._handlers[f"cn-{node_id}"] = node.handle
+        return node
+
+    # ------------------------------------------------------------------
+    # Sending
+    # ------------------------------------------------------------------
+
+    def _send_all(self, outbox: list[tuple[str, object]]) -> None:
+        """Deliver ``outbox`` in order — the driver's single send path.
+
+        In process, every message is handled on the spot and what its
+        handler emits queues up behind everything already waiting, until
+        nothing is left: the driver is quiescent whenever this returns.
+        """
+        queue = self._queue
+        queue.extend(outbox)
+        while queue:
+            destination, message = queue.popleft()
+            queue.extend(self._handlers[destination](message))
+
+    def _transmit_all(self, outbox) -> None:
+        """The :meth:`_send_all` of a runtime with real channels (each
+        aliases it): every message leaves through the transport's
+        :meth:`_send`, after the fault plan has had its say.  A message
+        for a computing node that is gone takes the degraded path."""
+        plan = self._fault_plan
+        for destination, message in outbox:
+            copies = 1
+            if plan is not None:
+                decision = plan.on_send(destination)
+                if decision.faulted:
+                    if decision.delay > 0:
+                        time.sleep(decision.delay)
+                    if decision.drop:
+                        continue
+                    copies += decision.duplicates
+            for _ in range(copies):
+                if destination in self._dead or not self._send(
+                    destination, message
+                ):
+                    self._degrade(destination, message)
+                    break
+
+    def _send(self, destination: str, message) -> bool:
+        """Transport seam: hand one message to ``destination``.
+
+        ``False`` means the destination is a computing node that is
+        gone, and the driver degrades around it; a trusted node
+        (checking, merger, cloud) that is gone is an error to raise.
+        """
+        raise NotImplementedError
+
+    def _degrade(self, destination: str, message) -> None:
+        """The degraded-send rule: ``destination`` is a dead computing
+        node.  It leaves the rotation, records shift to the survivors
+        (shared-nothing makes that safe), and control traffic is
+        dropped — the :class:`NodeDown` notice stands in for the dead
+        node's acknowledgements."""
+        with self._lock:
+            self._node_down(int(destination[3:]))
+            self._redispatch((message,))
+
+    def _redispatch(self, messages) -> None:
+        """Re-route the record-carrying ones among ``messages``, which
+        a dead computing node never processed, to the survivors."""
+        with self._lock:
+            for message in messages:
+                if isinstance(message, (RawData, RawBatch)):
+                    self._send_all(self.dispatcher.redispatch(message))
+
+    def _handle_dispatcher(self, message) -> list:
+        """Handler of the ``dispatcher`` address where its messages
+        arrive on a thread of their own: the dispatcher is applied under
+        the lock, and whatever a credit grant releases leaves through
+        the driver's send path, not the delivering thread's."""
+        with self._lock:
+            self._send_all(self.dispatcher.handle(message))
+        return []
+
+    def _thread_handlers(self) -> None:
+        """Ready the handler table for nodes that run concurrently.
+
+        Dispatcher-bound messages take the lock
+        (:meth:`_handle_dispatcher`).  Under deterministic IVs the
+        checking node is fronted by the membership-aware ordering gate,
+        which makes the final cloud state byte-identical to the
+        synchronous system's even with crashes and rejoins interleaving
+        arrivals (docs/PROTOCOL.md).
+        """
+        from repro.runtime.gate import CheckingGate
+
+        self._handlers["dispatcher"] = self._handle_dispatcher
+        if self.config.deterministic_ivs:
+            self._checking_gate = CheckingGate(
+                self.checking.handle, self.config.num_computing_nodes
+            )
+            self._handlers["checking"] = self._checking_gate.feed
+
+    # ------------------------------------------------------------------
+    # Transport seams (no-ops in process)
+    # ------------------------------------------------------------------
+
+    def _spawn(self) -> None:
+        """Bring up whatever runs the nodes (threads, servers, worker
+        processes) and the flush poller."""
+
+    def settle(self, publication: int, timeout: float = 120.0) -> None:
+        """Block until ``publication`` has drained to the cloud.
+
+        No-op here: the synchronous driver is always quiescent.
+        """
+
+    def _supervise(self) -> None:
+        """Notice nodes that died (degrading around computing nodes)
+        and raise the failures that cannot be degraded around."""
+
+    def _queue_depth(self) -> int:
+        """Deepest computing-node backlog, for the adaptive controller."""
+        return 0
+
+    def _kill_node(self, node_id: int) -> None:
+        """Make computing node ``node_id`` actually stop (crash drill)."""
+
+    def _salvage(self, node_id: int):
+        """The messages a dead computing node left unread.  Called once
+        it is out of the rotation; the driver redispatches the records
+        among them after the :class:`NodeDown` notice."""
+        return ()
+
+    def _start_node(self, node_id: int) -> None:
+        """Bring up a fresh incarnation of computing node ``node_id``
+        (an admitted node, or a crashed one rejoining)."""
+        self._install_node(node_id)
+
+    def shutdown(self) -> None:
+        """Stop everything :meth:`_spawn` started."""
+
+    # ------------------------------------------------------------------
+    # Publication boundary
+    # ------------------------------------------------------------------
+
+    def _open_publication(self) -> None:
+        """Boundary hook: open the next publication (lock held)."""
+        self._send_all(self.dispatcher.start_publication())
+
+    def _end_publication(self) -> None:
+        """Boundary hook: close the current publication (lock held)."""
+        self._send_all(self.dispatcher.end_publication())
+
+    def _receipt(self, publication: int):
+        """The cloud's receipt for ``publication`` as this driver sees
+        it; ``None`` until the publication is matched."""
+        return self._cloud_adapter.receipt_for(publication)
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Open the first publication."""
+        """Bring the nodes up and open the first publication."""
         if self._started:
-            raise RuntimeError("system already started")
+            raise RuntimeError("already started")
         self._started = True
-        self._pump(self.dispatcher.start_publication())
+        self._spawn()
+        with self._lock:
+            self._open_publication()
+
+    def __enter__(self):
+        if not self._started:
+            self.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.shutdown()
 
     def ingest(self, line: str) -> None:
         """Feed one raw line into the current publication.
@@ -295,16 +471,14 @@ class FresqueSystem:
         """
         if not self._started:
             raise RuntimeError("call start() first")
-        self._pump(self.dispatcher.on_raw(line))
+        with self._lock:
+            self._send_all(self.dispatcher.on_raw(line))
 
     def ingest_batch(self, lines: list[str]) -> None:
         """Feed many raw lines into the current publication, in order."""
-        if not self._started:
-            raise RuntimeError("call start() first")
-        on_raw = self.dispatcher.on_raw
-        pump = self._pump
+        ingest = self.ingest
         for line in lines:
-            pump(on_raw(line))
+            ingest(line)
 
     def offer(self, line: str) -> bool:
         """Admission-controlled :meth:`ingest`; False means shed.
@@ -316,25 +490,73 @@ class FresqueSystem:
         """
         if not self._started:
             raise RuntimeError("call start() first")
-        outbox = self.dispatcher.offer_raw(line)
-        if outbox is None:
-            return False
-        self._pump(outbox)
+        with self._lock:
+            if not self.dispatcher.admit():
+                return False
+            self.ingest(line)
         return True
 
     def flush_ingest(self) -> None:
         """Flush the dispatcher's in-flight batch through the pipeline."""
-        self._pump(self.dispatcher.flush_batch())
+        with self._lock:
+            self._send_all(self.dispatcher.flush_batch())
+
+    def _poll_flush(self) -> None:
+        """One flush-poller tick: sample the computing nodes' backlog
+        for the adaptive controller (pinned deployments never read it)
+        and fire the delay flush if the in-flight batch outlived its
+        bound."""
+        with self._lock:
+            dispatcher = self.dispatcher
+            if self.telemetry.enabled or not dispatcher.flow.controller.pinned:
+                dispatcher.observe_queue_depth(self._queue_depth())
+            self._send_all(dispatcher.flush_due())
 
     def poll_flush(self) -> None:
         """Fire the delay flush if the in-flight batch outlived its bound.
 
-        The synchronous counterpart of the runtime clusters'
-        :class:`~repro.runtime.poller.FlushPoller`: drivers with idle
-        periods call this periodically so a trickle below the batch size
+        The runtimes run a :class:`~repro.runtime.poller.FlushPoller`
+        thread on this; drivers of the synchronous system with idle
+        periods call it periodically, so a trickle below the batch size
         never stalls past ``max_batch_delay``.
         """
-        self._pump(self.dispatcher.flush_due())
+        self._poll_flush()
+
+    def pump_dummies(self, fraction: float) -> None:
+        """Release every dummy scheduled before ``fraction`` of the
+        interval (how :meth:`run_publication` and the chaos harness pace
+        dummies between ingests)."""
+        with self._lock:
+            self._send_all(self.dispatcher.due_dummies(fraction))
+
+    def close_publication(self) -> None:
+        """Close the current publication and open the next one."""
+        with self._lock:
+            self._end_publication()
+            self._open_publication()
+
+    def finish_publication(self, timeout: float = 120.0):
+        """Close the current publication, open the next one and wait
+        for the closed one to drain (:meth:`settle`).
+
+        Returns its cloud receipt (``None`` if the publication could
+        not complete, e.g. under injected faults).
+        """
+        publication = self.dispatcher.publication
+        self.close_publication()
+        self.settle(publication, timeout)
+        return self._receipt(publication)
+
+    def _feed(self, lines: list[str]) -> None:
+        """Ingest ``lines`` into the current publication (starting the
+        driver if need be), the scheduled dummies interleaved uniformly."""
+        if not self._started:
+            self.start()
+        pump_dummies, ingest = self.pump_dummies, self.ingest
+        total = max(1, len(lines))
+        for position, line in enumerate(lines):
+            pump_dummies((position + 1) / (total + 1))
+            ingest(line)
 
     def run_publication(self, lines: list[str]) -> PublicationSummary:
         """Ingest ``lines``, interleave the scheduled dummies uniformly,
@@ -342,64 +564,40 @@ class FresqueSystem:
 
         Returns a summary of what was published.
         """
-        if not self._started:
-            self.start()
-        publication = self.dispatcher.publication
         dummies_before = self.checking.dummies_passed
         removed_before = self.checking.records_removed
-        total = max(1, len(lines))
-        for position, line in enumerate(lines):
-            self._pump(
-                self.dispatcher.due_dummies((position + 1) / (total + 1))
-            )
-            self.ingest(line)
-        self._pump(self.dispatcher.end_publication())
-        self._pump(self.dispatcher.start_publication())
-        receipt = next(
-            r
-            for r in self._cloud_adapter.receipts
-            if r.publication == publication
-        )
+        self._feed(lines)
+        receipt = self.finish_publication()
         return PublicationSummary(
-            publication=publication,
+            publication=receipt.publication,
             real_records=len(lines),
             dummies=self.checking.dummies_passed - dummies_before,
             removed=self.checking.records_removed - removed_before,
             published_pairs=receipt.records_matched,
         )
 
-    def pump_dummies(self, fraction: float) -> None:
-        """Release every dummy scheduled before ``fraction`` of the
-        interval (the chaos harness's dummy-pacing hook; matches the
-        :meth:`run_publication` loop)."""
-        self._pump(self.dispatcher.due_dummies(fraction))
-
-    def close_publication(self) -> None:
-        """Close the current publication and open the next one."""
-        self._pump(self.dispatcher.end_publication())
-        self._pump(self.dispatcher.start_publication())
-
-    def settle(self, publication: int, timeout: float = 120.0) -> None:
-        """No-op: the synchronous driver is always quiescent."""
-
     # ------------------------------------------------------------------
     # Elastic membership (docs/PROTOCOL.md)
     # ------------------------------------------------------------------
 
+    @property
+    def dead_nodes(self) -> frozenset[str]:
+        """Names of computing nodes the driver degraded around."""
+        return frozenset(self._dead)
+
     def admit_node(self, node_id: int | None = None) -> int:
         """Admit a new computing node into the live fleet.
 
-        Flushes the in-flight batch under the old epoch, rebuilds the
-        dispatch rotation, and broadcasts the membership snapshot.
-        Returns the admitted node's id.
+        Flushes the in-flight batch under the old epoch, brings the node
+        up, rebuilds the dispatch rotation and broadcasts the membership
+        snapshot.  Returns the admitted node's id.
         """
-        node_id, outbox = self.dispatcher.admit_node(node_id)
-        node = ComputingNode(
-            node_id, self.config, self.cipher, telemetry=self.telemetry
-        )
-        self.computing_nodes.append(node)
-        self._nodes[node_id] = node
-        self._pump(outbox)
+        if not self._started:
+            raise RuntimeError("call start() first")
+        with self._lock:
+            node_id, outbox = self.dispatcher.admit_node(node_id)
+            self._start_node(node_id)
+            self._send_all(outbox)
         return node_id
 
     def retire_node(self, node_id: int) -> None:
@@ -409,42 +607,70 @@ class FresqueSystem:
         (it still reports *publishing* and receives *done*); it simply
         receives no further batches.
         """
-        self._pump(self.dispatcher.retire_node(node_id))
+        with self._lock:
+            self._send_all(self.dispatcher.retire_node(node_id))
 
     def crash_node(self, node_id: int) -> None:
-        """Simulate a computing-node crash.
+        """Crash a computing node and degrade around it.
 
-        The node object is discarded (its held state dies with it) and
-        the dispatcher takes it out of rotation; the checking node hears
-        :class:`NodeDown` and stops waiting for its reports.  The
-        synchronous driver pumps to quiescence between ingests, so no
-        in-flight batch is lost — matching the concurrent runtimes,
-        which redispatch the backlog to the survivors.
+        The dispatcher takes it out of rotation, the checking node hears
+        :class:`NodeDown` and stops waiting for its reports, and what it
+        left unread is redispatched to the survivors.  (The synchronous
+        driver pumps to quiescence between ingests, so it has no backlog
+        to lose.)
         """
-        self._pump(self.dispatcher.mark_node_down(node_id))
+        self._kill_node(node_id)
+        self._node_down(node_id)
 
-    def rejoin_node(self, node_id: int) -> None:
+    def _node_down(self, node_id: int) -> None:
+        """Degrade around dead computing node ``node_id`` (idempotent).
+
+        Ordering matters: the node leaves the rotation *first* (so
+        redispatch never routes back to it), and the checking node hears
+        :class:`NodeDown` *before* the redispatched backlog.  Messages
+        are redispatched as the same objects — never re-stamped — so
+        their seq/ordinal/IV stamps survive and churn stays
+        byte-invisible.
+        """
+        with self._lock:
+            notice = self.dispatcher.mark_node_down(node_id)
+            if not notice:
+                return
+            self._dead.add(f"cn-{node_id}")
+            backlog = self._salvage(node_id)
+            self._send_all(notice)
+            self._redispatch(backlog)
+
+    def rejoin_node(self, node_id: int) -> int:
         """Bring a crashed node back as a fresh incarnation.
 
-        The replacement starts from empty state under the new epoch;
-        the membership broadcast raises its join-epoch floor so any
-        straggler output of the dead incarnation is discarded.
+        The replacement starts from empty state under a new epoch; the
+        membership broadcast raises its join-epoch floor, so any
+        straggler output of the dead incarnation is discarded.  On the
+        TCP runtime, only call once the surrounding publication has
+        completed — the cloud receipt guarantees the checking node has
+        consumed every frame the old incarnation sent.
         """
-        node = ComputingNode(
-            node_id, self.config, self.cipher, telemetry=self.telemetry
-        )
-        self._nodes[node_id] = node
-        self.computing_nodes = [
-            existing if existing.node_id != node_id else node
-            for existing in self.computing_nodes
-        ]
-        self._pump(self.dispatcher.rejoin_node(node_id))
+        self._supervise()
+        if self.dispatcher.membership.state_of(node_id) != "down":
+            raise ValueError(f"node {node_id} is not down")
+        self._start_node(node_id)
+        with self._lock:
+            self._dead.discard(f"cn-{node_id}")
+            self._send_all(self.dispatcher.rejoin_node(node_id))
+        return node_id
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
 
     def make_client(self, schema=None) -> QueryClient:
         """A query client bound to this deployment.
 
         Queries cover the cloud plus the collector-resident records (the
-        randomer buffer and the merger's removed records, Section 5.3(c)).
+        randomer buffer and the merger's removed records, Section 5.3(c));
+        on a concurrent runtime only call it between publications, once
+        quiescent.
         """
         return QueryClient(
             schema if schema is not None else self.config.schema,

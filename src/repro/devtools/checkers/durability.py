@@ -43,7 +43,7 @@ _JOURNAL_APPENDS = (
 
 #: Calls that mutate pipeline state (suffix match on the dotted callee).
 _PIPELINE_CALLS = (
-    "._pump",
+    "._send_all",
     ".on_raw",
     ".start_publication",
     ".end_publication",

@@ -30,7 +30,7 @@ import pathlib
 
 from repro.cloud.node import FresqueCloud
 from repro.core.config import FresqueConfig
-from repro.core.system import FresqueSystem, PublicationSummary
+from repro.core.system import FresqueSystem
 from repro.crypto.cipher import RecordCipher
 from repro.durability.checkpoint import CheckpointStore
 from repro.durability.journal import WriteAheadJournal
@@ -127,7 +127,8 @@ class DurableFresqueSystem(FresqueSystem):
     # ------------------------------------------------------------------
 
     def _open_publication(self) -> None:
-        """Grant ε, journal the open (plan included), start the interval.
+        """Boundary hook: grant ε, journal the open (plan included),
+        start the interval.
 
         Ordering is the whole point: ledger intent (inside
         :meth:`~repro.privacy.accountant.PublicationAccountant.grant`),
@@ -141,19 +142,23 @@ class DurableFresqueSystem(FresqueSystem):
             grant.publication, plan, grant.epsilon
         )
         self._open_publications.add(grant.publication)
-        self._pump(self.dispatcher.start_publication(plan))
+        self._send_all(self.dispatcher.start_publication(plan))
         if self.dispatcher.publication != grant.publication:
             raise RuntimeError(
                 f"grant {grant.publication} does not match dispatcher "
                 f"publication {self.dispatcher.publication}"
             )
 
-    def start(self) -> None:
-        """Open the first publication (journalled)."""
-        if self._started:
-            raise RuntimeError("system already started")
-        self._started = True
-        self._open_publication()
+    def _end_publication(self) -> None:
+        """Journal ``close``, flush the pipeline, and — once the cloud's
+        receipt is in — commit the ε grant (ledger second phase) and
+        journal ``commit``.  Without a receipt (e.g. under injected
+        faults) the grant stays uncommitted for recovery to settle."""
+        publication = self.dispatcher.publication
+        self._last_seq = self.journal.append_close(publication)
+        self._send_all(self.dispatcher.end_publication())
+        if self._receipt(publication) is not None:
+            self._commit_publication(publication)
 
     def ingest(self, line: str) -> None:
         """Journal one raw line, then feed it to the pipeline.
@@ -171,13 +176,8 @@ class DurableFresqueSystem(FresqueSystem):
             raise CollectorCrash(
                 f"injected crash after journal seq {self._last_seq}"
             )
-        self._pump(self.dispatcher.on_raw(line))
-        self._records_since_checkpoint += 1
-        if (
-            self.checkpoint_every
-            and self._records_since_checkpoint >= self.checkpoint_every
-        ):
-            self.checkpoint()
+        self._send_all(self.dispatcher.on_raw(line))
+        self._note_ingested(1)
 
     def ingest_batch(self, lines: list[str]) -> None:
         """Journal and feed ``lines`` in dispatcher-batch-sized chunks.
@@ -208,7 +208,7 @@ class DurableFresqueSystem(FresqueSystem):
             self.dispatcher.publication, lines
         )
         fault = self.fault_plan
-        pump = self._pump
+        send_all = self._send_all
         dispatcher = self.dispatcher
         for index, line in enumerate(lines):
             if fault is not None and fault.on_collector_record():
@@ -216,30 +216,25 @@ class DurableFresqueSystem(FresqueSystem):
                     f"injected crash after journal seq {self._last_seq}"
                 )
             if fractions is not None:
-                pump(dispatcher.due_dummies(fractions[index]))
-            pump(dispatcher.on_raw(line))
-        self._records_since_checkpoint += len(lines)
+                send_all(dispatcher.due_dummies(fractions[index]))
+            send_all(dispatcher.on_raw(line))
+        self._note_ingested(len(lines))
+
+    def _note_ingested(self, records: int) -> None:
+        """Checkpoint once ``checkpoint_every`` records have gone by."""
+        self._records_since_checkpoint += records
         if (
             self.checkpoint_every
             and self._records_since_checkpoint >= self.checkpoint_every
         ):
             self.checkpoint()
 
-    def finish_publication(self):
-        """Close the current publication and open the next one.
-
-        Journals ``close``, flushes the pipeline, and — once the cloud's
-        receipt is in — commits the ε grant (ledger second phase) and
-        journals ``commit``.  Returns the receipt (``None`` if the
-        publication could not complete, e.g. under injected faults).
-        """
-        publication = self.dispatcher.publication
-        self._last_seq = self.journal.append_close(publication)
-        self._pump(self.dispatcher.end_publication())
-        receipt = self._cloud_adapter.receipt_for(publication)
-        if receipt is not None:
-            self._commit_publication(publication)
-        self._open_publication()
+    def finish_publication(self, timeout: float = 120.0):
+        """Close the current publication through the journalled
+        boundary hooks, open the next one and checkpoint.  Returns the
+        receipt (``None`` if the publication could not complete, e.g.
+        under injected faults)."""
+        receipt = super().finish_publication(timeout)
         self.checkpoint()
         return receipt
 
@@ -248,39 +243,25 @@ class DurableFresqueSystem(FresqueSystem):
         self._last_seq = self.journal.append_commit(publication)
         self._open_publications.discard(publication)
 
-    def run_publication(self, lines: list[str]) -> PublicationSummary:
-        """Durable counterpart of the base driver's interval loop."""
-        if not self._started:
-            self.start()
-        publication = self.dispatcher.publication
-        dummies_before = self.checking.dummies_passed
-        removed_before = self.checking.records_removed
-        total = max(1, len(lines))
+    def _feed(self, lines: list[str]) -> None:
+        """The base driver's interval loop, journalled: with batching
+        on, one ``rawb`` group-commit frame per dispatcher-batch-sized
+        chunk instead of one ``raw`` frame per record."""
         size = self.config.batch_size
         if size <= 1:
-            for position, line in enumerate(lines):
-                self._pump(
-                    self.dispatcher.due_dummies((position + 1) / (total + 1))
-                )
-                self.ingest(line)
-        else:
-            for start in range(0, len(lines), size):
-                chunk = list(lines[start : start + size])
-                self._ingest_chunk(
-                    chunk,
-                    fractions=[
-                        (start + index + 1) / (total + 1)
-                        for index in range(len(chunk))
-                    ],
-                )
-        receipt = self.finish_publication()
-        return PublicationSummary(
-            publication=publication,
-            real_records=len(lines),
-            dummies=self.checking.dummies_passed - dummies_before,
-            removed=self.checking.records_removed - removed_before,
-            published_pairs=receipt.records_matched,
-        )
+            return super()._feed(lines)
+        if not self._started:
+            self.start()
+        total = max(1, len(lines))
+        for start in range(0, len(lines), size):
+            chunk = list(lines[start : start + size])
+            self._ingest_chunk(
+                chunk,
+                fractions=[
+                    (start + index + 1) / (total + 1)
+                    for index in range(len(chunk))
+                ],
+            )
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -330,7 +311,7 @@ class DurableFresqueSystem(FresqueSystem):
         """Re-open a journalled publication without granting new ε."""
         self._started = True
         self._open_publications.add(publication)
-        self._pump(self.dispatcher.start_publication(plan))
+        self._send_all(self.dispatcher.start_publication(plan))
         if self.dispatcher.publication != publication:
             from repro.durability.journal import JournalCorrupt
 
@@ -341,19 +322,19 @@ class DurableFresqueSystem(FresqueSystem):
 
     def _replay_raw(self, line: str) -> None:
         """Re-dispatch one journalled raw line."""
-        self._pump(self.dispatcher.on_raw(line))
+        self._send_all(self.dispatcher.on_raw(line))
 
     def _replay_raw_batch(self, lines: tuple[str, ...]) -> None:
         """Re-dispatch one journalled batch, line order preserved."""
-        pump = self._pump
+        send_all = self._send_all
         on_raw = self.dispatcher.on_raw
         for line in lines:
-            pump(on_raw(line))
+            send_all(on_raw(line))
 
     def _replay_close(self, publication: int) -> None:
         """Re-run a journalled interval end; commit if the cloud acked."""
-        self._pump(self.dispatcher.end_publication())
-        receipt = self._cloud_adapter.receipt_for(publication)
+        self._send_all(self.dispatcher.end_publication())
+        receipt = self._receipt(publication)
         if receipt is None and self.cloud.is_published(publication):
             receipt = self.cloud.receipt_for(publication)
         if receipt is not None:

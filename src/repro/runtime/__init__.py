@@ -2,7 +2,6 @@
 
 from repro.runtime.channel import POISON, Inbox, InFlightTracker
 from repro.runtime.cluster import ThreadedFresque
-from repro.runtime.process import ProcessCluster, run_node
 from repro.runtime.tcp import Router, TcpFresqueCluster, TcpNode
 from repro.runtime.wire import (
     WireError,
@@ -17,7 +16,6 @@ __all__ = [
     "Inbox",
     "InFlightTracker",
     "POISON",
-    "ProcessCluster",
     "Router",
     "TcpFresqueCluster",
     "TcpNode",
@@ -28,5 +26,4 @@ __all__ = [
     "encode_message",
     "encode_tree",
     "read_frames",
-    "run_node",
 ]

@@ -6,43 +6,25 @@ communicates only through inboxes, mirroring the shared-nothing cluster of
 the paper.  Used by the integration tests and examples to demonstrate that
 the protocol is executable concurrently (out-of-order arrivals across
 senders included), and to measure real — if Python-scale — ingest rates.
+
+:class:`ThreadedFresque` is the collector driver
+(:class:`~repro.core.system.FresqueSystem`) over in-process inboxes: it
+supplies the send (inbox put + in-flight tracker), quiescence as
+``settle``, the node threads, and the FIFO barriers a crash and a rejoin
+need on this substrate.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 
-from repro.client.query_client import QueryClient
-from repro.cloud.node import FresqueCloud
-from repro.core.checking import CheckingNode
 from repro.core.computing_node import ComputingNode
 from repro.core.config import FresqueConfig
-from repro.core.dispatcher import Dispatcher
-from repro.core.merger import Merger
-from repro.core.messages import (
-    AlSnapshot,
-    CnPublishing,
-    CreditGrant,
-    DoneMsg,
-    MembershipMsg,
-    NewPublication,
-    NodeDown,
-    Pair,
-    PairBatch,
-    PublishingMsg,
-    RawBatch,
-    RawData,
-    RemovedRecord,
-    TemplateMsg,
-)
-from repro.core.system import CloudAdapter
+from repro.core.system import FresqueSystem
 from repro.crypto.cipher import RecordCipher
 from repro.runtime.channel import POISON, Inbox, InFlightTracker
-from repro.runtime.gate import CheckingGate
 from repro.runtime.poller import FlushPoller, poll_interval
 from repro.telemetry.clock import WALL_CLOCK
-from repro.telemetry.context import coalesce
 
 
 class _Control:
@@ -66,7 +48,7 @@ class _Control:
             self.done.set()
 
 
-class ThreadedFresque:
+class ThreadedFresque(FresqueSystem):
     """A FRESQUE deployment where every node is a thread.
 
     Parameters
@@ -85,9 +67,9 @@ class ThreadedFresque:
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan` consulted on
         every routed message: dropped messages never reach the inbox,
-        duplicated ones are enqueued twice, delayed ones arrive through
-        a timer thread.  ``sever`` has no meaning for in-process
-        channels and is ignored.
+        duplicated ones are enqueued twice, delayed ones stall their
+        sender.  ``sever`` has no meaning for in-process channels and is
+        ignored.
     clock:
         Time source injected into the dispatcher (tests use a
         :class:`~repro.telemetry.clock.SimulatedClock` to drive the
@@ -104,29 +86,9 @@ class ThreadedFresque:
         fault_plan=None,
         clock=None,
     ):
-        self.config = config
-        self.cipher = cipher
-        self.telemetry = coalesce(telemetry)
-        rng = random.Random(seed)
-        self.dispatcher = Dispatcher(
-            config,
-            rng=random.Random(rng.random()),
-            telemetry=telemetry,
-            clock=clock,
-        )
-        self.computing_nodes = [
-            ComputingNode(i, config, cipher, telemetry=telemetry)
-            for i in range(config.num_computing_nodes)
-        ]
-        self.checking = CheckingNode(
-            config, rng=random.Random(rng.random()), telemetry=telemetry
-        )
-        self.merger = Merger(
-            config, cipher, rng=random.Random(rng.random()), telemetry=telemetry
-        )
-        self.cloud = FresqueCloud(config.domain, telemetry=telemetry)
-        self.cloud_adapter = CloudAdapter(self.cloud)
+        self._clock = clock
         self._fault_plan = fault_plan
+        super().__init__(config, cipher, seed=seed, telemetry=telemetry)
         self._tracker = InFlightTracker()
         self._inboxes: dict[str, Inbox] = {}
         self._depth_gauges: dict[str, object] = {}
@@ -134,138 +96,28 @@ class ThreadedFresque:
             "runtime_messages_total"
         )
         self._threads: list[threading.Thread] = []
-        self._handlers: dict[str, object] = {}
-        self._nodes: dict[int, ComputingNode] = {
-            node.node_id: node for node in self.computing_nodes
-        }
-        # Names whose thread keeps running but no longer *handles*
-        # messages: a crashed node's loop turns zombie and diverts its
-        # backlog (RawBatches are redispatched) so the in-flight
-        # tracker can never leak on a crash.
-        self._halted: set[str] = set()
-        # Under deterministic IVs the checking inbox is fed through the
-        # membership-aware ordering gate, making the final cloud state
-        # byte-identical to the synchronous system's even with crashes
-        # and rejoins interleaving arrivals (docs/PROTOCOL.md).
-        self._checking_gate: CheckingGate | None = None
         self._errors: list[BaseException] = []
-        self._started = False
         self.wall_seconds = 0.0
-        # The dispatcher is not thread-safe: the driver thread feeds it,
-        # the flush poller fires its delay flush, and credit grants land
-        # on the dispatcher inbox thread.  One lock serialises them.
-        self._dispatch_lock = threading.RLock()
         self._poller = FlushPoller(
             poll_interval(config.max_batch_delay), self._poll_flush
         )
 
     # ------------------------------------------------------------------
-    # Node handlers (each runs on its own thread)
+    # Transport: inboxes and node threads
     # ------------------------------------------------------------------
 
-    def _handle_cn(self, node: ComputingNode, message):
-        if isinstance(message, RawBatch):
-            return node.on_raw_batch(message)
-        if isinstance(message, RawData):
-            return node.on_raw(message)
-        if isinstance(message, PublishingMsg):
-            return node.on_publishing(message.publication)
-        if isinstance(message, DoneMsg):
-            return node.on_done(message)
-        raise TypeError(f"cn cannot handle {type(message).__name__}")
+    _send_all = FresqueSystem._transmit_all
 
-    def _handle_checking(self, message):
-        if isinstance(message, NewPublication):
-            return self.checking.on_new_publication(message)
-        if isinstance(message, PairBatch):
-            return self.checking.on_pair_batch(message)
-        if isinstance(message, Pair):
-            return self.checking.on_pair(message)
-        if isinstance(message, PublishingMsg):
-            return self.checking.on_publishing(message)
-        if isinstance(message, CnPublishing):
-            return self.checking.on_cn_publishing(message)
-        if isinstance(message, NodeDown):
-            return self.checking.on_node_down(message)
-        if isinstance(message, MembershipMsg):
-            return self.checking.on_membership(message)
-        raise TypeError(f"checking cannot handle {type(message).__name__}")
-
-    def _handle_merger(self, message):
-        if isinstance(message, TemplateMsg):
-            return self.merger.on_template(message)
-        if isinstance(message, RemovedRecord):
-            return self.merger.on_removed(message)
-        if isinstance(message, AlSnapshot):
-            return self.merger.on_al(message)
-        raise TypeError(f"merger cannot handle {type(message).__name__}")
-
-    def _handle_dispatcher(self, message):
-        if isinstance(message, CreditGrant):
-            with self._dispatch_lock:
-                return self.dispatcher.on_credit(message)
-        raise TypeError(f"dispatcher cannot handle {type(message).__name__}")
-
-    def _poll_flush(self) -> None:
-        """Poller tick: delay flush plus a queue-depth sample."""
-        with self._dispatch_lock:
-            if self.telemetry.enabled or not self.dispatcher.flow.controller.pinned:
-                depth = max(
-                    (
-                        inbox.qsize()
-                        for name, inbox in self._inboxes.items()
-                        if name.startswith("cn-")
-                    ),
-                    default=0,
-                )
-                self.dispatcher.observe_queue_depth(depth)
-            outbox = self.dispatcher.flush_due()
-        self._pump_outbox(outbox)
-
-    # ------------------------------------------------------------------
-    # Threading plumbing
-    # ------------------------------------------------------------------
-
-    def _send(self, destination: str, message) -> None:
-        copies = 1
-        if self._fault_plan is not None:
-            decision = self._fault_plan.on_send(destination)
-            if decision.faulted:
-                if decision.drop:
-                    return
-                copies += decision.duplicates
-                if decision.delay > 0:
-                    # Count the in-flight messages *now* so quiescence
-                    # waits for the delayed delivery, then enqueue from
-                    # a timer thread.
-                    for _ in range(copies):
-                        self._tracker.increment()
-                    timer = threading.Timer(
-                        decision.delay,
-                        self._deliver_delayed,
-                        args=(destination, message, copies),
-                    )
-                    timer.daemon = True
-                    timer.start()
-                    return
-        for _ in range(copies):
-            self._tracker.increment()
-            self._deliver(destination, message)
-
-    def _deliver(self, destination: str, message) -> None:
+    def _send(self, destination: str, message) -> bool:
+        # Counted in flight from here until its handler (and everything
+        # that handler sent) is done: quiescence is the count at zero.
+        self._tracker.increment()
         inbox = self._inboxes[destination]
         inbox.put(message)
         if self.telemetry.enabled:
             self._messages_counter.inc()
             self._depth_gauges[destination].set(inbox.qsize())
-
-    def _deliver_delayed(self, destination: str, message, copies: int) -> None:
-        for _ in range(copies):
-            self._deliver(destination, message)
-
-    def _pump_outbox(self, outbox) -> None:
-        for destination, message in outbox:
-            self._send(destination, message)
+        return True
 
     def _node_loop(self, name: str) -> None:
         inbox = self._inboxes[name]
@@ -275,30 +127,18 @@ class ThreadedFresque:
                 return
             try:
                 if isinstance(message, _Control):
-                    self._pump_outbox(message.run() or [])
-                elif name in self._halted:
-                    self._divert_dead(message)
+                    self._send_all(message.run() or [])
+                elif name in self._dead:
+                    # A crashed node's thread keeps running as a zombie
+                    # that diverts its backlog, so the in-flight tracker
+                    # can never leak on a crash.
+                    self._degrade(name, message)
                 else:
-                    self._pump_outbox(self._handlers[name](message))
+                    self._send_all(self._handlers[name](message))
             except BaseException as exc:  # surfaced by the driver
                 self._errors.append(exc)
             finally:
                 self._tracker.decrement()
-
-    def _divert_dead(self, message) -> None:
-        """Reroute a message that reached a crashed node's inbox.
-
-        RawBatches are redispatched to a survivor (refunding their
-        credits); control traffic is simply dropped — the ``NodeDown``
-        absolution stands in for the dead node's acknowledgements.
-        """
-        if isinstance(message, RawBatch):
-            with self._dispatch_lock:
-                outbox = self.dispatcher.redispatch(message)
-            self._pump_outbox(outbox)
-
-    def _cn_handler(self, node: ComputingNode):
-        return lambda message, node=node: self._handle_cn(node, message)
 
     def _spawn_node_thread(self, name: str) -> None:
         self._inboxes[name] = Inbox(name)
@@ -314,149 +154,21 @@ class ThreadedFresque:
         self._threads.append(thread)
         thread.start()
 
-    def start(self) -> None:
-        """Spawn all node threads and open the first publication."""
-        if self._started:
-            raise RuntimeError("runtime already started")
-        self._started = True
-        checking_handler = self._handle_checking
-        if self.config.deterministic_ivs:
-            self._checking_gate = CheckingGate(
-                checking_handler, self.config.num_computing_nodes
-            )
-            checking_handler = self._checking_gate.feed
-        self._handlers = {
-            "checking": checking_handler,
-            "merger": self._handle_merger,
-            "cloud": self.cloud_adapter.handle,
-            "dispatcher": self._handle_dispatcher,
-        }
-        for node in self.computing_nodes:
-            self._handlers[f"cn-{node.node_id}"] = self._cn_handler(node)
-        for name in list(self._handlers):
+    def _spawn(self) -> None:
+        self._thread_handlers()
+        for name in self._handlers:
             self._spawn_node_thread(name)
-        with self._dispatch_lock:
-            outbox = self.dispatcher.start_publication()
-        self._pump_outbox(outbox)
         self._poller.start()
 
-    # ------------------------------------------------------------------
-    # Elastic membership (docs/PROTOCOL.md)
-    # ------------------------------------------------------------------
-
-    def admit_node(self, node_id: int | None = None) -> int:
-        """Admit a new computing node at runtime: a fresh thread joins
-        the fleet under a new membership epoch."""
-        if not self._started:
-            raise RuntimeError("call start() first")
-        with self._dispatch_lock:
-            node_id, outbox = self.dispatcher.admit_node(node_id)
-            node = ComputingNode(
-                node_id, self.config, self.cipher, telemetry=self.telemetry
-            )
-            self.computing_nodes.append(node)
-            self._nodes[node_id] = node
-            name = f"cn-{node_id}"
-            self._handlers[name] = self._cn_handler(node)
-            self._spawn_node_thread(name)
-        self._pump_outbox(outbox)
-        return node_id
-
-    def retire_node(self, node_id: int) -> None:
-        """Gracefully retire a node: its in-flight work completes (the
-        thread stays up to flush and acknowledge), but the dispatcher
-        stops routing new batches to it."""
-        with self._dispatch_lock:
-            outbox = self.dispatcher.retire_node(node_id)
-        self._pump_outbox(outbox)
-
-    def crash_node(self, node_id: int) -> None:
-        """Simulate a node crash: the node stops handling messages and
-        its backlog is diverted (RawBatches redispatched to survivors).
-
-        Pairs the node already produced but held while awaiting *done*
-        are salvaged and forwarded — their source batches were consumed,
-        so redispatch can no longer recreate them.
-        """
-        name = f"cn-{node_id}"
-        if name in self._halted:
-            return
-        with self._dispatch_lock:
-            notice = self.dispatcher.mark_node_down(node_id)
-            self._halted.add(name)
-        self._pump_outbox(notice)
-        node = self._nodes[node_id]
-        # FIFO barrier: runs after the backlog has been diverted, on the
-        # node's own thread — no handler can be mid-flight touching
-        # ``_held`` when the salvage reads it.
-        self._tracker.increment()
-        self._deliver(name, _Control(lambda: self._salvage_held(node)))
-
-    def _salvage_held(self, node: ComputingNode) -> list:
-        held, node._held = node._held, []
-        out = []
-        for kind, payload in held:
-            if kind in ("pair", "batch"):
-                out.append(("checking", payload))
-            # "publishing" markers die with the node: NodeDown absolves.
-        return out
-
-    def rejoin_node(self, node_id: int) -> int:
-        """Bring a crashed node back as a fresh incarnation.
-
-        Blocks until the dead incarnation's backlog has fully diverted,
-        then swaps in a new :class:`ComputingNode` on the same thread
-        and raises the membership epoch — any still-travelling pair of
-        the old incarnation is discarded as stale by the checking side.
-        """
-        name = f"cn-{node_id}"
-        if name not in self._halted:
-            raise ValueError(f"node {node_id} is not down")
-        barrier = _Control(lambda: [])
-        self._tracker.increment()
-        self._deliver(name, barrier)
-        if not barrier.done.wait(timeout=30.0):
-            raise TimeoutError(f"crashed node {node_id} backlog stuck")
-        node = ComputingNode(
-            node_id, self.config, self.cipher, telemetry=self.telemetry
+    def _queue_depth(self) -> int:
+        return max(
+            (
+                inbox.qsize()
+                for name, inbox in self._inboxes.items()
+                if name.startswith("cn-")
+            ),
+            default=0,
         )
-        with self._dispatch_lock:
-            self._nodes[node_id] = node
-            for index, existing in enumerate(self.computing_nodes):
-                if existing.node_id == node_id:
-                    self.computing_nodes[index] = node
-                    break
-            self._handlers[name] = self._cn_handler(node)
-            self._halted.discard(name)
-            outbox = self.dispatcher.rejoin_node(node_id)
-        self._pump_outbox(outbox)
-        return node_id
-
-    def ingest(self, line: str) -> None:
-        """Feed one raw line into the current publication.
-
-        Sub-batch-size trickles flush through the background poller
-        after ``max_batch_delay`` — no close required.
-        """
-        if not self._started:
-            raise RuntimeError("call start() first")
-        with self._dispatch_lock:
-            outbox = self.dispatcher.on_raw(line)
-        self._pump_outbox(outbox)
-
-    def pump_dummies(self, fraction: float) -> None:
-        """Release every dummy scheduled before ``fraction`` of the
-        interval (the chaos harness's dummy-pacing hook)."""
-        with self._dispatch_lock:
-            outbox = self.dispatcher.due_dummies(fraction)
-        self._pump_outbox(outbox)
-
-    def close_publication(self) -> None:
-        """Close the current publication and open the next one."""
-        with self._dispatch_lock:
-            outbox = self.dispatcher.end_publication()
-            outbox.extend(self.dispatcher.start_publication())
-        self._pump_outbox(outbox)
 
     def settle(self, publication: int, timeout: float = 120.0) -> None:
         """Block until every in-flight message has drained."""
@@ -465,54 +177,9 @@ class ThreadedFresque:
                 f"publication {publication} did not drain "
                 f"({self._tracker.count} in flight)"
             )
-        self._raise_errors()
+        self._supervise()
 
-    def _feed_publication(self, lines: list[str]) -> None:
-        total = max(1, len(lines))
-        for position, line in enumerate(lines):
-            with self._dispatch_lock:
-                outbox = self.dispatcher.due_dummies(
-                    (position + 1) / (total + 1)
-                )
-                outbox.extend(self.dispatcher.on_raw(line))
-            self._pump_outbox(outbox)
-        with self._dispatch_lock:
-            outbox = self.dispatcher.end_publication()
-            outbox.extend(self.dispatcher.start_publication())
-        self._pump_outbox(outbox)
-
-    def run_publication(self, lines: list[str]) -> None:
-        """Ingest ``lines``, close the publication, wait until it drains."""
-        if not self._started:
-            self.start()
-        started = WALL_CLOCK.now()
-        self._feed_publication(lines)
-        if not self._tracker.wait_quiescent(timeout=120.0):
-            raise TimeoutError(
-                f"publication did not drain ({self._tracker.count} in flight)"
-            )
-        self.wall_seconds += WALL_CLOCK.now() - started
-        self._raise_errors()
-
-    def run_publications_pipelined(self, batches: list[list[str]]) -> None:
-        """Feed several publications back to back *without* waiting for
-        each to drain — the asynchronous-publishing mode: publication
-        ``n + 1``'s ingestion overlaps publication ``n``'s merging and
-        matching.  Blocks only once, after the last batch.
-        """
-        if not self._started:
-            self.start()
-        started = WALL_CLOCK.now()
-        for lines in batches:
-            self._feed_publication(lines)
-        if not self._tracker.wait_quiescent(timeout=240.0):
-            raise TimeoutError(
-                f"publications did not drain ({self._tracker.count} in flight)"
-            )
-        self.wall_seconds += WALL_CLOCK.now() - started
-        self._raise_errors()
-
-    def _raise_errors(self) -> None:
+    def _supervise(self) -> None:
         if self._errors:
             error = self._errors[0]
             self._errors = []
@@ -527,20 +194,70 @@ class ThreadedFresque:
             thread.join(timeout=10.0)
         self._threads = []
 
-    def make_client(self) -> QueryClient:
-        """A query client covering the cloud plus collector-resident
-        records (only call between publications, once quiescent)."""
-        from repro.core.system import CollectorAwareQueryTarget
+    # ------------------------------------------------------------------
+    # Crash and rejoin on this substrate
+    # ------------------------------------------------------------------
 
-        return QueryClient(
-            self.config.schema,
-            self.cipher,
-            CollectorAwareQueryTarget(self.cloud, self.checking, self.merger),
-        )
+    def _barrier(self, name: str, action) -> _Control:
+        """Queue ``action`` behind everything in ``name``'s inbox."""
+        control = _Control(action)
+        self._send(name, control)
+        return control
 
-    def __enter__(self) -> "ThreadedFresque":
-        self.start()
-        return self
+    def _salvage(self, node_id: int):
+        """Pairs the node already produced but held while awaiting
+        *done* are forwarded to the checking node — their source batches
+        were consumed, so redispatch can no longer recreate them.  The
+        unread backlog itself is diverted by the node's zombie loop."""
+        node = self._nodes[node_id]
+        # FIFO barrier: runs after the backlog has been diverted, on the
+        # node's own thread — no handler can be mid-flight touching
+        # ``_held`` when the salvage reads it.
+        self._barrier(f"cn-{node_id}", lambda: self._salvage_held(node))
+        return ()
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
+    def _salvage_held(self, node: ComputingNode) -> list:
+        held, node._held = node._held, []
+        # "publishing" markers die with the node: NodeDown absolves.
+        return [
+            ("checking", payload)
+            for kind, payload in held
+            if kind in ("pair", "batch")
+        ]
+
+    def _start_node(self, node_id: int) -> None:
+        name = f"cn-{node_id}"
+        if name not in self._inboxes:
+            self._install_node(node_id)
+            self._spawn_node_thread(name)
+            return
+        # Rejoin: the thread lives on.  Wait until the dead
+        # incarnation's backlog has fully diverted, then swap the fresh
+        # one in — any still-travelling pair of the old incarnation is
+        # discarded as stale by the checking side.
+        if not self._barrier(name, lambda: []).done.wait(timeout=30.0):
+            raise TimeoutError(f"crashed node {node_id} backlog stuck")
+        self._install_node(node_id)
+
+    # ------------------------------------------------------------------
+    # Publications
+    # ------------------------------------------------------------------
+
+    def run_publication(self, lines: list[str]) -> None:
+        """Ingest ``lines``, close the publication, wait until it drains."""
+        self.run_publications_pipelined([lines])
+
+    def run_publications_pipelined(self, batches: list[list[str]]) -> None:
+        """Feed several publications back to back *without* waiting for
+        each to drain — the asynchronous-publishing mode: publication
+        ``n + 1``'s ingestion overlaps publication ``n``'s merging and
+        matching.  Blocks only once, after the last batch.
+        """
+        if not self._started:
+            self.start()
+        started = WALL_CLOCK.now()
+        for lines in batches:
+            self._feed(lines)
+            self.close_publication()
+        self.settle(self.dispatcher.publication - 1, timeout=240.0)
+        self.wall_seconds += WALL_CLOCK.now() - started

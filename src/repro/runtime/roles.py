@@ -1,12 +1,11 @@
-"""Role construction shared by the multiprocess runtimes.
+"""Role construction for the multiprocess runtime.
 
-Both the TCP :class:`~repro.runtime.process.ProcessCluster` and the
-shared-memory :class:`~repro.runtime.shm.ShmFresqueCluster` describe a
-deployment as a JSON-able *spec* (schema name, domain bounds, node
-count, key, per-role seeds) that worker processes reconstruct on their
-side of the process boundary.  This module owns that reconstruction —
-spec → :class:`FresqueConfig`, spec → cipher, role name → message
-handler — so the two runtimes cannot drift apart on what a role does.
+The shared-memory :class:`~repro.runtime.shm.ShmFresqueCluster`
+describes a deployment as a JSON-able *spec* (schema name, domain
+bounds, node count, key, per-role seeds) that worker processes
+reconstruct on their side of the process boundary.  This module owns
+that reconstruction — spec → :class:`FresqueConfig`, spec → cipher,
+role name → component and its handler.
 """
 
 from __future__ import annotations
@@ -14,7 +13,12 @@ from __future__ import annotations
 import dataclasses
 import random
 
+from repro.cloud.node import FresqueCloud
+from repro.core.checking import CheckingNode
+from repro.core.computing_node import ComputingNode
 from repro.core.config import FresqueConfig
+from repro.core.merger import Merger
+from repro.core.system import CloudAdapter
 from repro.crypto.cipher import RecordCipher, SimulatedCipher
 from repro.crypto.keys import KeyStore
 from repro.datasets.flu import flu_domain
@@ -113,99 +117,28 @@ def cipher_from_spec(spec: dict, counter_start: int = 0) -> RecordCipher:
     )
 
 
-def load_spec(spec: dict) -> tuple[FresqueConfig, RecordCipher]:
-    """Spec → (config, cipher), the worker-side entry point."""
-    return config_from_spec(spec), cipher_from_spec(spec)
-
-
 def build_handler(role: str, config, cipher, seeds: dict):
     """Instantiate the component for ``role`` and return (handler, extra).
 
-    ``handler`` maps one inbound message to an outbox of
-    ``(destination, message)`` pairs — the transport-agnostic contract
-    every runtime drives; ``extra`` exposes the underlying component(s)
-    for stats and control channels.  ``seeds`` carries per-role RNG
-    seeds (``random.Random`` accepts ints and floats alike; the
-    shared-memory cluster passes the float chain the in-memory
-    :class:`~repro.core.system.FresqueSystem` derives, for bytewise
-    equivalence).
+    ``handler`` is the component's own ``handle`` — one inbound message
+    to an outbox of ``(destination, message)`` pairs, the
+    transport-agnostic contract every runtime drives; ``extra`` exposes
+    the underlying component(s) for stats and control channels.
+    ``seeds`` carries per-role RNG seeds (``random.Random`` accepts ints
+    and floats alike; the shared-memory cluster passes the float chain
+    the in-memory :class:`~repro.core.system.FresqueSystem` derives, for
+    bytewise equivalence).
     """
     if role.startswith("cn-"):
-        from repro.core.computing_node import ComputingNode
-        from repro.core.messages import (
-            DoneMsg,
-            PublishingMsg,
-            RawBatch,
-            RawData,
-        )
-
         node = ComputingNode(int(role[3:]), config, cipher)
-
-        def handle(message):
-            if isinstance(message, RawBatch):
-                return node.on_raw_batch(message)
-            if isinstance(message, RawData):
-                return node.on_raw(message)
-            if isinstance(message, PublishingMsg):
-                return node.on_publishing(message.publication)
-            if isinstance(message, DoneMsg):
-                return node.on_done(message)
-            raise TypeError(type(message).__name__)
-
-        return handle, node
-    if role == "checking":
-        from repro.core.checking import CheckingNode
-        from repro.core.messages import (
-            CnPublishing,
-            MembershipMsg,
-            NewPublication,
-            NodeDown,
-            Pair,
-            PairBatch,
-            PublishingMsg,
-        )
-
+    elif role == "checking":
         node = CheckingNode(config, rng=random.Random(seeds.get(role)))
-
-        def handle(message):
-            if isinstance(message, NewPublication):
-                return node.on_new_publication(message)
-            if isinstance(message, PairBatch):
-                return node.on_pair_batch(message)
-            if isinstance(message, Pair):
-                return node.on_pair(message)
-            if isinstance(message, PublishingMsg):
-                return node.on_publishing(message)
-            if isinstance(message, CnPublishing):
-                return node.on_cn_publishing(message)
-            if isinstance(message, NodeDown):
-                return node.on_node_down(message)
-            if isinstance(message, MembershipMsg):
-                return node.on_membership(message)
-            raise TypeError(type(message).__name__)
-
-        return handle, node
-    if role == "merger":
-        from repro.core.merger import Merger
-        from repro.core.messages import AlSnapshot, RemovedRecord, TemplateMsg
-
+    elif role == "merger":
         node = Merger(config, cipher, rng=random.Random(seeds.get(role)))
-
-        def handle(message):
-            if isinstance(message, TemplateMsg):
-                return node.on_template(message)
-            if isinstance(message, RemovedRecord):
-                return node.on_removed(message)
-            if isinstance(message, AlSnapshot):
-                return node.on_al(message)
-            raise TypeError(type(message).__name__)
-
-        return handle, node
-    if role == "cloud":
-        from repro.cloud.node import FresqueCloud
-        from repro.core.system import CloudAdapter
-
+    elif role == "cloud":
         cloud = FresqueCloud(config.domain)
         adapter = CloudAdapter(cloud)
         return adapter.handle, (cloud, adapter)
-    raise ValueError(f"unknown role {role!r}")
+    else:
+        raise ValueError(f"unknown role {role!r}")
+    return node.handle, node

@@ -10,12 +10,11 @@ replaces the TCP runtime's per-hop serialisation.
 
 from __future__ import annotations
 
-from repro.core.channel import Channel
 from repro.runtime.shm.frames import encode_frame
 from repro.runtime.shm.ring import RingBuffer, RingClosed
 
 
-class ShmChannel(Channel):
+class ShmChannel:
     """Sends routed messages into per-destination ring buffers.
 
     Parameters
@@ -48,6 +47,8 @@ class ShmChannel(Channel):
         return self._rings
 
     def send(self, destination: str, message) -> bool:
+        """Deliver one message; ``False`` if the destination is gone
+        (its ring closed, or its consumer died mid-put)."""
         ring = self._rings.get(destination)
         if ring is None:
             raise KeyError(f"no ring for destination {destination!r}")
@@ -62,6 +63,11 @@ class ShmChannel(Channel):
             )
         except RingClosed:
             return False
+
+    def send_all(self, outbox) -> None:
+        """Deliver a whole outbox in order."""
+        for destination, message in outbox:
+            self.send(destination, message)
 
     def close(self) -> None:
         """Mark every outbound ring closed (end-of-stream downstream)."""

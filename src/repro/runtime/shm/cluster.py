@@ -46,12 +46,10 @@ import multiprocessing
 import os
 import pathlib
 import random
-import threading
-import time
 
 from repro.core.config import FresqueConfig
-from repro.core.dispatcher import Dispatcher
-from repro.core.messages import RawBatch, RingAttach
+from repro.core.messages import RingAttach
+from repro.core.system import FresqueSystem
 from repro.index.perturb import draw_noise_plan
 from repro.index.tree import IndexTree
 from repro.runtime.backoff import await_condition
@@ -62,7 +60,6 @@ from repro.runtime.shm.frames import decode_frame
 from repro.runtime.shm.ring import RingBuffer, StatsBlock
 from repro.runtime.shm.workers import run_worker, stats_fields
 from repro.telemetry.clock import WALL_CLOCK
-from repro.telemetry.context import coalesce
 from repro.telemetry.exporters import mirror_shared_stats
 
 #: Capacity of the JSON control/event rings (requests and receipts are
@@ -89,8 +86,13 @@ class WorkerDied(RuntimeError):
     """A non-recoverable worker (checking/merger/cloud) exited."""
 
 
-class ShmFresqueCluster:
+class ShmFresqueCluster(FresqueSystem):
     """A multiprocess FRESQUE deployment over shared-memory rings.
+
+    The collector driver (:class:`~repro.core.system.FresqueSystem`) with
+    only the dispatcher in the parent: every other component lives in a
+    worker process, built there from the spec by
+    :func:`~repro.runtime.roles.build_handler`.
 
     Parameters
     ----------
@@ -130,29 +132,19 @@ class ShmFresqueCluster:
         put_timeout: float = 30.0,
         fault_plan=None,
     ):
-        self.config = config
-        #: Optional :class:`~repro.runtime.faults.FaultPlan` consulted
-        #: once per parent-side send: frames can be dropped, delayed or
-        #: duplicated exactly as on the TCP/threaded transports.  Sever
-        #: rules are no-ops here (rings have no connection to sever);
-        #: node crashes use :meth:`kill_worker` / :meth:`crash_node`.
-        self.fault_plan = fault_plan
-        self.telemetry = coalesce(telemetry)
-        rng = random.Random(seed)
-        self.dispatcher = Dispatcher(
-            config, rng=random.Random(rng.random()), telemetry=telemetry
-        )
-        spec = spec_from_config(config, key)
-        # The float chain FresqueSystem hands its checking/merger RNGs.
-        spec["seeds"] = {"checking": rng.random(), "merger": rng.random()}
-        self._spec = spec
+        # Consulted once per parent-side send: frames can be dropped,
+        # delayed or duplicated exactly as on the threaded transport.
+        # Sever rules are no-ops here (rings have no connection to
+        # sever); node crashes use kill_worker() / crash_node().
+        self._fault_plan = fault_plan
+        self._spec = spec_from_config(config, key)
+        super().__init__(config, None, seed=seed, telemetry=telemetry)
         self._ring_capacity = ring_capacity
         self._put_timeout = put_timeout
         self._rings: dict[str, RingBuffer] = {}
         self._stats: dict[str, StatsBlock] = {}
         self._retired_stats: list[StatsBlock] = []
         self._procs: dict[str, object] = {}
-        self._dead: set[int] = set()
         # Elastic membership bookkeeping: node id → its current
         # incarnation's rings, node id → incarnation counter (ring and
         # stats segment names must be unique per incarnation), and the
@@ -164,15 +156,12 @@ class ShmFresqueCluster:
         self._responses: dict[int, dict] = {}
         self._next_rid = 0
         self._sends = 0
-        self._started = False
         self._closed = False
-        # Serialises the feeder thread against the flush poller: both
-        # touch the dispatcher and the parent-consumed rings (k2p and
-        # cl2p are SPSC — one consumer at a time).  Reentrant because
-        # _send's failure path re-enters via _on_cn_death/redispatch.
-        self._flow_lock = threading.RLock()
+        # The poller also drains the credit ring: the driver lock
+        # serialises it against the feeder on the parent-consumed rings
+        # (k2p and cl2p are SPSC — one consumer at a time).
         self._poller = FlushPoller(
-            poll_interval(config.max_batch_delay), self._poll_flush
+            poll_interval(config.max_batch_delay), self._tick
         )
         self.durable = data_dir is not None
         if self.durable:
@@ -197,6 +186,15 @@ class ShmFresqueCluster:
             )
             self._tree_shape = IndexTree(config.domain, fanout=config.fanout)
 
+    def _build_components(self, rng: random.Random, cloud) -> None:
+        # The components are built in the workers; the parent only
+        # carries the float chain FresqueSystem hands its checking and
+        # merger RNGs.
+        self._spec["seeds"] = {
+            "checking": rng.random(),
+            "merger": rng.random(),
+        }
+
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
@@ -208,10 +206,8 @@ class ShmFresqueCluster:
         self._rings[label] = ring
         return ring
 
-    def start(self) -> None:
-        """Create the rings, spawn the workers, open publication one."""
-        if self._started:
-            raise RuntimeError("cluster already started")
+    def _spawn(self) -> None:
+        """Create the rings, spawn the workers, start the poller."""
         self._token = os.urandom(4).hex()
         k = self.config.num_computing_nodes
         for i in range(k):
@@ -303,20 +299,7 @@ class ShmFresqueCluster:
             abort_for=self._abort_probe,
             timeout=self._put_timeout,
         )
-        self._started = True
-        if self.durable:
-            self._open_publication()
-        else:
-            self._send_all(self.dispatcher.start_publication())
         self._poller.start()
-
-    def __enter__(self) -> "ShmFresqueCluster":
-        if not self._started:
-            self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
 
     # ------------------------------------------------------------------
     # Sending + supervision
@@ -328,47 +311,27 @@ class ShmFresqueCluster:
             return None
         return lambda: not proc.is_alive()
 
-    def _send(self, destination: str, message) -> None:
-        if self.fault_plan is not None:
-            decision = self.fault_plan.on_send(destination)
-            if decision.faulted:
-                if decision.delay:
-                    time.sleep(decision.delay)
-                if decision.drop:
-                    self.telemetry.counter("shm_frames_dropped").inc()
-                    return
-                for _ in range(decision.duplicates):
-                    # Extra at-least-once copies; a failed duplicate is
-                    # absorbed by the primary send's death handling.
-                    self._channel.send(destination, message)
+    _send_all = FresqueSystem._transmit_all
+
+    def _send(self, destination: str, message) -> bool:
         if self._channel.send(destination, message):
             self._sends += 1
             if self._sends % SUPERVISE_EVERY == 0:
                 self._supervise()
-            return
+            return True
         # The destination's ring is closed or its consumer died mid-put.
         if destination.startswith("cn-"):
-            self._on_cn_death(int(destination[3:]))
-            if isinstance(message, RawBatch):
-                self._send_all(self.dispatcher.redispatch(message))
-            # A publishing notice to a dead node is dropped: the
-            # NodeDown the death handler emitted replaces it.
-            return
+            return False
         raise WorkerDied(f"worker {destination!r} is gone")
-
-    def _send_all(self, outbox) -> None:
-        with self._flow_lock:
-            for destination, message in outbox:
-                self._send(destination, message)
 
     def _supervise(self) -> None:
         """Poll worker liveness, drain cloud events, refresh gauges."""
-        with self._flow_lock:
+        with self._lock:
             for role, proc in list(self._procs.items()):
                 if proc.is_alive():
                     continue
                 if role.startswith("cn-"):
-                    self._on_cn_death(int(role[3:]))
+                    self._node_down(int(role[3:]))
                 else:
                     raise WorkerDied(
                         f"worker {role!r} exited with code {proc.exitcode}"
@@ -383,74 +346,57 @@ class ShmFresqueCluster:
         ring = self._rings.get("k2p")
         if ring is None:
             return
-        with self._flow_lock:
+        with self._lock:
             while True:
                 payload = ring.pop()
                 if payload is None:
                     return
                 _, message = decode_frame(memoryview(payload))
-                self._send_all(self.dispatcher.on_credit(message))
+                self._handle_dispatcher(message)
 
-    def _poll_flush(self) -> None:
-        """Poller tick: pump credits, fire the delay flush, and feed the
-        dispatcher-side backlog to the adaptive controller."""
-        with self._flow_lock:
+    def _tick(self) -> None:
+        """Poller tick: pump credits, then the shared flush tick."""
+        with self._lock:
             self._pump_credits()
-            if (
-                self.telemetry.enabled
-                or not self.dispatcher.flow.controller.pinned
-            ):
-                self.dispatcher.observe_queue_depth(
-                    self.dispatcher.backlog_records
-                )
-            self._send_all(self.dispatcher.flush_due())
+            self._poll_flush()
 
-    def _on_cn_death(self, index: int) -> None:
-        """Degraded mode: absorb a dead computing node's work.
+    def _queue_depth(self) -> int:
+        # Worker inboxes are out of the parent's sight; the
+        # dispatcher-side backlog (in-flight + credit-deferred) is the
+        # pressure signal it has.
+        return self.dispatcher.backlog_records
 
-        Ordering matters: the node leaves the dispatcher's rotation
-        *first* (so redispatch never routes back to it), the checking
-        node hears :class:`NodeDown` *before* the redispatched batches,
-        and only then is the dead node's uncommitted inbound backlog —
-        everything at or past its last committed frame — re-routed to
-        the survivors.  Batches the dead node had already forwarded but
-        not committed are re-sent too; the checking gate drops them as
-        sequence-number duplicates.
-        """
-        if index in self._dead:
-            return
-        self._dead.add(index)
-        role = f"cn-{index}"
-        proc = self._procs.pop(role, None)
+    def _salvage(self, node_id: int):
+        """Reap a dead computing node's process and take its data ring's
+        uncommitted backlog — everything at or past its last committed
+        frame.  Batches the dead node had already forwarded but not
+        committed come back too; the checking gate drops their
+        redispatched twins as sequence-number duplicates."""
+        proc = self._procs.pop(f"cn-{node_id}", None)
         if proc is not None:
             proc.join(timeout=2.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=2.0)
-        notice = self.dispatcher.mark_node_down(index)
-        rings = self._node_rings[index]
+        rings = self._node_rings[node_id]
         data_ring = rings["data"]
-        backlog = data_ring.drain_backlog()
+        backlog = [
+            decode_frame(memoryview(payload))[1]
+            for payload in data_ring.drain_backlog()
+        ]
         data_ring.mark_closed()
         # Take over the dead producer's end-of-stream duty so the
         # checking worker can drain its ring and move on; close the
         # done ring so checking's future sends to it fail fast.
         rings["pair"].mark_closed()
         rings["done"].mark_closed()
-        self._send_all(notice)
-        redispatched = 0
-        for payload in backlog:
-            _, message = decode_frame(memoryview(payload))
-            if isinstance(message, RawBatch):
-                self._send_all(self.dispatcher.redispatch(message))
-                redispatched += len(message.items)
         self.telemetry.counter("shm_cn_deaths").inc()
-        self.telemetry.counter("shm_records_redispatched").inc(redispatched)
+        return backlog
 
     def _pump_events(self) -> bool:
         ring = self._rings["cl2p"]
         progressed = False
-        with self._flow_lock:
+        with self._lock:
             while True:
                 payload = ring.pop()
                 if payload is None:
@@ -488,116 +434,72 @@ class ShmFresqueCluster:
     # ------------------------------------------------------------------
 
     def _open_publication(self) -> None:
-        with self._flow_lock:
-            grant = self.accountant.grant()
-            plan = draw_noise_plan(
-                self._tree_shape, grant.epsilon, rng=self.dispatcher._rng
-            )
-            self.journal.append_open(grant.publication, plan, grant.epsilon)
-            self._send_all(self.dispatcher.start_publication(plan))
+        if not self.durable:
+            return super()._open_publication()
+        grant = self.accountant.grant()
+        plan = draw_noise_plan(
+            self._tree_shape, grant.epsilon, rng=self.dispatcher._rng
+        )
+        self.journal.append_open(grant.publication, plan, grant.epsilon)
+        self._send_all(self.dispatcher.start_publication(plan))
         if self.dispatcher.publication != grant.publication:
             raise RuntimeError(
                 f"grant {grant.publication} does not match dispatcher "
                 f"publication {self.dispatcher.publication}"
             )
 
+    def _end_publication(self) -> None:
+        """Durable: journal *close* before the publishing broadcast, ε
+        commit only after the cloud receipt."""
+        if not self.durable:
+            return super()._end_publication()
+        publication = self.dispatcher.publication
+        self.journal.append_close(publication)
+        super()._end_publication()
+        self.settle(publication)
+        self.accountant.commit(publication)
+        self.journal.append_commit(publication)
+
     def ingest(self, line: str) -> None:
-        """Feed one raw line into the current publication."""
-        if not self._started:
-            raise RuntimeError("call start() first")
-        with self._flow_lock:
+        """Feed one raw line into the current publication (journalled
+        first when durable)."""
+        with self._lock:
             if self.durable:
                 self.journal.append_raw(self.dispatcher.publication, line)
-            self._send_all(self.dispatcher.on_raw(line))
+            super().ingest(line)
 
-    def offer(self, line: str) -> bool:
-        """Admission-controlled :meth:`ingest`; ``False`` means shed.
-
-        With ``config.ingest_queue_limit`` set the dispatcher's
-        :class:`~repro.core.flow.SheddingPolicy` may reject the line (or
-        evict an older unflushed record) instead of growing the backlog.
-        """
+    def _feed(self, lines: list[str]) -> None:
+        if not self.durable:
+            return super()._feed(lines)
         if not self._started:
-            raise RuntimeError("call start() first")
-        with self._flow_lock:
-            outbox = self.dispatcher.offer_raw(line)
-            if outbox is None:
-                return False
-            if self.durable:
-                self.journal.append_raw(self.dispatcher.publication, line)
-            self._send_all(outbox)
-        return True
-
-    def flush_ingest(self) -> None:
-        """Flush the dispatcher's in-flight batch through the rings."""
-        with self._flow_lock:
-            self._send_all(self.dispatcher.flush_batch())
-
-    def pump_dummies(self, fraction: float) -> None:
-        """Release every dummy scheduled before ``fraction`` of the
-        interval (the chaos harness's dummy-pacing hook)."""
-        with self._flow_lock:
-            self._send_all(self.dispatcher.due_dummies(fraction))
-
-    def close_publication(self) -> None:
-        """Close the current publication and open the next one.
-
-        The non-durable boundary only — the durable driver's close path
-        (journal + ε commit) lives in :meth:`run_publication`.
-        """
-        with self._flow_lock:
-            self._send_all(self.dispatcher.end_publication())
-        with self._flow_lock:
-            self._send_all(self.dispatcher.start_publication())
+            self.start()
+        # Group commit: one journal frame per dispatcher-batch-sized
+        # chunk, ahead of any of its records reaching the pipeline.
+        publication = self.dispatcher.publication
+        total = max(1, len(lines))
+        size = max(1, self.config.batch_size)
+        for start in range(0, len(lines), size):
+            chunk = lines[start : start + size]
+            self.journal.append_raw_batch(publication, chunk)
+            for position, line in enumerate(chunk, start):
+                self.pump_dummies((position + 1) / (total + 1))
+                super().ingest(line)
 
     def settle(self, publication: int, timeout: float = 120.0) -> None:
         """Block until the cloud's receipt for ``publication`` lands."""
         self._await_receipt(publication, timeout)
 
+    def _receipt(self, publication: int):
+        """The matched-record count — all of the cloud worker's receipt
+        that crosses into the parent."""
+        return self._receipts.get(publication)
+
     def run_publication(self, lines, timeout: float = 120.0) -> int:
         """Ingest ``lines`` with interleaved dummies, close the interval,
         open the next one and return the publication's matched-record
         count (the cloud receipt)."""
-        if not self._started:
-            self.start()
-        publication = self.dispatcher.publication
-        lines = list(lines)
-        total = max(1, len(lines))
-        if self.durable and lines:
-            size = max(1, self.config.batch_size)
-            for start in range(0, len(lines), size):
-                chunk = lines[start : start + size]
-                self.journal.append_raw_batch(publication, chunk)
-                for offset, line in enumerate(chunk):
-                    position = start + offset
-                    with self._flow_lock:
-                        outbox = self.dispatcher.due_dummies(
-                            (position + 1) / (total + 1)
-                        )
-                        outbox.extend(self.dispatcher.on_raw(line))
-                        self._send_all(outbox)
-        else:
-            for position, line in enumerate(lines):
-                with self._flow_lock:
-                    outbox = self.dispatcher.due_dummies(
-                        (position + 1) / (total + 1)
-                    )
-                    outbox.extend(self.dispatcher.on_raw(line))
-                    self._send_all(outbox)
-        if self.durable:
-            self.journal.append_close(publication)
-        with self._flow_lock:
-            self._send_all(self.dispatcher.end_publication())
-        if self.durable:
-            records = self._await_receipt(publication, timeout)
-            self.accountant.commit(publication)
-            self.journal.append_commit(publication)
-            self._open_publication()
-        else:
-            with self._flow_lock:
-                self._send_all(self.dispatcher.start_publication())
-            records = self._await_receipt(publication, timeout)
-        return records
+        self._feed(list(lines))
+        return self.finish_publication(timeout)
 
     def _await_receipt(self, publication: int, timeout: float) -> int:
         def ready():
@@ -740,64 +642,24 @@ class ShmFresqueCluster:
         self._channel.rings[role] = data
         return pair, done
 
-    def admit_node(self, node_id: int | None = None) -> int:
-        """Admit a new computing node into the running fleet.
-
-        The dispatcher flushes the in-flight batch under the old epoch,
-        the worker process and its rings come up, the checking worker
-        attaches them (the :class:`RingAttach` rides the parent ring,
-        ahead of the membership broadcast), and the rotation rebuilds.
-        Returns the admitted node's id.
-        """
-        with self._flow_lock:
-            node_id, outbox = self.dispatcher.admit_node(node_id)
+    def _start_node(self, node_id: int) -> None:
+        """A fresh worker process on fresh rings; the checking worker
+        attaches them (draining a dead incarnation's leftovers first) —
+        the :class:`RingAttach` rides the parent ring, ahead of the
+        membership broadcast."""
+        with self._lock:
             pair, done = self._spawn_cn(node_id)
-            self._send("checking", RingAttach(node_id, pair.name, done.name))
-            self._send_all(outbox)
-        return node_id
+            self._send_all(
+                [("checking", RingAttach(node_id, pair.name, done.name))]
+            )
 
-    def retire_node(self, node_id: int) -> None:
-        """Drain a computing node out of the rotation (planned removal).
-
-        The node receives no further batches but stays reachable until
-        the interval closes (it reports *publishing* and receives its
-        final *done*); its worker exits with the shutdown cascade.
-        """
-        with self._flow_lock:
-            self._send_all(self.dispatcher.retire_node(node_id))
-
-    def crash_node(self, node_id: int) -> None:
-        """Hard-kill one computing node and absorb its work now.
-
-        Deterministic variant of :meth:`kill_worker` + supervision: the
-        death is handled synchronously, so callers can script
-        crash/rejoin sequences without racing the supervision cadence.
-        """
-        role = f"cn-{node_id}"
-        with self._flow_lock:
-            proc = self._procs.get(role)
-            if proc is not None:
-                proc.kill()
-                proc.join(timeout=5.0)
-            self._on_cn_death(node_id)
-
-    def rejoin_node(self, node_id: int) -> None:
-        """Bring a crashed computing node back under a fresh epoch.
-
-        A fresh worker process attaches fresh rings (the checking worker
-        drains the dead incarnation's leftovers first, then swaps); the
-        membership broadcast raises the node's join-epoch floor so any
-        straggler output of the old incarnation is discarded downstream.
-        """
-        with self._flow_lock:
-            self._supervise()
-            if node_id not in self._dead:
-                raise ValueError(f"computing node {node_id} is not down")
-            outbox = self.dispatcher.rejoin_node(node_id)
-            self._dead.discard(node_id)
-            pair, done = self._spawn_cn(node_id)
-            self._send("checking", RingAttach(node_id, pair.name, done.name))
-            self._send_all(outbox)
+    def _kill_node(self, node_id: int) -> None:
+        """Hard-kill one computing node.  Unlike :meth:`kill_worker`,
+        :meth:`crash_node` then absorbs the death synchronously, so
+        callers can script crash/rejoin sequences without racing the
+        supervision cadence."""
+        if f"cn-{node_id}" in self._procs:
+            self.kill_worker(f"cn-{node_id}")
 
     # ------------------------------------------------------------------
     # Fault injection + teardown

@@ -38,36 +38,13 @@ import random
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from repro.client.query_client import QueryClient
-from repro.cloud.node import FresqueCloud
-from repro.core.checking import CheckingNode
-from repro.core.computing_node import ComputingNode
 from repro.core.config import FresqueConfig
-from repro.core.dispatcher import Dispatcher
-from repro.core.merger import Merger
-from repro.core.messages import (
-    AlSnapshot,
-    CnPublishing,
-    CreditGrant,
-    DoneMsg,
-    MembershipMsg,
-    NewPublication,
-    NodeDown,
-    Pair,
-    PairBatch,
-    PublishingMsg,
-    RawBatch,
-    RawData,
-    RemovedRecord,
-    TemplateMsg,
-)
-from repro.core.system import CloudAdapter
+from repro.core.system import FresqueSystem
 from repro.crypto.cipher import RecordCipher
 from repro.runtime.faults import RESTART
-from repro.runtime.gate import CheckingGate
 from repro.runtime.poller import FlushPoller, poll_interval
 from repro.runtime.wire import WireError, decode_message, encode_message, read_frames
 from repro.telemetry.clock import WALL_CLOCK
@@ -319,10 +296,6 @@ class TcpNode:
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan` consulted once
         per inbox frame (node crash/restart injection).
-    port:
-        TCP port to bind; 0 (the default) picks a free ephemeral port.
-        Cluster deployments with a pre-assigned address book pass the
-        book's port here.
 
     Supervision: reader-thread failures and torn frames are recorded in
     :attr:`errors` (surfaced by the driver), accepted connections are
@@ -332,7 +305,7 @@ class TcpNode:
 
     def __init__(
         self, name: str, handler, router: Router, telemetry=None,
-        fault_plan=None, port: int = 0,
+        fault_plan=None,
     ):
         self.name = name
         self.handler = handler
@@ -345,7 +318,7 @@ class TcpNode:
         self._fault_plan = fault_plan
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind(("127.0.0.1", port))
+        self._server.bind(("127.0.0.1", 0))  # a free ephemeral port
         self._server.listen(32)
         self.port = self._server.getsockname()[1]
         self._inbox: queue.Queue = queue.Queue()
@@ -664,12 +637,14 @@ class ClusterTimeout(TimeoutError):
         super().__init__("\n".join(lines))
 
 
-class TcpFresqueCluster:
+class TcpFresqueCluster(FresqueSystem):
     """A FRESQUE deployment where every hop crosses a real TCP socket.
 
-    The dispatcher runs on the driver thread (it is the cluster's entry
-    point); computing nodes, the checking node, the merger and the cloud
-    are :class:`TcpNode` servers reachable only through their sockets.
+    The collector driver (:class:`~repro.core.system.FresqueSystem`)
+    over sockets: the dispatcher runs on the driver thread (it is the
+    cluster's entry point); computing nodes, the checking node, the
+    merger and the cloud are :class:`TcpNode` servers reachable only
+    through their sockets.
 
     Parameters
     ----------
@@ -691,242 +666,82 @@ class TcpFresqueCluster:
         fault_plan=None,
         retry_policy: RetryPolicy | None = None,
     ):
-        self.config = config
-        self.cipher = cipher
-        self.telemetry = coalesce(telemetry)
-        rng = random.Random(seed)
-        self.dispatcher = Dispatcher(
-            config, rng=random.Random(rng.random()), telemetry=telemetry
-        )
-        self.computing_nodes = [
-            ComputingNode(i, config, cipher, telemetry=telemetry)
-            for i in range(config.num_computing_nodes)
-        ]
-        self.checking = CheckingNode(
-            config, rng=random.Random(rng.random()), telemetry=telemetry
-        )
-        self.merger = Merger(
-            config, cipher, rng=random.Random(rng.random()), telemetry=telemetry
-        )
-        self.cloud = FresqueCloud(config.domain, telemetry=telemetry)
-        self.cloud_adapter = CloudAdapter(self.cloud)
+        super().__init__(config, cipher, seed=seed, telemetry=telemetry)
+        # The plan acts per frame inside the router and the nodes (every
+        # hop, not just the driver's), so the base's per-send consult
+        # stays off.
+        self._frame_faults = fault_plan
         self._address_book: dict[str, int] = {}
-        self._fault_plan = fault_plan
         self.router = Router(
             self._address_book,
             telemetry=telemetry,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
         )
-        self._nodes: list[TcpNode] = []
-        self._node_map: dict[str, TcpNode] = {}
-        self._dead: set[str] = set()
-        # Under deterministic IVs the checking handler runs behind the
-        # membership-aware ordering gate (byte-identical cloud state
-        # even with crashes/rejoins interleaving frame arrivals).
-        self._checking_gate: CheckingGate | None = None
-        self._telemetry_arg = telemetry
-        self._started = False
-        # Serialises dispatcher access between the driver thread, the
-        # flush poller and the credit-grant handler (a TcpNode worker).
-        # Reentrant: _send_outbox → _mark_node_down → _send_outbox.
-        self._dispatch_lock = threading.RLock()
+        self._servers: dict[str, TcpNode] = {}
         self._poller = FlushPoller(
             poll_interval(config.max_batch_delay), self._poll_flush
         )
 
-    def _poll_flush(self) -> None:
-        """Poller tick: fire the dispatcher's delay flush if due."""
-        with self._dispatch_lock:
-            self._send_outbox(self.dispatcher.flush_due())
+    # ------------------------------------------------------------------
+    # Transport: router and node servers
+    # ------------------------------------------------------------------
 
-    @property
-    def dead_nodes(self) -> frozenset[str]:
-        """Names of computing nodes the cluster degraded around."""
-        return frozenset(self._dead)
+    _send_all = FresqueSystem._transmit_all
 
-    def _cn_handler(self, node: ComputingNode):
-        def handle(message):
-            if isinstance(message, RawBatch):
-                return node.on_raw_batch(message)
-            if isinstance(message, RawData):
-                return node.on_raw(message)
-            if isinstance(message, PublishingMsg):
-                return node.on_publishing(message.publication)
-            if isinstance(message, DoneMsg):
-                return node.on_done(message)
-            raise TypeError(type(message).__name__)
+    def _send(self, destination: str, message) -> bool:
+        try:
+            self.router.send(destination, message)
+        except PeerUnavailable:
+            if not destination.startswith("cn-"):
+                raise
+            return False
+        return True
 
-        return handle
-
-    def _make_nodes(self) -> None:
-        def checking_handler(message):
-            if isinstance(message, NewPublication):
-                return self.checking.on_new_publication(message)
-            if isinstance(message, PairBatch):
-                return self.checking.on_pair_batch(message)
-            if isinstance(message, Pair):
-                return self.checking.on_pair(message)
-            if isinstance(message, PublishingMsg):
-                return self.checking.on_publishing(message)
-            if isinstance(message, CnPublishing):
-                return self.checking.on_cn_publishing(message)
-            if isinstance(message, NodeDown):
-                return self.checking.on_node_down(message)
-            if isinstance(message, MembershipMsg):
-                return self.checking.on_membership(message)
-            raise TypeError(type(message).__name__)
-
-        def merger_handler(message):
-            if isinstance(message, TemplateMsg):
-                return self.merger.on_template(message)
-            if isinstance(message, RemovedRecord):
-                return self.merger.on_removed(message)
-            if isinstance(message, AlSnapshot):
-                return self.merger.on_al(message)
-            raise TypeError(type(message).__name__)
-
-        def dispatcher_handler(message):
-            # Credit grants from the checking node; released batches go
-            # back out through the dead-node-aware outbox path rather
-            # than the node's own pump.
-            if isinstance(message, CreditGrant):
-                with self._dispatch_lock:
-                    self._send_outbox(self.dispatcher.on_credit(message))
-                return []
-            raise TypeError(type(message).__name__)
-
-        telemetry = self._telemetry_arg
-        for node in self.computing_nodes:
-            self._nodes.append(
-                TcpNode(
-                    f"cn-{node.node_id}",
-                    self._cn_handler(node),
-                    self.router,
-                    telemetry=telemetry,
-                    fault_plan=self._fault_plan,
-                )
-            )
-        checking_entry = checking_handler
-        if self.config.deterministic_ivs:
-            self._checking_gate = CheckingGate(
-                checking_handler, self.config.num_computing_nodes
-            )
-            checking_entry = self._checking_gate.feed
-        self._nodes.append(
-            TcpNode(
-                "checking", checking_entry, self.router,
-                telemetry=telemetry, fault_plan=self._fault_plan,
-            )
+    def _add_server(self, name: str) -> TcpNode:
+        server = TcpNode(
+            name,
+            self._handlers[name],
+            self.router,
+            telemetry=self.telemetry,
+            fault_plan=self._frame_faults,
         )
-        self._nodes.append(
-            TcpNode(
-                "merger", merger_handler, self.router,
-                telemetry=telemetry, fault_plan=self._fault_plan,
-            )
-        )
-        self._nodes.append(
-            TcpNode(
-                "cloud", self.cloud_adapter.handle, self.router,
-                telemetry=telemetry, fault_plan=self._fault_plan,
-            )
-        )
-        self._nodes.append(
-            TcpNode(
-                "dispatcher", dispatcher_handler, self.router,
-                telemetry=telemetry, fault_plan=self._fault_plan,
-            )
-        )
-        for node in self._nodes:
-            self._address_book[node.name] = node.port
-            self._node_map[node.name] = node
+        self._servers[name] = server
+        self._address_book[name] = server.port
+        return server
 
-    def start(self) -> None:
-        """Boot every node server and open the first publication."""
-        if self._started:
-            raise RuntimeError("cluster already started")
-        self._started = True
-        self._make_nodes()
-        for node in self._nodes:
-            node.start()
-        with self._dispatch_lock:
-            self._send_outbox(self.dispatcher.start_publication())
+    def _spawn(self) -> None:
+        self._thread_handlers()
+        for name in self._handlers:
+            self._add_server(name)
+        for server in self._servers.values():
+            server.start()
         self._poller.start()
 
-    def _send_outbox(self, outbox) -> None:
-        with self._dispatch_lock:
-            pending = deque(outbox)
-            while pending:
-                destination, message = pending.popleft()
-                if destination in self._dead:
-                    # Degraded mode: records shift to the survivors;
-                    # control messages for the dead node are moot.
-                    if isinstance(message, (RawData, RawBatch)):
-                        pending.extend(self.dispatcher.redispatch(message))
-                    continue
-                try:
-                    self.router.send(destination, message)
-                except PeerUnavailable:
-                    if not destination.startswith("cn-"):
-                        raise
-                    self._mark_node_down(destination)
-                    if isinstance(message, (RawData, RawBatch)):
-                        pending.extend(self.dispatcher.redispatch(message))
+    def _queue_depth(self) -> int:
+        return max(
+            (
+                server.pending
+                for name, server in self._servers.items()
+                if name.startswith("cn-") and name not in self._dead
+            ),
+            default=0,
+        )
 
-    def _mark_node_down(self, name: str) -> None:
-        """Degrade around computing node ``name``: take it out of the
-        rotation and tell the checking node to stop waiting for it."""
-        with self._dispatch_lock:
-            if name in self._dead:
-                return
-            self._dead.add(name)
-            self._send_outbox(self.dispatcher.mark_node_down(int(name[3:])))
+    def shutdown(self) -> None:
+        """Stop the flush poller, every node, and all connections."""
+        self._poller.stop()
+        for server in self._servers.values():
+            server.stop()
+        self.router.close()
 
     # ------------------------------------------------------------------
-    # Elastic membership (docs/PROTOCOL.md)
+    # Crash and rejoin on this substrate
     # ------------------------------------------------------------------
 
-    def admit_node(self, node_id: int | None = None) -> int:
-        """Admit a new computing node at runtime: a fresh TCP server
-        joins the address book under a new membership epoch."""
-        if not self._started:
-            raise RuntimeError("call start() first")
-        with self._dispatch_lock:
-            node_id, outbox = self.dispatcher.admit_node(node_id)
-            node = ComputingNode(
-                node_id, self.config, self.cipher,
-                telemetry=self._telemetry_arg,
-            )
-            self.computing_nodes.append(node)
-            tcp_node = TcpNode(
-                f"cn-{node_id}",
-                self._cn_handler(node),
-                self.router,
-                telemetry=self._telemetry_arg,
-                fault_plan=self._fault_plan,
-            )
-            self._nodes.append(tcp_node)
-            self._node_map[tcp_node.name] = tcp_node
-            self._address_book[tcp_node.name] = tcp_node.port
-            tcp_node.start()
-            self._send_outbox(outbox)
-        return node_id
-
-    def retire_node(self, node_id: int) -> None:
-        """Gracefully retire a node: its server stays up to flush and
-        acknowledge in-flight work, but the dispatcher stops routing
-        new batches to it."""
-        with self._dispatch_lock:
-            self._send_outbox(self.dispatcher.retire_node(node_id))
-
-    def crash_node(self, node_id: int) -> None:
-        """Crash a computing node's server (driver-side injection) and
-        degrade around it: its outbound connection is evicted, trapped
-        inbox frames are recovered (RawBatches redispatched with their
-        credits refunded), and the checking node is told to stop
-        waiting for it."""
+    def _kill_node(self, node_id: int) -> None:
         name = f"cn-{node_id}"
-        tcp_node = self._node_map[name]
+        server = self._servers[name]
         # Enactment barrier: every frame transmitted to the victim must
         # be accounted for (inboxed or handled) before the cut — a frame
         # still in its kernel receive buffer would vanish *untracked*,
@@ -934,74 +749,44 @@ class TcpFresqueCluster:
         deadline = WALL_CLOCK.now() + 5.0
         while WALL_CLOCK.now() < deadline:
             sent = self.router.sent_to.get(name, 0)
-            if tcp_node.handled + tcp_node.pending >= sent:
+            if server.handled + server.pending >= sent:
                 break
             time.sleep(0.001)
-        tcp_node.crash()
+        server.crash()
         self.router.evict(name)
-        self._mark_node_down(name)
-        self._recover_dropped(tcp_node)
 
-    def _recover_dropped(self, tcp_node: TcpNode) -> None:
-        """Redispatch the RawBatches a crash trapped in a dead node's
-        inbox; trapped control frames are covered by the NodeDown
-        absolution."""
-        with self._dispatch_lock:
-            for message in tcp_node.take_dropped_messages():
-                if isinstance(message, (RawData, RawBatch)):
-                    self._send_outbox(self.dispatcher.redispatch(message))
+    def _salvage(self, node_id: int):
+        """The frames a crash trapped in the dead node's inbox."""
+        return self._servers[f"cn-{node_id}"].take_dropped_messages()
 
-    def rejoin_node(self, node_id: int) -> int:
-        """Bring a crashed node back as a fresh incarnation on the same
-        port.  The membership epoch rises, so any still-travelling pair
-        stamped by the old incarnation is discarded as stale on the
-        checking side (reconnect-as-rejoin, docs/PROTOCOL.md).
-
-        Only call once the surrounding publication has completed — the
-        cloud receipt guarantees the checking node has consumed every
-        frame the old incarnation sent.
-        """
+    def _start_node(self, node_id: int) -> None:
         name = f"cn-{node_id}"
-        tcp_node = self._node_map[name]
-        if name not in self._dead:
-            raise ValueError(f"node {node_id} is not down")
-        self._recover_dropped(tcp_node)
-        node = ComputingNode(
-            node_id, self.config, self.cipher, telemetry=self._telemetry_arg
-        )
-        for index, existing in enumerate(self.computing_nodes):
-            if existing.node_id == node_id:
-                self.computing_nodes[index] = node
-                break
-        tcp_node.handler = self._cn_handler(node)
-        tcp_node.restart()
-        with self._dispatch_lock:
-            self._dead.discard(name)
-            self._send_outbox(self.dispatcher.rejoin_node(node_id))
-        return node_id
+        server = self._servers.get(name)
+        if server is None:
+            self._install_node(node_id)
+            self._add_server(name).start()
+            return
+        # Rejoin on the same port (reconnect-as-rejoin,
+        # docs/PROTOCOL.md).  A crash the fault plan enacted may have
+        # trapped frames after supervision degraded around the node.
+        self._redispatch(server.take_dropped_messages())
+        self._install_node(node_id)
+        server.handler = self._handlers[name]
+        server.restart()
 
-    def ingest(self, line: str) -> None:
-        """Feed one raw line into the current publication."""
-        if not self._started:
-            raise RuntimeError("call start() first")
-        with self._dispatch_lock:
-            self._send_outbox(self.dispatcher.on_raw(line))
-
-    def pump_dummies(self, fraction: float) -> None:
-        """Release every dummy scheduled before ``fraction`` of the
-        interval (the chaos harness's dummy-pacing hook)."""
-        with self._dispatch_lock:
-            self._send_outbox(self.dispatcher.due_dummies(fraction))
-
-    def close_publication(self) -> None:
-        """Close the current publication and open the next one."""
-        with self._dispatch_lock:
-            self._send_outbox(self.dispatcher.end_publication())
-            self._send_outbox(self.dispatcher.start_publication())
+    # ------------------------------------------------------------------
+    # Settling and supervision
+    # ------------------------------------------------------------------
 
     def settle(self, publication: int, timeout: float = 120.0) -> None:
-        """Block until the cloud's receipt for ``publication`` lands,
-        supervising node health while waiting."""
+        """Block until the cloud's receipt for ``publication`` lands.
+
+        The wait blocks on the cloud adapter's receipt condition (woken
+        by delivery, not polled), waking every 250 ms to supervise node
+        health; a computing node found crashed mid-publication is
+        absorbed in degraded mode.  A missed deadline raises
+        :class:`ClusterTimeout` with the full health report.
+        """
         deadline = WALL_CLOCK.now() + timeout
         while True:
             self._supervise()
@@ -1010,7 +795,7 @@ class TcpFresqueCluster:
                 raise ClusterTimeout(
                     publication, timeout, self.health_report()
                 )
-            receipt = self.cloud_adapter.wait_for_receipt(
+            receipt = self._cloud_adapter.wait_for_receipt(
                 publication, timeout=min(0.25, remaining)
             )
             if receipt is not None:
@@ -1038,45 +823,6 @@ class TcpFresqueCluster:
             self._supervise()
             time.sleep(0.001)
 
-    def run_publication(self, lines: list[str], timeout: float = 60.0) -> int:
-        """Ingest ``lines``, close the publication, wait for the cloud to
-        match it.  Returns the matched pair count.
-
-        The wait blocks on the cloud adapter's receipt condition (woken
-        by delivery, not polled), waking every 250 ms to supervise node
-        health; a computing node found crashed mid-publication is
-        absorbed in degraded mode.  A missed deadline raises
-        :class:`ClusterTimeout` with the full health report.
-        """
-        if not self._started:
-            self.start()
-        publication = self.dispatcher.publication
-        total = max(1, len(lines))
-        for position, line in enumerate(lines):
-            with self._dispatch_lock:
-                self._send_outbox(
-                    self.dispatcher.due_dummies((position + 1) / (total + 1))
-                )
-                self._send_outbox(self.dispatcher.on_raw(line))
-        with self._dispatch_lock:
-            self._send_outbox(self.dispatcher.end_publication())
-            self._send_outbox(self.dispatcher.start_publication())
-        deadline = WALL_CLOCK.now() + timeout
-        while True:
-            self._supervise()
-            remaining = deadline - WALL_CLOCK.now()
-            if remaining <= 0:
-                raise ClusterTimeout(
-                    publication, timeout, self.health_report()
-                )
-            receipt = self.cloud_adapter.wait_for_receipt(
-                publication, timeout=min(0.25, remaining)
-            )
-            if receipt is not None:
-                self._supervise()
-                self._await_announce(deadline)
-                return receipt.records_matched
-
     def _supervise(self) -> None:
         """Absorb computing-node crashes; raise anything else.
 
@@ -1085,38 +831,34 @@ class TcpFresqueCluster:
         degraded around and fails the publication, as does any recorded
         worker/reader error on a live node.
         """
-        for node in self._nodes:
-            if node.name in self._dead:
+        for server in list(self._servers.values()):
+            if server.name in self._dead:
                 continue
-            if node.crashed:
-                if node.name.startswith("cn-"):
-                    self._mark_node_down(node.name)
+            if server.crashed:
+                if server.name.startswith("cn-"):
+                    self._node_down(int(server.name[3:]))
                     continue
                 raise RuntimeError(
-                    f"trusted node {node.name} crashed — the cluster "
+                    f"trusted node {server.name} crashed — the cluster "
                     f"cannot degrade around the checking node, merger "
                     f"or cloud"
                 )
             fatal = [
                 error
-                for error in node.errors
+                for error in server.errors
                 if not isinstance(error, TornFrame)
             ]
             if fatal:
-                node.errors = []
+                server.errors = []
                 raise RuntimeError(
-                    f"node {node.name} failed"
+                    f"node {server.name} failed"
                 ) from fatal[0]
-
-    def _raise_errors(self) -> None:
-        """Backwards-compatible alias for :meth:`_supervise`."""
-        self._supervise()
 
     def health_report(self) -> dict:
         """Diagnosable cluster snapshot: per-node heartbeats, router
         retry/reconnect totals, and the degraded-mode dead set."""
         return {
-            "nodes": [node.health() for node in self._nodes],
+            "nodes": [server.health() for server in self._servers.values()],
             "router": {
                 "retries": self.router.retries,
                 "reconnects": self.router.reconnects,
@@ -1124,20 +866,12 @@ class TcpFresqueCluster:
             "dead_nodes": sorted(self._dead),
         }
 
+    def run_publication(self, lines: list[str], timeout: float = 60.0) -> int:
+        """Ingest ``lines``, close the publication, wait for the cloud to
+        match it (:meth:`settle`).  Returns the matched pair count."""
+        self._feed(lines)
+        return self.finish_publication(timeout).records_matched
+
     def make_client(self) -> QueryClient:
         """Query client over the cluster's cloud (call between runs)."""
         return QueryClient(self.config.schema, self.cipher, self.cloud)
-
-    def shutdown(self) -> None:
-        """Stop the flush poller, every node, and all connections."""
-        self._poller.stop()
-        for node in self._nodes:
-            node.stop()
-        self.router.close()
-
-    def __enter__(self) -> "TcpFresqueCluster":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()

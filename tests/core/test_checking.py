@@ -13,6 +13,7 @@ from repro.core.messages import (
     DoneMsg,
     NewPublication,
     Pair,
+    PublishingMsg,
     RemovedRecord,
     TemplateMsg,
     ToCloudPair,
@@ -250,7 +251,7 @@ class TestDegradedMode:
         assert checking.on_node_down(self._node_down(0, 1)) == []
         assert checking.on_node_down(self._node_down(0, 2)) == []
         assert not checking.state_of(0).closed
-        out = checking.on_publishing(0)
+        out = checking.on_publishing(PublishingMsg(0))
         assert any(isinstance(m, BufferFlush) for _, m in out)
 
     def test_done_released_to_absolved_live_node(

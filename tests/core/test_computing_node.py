@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.computing_node import ComputingNode
-from repro.core.messages import DoneMsg, Pair, RawData
+from repro.core.messages import DoneMsg, Pair, PublishingMsg, RawData
 from repro.records.record import Record, make_dummy
 from repro.records.serialize import render_raw_line
 
@@ -56,7 +56,7 @@ class TestProcessing:
 
 class TestPublishBoundary:
     def test_publishing_notifies_checking(self, node):
-        out = node.on_publishing(0)
+        out = node.on_publishing(PublishingMsg(0))
         (destination, message), = out
         assert destination == "checking"
         assert message.publication == 0
@@ -64,13 +64,13 @@ class TestPublishBoundary:
         assert node.waiting_for_done
 
     def test_pairs_held_while_waiting(self, node, flu_config):
-        node.on_publishing(0)
+        node.on_publishing(PublishingMsg(0))
         out = node.on_raw(_raw(flu_config, publication=1))
         assert out == []
         assert node.held_pairs == 1
 
     def test_done_flushes_held_pairs(self, node, flu_config):
-        node.on_publishing(0)
+        node.on_publishing(PublishingMsg(0))
         node.on_raw(_raw(flu_config, publication=1))
         node.on_raw(_raw(flu_config, publication=1))
         out = node.on_done(DoneMsg(0))
@@ -82,7 +82,7 @@ class TestPublishBoundary:
     def test_held_records_still_processed(self, node, flu_config):
         """The paper: during the wait, data is processed (parsed +
         encrypted) and only the *send* is deferred."""
-        node.on_publishing(0)
+        node.on_publishing(PublishingMsg(0))
         node.on_raw(_raw(flu_config, publication=1))
         assert node.parsed == 1
         assert node.encrypted == 1
@@ -94,7 +94,7 @@ class TestPublishBoundary:
         (elastic membership: addressed to a previous incarnation of
         this node id) must not leak the held pairs past the current
         publishing barrier."""
-        node.on_publishing(1)
+        node.on_publishing(PublishingMsg(1))
         node.on_raw(_raw(flu_config, publication=2))
         assert node.on_done(DoneMsg(0)) == []
         assert node.waiting_for_done

@@ -15,7 +15,13 @@ here:
 import pytest
 
 from repro.core.computing_node import ComputingNode
-from repro.core.messages import CnPublishing, DoneMsg, Pair, RawData
+from repro.core.messages import (
+    CnPublishing,
+    DoneMsg,
+    Pair,
+    PublishingMsg,
+    RawData,
+)
 from repro.datasets.flu import FluSurveyGenerator
 from repro.runtime.cluster import ThreadedFresque
 
@@ -33,12 +39,12 @@ def _raw(flu_config, publication, value=371):
 class TestHeldEventOrdering:
     def test_publishing_marker_queued_behind_pairs(self, flu_config, fast_cipher):
         node = ComputingNode(0, flu_config, fast_cipher)
-        node.on_publishing(0)  # waiting for done(0)
+        node.on_publishing(PublishingMsg(0))  # waiting for done(0)
         node.on_raw(_raw(flu_config, publication=1))
         node.on_raw(_raw(flu_config, publication=1))
         # publishing(1) arrives while still waiting: must be queued, not
         # acknowledged.
-        assert node.on_publishing(1) == []
+        assert node.on_publishing(PublishingMsg(1)) == []
         assert node.held_pairs == 2
         # done(0): flush the two pairs, THEN acknowledge publishing(1).
         out = node.on_done(DoneMsg(0))
@@ -49,11 +55,11 @@ class TestHeldEventOrdering:
 
     def test_chain_of_three_publications(self, flu_config, fast_cipher):
         node = ComputingNode(0, flu_config, fast_cipher)
-        node.on_publishing(0)
+        node.on_publishing(PublishingMsg(0))
         node.on_raw(_raw(flu_config, publication=1))
-        node.on_publishing(1)
+        node.on_publishing(PublishingMsg(1))
         node.on_raw(_raw(flu_config, publication=2))
-        node.on_publishing(2)
+        node.on_publishing(PublishingMsg(2))
         # done(0): pub-1 pair + ack(1); pub-2 events stay held.
         out = node.on_done(DoneMsg(0))
         assert [type(m) for _, m in out] == [Pair, CnPublishing]

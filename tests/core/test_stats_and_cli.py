@@ -115,16 +115,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["capacity", "unknown-dataset"])
 
-    def test_node_subcommand_parses(self):
-        args = build_parser().parse_args(
-            ["node", "--role", "checking", "--config", "/tmp/cluster.json"]
-        )
-        assert args.role == "checking"
-        assert args.config == "/tmp/cluster.json"
-
-    def test_node_requires_role_and_config(self):
+    def test_node_subcommand_is_gone(self):
+        """``repro node`` served ProcessCluster's node processes and
+        went with it; process-per-node deployment is the shm runtime."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["node"])
+            build_parser().parse_args(
+                ["node", "--role", "checking", "--config", "/tmp/c.json"]
+            )
 
 
 class TestUnpublishedPairs:

@@ -6,12 +6,26 @@ _DURABILITY_PATH = "src/repro/durability/system.py"
 
 
 class TestJournalOrdering:
-    def test_pump_before_append_flagged(self):
+    def test_send_before_append_flagged(self):
         diagnostics = lint_source(
             """
             class Driver:
                 def ingest(self, line):
-                    self._pump(self.dispatcher.on_raw(line))
+                    self._send_all(self.dispatcher.on_raw(line))
+                    self.journal.append_raw(self.publication, line)
+            """,
+            _DURABILITY_PATH,
+        )
+        assert codes_of(diagnostics) == ["FRQ-D701"]
+
+    def test_bare_send_of_a_prepared_outbox_flagged(self):
+        """The driver's single send method is itself a pipeline call: a
+        rename of it must not blind the rule (no ``.on_raw`` in sight)."""
+        diagnostics = lint_source(
+            """
+            class Driver:
+                def ingest(self, line, outbox):
+                    self._send_all(outbox)
                     self.journal.append_raw(self.publication, line)
             """,
             _DURABILITY_PATH,
@@ -24,7 +38,7 @@ class TestJournalOrdering:
             class Driver:
                 def ingest(self, line):
                     self.journal.append_raw(self.publication, line)
-                    self._pump(self.dispatcher.on_raw(line))
+                    self._send_all(self.dispatcher.on_raw(line))
             """,
             _DURABILITY_PATH,
         )
@@ -35,7 +49,7 @@ class TestJournalOrdering:
             """
             class Driver:
                 def _replay_raw(self, line):
-                    self._pump(self.dispatcher.on_raw(line))
+                    self._send_all(self.dispatcher.on_raw(line))
             """,
             _DURABILITY_PATH,
         )
@@ -46,7 +60,7 @@ class TestJournalOrdering:
             """
             class Driver:
                 def ingest(self, line):
-                    self._pump(self.dispatcher.on_raw(line))
+                    self._send_all(self.dispatcher.on_raw(line))
                     self.journal.append_raw(0, line)
             """,
             "src/repro/core/system.py",

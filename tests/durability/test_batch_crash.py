@@ -79,9 +79,7 @@ def _crash_and_recover(batch_size: int, root, lines):
     ).recover()
     total = max(1, len(lines))
     for position, line in enumerate(lines[CRASH_AT:], start=CRASH_AT):
-        recovered._pump(
-            recovered.dispatcher.due_dummies((position + 1) / (total + 1))
-        )
+        recovered.pump_dummies((position + 1) / (total + 1))
         recovered.ingest(line)
     receipt = recovered.finish_publication()
     return recovered, report, receipt

@@ -28,9 +28,7 @@ def _run_to_crash(system, lines):
     fed = 0
     try:
         for position, line in enumerate(lines):
-            system._pump(
-                system.dispatcher.due_dummies((position + 1) / (total + 1))
-            )
+            system.pump_dummies((position + 1) / (total + 1))
             system.ingest(line)
             fed += 1
     except CollectorCrash:
@@ -43,9 +41,7 @@ def _finish_after_recovery(system, lines, journaled):
     """Resume the interval with the lines the journal never saw."""
     total = max(1, len(lines))
     for position, line in enumerate(lines[journaled:], start=journaled):
-        system._pump(
-            system.dispatcher.due_dummies((position + 1) / (total + 1))
-        )
+        system.pump_dummies((position + 1) / (total + 1))
         system.ingest(line)
     return system.finish_publication()
 
@@ -248,7 +244,7 @@ class TestCommittedPublicationsSurvive:
         # before commit/checkpoint.
         publication = system.dispatcher.publication
         system.journal.append_close(publication)
-        system._pump(system.dispatcher.end_publication())
+        system._send_all(system.dispatcher.end_publication())
         assert cloud.is_published(publication)
 
         recovered, report = RecoveryManager(
@@ -334,3 +330,46 @@ class TestRecoveryTelemetry:
         assert telemetry.registry.counter("recovery_runs_total").value == 1
         assert telemetry.registry.histogram("recovery_seconds").count == 1
         assert journaled > 0
+
+
+class TestPublicCloseIsDurable:
+    def test_close_publication_journals_and_ledgers(
+        self, flu_config, fast_cipher, tmp_path, flu_generator
+    ):
+        """The inherited public ``close_publication()`` used to publish
+        publication *n* and open *n + 1* around the journal and the ε
+        ledger (no ``close``/``commit``, no ``open``, no grant).  Every
+        boundary now goes through the durable hooks."""
+        from collections import Counter
+
+        root = tmp_path / "close"
+        system = DurableFresqueSystem(
+            flu_config, fast_cipher, root, seed=101, checkpoint_every=0
+        )
+        system.start()
+        for line in flu_generator.raw_lines(300):
+            system.ingest(line)
+        system.close_publication()
+
+        types = Counter(r.type for r in system.journal.replay())
+        assert types == {"open": 2, "raw": 300, "close": 1, "commit": 1}
+        assert system.cloud.is_published(0)
+        assert system.dispatcher.publication == 1
+        assert system.accountant.publications_granted == 2
+        assert system.accountant.committed_publications == frozenset({0})
+        assert system._open_publications == {1}
+
+        # A crash right here recovers to the same place: publication 0
+        # done, publication 1 open under its journalled plan, and no ε
+        # beyond the two logged intents.
+        system.journal.sync()
+        recovered, report = RecoveryManager(
+            flu_config, fast_cipher, root, cloud=system.cloud, seed=202
+        ).recover()
+        assert recovered.dispatcher.publication == 1
+        assert recovered._open_publications == {1}
+        assert recovered.accountant.publications_granted == 2
+        assert recovered.accountant.remaining_epsilon == pytest.approx(
+            system.accountant.remaining_epsilon
+        )
+        assert 0 not in report.reset_publications  # committed, not redone

@@ -106,15 +106,12 @@ class TestBatchSizesEquivalent:
             publication = system.dispatcher.publication
             total = max(1, len(lines))
             for position, line in enumerate(lines):
-                system._pump(
-                    system.dispatcher.due_dummies((position + 1) / (total + 1))
-                )
+                system.pump_dummies((position + 1) / (total + 1))
                 system.ingest(line)
                 step += 1
                 if step % 11 == 0:  # arbitrary, batch-misaligned
                     system.flush_ingest()
-            system._pump(system.dispatcher.end_publication())
-            system._pump(system.dispatcher.start_publication())
+            system.close_publication()
             assert system.cloud.is_published(publication)
         state = cloud_state_fingerprint(system)
         state["query"] = query_fingerprint(system, 36.0, 39.0)
@@ -179,11 +176,9 @@ class TestNodeDownMidBatch:
         publication = system.dispatcher.publication
         for index, line in enumerate(lines):
             if index == 57:  # mid-batch: 57 = 7 (mod 8)
-                down = system.dispatcher.mark_node_down(1)
-                system._pump(down)
+                system.crash_node(1)
             system.ingest(line)
-        system._pump(system.dispatcher.end_publication())
-        system._pump(system.dispatcher.start_publication())
+        system.close_publication()
         receipt = system.cloud.receipt_for(publication)
         dummies = system.checking.dummies_passed
         removed = system.checking.records_removed
@@ -220,15 +215,12 @@ def test_property_batched_equals_per_record(
         for lines in publications:
             total = max(1, len(lines))
             for position, line in enumerate(lines):
-                system._pump(
-                    system.dispatcher.due_dummies((position + 1) / (total + 1))
-                )
+                system.pump_dummies((position + 1) / (total + 1))
                 system.ingest(line)
                 step += 1
                 if flush_every is not None and step % flush_every == 0:
                     system.flush_ingest()
-            system._pump(system.dispatcher.end_publication())
-            system._pump(system.dispatcher.start_publication())
+            system.close_publication()
         state = cloud_state_fingerprint(system)
         state["query"] = query_fingerprint(system, 36.0, 40.0)
         return state

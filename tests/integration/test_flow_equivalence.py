@@ -107,12 +107,9 @@ class TestAdmissionIsByteInvisibleWhenUnderLimit:
             publication = system.dispatcher.publication
             total = max(1, len(lines))
             for position, line in enumerate(lines):
-                system._pump(
-                    system.dispatcher.due_dummies((position + 1) / (total + 1))
-                )
+                system.pump_dummies((position + 1) / (total + 1))
                 assert system.offer(line)
-            system._pump(system.dispatcher.end_publication())
-            system._pump(system.dispatcher.start_publication())
+            system.close_publication()
             assert publication in {
                 r.publication for r in system._cloud_adapter.receipts
             }

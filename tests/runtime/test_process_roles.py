@@ -1,19 +1,14 @@
-"""Role construction and the cloud control channel.
+"""Role construction.
 
 :mod:`repro.runtime.roles` is the one place worker processes rebuild
-their components from a JSON spec; every runtime (TCP and shared
-memory) routes through it, so its dispatch tables are pinned here
-without spawning any processes.  The TCP cloud's control server
-(:func:`repro.runtime.process._serve_control`) is exercised over a real
-socket on a background thread.
+their components from a JSON spec; the shared-memory runtime's workers
+route through it, so what each role's handler accepts is pinned here
+without spawning any processes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import socket
-import threading
 
 import pytest
 
@@ -29,12 +24,10 @@ from repro.core.messages import (
     RawBatch,
     RawData,
 )
-from repro.core.system import FresqueSystem
 from repro.crypto.cipher import SimulatedCipher
 from repro.crypto.keys import KeyStore
 from repro.datasets.flu import FluSurveyGenerator, flu_domain
 from repro.records.schema import flu_survey_schema
-from repro.runtime.process import _serve_control, run_node
 from repro.runtime.roles import (
     build_handler,
     cipher_from_spec,
@@ -209,67 +202,3 @@ class TestBuildHandler:
     def test_unknown_role_rejected(self, config):
         with pytest.raises(ValueError, match="unknown role"):
             build_handler("accountant", config, _cipher(), {})
-
-
-def test_run_node_rejects_unknown_role(tmp_path, config):
-    spec_path = tmp_path / "cluster.json"
-    spec_path.write_text(json.dumps(spec_from_config(config, _KEY)))
-    with pytest.raises(ValueError, match="unknown role"):
-        run_node("accountant", str(spec_path))
-
-
-class TestCloudControlChannel:
-    @pytest.fixture
-    def published_system(self, config) -> FresqueSystem:
-        system = FresqueSystem(config, _cipher(), seed=9)
-        system.run_publication(list(FluSurveyGenerator(seed=9).raw_lines(40)))
-        return system
-
-    @pytest.fixture
-    def control_port(self, published_system, tmp_path):
-        port_file = tmp_path / "cloud-control-port"
-        thread = threading.Thread(
-            target=_serve_control,
-            args=(
-                published_system.cloud,
-                published_system._cloud_adapter,
-                published_system.cipher,
-                published_system.config.schema,
-                port_file,
-            ),
-            daemon=True,
-        )
-        thread.start()
-        while not port_file.exists() or not port_file.read_text():
-            pass
-        port = int(port_file.read_text())
-        yield port
-        self._call(port, {"op": "shutdown"})
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-
-    @staticmethod
-    def _call(port: int, request: dict) -> dict:
-        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as s:
-            s.sendall((json.dumps(request) + "\n").encode())
-            return json.loads(s.makefile("r").readline())
-
-    def test_status_lists_receipts(self, published_system, control_port):
-        response = self._call(control_port, {"op": "status"})
-        assert response["publications"] == [0]
-        receipt = published_system.cloud.receipt_for(0)
-        assert response["records"] == [receipt.records_matched]
-
-    def test_query_answers_over_the_wire(
-        self, published_system, control_port
-    ):
-        response = self._call(
-            control_port, {"op": "query", "low": 36.0, "high": 39.0}
-        )
-        local = published_system.query(36.0, 39.0)
-        assert response["count"] == len(local.records)
-        assert len(response["values"]) <= 100
-
-    def test_unknown_op_reports_error(self, control_port):
-        response = self._call(control_port, {"op": "frobnicate"})
-        assert "unknown op" in response["error"]

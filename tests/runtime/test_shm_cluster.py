@@ -196,6 +196,28 @@ class TestClusterSmoke:
         assert (tmp_path / "journal.wal").stat().st_size > 0
         assert (tmp_path / "epsilon.ledger").stat().st_size > 0
 
+    def test_durable_close_publication_journals_and_ledgers(self, tmp_path):
+        """The public ``close_publication()`` used to be "the
+        non-durable boundary only" even with ``data_dir`` set: it opened
+        the next publication with a freshly drawn plan and no grant, and
+        journalled nothing.  It now runs the same durable hooks as
+        ``run_publication``."""
+        from collections import Counter
+
+        lines = _stream(17, 40, 1)[0]
+        with ShmFresqueCluster(
+            _config(8), _MASTER_KEY, seed=_SEED, data_dir=tmp_path
+        ) as cluster:
+            for line in lines:
+                cluster.ingest(line)
+            cluster.close_publication()
+            types = Counter(r.type for r in cluster.journal.replay())
+            assert types == {"open": 2, "raw": 40, "close": 1, "commit": 1}
+            assert cluster.accountant.publications_granted == 2
+            assert cluster.accountant.committed_publications == frozenset({0})
+            assert cluster.dispatcher.publication == 1
+            assert 0 in cluster.receipts
+
 
 class TestWorkerCrash:
     def test_cn_death_mid_publication_loses_nothing(self):

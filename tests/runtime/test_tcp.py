@@ -57,7 +57,7 @@ class TestTcpCluster:
             cluster.shutdown()
 
     def test_every_node_listens_on_distinct_port(self, cluster):
-        ports = [node.port for node in cluster._nodes]
+        ports = [node.port for node in cluster._servers.values()]
         assert len(set(ports)) == len(ports)
         assert all(port > 0 for port in ports)
 

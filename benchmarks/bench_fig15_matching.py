@@ -68,30 +68,29 @@ def test_fig15_series(benchmark):
 
 def _build_publication(records: int):
     store = EncryptedStore()
-    cache = MetadataCache(0)
-    tag_addresses = {}
-    table = {}
-    for index in range(records):
-        record = EncryptedRecord(
-            leaf_offset=None, ciphertext=index.to_bytes(4, "little") * 16
-        )
-        address = store.write(0, record)
-        cache.add(index % 626, address)
-        tag_addresses[index] = address
-        table[index] = index % 626
-    return store, cache, tag_addresses, table
+    store.write_batch(
+        0,
+        [
+            EncryptedRecord(
+                leaf_offset=None, ciphertext=index.to_bytes(4, "little") * 16
+            )
+            for index in range(records)
+        ],
+    )
+    leaves = [index % 626 for index in range(records)]
+    # Arrival order makes record ``index`` ordinal ``index`` of file 0.
+    tag_ordinals = {index: index for index in range(records)}
+    return store, leaves, tag_ordinals, dict(enumerate(leaves))
 
 
 def test_fig15_real_metadata_matching(benchmark):
     """Benchmark FRESQUE's real matching over 20k records."""
-    store, cache, _, _ = _build_publication(20_000)
+    _, leaves, _, _ = _build_publication(20_000)
 
     def run():
         # Matching destroys the cache; rebuild a fresh one per round.
         fresh = MetadataCache(0)
-        for leaf, addresses in cache.items():
-            for address in addresses:
-                fresh.add(leaf, address)
+        fresh.extend(leaves)
         return match_with_metadata(fresh)
 
     pointers, stats = benchmark(run)
@@ -101,9 +100,9 @@ def test_fig15_real_metadata_matching(benchmark):
 
 def test_fig15_real_table_matching(benchmark):
     """Benchmark PINED-RQ++'s real read-back matching over 20k records."""
-    store, _, tag_addresses, table = _build_publication(20_000)
+    store, _, tag_ordinals, table = _build_publication(20_000)
     pointers, stats = benchmark(
-        match_with_table, store, 0, tag_addresses, table
+        match_with_table, store, 0, tag_ordinals, table
     )
     assert stats.records == 20_000
     assert stats.bytes_read == 20_000 * 64

@@ -97,7 +97,8 @@ def test_micro_ops_bench_json(tmp_path):
     from repro.telemetry.exporters import write_bench_json
 
     generator = NasaLogGenerator(seed=1)
-    payload = serialize_record(generator.record(), generator.schema)
+    schema = generator.schema
+    payload = serialize_record(generator.record(), schema)
     line = generator.raw_line()
     domain = nasa_domain()
     tree = IndexTree(domain, fanout=16)
@@ -109,7 +110,7 @@ def test_micro_ops_bench_json(tmp_path):
     ops = {
         "simulated_encrypt": lambda: sim_cipher.encrypt(payload),
         "leaf_offset": lambda: domain.leaf_offset(123_456),
-        "parse_nasa_line": lambda: parse_raw_line(line, generator.schema),
+        "parse_nasa_line": lambda: parse_raw_line(line, schema),
         "array_check": lambda: arrays.check_and_update(1700),
         "randomer_insert": lambda: randomer.insert(pair),
     }

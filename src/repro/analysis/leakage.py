@@ -91,6 +91,6 @@ def fresque_observed_histogram(cloud, publication: int = 0) -> list[int]:
         d for d in cloud.engine.published if d.publication == publication
     )
     return [
-        len(dataset.pointers.addresses(offset))
+        len(dataset.pointers.ordinals(offset))
         for offset in range(dataset.tree.num_leaves)
     ]

@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.cloud.storage import file_digests
+
 
 def cloud_state_fingerprint(system) -> dict:
     """Canonical, byte-level serialization of a deployment's cloud state.
@@ -26,27 +28,41 @@ def cloud_state_fingerprint(system) -> dict:
     clusters).  The shared-memory cluster computes the identical shape
     worker-side via :meth:`ShmFresqueCluster.fingerprint`.
     """
-    files = {}
-    for file_id in sorted(system.cloud.store._files):
-        handle = system.cloud.store.file(file_id)
-        digest = hashlib.sha256()
-        for record in handle._records:
-            digest.update(record.leaf_offset.to_bytes(4, "little"))
-            digest.update(len(record.ciphertext).to_bytes(4, "little"))
-            digest.update(record.ciphertext)
-        files[file_id] = (handle.record_count, digest.hexdigest())
     receipts = {
         publication: system.cloud.receipt_for(publication).records_matched
         for publication in sorted(system.cloud._done)
     }
     return {
-        "files": files,
+        "files": file_digests(system.cloud.store),
         "receipts": receipts,
         "pairs_processed": system.checking.pairs_processed,
         "dummies_passed": system.checking.dummies_passed,
         "records_removed": system.checking.records_removed,
         "duplicate_pairs": system.cloud.duplicate_pairs,
     }
+
+
+def publication_digest(system) -> str:
+    """What the fingerprint omits: the published indexes themselves.
+
+    One digest over every published dataset in order — its number, the
+    count of every tree node level by level, and every overflow array's
+    leaf, capacity and entries (ciphertexts, in array order).  Two
+    deployments agree iff the merger built byte-identical trees and
+    overflow arrays.
+    """
+    digest = hashlib.sha256()
+    for dataset in system.cloud.engine.published:
+        digest.update(f"pub {dataset.publication}\n".encode())
+        for level in dataset.tree.levels:
+            digest.update(repr([node.count for node in level]).encode())
+        for leaf_offset in sorted(dataset.overflow):
+            array = dataset.overflow[leaf_offset]
+            digest.update(f"leaf {leaf_offset} {array.capacity}\n".encode())
+            for entry in array.entries:
+                digest.update(len(entry.ciphertext).to_bytes(4, "little"))
+                digest.update(entry.ciphertext)
+    return digest.hexdigest()
 
 
 def _normalise(value):

@@ -5,7 +5,12 @@ cloud's disk with byte accounting; this variant actually writes each
 publication to a file on disk — one append-only file per publication, the
 record layout being ``length (uint32) | ciphertext`` — so durability,
 re-opening, and real read-back I/O can be exercised.  It implements the
-same interface, making it a drop-in for :class:`FresqueCloud`.
+same store contract (see :mod:`repro.cloud.storage`), making it a drop-in
+for :class:`FresqueCloud`: a record's address inside its file is its
+arrival ordinal, resolved through an in-memory column of byte offsets per
+open file (rebuilt from the record headers when a file is re-opened).
+Only ciphertexts reach the disk, so records read back carry no leaf
+offset, tag or publication number.
 
 Durable mode (``durable=True``) adds the crash discipline the plain mode
 lacks:
@@ -26,6 +31,8 @@ from __future__ import annotations
 import os
 import pathlib
 import struct
+from array import array
+from itertools import accumulate, chain
 
 from repro.cloud.storage import PhysicalAddress, StorageError
 from repro.records.record import EncryptedRecord
@@ -53,6 +60,8 @@ class FileBackedStore:
         self.durable = durable
         self._handles: dict[int, object] = {}
         self._sizes: dict[int, int] = {}
+        #: Byte offset of every record header, by arrival ordinal.
+        self._offsets: dict[int, array] = {}
         #: File ids written since their last flush-to-disk.
         self._dirty: set[int] = set()
         #: File ids still living under their ``.tmp`` create path.
@@ -93,6 +102,7 @@ class FileBackedStore:
             path = self._path(file_id)
         self._handles[file_id] = open(path, "w+b")
         self._sizes[file_id] = 0
+        self._offsets[file_id] = array("q")
 
     def _handle(self, file_id: int):
         handle = self._handles.get(file_id)
@@ -101,26 +111,100 @@ class FileBackedStore:
             if not path.exists():
                 raise StorageError(f"no file {file_id}")
             handle = open(path, "r+b")
+            size = path.stat().st_size
+            # Rebuild the offset column from the record headers.
+            offsets = array("q")
+            offset = 0
+            while offset < size:
+                offsets.append(offset)
+                offset += _LENGTH.size + self._length_at(handle, offset)
             self._handles[file_id] = handle
-            self._sizes[file_id] = path.stat().st_size
+            self._sizes[file_id] = size
+            self._offsets[file_id] = offsets
         return handle
 
-    def write(self, file_id: int, record: EncryptedRecord) -> PhysicalAddress:
-        """Append one record, returning its physical address."""
+    @staticmethod
+    def _length_at(handle, offset: int) -> int:
+        """The body length in the record header at ``offset``."""
+        handle.seek(offset)
+        header = handle.read(_LENGTH.size)
+        if len(header) != _LENGTH.size:
+            raise StorageError(f"no record at offset {offset}")
+        return _LENGTH.unpack(header)[0]
+
+    def _body(self, handle, offset: int) -> bytes:
+        """The ciphertext whose record header sits at ``offset``."""
+        length = self._length_at(handle, offset)
+        ciphertext = handle.read(length)
+        if len(ciphertext) != length:
+            raise StorageError("truncated record body")
+        return ciphertext
+
+    def file_ids(self) -> list[int]:
+        """Ids of every publication file, open or on disk, ascending."""
+        on_disk = {
+            int(path.stem.partition("-")[2])
+            for path in self.directory.glob("publication-*.dat")
+        }
+        return sorted(on_disk.union(self._handles))
+
+    def record_count(self, file_id: int) -> int:
+        """Records stored in ``file_id``."""
+        self._handle(file_id)
+        return len(self._offsets[file_id])
+
+    def write_batch(self, file_id: int, records) -> int:
+        """Append ``records`` (a sequence) to ``file_id`` in order with one
+        write, creating the file if needed; returns the ordinal of the
+        first one (the rest follow)."""
         if file_id not in self._handles and not self._path(file_id).exists():
             self.create_file(file_id)
         handle = self._handle(file_id)
-        offset = self._sizes[file_id]
-        handle.seek(offset)
-        payload = _LENGTH.pack(len(record.ciphertext)) + record.ciphertext
-        handle.write(payload)
-        self._sizes[file_id] = offset + len(payload)
-        self._dirty.add(file_id)
-        self.bytes_written += len(record.ciphertext)
-        self.write_ops += 1
-        return PhysicalAddress(
-            file_id=file_id, offset=offset, length=len(record.ciphertext)
+        offsets = self._offsets[file_id]
+        first = len(offsets)
+        start = self._sizes[file_id]
+        ciphertexts = [record.ciphertext for record in records]
+        lengths = [len(ciphertext) for ciphertext in ciphertexts]
+        # Running header offsets of the batch; the last one is the new size.
+        ends = list(
+            accumulate(
+                lengths,
+                lambda end, length: end + _LENGTH.size + length,
+                initial=start,
+            )
         )
+        self._sizes[file_id] = ends.pop()
+        offsets.extend(ends)
+        handle.seek(start)
+        handle.write(
+            b"".join(
+                chain.from_iterable(
+                    zip(map(_LENGTH.pack, lengths), ciphertexts)
+                )
+            )
+        )
+        self._dirty.add(file_id)
+        self.bytes_written += sum(lengths)
+        self.write_ops += len(lengths)
+        return first
+
+    def write(self, file_id: int, record: EncryptedRecord) -> PhysicalAddress:
+        """Append one record, returning its physical address."""
+        return self.address_of(file_id, self.write_batch(file_id, (record,)))
+
+    def address_of(self, file_id: int, ordinal: int) -> PhysicalAddress:
+        """The physical address of the ``ordinal``-th record of ``file_id``."""
+        self._handle(file_id)
+        offsets = self._offsets[file_id]
+        if not 0 <= ordinal < len(offsets):
+            raise StorageError(f"no record {ordinal} in file {file_id}")
+        offset = offsets[ordinal]
+        end = (
+            offsets[ordinal + 1]
+            if ordinal + 1 < len(offsets)
+            else self._sizes[file_id]
+        )
+        return PhysicalAddress(file_id, offset, end - offset - _LENGTH.size)
 
     def commit(self, file_id: int) -> None:
         """Make one publication file crash-proof (durable mode).
@@ -152,6 +236,7 @@ class FileBackedStore:
         if handle is not None:
             handle.close()
         self._sizes.pop(file_id, None)
+        self._offsets.pop(file_id, None)
         self._dirty.discard(file_id)
         for path in (self._tmp_path(file_id), self._path(file_id)):
             if path.exists():
@@ -164,31 +249,40 @@ class FileBackedStore:
         Returns the number of records dropped.
         """
         handle = self._handle(file_id)
-        handle.flush()
-        offset = 0
-        size = self._sizes[file_id]
-        seen = 0
-        while offset < size and seen < count:
-            handle.seek(offset)
-            (length,) = _LENGTH.unpack(handle.read(_LENGTH.size))
-            offset += _LENGTH.size + length
-            seen += 1
-        if seen < count:
+        offsets = self._offsets[file_id]
+        stored = len(offsets)
+        if count < 0 or count > stored:
             raise StorageError(
                 f"cannot truncate file {file_id} to {count} records: "
-                f"only {seen} stored"
+                f"only {stored} stored"
             )
-        dropped = 0
-        scan_offset = offset
-        while scan_offset < size:
-            handle.seek(scan_offset)
-            (length,) = _LENGTH.unpack(handle.read(_LENGTH.size))
-            scan_offset += _LENGTH.size + length
-            dropped += 1
-        handle.truncate(offset)
-        self._sizes[file_id] = offset
-        self._dirty.add(file_id)
-        return dropped
+        if count < stored:
+            handle.flush()
+            handle.truncate(offsets[count])
+            self._sizes[file_id] = offsets[count]
+            del offsets[count:]
+            self._dirty.add(file_id)
+        return stored - count
+
+    def read_ordinals(self, file_id: int, ordinals) -> list[EncryptedRecord]:
+        """Read the records at ``ordinals`` (a sequence) back from disk,
+        charging the I/O counters."""
+        handle = self._handle(file_id)
+        offsets = self._offsets[file_id]
+        count = len(offsets)
+        if ordinals and not (0 <= min(ordinals) and max(ordinals) < count):
+            raise StorageError(
+                f"ordinal outside the {count} records of file {file_id}"
+            )
+        records = [
+            EncryptedRecord(
+                leaf_offset=None, ciphertext=self._body(handle, offsets[i])
+            )
+            for i in ordinals
+        ]
+        self.bytes_read += sum(map(len, records))
+        self.read_ops += len(records)
+        return records
 
     def read(self, address: PhysicalAddress) -> EncryptedRecord:
         """Read one record back from disk.
@@ -198,38 +292,26 @@ class FileBackedStore:
         StorageError
             If the address does not point at a valid record header.
         """
-        handle = self._handle(address.file_id)
-        handle.seek(address.offset)
-        header = handle.read(_LENGTH.size)
-        if len(header) != _LENGTH.size:
-            raise StorageError(f"no record at offset {address.offset}")
-        (length,) = _LENGTH.unpack(header)
-        if length != address.length:
+        ciphertext = self._body(self._handle(address.file_id), address.offset)
+        if len(ciphertext) != address.length:
             raise StorageError(
-                f"length mismatch at {address.offset}: stored {length}, "
-                f"address says {address.length}"
+                f"length mismatch at {address.offset}: stored "
+                f"{len(ciphertext)}, address says {address.length}"
             )
-        ciphertext = handle.read(length)
-        if len(ciphertext) != length:
-            raise StorageError("truncated record body")
-        self.bytes_read += length
+        self.bytes_read += address.length
         self.read_ops += 1
         return EncryptedRecord(leaf_offset=None, ciphertext=ciphertext)
 
     def scan(self, file_id: int):
-        """Iterate ``(address, record)`` pairs of one publication file."""
+        """Iterate ``(address, record)`` pairs of one publication file
+        (a maintenance walk: no I/O is charged)."""
         handle = self._handle(file_id)
-        offset = 0
-        size = self._sizes[file_id]
-        while offset < size:
-            handle.seek(offset)
-            (length,) = _LENGTH.unpack(handle.read(_LENGTH.size))
-            ciphertext = handle.read(length)
+        for offset in self._offsets[file_id]:
+            ciphertext = self._body(handle, offset)
             yield (
-                PhysicalAddress(file_id, offset, length),
+                PhysicalAddress(file_id, offset, len(ciphertext)),
                 EncryptedRecord(leaf_offset=None, ciphertext=ciphertext),
             )
-            offset += _LENGTH.size + length
 
     def file_size(self, file_id: int) -> int:
         """Bytes currently in one publication file."""

@@ -27,7 +27,7 @@ from repro.cloud.query_engine import (
     PublishedDataset,
     QueryResult,
 )
-from repro.cloud.storage import EncryptedStore, PhysicalAddress
+from repro.cloud.storage import EncryptedStore
 from repro.index.domain import AttributeDomain
 from repro.index.overflow import OverflowArray
 from repro.index.query import RangeQuery
@@ -104,7 +104,6 @@ class _BaseCloud:
             raise CloudError(f"publication {publication} already announced")
         self._active.add(publication)
         self.store.create_file(publication)
-        self.engine.open_publication(publication)
 
     def is_published(self, publication: int) -> bool:
         """Whether ``publication`` has completed its matching process."""
@@ -155,11 +154,9 @@ class _BaseCloud:
                 file_id=publication,
             )
         )
-        commit = getattr(self.store, "commit", None)
-        if commit is not None:
-            # Durable stores make the publication's file crash-proof the
-            # moment the index is installed (fsync + atomic rename).
-            commit(publication)
+        # Durable stores make the publication's file crash-proof the
+        # moment the index is installed (fsync + atomic rename).
+        self.store.commit(publication)
         self._active.discard(publication)
         self._done.add(publication)
         receipt = PublicationReceipt(
@@ -183,7 +180,9 @@ class FresqueCloud(_BaseCloud):
     def announce_publication(self, publication: int) -> None:
         super().announce_publication(publication)
         if publication in self._active:
-            self._metadata[publication] = MetadataCache(publication)
+            cache = MetadataCache(publication)
+            self._metadata[publication] = cache
+            self.engine.open_publication(cache)
 
     def reset_publication(self, publication: int) -> bool:
         if not super().reset_publication(publication):
@@ -207,60 +206,39 @@ class FresqueCloud(_BaseCloud):
         self._require_active(publication)
         dropped = self._metadata[publication].truncate(count)
         self.store.truncate_records(publication, count)
-        self.engine.truncate_unindexed(publication, count)
         return dropped
 
     def receive_pair(
         self, publication: int, leaf_offset: int, record: EncryptedRecord
-    ) -> PhysicalAddress | None:
-        """Store one arriving pair and cache its metadata.
+    ) -> int:
+        """Store one arriving pair: :meth:`receive_pairs` with one element."""
+        return self.receive_pairs(publication, [(leaf_offset, record)])
 
-        Pairs of an already-published publication are replay duplicates:
-        dropped, counted, ``None`` returned.
-        """
-        if publication in self._done:
-            self.duplicate_pairs += 1
-            self._duplicates_counter.inc()
-            return None
-        self._require_active(publication)
-        address = self.store.write(publication, record)
-        self._metadata[publication].add(leaf_offset, address)
-        self.engine.add_unindexed(publication, leaf_offset, record)
-        self._pairs_counter.inc()
-        self._bytes_counter.inc(len(record.ciphertext))
-        return address
-
-    def receive_pairs(
-        self, publication: int, pairs
-    ) -> list[PhysicalAddress | None]:
+    def receive_pairs(self, publication: int, pairs) -> int:
         """Store a batch of ``(leaf offset, e-record)`` pairs in order.
 
         One message-level entry point per :class:`ToCloudBatch` /
-        :class:`BufferFlush`; the per-pair bookkeeping (store write,
-        metadata cache, unindexed query coverage, duplicate dedupe) is
-        exactly :meth:`receive_pair`'s, with the publication checks and
-        attribute lookups hoisted out of the loop.
+        :class:`BufferFlush`: the ciphertexts go to the publication's file
+        and the leaf offsets to its metadata cache as bulk column appends
+        — nothing is retained per pair.  Returns the number of pairs
+        stored; pairs of an already-published publication are replay
+        duplicates, dropped and counted (0 returned).
         """
         if publication in self._done:
             count = len(pairs)
             self.duplicate_pairs += count
             self._duplicates_counter.inc(count)
-            return [None] * count
+            return 0
         self._require_active(publication)
-        write = self.store.write
-        add_metadata = self._metadata[publication].add
-        add_unindexed = self.engine.add_unindexed
-        addresses = []
-        total_bytes = 0
-        for leaf_offset, record in pairs:
-            address = write(publication, record)
-            add_metadata(leaf_offset, address)
-            add_unindexed(publication, leaf_offset, record)
-            total_bytes += len(record.ciphertext)
-            addresses.append(address)
-        self._pairs_counter.inc(len(addresses))
-        self._bytes_counter.inc(total_bytes)
-        return addresses
+        records = [record for _, record in pairs]
+        written = self.store.bytes_written
+        self.store.write_batch(publication, records)
+        self._metadata[publication].extend(
+            [leaf_offset for leaf_offset, _ in pairs]
+        )
+        self._pairs_counter.inc(len(records))
+        self._bytes_counter.inc(self.store.bytes_written - written)
+        return len(records)
 
     def receive_publication(
         self,
@@ -292,7 +270,8 @@ class MatchingTableCloud(_BaseCloud):
 
     def __init__(self, domain: AttributeDomain, telemetry=None, store=None):
         super().__init__(domain, telemetry=telemetry, store=store)
-        self._tags: dict[int, dict[int, PhysicalAddress]] = {}
+        #: publication -> ``random tag -> ordinal`` in its file.
+        self._tags: dict[int, dict[int, int]] = {}
 
     def announce_publication(self, publication: int) -> None:
         super().announce_publication(publication)
@@ -307,14 +286,14 @@ class MatchingTableCloud(_BaseCloud):
 
     def receive_tagged(
         self, publication: int, tag: int, record: EncryptedRecord
-    ) -> PhysicalAddress:
+    ) -> None:
         """Store one arriving ``<id, e-record>`` pair."""
         self._require_active(publication)
-        address = self.store.write(publication, record)
-        self._tags[publication][tag] = address
+        self._tags[publication][tag] = self.store.write_batch(
+            publication, (record,)
+        )
         self._pairs_counter.inc()
         self._bytes_counter.inc(len(record.ciphertext))
-        return address
 
     def receive_publication(
         self,
@@ -326,9 +305,8 @@ class MatchingTableCloud(_BaseCloud):
         """Run the read-back matching process with the published table."""
         start = self._tel.now()
         self._require_active(publication)
-        tag_addresses = self._tags.pop(publication)
         pointers, stats = match_with_table(
-            self.store, publication, tag_addresses, matching_table
+            self.store, publication, self._tags.pop(publication), matching_table
         )
         receipt = self._install(publication, tree, pointers, overflow, stats)
         self._tel.observe_stage("match", publication, start)

@@ -9,9 +9,10 @@ decryption and final filtering happen at the client.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cloud.matching import LeafPointers
+from repro.cloud.metadata import MetadataCache
 from repro.cloud.storage import EncryptedStore
 from repro.index.domain import AttributeDomain
 from repro.index.overflow import OverflowArray
@@ -73,22 +74,20 @@ class QueryResult:
         return self.indexed + self.overflow + self.unindexed
 
 
-@dataclass
-class _InFlight:
-    """Unindexed pairs of a publication whose index has not arrived yet."""
-
-    publication: int
-    pairs: list[tuple[int, EncryptedRecord]] = field(default_factory=list)
-
-
 class CloudQueryEngine:
-    """Evaluates range queries over published and in-flight data."""
+    """Evaluates range queries over published and in-flight data.
+
+    In-flight (unindexed) data is not copied here: the engine reads the
+    publication's :class:`~repro.cloud.metadata.MetadataCache` — the same
+    leaf column matching and crash recovery use — and fetches the matching
+    ordinals from the store.
+    """
 
     def __init__(self, domain: AttributeDomain, store: EncryptedStore):
         self._domain = domain
         self._store = store
         self._published: list[PublishedDataset] = []
-        self._in_flight: dict[int, _InFlight] = {}
+        self._in_flight: dict[int, MetadataCache] = {}
 
     @property
     def published(self) -> tuple[PublishedDataset, ...]:
@@ -103,20 +102,14 @@ class CloudQueryEngine:
         Section 5.3(c).
         """
         pairs: list[tuple[int, EncryptedRecord]] = []
-        for in_flight in self._in_flight.values():
-            pairs.extend(in_flight.pairs)
+        for publication, cache in self._in_flight.items():
+            stored = (record for _, record in self._store.scan(publication))
+            pairs.extend(zip(cache.leaves, stored))
         return pairs
 
-    def open_publication(self, publication: int) -> None:
-        """Start tracking unindexed pairs for a new publication."""
-        self._in_flight.setdefault(publication, _InFlight(publication))
-
-    def add_unindexed(
-        self, publication: int, leaf_offset: int, record: EncryptedRecord
-    ) -> None:
-        """Register one arriving pair of an unpublished publication."""
-        self.open_publication(publication)
-        self._in_flight[publication].pairs.append((leaf_offset, record))
+    def open_publication(self, cache: MetadataCache) -> None:
+        """Start serving the unindexed pairs ``cache`` lists."""
+        self._in_flight[cache.publication] = cache
 
     def publish(self, dataset: PublishedDataset) -> None:
         """Install a matched publication; its pairs stop being unindexed."""
@@ -128,43 +121,27 @@ class CloudQueryEngine:
         (crash recovery replays the publication from scratch)."""
         self._in_flight.pop(publication, None)
 
-    def truncate_unindexed(self, publication: int, count: int) -> int:
-        """Trim an in-flight publication to its first ``count`` pairs."""
-        in_flight = self._in_flight.get(publication)
-        if in_flight is None:
-            if count == 0:
-                return 0
-            raise KeyError(f"publication {publication} is not in flight")
-        if count < 0 or count > len(in_flight.pairs):
-            raise ValueError(
-                f"cannot truncate {len(in_flight.pairs)} unindexed pairs "
-                f"to {count}"
-            )
-        dropped = len(in_flight.pairs) - count
-        in_flight.pairs = in_flight.pairs[:count]
-        return dropped
-
     def query(self, query: RangeQuery) -> QueryResult:
         """Evaluate a range query over everything the cloud holds."""
+        read = self._store.read_ordinals
         indexed: list[EncryptedRecord] = []
         overflow: list[EncryptedRecord] = []
         nodes_visited = 0
         for dataset in self._published:
             result = traverse(dataset.tree, query)
             nodes_visited += result.nodes_visited
+            by_leaf = dataset.pointers.by_leaf
+            ordinals: list[int] = []
             for leaf_offset in result.leaf_offsets:
-                for address in dataset.pointers.addresses(leaf_offset):
-                    indexed.append(self._store.read(address))
+                ordinals += by_leaf.get(leaf_offset, ())
                 array = dataset.overflow.get(leaf_offset)
                 if array is not None:
                     overflow.extend(array.entries)
-        overlapping = set(self._domain.leaves_overlapping(query.low, query.high))
-        unindexed = [
-            record
-            for in_flight in self._in_flight.values()
-            for leaf_offset, record in in_flight.pairs
-            if leaf_offset in overlapping
-        ]
+            indexed += read(dataset.file_id, ordinals)
+        overlapping = self._domain.leaves_overlapping(query.low, query.high)
+        unindexed: list[EncryptedRecord] = []
+        for publication, cache in self._in_flight.items():
+            unindexed += read(publication, cache.ordinals_in(overlapping))
         return QueryResult(
             indexed=tuple(indexed),
             overflow=tuple(overflow),

@@ -1,14 +1,31 @@
 """The cloud's encrypted record store.
 
 Arriving ``<leaf offset, e-record>`` pairs are appended to a per-publication
-*file* and identified by a :class:`PhysicalAddress` (Section 5.3, Cloud).
+*file* (Section 5.3, Cloud).  A record's address inside its file is its
+**arrival ordinal**; the file keeps a publication as columns — the
+ciphertexts as ``bytes`` plus one int column each for byte offset, leaf
+offset, tag and publication — not as one object per record.
+:class:`PhysicalAddress` and :class:`EncryptedRecord` are values built on
+demand (``write`` / ``read`` / ``scan`` / query time), never retained.
 The store is in-memory but accounts for bytes written/read so the simulator
 and the matching-time experiments (Figure 15) can charge realistic I/O.
+
+The store contract, implemented here and by
+:class:`~repro.cloud.filestore.FileBackedStore`: ``create_file``,
+``write_batch`` (bulk append, returns the first ordinal), ``write`` (one
+record, returns its address), ``address_of``, ``read`` (by address),
+``read_ordinals`` (by ordinal, what matching and queries use), ``scan``,
+``record_count``, ``file_ids``, ``truncate_records``, ``discard_file``,
+``commit``, ``close`` and ``total_bytes``.
 """
 
 from __future__ import annotations
 
+import hashlib
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.records.record import EncryptedRecord
 
@@ -31,8 +48,11 @@ class PublicationFile:
 
     def __init__(self, file_id: int):
         self.file_id = file_id
-        self._records: list[EncryptedRecord] = []
-        self._offsets: list[int] = []
+        self._ciphertexts: list[bytes] = []
+        self._offsets = array("q")
+        self._leaves: list[int | None] = []
+        self._tags: list[int | None] = []
+        self._publications: list[int] = []
         self._size = 0
 
     @property
@@ -43,20 +63,34 @@ class PublicationFile:
     @property
     def record_count(self) -> int:
         """Number of records in this file."""
-        return len(self._records)
+        return len(self._ciphertexts)
 
-    def append(self, record: EncryptedRecord) -> PhysicalAddress:
-        """Write one record at the end of the file, returning its address."""
-        address = PhysicalAddress(
-            file_id=self.file_id, offset=self._size, length=len(record)
+    def extend(self, records) -> int:
+        """Write ``records`` at the end of the file; returns bytes written."""
+        ciphertexts = [record.ciphertext for record in records]
+        start = self._size
+        # Running byte offsets of the batch; the last one is the new size.
+        offsets = list(accumulate(map(len, ciphertexts), initial=start))
+        self._size = offsets.pop()
+        self._offsets.extend(offsets)
+        self._ciphertexts += ciphertexts
+        self._leaves += [record.leaf_offset for record in records]
+        self._tags += [record.tag for record in records]
+        self._publications += [record.publication for record in records]
+        return self._size - start
+
+    def address_of(self, ordinal: int) -> PhysicalAddress:
+        """The physical address of the ``ordinal``-th record written."""
+        if not 0 <= ordinal < len(self._ciphertexts):
+            raise StorageError(
+                f"no record {ordinal} in file {self.file_id}"
+            )
+        return PhysicalAddress(
+            self.file_id, self._offsets[ordinal], len(self._ciphertexts[ordinal])
         )
-        self._offsets.append(self._size)
-        self._records.append(record)
-        self._size += len(record)
-        return address
 
-    def read(self, address: PhysicalAddress) -> EncryptedRecord:
-        """Read the record at ``address``.
+    def ordinal_of(self, address: PhysicalAddress) -> int:
+        """The arrival ordinal of the record stored at ``address``.
 
         Raises
         ------
@@ -67,25 +101,25 @@ class PublicationFile:
             raise StorageError(
                 f"address file {address.file_id} != file {self.file_id}"
             )
-        # Binary search over the sorted offsets.
-        lo, hi = 0, len(self._offsets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._offsets[mid] < address.offset:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo >= len(self._offsets) or self._offsets[lo] != address.offset:
+        offsets = self._offsets
+        ordinal = bisect_left(offsets, address.offset)
+        if ordinal >= len(offsets) or offsets[ordinal] != address.offset:
             raise StorageError(f"no record at offset {address.offset}")
-        return self._records[lo]
+        return ordinal
 
-    def scan(self):
-        """Iterate ``(address, record)`` pairs in write order."""
-        for offset, record in zip(self._offsets, self._records):
-            yield (
-                PhysicalAddress(self.file_id, offset, len(record)),
-                record,
+    def records(self, ordinals) -> list[EncryptedRecord]:
+        """The records at ``ordinals``, each built from its columns."""
+        count = len(self._ciphertexts)
+        if ordinals and not (0 <= min(ordinals) and max(ordinals) < count):
+            raise StorageError(
+                f"ordinal outside the {count} records of file {self.file_id}"
             )
+        ciphertexts, leaves = self._ciphertexts, self._leaves
+        tags, publications = self._tags, self._publications
+        return [
+            EncryptedRecord(leaves[i], ciphertexts[i], tags[i], publications[i])
+            for i in ordinals
+        ]
 
     def truncate(self, count: int) -> int:
         """Keep only the first ``count`` records; return records dropped.
@@ -94,18 +128,23 @@ class PublicationFile:
         covered by the collector's checkpoint, so replayed records append
         without duplication.
         """
-        if count < 0 or count > len(self._records):
+        stored = len(self._ciphertexts)
+        if count < 0 or count > stored:
             raise StorageError(
                 f"cannot truncate file {self.file_id} to {count} of "
-                f"{len(self._records)} records"
+                f"{stored} records"
             )
-        dropped = len(self._records) - count
-        self._records = self._records[:count]
-        self._offsets = self._offsets[:count]
-        self._size = (
-            self._offsets[-1] + len(self._records[-1]) if count else 0
-        )
-        return dropped
+        if count < stored:
+            self._size = self._offsets[count]
+        for column in (
+            self._ciphertexts,
+            self._offsets,
+            self._leaves,
+            self._tags,
+            self._publications,
+        ):
+            del column[count:]
+        return stored - count
 
 
 class EncryptedStore:
@@ -138,22 +177,60 @@ class EncryptedStore:
             raise StorageError(f"no file {file_id}")
         return self._files[file_id]
 
-    def write(self, file_id: int, record: EncryptedRecord) -> PhysicalAddress:
-        """Append ``record`` to ``file_id``, creating the file if needed."""
+    def file_ids(self) -> list[int]:
+        """Ids of every file the store holds, ascending."""
+        return sorted(self._files)
+
+    def record_count(self, file_id: int) -> int:
+        """Records stored in ``file_id``."""
+        return self.file(file_id).record_count
+
+    def write_batch(self, file_id: int, records) -> int:
+        """Append ``records`` (a sequence) to ``file_id`` in order, creating the file if
+        needed; returns the ordinal of the first one (the rest follow)."""
         handle = self._files.get(file_id)
         if handle is None:
             handle = self.create_file(file_id)
-        address = handle.append(record)
-        self.bytes_written += len(record)
-        self.write_ops += 1
-        return address
+        first = handle.record_count
+        self.bytes_written += handle.extend(records)
+        self.write_ops += len(records)
+        return first
+
+    def write(self, file_id: int, record: EncryptedRecord) -> PhysicalAddress:
+        """Append one record, returning its physical address."""
+        return self.address_of(file_id, self.write_batch(file_id, (record,)))
+
+    def address_of(self, file_id: int, ordinal: int) -> PhysicalAddress:
+        """The physical address of the ``ordinal``-th record of ``file_id``."""
+        return self.file(file_id).address_of(ordinal)
+
+    def read_ordinals(self, file_id: int, ordinals) -> list[EncryptedRecord]:
+        """Read the records at ``ordinals`` (a sequence), charging the I/O
+        counters."""
+        records = self.file(file_id).records(ordinals)
+        self.bytes_read += sum(map(len, records))
+        self.read_ops += len(records)
+        return records
 
     def read(self, address: PhysicalAddress) -> EncryptedRecord:
-        """Read one record, charging the I/O counters."""
-        record = self.file(address.file_id).read(address)
-        self.bytes_read += len(record)
-        self.read_ops += 1
-        return record
+        """Read the record at ``address``, charging the I/O counters."""
+        ordinal = self.file(address.file_id).ordinal_of(address)
+        return self.read_ordinals(address.file_id, (ordinal,))[0]
+
+    def scan(self, file_id: int):
+        """Iterate ``(address, record)`` pairs of one file in write order
+        (a maintenance walk: no I/O is charged)."""
+        handle = self.file(file_id)
+        ordinals = range(handle.record_count)
+        for ordinal, record in zip(ordinals, handle.records(ordinals)):
+            yield handle.address_of(ordinal), record
+
+    def commit(self, file_id: int) -> None:
+        """Nothing to make durable: the in-memory store dies with the
+        process (:class:`FileBackedStore` fsyncs and renames here)."""
+
+    def close(self) -> None:
+        """No handles to release."""
 
     def discard_file(self, file_id: int) -> None:
         """Drop ``file_id`` entirely (crash recovery: an uncheckpointed
@@ -169,3 +246,22 @@ class EncryptedStore:
     def total_bytes(self) -> int:
         """Bytes across all files (storage-overhead metric)."""
         return sum(handle.size_bytes for handle in self._files.values())
+
+
+def file_digests(store) -> dict[int, tuple[int, str]]:
+    """``file id -> (record count, sha256 over its records in write
+    order)`` of any store, read through its public contract.
+
+    The files half of the cloud-state fingerprint
+    (:mod:`repro.benchfab.fingerprint`); each record contributes its
+    leaf offset, its length and its ciphertext.
+    """
+    files = {}
+    for file_id in store.file_ids():
+        digest = hashlib.sha256()
+        for _, record in store.scan(file_id):
+            digest.update(record.leaf_offset.to_bytes(4, "little"))
+            digest.update(len(record.ciphertext).to_bytes(4, "little"))
+            digest.update(record.ciphertext)
+        files[file_id] = (store.record_count(file_id), digest.hexdigest())
+    return files

@@ -7,9 +7,9 @@ publication *asynchronous*.  Per publication it receives:
 2. removed records from the checker, as negative noise is consumed;
 3. the final AL snapshot at interval end — the trigger for the merging job:
    combine template noise with AL into the complete secure index, seal the
-   removed records into fixed-size overflow arrays (padded with encrypted
-   dummies, randomly ordered), and ship everything to the cloud under the
-   publication number.
+   removed records into fixed-size overflow arrays (padded with dummies
+   encrypted in one batch per publication, randomly ordered), and ship
+   everything to the cloud under the publication number.
 """
 
 from __future__ import annotations
@@ -195,64 +195,88 @@ class Merger(Routed):
             for key, messages in state["early_removed"].items()
         }
 
-    def _encrypted_dummy(
-        self, leaf_offset: int, publication: int, counter: int
-    ):
-        low, high = self.config.domain.leaf_range(leaf_offset)
-        value = low if high <= low else low + self._rng.random() * (high - low)
-        plaintext = self._dummy_serializer.serialize(value)
-        if self.config.deterministic_ivs:
-            # Keyed on (publication, padding index): the merge job seals
-            # leaves in a fixed order, so the counter sequence — and with
-            # it every padding IV — is identical in every runtime.
-            ciphertext = self.cipher.encrypt_seeded(
-                plaintext, padding_nonce(publication, counter)
-            )
-        else:
-            ciphertext = self.cipher.encrypt(plaintext)
-        return EncryptedRecord(
-            leaf_offset=None,
-            ciphertext=ciphertext,
-            publication=publication,
-        )
-
     def on_al(self, message: AlSnapshot) -> list[tuple[str, object]]:
-        """The merge job: build the secure index and overflow arrays."""
+        """The merge job: build the secure index and overflow arrays.
+
+        The padding of the whole publication is encrypted in one batch.
+        Leaf by leaf, in offset order, the job draws the padding values
+        and the leaf's shuffle exactly as sealing one array at a time
+        would (``random.shuffle`` consumes draws by list length only, so
+        the slots can be shuffled before any ciphertext exists); the
+        plaintexts collect in padding-counter order, which keeps the IV
+        sequence that of one ``encrypt`` call per dummy.
+        """
         start = self._tel.now()
-        state = self._states.pop(message.publication, None)
+        publication = message.publication
+        state = self._states.pop(publication, None)
         if state is None:
-            raise KeyError(
-                f"AL for unknown publication {message.publication}"
-            )
+            raise KeyError(f"AL for unknown publication {publication}")
         template = IndexTemplate(
             self.config.domain, fanout=self.config.fanout, plan=state.plan
         )
         tree = merge_template_and_counts(template, list(message.al))
 
         capacity = self.config.overflow_capacity
-        padding_encrypts = 0
+        domain = self.config.domain
+        serialize = self._dummy_serializer.serialize
+        rng = self._rng
+        plaintexts: list[bytes] = []
+        #: Per leaf: its removed records, its first padding counter, and
+        #: the shuffled slots (slot < len(removed) is a removed record,
+        #: the rest count on from the first padding counter).
+        layout: list[tuple[list[EncryptedRecord], int, list[int]]] = []
         removed_total = 0
-        overflow: dict[int, OverflowArray] = {}
-        for offset in range(self.config.domain.num_leaves):
-            array = OverflowArray(offset, capacity=capacity)
-            for record in state.removed.get(offset, ())[:capacity]:
-                array.add_removed(record)
-                removed_total += 1
-
-            def padding(offset=offset):
-                nonlocal padding_encrypts
-                counter = padding_encrypts
-                padding_encrypts += 1
-                return self._encrypted_dummy(
-                    offset, message.publication, counter
+        for offset in range(domain.num_leaves):
+            removed = state.removed.get(offset, ())[:capacity]
+            removed_total += len(removed)
+            first_padding = len(plaintexts)
+            low, high = domain.leaf_range(offset)
+            for _ in range(capacity - len(removed)):
+                value = (
+                    low if high <= low else low + rng.random() * (high - low)
                 )
+                plaintexts.append(serialize(value))
+            slots = list(range(capacity))
+            rng.shuffle(slots)
+            layout.append((removed, first_padding, slots))
 
-            array.seal(padding, rng=self._rng)
-            overflow[offset] = array
+        padding_encrypts = len(plaintexts)
+        if self.config.deterministic_ivs:
+            # Keyed on (publication, padding index): the leaves are padded
+            # in a fixed order, so the counter sequence — and with it
+            # every padding IV — is identical in every runtime.
+            ciphertexts = self.cipher.encrypt_batch_seeded(
+                plaintexts,
+                [
+                    padding_nonce(publication, counter)
+                    for counter in range(padding_encrypts)
+                ],
+            )
+        else:
+            ciphertexts = self.cipher.encrypt_batch(plaintexts)
+        padding = [
+            EncryptedRecord(
+                leaf_offset=None, ciphertext=ciphertext, publication=publication
+            )
+            for ciphertext in ciphertexts
+        ]
+        overflow: dict[int, OverflowArray] = {}
+        for offset, (removed, first_padding, slots) in enumerate(layout):
+            real = len(removed)
+            shift = first_padding - real
+            overflow[offset] = OverflowArray.sealed(
+                offset,
+                capacity,
+                [
+                    removed[slot] if slot < real else padding[slot + shift]
+                    for slot in slots
+                ],
+                real_count=real,
+            )
 
         self.reports.append(
             MergeReport(
-                publication=message.publication,
+                publication=publication,
                 index_nodes=tree.num_nodes,
                 removed_records=removed_total,
                 overflow_capacity=capacity * self.config.domain.num_leaves,
@@ -261,14 +285,12 @@ class Merger(Routed):
         )
         self._padding_counter.inc(padding_encrypts)
         self._removed_counter.inc(removed_total)
-        self._tel.observe_stage("merge", message.publication, start)
+        self._tel.observe_stage("merge", publication, start)
         return [
             (
                 "cloud",
                 MergedPublication(
-                    publication=message.publication,
-                    tree=tree,
-                    overflow=overflow,
+                    publication=publication, tree=tree, overflow=overflow
                 ),
             )
         ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from repro.index.domain import AttributeDomain
 from repro.records.record import Record
@@ -31,18 +31,17 @@ class DatasetGenerator(ABC):
     #: Number of records in the real dataset the generator emulates.
     PAPER_RECORD_COUNT: int = 0
 
+    #: Zero-argument factories each subclass names; called once per
+    #: generator (every generated line reads the results).
+    schema_factory: Callable[[], Schema]
+    domain_factory: Callable[[], AttributeDomain]
+
     def __init__(self, seed: int | None = None):
         self._rng = random.Random(seed)
-
-    @property
-    @abstractmethod
-    def schema(self) -> Schema:
-        """Relation schema of the generated records."""
-
-    @property
-    @abstractmethod
-    def domain(self) -> AttributeDomain:
-        """Binned domain of the indexed attribute."""
+        #: Relation schema of the generated records.
+        self.schema = self.schema_factory()
+        #: Binned domain of the indexed attribute.
+        self.domain = self.domain_factory()
 
     @abstractmethod
     def record(self) -> Record:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.datasets.base import DatasetGenerator
 from repro.index.domain import AttributeDomain
 from repro.records.record import Record
-from repro.records.schema import Schema, flu_survey_schema
+from repro.records.schema import flu_survey_schema
 
 _SYMPTOMS = (
     "none",
@@ -41,13 +41,8 @@ class FluSurveyGenerator(DatasetGenerator):
         self.week = week
         self.fever_rate = fever_rate
 
-    @property
-    def schema(self) -> Schema:
-        return flu_survey_schema()
-
-    @property
-    def domain(self) -> AttributeDomain:
-        return flu_domain()
+    schema_factory = staticmethod(flu_survey_schema)
+    domain_factory = staticmethod(flu_domain)
 
     def _temperature_dc(self) -> int:
         if self._rng.random() < self.fever_rate:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 
 from repro.datasets.base import DatasetGenerator
-from repro.index.domain import AttributeDomain, gowalla_domain
+from repro.index.domain import gowalla_domain
 from repro.records.record import Record
-from repro.records.schema import Schema, gowalla_schema
+from repro.records.schema import gowalla_schema
 
 
 class GowallaGenerator(DatasetGenerator):
@@ -25,13 +25,8 @@ class GowallaGenerator(DatasetGenerator):
 
     PAPER_RECORD_COUNT = 6_442_892
 
-    @property
-    def schema(self) -> Schema:
-        return gowalla_schema()
-
-    @property
-    def domain(self) -> AttributeDomain:
-        return gowalla_domain()
+    schema_factory = staticmethod(gowalla_schema)
+    domain_factory = staticmethod(gowalla_domain)
 
     def _checkin_time(self) -> int:
         """Rejection-sample an hour with diurnal intensity, then jitter."""

@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 
 from repro.datasets.base import DatasetGenerator
-from repro.index.domain import AttributeDomain, nasa_domain
+from repro.index.domain import nasa_domain
 from repro.records.record import Record
-from repro.records.schema import Schema, nasa_log_schema
+from repro.records.schema import nasa_log_schema
 
 _REQUEST_PATHS = (
     "/shuttle/missions/sts-71/mission-sts-71.html",
@@ -44,13 +44,8 @@ class NasaLogGenerator(DatasetGenerator):
     _MU = math.log(6 * 1024)
     _SIGMA = 1.6
 
-    @property
-    def schema(self) -> Schema:
-        return nasa_log_schema()
-
-    @property
-    def domain(self) -> AttributeDomain:
-        return nasa_domain()
+    schema_factory = staticmethod(nasa_log_schema)
+    domain_factory = staticmethod(nasa_domain)
 
     def _reply_bytes(self) -> int:
         value = self._rng.lognormvariate(self._MU, self._SIGMA)

@@ -4,7 +4,9 @@ FRESQUE publishes *every* record encrypted; the security argument
 (paper Section 3.2, one-way trapdoor per publication) collapses under
 classic implementation mistakes that functional tests cannot see:
 
-* ``FRQ-X201`` — ECB mode or a constant IV/nonce: equal plaintexts yield
+* ``FRQ-X201`` — ECB mode or a constant IV/nonce (also a literal nonce or
+  batch of nonces handed to ``encrypt_seeded`` / ``encrypt_batch_seeded``,
+  which the merger's one-batch padding goes through): equal plaintexts yield
   equal ciphertexts, so the cloud can cluster records by value and
   reconstruct the index distribution the dummies exist to hide;
 * ``FRQ-X202`` — a hard-coded key/secret literal in library code;
@@ -55,6 +57,26 @@ def _is_secret_literal(node: ast.expr) -> bool:
     )
 
 
+#: Seeded-IV entry points; the nonce (or batch of nonces) is argument 1.
+_SEEDED_METHODS = frozenset({"encrypt_seeded", "encrypt_batch_seeded"})
+
+
+def _is_constant_nonce(node: ast.expr) -> bool:
+    """A literal nonce, or a batch of them that names no per-message
+    identity: ``[b"n", ...]``, ``[b"n"] * count``, ``[b"n" for _ in ...]``."""
+    if isinstance(node, ast.Constant):
+        return True
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return bool(node.elts) and all(
+            isinstance(element, ast.Constant) for element in node.elts
+        )
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _is_constant_nonce(node.left) or _is_constant_nonce(node.right)
+    if isinstance(node, ast.ListComp):
+        return isinstance(node.elt, ast.Constant)
+    return False
+
+
 def _digest_call(node: ast.expr) -> bool:
     return (
         isinstance(node, ast.Call)
@@ -96,9 +118,9 @@ class CryptoChecker(Checker):
                 )
             if isinstance(node, ast.Call):
                 for keyword in node.keywords:
-                    if keyword.arg in ("iv", "nonce") and isinstance(
-                        keyword.value, ast.Constant
-                    ):
+                    if keyword.arg in (
+                        "iv", "nonce", "nonces"
+                    ) and _is_constant_nonce(keyword.value):
                         yield self.diagnostic(
                             module,
                             keyword.value,
@@ -107,6 +129,20 @@ class CryptoChecker(Checker):
                             f"deterministic; derive a fresh one per message",
                         )
                 name = call_name(node)
+                if (
+                    name is not None
+                    and _last_segment(name) in _SEEDED_METHODS
+                    and len(node.args) >= 2
+                    and _is_constant_nonce(node.args[1])
+                ):
+                    yield self.diagnostic(
+                        module,
+                        node.args[1],
+                        "FRQ-X201",
+                        "constant nonce to a seeded encryption: every "
+                        "message must get its own (record_nonce / "
+                        "padding_nonce of its pipeline-wide identity)",
+                    )
                 if (
                     name is not None
                     and _last_segment(name).endswith("cbc_encrypt")

@@ -58,8 +58,8 @@ _SINKS = (
         description="cloud storage",
         methods=frozenset(
             {
-                "write", "put", "upload", "insert",
-                "receive_pair", "receive_pairs",
+                "write", "write_batch", "put", "upload", "insert",
+                "receive_pair", "receive_pairs", "receive_tagged",
             }
         ),
         receiver_re=_CLOUD_RE,

@@ -299,9 +299,7 @@ class DurableFresqueSystem(FresqueSystem):
         ledger = getattr(self.accountant, "_ledger", None)
         if ledger is not None:
             ledger.close()
-        store_close = getattr(self.cloud.store, "close", None)
-        if store_close is not None:
-            store_close()
+        self.cloud.store.close()
 
     # ------------------------------------------------------------------
     # Replay hooks (used by RecoveryManager)

@@ -40,6 +40,36 @@ class OverflowArray:
         self._real_count = 0
         self._sealed = False
 
+    @classmethod
+    def sealed(
+        cls,
+        leaf_offset: int,
+        capacity: int,
+        entries: list[EncryptedRecord],
+        real_count: int = 0,
+    ) -> "OverflowArray":
+        """An array whose contents are already padded and shuffled.
+
+        The merger pads a whole publication in one batch and fills its
+        arrays afterwards; the wire codec rebuilds what a sender sealed
+        (``real_count`` is trusted-side knowledge and never travels).
+
+        Raises
+        ------
+        OverflowError_
+            If ``entries`` is not exactly ``capacity`` long.
+        """
+        if len(entries) != capacity:
+            raise OverflowError_(
+                f"sealed overflow array for leaf {leaf_offset} needs "
+                f"{capacity} entries, got {len(entries)}"
+            )
+        array = cls(leaf_offset, capacity)
+        array._entries = entries
+        array._real_count = real_count
+        array._sealed = True
+        return array
+
     @property
     def entries(self) -> tuple[EncryptedRecord, ...]:
         """Current contents (removed real records, then padding once sealed)."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import time
 
+from repro.cloud.storage import file_digests
 from repro.core.messages import RingAttach
 from repro.runtime.gate import CheckingGate
 from repro.runtime.roles import (
@@ -456,19 +457,11 @@ def _cloud_fingerprint(cloud) -> dict:
     Mirrors ``tests/conftest.py::cloud_state_fingerprint`` field for
     field (the checking-side counters ride the stats block instead).
     """
-    import hashlib
-
-    files = {}
-    for file_id in sorted(cloud.store._files):
-        handle = cloud.store.file(file_id)
-        digest = hashlib.sha256()
-        for record in handle._records:
-            digest.update(record.leaf_offset.to_bytes(4, "little"))
-            digest.update(len(record.ciphertext).to_bytes(4, "little"))
-            digest.update(record.ciphertext)
-        files[str(file_id)] = [handle.record_count, digest.hexdigest()]
     return {
-        "files": files,
+        "files": {
+            str(file_id): list(entry)
+            for file_id, entry in file_digests(cloud.store).items()
+        },
         "receipts": {
             str(publication): cloud.receipt_for(publication).records_matched
             for publication in sorted(cloud._done)

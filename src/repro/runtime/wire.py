@@ -101,15 +101,16 @@ def _encode_overflow(overflow: dict[int, OverflowArray]) -> list:
 
 
 def _decode_overflow(payload: list) -> dict[int, OverflowArray]:
-    overflow = {}
-    for item in payload:
-        array = OverflowArray(item["leaf"], capacity=item["capacity"])
-        # Reconstruct the sealed array verbatim (contents already padded
-        # and shuffled by the sender).
-        array._entries = [decode_encrypted(e) for e in item["entries"]]
-        array._sealed = True
-        overflow[item["leaf"]] = array
-    return overflow
+    # Reconstruct each sealed array verbatim (contents already padded and
+    # shuffled by the sender).
+    return {
+        item["leaf"]: OverflowArray.sealed(
+            item["leaf"],
+            item["capacity"],
+            [decode_encrypted(e) for e in item["entries"]],
+        )
+        for item in payload
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,45 @@ class TestFileBackedStore:
             assert store.bytes_read == 64
             assert store.file_size(0) == 4 + 64
 
+    def test_bulk_write_equals_single_writes(self, tmp_path):
+        records = [_record(fill, size=10 + fill) for fill in range(6)]
+        with FileBackedStore(tmp_path / "single") as single:
+            addresses = [single.write(0, record) for record in records]
+        with FileBackedStore(tmp_path / "bulk") as bulk:
+            assert bulk.write_batch(0, records[:2]) == 0
+            assert bulk.write_batch(0, records[2:]) == 2
+            assert [bulk.address_of(0, i) for i in range(6)] == addresses
+            assert (bulk.bytes_written, bulk.write_ops) == (
+                single.bytes_written, single.write_ops
+            )
+            read = bulk.read_ordinals(0, [4, 1])
+            assert [r.ciphertext for r in read] == [
+                records[4].ciphertext, records[1].ciphertext
+            ]
+            assert (bulk.bytes_read, bulk.read_ops) == (14 + 11, 2)
+        assert (tmp_path / "bulk" / "publication-0.dat").read_bytes() == (
+            tmp_path / "single" / "publication-0.dat"
+        ).read_bytes()
+
+    def test_ordinals_survive_reopen(self, tmp_path):
+        """The offset column is rebuilt from the record headers."""
+        with FileBackedStore(tmp_path) as store:
+            store.write_batch(2, [_record(fill, size=5 + fill) for fill in range(4)])
+        with FileBackedStore(tmp_path) as reopened:
+            assert reopened.file_ids() == [2]
+            assert reopened.record_count(2) == 4
+            assert reopened.address_of(2, 3).length == 8
+            (third,) = reopened.read_ordinals(2, [2])
+            assert third.ciphertext == _record(2, size=7).ciphertext
+            assert reopened.write_batch(2, [_record(9)]) == 4
+
+    def test_bad_ordinal_rejected(self, tmp_path):
+        with FileBackedStore(tmp_path) as store:
+            store.write(0, _record(1))
+            for ordinals in ([1], [-1]):
+                with pytest.raises(StorageError):
+                    store.read_ordinals(0, ordinals)
+
     def test_per_publication_files_on_disk(self, tmp_path):
         with FileBackedStore(tmp_path) as store:
             store.write(0, _record(1))

@@ -14,9 +14,8 @@ class TestMetadataMatching:
     def test_builds_pointers_without_io(self):
         store = EncryptedStore()
         cache = MetadataCache(0)
-        for i in range(10):
-            address = store.write(0, _record(i))
-            cache.add(i % 3, address)
+        store.write_batch(0, [_record(i) for i in range(10)])
+        cache.extend([i % 3 for i in range(10)])
         read_before = store.bytes_read
         pointers, stats = match_with_metadata(cache)
         assert stats.records == 10
@@ -24,7 +23,7 @@ class TestMetadataMatching:
         assert stats.bytes_written == 0
         assert store.bytes_read == read_before  # zero disk I/O
         assert pointers.total == 10
-        assert len(pointers.addresses(0)) == 4  # leaves 0,3,6,9
+        assert list(pointers.ordinals(0)) == [0, 3, 6, 9]
 
     def test_cache_destroyed_after_matching(self):
         cache = MetadataCache(0)
@@ -35,13 +34,12 @@ class TestMetadataMatching:
 class TestTableMatching:
     def test_reads_every_record_back(self):
         store = EncryptedStore()
-        tag_addresses = {}
+        tag_ordinals = {}
         table = {}
         for tag in range(10):
-            address = store.write(0, _record(tag))
-            tag_addresses[tag] = address
+            tag_ordinals[tag] = store.write_batch(0, [_record(tag)])
             table[tag] = tag % 3
-        pointers, stats = match_with_table(store, 0, tag_addresses, table)
+        pointers, stats = match_with_table(store, 0, tag_ordinals, table)
         assert stats.records == 10
         assert stats.table_lookups == 10
         assert stats.bytes_read == 10 * 48
@@ -51,8 +49,8 @@ class TestTableMatching:
 
     def test_unknown_tags_skipped(self):
         store = EncryptedStore()
-        address = store.write(0, _record(1))
-        pointers, stats = match_with_table(store, 0, {42: address}, {})
+        ordinal = store.write_batch(0, [_record(1)])
+        pointers, stats = match_with_table(store, 0, {42: ordinal}, {})
         assert stats.records == 0
         assert stats.table_lookups == 1
         assert pointers.total == 0
@@ -62,14 +60,13 @@ class TestTableMatching:
         grows with the publication, metadata matching stays at zero."""
         store = EncryptedStore()
         cache = MetadataCache(0)
-        tag_addresses = {}
+        tag_ordinals = {}
         table = {}
         for i in range(200):
-            address = store.write(0, _record(i % 250))
-            cache.add(i % 5, address)
-            tag_addresses[i] = address
+            tag_ordinals[i] = store.write_batch(0, [_record(i % 250)])
+            cache.extend([i % 5])
             table[i] = i % 5
         _, fresque_stats = match_with_metadata(cache)
-        _, pp_stats = match_with_table(store, 0, tag_addresses, table)
+        _, pp_stats = match_with_table(store, 0, tag_ordinals, table)
         assert fresque_stats.bytes_read == 0
         assert pp_stats.bytes_read == 200 * 48

@@ -40,7 +40,7 @@ class TestPublicationFile:
         records = [_record(fill=i) for i in range(5)]
         for record in records:
             store.write(1, record)
-        scanned = [record for _, record in store.file(1).scan()]
+        scanned = [record for _, record in store.scan(1)]
         assert scanned == records
 
 
@@ -65,6 +65,40 @@ class TestEncryptedStore:
         store.create_file(3)
         with pytest.raises(StorageError):
             store.create_file(3)
+
+    def test_bulk_write_equals_single_writes(self):
+        records = [
+            EncryptedRecord(i, bytes([i]) * (16 + i), tag=i or None, publication=3)
+            for i in range(6)
+        ]
+        single, bulk = EncryptedStore(), EncryptedStore()
+        addresses = [single.write(3, record) for record in records]
+        assert bulk.write_batch(3, records[:2]) == 0
+        assert bulk.write_batch(3, records[2:]) == 2
+        assert [bulk.address_of(3, i) for i in range(6)] == addresses
+        assert list(bulk.scan(3)) == list(single.scan(3))
+        assert bulk.read_ordinals(3, [4, 1]) == [records[4], records[1]]
+        for name in ("bytes_written", "write_ops", "total_bytes"):
+            assert getattr(bulk, name) == getattr(single, name)
+        assert (bulk.bytes_read, bulk.read_ops) == (16 + 4 + 16 + 1, 2)
+
+    def test_bad_ordinal_rejected(self):
+        store = EncryptedStore()
+        store.write(0, _record())
+        for ordinals in ([1], [-1]):
+            with pytest.raises(StorageError):
+                store.read_ordinals(0, ordinals)
+        with pytest.raises(StorageError):
+            store.address_of(0, 1)
+
+    def test_truncate_then_append_continues_the_offsets(self):
+        store = EncryptedStore()
+        for size in (10, 20, 30):
+            store.write(0, _record(size))
+        assert store.truncate_records(0, 1) == 2
+        assert store.total_bytes == 10
+        assert store.write(0, _record(5)) == PhysicalAddress(0, 10, 5)
+        assert store.record_count(0) == 2
 
     def test_many_records_binary_search(self):
         store = EncryptedStore()

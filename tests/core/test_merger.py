@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.config import FresqueConfig
 from repro.core.merger import Merger
 from repro.core.messages import (
     AlSnapshot,
@@ -11,9 +12,14 @@ from repro.core.messages import (
     RemovedRecord,
     TemplateMsg,
 )
+from repro.crypto.cipher import AesCbcCipher, SimulatedCipher, padding_nonce
+from repro.datasets.flu import flu_domain
+from repro.index.overflow import OverflowArray
 from repro.index.perturb import draw_noise_plan
 from repro.index.tree import IndexTree
 from repro.records.record import EncryptedRecord
+from repro.records.schema import flu_survey_schema
+from repro.records.serialize import DummyRecordSerializer
 
 
 @pytest.fixture
@@ -103,3 +109,106 @@ class TestMergeJob:
         (_, second), = merger.on_al(AlSnapshot(1, zeros))
         assert first.overflow[0].real_count == 0
         assert second.overflow[0].real_count == 1
+
+
+def _reference_merge(config, cipher, rng, removed_by_leaf, publication):
+    """The merge job as it was before padding was batched: one
+    ``OverflowArray.seal(make_padding)`` per leaf, one ``encrypt`` (or
+    ``encrypt_seeded``) call per dummy, drawn and encrypted leaf by leaf."""
+    serializer = DummyRecordSerializer(config.schema)
+    capacity = config.overflow_capacity
+    counter = 0
+    removed_total = 0
+    overflow = {}
+    for offset in range(config.domain.num_leaves):
+        array = OverflowArray(offset, capacity=capacity)
+        for record in removed_by_leaf.get(offset, ())[:capacity]:
+            array.add_removed(record)
+            removed_total += 1
+
+        def padding(offset=offset):
+            nonlocal counter
+            low, high = config.domain.leaf_range(offset)
+            value = low if high <= low else low + rng.random() * (high - low)
+            plaintext = serializer.serialize(value)
+            if config.deterministic_ivs:
+                ciphertext = cipher.encrypt_seeded(
+                    plaintext, padding_nonce(publication, counter)
+                )
+            else:
+                ciphertext = cipher.encrypt(plaintext)
+            counter += 1
+            return EncryptedRecord(
+                leaf_offset=None, ciphertext=ciphertext, publication=publication
+            )
+
+        array.seal(padding, rng=rng)
+        overflow[offset] = array
+    return overflow, removed_total, counter
+
+
+class TestBatchedPaddingEqualsPerLeafSealing:
+    """``on_al`` pads a publication in one batch; the arrays, their entry
+    order and the report must be those of the per-leaf loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "cipher_cls, seeded",
+        [
+            (SimulatedCipher, False),
+            (SimulatedCipher, True),
+            (AesCbcCipher, True),
+        ],
+    )
+    def test_same_seeds_same_arrays(self, keystore, plan, cipher_cls, seeded):
+        config = FresqueConfig(
+            schema=flu_survey_schema(),
+            domain=flu_domain(),
+            num_computing_nodes=3,
+            epsilon=1.0,
+            alpha=2.0,
+            deterministic_ivs=seeded,
+        )
+        capacity = config.overflow_capacity
+        removed = {
+            2: [_removed(2).encrypted],
+            # One leaf over capacity: the excess is dropped, not sealed.
+            4: [
+                EncryptedRecord(4, bytes([fill]) * 48)
+                for fill in range(capacity + 3)
+            ],
+            7: [EncryptedRecord(7, bytes([200 + fill]) * 32) for fill in range(3)],
+        }
+        publication = 5
+        expected, removed_total, paddings = _reference_merge(
+            config, cipher_cls(keystore), random.Random(12), removed, publication
+        )
+
+        merger = Merger(config, cipher_cls(keystore), rng=random.Random(12))
+        merger.on_template(TemplateMsg(publication, plan))
+        for offset, records in removed.items():
+            for record in records:
+                merger.on_removed(RemovedRecord(publication, offset, record))
+        al = tuple([0] * config.domain.num_leaves)
+        (_, message), = merger.on_al(AlSnapshot(publication, al))
+
+        assert message.overflow.keys() == expected.keys()
+        for offset, array in message.overflow.items():
+            assert array.is_sealed and array.capacity == capacity
+            assert array.entries == expected[offset].entries
+            assert array.real_count == expected[offset].real_count
+        (report,) = merger.reports
+        assert report.removed_records == removed_total == capacity + 4
+        assert report.padding_encrypts == paddings
+        assert report.overflow_capacity == capacity * config.domain.num_leaves
+
+    def test_padding_is_one_batch_call(self, flu_config, fast_cipher, plan):
+        calls = []
+        encrypt_batch = fast_cipher.encrypt_batch
+        fast_cipher.encrypt_batch = lambda plaintexts: (
+            calls.append(len(plaintexts)) or encrypt_batch(plaintexts)
+        )
+        fast_cipher.encrypt = None  # any per-dummy call would raise
+        merger = Merger(flu_config, fast_cipher, rng=random.Random(12))
+        merger.on_template(TemplateMsg(0, plan))
+        merger.on_al(AlSnapshot(0, tuple([0] * flu_config.domain.num_leaves)))
+        assert calls == [merger.reports[0].padding_encrypts]

@@ -82,7 +82,7 @@ class TestShardedSystem:
             noise = leaf.count - counts[offset]
             assert float(noise).is_integer()
             # Pointer consistency for non-negative leaves.
-            pointers = len(dataset.pointers.addresses(offset))
+            pointers = len(dataset.pointers.ordinals(offset))
             if leaf.count >= 0:
                 assert pointers == leaf.count
 

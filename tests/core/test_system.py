@@ -77,7 +77,7 @@ class TestIndexConsistency:
         dataset = system.cloud.engine.published[0]
         mismatches = []
         for offset, leaf in enumerate(dataset.tree.leaves):
-            pointers = len(dataset.pointers.addresses(offset))
+            pointers = len(dataset.pointers.ordinals(offset))
             if leaf.count >= 0 and pointers != leaf.count:
                 mismatches.append((offset, leaf.count, pointers))
         assert mismatches == []

@@ -1,5 +1,7 @@
 """Synthetic workload generator tests."""
 
+import hashlib
+
 import pytest
 
 from repro.datasets.base import DatasetGenerator
@@ -42,6 +44,47 @@ class TestGeneratorContract:
         a = [r.values for r in generator_cls(seed=1).records(20)]
         b = [r.values for r in generator_cls(seed=2).records(20)]
         assert a != b
+
+
+#: First line, 500th line and the sha256 of the first 500 lines at seed 7,
+#: as generated before the schema and domain were built once per generator.
+PINNED_STREAMS = {
+    NasaLogGenerator: (
+        "host42445.net19.example.com\t806227209\t"
+        "GET /shuttle/missions/sts-71/mission-sts-71.html HTTP/1.0\t200\t16264",
+        "host93164.net07.example.com\t805601951\t"
+        "GET /shuttle/countdown/ HTTP/1.0\t304\t17614",
+        "81dd80d01468f1d3206586ea5177d997de5737600466672644f0ba04ff188e09",
+    ),
+    GowallaGenerator: (
+        "84890\t178594\t197405",
+        "66466\t882439\t1188811",
+        "00b2c8f00f8e581a40419787446bf5079229f7249a997c5c9571270b48192f9b",
+    ),
+    FluSurveyGenerator: (
+        "p339563\t0\t367\tfever;myalgia",
+        "p603268\t0\t368\tsore-throat",
+        "4749de5b388d278c6c0a811ebb90b1d76a4709bbd3b65592e361efde5aa72b8e",
+    ),
+}
+
+
+@pytest.mark.parametrize("generator_cls", GENERATORS)
+class TestSchemaBuiltOnce:
+    def test_schema_and_domain_are_built_once_per_generator(
+        self, generator_cls
+    ):
+        generator = generator_cls(seed=1)
+        assert generator.schema is generator.schema
+        assert generator.domain is generator.domain
+        assert generator.schema == generator_cls.schema_factory()
+        assert generator.domain == generator_cls.domain_factory()
+
+    def test_generated_lines_are_unchanged(self, generator_cls):
+        first, last, digest = PINNED_STREAMS[generator_cls]
+        lines = list(generator_cls(seed=7).raw_lines(500))
+        assert (lines[0], lines[-1]) == (first, last)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 class TestRecordSizes:

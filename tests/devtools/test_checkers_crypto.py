@@ -46,6 +46,39 @@ class TestX201DeterministicEncryption:
         assert codes_of(diagnostics) == []
 
 
+    def test_positive_constant_nonces_to_the_seeded_batch(self):
+        diagnostics = lint_source(
+            """
+            def pad(cipher, plaintexts):
+                single = cipher.encrypt_seeded(plaintexts[0], b"pad")
+                batch = cipher.encrypt_batch_seeded(
+                    plaintexts, [b"pad"] * len(plaintexts)
+                )
+                named = cipher.encrypt_batch_seeded(
+                    plaintexts, nonces=[b"pad" for _ in plaintexts]
+                )
+                return single, batch, named
+            """
+        )
+        assert codes_of(diagnostics) == ["FRQ-X201"] * 3
+
+    def test_negative_padding_nonce_feeds_the_seeded_batch(self):
+        """The merger's shape: one nonce per padding counter."""
+        diagnostics = lint_source(
+            """
+            def pad(cipher, plaintexts, publication):
+                return cipher.encrypt_batch_seeded(
+                    plaintexts,
+                    [
+                        padding_nonce(publication, counter)
+                        for counter in range(len(plaintexts))
+                    ],
+                )
+            """
+        )
+        assert codes_of(diagnostics) == []
+
+
 class TestX202HardcodedKey:
     def test_positive_key_assignment(self):
         diagnostics = lint_source(

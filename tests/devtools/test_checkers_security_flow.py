@@ -38,6 +38,20 @@ def test_s901_plaintext_to_cloud_storage_across_modules(lint_project):
     assert codes_of(diagnostics) == ["FRQ-S901"]
 
 
+def test_s901_plaintext_to_the_bulk_store_write(lint_project):
+    """The cloud's one storage entry point is ``store.write_batch``."""
+    diagnostics = lint_project(
+        {
+            "src/repro/cloud/node.py": """
+            def receive_pairs(store, publication, lines):
+                records = [parse_raw_line(line) for line in lines]
+                store.write_batch(publication, records)
+            """
+        }
+    )
+    assert codes_of(diagnostics) == ["FRQ-S901"]
+
+
 def test_s901_encrypted_flow_is_clean(lint_project):
     diagnostics = lint_project(
         {

@@ -257,7 +257,7 @@ class TestCommittedPublicationsSurvive:
         assert report.committed_publications == [0]
         assert recovered.accountant.committed_publications == frozenset({0})
         # Exactly-once: nothing was re-stored at the cloud.
-        assert cloud.store.file(0).record_count == (
+        assert cloud.store.record_count(0) == (
             cloud.receipt_for(0).records_matched
         )
 

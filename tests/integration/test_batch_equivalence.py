@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.benchfab.fingerprint import publication_digest
 from repro.core.config import FresqueConfig
 from repro.core.system import FresqueSystem
 from repro.crypto.cipher import SimulatedCipher
@@ -37,6 +38,15 @@ BATCH_SIZES = (1, 2, 7, 64, 256)
 
 _MASTER_KEY = b"fresque-test-master-key-32bytes!"
 _SEED = 20210323
+
+
+def _state(system, low: float = 36.0, high: float = 39.0) -> dict:
+    """Everything two equivalent runs must agree on: the cloud-state
+    fingerprint, the published trees and overflow arrays, one query."""
+    state = cloud_state_fingerprint(system)
+    state["publications"] = publication_digest(system)
+    state["query"] = query_fingerprint(system, low, high)
+    return state
 
 
 def _build(batch_size: int, num_computing_nodes: int = 3) -> FresqueSystem:
@@ -67,9 +77,7 @@ def baseline(publications) -> dict:
     system = _build(1)
     for lines in publications:
         system.run_publication(lines)
-    state = cloud_state_fingerprint(system)
-    state["query"] = query_fingerprint(system, 36.0, 39.0)
-    return state
+    return _state(system)
 
 
 class TestBatchSizesEquivalent:
@@ -80,9 +88,7 @@ class TestBatchSizesEquivalent:
         system = _build(batch_size)
         for lines in publications:
             system.run_publication(lines)
-        state = cloud_state_fingerprint(system)
-        state["query"] = query_fingerprint(system, 36.0, 39.0)
-        assert state == baseline
+        assert _state(system) == baseline
 
     def test_batch_one_is_the_same_code_path(self, publications, baseline):
         """``batch_size=1`` must run the accumulator, not a legacy arm:
@@ -113,9 +119,7 @@ class TestBatchSizesEquivalent:
                     system.flush_ingest()
             system.close_publication()
             assert system.cloud.is_published(publication)
-        state = cloud_state_fingerprint(system)
-        state["query"] = query_fingerprint(system, 36.0, 39.0)
-        assert state == baseline
+        assert _state(system) == baseline
 
 
 class TestMidBatchIntervalClose:
@@ -221,8 +225,6 @@ def test_property_batched_equals_per_record(
                 if flush_every is not None and step % flush_every == 0:
                     system.flush_ingest()
             system.close_publication()
-        state = cloud_state_fingerprint(system)
-        state["query"] = query_fingerprint(system, 36.0, 40.0)
-        return state
+        return _state(system, 36.0, 40.0)
 
     assert run(batch_size) == run(1)

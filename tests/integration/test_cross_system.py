@@ -127,7 +127,7 @@ class TestCloudNeverSeesPlaintext:
         system.run_publication(lines)
         blob = b"".join(
             record.ciphertext
-            for _, record in system.cloud.store.file(0).scan()
+            for _, record in system.cloud.store.scan(0)
         )
         assert marker.encode() not in blob
 

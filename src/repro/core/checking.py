@@ -44,7 +44,6 @@ from repro.core.messages import (
     Routed,
     TemplateMsg,
     ToCloudBatch,
-    ToCloudPair,
 )
 from repro.core.randomer import Randomer
 from repro.index.template import LeafArrays
@@ -68,6 +67,42 @@ def _decode_pair(payload: dict) -> Pair:
         decode_encrypted(payload["enc"]),
         dummy=payload["dummy"],
     )
+
+
+def check_bulk(
+    arrays: LeafArrays, publication: int, pairs: list[Pair]
+) -> tuple[list[tuple[str, object]], list[tuple[int, object]], int]:
+    """Checker + updater over released pairs, in release order.
+
+    The one check of the collector — :class:`CheckingNode` and every
+    :class:`~repro.core.sharded.CheckingShard` run it once per released
+    batch.  Returns ``(merger messages, released cloud items, dummies
+    passed)``.  Dummies never touch the arrays, so the non-dummy
+    subsequence is updated through one
+    :meth:`LeafArrays.check_and_update_bulk` call, whose per-offset
+    decisions are those of the scalar :meth:`LeafArrays.check_and_update`.
+    """
+    real_offsets = [p.leaf_offset for p in pairs if not p.dummy]
+    removed_flags = iter(
+        arrays.check_and_update_bulk(real_offsets) if real_offsets else ()
+    )
+    merger_out: list[tuple[str, object]] = []
+    cloud_items: list[tuple[int, object]] = []
+    dummies = 0
+    for pair in pairs:
+        if pair.dummy:
+            dummies += 1
+            cloud_items.append((pair.leaf_offset, pair.encrypted))
+        elif next(removed_flags):
+            merger_out.append(
+                (
+                    "merger",
+                    RemovedRecord(publication, pair.leaf_offset, pair.encrypted),
+                )
+            )
+        else:
+            cloud_items.append((pair.leaf_offset, pair.encrypted))
+    return merger_out, cloud_items, dummies
 
 
 @dataclass
@@ -109,7 +144,6 @@ class CheckingNode(Routed):
 
     ROUTES = {
         PairBatch: "on_pair_batch",
-        Pair: "on_pair",
         NewPublication: "on_new_publication",
         PublishingMsg: "on_publishing",
         CnPublishing: "on_cn_publishing",
@@ -188,45 +222,17 @@ class CheckingNode(Routed):
             ("cloud", AnnouncePublication(message.publication)),
         ]
         # Replay anything that raced ahead of this announcement (possible
-        # under the threaded runtime, where channels are per-sender).
-        # Early batches were unpacked into individual pairs on arrival, so
-        # replaying per pair reproduces the original arrival order exactly.
-        for pair in self._early_pairs.pop(message.publication, ()):
-            out.extend(self.on_pair(pair))
+        # where channels are per-sender).  Early batches were buffered
+        # flat, in arrival order, after admission and the credit grant,
+        # so only the insert → check → ToCloudBatch step is left to run.
+        early_pairs = self._early_pairs.pop(message.publication, None)
+        if early_pairs:
+            out.extend(
+                self._buffer_and_check(message.publication, state, early_pairs)
+            )
         for early in self._early_cn.pop(message.publication, ()):
             out.extend(self.on_cn_publishing(early))
         return out
-
-    def _check(self, pair: Pair) -> tuple[str, object]:
-        """Checker + updater for one released pair."""
-        tel = self._tel
-        start = tel.now()
-        self.pairs_processed += 1
-        if pair.dummy:
-            self.dummies_passed += 1
-            self._dummies_counter.inc()
-            routed = (
-                "cloud",
-                ToCloudPair(pair.publication, pair.leaf_offset, pair.encrypted),
-            )
-            tel.observe_stage("check", pair.publication, start)
-            return routed
-        state = self._publications[pair.publication]
-        result = state.arrays.check_and_update(pair.leaf_offset)
-        if result.removed:
-            self.records_removed += 1
-            self._removed_counter.inc()
-            routed = (
-                "merger",
-                RemovedRecord(pair.publication, pair.leaf_offset, pair.encrypted),
-            )
-        else:
-            routed = (
-                "cloud",
-                ToCloudPair(pair.publication, pair.leaf_offset, pair.encrypted),
-            )
-        tel.observe_stage("check", pair.publication, start)
-        return routed
 
     def _admit_epoch(self, message) -> bool:
         """Whether ``message`` passes the membership-epoch staleness check.
@@ -234,93 +240,78 @@ class CheckingNode(Routed):
         Staleness is keyed by *producer*: a batch whose epoch stamp is
         below its producing node's join-epoch floor was emitted by that
         node's previous (crashed) incarnation, and its records are
-        already covered by the crash redispatch.  Unstamped messages
-        (``epoch`` or ``node`` negative — the sync runtime, pre-membership
-        peers, loose pairs) always pass.
+        already covered by the crash redispatch.  Unstamped batches
+        (``epoch`` or ``node`` negative) always pass.
         """
         if not stale_for(self._node_epochs, message):
             return True
         self.stale_batches_discarded += 1
-        self.stale_pairs_discarded += len(getattr(message, "pairs", ()))
+        self.stale_pairs_discarded += len(message.pairs)
         return False
-
-    def on_pair(self, pair: Pair) -> list[tuple[str, object]]:
-        """Buffer an arriving pair; process whatever the randomer evicts."""
-        if not self._admit_epoch(pair):
-            return []
-        state = self._publications.get(pair.publication)
-        if state is None:
-            self._early_pairs.setdefault(pair.publication, []).append(pair)
-            return []
-        if state.closed:
-            # A pair arriving after the flush (possible only if a computing
-            # node mis-ordered its publishing message) bypasses the buffer.
-            return [self._check(pair)]
-        evicted = state.randomer.insert(pair)
-        if self._tel.enabled:
-            self._occupancy_gauge.set(len(state.randomer))
-        if evicted is None:
-            return []
-        return [self._check(evicted)]
 
     def _check_bulk(
         self, publication: int, state: _PublicationState, pairs: list[Pair]
     ) -> tuple[list[tuple[str, object]], list[tuple[int, object]]]:
-        """Checker + updater over a batch of released pairs.
+        """:func:`check_bulk` over ``pairs``, timed and counted.
 
-        Returns ``(merger messages, released cloud items)``.  Dummies
-        never touch the arrays, so the non-dummy subsequence is updated
-        through one :meth:`LeafArrays.check_and_update_bulk` call — the
-        per-pair decisions (and the resulting streams, in order) are
-        exactly what per-pair :meth:`_check` calls would produce.
+        Returns ``(merger messages, released cloud items)``.
         """
         tel = self._tel
         start = tel.now()
-        arrays = state.arrays
-        real_offsets = [p.leaf_offset for p in pairs if not p.dummy]
-        removed_flags = iter(
-            arrays.check_and_update_bulk(real_offsets) if real_offsets else ()
+        merger_out, cloud_items, dummies = check_bulk(
+            state.arrays, publication, pairs
         )
-        merger_out: list[tuple[str, object]] = []
-        cloud_items: list[tuple[int, object]] = []
-        dummies = removed = 0
-        for pair in pairs:
-            if pair.dummy:
-                dummies += 1
-                cloud_items.append((pair.leaf_offset, pair.encrypted))
-            elif next(removed_flags):
-                removed += 1
-                merger_out.append(
-                    (
-                        "merger",
-                        RemovedRecord(
-                            publication, pair.leaf_offset, pair.encrypted
-                        ),
-                    )
-                )
-            else:
-                cloud_items.append((pair.leaf_offset, pair.encrypted))
         self.pairs_processed += len(pairs)
         if dummies:
             self.dummies_passed += dummies
             self._dummies_counter.inc(dummies)
-        if removed:
-            self.records_removed += removed
-            self._removed_counter.inc(removed)
+        if merger_out:
+            self.records_removed += len(merger_out)
+            self._removed_counter.inc(len(merger_out))
         tel.observe_stage("check", publication, start)
         return merger_out, cloud_items
 
-    def on_pair_batch(self, message: PairBatch) -> list[tuple[str, object]]:
-        """Buffer one batch; bulk-check everything the randomer releases.
+    def _buffer_and_check(
+        self, publication: int, state: _PublicationState, pairs
+    ) -> list[tuple[str, object]]:
+        """Randomer, then checker: what ``pairs`` release, routed.
 
-        The pairs pass through the randomer strictly in batch order —
-        each insert makes its own eviction draw, so the released stream
-        (and therefore the final cloud state) is identical to delivering
-        the same pairs one at a time.  Everything released to the cloud
+        The pairs pass through the randomer strictly in order — each
+        insert makes its own eviction draw, so the released stream (and
+        therefore the final cloud state) does not depend on how the
+        pairs were cut into batches.  Everything released to the cloud
         leaves as a single :class:`ToCloudBatch`; removed records still
         go to the merger individually (they are rare by construction —
         at most the negative leaf noise).
         """
+        if state.closed:
+            # Pairs arriving after the flush (possible only if a
+            # computing node mis-ordered its publishing message) bypass
+            # the buffer.
+            released = list(pairs)
+        else:
+            randomer = state.randomer
+            insert = randomer.insert
+            released = [
+                evicted
+                for evicted in map(insert, pairs)
+                if evicted is not None
+            ]
+            if self._tel.enabled:
+                self._occupancy_gauge.set(len(randomer))
+        if not released:
+            return []
+        out, cloud_items = self._check_bulk(publication, state, released)
+        if cloud_items:
+            out.append(
+                ("cloud", ToCloudBatch(publication, tuple(cloud_items)))
+            )
+        return out
+
+    def on_pair_batch(self, message: PairBatch) -> list[tuple[str, object]]:
+        """Grant the batch's credits, then buffer and check it
+        (:meth:`_buffer_and_check`) — or hold it, if it beat its
+        publication's announcement here."""
         publication = message.publication
         admitted = self._admit_epoch(message)
         grant: list[tuple[str, object]] = []
@@ -345,26 +336,9 @@ class CheckingNode(Routed):
         if state is None:
             self._early_pairs.setdefault(publication, []).extend(message.pairs)
             return grant
-        if state.closed:
-            released = list(message.pairs)
-        else:
-            randomer = state.randomer
-            insert = randomer.insert
-            released = [
-                evicted
-                for evicted in map(insert, message.pairs)
-                if evicted is not None
-            ]
-            if self._tel.enabled:
-                self._occupancy_gauge.set(len(randomer))
-        if not released:
-            return grant
-        out, cloud_items = self._check_bulk(publication, state, released)
-        if cloud_items:
-            out.append(
-                ("cloud", ToCloudBatch(publication, tuple(cloud_items)))
-            )
-        return grant + out
+        return grant + self._buffer_and_check(
+            publication, state, message.pairs
+        )
 
     def snapshot(self) -> dict:
         """JSON-able snapshot of per-publication progress.

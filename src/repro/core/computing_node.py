@@ -18,7 +18,6 @@ from repro.core.messages import (
     PairBatch,
     PublishingMsg,
     RawBatch,
-    RawData,
     Routed,
 )
 from repro.crypto.cipher import RecordCipher, record_nonce
@@ -46,7 +45,6 @@ class ComputingNode(Routed):
 
     ROUTES = {
         RawBatch: "on_raw_batch",
-        RawData: "on_raw",
         PublishingMsg: "on_publishing",
         DoneMsg: "on_done",
     }
@@ -78,15 +76,15 @@ class ComputingNode(Routed):
         #: The publication whose *done* is awaited (``None`` otherwise).
         self._publishing: int | None = None
         # While waiting for *done*, events are held in arrival order:
-        # ("pair", Pair) entries and ("publishing", publication) markers.
-        # Order matters — a publishing acknowledgement must not overtake
-        # the pairs of its own publication, or the checking node would
-        # finalise before receiving them (the Section 5.3 consistency
-        # condition).  The one exception is a pair *of the awaited
-        # publication itself* (a crash redispatch absorbed from a dead
-        # sibling): its acknowledgement is already out, finalisation is
-        # waiting on exactly these pairs, and holding them would
-        # deadlock — they ship immediately.
+        # ("batch", PairBatch) entries and ("publishing", publication)
+        # markers.  Order matters — a publishing acknowledgement must
+        # not overtake the pairs of its own publication, or the checking
+        # node would finalise before receiving them (the Section 5.3
+        # consistency condition).  The one exception is a batch *of the
+        # awaited publication itself* (a crash redispatch absorbed from
+        # a dead sibling): its acknowledgement is already out,
+        # finalisation is waiting on exactly these pairs, and holding
+        # them would deadlock — they ship immediately.
         self._held: list[tuple[str, object]] = []
 
     @property
@@ -97,64 +95,11 @@ class ComputingNode(Routed):
     @property
     def held_pairs(self) -> int:
         """Pairs buffered locally while waiting for *done*."""
-        total = 0
-        for kind, payload in self._held:
-            if kind == "pair":
-                total += 1
-            elif kind == "batch":
-                total += len(payload.pairs)
-        return total
-
-    def _process(self, message: RawData) -> Pair:
-        tel = self._tel
-        if message.record is not None:
-            record: Record = message.record
-        else:
-            start = tel.now()
-            record = parse_raw_line(message.line, self.config.schema)
-            self.parsed += 1
-            tel.observe_stage("parse", message.publication, start)
-        leaf_offset = self.config.domain.leaf_offset(
-            record.indexed_value(self.config.schema)
+        return sum(
+            len(payload.pairs)
+            for kind, payload in self._held
+            if kind == "batch"
         )
-        start = tel.now()
-        ciphertext = self.cipher.encrypt(
-            serialize_record(record, self.config.schema)
-        )
-        tel.observe_stage("encrypt", message.publication, start)
-        self.encrypted += 1
-        self.bytes_out += len(ciphertext)
-        self._bytes_counter.inc(len(ciphertext))
-        return Pair(
-            publication=message.publication,
-            leaf_offset=leaf_offset,
-            encrypted=EncryptedRecord(
-                leaf_offset=leaf_offset,
-                ciphertext=ciphertext,
-                publication=message.publication,
-            ),
-            dummy=record.is_dummy,
-        )
-
-    def on_raw(self, message: RawData) -> list[tuple[str, object]]:
-        """Parse + offset + encrypt one record; forward or hold the pair.
-
-        Malformed lines and out-of-domain values are dropped (counted in
-        :attr:`rejected`): one bad data source must not take down a
-        computing node or poison the publication.
-        """
-        try:
-            pair = self._process(message)
-        except (RecordError, DomainError, ValueError):
-            self.rejected += 1
-            self._rejected_counter.inc()
-            return []
-        if self._waiting_done and pair.publication != self._publishing:
-            self._held.append(("pair", pair))
-            if self._tel.enabled:
-                self._held_gauge.set(self.held_pairs)
-            return []
-        return [("checking", pair)]
 
     def on_raw_batch(self, message: RawBatch) -> list[tuple[str, object]]:
         """Process one dispatched batch into one :class:`PairBatch`.
@@ -162,11 +107,12 @@ class ComputingNode(Routed):
         The batched hot path: every item is parsed and offset-computed
         first, then the whole batch is encrypted through the cipher's
         multi-block fast path — one ``encrypt_batch`` call instead of one
-        cipher call per record.  Per-item rejection semantics match
-        :meth:`on_raw`: a malformed or out-of-domain item is dropped (and
-        counted) without poisoning the rest of its batch, and — because a
-        dropped item never reaches the cipher — without perturbing the IV
-        sequence of the surviving records.
+        cipher call per record.  A malformed or out-of-domain item is
+        dropped (counted in :attr:`rejected`) without poisoning the rest
+        of its batch — one bad data source must not take down a
+        computing node or the publication — and, because a dropped item
+        never reaches the cipher, without perturbing the IV sequence of
+        the surviving records.
         """
         tel = self._tel
         schema = self.config.schema
@@ -314,7 +260,7 @@ class ComputingNode(Routed):
         out: list[tuple[str, object]] = []
         while self._held:
             kind, payload = self._held.pop(0)
-            if kind in ("pair", "batch"):
+            if kind == "batch":
                 out.append(("checking", payload))
                 continue
             out.append(("checking", CnPublishing(payload, self.node_id)))

@@ -48,7 +48,6 @@ from repro.core.messages import (
     NodeDown,
     PublishingMsg,
     RawBatch,
-    RawData,
     Routed,
 )
 from repro.index.perturb import NoisePlan, draw_noise_plan
@@ -323,10 +322,8 @@ class Dispatcher(Routed):
             joined=tuple(sorted(m.join_epochs.items())),
         )
 
-    def redispatch(
-        self, message: RawData | RawBatch
-    ) -> list[tuple[str, object]]:
-        """Re-route a message whose computing node died before reading it.
+    def redispatch(self, message: RawBatch) -> list[tuple[str, object]]:
+        """Re-route a batch whose computing node died before reading it.
 
         The message object is forwarded unchanged — its seq/ordinal/
         epoch stamps must survive the reroute (the ordering gate dedups
@@ -335,12 +332,8 @@ class Dispatcher(Routed):
         node to be granted back), which can release deferred batches —
         they follow the rerouted one in the returned outbox.
         """
-        if isinstance(message, RawBatch):
-            self.records_rerouted += len(message.items)
-            released = self.flow.credits.refund(len(message.items))
-        else:
-            self.records_rerouted += 1
-            released = self.flow.credits.refund(1)
+        self.records_rerouted += len(message.items)
+        released = self.flow.credits.refund(len(message.items))
         out = [(self._next_node(), message)]
         out.extend(released)
         return out
@@ -497,15 +490,12 @@ class Dispatcher(Routed):
         """JSON-able snapshot of the dispatcher's durable state.
 
         Captures everything replay cannot re-derive: the publication
-        counter, the round-robin cursor, the dead set, the not-yet-
-        released dummy schedule and the ingest counters.
+        counter, the membership (round-robin cursor and dead set
+        included), the not-yet-released dummy schedule and the ingest
+        counters.
         """
         return {
             "publication": self._publication,
-            # next_cn/dead_nodes are derived from the membership state;
-            # kept for downgrade-readability of the journal.
-            "next_cn": self.membership.snapshot()["cursor"],
-            "dead_nodes": self.membership.down_ids,
             "membership": self.membership.snapshot(),
             "participants": sorted(self._participants),
             "dummy_schedule": [
@@ -529,14 +519,7 @@ class Dispatcher(Routed):
         """Inverse of :meth:`snapshot` (crash recovery)."""
         self._publication = state["publication"]
         self.membership = Membership(self.config.num_computing_nodes)
-        if "membership" in state:
-            self.membership.restore(state["membership"])
-        else:
-            # Pre-membership snapshot: cursor + dead set over the
-            # configured fleet.
-            self.membership.restore_legacy(
-                state["next_cn"], set(state["dead_nodes"])
-            )
+        self.membership.restore(state["membership"])
         self._participants = set(
             state.get("participants", self.membership.active_ids)
         )

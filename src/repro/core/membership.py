@@ -46,17 +46,15 @@ def stale_for(floors: dict[int, int], message) -> bool:
     :class:`~repro.core.messages.MembershipMsg`).  A message whose
     ``epoch`` stamp is below its producing ``node``'s floor was emitted
     by that node's previous incarnation, and its records are already
-    covered by the crash redispatch.  Unstamped messages (``epoch`` or
-    ``node`` negative — the sync runtime, pre-membership peers, loose
-    pairs) are never stale.  This is the single staleness predicate
+    covered by the crash redispatch.  Unstamped batches (``epoch`` or
+    ``node`` negative — built outside a dispatcher, or split per shard)
+    are never stale.  This is the single staleness predicate
     every consumer (checking node, checking shards, ordering gate)
     applies — FRQ-E1101 pins that no pair handler skips it.
     """
-    epoch = getattr(message, "epoch", -1)
-    node = getattr(message, "node", -1)
-    if epoch < 0 or node < 0:
+    if message.epoch < 0 or message.node < 0:
         return False
-    return epoch < floors.get(node, 0)
+    return message.epoch < floors.get(message.node, 0)
 
 
 class Membership:
@@ -224,12 +222,3 @@ class Membership:
         self._next_cn = int(state["cursor"])
         self._states = {int(i): s for i, s in state["states"].items()}
         self._joined = {int(i): int(e) for i, e in state["joined"].items()}
-
-    def restore_legacy(self, cursor: int, dead_nodes: set[int]) -> None:
-        """Rebuild membership from a pre-membership dispatcher snapshot
-        (round-robin cursor + dead set over the configured fleet)."""
-        self._next_cn = int(cursor)
-        for node_id in dead_nodes:
-            if node_id in self._states and self._states[node_id] == ACTIVE:
-                self._epoch += 1
-                self._states[node_id] = DOWN

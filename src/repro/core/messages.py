@@ -47,24 +47,12 @@ class AnnouncePublication:
 
 
 @dataclass(frozen=True)
-class RawData:
-    """Dispatcher → computing node: one raw line (or pre-built record).
-
-    ``record`` is set for dummy records the dispatcher generated itself;
-    real arrivals carry the unparsed ``line``.
-    """
-
-    publication: int
-    line: str | None = None
-    record: Record | None = None
-
-
-@dataclass(frozen=True)
 class RawBatch:
     """Dispatcher → computing node: an ordered batch of records.
 
-    The batched counterpart of :class:`RawData` — one message (and, on
-    the TCP transport, one frame) carries up to ``batch_size`` records.
+    The only message that carries records to a computing node: one
+    message (and, on the TCP transport, one frame) holds up to
+    ``batch_size`` of them, and a single record is a batch of one.
     ``items`` preserves arrival order; each element is either an unparsed
     raw line (``str``) or a pre-built :class:`Record` (dispatcher-made
     dummies).  Every item belongs to ``publication`` — the dispatcher
@@ -74,11 +62,12 @@ class RawBatch:
     ``seq`` is the dispatcher's global flush sequence number (gap-free,
     never reset across publications) and ``ordinal`` is the global
     dispatch ordinal of the batch's first item (its position in the
-    arrival stream).  Both are -1 on transports that predate them; the
-    shared-memory runtime requires them — ``seq`` lets the checking
-    worker restore dispatch order across parallel computing nodes (and
-    deduplicate crash redispatches), ``ordinal`` keys the deterministic
-    per-record IVs of ``config.deterministic_ivs`` (docs/RUNTIMES.md).
+    arrival stream).  The dispatcher stamps both on every batch; -1
+    marks a batch built without them (tests, the sharded split).
+    ``seq`` lets the checking side restore dispatch order across
+    parallel computing nodes (and deduplicate crash redispatches),
+    ``ordinal`` keys the deterministic per-record IVs of
+    ``config.deterministic_ivs`` (docs/RUNTIMES.md).
 
     ``epoch`` is the membership epoch the batch was dispatched under
     (:class:`~repro.core.membership.Membership`; -1 when unstamped).  A
@@ -96,7 +85,8 @@ class RawBatch:
 
 @dataclass(frozen=True)
 class Pair:
-    """Computing node → checking node: a ``<leaf offset, e-record>`` pair.
+    """One ``<leaf offset, e-record>`` pair — the element of a
+    :class:`PairBatch`; never routed on its own.
 
     ``dummy`` is trusted-side metadata (the paper's flag hidden inside the
     ciphertext): the checker uses it to skip AL/ALN updates, and it is
@@ -115,12 +105,12 @@ class PairBatch:
 
     Produced by :meth:`ComputingNode.on_raw_batch` from one
     :class:`RawBatch`; the checking node feeds the pairs through the
-    randomer in order, so the released stream is identical to what the
-    same pairs delivered one-by-one would produce.
+    randomer in order, so the released stream does not depend on how
+    the pairs were cut into batches.
 
     ``seq`` carries the originating :class:`RawBatch`'s flush sequence
-    number through the computing node (-1 on transports that do not
-    stamp it); multiprocess runtimes use it to re-serialise batches into
+    number through the computing node (-1 when that batch was
+    unstamped); concurrent runtimes use it to re-serialise batches into
     dispatch order before the randomer sees them.
 
     ``epoch`` propagates the RawBatch's membership epoch and ``node``
@@ -139,21 +129,12 @@ class PairBatch:
 
 
 @dataclass(frozen=True)
-class ToCloudPair:
-    """Checking node → cloud: a released pair (dummy flag stripped)."""
-
-    publication: int
-    leaf_offset: int
-    encrypted: EncryptedRecord
-
-
-@dataclass(frozen=True)
 class ToCloudBatch:
     """Checking node → cloud: the released pairs of one checked batch.
 
     Same shape as :class:`BufferFlush` (dummy flags already stripped) but
-    emitted mid-interval, once per processed :class:`PairBatch`, so the
-    cloud receives one message per batch instead of one per pair.
+    emitted mid-interval, at most once per processed :class:`PairBatch`:
+    the only way a released pair reaches the cloud before the flush.
     """
 
     publication: int

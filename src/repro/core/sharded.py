@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.client.query_client import QueryClient
 from repro.cloud.node import FresqueCloud
+from repro.core.checking import check_bulk
 from repro.core.computing_node import ComputingNode
 from repro.core.config import FresqueConfig
 from repro.core.membership import stale_for
@@ -38,11 +39,9 @@ from repro.core.messages import (
     PairBatch,
     PublishingMsg,
     RawBatch,
-    RawData,
-    RemovedRecord,
     Routed,
     TemplateMsg,
-    ToCloudPair,
+    ToCloudBatch,
 )
 from repro.core.randomer import Randomer
 from repro.core.system import CloudAdapter, FresqueSystem
@@ -89,13 +88,13 @@ class PartialAl:
 class CheckingShard(Routed):
     """One of ``c`` checking nodes, owning ``leaf mod c == shard_id``.
 
-    Mirrors :class:`~repro.core.checking.CheckingNode` but emits
-    :class:`PartialAl` instead of the full AL and a shard-tagged *done*.
+    Runs the checking node's bulk check (:func:`check_bulk`) over its
+    own randomer and array slices; emits :class:`PartialAl` instead of
+    the full AL.
     """
 
     ROUTES = {
         PairBatch: "on_pair_batch",
-        Pair: "on_pair",
         NewPublication: "on_new_publication",
         PublishingMsg: "on_publishing",
         CnPublishing: "on_cn_publishing",
@@ -156,26 +155,17 @@ class CheckingShard(Routed):
         finalises on the computing nodes' :class:`CnPublishing`."""
         return []
 
-    def _check(self, pair: Pair) -> tuple[str, object]:
-        self.pairs_processed += 1
-        if pair.dummy:
-            self.dummies_passed += 1
-            return (
-                "cloud",
-                ToCloudPair(pair.publication, pair.leaf_offset, pair.encrypted),
-            )
-        state = self._states[pair.publication]
-        result = state.arrays.check_and_update(pair.leaf_offset)
-        if result.removed:
-            self.records_removed += 1
-            return (
-                "merger",
-                RemovedRecord(pair.publication, pair.leaf_offset, pair.encrypted),
-            )
-        return (
-            "cloud",
-            ToCloudPair(pair.publication, pair.leaf_offset, pair.encrypted),
+    def _check_bulk(
+        self, publication: int, state: _ShardState, pairs: list[Pair]
+    ) -> tuple[list[tuple[str, object]], list[tuple[int, object]]]:
+        """Check released ``pairs``: ``(merger messages, cloud items)``."""
+        merger_out, cloud_items, dummies = check_bulk(
+            state.arrays, publication, pairs
         )
+        self.pairs_processed += len(pairs)
+        self.dummies_passed += dummies
+        self.records_removed += len(merger_out)
+        return merger_out, cloud_items
 
     def on_membership(self, message: MembershipMsg) -> list[tuple[str, object]]:
         """Track join-epoch floors for the staleness check (monotone)."""
@@ -193,37 +183,32 @@ class CheckingShard(Routed):
         self.stale_batches_discarded += 1
         return False
 
-    def on_pair(self, pair: Pair) -> list[tuple[str, object]]:
-        """Buffer one owned pair; process whatever the randomer evicts."""
-        if not self._admit_epoch(pair):
-            return []
-        if not self.owns(pair.leaf_offset):
-            raise ValueError(
-                f"pair for leaf {pair.leaf_offset} routed to shard "
-                f"{self.shard_id} of {self.num_shards}"
-            )
-        state = self._states[pair.publication]
-        evicted = state.randomer.insert(pair)
-        if evicted is None:
-            return []
-        return [self._check(evicted)]
-
     def on_pair_batch(self, message: PairBatch) -> list[tuple[str, object]]:
-        """Buffer one shard-split batch; process every eviction in order."""
+        """Buffer one shard-split batch; check what the randomer
+        releases and ship it to the cloud as one message."""
         if not self._admit_epoch(message):
             return []
-        state = self._states[message.publication]
-        insert = state.randomer.insert
-        out: list[tuple[str, object]] = []
         for pair in message.pairs:
             if not self.owns(pair.leaf_offset):
                 raise ValueError(
                     f"pair for leaf {pair.leaf_offset} routed to shard "
                     f"{self.shard_id} of {self.num_shards}"
                 )
-            evicted = insert(pair)
-            if evicted is not None:
-                out.append(self._check(evicted))
+        state = self._states[message.publication]
+        released = [
+            evicted
+            for evicted in map(state.randomer.insert, message.pairs)
+            if evicted is not None
+        ]
+        if not released:
+            return []
+        out, cloud_items = self._check_bulk(
+            message.publication, state, released
+        )
+        if cloud_items:
+            out.append(
+                ("cloud", ToCloudBatch(message.publication, tuple(cloud_items)))
+            )
         return out
 
     def on_cn_publishing(
@@ -239,14 +224,9 @@ class CheckingShard(Routed):
     def _finalise(self, publication: int) -> list[tuple[str, object]]:
         state = self._states[publication]
         state.closed = True
-        out: list[tuple[str, object]] = []
-        flush_pairs = []
-        for pair in state.randomer.flush():
-            destination, message = self._check(pair)
-            if destination == "merger":
-                out.append((destination, message))
-            else:
-                flush_pairs.append((message.leaf_offset, message.encrypted))
+        out, flush_pairs = self._check_bulk(
+            publication, state, state.randomer.flush()
+        )
         counts = {
             offset: state.arrays.al[offset]
             for offset in range(
@@ -305,9 +285,6 @@ class _RoutingComputingNode(ComputingNode):
         self.num_shards = num_shards
         self._done_counts: dict[int, int] = {}
 
-    def _destination(self, pair: Pair) -> str:
-        return f"checking-{shard_of(pair.leaf_offset, self.num_shards)}"
-
     def _broadcast_publishing(self, publication: int) -> list[tuple[str, object]]:
         return [
             (
@@ -331,10 +308,6 @@ class _RoutingComputingNode(ComputingNode):
             )
             for shard, pairs in sorted(by_shard.items())
         ]
-
-    def on_raw(self, message: RawData) -> list[tuple[str, object]]:
-        out = super().on_raw(message)
-        return [(self._destination(pair), pair) for _, pair in out]
 
     def on_raw_batch(self, message: RawBatch) -> list[tuple[str, object]]:
         out = super().on_raw_batch(message)
@@ -363,9 +336,6 @@ class _RoutingComputingNode(ComputingNode):
         out: list[tuple[str, object]] = []
         while self._held:
             kind, payload = self._held.pop(0)
-            if kind == "pair":
-                out.append((self._destination(payload), payload))
-                continue
             if kind == "batch":
                 out.extend(self._split_batch(payload))
                 continue

@@ -39,10 +39,8 @@ from repro.core.messages import (
     BufferFlush,
     MergedPublication,
     RawBatch,
-    RawData,
     Routed,
     ToCloudBatch,
-    ToCloudPair,
 )
 from repro.crypto.cipher import RecordCipher
 from repro.records.record import EncryptedRecord
@@ -60,7 +58,6 @@ class CloudAdapter(Routed):
 
     ROUTES = {
         AnnouncePublication: "_announce",
-        ToCloudPair: "_receive_pair",
         ToCloudBatch: "_receive_pairs",
         BufferFlush: "_receive_pairs",
         MergedPublication: "_publish",
@@ -73,12 +70,6 @@ class CloudAdapter(Routed):
 
     def _announce(self, message: AnnouncePublication) -> list:
         self.cloud.announce_publication(message.publication)
-        return []
-
-    def _receive_pair(self, message: ToCloudPair) -> list:
-        self.cloud.receive_pair(
-            message.publication, message.leaf_offset, message.encrypted
-        )
         return []
 
     def _receive_pairs(self, message: ToCloudBatch | BufferFlush) -> list:
@@ -354,7 +345,7 @@ class FresqueSystem:
         a dead computing node never processed, to the survivors."""
         with self._lock:
             for message in messages:
-                if isinstance(message, (RawData, RawBatch)):
+                if isinstance(message, RawBatch):
                     self._send_all(self.dispatcher.redispatch(message))
 
     def _handle_dispatcher(self, message) -> list:

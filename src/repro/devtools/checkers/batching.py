@@ -10,11 +10,10 @@ two disciplines machine-checked:
 
 * ``FRQ-B801`` — inside a function whose name marks it as a batch hot
   path (it contains ``batch``), a ``for``/``while`` loop body calls a
-  per-record primitive: ``.encrypt``, ``.send``, ``.sendall`` or
-  ``.append_raw``.  Each has a batch-sized counterpart
-  (``encrypt_batch``, one framed write per batch, ``append_raw_batch``);
-  looping the scalar form re-pays the per-record overhead the batch
-  exists to amortise.
+  per-record primitive: ``.encrypt``, ``.send`` or ``.sendall``.  Each
+  has a batch-sized counterpart (``encrypt_batch``, one framed write
+  per batch); looping the scalar form re-pays the per-record overhead
+  the batch exists to amortise.
 * ``FRQ-B802`` — a class that owns a batch accumulator (it defines both
   a flush method and ``end_publication``) whose ``end_publication``
   never flushes.  The close flush is what guarantees a batch never
@@ -38,7 +37,7 @@ from repro.devtools.registry import Checker, ModuleInfo, register
 
 #: Per-record primitives with a batch-sized counterpart (suffix match on
 #: the dotted callee, so ``.encrypt_batch`` itself never matches).
-_SCALAR_CALLS = (".encrypt", ".send", ".sendall", ".append_raw")
+_SCALAR_CALLS = (".encrypt", ".send", ".sendall")
 
 
 def _loops(function: ast.AST) -> Iterator[ast.For | ast.While]:

@@ -35,7 +35,7 @@ from repro.devtools.registry import Checker, ModuleInfo, register
 #: Journal-append method names (suffix match on the dotted callee).
 _JOURNAL_APPENDS = (
     ".append_open",
-    ".append_raw",
+    ".append_raw_batch",
     ".append_close",
     ".append_commit",
     ".append_intent",

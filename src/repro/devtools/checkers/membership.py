@@ -15,7 +15,7 @@ easy to erode silently:
 
 Machine-checked as:
 
-* ``FRQ-E1101`` — a ``on_pair`` / ``on_pair_batch`` handler that never
+* ``FRQ-E1101`` — an ``on_pair_batch`` handler that never
   calls ``_admit_epoch``, or touches its message's ``.pairs`` before
   the first ``_admit_epoch`` call.  The epoch check must gate the
   handler, not annotate it.
@@ -36,7 +36,7 @@ from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.registry import Checker, ModuleInfo, register
 
 #: Entry points that feed pairs into randomer/checker state.
-_PAIR_HANDLERS = ("on_pair", "on_pair_batch")
+_PAIR_HANDLERS = ("on_pair_batch",)
 
 #: Membership state only :mod:`repro.core.membership` may assign.
 _MEMBERSHIP_ATTRS = ("_epoch", "_joined", "_next_cn")

@@ -89,7 +89,7 @@ PLAINTEXT_SPEC = TaintSpec(
             ".decrypt_record",
         }
     ),
-    source_param_annotations=frozenset({"Record", "RawData", "RawBatch"}),
+    source_param_annotations=frozenset({"Record", "RawBatch"}),
     sinks=_SINKS,
     sanitizers=_SANITIZERS,
 )

@@ -48,11 +48,9 @@ _encode_json_str = json.encoder.encode_basestring_ascii
 #: Upper bound on one journal payload (same guard as the wire framing).
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
-#: Journal record types, in lifecycle order.
-OPEN, RAW, CLOSE, COMMIT = "open", "raw", "close", "commit"
-
-#: A whole dispatcher batch journalled as one frame (batched ingestion).
-RAW_BATCH = "rawb"
+#: Journal record types, in lifecycle order.  ``rawb`` holds the raw
+#: lines of one ingested chunk — a dispatcher batch, or a single line.
+OPEN, RAW_BATCH, CLOSE, COMMIT = "open", "rawb", "close", "commit"
 
 
 class JournalError(RuntimeError):
@@ -72,13 +70,11 @@ class JournalRecord:
     seq:
         Monotonic sequence number (0-based position in the journal).
     type:
-        One of ``open`` / ``raw`` / ``rawb`` / ``close`` / ``commit``.
+        One of ``open`` / ``rawb`` / ``close`` / ``commit``.
     publication:
         The publication the entry belongs to.
-    line:
-        The raw ingested line (``raw`` entries only).
     lines:
-        The raw ingested lines of one batch, in arrival order (``rawb``
+        The raw ingested lines of one chunk, in arrival order (``rawb``
         entries only).
     plan:
         The publication's noise plan (``open`` entries only) — replay
@@ -91,7 +87,6 @@ class JournalRecord:
     seq: int
     type: str
     publication: int
-    line: str | None = None
     lines: tuple[str, ...] | None = None
     plan: NoisePlan | None = None
     epsilon: float | None = None
@@ -237,39 +232,14 @@ class WriteAheadJournal:
             sync=True,
         )
 
-    def append_raw(self, publication: int, line: str) -> int:
-        """Journal one raw line *before* it is dispatched.
-
-        The one per-record append: hand-rolled JSON (escaped through the
-        stdlib's C escaper) and an inlined frame write keep the journal
-        off the ingest critical path's profile.
-        """
-        payload = (
-            '{"t":"raw","pub":%d,"line":%s}'
-            % (publication, _encode_json_str(line))
-        ).encode("utf-8")
-        if len(payload) > MAX_PAYLOAD_BYTES:
-            raise JournalError(
-                f"journal payload of {len(payload)} bytes exceeds the maximum"
-            )
-        frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        self._handle.write(frame)
-        seq = self._entries
-        self._entries = seq + 1
-        self._unsynced += 1
-        self._pending_bytes += len(frame)
-        self._pending_records += 1
-        if self.sync_every and self._unsynced >= self.sync_every:
-            self.sync()
-        return seq
-
     def append_raw_batch(self, publication: int, lines) -> int:
-        """Journal one dispatcher batch of raw lines as a single frame.
+        """Journal raw lines as a single frame *before* any is dispatched.
 
-        The batched counterpart of :meth:`append_raw`: one hand-rolled
-        JSON payload, one frame, one write — the whole batch shares one
-        ``write(2)`` (and, amortised, one fsync-cadence slot) instead of
-        one per record.
+        The one raw-line append, for a dispatcher batch and for a single
+        line alike: hand-rolled JSON (escaped through the stdlib's C
+        escaper) and an inlined frame write keep the journal off the
+        ingest critical path's profile, and the whole chunk shares one
+        ``write(2)`` (and one fsync-cadence slot).
         """
         payload = (
             '{"t":"rawb","pub":%d,"lines":[%s]}'
@@ -332,7 +302,6 @@ class WriteAheadJournal:
                 seq=seq,
                 type=kind,
                 publication=publication,
-                line=entry.get("line"),
                 lines=None if lines is None else tuple(lines),
                 plan=(
                     decode_plan(entry["plan"]) if kind == OPEN else None

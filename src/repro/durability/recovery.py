@@ -38,7 +38,6 @@ from repro.durability.journal import (
     CLOSE,
     COMMIT,
     OPEN,
-    RAW,
     RAW_BATCH,
     JournalCorrupt,
 )
@@ -246,9 +245,6 @@ class RecoveryManager:
                 # the dispatcher must advance its publication counter so
                 # later opens line up with their journalled numbers.
                 system._replay_open(record.publication, record.plan)
-            elif record.type == RAW:
-                system._replay_raw(record.line)
-                report.replayed_raw += 1
             elif record.type == RAW_BATCH:
                 system._replay_raw_batch(record.lines)
                 report.replayed_raw += len(record.lines)

@@ -4,9 +4,10 @@
 :class:`~repro.core.system.FresqueSystem` pipeline with the durability
 protocol of docs/DURABILITY.md:
 
-* every raw line is appended to the :class:`WriteAheadJournal` *before*
-  the dispatcher sees it (the ``FRQ-D701`` ordering), so a crash at any
-  point can lose at most work the journal can replay;
+* every raw line is appended to the :class:`WriteAheadJournal` (in the
+  ``rawb`` frame of its chunk — a chunk of one for :meth:`ingest`)
+  *before* the dispatcher sees it (the ``FRQ-D701`` ordering), so a
+  crash at any point can lose at most work the journal can replay;
 * publication opens are journalled *with* their noise plan and granted
   ε, after the :class:`~repro.privacy.accountant.PublicationAccountant`
   fsync'd its ledger intent — replay rebuilds the publication with the
@@ -19,9 +20,9 @@ protocol of docs/DURABILITY.md:
   bounds how much journal suffix recovery must replay.
 
 Crash injection: a :class:`~repro.runtime.faults.FaultPlan` with a
-``crash_collector`` rule makes :meth:`ingest` raise
-:class:`CollectorCrash` *after* the journal append and *before* the
-dispatch — the worst-case window recovery must close.
+``crash_collector`` rule makes ingestion raise :class:`CollectorCrash`
+*after* the journal append and *before* a record's dispatch — the
+worst-case window recovery must close.
 """
 
 from __future__ import annotations
@@ -161,23 +162,11 @@ class DurableFresqueSystem(FresqueSystem):
             self._commit_publication(publication)
 
     def ingest(self, line: str) -> None:
-        """Journal one raw line, then feed it to the pipeline.
-
-        The journal append happens strictly before any pipeline state
-        changes; the optional fault hook fires in between, modelling the
-        worst crash point (durably ingested, never dispatched).
-        """
+        """Journal one raw line, then feed it to the pipeline: a chunk
+        of one (:meth:`_ingest_chunk`)."""
         if not self._started:
             raise RuntimeError("call start() first")
-        self._last_seq = self.journal.append_raw(
-            self.dispatcher.publication, line
-        )
-        if self.fault_plan is not None and self.fault_plan.on_collector_record():
-            raise CollectorCrash(
-                f"injected crash after journal seq {self._last_seq}"
-            )
-        self._send_all(self.dispatcher.on_raw(line))
-        self._note_ingested(1)
+        self._ingest_chunk([line])
 
     def ingest_batch(self, lines: list[str]) -> None:
         """Journal and feed ``lines`` in dispatcher-batch-sized chunks.
@@ -196,11 +185,12 @@ class DurableFresqueSystem(FresqueSystem):
 
         The FRQ-D701 ordering holds chunk-wide: the journal frame lands
         before any of the chunk's records mutate pipeline state.  The
-        crash hook still fires once per record, between the append and
-        that record's dispatch — the same worst-case window as
-        :meth:`ingest`.  ``fractions`` (optional, one per line) threads
-        the interval position through to the dummy scheduler so dummies
-        interleave exactly as in the per-record driver.
+        optional crash hook fires once per record, between the append
+        and that record's dispatch — the worst crash point (durably
+        ingested, never dispatched).  ``fractions`` (optional, one per
+        line) threads the interval position through to the dummy
+        scheduler so dummies interleave exactly as in the base driver's
+        :meth:`~repro.core.system.FresqueSystem._feed`.
         """
         if not lines:
             return
@@ -244,12 +234,9 @@ class DurableFresqueSystem(FresqueSystem):
         self._open_publications.discard(publication)
 
     def _feed(self, lines: list[str]) -> None:
-        """The base driver's interval loop, journalled: with batching
-        on, one ``rawb`` group-commit frame per dispatcher-batch-sized
-        chunk instead of one ``raw`` frame per record."""
+        """The base driver's interval loop, journalled: one ``rawb``
+        group-commit frame per dispatcher-batch-sized chunk."""
         size = self.config.batch_size
-        if size <= 1:
-            return super()._feed(lines)
         if not self._started:
             self.start()
         total = max(1, len(lines))
@@ -318,12 +305,8 @@ class DurableFresqueSystem(FresqueSystem):
                 f"{self.dispatcher.publication}"
             )
 
-    def _replay_raw(self, line: str) -> None:
-        """Re-dispatch one journalled raw line."""
-        self._send_all(self.dispatcher.on_raw(line))
-
     def _replay_raw_batch(self, lines: tuple[str, ...]) -> None:
-        """Re-dispatch one journalled batch, line order preserved."""
+        """Re-dispatch one journalled chunk, line order preserved."""
         send_all = self._send_all
         on_raw = self.dispatcher.on_raw
         for line in lines:

@@ -222,7 +222,7 @@ class ThreadedFresque(FresqueSystem):
         return [
             ("checking", payload)
             for kind, payload in held
-            if kind in ("pair", "batch")
+            if kind == "batch"
         ]
 
     def _start_node(self, node_id: int) -> None:

@@ -465,7 +465,9 @@ class ShmFresqueCluster(FresqueSystem):
         first when durable)."""
         with self._lock:
             if self.durable:
-                self.journal.append_raw(self.dispatcher.publication, line)
+                self.journal.append_raw_batch(
+                    self.dispatcher.publication, [line]
+                )
             super().ingest(line)
 
     def _feed(self, lines: list[str]) -> None:

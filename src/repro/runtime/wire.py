@@ -28,12 +28,10 @@ from repro.core.messages import (
     PairBatch,
     PublishingMsg,
     RawBatch,
-    RawData,
     RemovedRecord,
     RingAttach,
     TemplateMsg,
     ToCloudBatch,
-    ToCloudPair,
 )
 from repro.index.domain import AttributeDomain
 from repro.index.overflow import OverflowArray
@@ -121,11 +119,6 @@ _ENCODERS = {
     NewPublication: lambda m: {"pub": m.publication, "plan": encode_plan(m.plan)},
     TemplateMsg: lambda m: {"pub": m.publication, "plan": encode_plan(m.plan)},
     AnnouncePublication: lambda m: {"pub": m.publication},
-    RawData: lambda m: {
-        "pub": m.publication,
-        "line": m.line,
-        "record": None if m.record is None else encode_record(m.record),
-    },
     RawBatch: lambda m: {
         "pub": m.publication,
         # Ordered, type-tagged items: ["l", line] or ["r", record] —
@@ -137,12 +130,6 @@ _ENCODERS = {
         "seq": m.seq,
         "ord": m.ordinal,
         "epoch": m.epoch,
-    },
-    Pair: lambda m: {
-        "pub": m.publication,
-        "leaf": m.leaf_offset,
-        "enc": encode_encrypted(m.encrypted),
-        "dummy": m.dummy,
     },
     PairBatch: lambda m: {
         "pub": m.publication,
@@ -164,11 +151,6 @@ _ENCODERS = {
             {"leaf": leaf, "enc": encode_encrypted(enc)}
             for leaf, enc in m.pairs
         ],
-    },
-    ToCloudPair: lambda m: {
-        "pub": m.publication,
-        "leaf": m.leaf_offset,
-        "enc": encode_encrypted(m.encrypted),
     },
     RemovedRecord: lambda m: {
         "pub": m.publication,
@@ -216,25 +198,15 @@ _DECODERS = {
     "NewPublication": lambda p: NewPublication(p["pub"], decode_plan(p["plan"])),
     "TemplateMsg": lambda p: TemplateMsg(p["pub"], decode_plan(p["plan"])),
     "AnnouncePublication": lambda p: AnnouncePublication(p["pub"]),
-    "RawData": lambda p: RawData(
-        p["pub"],
-        line=p["line"],
-        record=None if p["record"] is None else decode_record(p["record"]),
-    ),
-    # Stamps decode with .get so frames from pre-stamp peers (no
-    # seq/ord/last keys) still parse, as unstamped (-1) messages.
     "RawBatch": lambda p: RawBatch(
         p["pub"],
         tuple(
             item if kind == "l" else decode_record(item)
             for kind, item in p["items"]
         ),
-        seq=p.get("seq", -1),
-        ordinal=p.get("ord", -1),
-        epoch=p.get("epoch", -1),
-    ),
-    "Pair": lambda p: Pair(
-        p["pub"], p["leaf"], decode_encrypted(p["enc"]), dummy=p["dummy"]
+        seq=p["seq"],
+        ordinal=p["ord"],
+        epoch=p["epoch"],
     ),
     "PairBatch": lambda p: PairBatch(
         p["pub"],
@@ -247,9 +219,9 @@ _DECODERS = {
             )
             for item in p["pairs"]
         ),
-        seq=p.get("seq", -1),
-        epoch=p.get("epoch", -1),
-        node=p.get("node", -1),
+        seq=p["seq"],
+        epoch=p["epoch"],
+        node=p["node"],
     ),
     "ToCloudBatch": lambda p: ToCloudBatch(
         p["pub"],
@@ -258,27 +230,24 @@ _DECODERS = {
             for item in p["pairs"]
         ),
     ),
-    "ToCloudPair": lambda p: ToCloudPair(
-        p["pub"], p["leaf"], decode_encrypted(p["enc"])
-    ),
     "RemovedRecord": lambda p: RemovedRecord(
         p["pub"], p["leaf"], decode_encrypted(p["enc"])
     ),
     "PublishingMsg": lambda p: PublishingMsg(
         p["pub"],
-        last_seq=p.get("last", -1),
-        epoch=p.get("epoch", -1),
-        nodes=tuple(p.get("nodes", ())),
+        last_seq=p["last"],
+        epoch=p["epoch"],
+        nodes=tuple(p["nodes"]),
     ),
     "CreditGrant": lambda p: CreditGrant(p["pub"], p["records"]),
     "CnPublishing": lambda p: CnPublishing(p["pub"], p["node"]),
     "NodeDown": lambda p: NodeDown(p["pub"], p["node"]),
     "MembershipMsg": lambda p: MembershipMsg(
         p["epoch"],
-        members=tuple(p.get("members", ())),
-        retired=tuple(p.get("retired", ())),
-        down=tuple(p.get("down", ())),
-        joined=tuple((n, e) for n, e in p.get("joined", ())),
+        members=tuple(p["members"]),
+        retired=tuple(p["retired"]),
+        down=tuple(p["down"]),
+        joined=tuple((n, e) for n, e in p["joined"]),
     ),
     "RingAttach": lambda p: RingAttach(p["node"], p["in"], p["out"]),
     "AlSnapshot": lambda p: AlSnapshot(p["pub"], tuple(p["al"])),

@@ -7,9 +7,11 @@ of as a fingerprint mismatch in the integration harness:
 * the *close* flush — ending a publication ships the in-flight batch,
   stamped with the closing publication number, strictly before the
   *publishing* broadcast (a batch never straddles a boundary);
-* the randomer processes a :class:`PairBatch` exactly as it would the
-  same pairs delivered one at a time (same eviction draws, same released
-  stream, same residue);
+* the randomer processes a :class:`PairBatch` exactly as a scalar model
+  over ``Randomer.insert`` + ``LeafArrays.check_and_update`` processes
+  the same pairs one at a time (same eviction draws, same released
+  stream, same residue) — however the pairs are cut into batches, and
+  also when a batch beats its publication's announcement;
 * the *delay* flush fires from the injected clock — no wall-clock sleeps
   in the pipeline or in this test.
 """
@@ -24,15 +26,19 @@ import pytest
 from repro.core.checking import CheckingNode
 from repro.core.dispatcher import Dispatcher
 from repro.core.messages import (
+    AnnouncePublication,
+    CreditGrant,
     NewPublication,
     Pair,
     PairBatch,
     PublishingMsg,
     RawBatch,
+    RemovedRecord,
     ToCloudBatch,
-    ToCloudPair,
 )
+from repro.core.randomer import Randomer
 from repro.index.perturb import draw_noise_plan
+from repro.index.template import LeafArrays
 from repro.index.tree import IndexTree
 from repro.records.record import EncryptedRecord
 from repro.telemetry.clock import SimulatedClock
@@ -156,11 +162,58 @@ def _released(outbox) -> tuple[list, list]:
     for destination, message in outbox:
         if isinstance(message, ToCloudBatch):
             cloud.extend(message.pairs)
-        elif isinstance(message, ToCloudPair):
-            cloud.append((message.leaf_offset, message.encrypted))
-        elif destination == "merger" and type(message).__name__ != "TemplateMsg":
+        elif isinstance(message, RemovedRecord):
             merger.append(message)
     return cloud, merger
+
+
+def _small_buffer(flu_config, delta_prime, **overrides):
+    """``flu_config`` with a randomer small enough to evict: the
+    capacity is ``alpha * s_i * leaves``, and ``delta_prime`` sets s_i
+    (0.5 -> 0, capacity 1; 0.6 -> 1, capacity 160)."""
+    return dataclasses.replace(
+        flu_config, delta_prime=delta_prime, **overrides
+    )
+
+
+def _plan(config):
+    tree = IndexTree(config.domain, fanout=config.fanout)
+    return draw_noise_plan(tree, config.epsilon, rng=random.Random(31))
+
+
+def _pairs(config, count):
+    source = random.Random(3)
+    return [
+        _pair(
+            source.randrange(config.domain.num_leaves),
+            tag=i,
+            dummy=source.random() < 0.2,
+        )
+        for i in range(count)
+    ]
+
+
+def _scalar_model(config, plan, pairs, rng):
+    """The checking node one pair at a time, over the scalar primitives
+    the bulk forms are defined by: returns (cloud stream, merger stream,
+    dummies passed, residents)."""
+    randomer = Randomer(config.randomer_buffer_size, rng=rng)
+    arrays = LeafArrays(plan.leaf_noise)
+    cloud, merger, dummies = [], [], 0
+    for pair in pairs:
+        evicted = randomer.insert(pair)
+        if evicted is None:
+            continue
+        item = (evicted.leaf_offset, evicted.encrypted)
+        if evicted.dummy:
+            dummies += 1
+            cloud.append(item)
+        elif arrays.check_and_update(evicted.leaf_offset).removed:
+            merger.append(RemovedRecord(0, *item))
+        else:
+            cloud.append(item)
+    residents = [(0, p.leaf_offset, p.encrypted) for p in randomer.residents]
+    return cloud, merger, dummies, residents
 
 
 class TestRandomerBatchOrdering:
@@ -168,33 +221,59 @@ class TestRandomerBatchOrdering:
     def test_pair_batch_releases_identical_stream(self, flu_config, chunk):
         """Same seeded randomer, same pairs: delivering them as batches
         must evict the same pairs in the same order as one at a time."""
-        tree = IndexTree(flu_config.domain, fanout=flu_config.fanout)
-        plan = draw_noise_plan(tree, flu_config.epsilon, rng=random.Random(31))
-        source = random.Random(3)
-        pairs = [
-            _pair(
-                source.randrange(flu_config.domain.num_leaves),
-                tag=i,
-                dummy=source.random() < 0.2,
-            )
-            for i in range(50)
-        ]
+        config = _small_buffer(flu_config, delta_prime=0.6)
+        plan = _plan(config)
+        pairs = _pairs(config, 400)
+        cloud, merger, dummies, residents = _scalar_model(
+            config, plan, pairs, random.Random(9)
+        )
+        assert cloud and merger and dummies  # the model exercises all arms
 
-        single = CheckingNode(flu_config, rng=random.Random(9))
-        single.on_new_publication(NewPublication(0, plan))
-        single_out = []
-        for pair in pairs:
-            single_out.extend(single.on_pair(pair))
-
-        batched = CheckingNode(flu_config, rng=random.Random(9))
+        batched = CheckingNode(config, rng=random.Random(9))
         batched.on_new_publication(NewPublication(0, plan))
         batched_out = []
         for start in range(0, len(pairs), chunk):
             message = PairBatch(0, tuple(pairs[start:start + chunk]))
             batched_out.extend(batched.on_pair_batch(message))
 
-        assert _released(batched_out) == _released(single_out)
-        assert batched.buffered_pairs() == single.buffered_pairs()
-        assert batched.pairs_processed == single.pairs_processed
-        assert batched.dummies_passed == single.dummies_passed
-        assert batched.records_removed == single.records_removed
+        assert _released(batched_out) == (cloud, merger)
+        assert batched.buffered_pairs() == residents
+        assert batched.pairs_processed == len(cloud) + len(merger)
+        assert batched.dummies_passed == dummies
+        assert batched.records_removed == len(merger)
+
+    def test_early_batch_replays_as_one_batch(self, flu_config):
+        """A batch that beats its NewPublication (per-sender channels)
+        is held, then takes the same path as one delivered in order: the
+        same stream, state and counters, one cloud-bound message, and
+        the credits it was granted on receipt — once."""
+        config = _small_buffer(flu_config, delta_prime=0.5, credit_window=64)
+        plan = _plan(config)
+        batch = PairBatch(0, tuple(_pairs(config, 25)))
+
+        in_order = CheckingNode(config, rng=random.Random(9))
+        expected = in_order.on_new_publication(NewPublication(0, plan))
+        expected += in_order.on_pair_batch(batch)
+        cloud, merger = _released(expected)
+        assert len(cloud) + len(merger) >= 2
+
+        early = CheckingNode(config, rng=random.Random(9))
+        held = early.on_pair_batch(batch)
+        assert held == [("dispatcher", CreditGrant(0, 25))]
+        replayed = early.on_new_publication(NewPublication(0, plan))
+
+        cloud_data = [
+            message
+            for destination, message in replayed
+            if destination == "cloud"
+            and not isinstance(message, AnnouncePublication)
+        ]
+        assert len(cloud_data) <= 1
+        assert _released(replayed) == (cloud, merger)
+        assert {d for d, _ in replayed} <= {"merger", "cloud"}
+        grants = [m for _, m in held + replayed if isinstance(m, CreditGrant)]
+        assert grants == [CreditGrant(0, 25)]
+        assert early.buffered_pairs() == in_order.buffered_pairs()
+        assert early.pairs_processed == in_order.pairs_processed
+        assert early.dummies_passed == in_order.dummies_passed
+        assert early.records_removed == in_order.records_removed

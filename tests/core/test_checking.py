@@ -13,10 +13,10 @@ from repro.core.messages import (
     DoneMsg,
     NewPublication,
     Pair,
+    PairBatch,
     PublishingMsg,
     RemovedRecord,
     TemplateMsg,
-    ToCloudPair,
 )
 from repro.index.perturb import draw_noise_plan
 from repro.index.tree import IndexTree
@@ -41,6 +41,11 @@ def _pair(offset: int, dummy: bool = False, publication: int = 0) -> Pair:
         encrypted=EncryptedRecord(offset, bytes(32)),
         dummy=dummy,
     )
+
+
+def _deliver(checking, pair: Pair):
+    """One pair, as the only thing that carries one: a batch of one."""
+    return checking.on_pair_batch(PairBatch(pair.publication, (pair,)))
 
 
 def _finalise(checking, flu_config, publication=0):
@@ -69,12 +74,12 @@ class TestNewPublication:
 class TestPairFlow:
     def test_pairs_buffered_until_randomer_full(self, checking, plan):
         checking.on_new_publication(NewPublication(0, plan))
-        out = checking.on_pair(_pair(0))
+        out = _deliver(checking, _pair(0))
         assert out == []  # absorbed by the randomer
 
     def test_early_pair_replayed_on_announcement(self, checking, plan):
         # Under the threaded runtime a pair can race the NewPublication.
-        assert checking.on_pair(_pair(0)) == []
+        assert _deliver(checking, _pair(0)) == []
         checking.on_new_publication(NewPublication(0, plan))
         assert len(checking.state_of(0).randomer) == 1
 
@@ -86,7 +91,7 @@ class TestPairFlow:
         capacity = small.state_of(0).randomer.capacity
         routed = []
         for index in range(capacity + 50):
-            routed.extend(small.on_pair(_pair(0)))
+            routed.extend(_deliver(small, _pair(0)))
         assert routed, "expected evictions once the buffer filled"
         destinations = {dest for dest, _ in routed}
         assert destinations <= {"cloud", "merger"}
@@ -104,7 +109,7 @@ class TestCheckerSemantics:
         # Feed exactly budget+2 pairs for that leaf, then finalise and
         # count removals routed to the merger.
         for _ in range(budget + 2):
-            checking.on_pair(_pair(offset))
+            _deliver(checking, _pair(offset))
         out = []
         for node_id in range(1, flu_config.num_computing_nodes):
             out.extend(checking.on_cn_publishing(CnPublishing(0, node_id)))
@@ -118,7 +123,7 @@ class TestCheckerSemantics:
     def test_dummies_skip_arrays(self, checking, flu_config, plan):
         checking.on_new_publication(NewPublication(0, plan))
         for _ in range(10):
-            checking.on_pair(_pair(3, dummy=True))
+            _deliver(checking, _pair(3, dummy=True))
         out = _finalise(checking, flu_config)
         snapshot = next(m for _, m in out if isinstance(m, AlSnapshot))
         assert snapshot.al[3] == 0
@@ -145,7 +150,7 @@ class TestFinalisation:
     def test_finalisation_outputs(self, checking, flu_config, plan):
         checking.on_new_publication(NewPublication(0, plan))
         for index in range(5):
-            checking.on_pair(_pair(0))
+            _deliver(checking, _pair(0))
         out = _finalise(checking, flu_config)
         kinds = [type(m) for _, m in out]
         assert kinds.count(AlSnapshot) == 1
@@ -178,8 +183,8 @@ class TestFinalisation:
         plan1 = draw_noise_plan(tree, 1.0, rng=random.Random(77))
         checking.on_new_publication(NewPublication(0, plan))
         checking.on_new_publication(NewPublication(1, plan1))
-        checking.on_pair(_pair(2, publication=0))
-        checking.on_pair(_pair(3, publication=1))
+        _deliver(checking, _pair(2, publication=0))
+        _deliver(checking, _pair(3, publication=1))
         out = _finalise(checking, flu_config, publication=0)
         flush = next(m for _, m in out if isinstance(m, BufferFlush))
         removed = [m for _, m in out if isinstance(m, RemovedRecord)]
@@ -199,7 +204,7 @@ class TestDegradedMode:
         """With cn-1 dead, reports from the survivors plus the NodeDown
         notice finalise the publication."""
         checking.on_new_publication(NewPublication(0, plan))
-        checking.on_pair(_pair(2))
+        _deliver(checking, _pair(2))
         assert checking.on_cn_publishing(CnPublishing(0, 0)) == []
         assert checking.on_node_down(self._node_down(0, 1)) == []
         out = checking.on_cn_publishing(CnPublishing(0, 2))
@@ -246,7 +251,7 @@ class TestDegradedMode:
         interval hasn't ended: without any CnPublishing the dispatcher's
         own publishing notice is required."""
         checking.on_new_publication(NewPublication(0, plan))
-        checking.on_pair(_pair(1))
+        _deliver(checking, _pair(1))
         assert checking.on_node_down(self._node_down(0, 0)) == []
         assert checking.on_node_down(self._node_down(0, 1)) == []
         assert checking.on_node_down(self._node_down(0, 2)) == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.computing_node import ComputingNode
-from repro.core.messages import DoneMsg, Pair, PublishingMsg, RawData
+from repro.core.messages import DoneMsg, PairBatch, PublishingMsg, RawBatch
 from repro.records.record import Record, make_dummy
 from repro.records.serialize import render_raw_line
 
@@ -15,16 +15,17 @@ def node(flu_config, fast_cipher):
 
 def _raw(flu_config, value=371, publication=0):
     record = Record(("p", 1, value, "none"))
-    return RawData(publication, line=render_raw_line(record, flu_config.schema))
+    return RawBatch(publication, (render_raw_line(record, flu_config.schema),))
 
 
 class TestProcessing:
     def test_raw_line_becomes_pair(self, node, flu_config):
-        out = node.on_raw(_raw(flu_config, value=371))
+        out = node.on_raw_batch(_raw(flu_config, value=371))
         assert len(out) == 1
-        destination, pair = out[0]
+        destination, batch = out[0]
         assert destination == "checking"
-        assert isinstance(pair, Pair)
+        assert isinstance(batch, PairBatch)
+        (pair,) = batch.pairs
         assert pair.leaf_offset == flu_config.domain.leaf_offset(371)
         assert not pair.dummy
         assert node.parsed == 1
@@ -32,14 +33,16 @@ class TestProcessing:
 
     def test_pre_built_record_skips_parsing(self, node, flu_config):
         dummy = make_dummy(flu_config.schema, 380)
-        out = node.on_raw(RawData(0, record=dummy))
-        (_, pair), = out
+        out = node.on_raw_batch(RawBatch(0, (dummy,)))
+        (_, batch), = out
+        (pair,) = batch.pairs
         assert pair.dummy
         assert node.parsed == 0  # no raw line parsed
         assert node.encrypted == 1
 
     def test_ciphertext_decrypts_to_record(self, node, flu_config, fast_cipher):
-        (_, pair), = node.on_raw(_raw(flu_config, value=402))
+        (_, batch), = node.on_raw_batch(_raw(flu_config, value=402))
+        (pair,) = batch.pairs
         from repro.records.serialize import deserialize_record
 
         record = deserialize_record(
@@ -49,7 +52,8 @@ class TestProcessing:
 
     def test_leaf_offset_in_clear(self, node, flu_config):
         """The pair exposes the leaf offset (and nothing else) in clear."""
-        (_, pair), = node.on_raw(_raw(flu_config, value=355))
+        (_, batch), = node.on_raw_batch(_raw(flu_config, value=355))
+        (pair,) = batch.pairs
         assert pair.encrypted.leaf_offset == pair.leaf_offset
         assert b"355" not in pair.encrypted.ciphertext
 
@@ -65,14 +69,14 @@ class TestPublishBoundary:
 
     def test_pairs_held_while_waiting(self, node, flu_config):
         node.on_publishing(PublishingMsg(0))
-        out = node.on_raw(_raw(flu_config, publication=1))
+        out = node.on_raw_batch(_raw(flu_config, publication=1))
         assert out == []
         assert node.held_pairs == 1
 
     def test_done_flushes_held_pairs(self, node, flu_config):
         node.on_publishing(PublishingMsg(0))
-        node.on_raw(_raw(flu_config, publication=1))
-        node.on_raw(_raw(flu_config, publication=1))
+        node.on_raw_batch(_raw(flu_config, publication=1))
+        node.on_raw_batch(_raw(flu_config, publication=1))
         out = node.on_done(DoneMsg(0))
         assert len(out) == 2
         assert all(dest == "checking" for dest, _ in out)
@@ -83,7 +87,7 @@ class TestPublishBoundary:
         """The paper: during the wait, data is processed (parsed +
         encrypted) and only the *send* is deferred."""
         node.on_publishing(PublishingMsg(0))
-        node.on_raw(_raw(flu_config, publication=1))
+        node.on_raw_batch(_raw(flu_config, publication=1))
         assert node.parsed == 1
         assert node.encrypted == 1
 
@@ -95,7 +99,7 @@ class TestPublishBoundary:
         this node id) must not leak the held pairs past the current
         publishing barrier."""
         node.on_publishing(PublishingMsg(1))
-        node.on_raw(_raw(flu_config, publication=2))
+        node.on_raw_batch(_raw(flu_config, publication=2))
         assert node.on_done(DoneMsg(0)) == []
         assert node.waiting_for_done
         assert node.held_pairs == 1

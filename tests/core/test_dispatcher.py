@@ -124,11 +124,11 @@ class TestDegradedMode:
         assert set(destinations) == {"cn-0", "cn-2"}
 
     def test_redispatch_reroutes_and_counts(self, dispatcher):
-        from repro.core.messages import RawData as Raw
+        from repro.core.messages import RawBatch
 
         dispatcher.start_publication()
         dispatcher.mark_node_down(0)
-        message = Raw(0, line="orphan")
+        message = RawBatch(0, ("orphan",))
         (destination, routed), = dispatcher.redispatch(message)
         assert destination in {"cn-1", "cn-2"}
         assert routed is message

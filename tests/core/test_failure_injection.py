@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.node import MatchingTableCloud
 from repro.core.computing_node import ComputingNode
-from repro.core.messages import RawData
+from repro.core.messages import RawBatch
 from repro.core.system import FresqueSystem
 from repro.datasets.flu import FluSurveyGenerator, flu_domain
 from repro.pinedrqpp.collector import PinedRqPPCollector
@@ -26,15 +26,15 @@ class TestComputingNodeResilience:
     @pytest.mark.parametrize("line", BAD_LINES)
     def test_bad_line_dropped_and_counted(self, flu_config, fast_cipher, line):
         node = ComputingNode(0, flu_config, fast_cipher)
-        out = node.on_raw(RawData(0, line=line))
+        out = node.on_raw_batch(RawBatch(0, (line,)))
         assert out == []
         assert node.rejected == 1
         assert node.encrypted == 0
 
     def test_good_lines_still_flow_after_bad(self, flu_config, fast_cipher):
         node = ComputingNode(0, flu_config, fast_cipher)
-        node.on_raw(RawData(0, line="garbage"))
-        out = node.on_raw(RawData(0, line="p1\t1\t375\tnone"))
+        node.on_raw_batch(RawBatch(0, ("garbage",)))
+        out = node.on_raw_batch(RawBatch(0, ("p1\t1\t375\tnone",)))
         assert len(out) == 1
         assert node.rejected == 1
         assert node.encrypted == 1

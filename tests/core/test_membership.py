@@ -134,13 +134,6 @@ class TestMembershipTransitions:
         # Cursor restored too: the rotation continues where it left off.
         assert other.next_destination() == membership.next_destination()
 
-    def test_restore_legacy_rebuilds_dead_set(self):
-        membership = Membership(3)
-        membership.restore_legacy(cursor=2, dead_nodes={1})
-        assert membership.down_ids == [1]
-        assert membership.epoch == 1
-        assert membership.next_destination() == "cn-2"
-
 
 def _dispatcher(flu_config, **overrides):
     return Dispatcher(

@@ -18,9 +18,9 @@ from repro.core.computing_node import ComputingNode
 from repro.core.messages import (
     CnPublishing,
     DoneMsg,
-    Pair,
+    PairBatch,
     PublishingMsg,
-    RawData,
+    RawBatch,
 )
 from repro.datasets.flu import FluSurveyGenerator
 from repro.runtime.cluster import ThreadedFresque
@@ -31,8 +31,8 @@ def _raw(flu_config, publication, value=371):
     from repro.records.serialize import render_raw_line
 
     record = Record(("p", 1, value, "none"))
-    return RawData(
-        publication, line=render_raw_line(record, flu_config.schema)
+    return RawBatch(
+        publication, (render_raw_line(record, flu_config.schema),)
     )
 
 
@@ -40,8 +40,8 @@ class TestHeldEventOrdering:
     def test_publishing_marker_queued_behind_pairs(self, flu_config, fast_cipher):
         node = ComputingNode(0, flu_config, fast_cipher)
         node.on_publishing(PublishingMsg(0))  # waiting for done(0)
-        node.on_raw(_raw(flu_config, publication=1))
-        node.on_raw(_raw(flu_config, publication=1))
+        node.on_raw_batch(_raw(flu_config, publication=1))
+        node.on_raw_batch(_raw(flu_config, publication=1))
         # publishing(1) arrives while still waiting: must be queued, not
         # acknowledged.
         assert node.on_publishing(PublishingMsg(1)) == []
@@ -49,24 +49,24 @@ class TestHeldEventOrdering:
         # done(0): flush the two pairs, THEN acknowledge publishing(1).
         out = node.on_done(DoneMsg(0))
         kinds = [type(m) for _, m in out]
-        assert kinds == [Pair, Pair, CnPublishing]
+        assert kinds == [PairBatch, PairBatch, CnPublishing]
         assert out[-1][1].publication == 1
         assert node.waiting_for_done  # re-armed for done(1)
 
     def test_chain_of_three_publications(self, flu_config, fast_cipher):
         node = ComputingNode(0, flu_config, fast_cipher)
         node.on_publishing(PublishingMsg(0))
-        node.on_raw(_raw(flu_config, publication=1))
+        node.on_raw_batch(_raw(flu_config, publication=1))
         node.on_publishing(PublishingMsg(1))
-        node.on_raw(_raw(flu_config, publication=2))
+        node.on_raw_batch(_raw(flu_config, publication=2))
         node.on_publishing(PublishingMsg(2))
         # done(0): pub-1 pair + ack(1); pub-2 events stay held.
         out = node.on_done(DoneMsg(0))
-        assert [type(m) for _, m in out] == [Pair, CnPublishing]
+        assert [type(m) for _, m in out] == [PairBatch, CnPublishing]
         assert node.held_pairs == 1
         # done(1): pub-2 pair + ack(2).
         out = node.on_done(DoneMsg(1))
-        assert [type(m) for _, m in out] == [Pair, CnPublishing]
+        assert [type(m) for _, m in out] == [PairBatch, CnPublishing]
         assert out[-1][1].publication == 2
         # done(2): nothing held, wait cleared.
         assert node.on_done(DoneMsg(2)) == []

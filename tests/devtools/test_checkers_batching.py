@@ -27,18 +27,6 @@ class TestScalarLoopInBatchPath:
         )
         assert codes_of(diagnostics) == ["FRQ-B801"]
 
-    def test_per_record_journal_append_in_batch_loop_flagged(self):
-        diagnostics = lint_source(
-            """
-            class Driver:
-                def ingest_batch(self, lines):
-                    self.journal.append_raw_batch(0, lines)
-                    while lines:
-                        self.journal.append_raw(0, lines.pop())
-            """
-        )
-        assert "FRQ-B801" in codes_of(diagnostics)
-
     def test_batch_counterpart_outside_loop_clean(self):
         diagnostics = lint_source(
             """

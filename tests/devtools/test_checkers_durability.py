@@ -12,7 +12,7 @@ class TestJournalOrdering:
             class Driver:
                 def ingest(self, line):
                     self._send_all(self.dispatcher.on_raw(line))
-                    self.journal.append_raw(self.publication, line)
+                    self.journal.append_raw_batch(self.publication, [line])
             """,
             _DURABILITY_PATH,
         )
@@ -26,7 +26,24 @@ class TestJournalOrdering:
             class Driver:
                 def ingest(self, line, outbox):
                     self._send_all(outbox)
-                    self.journal.append_raw(self.publication, line)
+                    self.journal.append_raw_batch(self.publication, [line])
+            """,
+            _DURABILITY_PATH,
+        )
+        assert codes_of(diagnostics) == ["FRQ-D701"]
+
+    def test_chunk_dispatched_before_its_batch_append_flagged(self):
+        """``append_raw_batch`` is the only raw-line append there is: a
+        chunk loop that feeds the pipeline ahead of it must be seen."""
+        diagnostics = lint_source(
+            """
+            class Driver:
+                def _ingest_chunk(self, lines):
+                    for line in lines:
+                        self._send_all(self.dispatcher.on_raw(line))
+                    self._last_seq = self.journal.append_raw_batch(
+                        self.dispatcher.publication, lines
+                    )
             """,
             _DURABILITY_PATH,
         )
@@ -37,7 +54,7 @@ class TestJournalOrdering:
             """
             class Driver:
                 def ingest(self, line):
-                    self.journal.append_raw(self.publication, line)
+                    self.journal.append_raw_batch(self.publication, [line])
                     self._send_all(self.dispatcher.on_raw(line))
             """,
             _DURABILITY_PATH,
@@ -48,8 +65,9 @@ class TestJournalOrdering:
         diagnostics = lint_source(
             """
             class Driver:
-                def _replay_raw(self, line):
-                    self._send_all(self.dispatcher.on_raw(line))
+                def _replay_raw_batch(self, lines):
+                    for line in lines:
+                        self._send_all(self.dispatcher.on_raw(line))
             """,
             _DURABILITY_PATH,
         )
@@ -61,7 +79,7 @@ class TestJournalOrdering:
             class Driver:
                 def ingest(self, line):
                     self._send_all(self.dispatcher.on_raw(line))
-                    self.journal.append_raw(0, line)
+                    self.journal.append_raw_batch(0, [line])
             """,
             "src/repro/core/system.py",
         )

@@ -17,16 +17,6 @@ class TestEpochGate:
         )
         assert codes_of(diagnostics) == ["FRQ-E1101"]
 
-    def test_single_pair_handler_without_check_flagged(self):
-        diagnostics = lint_source(
-            """
-            class Checking:
-                def on_pair(self, pair):
-                    return [self._check(pair)]
-            """
-        )
-        assert codes_of(diagnostics) == ["FRQ-E1101"]
-
     def test_pairs_touched_before_check_flagged(self):
         diagnostics = lint_source(
             """

@@ -86,7 +86,7 @@ def test_s901_struct_field_precision(lint_project):
     diagnostics = lint_project(
         {
             "src/repro/core/pipeline.py": """
-            class ToCloudPair:
+            class RemovedRecord:
                 def __init__(self, publication, leaf_offset, encrypted):
                     self.publication = publication
                     self.leaf_offset = leaf_offset
@@ -94,7 +94,7 @@ def test_s901_struct_field_precision(lint_project):
 
             def publish(line, cloud, cipher):
                 record = parse_raw_line(line)
-                pair = ToCloudPair(1, 3, cipher.encrypt(record))
+                pair = RemovedRecord(1, 3, cipher.encrypt(record))
                 cloud.receive_pair(pair)
             """
         }

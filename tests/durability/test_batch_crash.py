@@ -115,8 +115,8 @@ class TestMidBatchCrashDrill:
         self, tmp_path, lines
     ):
         """Same crash point, same seeds: the recovered cloud must be
-        byte-identical whether the journal held 448 ``raw`` frames or
-        7 ``rawb`` frames of 64."""
+        byte-identical whether the journal held 448 ``rawb`` frames of
+        one line or 7 of 64."""
         results = {}
         for batch_size in CRASH_SIZES:
             recovered, _, receipt = _crash_and_recover(

@@ -36,29 +36,29 @@ class TestAppendReplay:
     def test_lifecycle_roundtrip(self, journal):
         plan = _plan()
         journal.append_open(0, plan, 0.5)
-        journal.append_raw(0, "a,b,c")
-        journal.append_raw(0, "d,e,f")
+        journal.append_raw_batch(0, ["a,b,c"])
+        journal.append_raw_batch(0, ["d,e,f"])
         journal.append_close(0)
         journal.append_commit(0)
         records = list(journal.replay())
         assert [r.type for r in records] == [
-            "open", "raw", "raw", "close", "commit",
+            "open", "rawb", "rawb", "close", "commit",
         ]
         assert [r.seq for r in records] == [0, 1, 2, 3, 4]
         assert records[0].plan.node_noise == plan.node_noise
         assert records[0].epsilon == 0.5
-        assert records[1].line == "a,b,c"
+        assert records[1].lines == ("a,b,c",)
 
     def test_replay_suffix(self, journal):
         journal.append_open(0, _plan(), 1.0)
         for i in range(5):
-            journal.append_raw(0, f"line-{i}")
+            journal.append_raw_batch(0, [f"line-{i}"])
         suffix = list(journal.replay(after_seq=3))
-        assert [r.line for r in suffix] == ["line-3", "line-4"]
+        assert [r.lines for r in suffix] == [("line-3",), ("line-4",)]
 
     def test_entries_and_bytes_grow(self, journal):
         assert journal.entries == 0
-        journal.append_raw(0, "x")
+        journal.append_raw_batch(0, ["x"])
         assert journal.entries == 1
         assert journal.byte_size > 0
 
@@ -67,15 +67,18 @@ class TestCrashRecovery:
     def test_torn_tail_truncated_on_open(self, tmp_path):
         path = tmp_path / "journal.wal"
         with WriteAheadJournal(path) as journal:
-            journal.append_raw(0, "kept")
-            journal.append_raw(0, "also-kept")
+            journal.append_raw_batch(0, ["kept"])
+            journal.append_raw_batch(0, ["also-kept"])
         # Simulate a crash mid-append: half a frame at the tail.
-        whole = _frame(b'{"t":"raw","pub":0,"line":"torn"}')
+        whole = _frame(b'{"t":"rawb","pub":0,"lines":["torn"]}')
         with open(path, "ab") as handle:
             handle.write(whole[: len(whole) // 2])
         with WriteAheadJournal(path) as reopened:
             assert reopened.entries == 2
-            assert [r.line for r in reopened.replay()] == ["kept", "also-kept"]
+            assert [r.lines for r in reopened.replay()] == [
+                ("kept",),
+                ("also-kept",),
+            ]
         # The torn bytes are gone from disk, not just skipped.
         payloads, valid = scan_frames(path.read_bytes())
         assert len(payloads) == 2
@@ -84,18 +87,21 @@ class TestCrashRecovery:
     def test_appends_after_torn_tail_recovery(self, tmp_path):
         path = tmp_path / "journal.wal"
         with WriteAheadJournal(path) as journal:
-            journal.append_raw(0, "first")
+            journal.append_raw_batch(0, ["first"])
         with open(path, "ab") as handle:
             handle.write(b"\x99\x00\x00")  # torn header
         with WriteAheadJournal(path) as reopened:
-            reopened.append_raw(0, "second")
-            assert [r.line for r in reopened.replay()] == ["first", "second"]
+            reopened.append_raw_batch(0, ["second"])
+            assert [r.lines for r in reopened.replay()] == [
+                ("first",),
+                ("second",),
+            ]
 
     def test_mid_file_crc_mismatch_raises(self, tmp_path):
         path = tmp_path / "journal.wal"
         with WriteAheadJournal(path) as journal:
-            journal.append_raw(0, "aaaa")
-            journal.append_raw(0, "bbbb")
+            journal.append_raw_batch(0, ["aaaa"])
+            journal.append_raw_batch(0, ["bbbb"])
         data = bytearray(path.read_bytes())
         data[12] ^= 0xFF  # flip a payload byte of the first frame
         path.write_bytes(bytes(data))
@@ -120,7 +126,7 @@ class TestFramingFuzz:
     @staticmethod
     def _original_frames():
         payloads = [
-            b'{"t":"raw","pub":0,"line":"%d"}' % i for i in range(6)
+            b'{"t":"rawb","pub":0,"lines":["%d"]}' % i for i in range(6)
         ]
         return payloads, b"".join(_frame(p) for p in payloads)
 

@@ -73,6 +73,17 @@ class TestCrashDrill:
         cloud = crashed.cloud  # a different machine: survives the crash
         journaled = _run_to_crash(crashed, lines)
         assert plan.schedule[-1].target == "collector"
+        # The crash window of a batch-size-1 collector: the line is
+        # durable, alone in its ``rawb`` frame, and was never dispatched.
+        last = list(crashed.journal.replay())[-1]
+        assert (last.type, last.lines) == ("rawb", (lines[journaled - 1],))
+        dispatcher = crashed.dispatcher
+        released_dummies = (
+            dispatcher.dummies_generated - dispatcher.pending_dummies
+        )
+        assert dispatcher.records_dispatched - released_dummies == (
+            journaled - 1
+        )
 
         recovered, report = RecoveryManager(
             flu_config,
@@ -93,6 +104,26 @@ class TestCrashDrill:
             baseline_eps
         )
         assert report.replayed_raw > 0
+
+    def test_journal_with_a_raw_frame_is_refused(
+        self, flu_config, fast_cipher, tmp_path
+    ):
+        """``rawb`` is the only raw-line frame.  A journal holding the
+        retired one-line ``raw`` type is refused loudly — replaying
+        around it would drop a durably ingested record."""
+        from repro.durability.journal import JournalCorrupt
+
+        system = DurableFresqueSystem(
+            flu_config, fast_cipher, tmp_path, seed=101, checkpoint_every=0
+        )
+        system.start()
+        system.journal._append(
+            {"t": "raw", "pub": 0, "line": "p1\t1\t375\tnone"}, sync=True
+        )
+        with pytest.raises(JournalCorrupt, match="unknown journal record"):
+            RecoveryManager(
+                flu_config, fast_cipher, tmp_path, cloud=system.cloud
+            ).recover()
 
     def test_drill_is_deterministic(
         self, flu_config, fast_cipher, tmp_path, lines
@@ -352,7 +383,7 @@ class TestPublicCloseIsDurable:
         system.close_publication()
 
         types = Counter(r.type for r in system.journal.replay())
-        assert types == {"open": 2, "raw": 300, "close": 1, "commit": 1}
+        assert types == {"open": 2, "rawb": 300, "close": 1, "commit": 1}
         assert system.cloud.is_published(0)
         assert system.dispatcher.publication == 1
         assert system.accountant.publications_granted == 2

@@ -18,7 +18,8 @@ import threading
 import pytest
 
 import repro
-from repro.core.sharded import ShardedFresqueSystem
+from repro.core.messages import Pair, Routed
+from repro.core.sharded import PartialAl, ShardedFresqueSystem
 from repro.core.system import FresqueSystem
 from repro.crypto.cipher import SimulatedCipher
 from repro.crypto.keys import KeyStore
@@ -28,6 +29,7 @@ from repro.runtime.backoff import await_condition
 from repro.runtime.cluster import ThreadedFresque
 from repro.runtime.shm.cluster import ShmFresqueCluster
 from repro.runtime.tcp import TcpFresqueCluster
+from repro.runtime.wire import _DECODERS, _ENCODERS
 
 _KEY = b"fresque-test-master-key-32bytes!"
 
@@ -84,6 +86,47 @@ def test_one_module_constructs_the_dispatcher():
         if re.search(r"(?<!class )\bDispatcher\(", path.read_text())
     }
     assert builders - {"durability/recovery.py"} == {"core/system.py"}
+
+
+def _routed_messages() -> dict[type, set[str]]:
+    """Every message class some component routes -> who routes it."""
+    routed: dict[type, set[str]] = {}
+    stack = [Routed]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("repro."):
+                for message in cls.ROUTES:
+                    routed.setdefault(message, set()).add(cls.__name__)
+    return routed
+
+
+def test_the_message_alphabet_is_closed():
+    """A routable message is one somebody sends: it has both wire codecs
+    and is constructed in the package, not only by a decoder — a route
+    or codec nobody feeds is a second path waiting to drift."""
+    routed = _routed_messages()
+    assert len(routed) >= 15
+    assert Pair not in routed  # an element of PairBatch, never a message
+    root = pathlib.Path(repro.__file__).parent
+    codecs = {"runtime/wire.py", "runtime/shm/frames.py"}
+    sources = [
+        path.read_text()
+        for path in root.rglob("*.py")
+        if str(path.relative_to(root)) not in codecs
+    ]
+    # Checking shards run in process only: their partial AL never
+    # crosses a transport.
+    in_process_only = {PartialAl}
+    for message, routers in routed.items():
+        name = message.__name__
+        if message not in in_process_only:
+            assert message in _ENCODERS, f"{name} ({routers}): no encoder"
+            assert name in _DECODERS, f"{name} ({routers}): no decoder"
+        pattern = re.compile(rf"(?<!class )\b{name}\(")
+        assert any(pattern.search(text) for text in sources), (
+            f"{name} is routed by {routers} but nothing constructs it"
+        )
 
 
 def _deploy(runtime: str, config):

@@ -22,7 +22,6 @@ from repro.core.messages import (
     DoneMsg,
     PublishingMsg,
     RawBatch,
-    RawData,
 )
 from repro.crypto.cipher import SimulatedCipher
 from repro.crypto.keys import KeyStore
@@ -144,19 +143,12 @@ class TestBuildHandler:
         with pytest.raises(TypeError):
             handle(AlSnapshot(0, ()))
 
-    def test_cn_per_record_path(self, config):
-        handle, node = build_handler("cn-0", config, _cipher(), {})
-        line = next(iter(FluSurveyGenerator(seed=3).raw_lines(1)))
-        (destination, pair), = handle(RawData(0, line=line))
-        assert destination == "checking"
-        assert pair.publication == 0
-
     def test_checking_role_dispatch(self, config):
         handle, node = build_handler("checking", config, _cipher(), {})
         assert isinstance(node, CheckingNode)
         assert handle(CnPublishing(0, node_id=0)) == []
         with pytest.raises(TypeError):
-            handle(RawData(0, line="x"))
+            handle(RawBatch(0, ("x",)))
 
     def test_checking_seed_controls_the_randomer(self, config):
         _, a = build_handler("checking", config, _cipher(), {"checking": 1.5})

@@ -212,7 +212,7 @@ class TestClusterSmoke:
                 cluster.ingest(line)
             cluster.close_publication()
             types = Counter(r.type for r in cluster.journal.replay())
-            assert types == {"open": 2, "raw": 40, "close": 1, "commit": 1}
+            assert types == {"open": 2, "rawb": 40, "close": 1, "commit": 1}
             assert cluster.accountant.publications_granted == 2
             assert cluster.accountant.committed_publications == frozenset({0})
             assert cluster.dispatcher.publication == 1

@@ -1,5 +1,6 @@
 """Wire-format tests: every protocol message round-trips."""
 
+import json
 import random
 
 import pytest
@@ -19,11 +20,9 @@ from repro.core.messages import (
     PairBatch,
     PublishingMsg,
     RawBatch,
-    RawData,
     RemovedRecord,
     TemplateMsg,
     ToCloudBatch,
-    ToCloudPair,
 )
 from repro.index.domain import AttributeDomain
 from repro.index.overflow import OverflowArray
@@ -63,10 +62,11 @@ MESSAGES = [
     ("checking", NewPublication(1, _plan())),
     ("merger", TemplateMsg(1, _plan())),
     ("cloud", AnnouncePublication(4)),
-    ("cn-0", RawData(0, line="a\tb\tc")),
-    ("cn-1", RawData(0, record=Record(("x", 1, 371, "none")))),
-    ("checking", Pair(0, 5, _encrypted(), dummy=True)),
-    ("cloud", ToCloudPair(0, 5, _encrypted())),
+    # A single record is a batch of one, at every hop.
+    ("cn-0", RawBatch(0, ("a\tb\tc",), seq=4, ordinal=9, epoch=2)),
+    ("cn-1", RawBatch(0, (Record(("x", 1, 371, "none")),))),
+    ("checking", PairBatch(0, (Pair(0, 5, _encrypted(), dummy=True),))),
+    ("cloud", ToCloudBatch(0, ((5, _encrypted()),))),
     ("merger", RemovedRecord(0, 5, _encrypted())),
     ("cn-0", PublishingMsg(2)),
     ("checking", CnPublishing(2, 1)),
@@ -164,6 +164,25 @@ class TestFraming:
         with pytest.raises(WireError):
             decode_message(b"not json at all")
 
+    @pytest.mark.parametrize(
+        ("message", "stamp"),
+        [
+            (RawBatch(0, ("a",), seq=1, ordinal=1, epoch=0), "seq"),
+            (RawBatch(0, ("a",), seq=1, ordinal=1, epoch=0), "ord"),
+            (PairBatch(0, (), seq=1, epoch=0, node=2), "node"),
+            (PublishingMsg(0, last_seq=3, epoch=1, nodes=(0,)), "last"),
+            (PublishingMsg(0, last_seq=3, epoch=1, nodes=(0,)), "nodes"),
+        ],
+    )
+    def test_frame_missing_a_stamp_rejected(self, message, stamp):
+        """Every peer stamps its frames; one without is malformed, not
+        an unstamped message."""
+        (body,) = read_frames(bytearray(encode_message("cn-0", message)))
+        envelope = json.loads(body)
+        del envelope["payload"][stamp]
+        with pytest.raises(WireError):
+            decode_message(json.dumps(envelope).encode())
+
 
 @settings(max_examples=40)
 @given(
@@ -174,12 +193,13 @@ class TestFraming:
 )
 def test_pair_roundtrip_property(publication, leaf, ciphertext, dummy):
     """Pairs with arbitrary ciphertext bytes survive the wire."""
-    message = Pair(
+    pair = Pair(
         publication,
         leaf,
         EncryptedRecord(leaf, ciphertext, publication=publication),
         dummy=dummy,
     )
+    message = PairBatch(publication, (pair,))
     _, decoded = _roundtrip("checking", message)
     assert decoded == message
 

@@ -1,21 +1,20 @@
 """Payload codecs for records and noise plans.
 
-Shared by the TCP wire format (:mod:`repro.runtime.wire`), the
-durability journal and the collector checkpoints — living here, below
-both the core pipeline and the runtime, so any layer can serialise
-records without importing the transport.
+Shared by the wire format (:mod:`repro.runtime.wire`), the durability
+journal and the collector checkpoints — living here, below both the core
+pipeline and the runtime, so any layer can serialise records without
+importing the transport.
 
 Two codec families:
 
-* JSON-able dicts (``encode_*``/``decode_*``) — the TCP wire format and
-  every durable artefact.
+* JSON-able dicts (``encode_*``/``decode_*``) — every durable artefact
+  and the payloads of the wire's JSON control envelope.
 * A binary form for :class:`EncryptedRecord`
-  (``encode_encrypted_into``/``decode_encrypted_from``) used by the
-  shared-memory runtime's batch frames: fixed-header fields unpacked
-  with ``struct.unpack_from`` straight off a ring-buffer
-  ``memoryview``, so decoding a batch performs exactly one copy per
-  record (the ciphertext into its own ``bytes``) and never materialises
-  the frame as an intermediate ``bytes`` object.
+  (``encode_encrypted_into``/``decode_encrypted_from``) — its one layout
+  on every batch frame, on sockets and in rings alike: a fixed header
+  read with ``struct.unpack_from`` straight off the buffer, so decoding
+  a batch makes exactly one copy per record (the ciphertext into its own
+  ``bytes``) and never an intermediate ``bytes`` of the frame.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ def decode_record(payload: dict) -> Record:
 
 
 # ---------------------------------------------------------------------------
-# Binary EncryptedRecord codec (shared-memory batch frames)
+# Binary EncryptedRecord codec (every batch frame)
 # ---------------------------------------------------------------------------
 
 # leaf (i32, -1 = None) | tag (i32, -1 = None) | pub (i32) | ct length (u32)

@@ -3,10 +3,10 @@
 Computing nodes, the checking node, the merger and the cloud run as
 separate OS *processes* — so parsing, encryption and checking escape the
 GIL — connected by single-producer/single-consumer ring buffers over
-``multiprocessing.shared_memory`` instead of sockets.  Batch frames are
-encoded once on the producer and decoded straight out of the ring's
-``memoryview`` on the consumer: no per-hop serialisation, no kernel
-round trips, no intermediate copies.
+``multiprocessing.shared_memory`` instead of sockets.  A slot holds the
+same frame TCP sends (:mod:`repro.runtime.wire`); what the ring adds is
+decoding it in place from the ring's ``memoryview`` and no kernel round
+trip.
 
 Public surface:
 

@@ -2,16 +2,16 @@
 
 One :class:`ShmChannel` per producer (the parent process or a worker),
 holding that producer's outbound rings keyed by destination.  ``send``
-encodes the message once (:func:`repro.runtime.shm.frames.encode_frame`)
-and appends it to the destination's ring; the consumer decodes straight
-out of the ring's memoryview — the encode-once/decode-in-place path that
-replaces the TCP runtime's per-hop serialisation.
+encodes the message once (:func:`repro.runtime.wire.encode_body`: the
+TCP frame without its length word, the ring slot having its own) and
+appends it to the destination's ring; the consumer runs
+:func:`~repro.runtime.wire.decode_message` on the ring's memoryview.
 """
 
 from __future__ import annotations
 
-from repro.runtime.shm.frames import encode_frame
 from repro.runtime.shm.ring import RingBuffer, RingClosed
+from repro.runtime.wire import encode_body
 
 
 class ShmChannel:
@@ -57,7 +57,7 @@ class ShmChannel:
         )
         try:
             return ring.put(
-                encode_frame(destination, message),
+                encode_body(destination, message),
                 timeout=self._timeout,
                 should_abort=should_abort,
             )

@@ -56,9 +56,9 @@ from repro.runtime.backoff import await_condition
 from repro.runtime.poller import FlushPoller, poll_interval
 from repro.runtime.roles import spec_from_config
 from repro.runtime.shm.channel import ShmChannel
-from repro.runtime.shm.frames import decode_frame
 from repro.runtime.shm.ring import RingBuffer, StatsBlock
 from repro.runtime.shm.workers import run_worker, stats_fields
+from repro.runtime.wire import decode_message
 from repro.telemetry.clock import WALL_CLOCK
 from repro.telemetry.exporters import mirror_shared_stats
 
@@ -351,7 +351,7 @@ class ShmFresqueCluster(FresqueSystem):
                 payload = ring.pop()
                 if payload is None:
                     return
-                _, message = decode_frame(memoryview(payload))
+                _, message = decode_message(payload)
                 self._handle_dispatcher(message)
 
     def _tick(self) -> None:
@@ -381,7 +381,7 @@ class ShmFresqueCluster(FresqueSystem):
         rings = self._node_rings[node_id]
         data_ring = rings["data"]
         backlog = [
-            decode_frame(memoryview(payload))[1]
+            decode_message(payload)[1]
             for payload in data_ring.drain_backlog()
         ]
         data_ring.mark_closed()

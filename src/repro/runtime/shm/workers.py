@@ -36,8 +36,8 @@ from repro.runtime.roles import (
     config_from_spec,
 )
 from repro.runtime.shm.channel import ShmChannel
-from repro.runtime.shm.frames import decode_frame, encode_frame
 from repro.runtime.shm.ring import RingBuffer, StatsBlock
+from repro.runtime.wire import decode_message
 from repro.telemetry.clock import WALL_CLOCK
 
 #: Per-worker counter namespace width for SimulatedCipher IV counters —
@@ -149,13 +149,13 @@ def _computing_node_loop(
         progressed = False
         frame = done.read()
         if frame is not None:
-            _, message = decode_frame(frame.view)
+            _, message = decode_message(frame.view)
             channel.send_all(handler(message))
             done.commit(frame)
             progressed = True
         frame = data.read()
         if frame is not None:
-            _, message = decode_frame(frame.view)
+            _, message = decode_message(frame.view)
             channel.send_all(handler(message))
             if node.waiting_for_done:
                 deferred.append(frame)
@@ -229,7 +229,7 @@ def _checking_loop(
                         break
                     time.sleep(0.0001)
                     continue
-                _, leftover = decode_frame(frame.view)
+                _, leftover = decode_message(frame.view)
                 channel.send_all(gate.feed(leftover))
                 old.commit(frame)
             in_rings.pop(key, None)
@@ -247,7 +247,7 @@ def _checking_loop(
         # Parent frames first: a RingAttach may rewire the cn ring set.
         frame = parent.read()
         if frame is not None:
-            _, message = decode_frame(frame.view)
+            _, message = decode_message(frame.view)
             if isinstance(message, RingAttach):
                 attach(message)
             else:
@@ -261,7 +261,7 @@ def _checking_loop(
             frame = ring.read()
             if frame is None:
                 continue
-            _, message = decode_frame(frame.view)
+            _, message = decode_message(frame.view)
             outbox = gate.feed(message)
             handled += 1
             flush_stats()
@@ -291,7 +291,7 @@ def _merger_loop(
     while True:
         frame = inbound.read()
         if frame is not None:
-            _, message = decode_frame(frame.view)
+            _, message = decode_message(frame.view)
             channel.send_all(handler(message))
             inbound.commit(frame)
             handled += 1
@@ -325,7 +325,7 @@ def _cloud_loop(role, spec, config, cipher, in_rings, channel, stats) -> None:
         frame = checking.read()
         if frame is None:
             return False
-        _, message = decode_frame(frame.view)
+        _, message = decode_message(frame.view)
         if isinstance(message, AnnouncePublication):
             announced.add(message.publication)
         handler(message)
@@ -371,7 +371,7 @@ def _cloud_loop(role, spec, config, cipher, in_rings, channel, stats) -> None:
             progressed = True
         frame = merger.read()
         if frame is not None:
-            _, message = decode_frame(frame.view)
+            _, message = decode_message(frame.view)
             # The checking node sends BufferFlush to the cloud *before*
             # AlSnapshot to the merger, so by the time a merged
             # publication surfaces here its flush is already in the

@@ -1,11 +1,17 @@
 """Wire encoding of the FRESQUE protocol messages.
 
-Serialises every message of :mod:`repro.core.messages` to length-prefixed
-JSON frames (ciphertexts base64-encoded, index trees as level-count
-arrays) so components can run in separate processes connected by real TCP
-sockets — the transport of the paper's 17-node cluster.
+The one module that knows what a routed ``(destination, message)`` pair
+of :mod:`repro.core.messages` looks like as bytes, on TCP sockets (the
+paper's 17-node cluster) and in the shared-memory rings alike::
 
-Frame layout: ``length (uint32, little endian) | utf-8 JSON``.
+    length (u32 LE) | kind (u8) | dest length (u8) | dest utf-8 | body
+
+A ring slot holds the frame without its length word, the ring having its
+own (:func:`encode_body`).  Kinds 1-5 — ``RawBatch``, ``PairBatch``,
+``ToCloudBatch``, ``BufferFlush``, ``CreditGrant``: what rides once per
+batch — are packed with ``struct`` and decoded in place: no JSON, no
+base64, one copy per ciphertext.  Kind 0 is a JSON ``{"type",
+"payload"}`` envelope for every other message (docs/PROTOCOL.md).
 """
 
 from __future__ import annotations
@@ -36,11 +42,13 @@ from repro.core.messages import (
 from repro.index.domain import AttributeDomain
 from repro.index.overflow import OverflowArray
 from repro.index.tree import IndexTree
-from repro.records.codec import (  # noqa: F401  (re-exported API)
+from repro.records.codec import (
     decode_encrypted,
+    decode_encrypted_from,
     decode_plan,
     decode_record,
     encode_encrypted,
+    encode_encrypted_into,
     encode_plan,
     encode_record,
 )
@@ -56,9 +64,9 @@ class WireError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Payload helpers (record/plan codecs live in repro.records.codec — a leaf
-# module — so the core pipeline and the durability journal can use them
-# without importing the transport; re-exported above for wire users)
+# Kind 0: JSON payloads (record/plan codecs live in repro.records.codec — a
+# leaf module — so the core pipeline and the durability journal can use
+# them without importing the transport)
 # ---------------------------------------------------------------------------
 
 
@@ -111,47 +119,11 @@ def _decode_overflow(payload: list) -> dict[int, OverflowArray]:
     }
 
 
-# ---------------------------------------------------------------------------
-# Message table
-# ---------------------------------------------------------------------------
-
+#: Message type -> JSON payload, for every message without a packed kind.
 _ENCODERS = {
     NewPublication: lambda m: {"pub": m.publication, "plan": encode_plan(m.plan)},
     TemplateMsg: lambda m: {"pub": m.publication, "plan": encode_plan(m.plan)},
     AnnouncePublication: lambda m: {"pub": m.publication},
-    RawBatch: lambda m: {
-        "pub": m.publication,
-        # Ordered, type-tagged items: ["l", line] or ["r", record] —
-        # order is the arrival order the randomer's mixing relies on.
-        "items": [
-            ["l", item] if isinstance(item, str) else ["r", encode_record(item)]
-            for item in m.items
-        ],
-        "seq": m.seq,
-        "ord": m.ordinal,
-        "epoch": m.epoch,
-    },
-    PairBatch: lambda m: {
-        "pub": m.publication,
-        "seq": m.seq,
-        "epoch": m.epoch,
-        "node": m.node,
-        "pairs": [
-            {
-                "leaf": pair.leaf_offset,
-                "enc": encode_encrypted(pair.encrypted),
-                "dummy": pair.dummy,
-            }
-            for pair in m.pairs
-        ],
-    },
-    ToCloudBatch: lambda m: {
-        "pub": m.publication,
-        "pairs": [
-            {"leaf": leaf, "enc": encode_encrypted(enc)}
-            for leaf, enc in m.pairs
-        ],
-    },
     RemovedRecord: lambda m: {
         "pub": m.publication,
         "leaf": m.leaf_offset,
@@ -163,7 +135,6 @@ _ENCODERS = {
         "epoch": m.epoch,
         "nodes": list(m.nodes),
     },
-    CreditGrant: lambda m: {"pub": m.publication, "records": m.records},
     CnPublishing: lambda m: {"pub": m.publication, "node": m.node_id},
     NodeDown: lambda m: {"pub": m.publication, "node": m.node_id},
     MembershipMsg: lambda m: {
@@ -179,13 +150,6 @@ _ENCODERS = {
         "out": m.outbound,
     },
     AlSnapshot: lambda m: {"pub": m.publication, "al": list(m.al)},
-    BufferFlush: lambda m: {
-        "pub": m.publication,
-        "pairs": [
-            {"leaf": leaf, "enc": encode_encrypted(enc)}
-            for leaf, enc in m.pairs
-        ],
-    },
     DoneMsg: lambda m: {"pub": m.publication},
     MergedPublication: lambda m: {
         "pub": m.publication,
@@ -198,38 +162,6 @@ _DECODERS = {
     "NewPublication": lambda p: NewPublication(p["pub"], decode_plan(p["plan"])),
     "TemplateMsg": lambda p: TemplateMsg(p["pub"], decode_plan(p["plan"])),
     "AnnouncePublication": lambda p: AnnouncePublication(p["pub"]),
-    "RawBatch": lambda p: RawBatch(
-        p["pub"],
-        tuple(
-            item if kind == "l" else decode_record(item)
-            for kind, item in p["items"]
-        ),
-        seq=p["seq"],
-        ordinal=p["ord"],
-        epoch=p["epoch"],
-    ),
-    "PairBatch": lambda p: PairBatch(
-        p["pub"],
-        tuple(
-            Pair(
-                p["pub"],
-                item["leaf"],
-                decode_encrypted(item["enc"]),
-                dummy=item["dummy"],
-            )
-            for item in p["pairs"]
-        ),
-        seq=p["seq"],
-        epoch=p["epoch"],
-        node=p["node"],
-    ),
-    "ToCloudBatch": lambda p: ToCloudBatch(
-        p["pub"],
-        tuple(
-            (item["leaf"], decode_encrypted(item["enc"]))
-            for item in p["pairs"]
-        ),
-    ),
     "RemovedRecord": lambda p: RemovedRecord(
         p["pub"], p["leaf"], decode_encrypted(p["enc"])
     ),
@@ -239,7 +171,6 @@ _DECODERS = {
         epoch=p["epoch"],
         nodes=tuple(p["nodes"]),
     ),
-    "CreditGrant": lambda p: CreditGrant(p["pub"], p["records"]),
     "CnPublishing": lambda p: CnPublishing(p["pub"], p["node"]),
     "NodeDown": lambda p: NodeDown(p["pub"], p["node"]),
     "MembershipMsg": lambda p: MembershipMsg(
@@ -251,13 +182,6 @@ _DECODERS = {
     ),
     "RingAttach": lambda p: RingAttach(p["node"], p["in"], p["out"]),
     "AlSnapshot": lambda p: AlSnapshot(p["pub"], tuple(p["al"])),
-    "BufferFlush": lambda p: BufferFlush(
-        p["pub"],
-        tuple(
-            (item["leaf"], decode_encrypted(item["enc"]))
-            for item in p["pairs"]
-        ),
-    ),
     "DoneMsg": lambda p: DoneMsg(p["pub"]),
     "MergedPublication": lambda p: MergedPublication(
         p["pub"], decode_tree(p["tree"]), _decode_overflow(p["overflow"])
@@ -265,32 +189,193 @@ _DECODERS = {
 }
 
 
+def _dump_json(value) -> bytes:
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
+def _load_json(view):
+    return json.loads(str(view, "utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# Bodies (little endian, unpadded).  Per kind, a packer appends the body to
+# ``out`` and an unpacker reads it at ``offset``: -> (message, end offset).
+# ---------------------------------------------------------------------------
+
+#: RawBatch: pub, seq, ordinal, epoch, item count.
+#: PairBatch: pub, seq, epoch, node, pair count.
+_BATCH_HEAD = struct.Struct("<qqqqI")
+_ITEM_HEAD = struct.Struct("<BI")  # 0 = line / 1 = JSON record, utf-8 length
+_PAIR_META = struct.Struct("<iB")  # leaf, dummy flag; the e-record follows
+_CLOUD_HEAD = struct.Struct("<qI")  # pub, pair count
+_LEAF = struct.Struct("<i")  # leaf; the e-record follows
+_CREDIT = struct.Struct("<qq")  # pub, granted record count
+
+
+def _pack_json(out: bytearray, message) -> None:
+    name = type(message).__name__
+    if type(message) not in _ENCODERS:
+        raise WireError(f"cannot encode {name}")
+    payload = _ENCODERS[type(message)](message)
+    out += _dump_json({"type": name, "payload": payload})
+
+
+def _unpack_json(_, view, offset: int):
+    envelope = _load_json(view[offset:])
+    return _DECODERS[envelope["type"]](envelope["payload"]), len(view)
+
+
+def _pack_raw_batch(out: bytearray, message: RawBatch) -> None:
+    out += _BATCH_HEAD.pack(
+        message.publication,
+        message.seq,
+        message.ordinal,
+        message.epoch,
+        len(message.items),
+    )
+    # Ordered, type-tagged items: order is the arrival order the
+    # randomer's mixing relies on.
+    for item in message.items:
+        if isinstance(item, str):
+            tag, text = 0, item.encode("utf-8")
+        else:
+            tag, text = 1, _dump_json(encode_record(item))
+        out += _ITEM_HEAD.pack(tag, len(text))
+        out += text
+
+
+def _unpack_raw_batch(message_type, view, offset: int):
+    publication, seq, ordinal, epoch, count = _BATCH_HEAD.unpack_from(
+        view, offset
+    )
+    offset += _BATCH_HEAD.size
+    items = []
+    for _ in range(count):
+        tag, length = _ITEM_HEAD.unpack_from(view, offset)
+        start = offset + _ITEM_HEAD.size
+        offset = start + length
+        # A slice cut short by the end of the frame leaves ``offset``
+        # past it, which decode_message's exact-consumption check rejects.
+        text = view[start:offset]
+        items.append(
+            str(text, "utf-8") if tag == 0 else decode_record(_load_json(text))
+        )
+    return message_type(
+        publication, tuple(items), seq=seq, ordinal=ordinal, epoch=epoch
+    ), offset
+
+
+def _pack_pair_batch(out: bytearray, message: PairBatch) -> None:
+    out += _BATCH_HEAD.pack(
+        message.publication,
+        message.seq,
+        message.epoch,
+        message.node,
+        len(message.pairs),
+    )
+    for pair in message.pairs:
+        out += _PAIR_META.pack(pair.leaf_offset, pair.dummy)
+        encode_encrypted_into(out, pair.encrypted)
+
+
+def _unpack_pair_batch(message_type, view, offset: int):
+    publication, seq, epoch, node, count = _BATCH_HEAD.unpack_from(
+        view, offset
+    )
+    offset += _BATCH_HEAD.size
+    pairs = []
+    for _ in range(count):
+        leaf, dummy = _PAIR_META.unpack_from(view, offset)
+        encrypted, offset = decode_encrypted_from(
+            view, offset + _PAIR_META.size
+        )
+        pairs.append(Pair(publication, leaf, encrypted, dummy=bool(dummy)))
+    return message_type(
+        publication, tuple(pairs), seq=seq, epoch=epoch, node=node
+    ), offset
+
+
+def _pack_cloud_pairs(out: bytearray, message) -> None:
+    out += _CLOUD_HEAD.pack(message.publication, len(message.pairs))
+    for leaf, encrypted in message.pairs:
+        out += _LEAF.pack(leaf)
+        encode_encrypted_into(out, encrypted)
+
+
+def _unpack_cloud_pairs(message_type, view, offset: int):
+    publication, count = _CLOUD_HEAD.unpack_from(view, offset)
+    offset += _CLOUD_HEAD.size
+    pairs = []
+    for _ in range(count):
+        (leaf,) = _LEAF.unpack_from(view, offset)
+        encrypted, offset = decode_encrypted_from(view, offset + _LEAF.size)
+        pairs.append((leaf, encrypted))
+    return message_type(publication, tuple(pairs)), offset
+
+
+def _pack_credit(out: bytearray, message: CreditGrant) -> None:
+    out += _CREDIT.pack(message.publication, message.records)
+
+
+def _unpack_credit(message_type, view, offset: int):
+    grant = message_type(*_CREDIT.unpack_from(view, offset))
+    return grant, offset + _CREDIT.size
+
+
+#: Kind -> (message type, packer, unpacker); every other type rides kind 0.
+_KINDS = (
+    (None, _pack_json, _unpack_json),
+    (RawBatch, _pack_raw_batch, _unpack_raw_batch),
+    (PairBatch, _pack_pair_batch, _unpack_pair_batch),
+    (ToCloudBatch, _pack_cloud_pairs, _unpack_cloud_pairs),
+    (BufferFlush, _pack_cloud_pairs, _unpack_cloud_pairs),
+    # Fixed-size: one grant rides per processed PairBatch (docs/BATCHING.md).
+    (CreditGrant, _pack_credit, _unpack_credit),
+)
+_KIND_OF = {entry[0]: kind for kind, entry in enumerate(_KINDS)}
+
+
+def encode_body(destination: str, message) -> bytearray:
+    """Serialise one routed message as ``kind | dest length | dest |
+    body`` — the frame without its length word, as a ring slot holds it."""
+    dest = destination.encode("utf-8")
+    if len(dest) > 255:
+        raise WireError(f"destination of {len(dest)} bytes exceeds 255")
+    kind = _KIND_OF.get(type(message), 0)
+    _, pack, _ = _KINDS[kind]
+    out = bytearray((kind, len(dest)))
+    out += dest
+    try:
+        pack(out, message)
+    except struct.error as exc:  # a field its layout cannot hold
+        raise WireError(f"cannot pack a kind-{kind} body: {exc}") from exc
+    return out
+
+
 def encode_message(destination: str, message) -> bytes:
-    """Serialise one routed message into a framed byte string."""
-    encoder = _ENCODERS.get(type(message))
-    if encoder is None:
-        raise WireError(f"cannot encode {type(message).__name__}")
-    body = json.dumps(
-        {
-            "to": destination,
-            "type": type(message).__name__,
-            "payload": encoder(message),
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
+    """Serialise one routed message into a length-prefixed frame."""
+    body = encode_body(destination, message)
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(body)} bytes exceeds the maximum")
     return _FRAME_HEADER.pack(len(body)) + body
 
 
-def decode_message(frame: bytes) -> tuple[str, object]:
-    """Inverse of :func:`encode_message` for one complete frame body."""
+def decode_message(body) -> tuple[str, object]:
+    """Inverse of :func:`encode_body` for one complete frame body —
+    ``bytes``, a ``bytearray`` or a ring's ``memoryview``, decoded in
+    place (no intermediate ``bytes`` of the frame).  The body must be
+    consumed exactly; whatever is wrong with it is a :class:`WireError`."""
+    view = memoryview(body)
     try:
-        envelope = json.loads(frame.decode("utf-8"))
-        decoder = _DECODERS[envelope["type"]]
-        return envelope["to"], decoder(envelope["payload"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise WireError(f"malformed frame: {exc}") from exc
+        offset = 2 + view[1]
+        destination = str(view[2:offset], "utf-8")
+        message_type, _, unpack = _KINDS[view[0]]
+        message, end = unpack(message_type, view, offset)
+        if end != len(view):
+            raise WireError(f"body ends at {end} of {len(view)} bytes")
+        return destination, message
+    except (LookupError, ValueError, TypeError, struct.error) as exc:
+        raise WireError(f"malformed frame: {exc!r}") from exc
 
 
 def read_frames(buffer: bytearray):

@@ -56,7 +56,7 @@ class TestRawBufWrites:
             def peek(shm):
                 return bytes(shm.buf[:8])
             """,
-            display_path="src/repro/runtime/shm/frames.py",
+            display_path="src/repro/runtime/shm/workers.py",
         )
         assert "FRQ-M901" not in codes_of(diagnostics)
 

@@ -27,7 +27,6 @@ from repro.runtime.poller import (
     FlushPoller,
     poll_interval,
 )
-from repro.runtime.shm.frames import decode_frame, encode_frame
 from repro.runtime.wire import decode_message, encode_message, read_frames
 from repro.telemetry.clock import SimulatedClock
 
@@ -155,13 +154,6 @@ class TestCreditGrantTransport:
         frame = bytearray(encode_message("dispatcher", grant))
         (body,) = read_frames(frame)
         destination, decoded = decode_message(body)
-        assert destination == "dispatcher"
-        assert decoded == grant
-
-    def test_shm_frame_round_trip(self):
-        grant = CreditGrant(publication=7, records=4096)
-        payload = encode_frame("dispatcher", grant)
-        destination, decoded = decode_frame(memoryview(bytes(payload)))
         assert destination == "dispatcher"
         assert decoded == grant
 

@@ -1,4 +1,6 @@
-"""Unit tests of the shared-memory SPSC ring and frame codec.
+"""Unit tests of the shared-memory SPSC ring.
+
+What a slot carries is the wire frame (tests/runtime/test_wire.py).
 
 Single-process tests: producer and consumer sides are exercised through
 two attachments to the same segment, which is exactly the cross-process
@@ -9,18 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.messages import (
-    DoneMsg,
-    NewPublication,
-    Pair,
-    PairBatch,
-    PublishingMsg,
-    RawBatch,
-    ToCloudBatch,
-)
-from repro.index.perturb import NoisePlan
-from repro.records.record import DUMMY_FLAG, EncryptedRecord, Record
-from repro.runtime.shm.frames import decode_frame, encode_frame
 from repro.runtime.shm.ring import (
     RingBuffer,
     RingClosed,
@@ -184,56 +174,3 @@ class TestStatsBlock:
         finally:
             block.detach()
             block.unlink()
-
-
-def _encrypted(leaf: int, publication: int, payload: bytes) -> EncryptedRecord:
-    return EncryptedRecord(
-        leaf_offset=leaf, ciphertext=payload, publication=publication
-    )
-
-
-class TestFrameCodec:
-    def _roundtrip(self, destination, message):
-        payload = encode_frame(destination, message)
-        got_dest, got = decode_frame(memoryview(bytes(payload)))
-        assert got_dest == destination
-        return got
-
-    def test_raw_batch_binary(self):
-        record = Record(values=(1.5, "x"), flag=DUMMY_FLAG)
-        message = RawBatch(3, ("a line", record, "another"), seq=7, ordinal=21)
-        got = self._roundtrip("cn-1", message)
-        assert got == message
-
-    def test_pair_batch_binary(self):
-        pairs = tuple(
-            Pair(2, leaf, _encrypted(leaf, 2, bytes([leaf]) * 9), dummy=bool(leaf % 2))
-            for leaf in range(4)
-        )
-        got = self._roundtrip("checking", PairBatch(2, pairs, seq=11))
-        assert got == PairBatch(2, pairs, seq=11)
-
-    def test_to_cloud_batch_binary(self):
-        pairs = tuple(
-            (leaf, _encrypted(leaf, 5, b"ct" * leaf)) for leaf in range(1, 4)
-        )
-        got = self._roundtrip("cloud", ToCloudBatch(5, pairs))
-        assert got == ToCloudBatch(5, pairs)
-
-    def test_json_fallback_messages(self):
-        plan = NoisePlan(
-            node_noise=((1, -1, 0), (2,)), epsilon=0.5, per_level_scale=4.0
-        )
-        for message in (
-            NewPublication(4, plan),
-            PublishingMsg(4, last_seq=9),
-            DoneMsg(4),
-        ):
-            assert self._roundtrip("checking", message) == message
-
-    def test_none_leaf_and_tag_survive(self):
-        record = EncryptedRecord(
-            leaf_offset=None, ciphertext=b"\x00\x01", publication=1
-        )
-        batch = ToCloudBatch(1, ((0, record),))
-        assert self._roundtrip("cloud", batch) == batch

@@ -1,5 +1,11 @@
-"""Wire-format tests: every protocol message round-trips."""
+"""Wire-format tests: every protocol message round-trips.
 
+One codec, one suite: the same frame rides TCP (``bytes`` bodies off
+``read_frames``) and the shm rings (a ``memoryview`` of the slot), so
+every case runs over both input types.
+"""
+
+import hashlib
 import json
 import random
 
@@ -12,7 +18,9 @@ from repro.core.messages import (
     AnnouncePublication,
     BufferFlush,
     CnPublishing,
+    CreditGrant,
     DoneMsg,
+    MembershipMsg,
     MergedPublication,
     NewPublication,
     NodeDown,
@@ -21,6 +29,7 @@ from repro.core.messages import (
     PublishingMsg,
     RawBatch,
     RemovedRecord,
+    RingAttach,
     TemplateMsg,
     ToCloudBatch,
 )
@@ -28,14 +37,22 @@ from repro.index.domain import AttributeDomain
 from repro.index.overflow import OverflowArray
 from repro.index.perturb import draw_noise_plan
 from repro.index.tree import IndexTree
-from repro.records.record import EncryptedRecord, Record
+from repro.records.record import DUMMY_FLAG, EncryptedRecord, Record
 from repro.runtime.wire import (
     WireError,
     decode_message,
     decode_tree,
+    encode_body,
     encode_message,
     encode_tree,
     read_frames,
+)
+
+
+#: sha256 over the concatenated un-prefixed bodies of ``PACKED``, computed
+#: at 247665e with the separate ring codec that commit still had.
+PINNED_PACKED_DIGEST = (
+    "60561103f653153812168b81aee1d608a19297a7c1a71d55c94e730f22f0e1bc"
 )
 
 
@@ -50,6 +67,12 @@ def _encrypted():
     )
 
 
+def _bare(leaf, publication, ciphertext):
+    return EncryptedRecord(
+        leaf_offset=leaf, ciphertext=ciphertext, publication=publication
+    )
+
+
 def _roundtrip(destination, message):
     frame = encode_message(destination, message)
     buffer = bytearray(frame)
@@ -58,61 +81,181 @@ def _roundtrip(destination, message):
     return decode_message(bodies[0])
 
 
-MESSAGES = [
-    ("checking", NewPublication(1, _plan())),
-    ("merger", TemplateMsg(1, _plan())),
-    ("cloud", AnnouncePublication(4)),
+#: id -> (destination, message).  The ids are the test ids.
+MESSAGES = {
+    "NewPublication-checking": ("checking", NewPublication(1, _plan())),
+    "TemplateMsg-merger": ("merger", TemplateMsg(1, _plan())),
+    "AnnouncePublication-cloud": ("cloud", AnnouncePublication(4)),
     # A single record is a batch of one, at every hop.
-    ("cn-0", RawBatch(0, ("a\tb\tc",), seq=4, ordinal=9, epoch=2)),
-    ("cn-1", RawBatch(0, (Record(("x", 1, 371, "none")),))),
-    ("checking", PairBatch(0, (Pair(0, 5, _encrypted(), dummy=True),))),
-    ("cloud", ToCloudBatch(0, ((5, _encrypted()),))),
-    ("merger", RemovedRecord(0, 5, _encrypted())),
-    ("cn-0", PublishingMsg(2)),
-    ("checking", CnPublishing(2, 1)),
-    ("checking", NodeDown(2, 1)),
-    ("merger", AlSnapshot(2, (1, 2, 3, 4))),
-    ("cloud", BufferFlush(2, ((0, _encrypted()), (1, _encrypted())))),
-    ("cn-2", DoneMsg(2)),
+    "RawBatch-cn-0_0": (
+        "cn-0",
+        RawBatch(0, ("a\tb\tc",), seq=4, ordinal=9, epoch=2),
+    ),
+    "RawBatch-cn-1_0": ("cn-1", RawBatch(0, (Record(("x", 1, 371, "none")),))),
+    "PairBatch-checking0": (
+        "checking",
+        PairBatch(0, (Pair(0, 5, _encrypted(), dummy=True),)),
+    ),
+    "ToCloudBatch-cloud0": ("cloud", ToCloudBatch(0, ((5, _encrypted()),))),
+    "RemovedRecord-merger": ("merger", RemovedRecord(0, 5, _encrypted())),
+    "PublishingMsg-cn-0": ("cn-0", PublishingMsg(2)),
+    "CnPublishing-checking": ("checking", CnPublishing(2, 1)),
+    "NodeDown-checking": ("checking", NodeDown(2, 1)),
+    "AlSnapshot-merger": ("merger", AlSnapshot(2, (1, 2, 3, 4))),
+    "BufferFlush-cloud": (
+        "cloud",
+        BufferFlush(2, ((0, _encrypted()), (1, _encrypted()))),
+    ),
+    "DoneMsg-cn-2": ("cn-2", DoneMsg(2)),
     # Batch frames (docs/BATCHING.md): one frame per batch on the wire.
-    ("cn-0", RawBatch(0, ("a\tb\tc", Record(("x", 1, 371, "none")), "d\te"))),
-    ("cn-1", RawBatch(3, ())),
-    (
+    "RawBatch-cn-0_1": (
+        "cn-0",
+        RawBatch(0, ("a\tb\tc", Record(("x", 1, 371, "none")), "d\te")),
+    ),
+    "RawBatch-cn-1_1": ("cn-1", RawBatch(3, ())),
+    "PairBatch-checking1": (
         "checking",
         PairBatch(
             1,
             (Pair(1, 5, _encrypted(), dummy=True), Pair(1, 2, _encrypted())),
         ),
     ),
-    ("cloud", ToCloudBatch(2, ((0, _encrypted()), (1, _encrypted())))),
-]
+    "ToCloudBatch-cloud1": (
+        "cloud",
+        ToCloudBatch(2, ((0, _encrypted()), (1, _encrypted()))),
+    ),
+    # The cases the ring's own codec suite used to hold.
+    "RawBatch-lines-and-dummy-record": (
+        "cn-1",
+        RawBatch(
+            3,
+            ("a line", Record(values=(1.5, "x"), flag=DUMMY_FLAG), "another"),
+            seq=7,
+            ordinal=21,
+        ),
+    ),
+    "PairBatch-four-pairs-alternating-dummy": (
+        "checking",
+        PairBatch(
+            2,
+            tuple(
+                Pair(
+                    2,
+                    leaf,
+                    _bare(leaf, 2, bytes([leaf]) * 9),
+                    dummy=bool(leaf % 2),
+                )
+                for leaf in range(4)
+            ),
+            seq=11,
+        ),
+    ),
+    "ToCloudBatch-ciphertext-lengths-differ": (
+        "cloud",
+        ToCloudBatch(
+            5, tuple((leaf, _bare(leaf, 5, b"ct" * leaf)) for leaf in (1, 2, 3))
+        ),
+    ),
+    "ToCloudBatch-none-leaf-and-tag": (
+        "cloud",
+        ToCloudBatch(1, ((0, _bare(None, 1, b"\x00\x01")),)),
+    ),
+    "BufferFlush-none-leaf-and-tag": (
+        "cloud",
+        BufferFlush(1, ((3, _bare(None, 1, b"\x00\x01")),)),
+    ),
+    "CreditGrant-dispatcher": ("dispatcher", CreditGrant(7, 4096)),
+    "PublishingMsg-stamped": (
+        "checking",
+        PublishingMsg(4, last_seq=9, epoch=1, nodes=(0, 2)),
+    ),
+    "MembershipMsg-cn-0": (
+        "cn-0",
+        MembershipMsg(
+            3, members=(0, 2), retired=(1,), down=(3,), joined=((2, 3),)
+        ),
+    ),
+    "RingAttach-checking": (
+        "checking",
+        RingAttach(2, "psm_pair_2", "psm_done_2"),
+    ),
+}
+
+#: The five messages with a packed layout (kinds 1-5); the rest ride the
+#: kind-0 JSON envelope.
+PACKED_TYPES = (RawBatch, PairBatch, ToCloudBatch, BufferFlush, CreditGrant)
+PACKED = {
+    name: case
+    for name, case in MESSAGES.items()
+    if isinstance(case[1], PACKED_TYPES)
+}
 
 
 @pytest.mark.parametrize(
-    ("destination", "message"),
-    MESSAGES,
-    ids=[type(m).__name__ + "-" + d for d, m in MESSAGES],
+    ("destination", "message"), MESSAGES.values(), ids=MESSAGES.keys()
 )
 def test_message_roundtrip(destination, message):
+    """The TCP path: a length-prefixed frame, its body as ``bytes``."""
     got_destination, got_message = _roundtrip(destination, message)
     assert got_destination == destination
     assert got_message == message
 
 
-def test_merged_publication_roundtrip():
+@pytest.mark.parametrize(
+    ("destination", "message"), MESSAGES.values(), ids=MESSAGES.keys()
+)
+def test_message_roundtrip_from_a_ring_view(destination, message):
+    """The ring path: the un-prefixed body, decoded in place from a
+    ``memoryview`` — and it is the TCP frame minus its length word."""
+    body = encode_body(destination, message)
+    assert encode_message(destination, message)[4:] == body
+    assert decode_message(memoryview(body)) == (destination, message)
+    assert decode_message(body) == (destination, message)  # a bytearray
+
+
+@pytest.mark.parametrize(
+    ("destination", "message"), PACKED.values(), ids=PACKED.keys()
+)
+def test_packed_body_is_consumed_exactly(destination, message):
+    """On a socket the peer is not our own code: every strict prefix of
+    a packed body, and the body plus one byte, is a ``WireError`` — never
+    a batch with its last line silently shortened."""
+    body = bytes(encode_body(destination, message))
+    for cut in range(len(body)):
+        for damaged in (body[:cut], memoryview(body)[:cut]):
+            with pytest.raises(WireError):
+                decode_message(damaged)
+    with pytest.raises(WireError):
+        decode_message(body + b"\x00")
+
+
+def test_packed_layout_pinned():
+    """The ring bytes did not move: the digest was computed at 247665e,
+    over these messages, with the ring's own encoder of that commit."""
+    digest = hashlib.sha256()
+    for destination, message in PACKED.values():
+        digest.update(encode_body(destination, message))
+    assert digest.hexdigest() == PINNED_PACKED_DIGEST
+
+
+def merged_publication():
+    """A ``MergedPublication`` (which has no ``==``) for round trips."""
     domain = AttributeDomain(0, 40, 10)
     tree = IndexTree(domain, fanout=4)
     tree.set_leaf_counts([3, -1, 5, 2])
     array = OverflowArray(1, capacity=2)
     array.add_removed(_encrypted())
     array.seal(lambda: _encrypted(), rng=random.Random(1))
-    destination, message = _roundtrip(
-        "cloud", MergedPublication(7, tree, {1: array})
-    )
+    return MergedPublication(7, tree, {1: array})
+
+
+def test_merged_publication_roundtrip():
+    sent = merged_publication()
+    destination, message = _roundtrip("cloud", sent)
     assert destination == "cloud"
     assert message.publication == 7
     assert [leaf.count for leaf in message.tree.leaves] == [3, -1, 5, 2]
-    assert message.tree.root.count == tree.root.count
+    assert message.tree.root.count == sent.tree.root.count
     assert message.overflow[1].capacity == 2
     assert len(message.overflow[1].entries) == 2
 
@@ -167,21 +310,47 @@ class TestFraming:
     @pytest.mark.parametrize(
         ("message", "stamp"),
         [
-            (RawBatch(0, ("a",), seq=1, ordinal=1, epoch=0), "seq"),
-            (RawBatch(0, ("a",), seq=1, ordinal=1, epoch=0), "ord"),
-            (PairBatch(0, (), seq=1, epoch=0, node=2), "node"),
+            (PublishingMsg(0, last_seq=3, epoch=1, nodes=(0,)), "epoch"),
+            (MembershipMsg(2, members=(0, 1)), "epoch"),
+            (MembershipMsg(2, members=(0, 1)), "joined"),
             (PublishingMsg(0, last_seq=3, epoch=1, nodes=(0,)), "last"),
             (PublishingMsg(0, last_seq=3, epoch=1, nodes=(0,)), "nodes"),
         ],
     )
     def test_frame_missing_a_stamp_rejected(self, message, stamp):
-        """Every peer stamps its frames; one without is malformed, not
-        an unstamped message."""
-        (body,) = read_frames(bytearray(encode_message("cn-0", message)))
-        envelope = json.loads(body)
+        """Every peer stamps its frames; a JSON envelope without one is
+        malformed, not an unstamped message.  (A packed head is
+        positional and cannot lack a stamp: see
+        ``test_packed_body_is_consumed_exactly``.)"""
+        body = bytes(encode_body("cn-0", message))
+        cut = 2 + len("cn-0")  # kind, destination length, destination
+        head, envelope = body[:cut], json.loads(body[cut:])
+        assert decode_message(head + json.dumps(envelope).encode()) == (
+            "cn-0",
+            message,
+        )
         del envelope["payload"][stamp]
         with pytest.raises(WireError):
-            decode_message(json.dumps(envelope).encode())
+            decode_message(head + json.dumps(envelope).encode())
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"", b"\x00", b"\x09\x00", b"\x00\x01\xff{}"],
+        ids=["empty", "cut", "unknown-kind", "destination-not-utf-8"],
+    )
+    def test_damaged_head_rejected(self, body):
+        with pytest.raises(WireError):
+            decode_message(memoryview(body))
+
+    def test_unknown_json_type_rejected(self):
+        with pytest.raises(WireError):
+            decode_message(b'\x00\x01c{"type":"Nope","payload":{}}')
+
+    def test_unrepresentable_message_rejected(self):
+        with pytest.raises(WireError):
+            encode_message("x" * 256, DoneMsg(1))
+        with pytest.raises(WireError):  # a leaf that is no int32
+            encode_message("cloud", ToCloudBatch(0, ((1 << 40, _encrypted()),)))
 
 
 @settings(max_examples=40)

@@ -111,62 +111,13 @@ def emit_series(
     before; the same rows are also written to ``benchmarks/out/
     BENCH_<id>.json`` through the telemetry JSON exporter so the perf
     trajectory can be diffed across runs without re-parsing tables.
-    Every artifact is read back through the benchmark fabric's loader
-    before this returns — an artifact the trend engine cannot parse is
-    a bug at emit time, not at compare time.
     """
-    from repro.benchfab.scorecard import extract_points, load_bench_artifact
-
     emit(figure_id, format_series(title, header, rows))
     _OUT_DIR.mkdir(exist_ok=True)
-    path = write_bench_json(
+    write_bench_json(
         _OUT_DIR / f"BENCH_{figure_id}.json",
         figure_id,
         {"title": title, "header": list(header), "rows": [list(r) for r in rows]},
-    )
-    extract_points(load_bench_artifact(path))
-
-
-def run_fabric(benchmark, bench: str, *, only=(), data_root=None) -> None:
-    """The one entrypoint every fabric-ported bench script calls.
-
-    Runs the named fabric bench under the pytest-benchmark fixture
-    (``rounds=1``, like every script before the port), emits the
-    unified scorecard artifact plus a human text table into
-    ``benchmarks/out/``, prints the rule report, and fails the test if
-    any tolerance rule failed.  The trajectory is *not* appended here —
-    local pytest runs must not dirty ``benchmarks/trajectory/``; the CI
-    smoke job appends explicitly.
-    """
-    from repro.benchfab.scenarios import run_bench
-
-    def _run():
-        return run_bench(
-            bench, out_dir=_OUT_DIR, only=only, data_root=data_root
-        )
-
-    path, comparison = benchmark.pedantic(_run, rounds=1, iterations=1)
-    artifact = comparison.artifact
-    metric_names = sorted(
-        {
-            name
-            for card in artifact.scorecards()
-            for name in card.metrics
-        }
-    )
-    rows = [
-        [card.scenario]
-        + [
-            f"{card.metrics[name]:.4g}" if name in card.metrics else "-"
-            for name in metric_names
-        ]
-        for card in artifact.scorecards()
-    ]
-    emit(bench, format_series(artifact.data["title"], ["scenario"] + metric_names, rows))
-    print()
-    print(comparison.report())
-    assert not comparison.failed, (
-        f"{bench}: tolerance rules failed\n{comparison.report()}"
     )
 
 

@@ -8,8 +8,9 @@ expands an axes product into scenarios, the
 builders, and every run emits the one unified scorecard schema
 (:mod:`~repro.benchfab.scorecard`) into ``benchmarks/out/BENCH_*.json``.
 Gates are declarative tolerance rules (:mod:`~repro.benchfab.rules`)
-evaluated by the trend engine (:mod:`~repro.benchfab.trend`), which also
-compares fresh results against the stored trajectory of any BENCH file.
+embedded in every artifact and evaluated by the trend engine
+(:mod:`~repro.benchfab.trend`), which also compares fresh results
+against the stored trajectory of the same bench.
 
 ``python -m repro.benchfab`` exposes ``run``, ``compare`` and ``list``
 (see :mod:`~repro.benchfab.cli`); docs/BENCHMARKS.md is the manual.

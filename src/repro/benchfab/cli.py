@@ -4,11 +4,9 @@
   scenarios), writes the unified scorecard artifact, appends it to the
   trajectory, prints the scorecard report, and exits non-zero when a
   tolerance rule fails.
-* ``compare <artifact-or-bench>`` evaluates an existing ``BENCH_*.json``
-  — fabric or legacy — against its rules and the stored trajectory.
-  This is the trend-regression gate CI runs, and the command that
-  retroactively flags the batch-256 cliff in the stored
-  ``BENCH_batching.json``.
+* ``compare <artifact-or-bench>`` evaluates an existing fabric
+  ``BENCH_*.json`` against the rules it embeds and the stored
+  trajectory.  This is the trend-regression gate CI runs.
 * ``list`` prints the bench registry (``--scenarios`` expands each
   matrix so the conformance/CI tiers are inspectable as data).
 """

@@ -13,7 +13,6 @@ kind                      meaning
 ``max-value``             agg(selected metric) <= ``threshold``
 ``min-ratio``             agg(selected) / agg(baseline) >= ``threshold``
 ``max-ratio``             agg(selected) / agg(baseline) <= ``threshold``
-``within-frac-of-best``   every selected point >= (1 - frac) * series best
 ``monotone``              ordered by ``order_by``: each next point >=
                           (1 - frac) * previous
 ``fingerprint-match``     every selected scorecard fingerprint equals the
@@ -43,20 +42,16 @@ KINDS = (
     "max-value",
     "min-ratio",
     "max-ratio",
-    "within-frac-of-best",
     "monotone",
     "fingerprint-match",
     "trajectory-within",
 )
 
 _AGGREGATES = {
-    "first": lambda values: values[0],
     "last": lambda values: values[-1],
     "min": min,
     "max": max,
-    "best": max,
     "median": statistics.median,
-    "mean": lambda values: sum(values) / len(values),
 }
 
 
@@ -253,37 +248,6 @@ def _evaluate_bounds(rule: Rule, points: Sequence[Point]) -> Verdict:
     return _fail(rule, detail.replace(sign, f"violates {sign}"), selected)
 
 
-def _evaluate_within_best(rule: Rule, points: Sequence[Point]) -> Verdict:
-    selected = _selected(points, rule, rule.select)
-    if len(selected) < 2:
-        return _skip(rule, f"fewer than two points carry {rule.metric!r}")
-    values = _values(selected, rule.metric)
-    best = max(values)
-    best_point = selected[values.index(best)]
-    floor = (1.0 - rule.frac) * best
-    offenders = [
-        point for point in selected if point.metrics[rule.metric] < floor
-    ]
-    if not offenders:
-        return Verdict(
-            rule,
-            "pass",
-            f"all {len(selected)} points within {rule.frac:.0%} of best "
-            f"{rule.metric} {_fmt(best)} ({best_point.label()})",
-        )
-    drops = "; ".join(
-        f"{point.label()} {rule.metric}={_fmt(point.metrics[rule.metric])} is "
-        f"{1.0 - point.metrics[rule.metric] / best:.1%} below best"
-        for point in offenders
-    )
-    return _fail(
-        rule,
-        f"best {rule.metric} {_fmt(best)} at {best_point.label()} "
-        f"(tolerance {rule.frac:.0%}): {drops}",
-        offenders,
-    )
-
-
 def _evaluate_monotone(rule: Rule, points: Sequence[Point]) -> Verdict:
     if not rule.order_by:
         return _fail(rule, "monotone rule needs order_by")
@@ -419,8 +383,6 @@ def evaluate_rules(
             continue
         if rule.kind in ("min-value", "max-value", "min-ratio", "max-ratio"):
             verdicts.append(_evaluate_bounds(rule, points))
-        elif rule.kind == "within-frac-of-best":
-            verdicts.append(_evaluate_within_best(rule, points))
         elif rule.kind == "monotone":
             verdicts.append(_evaluate_monotone(rule, points))
         elif rule.kind == "fingerprint-match":

@@ -1,8 +1,7 @@
 """Executes declarative scenarios against the real system builders.
 
-The runner owns every drive loop the seven hand-rolled bench scripts
-used to copy around; scenarios own every knob.  One entry point —
-:func:`run_scenario` — dispatches on ``scenario.workload``:
+The runner owns every drive loop; scenarios own every knob.  One entry
+point — :func:`run_scenario` — dispatches on ``scenario.workload``:
 
 * ``ingest`` — ingest-only records/s (sync or durable collector);
 * ``publication`` — full-publication records/s on any runtime, with
@@ -11,8 +10,6 @@ used to copy around; scenarios own every knob.  One entry point —
   burst throughput + simulated-clock trickle flush latency;
 * ``churn`` — per-publication throughput across a scripted
   crash/admit/rejoin/retire sequence on the threaded runtime;
-* ``recovery`` — durable crash drill: journal replay + recovery time;
-* ``overhead`` — paired journal-on/off CPU rounds (median ratio);
 * ``conformance`` — run the stream, return only the cloud-state
   fingerprint (the cross-runtime byte-identity matrix).
 
@@ -60,7 +57,7 @@ def _register_fault_plans() -> None:
                 "checking", at_frames=(50, 150)
             ),
             # The 1ms delay paces the driver against cn-1's worker so
-            # the crash lands mid-stream (see bench_fault_recovery).
+            # the crash lands mid-stream.
             "crash-cn1": lambda: FaultPlan(seed=5)
             .crash_node("cn-1", after_handled=30)
             .delay_frames("cn-1", 0.001, probability=1.0),
@@ -165,10 +162,9 @@ def _scorecard(
     )
 
 
-def _data_dir(scenario: Scenario, data_root, tag: str = "") -> pathlib.Path:
-    root = pathlib.Path(data_root)
+def _data_dir(scenario: Scenario, data_root) -> pathlib.Path:
     safe = scenario.name.replace("/", "_").replace("=", "-")
-    path = root / (f"{safe}-{tag}" if tag else safe)
+    path = pathlib.Path(data_root) / safe
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -398,8 +394,8 @@ class _SimLoop:
 
 
 def _run_burst_trickle(scenario, data_root, telemetry) -> Scorecard:
-    """The adaptive-batching duty cycle (see bench_adaptive_batching):
-    wall-clock burst throughput, simulated-clock trickle latency."""
+    """The adaptive-batching duty cycle: wall-clock burst throughput,
+    simulated-clock trickle latency."""
     del telemetry  # this workload needs the simulated clock below
     from repro.core.system import FresqueSystem
 
@@ -470,7 +466,7 @@ def _run_churn(scenario, data_root, telemetry) -> list[Scorecard]:
     """Throughput trajectory across a scripted membership-churn event.
 
     Emits one card per publication (``phase`` in the key) plus a
-    summary card — the fabric form of bench_membership_churn.
+    summary card.
     """
     del data_root
     from repro.telemetry.clock import WALL_CLOCK
@@ -594,107 +590,6 @@ def _run_churn(scenario, data_root, telemetry) -> list[Scorecard]:
     return cards + [summary]
 
 
-def _run_recovery(scenario, data_root, telemetry) -> Scorecard:
-    """Durable crash drill: crash mid-interval, time the recovery."""
-    del telemetry
-    from repro.durability.recovery import RecoveryManager
-    from repro.durability.system import CollectorCrash, DurableFresqueSystem
-    from repro.runtime.faults import FaultPlan
-
-    crash_after = int(scenario.param("crash_after", scenario.records // 2))
-    config = build_config(scenario)
-    root = _data_dir(scenario, data_root, "drill")
-    plan = FaultPlan(seed=5).crash_collector(after_records=crash_after)
-    system = DurableFresqueSystem(
-        config,
-        _cipher(scenario),
-        root,
-        seed=scenario.seed,
-        fault_plan=plan,
-        checkpoint_every=scenario.checkpoint_every,
-        sync_every=scenario.sync_every,
-    )
-    system.start()
-    lines = dataset(scenario.dataset).lines(
-        scenario.stream_seed, scenario.records
-    )[0]
-    try:
-        for line in lines:
-            system.ingest(line)
-    except CollectorCrash:
-        pass
-    started = time.perf_counter()
-    _, report = RecoveryManager(
-        config,
-        _cipher(scenario),
-        root,
-        cloud=system.cloud,
-        seed=scenario.seed + 101,
-        checkpoint_every=scenario.checkpoint_every,
-    ).recover()
-    seconds = time.perf_counter() - started
-    # checkpoint_every=0 is the field default and would be elided from
-    # the key; the contrast rules select on it, so pin it explicitly.
-    key = {**scenario.axes(), "checkpoint_every": scenario.checkpoint_every}
-    return Scorecard(
-        scenario=scenario.name,
-        key=key,
-        metrics={
-            "recovery_s": seconds,
-            "replayed_raw": float(report.replayed_raw),
-            "checkpoint_used": 1.0 if report.checkpoint_used else 0.0,
-            "crash_after": float(crash_after),
-        },
-    )
-
-
-def _run_overhead(scenario, data_root, telemetry) -> Scorecard:
-    """Journal-on vs journal-off ingestion cost, median CPU-time ratio
-    of paired rounds (see bench_durability for why CPU, why median)."""
-    del telemetry
-    from repro.core.system import FresqueSystem
-    from repro.durability.system import DurableFresqueSystem
-
-    rounds = int(scenario.param("rounds", 7))
-    config = build_config(scenario)
-    lines = dataset(scenario.dataset).lines(
-        scenario.stream_seed, scenario.records
-    )[0]
-
-    def ingest_cpu(system) -> float:
-        system.start()
-        total = max(1, len(lines))
-        cpu = time.process_time()
-        for position, line in enumerate(lines):
-            system.pump_dummies((position + 1) / (total + 1))
-            system.ingest(line)
-        return time.process_time() - cpu
-
-    ratios = []
-    for index in range(rounds):
-        base = ingest_cpu(
-            FresqueSystem(config, _cipher(scenario), seed=scenario.seed)
-        )
-        durable = ingest_cpu(
-            DurableFresqueSystem(
-                config,
-                _cipher(scenario),
-                _data_dir(scenario, data_root, f"round{index}"),
-                seed=scenario.seed,
-                checkpoint_every=0,
-            )
-        )
-        ratios.append(durable / base if base > 0 else 1.0)
-    return _scorecard(
-        scenario,
-        {
-            "cpu_overhead_frac": statistics.median(ratios) - 1.0,
-            "rounds": float(rounds),
-            "records_total": float(len(lines)),
-        },
-    )
-
-
 def _run_conformance(scenario, data_root, telemetry) -> Scorecard:
     """Run the stream; report only the cloud-state fingerprint."""
     source = dataset(scenario.dataset)
@@ -725,8 +620,6 @@ _WORKLOADS = {
     "publication": _run_publication,
     "burst-trickle": _run_burst_trickle,
     "churn": _run_churn,
-    "recovery": _run_recovery,
-    "overhead": _run_overhead,
     "conformance": _run_conformance,
 }
 

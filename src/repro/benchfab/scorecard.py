@@ -1,25 +1,23 @@
 """The unified scorecard schema and the BENCH_*.json loader.
 
-One schema for every benchmark: a :class:`Scorecard` is the measured
-outcome of one scenario (throughput, p50/p99 ingest-to-publish latency,
-recovery time, CPU overhead, cloud-state fingerprint, plus free-form
-counters pulled from the telemetry registry).  A run writes its cards —
-with the scenario records and tolerance rules embedded — through the
-telemetry exporter's stable ``BENCH_*.json`` envelope.
-
-The loader reads *every* artifact this repository has ever emitted:
-new scorecard files and all the legacy layouts (series tables,
-durability dicts, churn series, micro-op means, fault-recovery runs)
-normalise into one list of :class:`Point` records the rule engine
-evaluates.  Legacy artifacts stay readable forever; the round-trip test
-(`tests/benchfab/test_scorecard.py`) pins that.
+One schema for every fabric benchmark: a :class:`Scorecard` is the
+measured outcome of one scenario (throughput, p50/p99 ingest-to-publish
+latency, cloud-state fingerprint, plus free-form counters pulled from
+the telemetry registry).  A run writes its cards — with the scenario
+records, the tolerance rules and the tree and host that produced them
+embedded — through the telemetry exporter's stable ``BENCH_*.json``
+envelope, and the loader reads exactly that document back into the
+:class:`Point` records the rule engine evaluates.  There is no other
+layout: the paper-figure scripts' ``BENCH_fig*.json`` tables are their
+own and are not fabric input.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
-import re
+import subprocess
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -34,8 +32,6 @@ METRIC_NAMES = (
     "throughput_rps",
     "p50_latency_s",
     "p99_latency_s",
-    "recovery_s",
-    "cpu_overhead_frac",
 )
 
 
@@ -121,15 +117,8 @@ class BenchArtifact:
     data: dict[str, Any]
     path: pathlib.Path | None = None
 
-    @property
-    def is_scorecard(self) -> bool:
-        return "scorecards" in self.data
-
     def scorecards(self) -> list[Scorecard]:
-        return [
-            Scorecard.from_dict(card)
-            for card in self.data.get("scorecards", [])
-        ]
+        return [Scorecard.from_dict(card) for card in self.data["scorecards"]]
 
     def scenarios(self) -> list[dict[str, Any]]:
         return list(self.data.get("scenarios", []))
@@ -166,6 +155,10 @@ def load_bench_artifact(source) -> BenchArtifact:
             f"{path or 'artifact'}: format {payload['format']} is newer than "
             f"this loader ({FORMAT_VERSION})"
         )
+    if "scorecards" not in payload["data"]:
+        raise ScorecardError(
+            f"{path or 'artifact'}: not a fabric scorecard (no 'scorecards')"
+        )
     artifact = BenchArtifact(
         bench=str(payload["bench"]),
         format=int(payload["format"]),
@@ -173,72 +166,16 @@ def load_bench_artifact(source) -> BenchArtifact:
         data=payload["data"],
         path=path,
     )
-    if artifact.is_scorecard:
-        artifact.scorecards()  # validates every card
+    artifact.scorecards()  # validates every card
     return artifact
 
 
-_NUMBER = re.compile(
-    r"^\s*([+-]?\d+(?:\.\d+)?)\s*(k|m|ms|us|µs|s|x|%)?\s*$", re.IGNORECASE
-)
+def extract_points(artifact: BenchArtifact) -> list[Point]:
+    """One evaluable point per scorecard.
 
-#: Unit suffix → multiplier into the base unit (records, seconds, ratio).
-_UNIT_SCALE = {
-    None: 1.0,
-    "k": 1e3,
-    "m": 1e6,
-    "ms": 1e-3,
-    "us": 1e-6,
-    "µs": 1e-6,
-    "s": 1.0,
-    "x": 1.0,
-    "%": 1e-2,
-}
-
-
-def coerce_number(value: Any) -> float | None:
-    """Parse the repo's human series cells back into base-unit floats.
-
-    ``49.7k`` → 49700.0, ``210.0 ms`` → 0.21, ``4.58x`` → 4.58,
-    ``36104`` → 36104.0; non-numeric cells return ``None``.
+    Counters are evaluable too (rules gate on reroutes and epochs);
+    metrics win on a name collision.
     """
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    if not isinstance(value, str):
-        return None
-    match = _NUMBER.match(value)
-    if not match:
-        return None
-    magnitude, unit = match.groups()
-    return float(magnitude) * _UNIT_SCALE[unit.lower() if unit else None]
-
-
-def _table_points(data: Mapping[str, Any]) -> list[Point]:
-    """Legacy ``emit_series`` layout: title/header/rows."""
-    header = [str(column) for column in data["header"]]
-    points = []
-    for row in data["rows"]:
-        key: list[tuple[str, Any]] = []
-        metrics: dict[str, float] = {}
-        for column, cell in zip(header, row):
-            number = coerce_number(cell)
-            if number is None:
-                key.append((column, cell))
-            else:
-                metrics[column] = number
-        if header and header[0] not in dict(key):
-            # The leading column is the axis even when numeric (batch,
-            # workers); keep it in the key as well as the metrics.
-            key.insert(0, (header[0], row[0]))
-        points.append(Point(tuple(key), metrics))
-    return points
-
-
-def _scorecard_points(artifact: BenchArtifact) -> list[Point]:
-    # Counters are evaluable too (rules gate on reroutes/reconnects);
-    # metrics win on a name collision.
     return [
         Point(
             tuple(sorted(card.key.items())),
@@ -249,86 +186,35 @@ def _scorecard_points(artifact: BenchArtifact) -> list[Point]:
     ]
 
 
-def _dict_series_points(name: str, rows: list, axis: str = "") -> list[Point]:
-    """A list of flat dicts (churn series, recovery drills): numeric
-    values become metrics, the rest key, plus a positional index."""
-    points = []
-    for index, row in enumerate(rows):
-        key: list[tuple[str, Any]] = [("index", index)]
-        metrics: dict[str, float] = {}
-        for column, cell in row.items():
-            number = coerce_number(cell)
-            if number is not None and not isinstance(cell, str):
-                metrics[column] = number
-            else:
-                key.append((column, cell))
-        points.append(Point(tuple(key), metrics, scenario=f"{name}[{index}]"))
-    return points
-
-
-def _scalar_points(name: str, data: Mapping[str, Any]) -> list[Point]:
-    """Flat numeric leaves of a legacy free-form dict, as one point."""
-    metrics = {}
-    for column, cell in data.items():
-        number = coerce_number(cell)
-        if number is not None and not isinstance(cell, str):
-            metrics[column] = number
-    if not metrics:
-        return []
-    return [Point((("section", name),), metrics, scenario=name)]
-
-
-def extract_points(artifact: BenchArtifact) -> list[Point]:
-    """Normalise any artifact — new or legacy — into evaluable points.
-
-    Every layout the repo has ever written is covered:
-
-    * scorecard artifacts (one point per card);
-    * ``emit_series`` tables (title/header/rows, human cells coerced);
-    * lists of flat dicts (churn ``series``, durability ``recovery``);
-    * nested run dicts (fault-recovery) and flat scalar dicts.
-    """
-    data = artifact.data
-    if artifact.is_scorecard:
-        return _scorecard_points(artifact)
-    if "header" in data and "rows" in data:
-        return _table_points(data)
-    points: list[Point] = []
-    for name, value in data.items():
-        if (
-            isinstance(value, list)
-            and value
-            and all(isinstance(row, Mapping) for row in value)
-        ):
-            for point in _dict_series_points(name, value):
-                points.append(
-                    Point(
-                        (("series", name),) + point.key,
-                        point.metrics,
-                        scenario=point.scenario,
-                    )
-                )
-        elif isinstance(value, Mapping):
-            if all(coerce_number(v) is not None for v in value.values()) and value:
-                # A pure name→number map (micro-op means): one point
-                # per entry, keyed by the entry name.
-                for entry, cell in value.items():
-                    points.append(
-                        Point(
-                            ((name, entry),),
-                            {name: float(coerce_number(cell))},
-                            scenario=f"{name}/{entry}",
-                        )
-                    )
-            else:
-                points.extend(_scalar_points(name, value))
-    points.extend(_scalar_points("summary", data))
-    return points
-
-
 # ---------------------------------------------------------------------------
 # Writing
 # ---------------------------------------------------------------------------
+
+
+def _git(*args: str) -> str | None:
+    """Output of one git query on the tree this module was loaded from."""
+    try:
+        return subprocess.run(
+            ["git", *args],
+            cwd=pathlib.Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def _environment() -> dict[str, Any]:
+    """Which tree and host produced a run: the commit it saw, whether
+    the working tree had uncommitted changes, and the CPU count."""
+    status = _git("status", "--porcelain")
+    return {
+        "commit": _git("rev-parse", "--short", "HEAD") or "unknown",
+        "dirty": bool(status) if status is not None else None,
+        "nproc": os.cpu_count(),
+    }
 
 
 def write_scorecards(
@@ -344,12 +230,14 @@ def write_scorecards(
 
     Rides the telemetry exporter's stable envelope so every existing
     BENCH consumer (CI artifact upload, trajectory diffing) keeps
-    working; the scenario records and the tolerance rules that gate the
-    run are embedded so the artifact is self-describing.
+    working; the scenario records, the tolerance rules that gate the
+    run and the tree and host it ran on are embedded so the artifact is
+    self-describing.
     """
     data = {
         "title": title or bench,
         "scorecard": SCORECARD_VERSION,
+        "environment": _environment(),
         "scenarios": [dict(scenario) for scenario in (scenarios or [])],
         "scorecards": [card.to_dict() for card in cards],
         "rules": [dict(rule) for rule in (rules or [])],

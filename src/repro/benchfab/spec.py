@@ -32,8 +32,6 @@ WORKLOADS = (
     "publication",
     "burst-trickle",
     "churn",
-    "recovery",
-    "overhead",
     "conformance",
 )
 

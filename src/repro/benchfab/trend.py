@@ -1,17 +1,12 @@
-"""The trend engine: trajectories, default rule sets, comparison.
+"""The trend engine: trajectories and comparison.
 
-``compare_artifact`` loads any ``BENCH_*.json`` — fabric scorecards or
-legacy layouts — normalises it into points, picks the tolerance rules
-(explicit > embedded in the artifact > the per-bench registry below),
-optionally loads the stored trajectory of prior runs, and returns the
-verdicts plus the readable scorecard diff.
-
-The registry encodes the repo's standing trend expectations as data.
-The flagship entry is the batching cliff: *durable throughput within
-10% of best prior* over the batch axis retroactively flags the
-batch-256 regression (49.7k vs 67.3k rec/s) that sat unnoticed in
-``BENCH_batching.json`` until a human read the JSON —
-``tests/benchfab/test_trend.py`` pins that forever.
+``compare_artifact`` loads a fabric ``BENCH_*.json``, normalises its
+scorecards into points, takes the tolerance rules the artifact embeds
+(or the explicit ``rules`` override), optionally loads the stored
+trajectory of prior runs, and returns the verdicts plus the readable
+scorecard diff.  The rules live in one place — each bench's
+:class:`~repro.benchfab.scenarios.BenchSpec` — and travel inside every
+artifact that bench writes.
 
 A :class:`TrajectoryStore` is a directory of ``<bench>.jsonl`` files,
 one envelope per line, append-only: ``benchfab run`` appends each
@@ -42,105 +37,6 @@ from repro.benchfab.scorecard import (
 
 #: Default trajectory directory, next to ``benchmarks/out``.
 DEFAULT_TRAJECTORY_DIR = "benchmarks/trajectory"
-
-
-#: Standing trend expectations per bench family.  These apply to the
-#: *stored* artifacts too — they are how the fabric retroactively
-#: catches regressions the bespoke gates never looked for.
-TREND_RULES: dict[str, tuple[Rule, ...]] = {
-    "batching": (
-        Rule(
-            id="durable-no-batch-cliff",
-            kind="monotone",
-            metric="durable",
-            order_by="batch",
-            frac=0.10,
-            note=(
-                "the batch-256 durable-throughput cliff (49.7k vs 67.3k "
-                "rec/s) sat unnoticed in BENCH_batching.json until a human "
-                "read the JSON; this rule flags it from the stored data "
-                "(monotone-with-tolerance, so the expected slow batch-1 "
-                "point is not noise)"
-            ),
-        ),
-        Rule(
-            id="memory-no-batch-cliff",
-            kind="monotone",
-            metric="memory",
-            order_by="batch",
-            frac=0.15,
-            note="in-memory sweep has no fsync cliff; wider band",
-        ),
-    ),
-    "adaptive_batching": (
-        Rule(
-            id="trickle-p99-slo",
-            kind="max-value",
-            metric="trickle-p99",
-            select=(("variant", "adaptive"),),
-            agg="max",
-            threshold=0.1,
-            note="p99 SLO of bench_adaptive_batching (simulated seconds)",
-        ),
-    ),
-    "shm_scaling": (
-        Rule(
-            id="shm-monotone-to-4-workers",
-            kind="monotone",
-            metric="shm",
-            order_by="workers",
-            select=(),
-            frac=0.10,
-            min_cpus=4,
-            note=(
-                "ported from bench_shm_scaling's scaling asserts; only "
-                "meaningful on >= 4 cores (the stored artifact was "
-                "generated on a smaller box and is exempt there)"
-            ),
-        ),
-    ),
-    "membership_churn": (
-        Rule(
-            id="steady-state-within-10pct",
-            kind="min-ratio",
-            metric="throughput_rps",
-            select=(("series", "series"), ("phase", "recovery")),
-            agg="max",
-            baseline=(("series", "series"), ("phase", "baseline")),
-            baseline_agg="median",
-            threshold=0.90,
-            note=(
-                "ported from bench_membership_churn: best post-churn "
-                "publication within 10% of the pre-churn median (best, "
-                "not median — GIL runtimes jitter +-15% on shared boxes)"
-            ),
-        ),
-    ),
-    "durability": (
-        Rule(
-            id="journal-overhead-budget",
-            kind="max-value",
-            metric="overhead",
-            select=(("section", "summary"),),
-            agg="last",
-            threshold=0.15,
-            note="ported from bench_durability: <= 15% CPU overhead",
-        ),
-    ),
-    "fault_recovery": (
-        Rule(
-            id="severed-loses-nothing",
-            kind="min-ratio",
-            metric="matched",
-            select=(("section", "severed"),),
-            agg="last",
-            baseline=(("section", "baseline"),),
-            baseline_agg="last",
-            threshold=1.0,
-            note="ported from bench_fault_recovery: retries recover all",
-        ),
-    ),
-}
 
 
 class TrajectoryStore:
@@ -207,19 +103,6 @@ class Comparison:
         return render_report(self.artifact.bench, self.verdicts) + suffix
 
 
-def rules_for(artifact: BenchArtifact) -> list[Rule]:
-    """The tolerance rules governing an artifact.
-
-    Fabric artifacts embed their rules; legacy artifacts fall back to
-    the per-bench registry, so stored BENCH files get trend gates
-    without being rewritten.
-    """
-    embedded = artifact.rules()
-    if embedded:
-        return [Rule.from_dict(rule) for rule in embedded]
-    return list(TREND_RULES.get(artifact.bench, ()))
-
-
 def compare_artifact(
     source,
     *,
@@ -230,13 +113,17 @@ def compare_artifact(
     """Evaluate one BENCH artifact against its tolerance rules.
 
     ``source`` is a path or an envelope dict; ``rules`` overrides the
-    artifact's own; ``trajectory`` feeds ``trajectory-within`` rules
-    with the stored history of the same bench.
+    ones the artifact embeds; ``trajectory`` feeds ``trajectory-within``
+    rules with the stored history of the same bench.
     """
     artifact = load_bench_artifact(source)
-    chosen = list(rules) if rules is not None else rules_for(artifact)
+    chosen = (
+        list(rules)
+        if rules is not None
+        else [Rule.from_dict(rule) for rule in artifact.rules()]
+    )
     points = extract_points(artifact)
-    cards = artifact.scorecards() if artifact.is_scorecard else []
+    cards = artifact.scorecards()
     history: list[list[Point]] = []
     if trajectory is not None:
         history = [

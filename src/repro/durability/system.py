@@ -283,9 +283,7 @@ class DurableFresqueSystem(FresqueSystem):
     def close(self) -> None:
         """Sync and close the durable files (not the cloud)."""
         self.journal.close()
-        ledger = getattr(self.accountant, "_ledger", None)
-        if ledger is not None:
-            ledger.close()
+        self.accountant.close()
         self.cloud.store.close()
 
     # ------------------------------------------------------------------

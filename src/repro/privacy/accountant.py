@@ -150,6 +150,11 @@ class PublicationAccountant:
                 self._ledger.append_commit(publication)
             self._committed.add(publication)
 
+    def close(self) -> None:
+        """Close the attached ledger's file (no-op without a ledger)."""
+        if self._ledger is not None:
+            self._ledger.close()
+
     @classmethod
     def restore(
         cls, total_epsilon: float, horizon: int, ledger

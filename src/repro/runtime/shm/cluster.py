@@ -176,13 +176,12 @@ class ShmFresqueCluster(FresqueSystem):
                 sync_every=sync_every,
                 telemetry=telemetry,
             )
-            self._ledger = BudgetLedger(self.data_dir / "epsilon.ledger")
             self.accountant = PublicationAccountant(
                 total_epsilon
                 if total_epsilon is not None
                 else config.epsilon * horizon,
                 horizon,
-                ledger=self._ledger,
+                ledger=BudgetLedger(self.data_dir / "epsilon.ledger"),
             )
             self._tree_shape = IndexTree(config.domain, fanout=config.fanout)
 
@@ -707,4 +706,4 @@ class ShmFresqueCluster(FresqueSystem):
                     pass
             if self.durable:
                 self.journal.close()
-                self._ledger.close()
+                self.accountant.close()

@@ -454,8 +454,9 @@ def _cloud_control(
 def _cloud_fingerprint(cloud) -> dict:
     """The cloud-resident half of the equivalence fingerprint.
 
-    Mirrors ``tests/conftest.py::cloud_state_fingerprint`` field for
-    field (the checking-side counters ride the stats block instead).
+    Mirrors :func:`repro.benchfab.fingerprint.cloud_state_fingerprint`
+    field for field (the checking-side counters ride the stats block
+    instead).
     """
     return {
         "files": {

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
 from repro.benchfab import cli
-
-_OUT = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "out"
 
 
 def test_list_prints_the_registry(capsys):
@@ -26,30 +22,39 @@ def test_list_scenarios_expands_matrices(capsys):
     assert "runtime=shm" in out
 
 
-def test_compare_flags_the_stored_batching_cliff(capsys, tmp_path):
-    """The CLI acceptance path: compare on the stored artifact exits
-    non-zero and prints the readable diff naming the batch-256 point."""
+def test_compare_flags_the_stored_batching_cliff(
+    capsys, tmp_path, batching_artifact
+):
+    """The CLI acceptance path: compare on a stored artifact whose
+    sweep dips at batch 256 exits non-zero and prints the readable diff
+    naming that point."""
+    path = batching_artifact((14_700, 47_700, 67_300, 49_700))
     code = cli.main(
-        [
-            "compare",
-            str(_OUT / "BENCH_batching.json"),
-            "--trajectory",
-            str(tmp_path),
-        ]
+        ["compare", str(path), "--trajectory", str(tmp_path / "traj")]
     )
     out = capsys.readouterr().out
     assert code == 1
     assert "scorecard: batching" in out
     assert "[FAIL] durable-no-batch-cliff" in out
-    assert "batch=256 49700 < batch=64 67300" in out
+    assert "batch_size=256/durability=durable 49700 < " in out
 
 
-def test_compare_resolves_bench_names(capsys, tmp_path):
-    code = cli.main(
-        ["compare", "micro_ops", "--trajectory", str(tmp_path)]
+def test_compare_resolves_bench_names(
+    capsys, tmp_path, monkeypatch, batching_artifact
+):
+    """A bare bench name resolves to ``benchmarks/out/BENCH_<name>.json``
+    under the working directory."""
+    out_dir = tmp_path / "benchmarks" / "out"
+    out_dir.mkdir(parents=True)
+    batching_artifact((14_700, 47_700, 62_000, 67_300)).rename(
+        out_dir / "BENCH_batching.json"
     )
-    assert code == 0  # no standing rules for micro_ops: vacuous pass
-    assert "scorecard: micro_ops" in capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        ["compare", "batching", "--trajectory", str(tmp_path / "traj")]
+    )
+    assert code == 0
+    assert "scorecard: batching" in capsys.readouterr().out
 
 
 def test_compare_unknown_artifact_errors(tmp_path):

@@ -90,30 +90,6 @@ def test_ratio_rules_select_and_baseline():
     assert "zero" in _one(zero, rule).detail
 
 
-def test_within_frac_of_best_flags_only_the_dip():
-    points = _points(
-        ({"batch": 1}, {"rate": 90.0}),
-        ({"batch": 8}, {"rate": 100.0}),
-        ({"batch": 64}, {"rate": 60.0}),
-    )
-    verdict = _one(
-        points,
-        Rule(id="band", kind="within-frac-of-best", metric="rate", frac=0.15),
-    )
-    assert verdict.status == "fail"
-    assert len(verdict.violations) == 1
-    assert "batch=64" in verdict.violations[0].message
-    assert "40.0% below best" in verdict.violations[0].message
-    assert _one(
-        points[:2],
-        Rule(id="band", kind="within-frac-of-best", metric="rate", frac=0.15),
-    ).status == "pass"
-    assert _one(
-        points[:1],
-        Rule(id="band", kind="within-frac-of-best", metric="rate"),
-    ).status == "skip"
-
-
 def test_monotone_rule():
     rising = _points(
         ({"workers": 1}, {"rate": 10.0}),

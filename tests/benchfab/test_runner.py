@@ -86,35 +86,6 @@ def test_conformance_threaded_matches_sync():
     assert sync.fingerprint == threaded.fingerprint
 
 
-def test_recovery_drill_reports_replay(tmp_path):
-    card = run_scenario(
-        _scenario(
-            workload="recovery",
-            durability="durable",
-            records=200,
-            checkpoint_every=64,
-            params=(("crash_after", 120),),
-        ),
-        data_root=tmp_path,
-    )[0]
-    assert card.metrics["recovery_s"] > 0
-    assert card.metrics["replayed_raw"] <= 200
-    assert card.key["checkpoint_every"] == 64
-
-
-def test_overhead_workload_pairs_rounds(tmp_path):
-    card = run_scenario(
-        _scenario(
-            workload="overhead",
-            records=80,
-            params=(("rounds", 1),),
-        ),
-        data_root=tmp_path,
-    )[0]
-    assert "cpu_overhead_frac" in card.metrics
-    assert card.metrics["rounds"] == 1.0
-
-
 def test_burst_trickle_reports_latency():
     card = run_scenario(
         _scenario(

@@ -1,9 +1,9 @@
-"""Scorecard schema, number coercion, and the BENCH_*.json loader.
+"""Scorecard schema, the BENCH_*.json loader, and artifact staleness.
 
-The flagship guarantee: every artifact this repository has ever emitted
-— all the legacy layouts in ``benchmarks/out/`` — loads, validates and
-normalises into evaluable points.  Legacy artifacts stay readable
-forever.
+Every committed ``benchmarks/out/BENCH_<registered bench>.json`` is a
+native scorecard whose embedded scenarios and rules equal the bench's
+spec at HEAD.  The checks here are on shape only — never on the
+wall-clock numbers the artifacts hold.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ import pathlib
 
 import pytest
 
+from repro.benchfab.scenarios import BENCHES, bench_spec
 from repro.benchfab.scorecard import (
-    BenchArtifact,
     Scorecard,
     ScorecardError,
-    coerce_number,
     extract_points,
     load_bench_artifact,
     write_scorecards,
@@ -25,20 +24,12 @@ from repro.benchfab.scorecard import (
 
 _OUT = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "out"
 
-
-def test_coerce_number_parses_the_repo_house_formats():
-    assert coerce_number("49.7k") == pytest.approx(49_700.0)
-    assert coerce_number("1.5m") == pytest.approx(1_500_000.0)
-    assert coerce_number("210.0 ms") == pytest.approx(0.21)
-    assert coerce_number("4.58x") == pytest.approx(4.58)
-    assert coerce_number("12 %") == pytest.approx(0.12)
-    assert coerce_number("0.5 s") == pytest.approx(0.5)
-    assert coerce_number(36104) == 36104.0
-    assert coerce_number(1.25) == 1.25
-    assert coerce_number("n/a") is None
-    assert coerce_number("cn-1") is None
-    assert coerce_number(True) is None
-    assert coerce_number(None) is None
+#: The committed artifact of every registered bench that has one.
+_STORED = [
+    _OUT / f"BENCH_{name}.json"
+    for name in sorted(BENCHES)
+    if (_OUT / f"BENCH_{name}.json").exists()
+]
 
 
 def test_scorecard_validation_rejects_garbage():
@@ -57,16 +48,17 @@ def test_envelope_validation():
         load_bench_artifact({"bench": "b", "format": 99, "data": {}})
     with pytest.raises(ScorecardError):
         load_bench_artifact({"bench": "b", "format": 1, "data": []})
+    # A figure script's series table is not a fabric scorecard.
+    with pytest.raises(ScorecardError, match="not a fabric scorecard"):
+        load_bench_artifact(
+            {"bench": "fig09", "format": 1, "data": {"header": [], "rows": []}}
+        )
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted(_OUT.glob("BENCH_*.json")),
-    ids=lambda path: path.stem,
-)
+@pytest.mark.parametrize("path", _STORED, ids=lambda path: path.stem)
 def test_every_stored_artifact_round_trips(path):
-    """Loader + extractor over every committed BENCH file: validates,
-    yields points, and every point carries at least one metric."""
+    """Loader + extractor over every committed fabric artifact:
+    validates, yields points, and every point carries a metric."""
     artifact = load_bench_artifact(path)
     assert artifact.bench
     assert artifact.format >= 1
@@ -82,13 +74,30 @@ def test_every_stored_artifact_round_trips(path):
     ) == points
 
 
-def test_stored_batching_table_coerces_to_base_units():
-    artifact = load_bench_artifact(_OUT / "BENCH_batching.json")
-    points = extract_points(artifact)
-    by_batch = {point.get("batch"): point for point in points}
-    assert by_batch[256].metrics["durable"] == pytest.approx(49_700.0)
-    assert by_batch[64].metrics["durable"] == pytest.approx(67_300.0)
-    assert by_batch[1].metrics["memory-speedup"] == pytest.approx(1.0)
+def _as_stored(records):
+    """What JSON makes of the records (tuples become lists)."""
+    return json.loads(json.dumps(records))
+
+
+@pytest.mark.parametrize("path", _STORED, ids=lambda path: path.stem)
+def test_stored_artifact_matches_the_spec_at_head(path):
+    """Staleness gate: the artifact embeds exactly the scenarios and
+    rules its bench expands to today, so editing a matrix or a threshold
+    without re-running the bench fails here.  It also says which tree
+    and host produced it."""
+    artifact = load_bench_artifact(path)
+    spec = bench_spec(artifact.bench)
+    assert path.name == f"BENCH_{spec.name}.json"
+    assert artifact.scenarios() == _as_stored(
+        [scenario.to_dict() for scenario in spec.scenarios()]
+    ), f"{path.name}: matrix changed since the run — re-run the bench"
+    assert artifact.rules() == _as_stored(
+        [rule.to_dict() for rule in spec.rules]
+    ), f"{path.name}: rules changed since the run — re-run the bench"
+    environment = artifact.data["environment"]
+    assert environment["commit"] not in ("", "unknown")
+    assert isinstance(environment["dirty"], bool)
+    assert environment["nproc"] >= 1
 
 
 def test_write_scorecards_round_trip(tmp_path):
@@ -108,7 +117,7 @@ def test_write_scorecards_round_trip(tmp_path):
     )
     assert path == tmp_path / "BENCH_t.json"
     artifact = load_bench_artifact(path)
-    assert artifact.is_scorecard
+    assert set(artifact.data["environment"]) == {"commit", "dirty", "nproc"}
     assert [card.scenario for card in artifact.scorecards()] == ["t/a", "t/b"]
     assert artifact.scenarios() == [{"name": "t/a"}]
     points = extract_points(artifact)
@@ -118,36 +127,3 @@ def test_write_scorecards_round_trip(tmp_path):
         "cloud_pairs_total": 9.0,
     }
     assert points[0].get("batch_size") == 8
-
-
-def test_extract_points_handles_nested_and_series_layouts():
-    artifact = BenchArtifact(
-        bench="mixed",
-        format=1,
-        python="3",
-        data={
-            "series": [
-                {"phase": "baseline", "throughput_rps": 10.0},
-                {"phase": "churn", "throughput_rps": 7.0},
-            ],
-            "summary": {"dip": 0.3, "label": "x"},
-            "means": {"op_a": 1.5, "op_b": "2.5"},
-            "overhead": 0.12,
-        },
-    )
-    points = extract_points(artifact)
-    series = [point for point in points if point.get("series") == "series"]
-    assert [point.get("phase") for point in series] == ["baseline", "churn"]
-    sections = [
-        point.metrics for point in points if point.get("section") == "summary"
-    ]
-    # The nested "summary" dict and the top-level scalars both land as
-    # section=summary points (nested first, numeric leaves only).
-    assert {"dip": 0.3} in sections
-    assert {"overhead": 0.12} in sections
-    mean_points = {
-        point.get("means"): point.metrics["means"]
-        for point in points
-        if point.get("means") is not None
-    }
-    assert mean_points == {"op_a": 1.5, "op_b": 2.5}

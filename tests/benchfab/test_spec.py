@@ -76,7 +76,7 @@ def test_matrix_expands_product_with_excludes_and_includes():
 def test_matrix_routes_non_field_keys_into_params():
     matrix = MatrixSpec(
         bench="m",
-        base={"workload": "overhead", "cipher": "aes"},
+        base={"workload": "ingest", "cipher": "aes"},
         axes={"rounds": (3, 5)},
     )
     expanded = matrix.expand()

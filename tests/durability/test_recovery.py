@@ -404,3 +404,25 @@ class TestPublicCloseIsDurable:
             system.accountant.remaining_epsilon
         )
         assert 0 not in report.reset_publications  # committed, not redone
+
+    def test_close_closes_the_ledger_file(
+        self, flu_config, fast_cipher, tmp_path
+    ):
+        """``close()`` releases the ε ledger through the accountant's
+        own ``close()``: the handle takes no further entries."""
+        from repro.durability.ledger import BudgetLedger
+        from repro.privacy.accountant import PublicationAccountant
+
+        ledger = BudgetLedger(tmp_path / "epsilon.ledger")
+        system = DurableFresqueSystem(
+            flu_config,
+            fast_cipher,
+            tmp_path / "collector",
+            seed=101,
+            accountant=PublicationAccountant(1.0, 4, ledger=ledger),
+        )
+        system.start()
+        system.close()
+        with pytest.raises(ValueError, match="closed file"):
+            ledger.append_intent(1, 0.25)
+        PublicationAccountant(1.0, 4).close()  # no ledger: a no-op

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.benchfab.runner import FAULT_PLANS
 from repro.core.messages import PublishingMsg
 from repro.datasets.flu import FluSurveyGenerator
 from repro.runtime.faults import CRASH, RESTART, FaultPlan
@@ -258,6 +259,30 @@ class TestNodeCrash:
             sender.close()
             node.stop()
             router.close()
+
+
+class TestSeveredPublication:
+    def test_severed_connection_loses_nothing(self, flu_config, fast_cipher):
+        """A router connection severed twice mid-publication costs
+        retries and a reconnect, not records: the publication matches
+        exactly what the healthy run of the same stream matches."""
+        lines = list(FluSurveyGenerator(seed=71).raw_lines(400))
+        matched = {}
+        for name, plan in (
+            ("healthy", None),
+            ("severed", FAULT_PLANS["sever-checking"]()),
+        ):
+            cluster = TcpFresqueCluster(
+                flu_config,
+                fast_cipher,
+                seed=9,
+                fault_plan=plan,
+                retry_policy=_fast_retry(),
+            )
+            with cluster:
+                matched[name] = cluster.run_publication(lines, timeout=60.0)
+        assert matched["severed"] == matched["healthy"] > 0
+        assert cluster.router.reconnects >= 1
 
 
 class TestDegradedPublication:

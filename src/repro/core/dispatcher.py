@@ -201,7 +201,9 @@ class Dispatcher(Routed):
         self._participants = set(self.membership.active_ids)
         self._tel.open_publication(self._publication)
         if plan is None:
-            # fresque-lint: disable=FRQ-P311 -- non-durable fallback: the durable driver injects a granted, journaled plan (durability/system.py); this in-memory path spends config epsilon without a ledger by design
+            # Non-durable fallback: the durable driver injects a granted,
+            # journaled plan (durability/system.py); this in-memory path
+            # spends config epsilon without a ledger by design.
             plan = draw_noise_plan(
                 self._tree_shape, self.config.epsilon, rng=self._rng
             )

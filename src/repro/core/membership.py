@@ -50,7 +50,8 @@ def stale_for(floors: dict[int, int], message) -> bool:
     ``node`` negative — built outside a dispatcher, or split per shard)
     are never stale.  This is the single staleness predicate
     every consumer (checking node, checking shards, ordering gate)
-    applies — FRQ-E1101 pins that no pair handler skips it.
+    applies — ``tests/core/test_checking.py::TestEpochGate`` pins that
+    no pair handler skips it.
     """
     if message.epoch < 0 or message.node < 0:
         return False

@@ -11,12 +11,16 @@ unit tests exercise poorly:
   accountant invalidates the published ε guarantee.
 
 This package is an AST-based (stdlib ``ast``, no third-party runtime
-dependencies) checker framework enforcing those invariants::
+dependencies) linter enforcing those invariants in one pass of per-file
+checkers::
 
     python -m repro.devtools.lint src
 
+A rule lives here only while it is the sole guard of something any
+module could get wrong; what a behavioural test can observe is a test.
 See ``docs/STATIC_ANALYSIS.md`` for every diagnostic code, the paper
-invariant it protects, and how to suppress or baseline a finding.
+invariant it protects, the mutation audit behind that rule, and how to
+suppress or baseline a finding.
 """
 
 from repro.devtools.diagnostics import Diagnostic

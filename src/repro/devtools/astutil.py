@@ -41,11 +41,6 @@ def keyword_arg(call: ast.Call, name: str) -> ast.expr | None:
     return None
 
 
-def is_constant(node: ast.AST) -> bool:
-    """Whether ``node`` is a literal constant expression."""
-    return isinstance(node, ast.Constant)
-
-
 def iter_functions(tree: ast.AST):
     """Every function/method definition in ``tree`` (including nested)."""
     for node in ast.walk(tree):

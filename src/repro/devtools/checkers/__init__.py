@@ -1,38 +1,31 @@
 """Built-in checker families.
 
 Importing this package registers every built-in checker with the
-registry in :mod:`repro.devtools.registry` — the per-module families
-and the whole-program (call-graph/dataflow) families alike.
+registry in :mod:`repro.devtools.registry`.
 """
 
 from repro.devtools.checkers import (
     batching,
-    budget_flow,
     concurrency,
     crypto,
     durability,
     hygiene,
-    lockorder,
     membership,
     privacy,
     runtime,
-    security_flow,
     shm,
     telemetry,
 )
 
 __all__ = [
     "batching",
-    "budget_flow",
     "concurrency",
     "crypto",
     "durability",
     "hygiene",
-    "lockorder",
     "membership",
     "privacy",
     "runtime",
-    "security_flow",
     "shm",
     "telemetry",
 ]

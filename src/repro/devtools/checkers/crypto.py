@@ -4,15 +4,14 @@ FRESQUE publishes *every* record encrypted; the security argument
 (paper Section 3.2, one-way trapdoor per publication) collapses under
 classic implementation mistakes that functional tests cannot see:
 
-* ``FRQ-X201`` — ECB mode or a constant IV/nonce (also a literal nonce or
-  batch of nonces handed to ``encrypt_seeded`` / ``encrypt_batch_seeded``,
-  which the merger's one-batch padding goes through): equal plaintexts yield
-  equal ciphertexts, so the cloud can cluster records by value and
-  reconstruct the index distribution the dummies exist to hide;
 * ``FRQ-X202`` — a hard-coded key/secret literal in library code;
 * ``FRQ-X203`` — comparing digests/MACs with ``==`` instead of
   ``hmac.compare_digest`` (timing side channel on tag verification);
 * ``FRQ-X204`` — the non-CSPRNG ``random`` module inside ``crypto/``.
+
+(That encryption is probabilistic — fresh IVs, per-message nonces — is
+observable, so it is tested: ``tests/crypto/test_cipher.py`` and the
+seeded byte pins in ``tests/integration/test_parent_identity.py``.)
 """
 
 from __future__ import annotations
@@ -57,26 +56,6 @@ def _is_secret_literal(node: ast.expr) -> bool:
     )
 
 
-#: Seeded-IV entry points; the nonce (or batch of nonces) is argument 1.
-_SEEDED_METHODS = frozenset({"encrypt_seeded", "encrypt_batch_seeded"})
-
-
-def _is_constant_nonce(node: ast.expr) -> bool:
-    """A literal nonce, or a batch of them that names no per-message
-    identity: ``[b"n", ...]``, ``[b"n"] * count``, ``[b"n" for _ in ...]``."""
-    if isinstance(node, ast.Constant):
-        return True
-    if isinstance(node, (ast.List, ast.Tuple)):
-        return bool(node.elts) and all(
-            isinstance(element, ast.Constant) for element in node.elts
-        )
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        return _is_constant_nonce(node.left) or _is_constant_nonce(node.right)
-    if isinstance(node, ast.ListComp):
-        return isinstance(node.elt, ast.Constant)
-    return False
-
-
 def _digest_call(node: ast.expr) -> bool:
     return (
         isinstance(node, ast.Call)
@@ -91,71 +70,16 @@ class CryptoChecker(Checker):
 
     name = "crypto"
     codes = {
-        "FRQ-X201": "ECB mode or constant IV/nonce (deterministic encryption)",
         "FRQ-X202": "hard-coded key or secret literal",
         "FRQ-X203": "digest/MAC compared with == (use hmac.compare_digest)",
         "FRQ-X204": "non-CSPRNG random module used in crypto code",
     }
 
     def check(self, module: ModuleInfo) -> Iterable[Diagnostic]:
-        yield from self._check_modes_and_ivs(module)
         yield from self._check_hardcoded_keys(module)
         yield from self._check_digest_compares(module)
         if module.in_package("crypto"):
             yield from self._check_weak_random(module)
-
-    # -- FRQ-X201 ----------------------------------------------------------
-
-    def _check_modes_and_ivs(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Attribute) and node.attr == "MODE_ECB":
-                yield self.diagnostic(
-                    module,
-                    node,
-                    "FRQ-X201",
-                    "ECB mode leaks plaintext equality — identical records "
-                    "produce identical ciphertexts",
-                )
-            if isinstance(node, ast.Call):
-                for keyword in node.keywords:
-                    if keyword.arg in (
-                        "iv", "nonce", "nonces"
-                    ) and _is_constant_nonce(keyword.value):
-                        yield self.diagnostic(
-                            module,
-                            keyword.value,
-                            "FRQ-X201",
-                            f"constant {keyword.arg}= makes encryption "
-                            f"deterministic; derive a fresh one per message",
-                        )
-                name = call_name(node)
-                if (
-                    name is not None
-                    and _last_segment(name) in _SEEDED_METHODS
-                    and len(node.args) >= 2
-                    and _is_constant_nonce(node.args[1])
-                ):
-                    yield self.diagnostic(
-                        module,
-                        node.args[1],
-                        "FRQ-X201",
-                        "constant nonce to a seeded encryption: every "
-                        "message must get its own (record_nonce / "
-                        "padding_nonce of its pipeline-wide identity)",
-                    )
-                if (
-                    name is not None
-                    and _last_segment(name).endswith("cbc_encrypt")
-                    and len(node.args) >= 3
-                    and isinstance(node.args[2], ast.Constant)
-                ):
-                    yield self.diagnostic(
-                        module,
-                        node.args[2],
-                        "FRQ-X201",
-                        "literal IV passed to CBC encryption — IV must be "
-                        "fresh and unpredictable per message",
-                    )
 
     # -- FRQ-X202 ----------------------------------------------------------
 

@@ -6,39 +6,29 @@ Usage::
     python -m repro.devtools.lint --list-codes
     python -m repro.devtools.lint --select FRQ-C101 src
     python -m repro.devtools.lint --update-baseline src
-    python -m repro.devtools.lint --format sarif src
-    python -m repro.devtools.lint --changed-only src
 
 Exit status: 0 when every finding is inline-suppressed or baselined,
 1 when new findings exist, 2 on usage errors.
 
-Two checker passes run per invocation: every per-module
-:class:`~repro.devtools.registry.Checker` over each file, then every
-:class:`~repro.devtools.registry.ProjectChecker` over the whole parsed
-project (call graph, dataflow).  ``--changed-only`` still parses every
-file — whole-program checkers need the complete call graph — and only
-*reports* findings landing in files with uncommitted changes.
+One pass: every registered :class:`~repro.devtools.registry.Checker`
+sees each parsed file on its own, so linting a subset of files gives
+the same findings for those files as linting the tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import subprocess
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from repro.devtools.astcache import CACHE_DIR_NAME, AstCache
 from repro.devtools.baseline import Baseline, render_baseline
-from repro.devtools.callgraph import build_project
 from repro.devtools.diagnostics import Diagnostic, is_suppressed
-from repro.devtools.output import render_json, render_sarif
 from repro.devtools.registry import (
     ModuleInfo,
     all_checkers,
     all_codes,
-    all_project_checkers,
     iter_diagnostics,
 )
 
@@ -64,30 +54,23 @@ def discover_files(paths: Iterable[Path]) -> list[Path]:
     return sorted(files)
 
 
-def load_module(
-    path: Path, root: Path, cache: AstCache | None = None
-) -> ModuleInfo | Diagnostic:
+def load_module(path: Path, root: Path) -> ModuleInfo | Diagnostic:
     """Parse one file; a syntax error becomes a diagnostic, not a crash."""
     try:
         display = path.resolve().relative_to(root.resolve()).as_posix()
     except ValueError:
         display = path.as_posix()
-    raw = path.read_bytes()
-    source = raw.decode("utf-8")
-    tree = cache.get(raw) if cache is not None else None
-    if tree is None:
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as error:
-            return Diagnostic(
-                path=display,
-                line=error.lineno or 1,
-                col=(error.offset or 1),
-                code="FRQ-E000",
-                message=f"syntax error: {error.msg}",
-            )
-        if cache is not None:
-            cache.put(raw, tree)
+    source = path.read_text(encoding="utf-8")
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as error:
+        return Diagnostic(
+            path=display,
+            line=error.lineno or 1,
+            col=(error.offset or 1),
+            code="FRQ-E000",
+            message=f"syntax error: {error.msg}",
+        )
     return ModuleInfo(
         path=path,
         display_path=display,
@@ -96,36 +79,11 @@ def load_module(
     )
 
 
-def changed_files(root: Path) -> set[str] | None:
-    """Repo-relative paths with uncommitted changes (None when unknown).
-
-    Covers modified/staged files (``git diff HEAD``) and untracked files;
-    a missing ``git`` or a non-repo directory yields ``None`` so the
-    caller can fall back to reporting everything.
-    """
-    changed: set[str] = set()
-    for args in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            result = subprocess.run(
-                args, cwd=root, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        changed.update(
-            line.strip() for line in result.stdout.splitlines() if line.strip()
-        )
-    return changed
-
-
 def run_lint(
     paths: list[Path],
     root: Path,
     select: set[str] | None = None,
     ignore: set[str] | None = None,
-    cache: AstCache | None = None,
 ) -> list[Diagnostic]:
     """All unsuppressed diagnostics for ``paths`` (baseline not applied)."""
 
@@ -138,31 +96,15 @@ def run_lint(
 
     checkers = all_checkers()
     diagnostics: list[Diagnostic] = []
-    modules: list[ModuleInfo] = []
     for path in discover_files(paths):
-        module = load_module(path, root, cache=cache)
+        module = load_module(path, root)
         if isinstance(module, Diagnostic):
             diagnostics.append(module)
             continue
-        modules.append(module)
         for diagnostic in iter_diagnostics(checkers, module):
             if wanted(diagnostic) and not is_suppressed(
                 diagnostic, module.source_lines
             ):
-                diagnostics.append(diagnostic)
-
-    # Whole-program pass: one project over every parsed module.
-    project_checkers = all_project_checkers()
-    if project_checkers and modules:
-        project = build_project(modules)
-        lines_by_path = {m.display_path: m.source_lines for m in modules}
-        for checker in project_checkers:
-            for diagnostic in checker.check_project(project):
-                if not wanted(diagnostic):
-                    continue
-                lines = lines_by_path.get(diagnostic.path, [])
-                if is_suppressed(diagnostic, lines):
-                    continue
                 diagnostics.append(diagnostic)
     return sorted(set(diagnostics))
 
@@ -199,25 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--ignore", action="append", default=[], help="skip these codes"
     )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="findings output format (default: text)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="parse every file fresh, bypassing the AST cache",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "only report findings in files with uncommitted changes "
-            "(the whole project is still parsed for call-graph checkers)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     if args.list_codes:
@@ -244,14 +167,12 @@ def main(argv: list[str] | None = None) -> int:
     baseline_path = (
         Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
     )
-    cache = None if args.no_cache else AstCache(root / CACHE_DIR_NAME)
 
     diagnostics = run_lint(
         paths,
         root,
         select=set(args.select) or None,
         ignore=set(args.ignore) or None,
-        cache=cache,
     )
 
     if args.update_baseline:
@@ -271,25 +192,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     fresh = [d for d in diagnostics if not baseline.absorbs(d)]
 
-    if args.changed_only:
-        changed = changed_files(root)
-        if changed is None:
-            print(
-                "warning: --changed-only could not query git; "
-                "reporting all findings",
-                file=sys.stderr,
-            )
-        else:
-            fresh = [d for d in fresh if d.path in changed]
-
-    if args.format == "json":
-        print(render_json(fresh, all_codes()))
-    elif args.format == "sarif":
-        print(render_sarif(fresh, all_codes()))
-    else:
-        for diagnostic in fresh:
-            print(diagnostic.render())
-    if not (args.select or args.ignore or args.changed_only):
+    for diagnostic in fresh:
+        print(diagnostic.render())
+    if not (args.select or args.ignore):
         # With a code filter active the baseline legitimately under-fires,
         # so staleness would be noise.
         for path, code, allowed, seen in baseline.stale_entries():
@@ -299,13 +204,12 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
     if fresh:
-        if args.format == "text":
-            print(
-                f"\n{len(fresh)} finding(s). Fix them, suppress inline with "
-                f"'# fresque-lint: disable=CODE -- why', or baseline with "
-                f"--update-baseline.",
-                file=sys.stderr,
-            )
+        print(
+            f"\n{len(fresh)} finding(s). Fix them, suppress inline with "
+            f"'# fresque-lint: disable=CODE -- why', or baseline with "
+            f"--update-baseline.",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

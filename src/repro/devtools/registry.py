@@ -7,7 +7,7 @@ decorator::
     @register
     class MyChecker(Checker):
         name = "my-family"
-        codes = {"FRQ-Z901": "something the repo must never do"}
+        codes = {"FRQ-Znnn": "something the repo must never do"}
 
         def check(self, module):
             ...
@@ -75,14 +75,18 @@ class ModuleInfo:
         return joined in relpaths
 
 
-class BaseChecker(ABC):
-    """Shared surface of module- and project-scoped checkers."""
+class Checker(ABC):
+    """Base class for one per-module diagnostic family."""
 
     #: Short family name (used by ``--list-codes``).
     name: str = ""
 
     #: Diagnostic code → one-line description.
     codes: dict[str, str] = {}
+
+    @abstractmethod
+    def check(self, module: ModuleInfo) -> Iterable[Diagnostic]:
+        """Yield diagnostics for one module."""
 
     def diagnostic(
         self, module: ModuleInfo, node: ast.AST, code: str, message: str
@@ -99,32 +103,10 @@ class BaseChecker(ABC):
         )
 
 
-class Checker(BaseChecker):
-    """Base class for one per-module diagnostic family."""
-
-    @abstractmethod
-    def check(self, module: ModuleInfo) -> Iterable[Diagnostic]:
-        """Yield diagnostics for one module."""
+_CHECKERS: list[type[Checker]] = []
 
 
-class ProjectChecker(BaseChecker):
-    """Base class for one whole-program diagnostic family.
-
-    Runs once per lint invocation over the
-    :class:`~repro.devtools.callgraph.Project` built from every module
-    on the command line, instead of once per module.  Diagnostics may
-    land in any of the project's modules.
-    """
-
-    @abstractmethod
-    def check_project(self, project) -> Iterable[Diagnostic]:
-        """Yield diagnostics for the whole project."""
-
-
-_CHECKERS: list[type[BaseChecker]] = []
-
-
-def register(cls: type[BaseChecker]) -> type[BaseChecker]:
+def register(cls: type[Checker]) -> type[Checker]:
     """Class decorator adding a checker to the global registry."""
     duplicate = set(cls.codes) & {
         code for existing in _CHECKERS for code in existing.codes
@@ -136,18 +118,11 @@ def register(cls: type[BaseChecker]) -> type[BaseChecker]:
 
 
 def all_checkers() -> list[Checker]:
-    """Fresh instances of every per-module checker (importing built-ins)."""
+    """Fresh instances of every checker (importing built-ins)."""
     # Importing the package registers the built-in checker families.
     import repro.devtools.checkers  # noqa: F401
 
-    return [cls() for cls in _CHECKERS if issubclass(cls, Checker)]
-
-
-def all_project_checkers() -> list[ProjectChecker]:
-    """Fresh instances of every whole-program checker."""
-    import repro.devtools.checkers  # noqa: F401
-
-    return [cls() for cls in _CHECKERS if issubclass(cls, ProjectChecker)]
+    return [cls() for cls in _CHECKERS]
 
 
 def all_codes() -> dict[str, tuple[str, str]]:

@@ -6,8 +6,10 @@ protocol of docs/DURABILITY.md:
 
 * every raw line is appended to the :class:`WriteAheadJournal` (in the
   ``rawb`` frame of its chunk — a chunk of one for :meth:`ingest`)
-  *before* the dispatcher sees it (the ``FRQ-D701`` ordering), so a
-  crash at any point can lose at most work the journal can replay;
+  *before* the dispatcher sees it (the ordering the crash drills in
+  ``tests/durability/test_batch_crash.py`` and ``test_recovery.py``
+  pin), so a crash at any point can lose at most work the journal can
+  replay;
 * publication opens are journalled *with* their noise plan and granted
   ε, after the :class:`~repro.privacy.accountant.PublicationAccountant`
   fsync'd its ledger intent — replay rebuilds the publication with the
@@ -183,8 +185,8 @@ class DurableFresqueSystem(FresqueSystem):
     def _ingest_chunk(self, lines: list[str], fractions=None) -> None:
         """Journal one chunk as a single frame, then feed it in order.
 
-        The FRQ-D701 ordering holds chunk-wide: the journal frame lands
-        before any of the chunk's records mutate pipeline state.  The
+        Journal-first holds chunk-wide: the journal frame lands before
+        any of the chunk's records mutate pipeline state.  The
         optional crash hook fires once per record, between the append
         and that record's dispatch — the worst crash point (durably
         ingested, never dispatched).  ``fractions`` (optional, one per

@@ -112,7 +112,6 @@ class PinedRqCollector:
         tree.set_leaf_counts([len(bucket) for bucket in per_leaf])
 
         # Step 2: perturb every count.
-        # fresque-lint: disable=FRQ-P311 -- PINED-RQ baseline reproduction: the published scheme spends a fixed per-publication epsilon and predates the accountant/ledger layer
         plan = draw_noise_plan(tree, self.epsilon, rng=self._rng)
         dummies, removals = perturb_clear_tree(tree, plan)
         bound = LaplaceMechanism(1.0 / plan.per_level_scale).positive_noise_bound(

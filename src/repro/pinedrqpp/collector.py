@@ -126,7 +126,6 @@ class PinedRqPPCollector:
         noise (to be interleaved with real arrivals).
         """
         self._publication += 1
-        # fresque-lint: disable=FRQ-P311 -- PINED-RQ++ baseline reproduction: the published scheme spends a fixed per-publication epsilon and predates the accountant/ledger layer
         self._template = IndexTemplate(
             self.domain,
             fanout=self.fanout,

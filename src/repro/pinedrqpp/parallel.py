@@ -80,7 +80,6 @@ class FrontNode:
     def start_publication(self) -> None:
         """Draw a fresh perturbed template."""
         self.publication += 1
-        # fresque-lint: disable=FRQ-P311 -- PINED-RQ++ baseline reproduction: workers draw from the configured per-publication epsilon; the accountant belongs to the FRESQUE pipeline
         self.template = IndexTemplate(
             self.domain, fanout=self.fanout, epsilon=self.epsilon,
             rng=self._rng,

@@ -50,9 +50,8 @@ class PublicationAccountant:
     ledger:
         Optional :class:`~repro.durability.ledger.BudgetLedger`.  When
         given, :meth:`grant` appends a durable *intent* entry **before**
-        the in-memory budget moves (the ``FRQ-D703`` invariant) and
-        :meth:`commit` appends the matching entry after the cloud
-        acknowledged the publication.
+        the in-memory budget moves and :meth:`commit` appends the
+        matching entry after the cloud acknowledged the publication.
 
     Notes
     -----

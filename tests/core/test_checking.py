@@ -1,6 +1,7 @@
 """Checking node tests: randomer wiring, AL/ALN updates, finalisation."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,14 +11,18 @@ from repro.core.messages import (
     AnnouncePublication,
     BufferFlush,
     CnPublishing,
+    CreditGrant,
     DoneMsg,
+    MembershipMsg,
     NewPublication,
+    NodeDown,
     Pair,
     PairBatch,
     PublishingMsg,
     RemovedRecord,
     TemplateMsg,
 )
+from repro.core.sharded import CheckingShard
 from repro.index.perturb import draw_noise_plan
 from repro.index.tree import IndexTree
 from repro.records.record import EncryptedRecord
@@ -194,8 +199,6 @@ class TestFinalisation:
 
 class TestDegradedMode:
     def _node_down(self, publication, node_id):
-        from repro.core.messages import NodeDown
-
         return NodeDown(publication, node_id)
 
     def test_node_down_substitutes_for_cn_report(
@@ -269,8 +272,6 @@ class TestDegradedMode:
         live, reported, and holds the next publication's pairs against
         exactly this release.  Regression — it used to be excluded from
         the done broadcast and deadlocked every later publication."""
-        from repro.core.messages import MembershipMsg, PublishingMsg
-
         # Node 2 crashed before this publication was announced (the
         # announcement seeds its absolved set from the dead set), then
         # rejoins: it leaves the dead set but stays absolved here.
@@ -299,8 +300,6 @@ class TestDegradedMode:
     ):
         """With a pinned expected set, a node that is genuinely down at
         finalisation stays out of the done broadcast."""
-        from repro.core.messages import PublishingMsg
-
         checking.on_new_publication(NewPublication(0, plan))
         checking.on_node_down(self._node_down(0, 1))
         out = []
@@ -311,3 +310,54 @@ class TestDegradedMode:
             dest for dest, m in out if isinstance(m, DoneMsg)
         }
         assert done_destinations == {"cn-0", "cn-2"}
+
+
+class TestEpochGate:
+    """The membership-epoch staleness check gates every pair handler:
+    output of a crashed incarnation (epoch stamp below the producer's
+    rejoin floor) is counted and dropped, never buffered — its records
+    are already covered by the crash redispatch."""
+
+    REJOIN = MembershipMsg(epoch=2, members=(0, 1, 2), joined=((2, 2),))
+
+    @staticmethod
+    def _buffered(state):
+        return state.randomer.residents, state.arrays.state()
+
+    def test_stale_batch_grants_credits_but_is_not_buffered(
+        self, flu_config, plan
+    ):
+        checking = CheckingNode(
+            replace(flu_config, credit_window=64), rng=random.Random(9)
+        )
+        checking.on_node_down(NodeDown(0, 2))
+        checking.on_new_publication(NewPublication(0, plan))
+        checking.on_membership(self.REJOIN)
+        pairs = (_pair(1), _pair(4))
+        before = self._buffered(checking.state_of(0))
+
+        out = checking.on_pair_batch(PairBatch(0, pairs, epoch=1, node=2))
+        # The crashed incarnation's dispatch charged the credit window,
+        # so the grant still flows; nothing else does.
+        assert out == [("dispatcher", CreditGrant(0, len(pairs)))]
+        assert self._buffered(checking.state_of(0)) == before
+        assert checking.stale_batches_discarded == 1
+        assert checking.stale_pairs_discarded == len(pairs)
+
+        checking.on_pair_batch(PairBatch(0, pairs, epoch=2, node=2))
+        assert checking.state_of(0).randomer.residents == pairs
+        assert checking.stale_batches_discarded == 1
+
+    def test_shard_drops_stale_batch(self, flu_config, plan):
+        shard = CheckingShard(0, 1, flu_config, rng=random.Random(9))
+        shard.on_new_publication(NewPublication(0, plan))
+        shard.on_membership(self.REJOIN)
+        pairs = (_pair(1), _pair(4))
+        before = self._buffered(shard._states[0])
+
+        assert shard.on_pair_batch(PairBatch(0, pairs, epoch=1, node=2)) == []
+        assert self._buffered(shard._states[0]) == before
+        assert shard.stale_batches_discarded == 1
+
+        shard.on_pair_batch(PairBatch(0, pairs, epoch=2, node=2))
+        assert shard._states[0].randomer.residents == pairs

@@ -6,14 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.callgraph import build_project
 from repro.devtools.diagnostics import is_suppressed
-from repro.devtools.registry import (
-    ModuleInfo,
-    all_checkers,
-    all_project_checkers,
-    iter_diagnostics,
-)
+from repro.devtools.registry import ModuleInfo, all_checkers, iter_diagnostics
 
 
 def lint_source(source: str, display_path: str = "src/repro/core/thing.py"):
@@ -38,40 +32,6 @@ def lint_source(source: str, display_path: str = "src/repro/core/thing.py"):
     ]
 
 
-def parse_module(source: str, display_path: str) -> ModuleInfo:
-    source = textwrap.dedent(source)
-    return ModuleInfo(
-        path=Path(display_path),
-        display_path=display_path,
-        tree=ast.parse(source),
-        source_lines=source.splitlines(),
-    )
-
-
-def lint_files(files: dict[str, str]):
-    """Run the *whole-program* checkers over a multi-file fixture.
-
-    ``files`` maps display paths (``src/repro/...``) to source text; the
-    modules are assembled into one :class:`Project` exactly as the CLI
-    does, and inline suppressions are honored.
-    """
-    modules = [
-        parse_module(source, display_path)
-        for display_path, source in files.items()
-    ]
-    project = build_project(modules)
-    lines_by_path = {m.display_path: m.source_lines for m in modules}
-    diagnostics = []
-    for checker in all_project_checkers():
-        for diagnostic in checker.check_project(project):
-            if is_suppressed(
-                diagnostic, lines_by_path.get(diagnostic.path, [])
-            ):
-                continue
-            diagnostics.append(diagnostic)
-    return sorted(diagnostics)
-
-
 def codes_of(diagnostics):
     return sorted(diagnostic.code for diagnostic in diagnostics)
 
@@ -79,8 +39,3 @@ def codes_of(diagnostics):
 @pytest.fixture
 def lint():
     return lint_source
-
-
-@pytest.fixture
-def lint_project():
-    return lint_files

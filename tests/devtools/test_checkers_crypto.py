@@ -5,80 +5,6 @@ from tests.devtools.conftest import codes_of, lint_source
 CRYPTO_PATH = "src/repro/crypto/fixture.py"
 
 
-class TestX201DeterministicEncryption:
-    def test_positive_ecb_mode(self):
-        diagnostics = lint_source(
-            """
-            def encrypt(AES, key, data):
-                return AES.new(key, AES.MODE_ECB).encrypt(data)
-            """,
-            display_path=CRYPTO_PATH,
-        )
-        assert "FRQ-X201" in codes_of(diagnostics)
-
-    def test_positive_constant_iv_keyword(self):
-        diagnostics = lint_source(
-            """
-            def encrypt(cipher, data):
-                return cipher.encrypt(data, iv=b"0123456789abcdef")
-            """
-        )
-        assert codes_of(diagnostics) == ["FRQ-X201"]
-
-    def test_positive_literal_iv_to_cbc(self):
-        diagnostics = lint_source(
-            """
-            def seal(key, data):
-                return cbc_encrypt(key, data, b"0123456789abcdef")
-            """
-        )
-        assert codes_of(diagnostics) == ["FRQ-X201"]
-
-    def test_negative_fresh_iv(self):
-        diagnostics = lint_source(
-            """
-            import os
-
-            def encrypt(cipher, data):
-                return cipher.encrypt(data, iv=os.urandom(16))
-            """
-        )
-        assert codes_of(diagnostics) == []
-
-
-    def test_positive_constant_nonces_to_the_seeded_batch(self):
-        diagnostics = lint_source(
-            """
-            def pad(cipher, plaintexts):
-                single = cipher.encrypt_seeded(plaintexts[0], b"pad")
-                batch = cipher.encrypt_batch_seeded(
-                    plaintexts, [b"pad"] * len(plaintexts)
-                )
-                named = cipher.encrypt_batch_seeded(
-                    plaintexts, nonces=[b"pad" for _ in plaintexts]
-                )
-                return single, batch, named
-            """
-        )
-        assert codes_of(diagnostics) == ["FRQ-X201"] * 3
-
-    def test_negative_padding_nonce_feeds_the_seeded_batch(self):
-        """The merger's shape: one nonce per padding counter."""
-        diagnostics = lint_source(
-            """
-            def pad(cipher, plaintexts, publication):
-                return cipher.encrypt_batch_seeded(
-                    plaintexts,
-                    [
-                        padding_nonce(publication, counter)
-                        for counter in range(len(plaintexts))
-                    ],
-                )
-            """
-        )
-        assert codes_of(diagnostics) == []
-
-
 class TestX202HardcodedKey:
     def test_positive_key_assignment(self):
         diagnostics = lint_source(

@@ -1,56 +1,6 @@
-"""FRQ-E110x membership checker tests (positive and negative fixtures)."""
+"""FRQ-E1102 membership checker tests (positive and negative fixtures)."""
 
 from tests.devtools.conftest import codes_of, lint_source
-
-
-class TestEpochGate:
-    def test_handler_without_admit_epoch_flagged(self):
-        diagnostics = lint_source(
-            """
-            class Checking:
-                def on_pair_batch(self, message):
-                    out = []
-                    for pair in message.pairs:
-                        out.append(self.randomer.insert(pair))
-                    return out
-            """
-        )
-        assert codes_of(diagnostics) == ["FRQ-E1101"]
-
-    def test_pairs_touched_before_check_flagged(self):
-        diagnostics = lint_source(
-            """
-            class Checking:
-                def on_pair_batch(self, message):
-                    count = len(message.pairs)
-                    if not self._admit_epoch(message):
-                        return []
-                    return [count]
-            """
-        )
-        assert codes_of(diagnostics) == ["FRQ-E1101"]
-
-    def test_gated_handler_clean(self):
-        diagnostics = lint_source(
-            """
-            class Checking:
-                def on_pair_batch(self, message):
-                    if not self._admit_epoch(message):
-                        return []
-                    return [self.insert(pair) for pair in message.pairs]
-            """
-        )
-        assert codes_of(diagnostics) == []
-
-    def test_other_handlers_unconstrained(self):
-        diagnostics = lint_source(
-            """
-            class Codec:
-                def encode_pair_batch(self, message):
-                    return [self.pack(pair) for pair in message.pairs]
-            """
-        )
-        assert codes_of(diagnostics) == []
 
 
 class TestMembershipStateOwnership:

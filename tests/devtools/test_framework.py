@@ -89,15 +89,12 @@ class TestRegistry:
         families = {family for family, _ in all_codes().values()}
         assert families == {
             "batching",
-            "budget-flow",
             "concurrency",
             "crypto",
             "durability",
-            "lock-order",
             "membership",
             "privacy-budget",
             "hygiene",
-            "security-dataflow",
             "shm",
             "telemetry",
             "runtime",

@@ -1,22 +1,25 @@
 """Tier-1 gate: the shipped source tree must lint clean.
 
 This is the enforcement half of the tentpole — ``src/`` stays free of
-new FRQ findings modulo the committed baseline, and the baseline itself
-stays honest (no stale entries, every entry justified).
+new FRQ findings modulo the committed baseline, the baseline itself
+stays honest (no stale entries, every entry justified), and every code
+a directive or a document names is one the linter still registers.
 """
 
+import re
 from pathlib import Path
 
 from repro.devtools.baseline import Baseline
 from repro.devtools.lint import DEFAULT_BASELINE, run_lint
+from repro.devtools.registry import all_codes
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_src_lints_clean_modulo_baseline():
     # The wall-clock budget of the full lint lives on the CI step
-    # (``timeout 30`` on ``fresque-lint``), where host load is
-    # controlled; tier-1 asserts findings only.
+    # (``timeout`` on ``fresque-lint``), where host load is controlled;
+    # tier-1 asserts findings only.
     diagnostics = run_lint([REPO_ROOT / "src"], REPO_ROOT)
     baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE)
     fresh = [d for d in diagnostics if not baseline.absorbs(d)]
@@ -48,3 +51,23 @@ def test_baseline_entries_are_sorted():
         "baseline entries must stay sorted so diffs are minimal — "
         "reorder the file"
     )
+
+
+def test_every_named_code_is_registered():
+    """``is_suppressed`` never checks a directive's codes against the
+    registry, so a ``disable=`` naming a deleted rule is silently inert
+    and a doc row for it dangles — catch both here."""
+    known = set(all_codes()) | {"FRQ-E000"}
+    files = [
+        REPO_ROOT / "README.md",
+        REPO_ROOT / DEFAULT_BASELINE,
+        *(REPO_ROOT / "src").rglob("*.py"),
+        *(REPO_ROOT / "docs").rglob("*.md"),
+    ]
+    unknown = {
+        f"{path.relative_to(REPO_ROOT)}: {code}"
+        for path in files
+        for code in re.findall(r"FRQ-[A-Z]\d+\b", path.read_text())
+        if code not in known
+    }
+    assert not unknown, f"unregistered codes named: {sorted(unknown)}"

@@ -15,7 +15,10 @@ from repro.crypto.cipher import DecryptionError, RecordCipher
 from repro.index.query import RangeQuery
 from repro.records.record import Record
 from repro.records.schema import Schema
-from repro.records.serialize import deserialize_record
+from repro.records.serialize import (
+    DUMMY_PAYLOAD_PREFIX,
+    deserialize_record,
+)
 
 
 @dataclass(frozen=True)
@@ -70,20 +73,25 @@ class QueryClient:
         """
         query = RangeQuery(low, high)
         response = self._cloud.query(query)
+        ciphertexts = response.all_records()
+        # Every returned ciphertext is decrypted and padding-checked;
+        # only the plaintexts that are not dummies are then decoded.
+        plaintexts = self._cipher.decrypt_batch(
+            [encrypted.ciphertext for encrypted in ciphertexts]
+        )
+        schema = self._schema
         matches: list[Record] = []
         dummies = 0
         out_of_range = 0
-        ciphertexts = response.all_records()
-        for encrypted in ciphertexts:
-            plaintext = self._cipher.decrypt(encrypted.ciphertext)
-            record = deserialize_record(plaintext, self._schema)
-            if record.is_dummy:
+        for plaintext in plaintexts:
+            if plaintext.startswith(DUMMY_PAYLOAD_PREFIX):
                 dummies += 1
                 continue
-            if not query.contains(record.indexed_value(self._schema)):
+            record = deserialize_record(plaintext, schema)
+            if query.contains(record.indexed_value(schema)):
+                matches.append(record)
+            else:
                 out_of_range += 1
-                continue
-            matches.append(record)
         return ClientResult(
             records=tuple(matches),
             ciphertexts_received=len(ciphertexts),

@@ -207,6 +207,21 @@ class CheckingNode(Routed):
                 resident.append((publication, pair.leaf_offset, pair.encrypted))
         return resident
 
+    def buffered_in(self, leaves) -> list:
+        """Encrypted records of the randomer residents under ``leaves``.
+
+        What a query reads of :meth:`buffered_pairs` — the residents of
+        every open publication whose leaf offset is in ``leaves`` — by
+        leaf lookup instead of a scan.  It reads the randomers' live
+        leaf views, so unlike :meth:`buffered_pairs` it must not run
+        beside the thread that handles this node's messages.
+        """
+        return [
+            pair.encrypted
+            for state in self._publications.values()
+            for pair in state.randomer.residents_in(leaves)
+        ]
+
     def on_new_publication(
         self, message: NewPublication
     ) -> list[tuple[str, object]]:

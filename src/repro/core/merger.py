@@ -116,6 +116,17 @@ class Merger(Routed):
                     held.append((publication, leaf_offset, record))
         return held
 
+    def removed_in(self, leaves) -> list[EncryptedRecord]:
+        """The records of :meth:`pending_removed` under ``leaves``, by
+        leaf lookup (the query path; quiescent-only, like
+        :meth:`CheckingNode.buffered_in`)."""
+        held: list[EncryptedRecord] = []
+        for state in self._states.values():
+            removed_at = state.removed.get
+            for leaf in leaves:
+                held.extend(removed_at(leaf, ()))
+        return held
+
     def on_template(self, message: TemplateMsg) -> list[tuple[str, object]]:
         """Store the publication's template until the AL arrives."""
         self._states[message.publication] = _MergeState(plan=message.plan)

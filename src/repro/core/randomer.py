@@ -18,6 +18,8 @@ the inverse Laplace CDF in :class:`~repro.core.config.FresqueConfig`.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from collections.abc import Iterator
 
 from repro.core.messages import Pair
 
@@ -39,6 +41,10 @@ class Randomer:
         self.capacity = capacity
         self._rng = rng if rng is not None else random.Random()
         self._buffer: list[Pair] = []
+        # Leaf-keyed view of the buffer for query serving: leaf offset ->
+        # buffer slots currently holding a pair of that leaf.  Kept in
+        # step by insert / restore / flush; it never decides an eviction.
+        self._slots: defaultdict[int, set[int]] = defaultdict(set)
         self.released = 0
 
     def __len__(self) -> int:
@@ -46,8 +52,21 @@ class Randomer:
 
     @property
     def residents(self) -> tuple[Pair, ...]:
-        """Pairs currently buffered (trusted-side view, for query serving)."""
+        """Pairs currently buffered, in buffer order (a snapshot)."""
         return tuple(self._buffer)
+
+    def residents_in(self, leaves) -> Iterator[Pair]:
+        """Buffered pairs whose leaf offset is in ``leaves`` (trusted-side
+        view, for query serving), leaf by leaf.
+
+        Costs one lookup per leaf plus the pairs yielded — not a scan of
+        the buffer.  Not a snapshot: do not insert while iterating.
+        """
+        buffer = self._buffer
+        slots_of = self._slots.get
+        for leaf in leaves:
+            for slot in slots_of(leaf, ()):
+                yield buffer[slot]
 
     @property
     def is_full(self) -> bool:
@@ -58,19 +77,25 @@ class Randomer:
         """Buffer ``pair``; return the evicted resident if the buffer was full.
 
         Eviction is uniform over the buffer (including the new arrival),
-        implemented as an O(1) swap-pop.
+        an O(1) swap-pop: append, swap the victim with the last slot,
+        pop.  The last slot is always the arrival, so the swap-pop is
+        done in place — the arrival takes the victim's slot.
         """
-        self._buffer.append(pair)
-        if len(self._buffer) <= self.capacity:
+        buffer = self._buffer
+        size = len(buffer)
+        if size < self.capacity:
+            buffer.append(pair)
+            self._slots[pair.leaf_offset].add(size)
             return None
-        victim_index = self._rng.randrange(len(self._buffer))
-        last = len(self._buffer) - 1
-        self._buffer[victim_index], self._buffer[last] = (
-            self._buffer[last],
-            self._buffer[victim_index],
-        )
-        victim = self._buffer.pop()
+        victim_index = self._rng.randrange(size + 1)
         self.released += 1
+        if victim_index == size:
+            return pair
+        victim = buffer[victim_index]
+        buffer[victim_index] = pair
+        slots = self._slots
+        slots[victim.leaf_offset].remove(victim_index)
+        slots[pair.leaf_offset].add(victim_index)
         return victim
 
     def restore(self, pairs: list[Pair], released: int = 0) -> None:
@@ -85,6 +110,9 @@ class Randomer:
                 f"{len(pairs)} residents exceed capacity {self.capacity}"
             )
         self._buffer = list(pairs)
+        self._slots = defaultdict(set)
+        for slot, pair in enumerate(self._buffer):
+            self._slots[pair.leaf_offset].add(slot)
         self.released = released
 
     def flush(self) -> list[Pair]:
@@ -92,5 +120,6 @@ class Randomer:
         self._rng.shuffle(self._buffer)
         drained = self._buffer
         self._buffer = []
+        self._slots = defaultdict(set)
         self.released += len(drained)
         return drained

@@ -126,7 +126,9 @@ class CollectorAwareQueryTarget:
     Section 5.3(c): records matching a query that currently sit at the
     cloud, in the randomer buffer, or at the merger (removed records) are
     all returned to the client.  This facade extends the cloud's result
-    with the collector-resident ciphertexts.
+    with the collector-resident ciphertexts, looked up by the leaves the
+    query overlaps — its cost is those leaves plus what it returns, not
+    the size of the buffers.
     """
 
     def __init__(self, cloud: FresqueCloud, checking, merger):
@@ -138,15 +140,9 @@ class CollectorAwareQueryTarget:
         from repro.cloud.query_engine import QueryResult
 
         base = self._cloud.query(query)
-        domain = self._cloud.domain
-        overlapping = set(domain.leaves_overlapping(query.low, query.high))
-        extra = [
-            encrypted
-            for _, leaf_offset, encrypted in (
-                self._checking.buffered_pairs() + self._merger.pending_removed()
-            )
-            if leaf_offset in overlapping
-        ]
+        leaves = self._cloud.domain.leaves_overlapping(query.low, query.high)
+        extra = self._checking.buffered_in(leaves)
+        extra += self._merger.removed_in(leaves)
         return QueryResult(
             indexed=base.indexed,
             overflow=base.overflow,

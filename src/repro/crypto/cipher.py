@@ -82,6 +82,18 @@ class RecordCipher(ABC):
         """
         return [self.encrypt(plaintext) for plaintext in plaintexts]
 
+    def decrypt_batch(self, ciphertexts: list[bytes]) -> list[bytes]:
+        """Decrypt a batch; identical to mapping :meth:`decrypt`.
+
+        The mirror of :meth:`encrypt_batch` and the same contract
+        (property-tested in ``tests/crypto/test_batch_decrypt.py``): the
+        result equals ``[self.decrypt(c) for c in ciphertexts]``, and a
+        malformed element raises the :class:`DecryptionError` the mapped
+        form raises at that element — every ciphertext gets the full
+        length and padding checks, whatever it decrypts to.
+        """
+        return [self.decrypt(ciphertext) for ciphertext in ciphertexts]
+
     def encrypt_seeded(self, plaintext: bytes, nonce: bytes) -> bytes:
         """Encrypt with an IV derived deterministically from ``nonce``.
 
@@ -291,3 +303,29 @@ class SimulatedCipher(RecordCipher):
             return unpad(padded, BLOCK_SIZE)
         except PaddingError as exc:
             raise DecryptionError(str(exc)) from exc
+
+    def decrypt_batch(self, ciphertexts: list[bytes]) -> list[bytes]:
+        """Fast path: :meth:`decrypt` with the keystream derived inline,
+        one tight loop over the batch; checks and errors are unchanged."""
+        sha256 = hashlib.sha256
+        key = self._key
+        from_bytes = int.from_bytes
+        out = []
+        for ciphertext in ciphertexts:
+            length = len(ciphertext) - BLOCK_SIZE
+            if length < BLOCK_SIZE:
+                raise DecryptionError("ciphertext shorter than IV + one block")
+            prefix = key + ciphertext[:BLOCK_SIZE]
+            keystream = b"".join(
+                sha256(prefix + counter.to_bytes(4, "little")).digest()
+                for counter in range((length + 31) // 32)
+            )[:length]
+            padded = (
+                from_bytes(ciphertext[BLOCK_SIZE:], "little")
+                ^ from_bytes(keystream, "little")
+            ).to_bytes(length, "little")
+            try:
+                out.append(unpad(padded, BLOCK_SIZE))
+            except PaddingError as exc:
+                raise DecryptionError(str(exc)) from exc
+        return out

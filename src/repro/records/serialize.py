@@ -21,6 +21,10 @@ from repro.records.schema import AttributeType, Schema
 _HEADER = struct.Struct("<bH")  # flag, field count
 _FIELD_LEN = struct.Struct("<I")
 
+#: What every dummy's wire encoding starts with: the flag leads the
+#: payload, so a reader can discard dummies without decoding their fields.
+DUMMY_PAYLOAD_PREFIX = _HEADER.pack(DUMMY_FLAG, 0)[:1]
+
 #: Separator for raw textual lines; chosen to be absent from generated data.
 RAW_SEPARATOR = "\t"
 

@@ -5,11 +5,27 @@ the cloud (published and unindexed), the randomer buffer, and the merger's
 removed-record buffers.
 """
 
+import random
+from collections import Counter
+
 import pytest
 
+from repro.cloud.node import FresqueCloud
+from repro.core.checking import CheckingNode
+from repro.core.merger import Merger
+from repro.core.messages import (
+    NewPublication,
+    Pair,
+    PairBatch,
+    RemovedRecord,
+    TemplateMsg,
+)
 from repro.core.system import CollectorAwareQueryTarget, FresqueSystem
 from repro.datasets.flu import FluSurveyGenerator
+from repro.index.perturb import draw_noise_plan
 from repro.index.query import RangeQuery
+from repro.index.tree import IndexTree
+from repro.records.record import EncryptedRecord
 from repro.records.serialize import parse_raw_line, render_raw_line
 
 
@@ -83,14 +99,20 @@ class TestCollectorResidentRecords:
         assert len(values) == len(set(values))
 
 
+def _under(triples, leaves):
+    """The encrypted records of ``(publication, leaf, record)`` triples
+    whose leaf is in ``leaves``."""
+    return [record for _, leaf, record in triples if leaf in leaves]
+
+
 class _StubChecking:
     """Checker stand-in with a fixed randomer-resident set."""
 
     def __init__(self, pairs):
         self._pairs = pairs
 
-    def buffered_pairs(self):
-        return list(self._pairs)
+    def buffered_in(self, leaves):
+        return _under(self._pairs, leaves)
 
 
 class _StubMerger:
@@ -99,8 +121,8 @@ class _StubMerger:
     def __init__(self, pairs):
         self._pairs = pairs
 
-    def pending_removed(self):
-        return list(self._pairs)
+    def removed_in(self, leaves):
+        return _under(self._pairs, leaves)
 
 
 class TestMidPublicationUnion:
@@ -111,8 +133,6 @@ class TestMidPublicationUnion:
 
     @staticmethod
     def _pair(domain, publication, value, marker):
-        from repro.records.record import EncryptedRecord
-
         leaf_offset = domain.leaf_offset(value)
         return (
             publication,
@@ -121,8 +141,6 @@ class TestMidPublicationUnion:
         )
 
     def test_union_of_randomer_and_merger_residents(self, flu_config):
-        from repro.cloud.node import FresqueCloud
-
         domain = flu_config.domain
         cloud = FresqueCloud(domain)
         buffered = [
@@ -149,9 +167,6 @@ class TestMidPublicationUnion:
     def test_union_stacks_on_cloud_unindexed(self, flu_config):
         """Collector residents extend (not replace) the cloud's own
         in-flight unindexed records."""
-        from repro.cloud.node import FresqueCloud
-        from repro.records.record import EncryptedRecord
-
         domain = flu_config.domain
         cloud = FresqueCloud(domain)
         cloud.announce_publication(0)
@@ -169,3 +184,73 @@ class TestMidPublicationUnion:
         result = target.query(RangeQuery(345, 360))
         ciphertexts = {record.ciphertext for record in result.unindexed}
         assert ciphertexts >= {b"at-cloud", b"at-randomer", b"at-merger"}
+
+
+class TestLeafKeyedLookupEqualsScan:
+    """The target finds collector residents by leaf; the scan it replaced
+    — a filter over ``buffered_pairs() + pending_removed()`` — stays here
+    as the reference."""
+
+    @staticmethod
+    def _reference_extras(domain, checking, merger, query):
+        overlapping = set(domain.leaves_overlapping(query.low, query.high))
+        return [
+            encrypted
+            for _, leaf_offset, encrypted in (
+                checking.buffered_pairs() + merger.pending_removed()
+            )
+            if leaf_offset in overlapping
+        ]
+
+    def test_two_open_publications_with_removed_records(
+        self, flu_config, fast_cipher
+    ):
+        domain = flu_config.domain
+        checking = CheckingNode(flu_config, rng=random.Random(141))
+        merger = Merger(flu_config, fast_cipher, rng=random.Random(142))
+        tree = IndexTree(domain, fanout=flu_config.fanout)
+        draws = random.Random(143)
+        serial = iter(range(10_000))
+
+        def record(publication, leaf):
+            marker = f"{publication}-{leaf}-{next(serial)}".encode()
+            return EncryptedRecord(leaf, marker, publication=publication)
+
+        # Publishing is asynchronous (Section 5.3): the checking node and
+        # the merger hold state for both open publications at once.
+        for publication in (0, 1):
+            plan = draw_noise_plan(tree, flu_config.epsilon, rng=draws)
+            checking.on_new_publication(NewPublication(publication, plan))
+            merger.on_template(TemplateMsg(publication, plan))
+            leaves = [draws.randrange(domain.num_leaves) for _ in range(120)]
+            checking.on_pair_batch(
+                PairBatch(
+                    publication,
+                    tuple(
+                        Pair(
+                            publication,
+                            leaf,
+                            record(publication, leaf),
+                            dummy=draws.random() < 0.2,
+                        )
+                        for leaf in leaves
+                    ),
+                )
+            )
+            for leaf in leaves[:15]:
+                merger.on_removed(
+                    RemovedRecord(publication, leaf, record(publication, leaf))
+                )
+        assert {p for p, _, _ in checking.buffered_pairs()} == {0, 1}
+        assert {p for p, _, _ in merger.pending_removed()} == {0, 1}
+
+        cloud = FresqueCloud(domain)
+        target = CollectorAwareQueryTarget(cloud, checking, merger)
+        for low, high in ((345, 360), (340, 420), (350, 350), (415, 420)):
+            query = RangeQuery(low, high)
+            extras = target.query(query).unindexed
+            reference = self._reference_extras(domain, checking, merger, query)
+            assert reference
+            assert Counter(r.ciphertext for r in extras) == Counter(
+                r.ciphertext for r in reference
+            )

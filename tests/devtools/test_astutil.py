@@ -4,11 +4,8 @@ import ast
 import textwrap
 
 from repro.devtools.astutil import (
-    annotation_names,
-    assigned_names,
     call_name,
     dotted_name,
-    function_params,
     iter_functions,
     keyword_arg,
     self_attr,
@@ -75,50 +72,3 @@ def test_iter_functions_finds_async_and_decorated_methods():
 def test_iter_functions_skips_lambdas():
     tree = parse("f = lambda x: (lambda y: y)(x)")
     assert list(iter_functions(tree)) == []
-
-
-def test_assigned_names_handles_destructuring_and_walrus():
-    (assign,) = parse("a, (b, *rest) = value").body
-    assert list(assigned_names(assign.targets[0])) == ["a", "b", "rest"]
-    walrus = first_expr("(n := compute())")
-    assert list(assigned_names(walrus.target)) == ["n"]
-    (attr_assign,) = parse("self.x = 1").body
-    assert list(assigned_names(attr_assign.targets[0])) == []
-
-
-def test_annotation_names_handles_strings_unions_and_generics():
-    def annot(source: str) -> ast.expr:
-        return parse(f"def f(x: {source}): pass").body[0].args.args[0].annotation
-
-    assert "Record" in annotation_names(annot("Record"))
-    assert "Record" in annotation_names(annot("'Record | None'"))
-    assert "Record" in annotation_names(annot("Optional[Record]"))
-    assert "Record" in annotation_names(annot("records.Record"))
-    assert annotation_names(annot("'not ) valid'")) == frozenset()
-    assert annotation_names(None) == frozenset()
-
-
-def test_function_params_orders_posonly_args_kwonly():
-    tree = parse(
-        """
-        def f(a, /, b, *args, c, **kwargs):
-            pass
-        """
-    )
-    params = function_params(tree.body[0])
-    assert [p.arg for p in params] == ["a", "b", "c"]
-
-
-def test_function_params_on_nested_lambda_wrapper():
-    tree = parse(
-        """
-        async def outer(x):
-            handler = lambda a, b: a + b
-
-            def inner(y, *, z=1):
-                return y + z
-        """
-    )
-    outer, inner = list(iter_functions(tree))
-    assert [p.arg for p in function_params(outer)] == ["x"]
-    assert [p.arg for p in function_params(inner)] == ["y", "z"]

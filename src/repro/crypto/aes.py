@@ -5,10 +5,16 @@ package is available offline, so the block cipher is implemented here from
 the standard.  It supports 128/192/256-bit keys and is validated against the
 FIPS-197 appendix test vectors in the test suite.
 
-This implementation favours clarity over raw speed (table-driven rounds, no
-bit-slicing); high-rate ingestion experiments use the cost-modelled
-:class:`~repro.crypto.cipher.SimulatedCipher` instead, while functional runs
-use real AES through :class:`~repro.crypto.cipher.AesCbcCipher`.
+There are two round implementations over one key schedule.  The
+single-block reference (:meth:`AesBlockCipher.encrypt_block`) follows the
+standard step by step and costs ~35 µs per block.  The many-block kernel
+(:meth:`AesBlockCipher.encrypt_blocks`) runs every block of a call through
+each round together using only standard-library operations that loop in C
+(``bytes.translate``, big-integer XOR, slicing) and costs ~1 µs per block
+from a few dozen blocks up; every batch path of the pipeline runs on it
+(:mod:`repro.crypto.modes`), which puts real AES-CBC in the same throughput
+band as the cost-modelled :class:`~repro.crypto.cipher.SimulatedCipher`.
+``docs/BATCHING.md`` ("How the AES kernel works") has the walk-through.
 """
 
 from __future__ import annotations
@@ -161,8 +167,65 @@ def _add_round_key(state: list[int], round_key: list[int]) -> None:
         state[i] ^= round_key[i]
 
 
+# ---------------------------------------------------------------------------
+# The many-block kernel's tables.  SubBytes and the MixColumns products are
+# composed into one 256-byte table each, so ``bytes.translate`` does both
+# for every block of a call in one C loop.
+# ---------------------------------------------------------------------------
+
+_SUB = bytes(_SBOX)
+_SUB_X2 = bytes(_MUL2[v] for v in _SBOX)
+_INV_SUB = bytes(_INV_SBOX)
+_INV_SUB_X9 = bytes(_MUL9[v] for v in _INV_SBOX)
+_INV_SUB_X11 = bytes(_MUL11[v] for v in _INV_SBOX)
+_INV_SUB_X13 = bytes(_MUL13[v] for v in _INV_SBOX)
+_INV_SUB_X14 = bytes(_MUL14[v] for v in _INV_SBOX)
+
+
+def _row_key_tables(round_key: list[int]) -> list[bytes]:
+    """One translate table per state row: column index -> round-key byte.
+
+    Translating the kernel's ``columns`` template (``n`` zeros, ``n``
+    ones, ``n`` twos, ``n`` threes) through row ``r``'s table lays the
+    four key bytes of that row out across all ``n`` blocks, whatever
+    ``n`` is — the round keys are stored once per key, not once per
+    batch size.
+    """
+    return [
+        bytes(round_key[4 * column + row] for column in range(4)) + bytes(252)
+        for row in range(4)
+    ]
+
+
 class AesBlockCipher:
-    """Raw AES block encryption/decryption of single 16-byte blocks.
+    """Raw AES encryption/decryption of 16-byte blocks.
+
+    Two round implementations share one key schedule:
+
+    * :meth:`encrypt_block` / :meth:`decrypt_block` — the FIPS-197
+      reference, one block as a 16-element list.  The scalar CBC paths
+      use it, and it is the oracle the kernel is tested against.
+    * :meth:`encrypt_blocks` / :meth:`decrypt_blocks` — the many-block
+      kernel every batch path runs on: all ``n`` independent blocks of a
+      call go through each round together, in C loops.
+
+    The kernel keeps the state as four big integers, one per state row.
+    Row ``r`` is the concatenation of four *planes* — byte ``4c + r`` of
+    every block (``data[4 * c + r :: 16]``), for columns ``c`` = 0..3 —
+    so it is ``4n`` bytes long.  In that layout
+
+    * SubBytes is ``bytes.translate`` over a row, and the ×2 (resp. ×9,
+      ×11, ×13, ×14) products MixColumns needs are further translates
+      through tables composed with the S-box;
+    * ShiftRows moves whole planes and no byte within one: row ``r``
+      rotates by ``r`` planes, two slices and a concatenation;
+    * MixColumns combines the four rows of a column, which sit at the
+      same offset of the four integers, so it is plain XOR of rows;
+    * AddRoundKey is one more XOR, with the row's four key bytes spread
+      over the planes by a translate of the ``columns`` template.
+
+    Nothing is cached on the instance between calls, so one cipher can be
+    shared by concurrent callers.
 
     Parameters
     ----------
@@ -173,6 +236,15 @@ class AesBlockCipher:
     def __init__(self, key: bytes):
         self._round_keys = expand_key(key)
         self._rounds = len(self._round_keys) - 1
+        self._row_keys = [_row_key_tables(rk) for rk in self._round_keys]
+        # Decryption adds the round key *before* InvMixColumns; the
+        # transform is linear, so the kernel adds InvMixColumns(key)
+        # after it instead and mixes table products only.
+        self._inv_mixed_row_keys = []
+        for round_key in self._round_keys:
+            mixed = list(round_key)
+            _inv_mix_columns(mixed)
+            self._inv_mixed_row_keys.append(_row_key_tables(mixed))
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
@@ -205,3 +277,167 @@ class AesBlockCipher:
         _inv_sub_bytes(state)
         _add_round_key(state, self._round_keys[0])
         return bytes(state)
+
+    def encrypt_blocks(self, data: bytes) -> bytes:
+        """Encrypt ``len(data) // 16`` independent blocks (ECB, no chaining).
+
+        Equal to joining :meth:`encrypt_block` over the 16-byte pieces of
+        ``data``; an empty input gives ``b""``.
+        """
+        count = _block_count(data)
+        if count == 0:
+            return b""
+        from_bytes = int.from_bytes
+        columns = _columns_template(count)
+        rows = _xor_rows(
+            _rows_of(data), _key_rows(columns, self._row_keys[0])
+        )
+        for round_index in range(1, self._rounds):
+            b0, b1, b2, b3 = _shifted_rows(rows, count, 1)
+            s0 = from_bytes(b0.translate(_SUB), "little")
+            s1 = from_bytes(b1.translate(_SUB), "little")
+            s2 = from_bytes(b2.translate(_SUB), "little")
+            s3 = from_bytes(b3.translate(_SUB), "little")
+            d0 = from_bytes(b0.translate(_SUB_X2), "little")
+            d1 = from_bytes(b1.translate(_SUB_X2), "little")
+            d2 = from_bytes(b2.translate(_SUB_X2), "little")
+            d3 = from_bytes(b3.translate(_SUB_X2), "little")
+            # Row r of MixColumns is 2·s[r] ^ 3·s[r+1] ^ s[r+2] ^ s[r+3];
+            # with 3·x = 2·x ^ x that is (all four s) ^ s[r] ^ d[r] ^ d[r+1].
+            every = s0 ^ s1 ^ s2 ^ s3
+            k0, k1, k2, k3 = _key_rows(columns, self._row_keys[round_index])
+            rows = [
+                every ^ s0 ^ d0 ^ d1 ^ k0,
+                every ^ s1 ^ d1 ^ d2 ^ k1,
+                every ^ s2 ^ d2 ^ d3 ^ k2,
+                every ^ s3 ^ d3 ^ d0 ^ k3,
+            ]
+        substituted = [
+            from_bytes(row.translate(_SUB), "little")
+            for row in _shifted_rows(rows, count, 1)
+        ]
+        return _blocks_of(
+            _xor_rows(
+                substituted, _key_rows(columns, self._row_keys[self._rounds])
+            ),
+            count,
+        )
+
+    def decrypt_blocks(self, data: bytes) -> bytes:
+        """Decrypt ``len(data) // 16`` independent blocks; the inverse of
+        :meth:`encrypt_blocks` and equal to joining :meth:`decrypt_block`."""
+        count = _block_count(data)
+        if count == 0:
+            return b""
+        from_bytes = int.from_bytes
+        columns = _columns_template(count)
+        rows = _xor_rows(
+            _rows_of(data), _key_rows(columns, self._row_keys[self._rounds])
+        )
+        for round_index in range(self._rounds - 1, 0, -1):
+            b0, b1, b2, b3 = _shifted_rows(rows, count, 3)
+            k0, k1, k2, k3 = _key_rows(
+                columns, self._inv_mixed_row_keys[round_index]
+            )
+            # InvMixColumns: row r is 14·u[r] ^ 11·u[r+1] ^ 13·u[r+2] ^
+            # 9·u[r+3] over u = InvSubBytes(state).
+            rows = [
+                from_bytes(b0.translate(_INV_SUB_X14), "little")
+                ^ from_bytes(b1.translate(_INV_SUB_X11), "little")
+                ^ from_bytes(b2.translate(_INV_SUB_X13), "little")
+                ^ from_bytes(b3.translate(_INV_SUB_X9), "little")
+                ^ k0,
+                from_bytes(b1.translate(_INV_SUB_X14), "little")
+                ^ from_bytes(b2.translate(_INV_SUB_X11), "little")
+                ^ from_bytes(b3.translate(_INV_SUB_X13), "little")
+                ^ from_bytes(b0.translate(_INV_SUB_X9), "little")
+                ^ k1,
+                from_bytes(b2.translate(_INV_SUB_X14), "little")
+                ^ from_bytes(b3.translate(_INV_SUB_X11), "little")
+                ^ from_bytes(b0.translate(_INV_SUB_X13), "little")
+                ^ from_bytes(b1.translate(_INV_SUB_X9), "little")
+                ^ k2,
+                from_bytes(b3.translate(_INV_SUB_X14), "little")
+                ^ from_bytes(b0.translate(_INV_SUB_X11), "little")
+                ^ from_bytes(b1.translate(_INV_SUB_X13), "little")
+                ^ from_bytes(b2.translate(_INV_SUB_X9), "little")
+                ^ k3,
+            ]
+        substituted = [
+            from_bytes(row.translate(_INV_SUB), "little")
+            for row in _shifted_rows(rows, count, 3)
+        ]
+        return _blocks_of(
+            _xor_rows(substituted, _key_rows(columns, self._row_keys[0])),
+            count,
+        )
+
+
+def _block_count(data: bytes) -> int:
+    if len(data) % BLOCK_SIZE != 0:
+        raise ValueError(
+            f"data must be a multiple of {BLOCK_SIZE} bytes, got {len(data)}"
+        )
+    return len(data) // BLOCK_SIZE
+
+
+def _columns_template(count: int) -> bytes:
+    """The column index of every byte of a row: what a row-key table
+    translates into that row's AddRoundKey operand."""
+    return b"\x00" * count + b"\x01" * count + b"\x02" * count + b"\x03" * count
+
+
+def _rows_of(data: bytes) -> list[int]:
+    """The four state rows of every block: row ``r`` is planes ``r``,
+    ``4 + r``, ``8 + r`` and ``12 + r`` (its four columns) end to end."""
+    return [
+        int.from_bytes(
+            data[row::16]
+            + data[4 + row :: 16]
+            + data[8 + row :: 16]
+            + data[12 + row :: 16],
+            "little",
+        )
+        for row in range(4)
+    ]
+
+
+def _key_rows(columns: bytes, tables: list[bytes]) -> list[int]:
+    """One round key as four row operands for AddRoundKey."""
+    return [
+        int.from_bytes(columns.translate(table), "little") for table in tables
+    ]
+
+
+def _xor_rows(rows: list[int], others: list[int]) -> list[int]:
+    return [row ^ other for row, other in zip(rows, others)]
+
+
+def _shifted_rows(rows: list[int], count: int, step: int) -> list[bytes]:
+    """The rows as bytes, row ``r`` rotated left by ``r * step`` planes:
+    ShiftRows for ``step`` 1, InvShiftRows for ``step`` 3 (= -1 mod 4)."""
+    width = 4 * count
+    b0 = rows[0].to_bytes(width, "little")
+    b1 = rows[1].to_bytes(width, "little")
+    b2 = rows[2].to_bytes(width, "little")
+    b3 = rows[3].to_bytes(width, "little")
+    one, two = step * count, 2 * count
+    three = width - one
+    return [
+        b0,
+        b1[one:] + b1[:one],
+        b2[two:] + b2[:two],
+        b3[three:] + b3[:three],
+    ]
+
+
+def _blocks_of(rows: list[int], count: int) -> bytes:
+    """Interleave the planes of four rows back into 16-byte blocks."""
+    out = bytearray(BLOCK_SIZE * count)
+    for row in range(4):
+        planes = rows[row].to_bytes(4 * count, "little")
+        for column in range(4):
+            out[4 * column + row :: 16] = planes[
+                column * count : (column + 1) * count
+            ]
+    return bytes(out)

@@ -44,17 +44,63 @@ class AuthenticatedCipher(RecordCipher):
     def _tag(self, ciphertext: bytes) -> bytes:
         return hmac.new(self._mac_key, ciphertext, hashlib.sha256).digest()
 
-    def encrypt(self, plaintext: bytes) -> bytes:
-        body = self._inner.encrypt(plaintext)
+    def _tagged(self, body: bytes) -> bytes:
         return body + self._tag(body)
 
-    def decrypt(self, ciphertext: bytes) -> bytes:
+    def _verified_body(self, ciphertext: bytes) -> bytes:
         if len(ciphertext) < _TAG_BYTES + 32:
             raise AuthenticationError("ciphertext too short for a MAC tag")
         body, tag = ciphertext[:-_TAG_BYTES], ciphertext[-_TAG_BYTES:]
         if not hmac.compare_digest(self._tag(body), tag):
             raise AuthenticationError("MAC verification failed")
-        return self._inner.decrypt(body)
+        return body
+
+    def encrypt(self, plaintext: bytes) -> bytes:
+        return self._tagged(self._inner.encrypt(plaintext))
+
+    def decrypt(self, ciphertext: bytes) -> bytes:
+        return self._inner.decrypt(self._verified_body(ciphertext))
+
+    def encrypt_batch(self, plaintexts: list[bytes]) -> list[bytes]:
+        """One inner batch call (its fast path, its IV sequence), then a
+        tag per element."""
+        return [
+            self._tagged(body)
+            for body in self._inner.encrypt_batch(plaintexts)
+        ]
+
+    def encrypt_batch_seeded(
+        self, plaintexts: list[bytes], nonces: list[bytes]
+    ) -> list[bytes]:
+        return [
+            self._tagged(body)
+            for body in self._inner.encrypt_batch_seeded(plaintexts, nonces)
+        ]
+
+    def decrypt_batch(self, ciphertexts: list[bytes]) -> list[bytes]:
+        """Verify every tag, then one inner batch call.
+
+        Keeps the map contract: when element ``k`` fails verification the
+        elements before it are still decrypted first, so an earlier
+        element's decryption error is the one raised.
+        """
+        bodies = []
+        for ciphertext in ciphertexts:
+            try:
+                bodies.append(self._verified_body(ciphertext))
+            except AuthenticationError:
+                self._inner.decrypt_batch(bodies)
+                raise
+        return self._inner.decrypt_batch(bodies)
+
+    # Seeded IVs are the inner cipher's: the tag covers whatever IV the
+    # body carries, so the wrapper adds no derivation of its own.
+
+    def derive_iv(self, nonce: bytes) -> bytes:
+        return self._inner.derive_iv(nonce)
+
+    def _encrypt_with_iv(self, plaintext: bytes, iv: bytes) -> bytes:
+        return self._tagged(self._inner._encrypt_with_iv(plaintext, iv))
 
     def ciphertext_length(self, plaintext_length: int) -> int:
         return self._inner.ciphertext_length(plaintext_length) + _TAG_BYTES

@@ -2,16 +2,20 @@
 
 Two interchangeable implementations:
 
-* :class:`AesCbcCipher` — real AES-CBC over the pure-Python block cipher;
-  used by functional tests, examples and the threaded runtime, where
-  correctness of the round trip matters.
-* :class:`SimulatedCipher` — a fast stand-in that produces ciphertexts of the
+* :class:`AesCbcCipher` — real AES-CBC, the paper's scheme.  Its batch
+  methods (``encrypt_batch``, ``encrypt_batch_seeded``, ``decrypt_batch``
+  — what computing nodes, the merger and the query client call) run on the
+  many-block AES kernel and land in the same throughput band as the
+  stand-in below; single-record ``encrypt`` / ``decrypt`` use the
+  single-block reference at ~35 µs per block.
+* :class:`SimulatedCipher` — a stand-in that produces ciphertexts of the
   same length as AES-CBC would (IV + padded blocks) by keyed-stream XOR.  It
   preserves everything the system cares about structurally (length, dummy
-  indistinguishability, decrypt-ability with the key) while making
-  million-record simulations tractable in pure Python.  The *cost* of real
-  AES is charged explicitly by the discrete-event simulator's cost model, so
-  using the fast cipher does not distort performance results.
+  indistinguishability, decrypt-ability with the key).  It remains for the
+  discrete-event simulation, whose cost model charges the *cost* of AES
+  explicitly, and for callers that encrypt one record at a time (the
+  PINED-RQ family and the baselines), where the AES kernel has nothing to
+  batch.
 
 Both hide the record's dummy flag inside the ciphertext, as the paper
 requires (an observer of ``<leaf offset, e-record>`` pairs cannot tell
@@ -26,7 +30,12 @@ from abc import ABC, abstractmethod
 
 from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher
 from repro.crypto.keys import KeyStore
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt, cbc_encrypt_many
+from repro.crypto.modes import (
+    cbc_decrypt,
+    cbc_decrypt_many,
+    cbc_encrypt,
+    cbc_encrypt_many,
+)
 from repro.crypto.padding import PaddingError, pad, unpad
 
 
@@ -77,8 +86,9 @@ class RecordCipher(ABC):
         ``tests/crypto/test_batch_encrypt.py``): the result equals
         ``[self.encrypt(p) for p in plaintexts]`` including IV order, so
         the batched ingest path produces the exact ciphertext stream of
-        the per-record path.  Subclasses override this with a multi-block
-        fast path; the base implementation is the semantic reference.
+        the per-record path.  Subclasses override this with a fast path
+        (the AES kernel, the inlined keystream loop); the base
+        implementation is the semantic reference.
         """
         return [self.encrypt(plaintext) for plaintext in plaintexts]
 
@@ -169,13 +179,27 @@ class AesCbcCipher(RecordCipher):
         return iv + cbc_encrypt(self._block, plaintext, iv)
 
     def encrypt_batch(self, plaintexts: list[bytes]) -> list[bytes]:
-        """Multi-block fast path: one CBC chain loop over the whole batch.
+        """The batch through the many-block kernel, position-major.
 
-        Each message still gets its own fresh IV (its chain restarts
-        there — the construction is unchanged), but the block loop runs
-        once over a concatenated buffer instead of once per record.
+        Each message still gets its own fresh IV and its own chain — the
+        construction and the bytes are those of mapping :meth:`encrypt`.
         """
-        ivs = [self._keys.fresh_iv() for _ in plaintexts]
+        return self._encrypt_batch_with_ivs(
+            plaintexts, [self._keys.fresh_iv() for _ in plaintexts]
+        )
+
+    def encrypt_batch_seeded(
+        self, plaintexts: list[bytes], nonces: list[bytes]
+    ) -> list[bytes]:
+        if len(plaintexts) != len(nonces):
+            raise ValueError("one nonce per plaintext is required")
+        return self._encrypt_batch_with_ivs(
+            plaintexts, [self.derive_iv(nonce) for nonce in nonces]
+        )
+
+    def _encrypt_batch_with_ivs(
+        self, plaintexts: list[bytes], ivs: list[bytes]
+    ) -> list[bytes]:
         bodies = cbc_encrypt_many(self._block, plaintexts, ivs)
         return [iv + body for iv, body in zip(ivs, bodies)]
 
@@ -188,6 +212,32 @@ class AesCbcCipher(RecordCipher):
         except (PaddingError, ValueError) as exc:
             raise DecryptionError(str(exc)) from exc
 
+    def decrypt_batch(self, ciphertexts: list[bytes]) -> list[bytes]:
+        """Every block of the batch through one kernel call.
+
+        All length, IV and PKCS#7 checks of :meth:`decrypt` run on every
+        element.  A ciphertext of impossible length is handed to
+        :meth:`decrypt` for its error, but only after the elements before
+        it have been decrypted and unpadded — as when mapping, an earlier
+        element's padding error wins.
+        """
+        for index, ciphertext in enumerate(ciphertexts):
+            if (
+                len(ciphertext) < 2 * BLOCK_SIZE
+                or len(ciphertext) % BLOCK_SIZE != 0
+            ):
+                return self.decrypt_batch(ciphertexts[:index]) + [
+                    self.decrypt(ciphertext)
+                ]
+        try:
+            return cbc_decrypt_many(
+                self._block,
+                [ciphertext[BLOCK_SIZE:] for ciphertext in ciphertexts],
+                [ciphertext[:BLOCK_SIZE] for ciphertext in ciphertexts],
+            )
+        except PaddingError as exc:
+            raise DecryptionError(str(exc)) from exc
+
 
 class SimulatedCipher(RecordCipher):
     """Length-preserving fast cipher for high-rate simulations.
@@ -195,8 +245,9 @@ class SimulatedCipher(RecordCipher):
     Encrypts by XOR with a keystream derived from SHA-256(key || IV || ctr)
     over the PKCS#7-padded plaintext, prefixed by the IV — so ciphertext
     lengths match :class:`AesCbcCipher` exactly.  This is *not* offered as a
-    secure construction; it exists so structural experiments don't pay the
-    pure-Python AES cost (which the simulator models separately).
+    secure construction; it exists so structural experiments and
+    record-at-a-time callers don't pay the single-block AES cost (which
+    the simulator models separately).
     """
 
     def __init__(self, keys: KeyStore, counter_start: int = 0):

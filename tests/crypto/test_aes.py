@@ -1,7 +1,9 @@
 """AES block cipher tests against the FIPS-197 / NIST vectors."""
 
+import hashlib
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher, AesKeyError, expand_key
@@ -36,6 +38,97 @@ class TestFips197Vectors:
             cipher.encrypt_block(plaintext).hex()
             == "3925841d02dc09fbdc118597196a0b32"
         )
+
+
+# FIPS-197 Appendix B worked example (AES-128).
+_APPENDIX_B = (
+    bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"),
+    bytes.fromhex("3243f6a8885a308d313198a2e0370734"),
+    bytes.fromhex("3925841d02dc09fbdc118597196a0b32"),
+)
+
+
+def _each_block(transform, data):
+    """The single-block reference mapped over ``data``: the kernel's oracle."""
+    return b"".join(
+        transform(data[offset : offset + BLOCK_SIZE])
+        for offset in range(0, len(data), BLOCK_SIZE)
+    )
+
+
+class TestManyBlockKernelVectors:
+    """The FIPS-197 vectors through ``encrypt_blocks`` / ``decrypt_blocks``."""
+
+    @pytest.mark.parametrize("key_size", sorted(_VECTORS))
+    def test_appendix_c_alone(self, key_size):
+        cipher = AesBlockCipher(bytes(range(key_size)))
+        ciphertext = bytes.fromhex(_VECTORS[key_size])
+        assert cipher.encrypt_blocks(_PLAINTEXT) == ciphertext
+        assert cipher.decrypt_blocks(ciphertext) == _PLAINTEXT
+
+    @pytest.mark.parametrize("copies", [2, 7, 64, 300])
+    @pytest.mark.parametrize("key_size", sorted(_VECTORS))
+    def test_appendix_c_inside_a_larger_call(self, key_size, copies):
+        """The vector at every position of a call whose other blocks all
+        differ: no block's result depends on its neighbours or position."""
+        cipher = AesBlockCipher(bytes(range(key_size)))
+        ciphertext = bytes.fromhex(_VECTORS[key_size])
+        filler = [bytes([index % 256]) * BLOCK_SIZE for index in range(copies)]
+        plain = b"".join(_PLAINTEXT + block for block in filler)
+        encrypted = cipher.encrypt_blocks(plain)
+        for index in range(copies):
+            start = 2 * BLOCK_SIZE * index
+            assert encrypted[start : start + BLOCK_SIZE] == ciphertext
+        assert cipher.decrypt_blocks(encrypted) == plain
+        assert cipher.encrypt_blocks(_PLAINTEXT * copies) == ciphertext * copies
+        assert cipher.decrypt_blocks(ciphertext * copies) == _PLAINTEXT * copies
+
+    @pytest.mark.parametrize("copies", [1, 5, 129])
+    def test_appendix_b(self, copies):
+        key, plaintext, ciphertext = _APPENDIX_B
+        cipher = AesBlockCipher(key)
+        assert cipher.encrypt_blocks(plaintext * copies) == ciphertext * copies
+        assert cipher.decrypt_blocks(ciphertext * copies) == plaintext * copies
+
+
+class TestManyBlockKernelEqualsReference:
+    @pytest.mark.parametrize("count", [1, 2, 3, 63, 64, 65, 511, 513])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_kernel_equals_mapped_single_block(self, count, data):
+        """``encrypt_blocks(d)`` is ``encrypt_block`` over the pieces of
+        ``d``, and ``decrypt_blocks`` likewise, for every key size."""
+        key_size = data.draw(st.sampled_from([16, 24, 32]))
+        key = data.draw(st.binary(min_size=key_size, max_size=key_size))
+        # Hypothesis draws a short seed; the call's 16 * count bytes are
+        # that seed either repeated (runs of equal and near-equal blocks)
+        # or stretched by SHAKE-256 (every block different).
+        seed = data.draw(st.binary(min_size=1, max_size=48))
+        size = BLOCK_SIZE * count
+        if data.draw(st.booleans()):
+            blocks = (seed * (size // len(seed) + 1))[:size]
+        else:
+            blocks = hashlib.shake_256(seed).digest(size)
+        cipher = AesBlockCipher(key)
+        encrypted = cipher.encrypt_blocks(blocks)
+        assert encrypted == _each_block(cipher.encrypt_block, blocks)
+        assert cipher.decrypt_blocks(blocks) == _each_block(
+            cipher.decrypt_block, blocks
+        )
+        assert cipher.decrypt_blocks(encrypted) == blocks
+
+    def test_empty_input(self):
+        cipher = AesBlockCipher(bytes(16))
+        assert cipher.encrypt_blocks(b"") == b""
+        assert cipher.decrypt_blocks(b"") == b""
+
+    @pytest.mark.parametrize("length", [1, 15, 17, 31, 1000])
+    def test_partial_block_rejected(self, length):
+        cipher = AesBlockCipher(bytes(16))
+        with pytest.raises(ValueError):
+            cipher.encrypt_blocks(bytes(length))
+        with pytest.raises(ValueError):
+            cipher.decrypt_blocks(bytes(length))
 
 
 class TestKeyExpansion:

@@ -11,6 +11,9 @@ protocol violation as a real record with corrupt padding.
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,17 +44,27 @@ def _authenticated():
     return AuthenticatedCipher(SimulatedCipher(keys), keys)
 
 
+def _authenticated_aes():
+    keys = KeyStore(_MASTER_KEY, key_size=16)
+    return AuthenticatedCipher(AesCbcCipher(keys), keys)
+
+
 _CIPHERS = pytest.mark.parametrize(
     "make_cipher",
-    [_simulated, _aes, _authenticated],
-    ids=["simulated", "aes-cbc", "authenticated"],
+    [_simulated, _aes, _authenticated, _authenticated_aes],
+    ids=["simulated", "aes-cbc", "authenticated", "authenticated-aes"],
 )
 
 #: Which ciphertext byte carries the last padding byte: the keystream
 #: cipher XORs in place; in CBC the last plaintext block is XORed with
 #: the ciphertext block before it (the IV for a one-block message).
 #: Under a MAC any changed byte fails verification first.
-_LAST_PAD_BYTE = {_simulated: -1, _aes: -1 - BLOCK_SIZE, _authenticated: -1}
+_LAST_PAD_BYTE = {
+    _simulated: -1,
+    _aes: -1 - BLOCK_SIZE,
+    _authenticated: -1,
+    _authenticated_aes: -1,
+}
 
 
 def _with_zero_pad_length(ciphertext: bytes, plaintext: bytes, position: int):
@@ -160,6 +173,38 @@ def test_authenticated_batch_rejects_a_tampered_element():
     )
 
 
+@pytest.mark.parametrize(
+    "make_cipher, make_inner, pad_byte",
+    [
+        (_authenticated, _simulated, -1),
+        (_authenticated_aes, _aes, -1 - BLOCK_SIZE),
+    ],
+    ids=["authenticated", "authenticated-aes"],
+)
+def test_authenticated_batch_lets_an_earlier_padding_error_win(
+    make_cipher, make_inner, pad_byte
+):
+    """Element 0 verifies but its body does not unpad (forged under the
+    MAC key); element 1 fails verification.  Mapping raises element 0's
+    padding error, and so must the batch although it verifies every tag
+    before it decrypts anything."""
+    cipher = make_cipher()
+    inner = make_inner()
+    mac_key = KeyStore(_MASTER_KEY).derive("fresque/record-authentication")
+    body = _with_zero_pad_length(inner.encrypt(b"payload"), b"payload", pad_byte)
+    forged = body + hmac.new(mac_key, body, hashlib.sha256).digest()
+    bad_mac = bytearray(cipher.encrypt(b"payload"))
+    bad_mac[-1] ^= 1
+    assert _both_forms(cipher, [forged, bytes(bad_mac)]) == (
+        DecryptionError,
+        "invalid padding length 0",
+    )
+    assert _both_forms(cipher, [bytes(bad_mac), forged]) == (
+        AuthenticationError,
+        "MAC verification failed",
+    )
+
+
 _messages = st.lists(st.binary(max_size=200), max_size=12)
 
 
@@ -188,6 +233,23 @@ def test_authenticated_batch_equals_map(messages):
     ciphertexts = cipher.encrypt_batch(messages)
     assert cipher.decrypt_batch(ciphertexts) == messages
     assert [cipher.decrypt(c) for c in ciphertexts] == messages
+
+
+@given(messages=st.lists(st.binary(max_size=70), max_size=4))
+@settings(max_examples=15, deadline=None)
+def test_authenticated_aes_batch_equals_map(messages):
+    cipher = _authenticated_aes()
+    ciphertexts = cipher.encrypt_batch(messages)
+    assert cipher.decrypt_batch(ciphertexts) == messages
+    assert [cipher.decrypt(c) for c in ciphertexts] == messages
+
+
+@given(blobs=st.lists(st.binary(max_size=80), max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_aes_batch_equals_map_on_arbitrary_bytes(blobs):
+    """Arbitrary byte strings of every length class — too short, not a
+    block multiple, well-formed with (almost surely) invalid padding."""
+    _both_forms(_aes(), blobs)
 
 
 @given(blobs=st.lists(st.binary(max_size=80), max_size=6))

@@ -18,13 +18,15 @@ included.  This module pins that contract three ways:
 from __future__ import annotations
 
 import hashlib
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher
-from repro.crypto.cipher import AesCbcCipher, SimulatedCipher
+from repro.crypto.cipher import AesCbcCipher, SimulatedCipher, record_nonce
 from repro.crypto.keys import KeyStore
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, cbc_encrypt_many
 
@@ -227,3 +229,91 @@ def test_simulated_interleaved_batches_continue_counter():
     stream += interleaved.encrypt_batch([])
     stream += interleaved.encrypt_batch(messages[4:])
     assert stream == [singles.encrypt(message) for message in messages]
+
+
+# ---------------------------------------------------------------------------
+# Byte identity with the pre-kernel cipher, and the kernel under threads
+# ---------------------------------------------------------------------------
+
+#: sha256 over the concatenated ciphertexts of ``_pinned_plaintexts()``
+#: under ``record_nonce(0..199)``, recorded at commit 84c0f44 — before the
+#: many-block kernel existed — by mapping ``encrypt_seeded`` (one
+#: ``cbc_encrypt`` per message over the single-block reference).
+_PINNED_SEEDED_STREAM = (
+    "cba820f963fa39c99bcb1bf51baced05c110ef7c9ad2c0feccf0047eeeb0071a"
+)
+
+
+def _pinned_plaintexts() -> list[bytes]:
+    """200 fixed plaintexts covering every length 0..80."""
+    return [
+        (hashlib.sha256(b"pt-%d" % index).digest() * 3)[: (index * 7) % 81]
+        for index in range(200)
+    ]
+
+
+def test_seeded_batch_stream_is_the_parent_commits():
+    """Same key, same IVs, same bytes: the kernel changed the cost of the
+    ciphertext stream and nothing else."""
+    cipher = AesCbcCipher(KeyStore(_MASTER_KEY, key_size=16))
+    plaintexts = _pinned_plaintexts()
+    nonces = [record_nonce(ordinal) for ordinal in range(len(plaintexts))]
+    batch = cipher.encrypt_batch_seeded(plaintexts, nonces)
+    assert hashlib.sha256(b"".join(batch)).hexdigest() == _PINNED_SEEDED_STREAM
+    assert batch == [
+        cipher.encrypt_seeded(plaintext, nonce)
+        for plaintext, nonce in zip(plaintexts, nonces)
+    ]
+    assert cipher.decrypt_batch(batch) == plaintexts
+
+
+def test_aes_seeded_batch_needs_one_nonce_per_plaintext():
+    cipher = AesCbcCipher(KeyStore(_MASTER_KEY, key_size=16))
+    with pytest.raises(ValueError):
+        cipher.encrypt_batch_seeded([b"a", b"b"], [record_nonce(0)])
+
+
+def test_one_aes_cipher_shared_by_concurrent_batches():
+    """Computing-node threads and the merger share one cipher object: the
+    kernel keeps nothing on the instance between (or during) calls, so
+    interleaved batches of different shapes all round-trip."""
+    cipher = AesCbcCipher(KeyStore(_MASTER_KEY, key_size=16))
+    workers = 4
+    batches = {
+        worker: [
+            [
+                b"w%d-r%d-m%d:" % (worker, round_, n) + bytes(n * (worker + 1))
+                for n in range(3 + 5 * worker)
+            ]
+            for round_ in range(25)
+        ]
+        for worker in range(workers)
+    }
+    results: dict[int, list[list[bytes]]] = {}
+    start = threading.Barrier(workers)
+
+    def encrypt_all(worker: int) -> None:
+        start.wait(timeout=10)
+        results[worker] = [
+            cipher.encrypt_batch(batch) for batch in batches[worker]
+        ]
+
+    threads = [
+        threading.Thread(target=encrypt_all, args=(worker,))
+        for worker in range(workers)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for worker in range(workers):
+        assert len(results[worker]) == len(batches[worker])
+        for batch, ciphertexts in zip(batches[worker], results[worker]):
+            assert cipher.decrypt_batch(ciphertexts) == batch
+            assert [cipher.decrypt(c) for c in ciphertexts] == batch

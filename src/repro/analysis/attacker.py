@@ -20,9 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.messages import Pair
 from repro.core.randomer import Randomer
-from repro.records.record import EncryptedRecord
 
 
 @dataclass(frozen=True)
@@ -68,24 +66,6 @@ class AttackOutcome:
         return self.dummies_identified / flagged
 
 
-def _dummy_pair(index: int) -> Pair:
-    return Pair(
-        publication=0,
-        leaf_offset=0,
-        encrypted=EncryptedRecord(0, b"\x00" * 32),
-        dummy=True,
-    )
-
-
-def _real_pair(index: int) -> Pair:
-    return Pair(
-        publication=0,
-        leaf_offset=0,
-        encrypted=EncryptedRecord(0, b"\x01" * 32),
-        dummy=False,
-    )
-
-
 def simulate_interval(
     n_real: int,
     n_dummies: int,
@@ -103,27 +83,34 @@ def simulate_interval(
     if not 0 <= quiet_fraction < 1:
         raise ValueError("quiet fraction must be in [0, 1)")
     clock = rng if rng is not None else random.Random()
-    arrivals: list[tuple[float, Pair]] = []
-    for index in range(n_real):
+    # (arrival time, dummy flag); the leaf and the ciphertext play no
+    # part in what the attacker observes.
+    arrivals: list[tuple[float, bool]] = []
+    for _ in range(n_real):
         time = quiet_fraction + clock.random() * (1.0 - quiet_fraction)
-        arrivals.append((time, _real_pair(index)))
-    for index in range(n_dummies):
-        arrivals.append((clock.random(), _dummy_pair(index)))
+        arrivals.append((time, False))
+    for _ in range(n_dummies):
+        arrivals.append((clock.random(), True))
     arrivals.sort(key=lambda item: item[0])
 
     randomer = Randomer(buffer_size, rng=clock)
     observed: list[ObservedRelease] = []
-    for time, pair in arrivals:
-        evicted = randomer.insert(pair)
-        if evicted is not None:
+    for time, dummy in arrivals:
+        # One pair at a time (a batch of one): each release is observed
+        # at the arrival time that triggered it.
+        _, _, released = randomer.insert_batch(
+            (0,), (b"\x01" * 32,), bytes((dummy,))
+        )
+        for is_dummy in released:
             observed.append(
                 ObservedRelease(
-                    time=time, is_dummy=evicted.dummy, from_flush=False
+                    time=time, is_dummy=bool(is_dummy), from_flush=False
                 )
             )
-    for pair in randomer.flush():
+    _, _, flushed = randomer.flush()
+    for is_dummy in flushed:
         observed.append(
-            ObservedRelease(time=1.0, is_dummy=pair.dummy, from_flush=True)
+            ObservedRelease(time=1.0, is_dummy=bool(is_dummy), from_flush=True)
         )
     return observed
 

@@ -34,13 +34,13 @@ import struct
 from array import array
 from itertools import accumulate, chain
 
-from repro.cloud.storage import PhysicalAddress, StorageError
+from repro.cloud.storage import PhysicalAddress, RecordWrites, StorageError
 from repro.records.record import EncryptedRecord
 
 _LENGTH = struct.Struct("<I")
 
 
-class FileBackedStore:
+class FileBackedStore(RecordWrites):
     """Encrypted record store persisting to real files.
 
     Parameters
@@ -153,17 +153,17 @@ class FileBackedStore:
         self._handle(file_id)
         return len(self._offsets[file_id])
 
-    def write_batch(self, file_id: int, records) -> int:
-        """Append ``records`` (a sequence) to ``file_id`` in order with one
-        write, creating the file if needed; returns the ordinal of the
-        first one (the rest follow)."""
+    def append_columns(self, file_id: int, ciphertexts, *_) -> int:
+        """Append ``ciphertexts`` (a sequence) to ``file_id`` in order with
+        one write, creating the file if needed; returns the ordinal of
+        the first one (the rest follow).  The store contract's other
+        columns are dropped: only ciphertexts reach the disk."""
         if file_id not in self._handles and not self._path(file_id).exists():
             self.create_file(file_id)
         handle = self._handle(file_id)
         offsets = self._offsets[file_id]
         first = len(offsets)
         start = self._sizes[file_id]
-        ciphertexts = [record.ciphertext for record in records]
         lengths = [len(ciphertext) for ciphertext in ciphertexts]
         # Running header offsets of the batch; the last one is the new size.
         ends = list(
@@ -187,10 +187,6 @@ class FileBackedStore:
         self.bytes_written += sum(lengths)
         self.write_ops += len(lengths)
         return first
-
-    def write(self, file_id: int, record: EncryptedRecord) -> PhysicalAddress:
-        """Append one record, returning its physical address."""
-        return self.address_of(file_id, self.write_batch(file_id, (record,)))
 
     def address_of(self, file_id: int, ordinal: int) -> PhysicalAddress:
         """The physical address of the ``ordinal``-th record of ``file_id``."""

@@ -212,33 +212,35 @@ class FresqueCloud(_BaseCloud):
         self, publication: int, leaf_offset: int, record: EncryptedRecord
     ) -> int:
         """Store one arriving pair: :meth:`receive_pairs` with one element."""
-        return self.receive_pairs(publication, [(leaf_offset, record)])
+        return self.receive_pairs(publication, (leaf_offset,), (record.ciphertext,))
 
-    def receive_pairs(self, publication: int, pairs) -> int:
-        """Store a batch of ``(leaf offset, e-record)`` pairs in order.
+    def receive_pairs(self, publication: int, leaves, ciphertexts) -> int:
+        """Store a batch of pairs — a leaf column and a ciphertext column —
+        in order.
 
         One message-level entry point per :class:`ToCloudBatch` /
         :class:`BufferFlush`: the ciphertexts go to the publication's file
-        and the leaf offsets to its metadata cache as bulk column appends
-        — nothing is retained per pair.  Returns the number of pairs
-        stored; pairs of an already-published publication are replay
-        duplicates, dropped and counted (0 returned).
+        and the leaf offsets to its metadata cache as the column appends
+        they arrived as — nothing is built or retained per pair.  Returns
+        the number stored; pairs of an already-published publication are
+        replay duplicates, dropped and counted (0 returned).
         """
+        count = len(leaves)
+        if len(ciphertexts) != count:
+            raise CloudError(f"{count} leaves for {len(ciphertexts)} ciphertexts")
         if publication in self._done:
-            count = len(pairs)
             self.duplicate_pairs += count
             self._duplicates_counter.inc(count)
             return 0
         self._require_active(publication)
-        records = [record for _, record in pairs]
         written = self.store.bytes_written
-        self.store.write_batch(publication, records)
-        self._metadata[publication].extend(
-            [leaf_offset for leaf_offset, _ in pairs]
+        self.store.append_columns(
+            publication, ciphertexts, leaves, [None] * count, [publication] * count
         )
-        self._pairs_counter.inc(len(records))
+        self._metadata[publication].extend(leaves)
+        self._pairs_counter.inc(count)
         self._bytes_counter.inc(self.store.bytes_written - written)
-        return len(records)
+        return count
 
     def receive_publication(
         self,

@@ -12,8 +12,9 @@ and the matching-time experiments (Figure 15) can charge realistic I/O.
 
 The store contract, implemented here and by
 :class:`~repro.cloud.filestore.FileBackedStore`: ``create_file``,
-``write_batch`` (bulk append, returns the first ordinal), ``write`` (one
-record, returns its address), ``address_of``, ``read`` (by address),
+``append_columns`` (the one write primitive: records as parallel columns,
+returns the first ordinal), ``write_batch`` / ``write`` (records in,
+:class:`RecordWrites`' adapters over it), ``address_of``, ``read`` (by address),
 ``read_ordinals`` (by ordinal, what matching and queries use), ``scan``,
 ``record_count``, ``file_ids``, ``truncate_records``, ``discard_file``,
 ``commit``, ``close`` and ``total_bytes``.
@@ -65,18 +66,18 @@ class PublicationFile:
         """Number of records in this file."""
         return len(self._ciphertexts)
 
-    def extend(self, records) -> int:
-        """Write ``records`` at the end of the file; returns bytes written."""
-        ciphertexts = [record.ciphertext for record in records]
+    def extend(self, ciphertexts, leaves, tags, publications) -> int:
+        """Append a run of records (equal-length columns); returns bytes
+        written."""
         start = self._size
         # Running byte offsets of the batch; the last one is the new size.
         offsets = list(accumulate(map(len, ciphertexts), initial=start))
         self._size = offsets.pop()
         self._offsets.extend(offsets)
         self._ciphertexts += ciphertexts
-        self._leaves += [record.leaf_offset for record in records]
-        self._tags += [record.tag for record in records]
-        self._publications += [record.publication for record in records]
+        self._leaves += leaves
+        self._tags += tags
+        self._publications += publications
         return self._size - start
 
     def address_of(self, ordinal: int) -> PhysicalAddress:
@@ -147,7 +148,29 @@ class PublicationFile:
         return stored - count
 
 
-class EncryptedStore:
+class RecordWrites:
+    """Record-shaped writes, as adapters over ``append_columns(file_id,
+    ciphertexts, leaves, tags, publications)`` — the one write primitive
+    a store implements."""
+
+    def write_batch(self, file_id: int, records) -> int:
+        """Append ``records`` (a sequence) to ``file_id`` in order, creating
+        the file if needed; returns the ordinal of the first one (the rest
+        follow)."""
+        return self.append_columns(
+            file_id,
+            [record.ciphertext for record in records],
+            [record.leaf_offset for record in records],
+            [record.tag for record in records],
+            [record.publication for record in records],
+        )
+
+    def write(self, file_id: int, record: EncryptedRecord) -> PhysicalAddress:
+        """Append one record, returning its physical address."""
+        return self.address_of(file_id, self.write_batch(file_id, (record,)))
+
+
+class EncryptedStore(RecordWrites):
     """All publication files at the cloud, plus I/O accounting."""
 
     def __init__(self):
@@ -185,20 +208,18 @@ class EncryptedStore:
         """Records stored in ``file_id``."""
         return self.file(file_id).record_count
 
-    def write_batch(self, file_id: int, records) -> int:
-        """Append ``records`` (a sequence) to ``file_id`` in order, creating the file if
-        needed; returns the ordinal of the first one (the rest follow)."""
+    def append_columns(self, file_id: int, ciphertexts, *columns) -> int:
+        """Append a run of records — ciphertexts, leaves, tags and
+        publications: four columns of equal length — to ``file_id`` in
+        order, creating the file if needed; returns the ordinal of the
+        first one (the rest follow)."""
         handle = self._files.get(file_id)
         if handle is None:
             handle = self.create_file(file_id)
         first = handle.record_count
-        self.bytes_written += handle.extend(records)
-        self.write_ops += len(records)
+        self.bytes_written += handle.extend(ciphertexts, *columns)
+        self.write_ops += len(ciphertexts)
         return first
-
-    def write(self, file_id: int, record: EncryptedRecord) -> PhysicalAddress:
-        """Append one record, returning its physical address."""
-        return self.address_of(file_id, self.write_batch(file_id, (record,)))
 
     def address_of(self, file_id: int, ordinal: int) -> PhysicalAddress:
         """The physical address of the ``ordinal``-th record of ``file_id``."""

@@ -2,8 +2,9 @@
 
 Runs sequentially but every per-record task is O(1):
 
-* incoming ``<leaf offset, e-record>`` pairs enter the randomer's fixed-size
-  buffer; evicted pairs pass to the checker;
+* incoming ``<leaf offset, e-record>`` pairs — a batch is three parallel
+  columns, here and all the way to the cloud — enter the randomer's
+  fixed-size buffer; evicted pairs pass to the checker;
 * the checker reads the pair's leaf offset ``i``: if ``ALN[i] < 0`` the
   record is *removed* (both ``ALN[i]`` and ``AL[i]`` incremented, pair sent
   to the merger), otherwise only ``AL[i]`` is incremented and the pair goes
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import add
 
 from repro.core.config import FresqueConfig
 from repro.core.membership import stale_for
@@ -37,7 +39,6 @@ from repro.core.messages import (
     MembershipMsg,
     NewPublication,
     NodeDown,
-    Pair,
     PairBatch,
     PublishingMsg,
     RemovedRecord,
@@ -47,62 +48,48 @@ from repro.core.messages import (
 )
 from repro.core.randomer import Randomer
 from repro.index.template import LeafArrays
-from repro.records.codec import decode_encrypted, encode_encrypted
+from repro.records.codec import decode_pairs, encode_pairs
+from repro.records.record import EncryptedRecord
 from repro.telemetry.context import coalesce
 
 
-def _encode_pair(pair: Pair) -> dict:
-    return {
-        "pub": pair.publication,
-        "leaf": pair.leaf_offset,
-        "enc": encode_encrypted(pair.encrypted),
-        "dummy": pair.dummy,
-    }
-
-
-def _decode_pair(payload: dict) -> Pair:
-    return Pair(
-        payload["pub"],
-        payload["leaf"],
-        decode_encrypted(payload["enc"]),
-        dummy=payload["dummy"],
-    )
-
-
 def check_bulk(
-    arrays: LeafArrays, publication: int, pairs: list[Pair]
-) -> tuple[list[tuple[str, object]], list[tuple[int, object]], int]:
-    """Checker + updater over released pairs, in release order.
+    arrays: LeafArrays, publication: int, leaves, ciphertexts, dummies
+) -> tuple[list[tuple[str, object]], tuple[int, ...], tuple[bytes, ...], int]:
+    """Checker + updater over released pairs (columns), in release order.
 
     The one check of the collector — :class:`CheckingNode` and every
     :class:`~repro.core.sharded.CheckingShard` run it once per released
-    batch.  Returns ``(merger messages, released cloud items, dummies
-    passed)``.  Dummies never touch the arrays, so the non-dummy
+    batch.  Returns ``(merger messages, cloud leaves, cloud ciphertexts,
+    dummies passed)``.  Dummies never touch the arrays, so the non-dummy
     subsequence is updated through one
     :meth:`LeafArrays.check_and_update_bulk` call, whose per-offset
     decisions are those of the scalar :meth:`LeafArrays.check_and_update`.
+    With nothing removed the input columns are the cloud's, untouched; a
+    removed pair (at most the negative leaf noise per publication) is the
+    one place the collector builds an :class:`EncryptedRecord`.
     """
-    real_offsets = [p.leaf_offset for p in pairs if not p.dummy]
-    removed_flags = iter(
-        arrays.check_and_update_bulk(real_offsets) if real_offsets else ()
+    dummy_count = sum(dummies)
+    real_offsets = (
+        [leaf for leaf, dummy in zip(leaves, dummies) if not dummy]
+        if dummy_count
+        else leaves
     )
+    removed = arrays.check_and_update_bulk(real_offsets)
+    if True not in removed:
+        return [], tuple(leaves), tuple(ciphertexts), dummy_count
+    removed_flags = iter(removed)
     merger_out: list[tuple[str, object]] = []
-    cloud_items: list[tuple[int, object]] = []
-    dummies = 0
-    for pair in pairs:
-        if pair.dummy:
-            dummies += 1
-            cloud_items.append((pair.leaf_offset, pair.encrypted))
-        elif next(removed_flags):
-            merger_out.append(
-                (
-                    "merger",
-                    RemovedRecord(publication, pair.leaf_offset, pair.encrypted),
-                )
-            )
-        else:
-            cloud_items.append((pair.leaf_offset, pair.encrypted))
-    return merger_out, cloud_items, dummies
+    cloud_leaves: list[int] = []
+    cloud_ciphertexts: list[bytes] = []
+    for leaf, ciphertext, dummy in zip(leaves, ciphertexts, dummies):
+        if dummy or not next(removed_flags):
+            cloud_leaves.append(leaf)
+            cloud_ciphertexts.append(ciphertext)
+            continue
+        record = EncryptedRecord(leaf, ciphertext, publication=publication)
+        merger_out.append(("merger", RemovedRecord(publication, leaf, record)))
+    return merger_out, tuple(cloud_leaves), tuple(cloud_ciphertexts), dummy_count
 
 
 @dataclass
@@ -160,7 +147,9 @@ class CheckingNode(Routed):
         self.config = config
         self._rng = rng if rng is not None else random.Random()
         self._publications: dict[int, _PublicationState] = {}
-        self._early_pairs: dict[int, list[Pair]] = {}
+        #: Pairs that beat their publication's announcement here, as
+        #: ``(leaves, ciphertexts, dummies)`` columns in arrival order.
+        self._early_pairs: dict[int, tuple[tuple, tuple, bytes]] = {}
         self._early_cn: dict[int, list[CnPublishing]] = {}
         self._dead_nodes: set[int] = set()
         # Elastic membership (docs/PROTOCOL.md): per-node join-epoch
@@ -193,33 +182,39 @@ class CheckingNode(Routed):
         """Internal state of ``publication`` (for tests and metrics)."""
         return self._publications[publication]
 
-    def buffered_pairs(self) -> list[tuple[int, int, object]]:
+    def buffered_pairs(self) -> list[tuple[int, int, EncryptedRecord]]:
         """Pairs currently resident in the randomer buffers.
 
         Query processing must cover them (Section 5.3(c): records at the
         cloud, the randomer and the merger are returned to the client).
-        Returns ``(publication, leaf offset, encrypted record)`` triples;
-        dummies are included — the client filters them after decryption.
+        Returns ``(publication, leaf offset, encrypted record)`` triples,
+        each record built here from its columns; dummies are included —
+        the client filters them after decryption.
         """
-        resident = []
-        for publication, state in self._publications.items():
-            for pair in state.randomer.residents:
-                resident.append((publication, pair.leaf_offset, pair.encrypted))
-        return resident
+        return [
+            (
+                publication,
+                leaf,
+                EncryptedRecord(leaf, ciphertext, publication=publication),
+            )
+            for publication, state in self._publications.items()
+            for leaf, ciphertext in zip(*state.randomer.columns()[:2])
+        ]
 
-    def buffered_in(self, leaves) -> list:
+    def buffered_in(self, leaves) -> list[EncryptedRecord]:
         """Encrypted records of the randomer residents under ``leaves``.
 
         What a query reads of :meth:`buffered_pairs` — the residents of
         every open publication whose leaf offset is in ``leaves`` — by
-        leaf lookup instead of a scan.  It reads the randomers' live
-        leaf views, so unlike :meth:`buffered_pairs` it must not run
-        beside the thread that handles this node's messages.
+        leaf lookup instead of a scan, one record built per resident
+        returned.  It reads the randomers' live leaf views, so unlike
+        :meth:`buffered_pairs` it must not run beside the thread that
+        handles this node's messages.
         """
         return [
-            pair.encrypted
-            for state in self._publications.values()
-            for pair in state.randomer.residents_in(leaves)
+            EncryptedRecord(leaf, ciphertext, publication=publication)
+            for publication, state in self._publications.items()
+            for leaf, ciphertext in state.randomer.ciphertexts_in(leaves)
         ]
 
     def on_new_publication(
@@ -243,7 +238,7 @@ class CheckingNode(Routed):
         early_pairs = self._early_pairs.pop(message.publication, None)
         if early_pairs:
             out.extend(
-                self._buffer_and_check(message.publication, state, early_pairs)
+                self._buffer_and_check(message.publication, state, *early_pairs)
             )
         for early in self._early_cn.pop(message.publication, ()):
             out.extend(self.on_cn_publishing(early))
@@ -261,35 +256,33 @@ class CheckingNode(Routed):
         if not stale_for(self._node_epochs, message):
             return True
         self.stale_batches_discarded += 1
-        self.stale_pairs_discarded += len(message.pairs)
+        self.stale_pairs_discarded += len(message)
         return False
 
     def _check_bulk(
-        self, publication: int, state: _PublicationState, pairs: list[Pair]
-    ) -> tuple[list[tuple[str, object]], list[tuple[int, object]]]:
-        """:func:`check_bulk` over ``pairs``, timed and counted.
+        self, publication: int, state: _PublicationState, *columns
+    ) -> list:
+        """:func:`check_bulk` over released columns, timed and counted.
 
-        Returns ``(merger messages, released cloud items)``.
+        Returns ``[merger messages, cloud leaves, cloud ciphertexts]``.
         """
         tel = self._tel
         start = tel.now()
-        merger_out, cloud_items, dummies = check_bulk(
-            state.arrays, publication, pairs
-        )
-        self.pairs_processed += len(pairs)
-        if dummies:
-            self.dummies_passed += dummies
-            self._dummies_counter.inc(dummies)
-        if merger_out:
-            self.records_removed += len(merger_out)
-            self._removed_counter.inc(len(merger_out))
+        *released, dummy_count = check_bulk(state.arrays, publication, *columns)
+        self.pairs_processed += len(columns[0])
+        if dummy_count:
+            self.dummies_passed += dummy_count
+            self._dummies_counter.inc(dummy_count)
+        if released[0]:
+            self.records_removed += len(released[0])
+            self._removed_counter.inc(len(released[0]))
         tel.observe_stage("check", publication, start)
-        return merger_out, cloud_items
+        return released
 
     def _buffer_and_check(
-        self, publication: int, state: _PublicationState, pairs
+        self, publication: int, state: _PublicationState, *columns
     ) -> list[tuple[str, object]]:
-        """Randomer, then checker: what ``pairs`` release, routed.
+        """Randomer, then checker: what a run of pairs releases, routed.
 
         The pairs pass through the randomer strictly in order — each
         insert makes its own eviction draw, so the released stream (and
@@ -299,28 +292,18 @@ class CheckingNode(Routed):
         go to the merger individually (they are rare by construction —
         at most the negative leaf noise).
         """
-        if state.closed:
-            # Pairs arriving after the flush (possible only if a
-            # computing node mis-ordered its publishing message) bypass
-            # the buffer.
-            released = list(pairs)
-        else:
-            randomer = state.randomer
-            insert = randomer.insert
-            released = [
-                evicted
-                for evicted in map(insert, pairs)
-                if evicted is not None
-            ]
+        if not state.closed:
+            # (Pairs arriving after the flush — possible only if a
+            # computing node mis-ordered its publishing message — bypass
+            # the buffer.)
+            columns = state.randomer.insert_batch(*columns)
             if self._tel.enabled:
-                self._occupancy_gauge.set(len(randomer))
-        if not released:
+                self._occupancy_gauge.set(len(state.randomer))
+        if not columns[0]:
             return []
-        out, cloud_items = self._check_bulk(publication, state, released)
-        if cloud_items:
-            out.append(
-                ("cloud", ToCloudBatch(publication, tuple(cloud_items)))
-            )
+        out, *cloud = self._check_bulk(publication, state, *columns)
+        if cloud[0]:
+            out.append(("cloud", ToCloudBatch(publication, *cloud)))
         return out
 
     def on_pair_batch(self, message: PairBatch) -> list[tuple[str, object]]:
@@ -330,30 +313,27 @@ class CheckingNode(Routed):
         publication = message.publication
         admitted = self._admit_epoch(message)
         grant: list[tuple[str, object]] = []
-        if self._grant_credits and message.pairs:
+        if self._grant_credits and message.leaves:
             # Grant on receipt: the batch reached the trusted node, so
             # its records no longer count against the dispatcher's
             # credit window — even while they sit in the randomer.  Stale
             # batches grant too: their records were charged against the
             # window by the crashed incarnation's dispatch.
-            self._credits_counter.inc(len(message.pairs))
+            self._credits_counter.inc(len(message))
             grant.append(
-                (
-                    "dispatcher",
-                    CreditGrant(publication, len(message.pairs)),
-                )
+                ("dispatcher", CreditGrant(publication, len(message)))
             )
         if not admitted:
             # Output of a crashed incarnation — the redispatch already
             # re-covers these records; only the credits matter.
             return grant
+        arrived = (message.leaves, message.ciphertexts, message.dummies)
         state = self._publications.get(publication)
         if state is None:
-            self._early_pairs.setdefault(publication, []).extend(message.pairs)
+            held = self._early_pairs.get(publication, ((), (), b""))
+            self._early_pairs[publication] = tuple(map(add, held, arrived))
             return grant
-        return grant + self._buffer_and_check(
-            publication, state, message.pairs
-        )
+        return grant + self._buffer_and_check(publication, state, *arrived)
 
     def snapshot(self) -> dict:
         """JSON-able snapshot of per-publication progress.
@@ -368,10 +348,7 @@ class CheckingNode(Routed):
             "publications": {
                 str(publication): {
                     "arrays": state.arrays.state(),
-                    "residents": [
-                        _encode_pair(pair)
-                        for pair in state.randomer.residents
-                    ],
+                    "residents": encode_pairs(*state.randomer.columns()),
                     "released": state.randomer.released,
                     "cn_reported": sorted(state.cn_reported),
                     "closed": state.closed,
@@ -386,8 +363,8 @@ class CheckingNode(Routed):
                 for publication, state in self._publications.items()
             },
             "early_pairs": {
-                str(publication): [_encode_pair(pair) for pair in pairs]
-                for publication, pairs in self._early_pairs.items()
+                str(publication): encode_pairs(*columns)
+                for publication, columns in self._early_pairs.items()
             },
             "early_cn": {
                 str(publication): [
@@ -418,8 +395,7 @@ class CheckingNode(Routed):
                 self.config.randomer_buffer_size, rng=self._rng
             )
             randomer.restore(
-                [_decode_pair(payload) for payload in saved["residents"]],
-                released=saved["released"],
+                *decode_pairs(saved["residents"]), released=saved["released"]
             )
             expected = saved.get("expected")
             self._publications[int(key)] = _PublicationState(
@@ -432,8 +408,8 @@ class CheckingNode(Routed):
                 absolved=set(saved.get("absolved", ())),
             )
         self._early_pairs = {
-            int(key): [_decode_pair(payload) for payload in pairs]
-            for key, pairs in state["early_pairs"].items()
+            int(key): decode_pairs(packed)
+            for key, packed in state["early_pairs"].items()
         }
         self._early_cn = {
             int(key): [
@@ -567,8 +543,8 @@ class CheckingNode(Routed):
         start = self._tel.now()
         state = self._publications[publication]
         state.closed = True
-        out, flush_pairs = self._check_bulk(
-            publication, state, state.randomer.flush()
+        out, *flushed = self._check_bulk(
+            publication, state, *state.randomer.flush()
         )
         # The flush must be enqueued to the cloud *before* the AL reaches
         # the merger: the cloud's FIFO inbox then guarantees every pair is
@@ -576,7 +552,7 @@ class CheckingNode(Routed):
         # triggers the matching process.  With the opposite order the
         # merger can race ahead under the threaded runtime and match an
         # incomplete publication.
-        out.append(("cloud", BufferFlush(publication, tuple(flush_pairs))))
+        out.append(("cloud", BufferFlush(publication, *flushed)))
         out.append(
             ("merger", AlSnapshot(publication, tuple(state.arrays.snapshot())))
         )

@@ -14,7 +14,6 @@ from repro.core.config import FresqueConfig
 from repro.core.messages import (
     CnPublishing,
     DoneMsg,
-    Pair,
     PairBatch,
     PublishingMsg,
     RawBatch,
@@ -22,7 +21,7 @@ from repro.core.messages import (
 )
 from repro.crypto.cipher import RecordCipher, record_nonce
 from repro.index.domain import DomainError
-from repro.records.record import EncryptedRecord, Record, RecordError
+from repro.records.record import RecordError
 from repro.records.serialize import parse_raw_line, serialize_record
 from repro.telemetry.context import coalesce
 
@@ -96,9 +95,7 @@ class ComputingNode(Routed):
     def held_pairs(self) -> int:
         """Pairs buffered locally while waiting for *done*."""
         return sum(
-            len(payload.pairs)
-            for kind, payload in self._held
-            if kind == "batch"
+            len(payload) for kind, payload in self._held if kind == "batch"
         )
 
     def on_raw_batch(self, message: RawBatch) -> list[tuple[str, object]]:
@@ -119,13 +116,18 @@ class ComputingNode(Routed):
         leaf_offset_of = self.config.domain.leaf_offset
         publication = message.publication
         start = tel.now()
-        # ``index`` is the item's position within the dispatched batch;
-        # with the batch's first-item ordinal it identifies the record
-        # pipeline-wide, which keys its deterministic IV.  Rejected items
-        # never reach the cipher, so (as in the counter path) they do not
-        # perturb the IVs of the survivors — and because the ordinal is
-        # global, neither does the batch layout (batch-size invariance).
-        prepared: list[tuple[Record, int, bytes, int]] = []
+        # The pairs are built as columns, never one object per record.
+        # ``indices`` keeps each survivor's position within the
+        # dispatched batch; with the batch's first-item ordinal it
+        # identifies the record pipeline-wide, which keys its
+        # deterministic IV.  Rejected items never reach the cipher, so
+        # (as in the counter path) they do not perturb the IVs of the
+        # survivors — and because the ordinal is global, neither does the
+        # batch layout (batch-size invariance).
+        leaves: list[int] = []
+        plaintexts: list[bytes] = []
+        dummies = bytearray()
+        indices: list[int] = []
         parsed = rejected = 0
         for index, item in enumerate(message.items):
             try:
@@ -135,22 +137,20 @@ class ComputingNode(Routed):
                 else:
                     record = item
                 leaf_offset = leaf_offset_of(record.indexed_value(schema))
-                prepared.append(
-                    (
-                        record,
-                        leaf_offset,
-                        serialize_record(record, schema),
-                        index,
-                    )
-                )
+                plaintext = serialize_record(record, schema)
             except (RecordError, DomainError, ValueError):
                 rejected += 1
+                continue
+            leaves.append(leaf_offset)
+            plaintexts.append(plaintext)
+            dummies.append(record.is_dummy)
+            indices.append(index)
         self.parsed += parsed
         if rejected:
             self.rejected += rejected
             self._rejected_counter.inc(rejected)
         tel.observe_stage("parse", publication, start)
-        if not prepared:
+        if not leaves:
             # Stamped transports still need the (empty) batch: the
             # checking-side reorder gate waits for every sequence number,
             # and an all-rejected batch must not stall it.
@@ -159,50 +159,30 @@ class ComputingNode(Routed):
             return self._ship(
                 PairBatch(
                     publication,
-                    (),
                     seq=message.seq,
                     epoch=message.epoch,
                     node=self.node_id,
                 )
             )
         start = tel.now()
-        plaintexts = [plaintext for _, _, plaintext, _ in prepared]
         if self.config.deterministic_ivs and message.ordinal >= 0:
+            ordinal = message.ordinal
             ciphertexts = self.cipher.encrypt_batch_seeded(
-                plaintexts,
-                [
-                    record_nonce(message.ordinal + index)
-                    for _, _, _, index in prepared
-                ],
+                plaintexts, [record_nonce(ordinal + index) for index in indices]
             )
         else:
             ciphertexts = self.cipher.encrypt_batch(plaintexts)
         tel.observe_stage("encrypt", publication, start)
-        pairs = []
-        bytes_out = 0
-        for (record, leaf_offset, _, _), ciphertext in zip(
-            prepared, ciphertexts
-        ):
-            bytes_out += len(ciphertext)
-            pairs.append(
-                Pair(
-                    publication=publication,
-                    leaf_offset=leaf_offset,
-                    encrypted=EncryptedRecord(
-                        leaf_offset=leaf_offset,
-                        ciphertext=ciphertext,
-                        publication=publication,
-                    ),
-                    dummy=record.is_dummy,
-                )
-            )
-        self.encrypted += len(pairs)
+        bytes_out = sum(map(len, ciphertexts))
+        self.encrypted += len(leaves)
         self.bytes_out += bytes_out
         self._bytes_counter.inc(bytes_out)
         return self._ship(
             PairBatch(
                 publication,
-                tuple(pairs),
+                tuple(leaves),
+                tuple(ciphertexts),
+                bytes(dummies),
                 seq=message.seq,
                 epoch=message.epoch,
                 node=self.node_id,

@@ -6,6 +6,11 @@ executed by the synchronous driver (``repro.core.system``), the threaded
 runtime (``repro.runtime``) and the discrete-event simulator
 (``repro.simulation``).
 
+A ``<leaf offset, e-record>`` pair has no class of its own: from the
+computing node to the cloud it is one index into parallel columns — the
+layout the wire, the randomer, the checkpoint and the cloud's files
+share.  Only a *removed* record (rare by construction) is an object.
+
 Destinations are string names: ``"dispatcher"``, ``"cn-<i>"``,
 ``"checking"``, ``"merger"``, ``"cloud"``.
 """
@@ -84,24 +89,14 @@ class RawBatch:
 
 
 @dataclass(frozen=True)
-class Pair:
-    """One ``<leaf offset, e-record>`` pair — the element of a
-    :class:`PairBatch`; never routed on its own.
-
-    ``dummy`` is trusted-side metadata (the paper's flag hidden inside the
-    ciphertext): the checker uses it to skip AL/ALN updates, and it is
-    stripped before the pair leaves the collector.
-    """
-
-    publication: int
-    leaf_offset: int
-    encrypted: EncryptedRecord
-    dummy: bool = False
-
-
-@dataclass(frozen=True)
 class PairBatch:
-    """Computing node → checking node: a batch of pairs, in batch order.
+    """Computing node → checking node: a batch of pairs, in batch order,
+    as three parallel columns — pair ``i`` is ``(leaves[i],
+    ciphertexts[i], dummies[i])``.
+
+    ``dummies`` (one 0/1 byte each) is trusted-side metadata, the paper's
+    flag hidden inside the ciphertext: the checker uses it to skip AL/ALN
+    updates, and it is stripped before a pair leaves the collector.
 
     Produced by :meth:`ComputingNode.on_raw_batch` from one
     :class:`RawBatch`; the checking node feeds the pairs through the
@@ -122,23 +117,29 @@ class PairBatch:
     """
 
     publication: int
-    pairs: tuple[Pair, ...]
+    leaves: tuple[int, ...] = ()
+    ciphertexts: tuple[bytes, ...] = ()
+    dummies: bytes = b""
     seq: int = -1
     epoch: int = -1
     node: int = -1
+
+    def __len__(self) -> int:
+        return len(self.leaves)
 
 
 @dataclass(frozen=True)
 class ToCloudBatch:
     """Checking node → cloud: the released pairs of one checked batch.
 
-    Same shape as :class:`BufferFlush` (dummy flags already stripped) but
-    emitted mid-interval, at most once per processed :class:`PairBatch`:
+    Same shape as :class:`BufferFlush` (two columns, dummy flags stripped)
+    but emitted mid-interval, at most once per processed :class:`PairBatch`:
     the only way a released pair reaches the cloud before the flush.
     """
 
     publication: int
-    pairs: tuple[tuple[int, EncryptedRecord], ...]
+    leaves: tuple[int, ...]
+    ciphertexts: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,8 @@ class BufferFlush:
     """Checking node → cloud: the shuffled randomer buffer contents."""
 
     publication: int
-    pairs: tuple[tuple[int, EncryptedRecord], ...]
+    leaves: tuple[int, ...]
+    ciphertexts: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)

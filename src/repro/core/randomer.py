@@ -5,7 +5,9 @@ online attacker — who knows the time distribution of real arrivals — cannot
 tell dummy insertions or real-record removals from the stream the cloud
 observes.  Behaviour:
 
-* every arriving pair is buffered;
+* every arriving ``<leaf offset, e-record>`` pair is buffered — as one
+  slot of three parallel columns (leaf offsets, ciphertexts, dummy flags),
+  never as an object of its own;
 * once the buffer exceeds its capacity, one *uniformly random* resident is
   evicted and released downstream (the trigger function);
 * at publishing time the whole buffer is shuffled and flushed.
@@ -20,8 +22,6 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from collections.abc import Iterator
-
-from repro.core.messages import Pair
 
 
 class Randomer:
@@ -40,86 +40,111 @@ class Randomer:
             raise ValueError(f"capacity must be at least 1, got {capacity}")
         self.capacity = capacity
         self._rng = rng if rng is not None else random.Random()
-        self._buffer: list[Pair] = []
-        # Leaf-keyed view of the buffer for query serving: leaf offset ->
-        # buffer slots currently holding a pair of that leaf.  Kept in
-        # step by insert / restore / flush; it never decides an eviction.
-        self._slots: defaultdict[int, set[int]] = defaultdict(set)
-        self.released = 0
+        self.restore((), (), b"")
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return len(self._leaves)
 
-    @property
-    def residents(self) -> tuple[Pair, ...]:
-        """Pairs currently buffered, in buffer order (a snapshot)."""
-        return tuple(self._buffer)
+    def columns(self) -> tuple[tuple[int, ...], tuple[bytes, ...], bytes]:
+        """The buffered pairs in buffer order, as ``(leaves, ciphertexts,
+        dummies)`` columns (a snapshot)."""
+        return tuple(self._leaves), tuple(self._ciphertexts), bytes(self._dummies)
 
-    def residents_in(self, leaves) -> Iterator[Pair]:
-        """Buffered pairs whose leaf offset is in ``leaves`` (trusted-side
-        view, for query serving), leaf by leaf.
+    def ciphertexts_in(self, leaves) -> Iterator[tuple[int, bytes]]:
+        """``(leaf offset, ciphertext)`` of the buffered pairs whose leaf
+        offset is in ``leaves`` (trusted-side view, for query serving).
 
         Costs one lookup per leaf plus the pairs yielded — not a scan of
         the buffer.  Not a snapshot: do not insert while iterating.
         """
-        buffer = self._buffer
+        ciphertexts = self._ciphertexts
         slots_of = self._slots.get
         for leaf in leaves:
             for slot in slots_of(leaf, ()):
-                yield buffer[slot]
+                yield leaf, ciphertexts[slot]
 
-    @property
-    def is_full(self) -> bool:
-        """Whether the next insert will trigger an eviction."""
-        return len(self._buffer) >= self.capacity
+    def insert_batch(
+        self, leaves, ciphertexts, dummies
+    ) -> tuple[list[int], list[bytes], bytearray]:
+        """Buffer a run of pairs in order; return the pairs they evict,
+        in release order, as columns.
 
-    def insert(self, pair: Pair) -> Pair | None:
-        """Buffer ``pair``; return the evicted resident if the buffer was full.
-
-        Eviction is uniform over the buffer (including the new arrival),
-        an O(1) swap-pop: append, swap the victim with the last slot,
-        pop.  The last slot is always the arrival, so the swap-pop is
-        done in place — the arrival takes the victim's slot.
+        An insert into a full buffer evicts uniformly over the buffer
+        *and* the arrival: one ``randrange(size + 1)`` draw per insert
+        (so the released stream does not depend on the batch cuts), then
+        an O(1) swap-pop in place — the arrival takes the victim's slot.
         """
-        buffer = self._buffer
-        size = len(buffer)
-        if size < self.capacity:
-            buffer.append(pair)
-            self._slots[pair.leaf_offset].add(size)
-            return None
-        victim_index = self._rng.randrange(size + 1)
-        self.released += 1
-        if victim_index == size:
-            return pair
-        victim = buffer[victim_index]
-        buffer[victim_index] = pair
+        held_leaves = self._leaves
+        held_ciphertexts = self._ciphertexts
+        held_dummies = self._dummies
         slots = self._slots
-        slots[victim.leaf_offset].remove(victim_index)
-        slots[pair.leaf_offset].add(victim_index)
-        return victim
+        capacity = self.capacity
+        randrange = self._rng.randrange
+        out_leaves: list[int] = []
+        out_ciphertexts: list[bytes] = []
+        out_dummies = bytearray()
+        size = len(held_leaves)
+        for leaf, ciphertext, dummy in zip(leaves, ciphertexts, dummies):
+            if size < capacity:
+                held_leaves.append(leaf)
+                held_ciphertexts.append(ciphertext)
+                held_dummies.append(dummy)
+                slots[leaf].add(size)
+                size += 1
+                continue
+            victim = randrange(size + 1)
+            if victim < size:
+                # Swap the arrival with the victim: the victim is in hand.
+                arrival = leaf
+                leaf, held_leaves[victim] = held_leaves[victim], leaf
+                held = held_ciphertexts[victim]
+                held_ciphertexts[victim], ciphertext = ciphertext, held
+                dummy, held_dummies[victim] = held_dummies[victim], dummy
+                if leaf != arrival:
+                    slots[leaf].remove(victim)
+                    slots[arrival].add(victim)
+            out_leaves.append(leaf)
+            out_ciphertexts.append(ciphertext)
+            out_dummies.append(dummy)
+        self.released += len(out_leaves)
+        return out_leaves, out_ciphertexts, out_dummies
 
-    def restore(self, pairs: list[Pair], released: int = 0) -> None:
-        """Reload buffered residents from a checkpoint (crash recovery).
+    def restore(self, leaves, ciphertexts, dummies, released: int = 0) -> None:
+        """Set the buffer to the given residents (crash recovery).
 
         The mixing rng restarts fresh — eviction choices after a restart
         differ from the lost process's would-have-been draws, which is
         fine: any uniform eviction sequence satisfies Section 5.2.
         """
-        if len(pairs) > self.capacity:
+        if len(leaves) > self.capacity:
             raise ValueError(
-                f"{len(pairs)} residents exceed capacity {self.capacity}"
+                f"{len(leaves)} residents exceed capacity {self.capacity}"
             )
-        self._buffer = list(pairs)
-        self._slots = defaultdict(set)
-        for slot, pair in enumerate(self._buffer):
-            self._slots[pair.leaf_offset].add(slot)
+        if not len(leaves) == len(ciphertexts) == len(dummies):
+            raise ValueError("resident columns differ in length")
+        # Slot i holds the pair (_leaves[i], _ciphertexts[i], _dummies[i]);
+        # _slots is the leaf-keyed view for query serving (leaf offset ->
+        # slots), kept in step by insert_batch, never deciding an eviction.
+        self._leaves = list(leaves)
+        self._ciphertexts = list(ciphertexts)
+        self._dummies = bytearray(dummies)
+        self._slots: defaultdict[int, set[int]] = defaultdict(set)
+        for slot, leaf in enumerate(self._leaves):
+            self._slots[leaf].add(slot)
         self.released = released
 
-    def flush(self) -> list[Pair]:
-        """Shuffle and empty the buffer (end-of-interval publication)."""
-        self._rng.shuffle(self._buffer)
-        drained = self._buffer
-        self._buffer = []
-        self._slots = defaultdict(set)
-        self.released += len(drained)
+    def flush(self) -> tuple[list[int], list[bytes], bytes]:
+        """Shuffle and empty the buffer (end-of-interval publication).
+
+        ``random.shuffle`` consumes draws by length only: every column read
+        through one shuffled index list is a shuffled list of pairs.
+        """
+        order = list(range(len(self._leaves)))
+        self._rng.shuffle(order)
+        drained = (
+            [self._leaves[slot] for slot in order],
+            [self._ciphertexts[slot] for slot in order],
+            bytes([self._dummies[slot] for slot in order]),
+        )
+        self.restore((), (), b"", released=self.released + len(order))
         return drained

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro.client.query_client import QueryClient
 from repro.cloud.node import FresqueCloud
@@ -35,7 +36,6 @@ from repro.core.messages import (
     DoneMsg,
     MembershipMsg,
     NewPublication,
-    Pair,
     PairBatch,
     PublishingMsg,
     RawBatch,
@@ -156,16 +156,15 @@ class CheckingShard(Routed):
         return []
 
     def _check_bulk(
-        self, publication: int, state: _ShardState, pairs: list[Pair]
-    ) -> tuple[list[tuple[str, object]], list[tuple[int, object]]]:
-        """Check released ``pairs``: ``(merger messages, cloud items)``."""
-        merger_out, cloud_items, dummies = check_bulk(
-            state.arrays, publication, pairs
-        )
-        self.pairs_processed += len(pairs)
-        self.dummies_passed += dummies
-        self.records_removed += len(merger_out)
-        return merger_out, cloud_items
+        self, publication: int, state: _ShardState, *columns
+    ) -> list:
+        """Check released columns: ``[merger messages, cloud leaves,
+        cloud ciphertexts]``."""
+        *released, dummy_count = check_bulk(state.arrays, publication, *columns)
+        self.pairs_processed += len(columns[0])
+        self.dummies_passed += dummy_count
+        self.records_removed += len(released[0])
+        return released
 
     def on_membership(self, message: MembershipMsg) -> list[tuple[str, object]]:
         """Track join-epoch floors for the staleness check (monotone)."""
@@ -188,27 +187,21 @@ class CheckingShard(Routed):
         releases and ship it to the cloud as one message."""
         if not self._admit_epoch(message):
             return []
-        for pair in message.pairs:
-            if not self.owns(pair.leaf_offset):
+        for leaf in message.leaves:
+            if not self.owns(leaf):
                 raise ValueError(
-                    f"pair for leaf {pair.leaf_offset} routed to shard "
+                    f"pair for leaf {leaf} routed to shard "
                     f"{self.shard_id} of {self.num_shards}"
                 )
         state = self._states[message.publication]
-        released = [
-            evicted
-            for evicted in map(state.randomer.insert, message.pairs)
-            if evicted is not None
-        ]
-        if not released:
-            return []
-        out, cloud_items = self._check_bulk(
-            message.publication, state, released
+        released = state.randomer.insert_batch(
+            message.leaves, message.ciphertexts, message.dummies
         )
-        if cloud_items:
-            out.append(
-                ("cloud", ToCloudBatch(message.publication, tuple(cloud_items)))
-            )
+        if not released[0]:
+            return []
+        out, *cloud = self._check_bulk(message.publication, state, *released)
+        if cloud[0]:
+            out.append(("cloud", ToCloudBatch(message.publication, *cloud)))
         return out
 
     def on_cn_publishing(
@@ -224,8 +217,8 @@ class CheckingShard(Routed):
     def _finalise(self, publication: int) -> list[tuple[str, object]]:
         state = self._states[publication]
         state.closed = True
-        out, flush_pairs = self._check_bulk(
-            publication, state, state.randomer.flush()
+        out, *flushed = self._check_bulk(
+            publication, state, *state.randomer.flush()
         )
         counts = {
             offset: state.arrays.al[offset]
@@ -235,7 +228,7 @@ class CheckingShard(Routed):
         }
         # Flush before the partial AL (see CheckingNode._finalise: the
         # cloud must hold every pair before the merger can publish).
-        out.append(("cloud", BufferFlush(publication, tuple(flush_pairs))))
+        out.append(("cloud", BufferFlush(publication, *flushed)))
         out.append(("merger", PartialAl(publication, self.shard_id, counts)))
         done = DoneMsg(publication)
         out.extend(
@@ -296,18 +289,18 @@ class _RoutingComputingNode(ComputingNode):
 
     def _split_batch(self, batch: PairBatch) -> list[tuple[str, object]]:
         """Split one pair batch into per-shard batches, order preserved."""
-        by_shard: dict[int, list[Pair]] = {}
-        for pair in batch.pairs:
-            by_shard.setdefault(
-                shard_of(pair.leaf_offset, self.num_shards), []
-            ).append(pair)
-        return [
-            (
-                f"checking-{shard}",
-                PairBatch(batch.publication, tuple(pairs)),
+        shards = [shard_of(leaf, self.num_shards) for leaf in batch.leaves]
+        routed = []
+        for shard in sorted(set(shards)):
+            own = [owner == shard for owner in shards]
+            split = PairBatch(
+                batch.publication,
+                tuple(compress(batch.leaves, own)),
+                tuple(compress(batch.ciphertexts, own)),
+                bytes(compress(batch.dummies, own)),
             )
-            for shard, pairs in sorted(by_shard.items())
-        ]
+            routed.append((f"checking-{shard}", split))
+        return routed
 
     def on_raw_batch(self, message: RawBatch) -> list[tuple[str, object]]:
         out = super().on_raw_batch(message)

@@ -73,7 +73,8 @@ class CloudAdapter(Routed):
         return []
 
     def _receive_pairs(self, message: ToCloudBatch | BufferFlush) -> list:
-        self.cloud.receive_pairs(message.publication, message.pairs)
+        publication = message.publication
+        self.cloud.receive_pairs(publication, message.leaves, message.ciphertexts)
         return []
 
     def _publish(self, message: MergedPublication) -> list:

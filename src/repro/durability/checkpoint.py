@@ -13,6 +13,11 @@ over the final name (``os.replace``), followed by a directory fsync so
 the rename itself is durable.  A crash mid-write leaves either the old
 checkpoint or the new one — never a torn hybrid (the ``FRQ-D702`` lint
 rule keeps this the only write path).
+
+Documents are stamped with :data:`FORMAT`: 2 keeps the randomer residents
+as one base64 string of packed columns (``records.codec.encode_pairs``),
+1 (unstamped) kept a JSON object per pair.  A document of any other
+format is skipped exactly like a torn one.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+
+#: The document format this code writes, and the only one it restores.
+FORMAT = 2
 
 
 def atomic_write_json(path, payload: dict) -> pathlib.Path:
@@ -76,7 +84,7 @@ class CheckpointStore:
         self._next += 1
         path = atomic_write_json(
             self.directory / f"checkpoint-{number:08d}.json",
-            {"checkpoint": number, "state": state},
+            {"checkpoint": number, "format": FORMAT, "state": state},
         )
         for _, old in self._existing()[: -self.keep]:
             old.unlink()
@@ -86,12 +94,15 @@ class CheckpointStore:
         """The newest *readable* checkpoint's state, or ``None``.
 
         An unreadable newest file (torn by a crash outside the atomic
-        writer, or hand-edited) is skipped in favour of the previous
-        one — recovery then simply replays a longer journal suffix.
+        writer, hand-edited into another shape, or written in another
+        :data:`FORMAT` by an older collector) is skipped in favour of the
+        previous one — recovery then simply replays a longer journal suffix.
         """
         for _, path in reversed(self._existing()):
             try:
-                return json.loads(path.read_text(encoding="utf-8"))["state"]
-            except (ValueError, KeyError, OSError):
+                document = json.loads(path.read_text(encoding="utf-8"))
+                if document["format"] == FORMAT:
+                    return document["state"]
+            except (ValueError, LookupError, TypeError, OSError):
                 continue
         return None

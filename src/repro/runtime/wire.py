@@ -10,8 +10,10 @@ A ring slot holds the frame without its length word, the ring having its
 own (:func:`encode_body`).  Kinds 1-5 — ``RawBatch``, ``PairBatch``,
 ``ToCloudBatch``, ``BufferFlush``, ``CreditGrant``: what rides once per
 batch — are packed with ``struct`` and decoded in place: no JSON, no
-base64, one copy per ciphertext.  Kind 0 is a JSON ``{"type",
-"payload"}`` envelope for every other message (docs/PROTOCOL.md).
+base64, one copy per ciphertext; kinds 2-4 are a fixed head plus the pair
+columns of ``records.codec.pack_pairs``, the collector checkpoint's packer
+too.  Kind 0 is a JSON ``{"type", "payload"}`` envelope for every other
+message (docs/PROTOCOL.md).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.core.messages import (
     MergedPublication,
     NewPublication,
     NodeDown,
-    Pair,
     PairBatch,
     PublishingMsg,
     RawBatch,
@@ -44,13 +45,13 @@ from repro.index.overflow import OverflowArray
 from repro.index.tree import IndexTree
 from repro.records.codec import (
     decode_encrypted,
-    decode_encrypted_from,
     decode_plan,
     decode_record,
     encode_encrypted,
-    encode_encrypted_into,
     encode_plan,
     encode_record,
+    pack_pairs,
+    unpack_pairs,
 )
 
 _FRAME_HEADER = struct.Struct("<I")
@@ -202,13 +203,12 @@ def _load_json(view):
 # ``out`` and an unpacker reads it at ``offset``: -> (message, end offset).
 # ---------------------------------------------------------------------------
 
-#: RawBatch: pub, seq, ordinal, epoch, item count.
-#: PairBatch: pub, seq, epoch, node, pair count.
-_BATCH_HEAD = struct.Struct("<qqqqI")
+_BATCH_HEAD = struct.Struct("<qqqqI")  # pub, seq, ordinal, epoch, item count
 _ITEM_HEAD = struct.Struct("<BI")  # 0 = line / 1 = JSON record, utf-8 length
-_PAIR_META = struct.Struct("<iB")  # leaf, dummy flag; the e-record follows
-_CLOUD_HEAD = struct.Struct("<qI")  # pub, pair count
-_LEAF = struct.Struct("<i")  # leaf; the e-record follows
+#: pub, seq, epoch, node; the pair columns (records.codec.pack_pairs:
+#: count, leaves, lengths, ciphertexts, dummy flags) follow.
+_PAIR_HEAD = struct.Struct("<qqqq")
+_CLOUD_HEAD = struct.Struct("<q")  # pub; the pair columns (no flags) follow
 _CREDIT = struct.Struct("<qq")  # pub, granted record count
 
 
@@ -266,51 +266,26 @@ def _unpack_raw_batch(message_type, view, offset: int):
 
 
 def _pack_pair_batch(out: bytearray, message: PairBatch) -> None:
-    out += _BATCH_HEAD.pack(
-        message.publication,
-        message.seq,
-        message.epoch,
-        message.node,
-        len(message.pairs),
-    )
-    for pair in message.pairs:
-        out += _PAIR_META.pack(pair.leaf_offset, pair.dummy)
-        encode_encrypted_into(out, pair.encrypted)
+    head = (message.publication, message.seq, message.epoch, message.node)
+    out += _PAIR_HEAD.pack(*head)
+    pack_pairs(out, message.leaves, message.ciphertexts, message.dummies)
 
 
 def _unpack_pair_batch(message_type, view, offset: int):
-    publication, seq, epoch, node, count = _BATCH_HEAD.unpack_from(
-        view, offset
-    )
-    offset += _BATCH_HEAD.size
-    pairs = []
-    for _ in range(count):
-        leaf, dummy = _PAIR_META.unpack_from(view, offset)
-        encrypted, offset = decode_encrypted_from(
-            view, offset + _PAIR_META.size
-        )
-        pairs.append(Pair(publication, leaf, encrypted, dummy=bool(dummy)))
-    return message_type(
-        publication, tuple(pairs), seq=seq, epoch=epoch, node=node
-    ), offset
+    publication, seq, epoch, node = _PAIR_HEAD.unpack_from(view, offset)
+    *columns, end = unpack_pairs(view, offset + _PAIR_HEAD.size, dummies=True)
+    return message_type(publication, *columns, seq=seq, epoch=epoch, node=node), end
 
 
 def _pack_cloud_pairs(out: bytearray, message) -> None:
-    out += _CLOUD_HEAD.pack(message.publication, len(message.pairs))
-    for leaf, encrypted in message.pairs:
-        out += _LEAF.pack(leaf)
-        encode_encrypted_into(out, encrypted)
+    out += _CLOUD_HEAD.pack(message.publication)
+    pack_pairs(out, message.leaves, message.ciphertexts)
 
 
 def _unpack_cloud_pairs(message_type, view, offset: int):
-    publication, count = _CLOUD_HEAD.unpack_from(view, offset)
-    offset += _CLOUD_HEAD.size
-    pairs = []
-    for _ in range(count):
-        (leaf,) = _LEAF.unpack_from(view, offset)
-        encrypted, offset = decode_encrypted_from(view, offset + _LEAF.size)
-        pairs.append((leaf, encrypted))
-    return message_type(publication, tuple(pairs)), offset
+    (publication,) = _CLOUD_HEAD.unpack_from(view, offset)
+    leaves, ciphertexts, _, end = unpack_pairs(view, offset + _CLOUD_HEAD.size)
+    return message_type(publication, leaves, ciphertexts), end
 
 
 def _pack_credit(out: bytearray, message: CreditGrant) -> None:

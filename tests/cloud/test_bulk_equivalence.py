@@ -1,7 +1,8 @@
 """The bulk receive path ≡ the one-pair path, on both stores.
 
-``FresqueCloud.receive_pairs`` appends a batch to the publication's
-columns; ``receive_pair`` is the same code with one element.  For any
+``FresqueCloud.receive_pairs`` appends a batch — a leaf column and a
+ciphertext column — to the publication's columns; ``receive_pair`` is the
+same code with one element.  For any
 pair stream, any split of it into batches, and a crash-recovery
 ``truncate_publication`` / ``reset_publication`` at an arbitrary cut, the
 cloud must end up with identical files, pointers, in-flight listing,
@@ -61,7 +62,11 @@ def _feed(cloud, pairs, sizes) -> None:
         if len(batch) == 1:
             cloud.receive_pair(0, *batch[0])
         else:
-            cloud.receive_pairs(0, batch)
+            cloud.receive_pairs(
+                0,
+                tuple(leaf for leaf, _ in batch),
+                tuple(record.ciphertext for _, record in batch),
+            )
         position += len(batch)
         turn += 1
 

@@ -1,4 +1,4 @@
-"""The cloud retains no GC-tracked object per stored pair.
+"""Neither the cloud nor the collector retains a GC-tracked object per pair.
 
 A count gate on the mechanism, not on time: a publication is kept as
 columns (``bytes`` ciphertexts and ints, none of them GC-tracked), so
@@ -9,13 +9,14 @@ about two tracked objects per published pair (four while in flight).
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 
 from repro.cloud.node import FresqueCloud
+from repro.core.system import FresqueSystem
 from repro.index.domain import AttributeDomain
 from repro.index.query import RangeQuery
 from repro.index.tree import IndexTree
-from repro.records.record import EncryptedRecord
 
 PAIRS = 5_000
 #: Per-leaf pointer lists, the columns, the dataset, receipt and file.
@@ -38,17 +39,11 @@ def test_tracked_objects_do_not_grow_with_stored_pairs():
 
     cloud.announce_publication(0)
     for start in range(0, PAIRS, 64):
+        batch = range(start, min(start + 64, PAIRS))
         cloud.receive_pairs(
             0,
-            [
-                (
-                    index % leaves,
-                    EncryptedRecord(
-                        index % leaves, index.to_bytes(4, "little") * 12
-                    ),
-                )
-                for index in range(start, min(start + 64, PAIRS))
-            ],
+            tuple(index % leaves for index in batch),
+            tuple(index.to_bytes(4, "little") * 12 for index in batch),
         )
     budget = 0.1 * PAIRS + CONSTANT
     assert _tracked_growth(baseline) <= budget  # in flight
@@ -61,3 +56,32 @@ def test_tracked_objects_do_not_grow_with_stored_pairs():
     assert len(result.indexed) == PAIRS
     del result
     assert _tracked_growth(baseline) <= budget  # records are built per query
+
+
+
+def test_tracked_objects_do_not_grow_with_records_inside_the_collector(
+    flu_config, fast_cipher, flu_generator
+):
+    """The same gate one hop upstream: a pair is a slot of three columns
+    from the computing node through the randomer to the cloud's in-flight
+    file, so records inside a mid-publication collector add no GC-tracked
+    object each — only a removed record at the merger (at most the
+    negative leaf noise) is one.  The row form this replaced (``Pair`` +
+    ``EncryptedRecord`` per resident) grew by two per resident."""
+    lines = list(flu_generator.raw_lines(PAIRS))
+    system = FresqueSystem(
+        dataclasses.replace(flu_config, alpha=4.0, batch_size=64),
+        fast_cipher,
+        seed=7,
+    )
+    system.start()
+    system.ingest_batch(lines[:64])  # lazy set-up done before the baseline
+    gc.collect()
+    baseline = len(gc.get_objects())
+
+    system.ingest_batch(lines[64:])
+    # All three places a mid-publication record can be are populated.
+    assert len(system.checking.buffered_pairs()) >= PAIRS // 2
+    assert system.cloud.pair_count(0) >= 1000
+    assert system.merger.pending_removed()
+    assert _tracked_growth(baseline) <= 0.1 * PAIRS + CONSTANT

@@ -29,8 +29,6 @@ from repro.core.messages import (
     AnnouncePublication,
     CreditGrant,
     NewPublication,
-    Pair,
-    PairBatch,
     PublishingMsg,
     RawBatch,
     RemovedRecord,
@@ -42,6 +40,7 @@ from repro.index.template import LeafArrays
 from repro.index.tree import IndexTree
 from repro.records.record import EncryptedRecord
 from repro.telemetry.clock import SimulatedClock
+from tests.columns import cloud_rows, pair_batch, rows_of
 
 
 def _dispatcher(flu_config, batch_size, max_batch_delay=0.05, clock=None):
@@ -147,13 +146,8 @@ class TestDelayFlush:
         assert batch.items == ("solo",)
 
 
-def _pair(offset: int, tag: int, dummy: bool = False) -> Pair:
-    return Pair(
-        publication=0,
-        leaf_offset=offset,
-        encrypted=EncryptedRecord(offset, tag.to_bytes(4, "little") * 8),
-        dummy=dummy,
-    )
+def _pair(offset: int, tag: int, dummy: bool = False):
+    return (offset, tag.to_bytes(4, "little") * 8, dummy)
 
 
 def _released(outbox) -> tuple[list, list]:
@@ -161,7 +155,7 @@ def _released(outbox) -> tuple[list, list]:
     cloud, merger = [], []
     for destination, message in outbox:
         if isinstance(message, ToCloudBatch):
-            cloud.extend(message.pairs)
+            cloud.extend(cloud_rows(message))
         elif isinstance(message, RemovedRecord):
             merger.append(message)
     return cloud, merger
@@ -200,19 +194,26 @@ def _scalar_model(config, plan, pairs, rng):
     randomer = Randomer(config.randomer_buffer_size, rng=rng)
     arrays = LeafArrays(plan.leaf_noise)
     cloud, merger, dummies = [], [], 0
-    for pair in pairs:
-        evicted = randomer.insert(pair)
-        if evicted is None:
+    for leaf, ciphertext, dummy in pairs:
+        evicted = rows_of(
+            *randomer.insert_batch((leaf,), (ciphertext,), bytes((dummy,)))
+        )
+        if not evicted:
             continue
-        item = (evicted.leaf_offset, evicted.encrypted)
-        if evicted.dummy:
+        ((leaf, ciphertext, dummy),) = evicted
+        if dummy:
             dummies += 1
-            cloud.append(item)
-        elif arrays.check_and_update(evicted.leaf_offset).removed:
-            merger.append(RemovedRecord(0, *item))
+            cloud.append((leaf, ciphertext))
+        elif arrays.check_and_update(leaf).removed:
+            merger.append(
+                RemovedRecord(0, leaf, EncryptedRecord(leaf, ciphertext))
+            )
         else:
-            cloud.append(item)
-    residents = [(0, p.leaf_offset, p.encrypted) for p in randomer.residents]
+            cloud.append((leaf, ciphertext))
+    residents = [
+        (0, leaf, EncryptedRecord(leaf, ciphertext))
+        for leaf, ciphertext, _ in rows_of(*randomer.columns())
+    ]
     return cloud, merger, dummies, residents
 
 
@@ -233,7 +234,7 @@ class TestRandomerBatchOrdering:
         batched.on_new_publication(NewPublication(0, plan))
         batched_out = []
         for start in range(0, len(pairs), chunk):
-            message = PairBatch(0, tuple(pairs[start:start + chunk]))
+            message = pair_batch(0, pairs[start:start + chunk])
             batched_out.extend(batched.on_pair_batch(message))
 
         assert _released(batched_out) == (cloud, merger)
@@ -249,7 +250,7 @@ class TestRandomerBatchOrdering:
         the credits it was granted on receipt — once."""
         config = _small_buffer(flu_config, delta_prime=0.5, credit_window=64)
         plan = _plan(config)
-        batch = PairBatch(0, tuple(_pairs(config, 25)))
+        batch = pair_batch(0, _pairs(config, 25))
 
         in_order = CheckingNode(config, rng=random.Random(9))
         expected = in_order.on_new_publication(NewPublication(0, plan))

@@ -1,11 +1,13 @@
 """Checking node tests: randomer wiring, AL/ALN updates, finalisation."""
 
+import json
 import random
 from dataclasses import replace
 
 import pytest
 
 from repro.core.checking import CheckingNode
+from repro.core.merger import Merger
 from repro.core.messages import (
     AlSnapshot,
     AnnouncePublication,
@@ -16,8 +18,6 @@ from repro.core.messages import (
     MembershipMsg,
     NewPublication,
     NodeDown,
-    Pair,
-    PairBatch,
     PublishingMsg,
     RemovedRecord,
     TemplateMsg,
@@ -25,7 +25,7 @@ from repro.core.messages import (
 from repro.core.sharded import CheckingShard
 from repro.index.perturb import draw_noise_plan
 from repro.index.tree import IndexTree
-from repro.records.record import EncryptedRecord
+from tests.columns import pair_batch, rows_of
 
 
 @pytest.fixture
@@ -39,18 +39,13 @@ def plan(flu_config):
     return draw_noise_plan(tree, flu_config.epsilon, rng=random.Random(31))
 
 
-def _pair(offset: int, dummy: bool = False, publication: int = 0) -> Pair:
-    return Pair(
-        publication=publication,
-        leaf_offset=offset,
-        encrypted=EncryptedRecord(offset, bytes(32)),
-        dummy=dummy,
-    )
+def _pair(offset: int, dummy: bool = False) -> tuple[int, bytes, bool]:
+    return (offset, bytes(32), dummy)
 
 
-def _deliver(checking, pair: Pair):
+def _deliver(checking, pair, publication: int = 0):
     """One pair, as the only thing that carries one: a batch of one."""
-    return checking.on_pair_batch(PairBatch(pair.publication, (pair,)))
+    return checking.on_pair_batch(pair_batch(publication, (pair,)))
 
 
 def _finalise(checking, flu_config, publication=0):
@@ -165,7 +160,8 @@ class TestFinalisation:
         removed = [m for _, m in out if isinstance(m, RemovedRecord)]
         # Nothing lost: every buffered pair either flushes to the cloud or
         # is diverted to the merger as removed.
-        assert len(flush.pairs) + len(removed) == 5
+        assert len(flush.leaves) + len(removed) == 5
+        assert len(flush.ciphertexts) == len(flush.leaves)
 
     def test_flush_before_al_in_output_order(self, checking, flu_config, plan):
         """The cloud must receive the buffer flush before the merger gets
@@ -188,12 +184,12 @@ class TestFinalisation:
         plan1 = draw_noise_plan(tree, 1.0, rng=random.Random(77))
         checking.on_new_publication(NewPublication(0, plan))
         checking.on_new_publication(NewPublication(1, plan1))
-        _deliver(checking, _pair(2, publication=0))
-        _deliver(checking, _pair(3, publication=1))
+        _deliver(checking, _pair(2), publication=0)
+        _deliver(checking, _pair(3), publication=1)
         out = _finalise(checking, flu_config, publication=0)
         flush = next(m for _, m in out if isinstance(m, BufferFlush))
         removed = [m for _, m in out if isinstance(m, RemovedRecord)]
-        assert len(flush.pairs) + len(removed) == 1  # only pub 0's pair
+        assert len(flush.leaves) + len(removed) == 1  # only pub 0's pair
         assert len(checking.state_of(1).randomer) == 1
 
 
@@ -322,7 +318,7 @@ class TestEpochGate:
 
     @staticmethod
     def _buffered(state):
-        return state.randomer.residents, state.arrays.state()
+        return state.randomer.columns(), state.arrays.state()
 
     def test_stale_batch_grants_credits_but_is_not_buffered(
         self, flu_config, plan
@@ -336,7 +332,7 @@ class TestEpochGate:
         pairs = (_pair(1), _pair(4))
         before = self._buffered(checking.state_of(0))
 
-        out = checking.on_pair_batch(PairBatch(0, pairs, epoch=1, node=2))
+        out = checking.on_pair_batch(pair_batch(0, pairs, epoch=1, node=2))
         # The crashed incarnation's dispatch charged the credit window,
         # so the grant still flows; nothing else does.
         assert out == [("dispatcher", CreditGrant(0, len(pairs)))]
@@ -344,8 +340,8 @@ class TestEpochGate:
         assert checking.stale_batches_discarded == 1
         assert checking.stale_pairs_discarded == len(pairs)
 
-        checking.on_pair_batch(PairBatch(0, pairs, epoch=2, node=2))
-        assert checking.state_of(0).randomer.residents == pairs
+        checking.on_pair_batch(pair_batch(0, pairs, epoch=2, node=2))
+        assert rows_of(*checking.state_of(0).randomer.columns()) == list(pairs)
         assert checking.stale_batches_discarded == 1
 
     def test_shard_drops_stale_batch(self, flu_config, plan):
@@ -355,9 +351,54 @@ class TestEpochGate:
         pairs = (_pair(1), _pair(4))
         before = self._buffered(shard._states[0])
 
-        assert shard.on_pair_batch(PairBatch(0, pairs, epoch=1, node=2)) == []
+        assert shard.on_pair_batch(pair_batch(0, pairs, epoch=1, node=2)) == []
         assert self._buffered(shard._states[0]) == before
         assert shard.stale_batches_discarded == 1
 
-        shard.on_pair_batch(PairBatch(0, pairs, epoch=2, node=2))
-        assert shard._states[0].randomer.residents == pairs
+        shard.on_pair_batch(pair_batch(0, pairs, epoch=2, node=2))
+        assert rows_of(*shard._states[0].randomer.columns()) == list(pairs)
+
+
+class TestSnapshotFixedPoint:
+    def test_snapshot_restore_snapshot_mid_publication(
+        self, flu_config, fast_cipher, plan
+    ):
+        """``snapshot() → restore() → snapshot()`` is a fixed point, through
+        the JSON a checkpoint is, with everything a checkpoint can hold
+        present: randomer residents (dummies among them), pairs that beat
+        their announcement, and removed records at the merger."""
+        config = replace(flu_config, delta_prime=0.6)  # a 160-pair randomer
+        checking = CheckingNode(config, rng=random.Random(9))
+        merger = Merger(config, fast_cipher, rng=random.Random(10))
+        source = random.Random(3)
+        pairs = [
+            (
+                source.randrange(config.domain.num_leaves),
+                index.to_bytes(4, "little") * 8,
+                source.random() < 0.2,
+            )
+            for index in range(400)
+        ]
+        out = checking.on_new_publication(NewPublication(0, plan))
+        for start in range(0, 300, 64):
+            out += checking.on_pair_batch(pair_batch(0, pairs[start : start + 64]))
+        checking.on_pair_batch(pair_batch(1, pairs[300:350]))
+        checking.on_pair_batch(pair_batch(1, pairs[350:]))
+        for destination, message in out:
+            if destination == "merger":
+                merger.handle(message)
+        assert len(checking.state_of(0).randomer) == 160
+        assert sum(checking.state_of(0).randomer.columns()[2])  # dummies
+        assert len(checking._early_pairs[1][0]) == 100
+        assert merger.pending_removed()
+
+        restored = CheckingNode(config, rng=random.Random(1))
+        for node, fresh in (
+            (checking, restored),
+            (merger, Merger(config, fast_cipher, rng=random.Random(2))),
+        ):
+            document = json.dumps(node.snapshot())
+            fresh.restore(json.loads(document))
+            assert json.dumps(fresh.snapshot()) == document
+        assert restored.buffered_pairs() == checking.buffered_pairs()
+        assert restored._early_pairs == checking._early_pairs

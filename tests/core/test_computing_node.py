@@ -25,9 +25,9 @@ class TestProcessing:
         destination, batch = out[0]
         assert destination == "checking"
         assert isinstance(batch, PairBatch)
-        (pair,) = batch.pairs
-        assert pair.leaf_offset == flu_config.domain.leaf_offset(371)
-        assert not pair.dummy
+        assert len(batch) == 1
+        assert batch.leaves == (flu_config.domain.leaf_offset(371),)
+        assert batch.dummies == b"\x00"
         assert node.parsed == 1
         assert node.encrypted == 1
 
@@ -35,27 +35,26 @@ class TestProcessing:
         dummy = make_dummy(flu_config.schema, 380)
         out = node.on_raw_batch(RawBatch(0, (dummy,)))
         (_, batch), = out
-        (pair,) = batch.pairs
-        assert pair.dummy
+        assert batch.dummies == b"\x01"
         assert node.parsed == 0  # no raw line parsed
         assert node.encrypted == 1
 
     def test_ciphertext_decrypts_to_record(self, node, flu_config, fast_cipher):
         (_, batch), = node.on_raw_batch(_raw(flu_config, value=402))
-        (pair,) = batch.pairs
+        (ciphertext,) = batch.ciphertexts
         from repro.records.serialize import deserialize_record
 
         record = deserialize_record(
-            fast_cipher.decrypt(pair.encrypted.ciphertext), flu_config.schema
+            fast_cipher.decrypt(ciphertext), flu_config.schema
         )
         assert record.values[2] == 402
 
     def test_leaf_offset_in_clear(self, node, flu_config):
         """The pair exposes the leaf offset (and nothing else) in clear."""
         (_, batch), = node.on_raw_batch(_raw(flu_config, value=355))
-        (pair,) = batch.pairs
-        assert pair.encrypted.leaf_offset == pair.leaf_offset
-        assert b"355" not in pair.encrypted.ciphertext
+        assert batch.leaves == (flu_config.domain.leaf_offset(355),)
+        (ciphertext,) = batch.ciphertexts
+        assert type(ciphertext) is bytes and b"355" not in ciphertext
 
 
 class TestPublishBoundary:

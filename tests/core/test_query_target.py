@@ -15,8 +15,6 @@ from repro.core.checking import CheckingNode
 from repro.core.merger import Merger
 from repro.core.messages import (
     NewPublication,
-    Pair,
-    PairBatch,
     RemovedRecord,
     TemplateMsg,
 )
@@ -27,6 +25,7 @@ from repro.index.query import RangeQuery
 from repro.index.tree import IndexTree
 from repro.records.record import EncryptedRecord
 from repro.records.serialize import parse_raw_line, render_raw_line
+from tests.columns import pair_batch
 
 
 @pytest.fixture
@@ -224,17 +223,16 @@ class TestLeafKeyedLookupEqualsScan:
             merger.on_template(TemplateMsg(publication, plan))
             leaves = [draws.randrange(domain.num_leaves) for _ in range(120)]
             checking.on_pair_batch(
-                PairBatch(
+                pair_batch(
                     publication,
-                    tuple(
-                        Pair(
-                            publication,
+                    [
+                        (
                             leaf,
-                            record(publication, leaf),
-                            dummy=draws.random() < 0.2,
+                            record(publication, leaf).ciphertext,
+                            draws.random() < 0.2,
                         )
                         for leaf in leaves
-                    ),
+                    ],
                 )
             )
             for leaf in leaves[:15]:

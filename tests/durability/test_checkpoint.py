@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.durability.checkpoint import CheckpointStore, atomic_write_json
+from repro.durability.checkpoint import (
+    FORMAT,
+    CheckpointStore,
+    atomic_write_json,
+)
 
 
 class TestAtomicWriteJson:
@@ -51,6 +55,37 @@ class TestCheckpointStore:
         newest = store.save({"watermark": 2})
         newest.write_text("{torn")
         assert store.latest() == {"watermark": 1}
+
+    @pytest.mark.parametrize(
+        "document",
+        ["[1,2]", "null", "7", '"state"', '{"state":{"watermark":2}}',
+         '{"format":1,"state":{"watermark":2}}', '{"format":2}'],
+        ids=["list", "null", "number", "string", "unstamped", "format-1",
+             "no-state"],
+    )
+    def test_wrong_shape_or_format_falls_back_to_previous(
+        self, tmp_path, document
+    ):
+        """Valid JSON that is not a current-format checkpoint document —
+        another shape altogether, or one an older collector wrote — is
+        skipped exactly like a torn file, never raised."""
+        store = CheckpointStore(tmp_path)
+        store.save({"watermark": 1})
+        store.save({"watermark": 2}).write_text(document)
+        assert store.latest() == {"watermark": 1}
+
+    def test_only_a_foreign_document_is_no_checkpoint(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.save({"watermark": 2}).write_text("[1,2]")
+        assert store.latest() is None
+
+    def test_documents_are_stamped_with_the_format(self, tmp_path):
+        path = CheckpointStore(tmp_path).save({"watermark": 5})
+        assert json.loads(path.read_text()) == {
+            "checkpoint": 0,
+            "format": FORMAT,
+            "state": {"watermark": 5},
+        }
 
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):

@@ -6,14 +6,20 @@ mid-publication and recovering, the published dataset and the remaining
 no duplicate cloud rows, never more budget than the crash-free run.
 """
 
+import base64
+import json
+
 import pytest
 
 from repro.cloud.filestore import FileBackedStore
 from repro.cloud.node import FresqueCloud
+from repro.crypto.cipher import SimulatedCipher
 from repro.durability.recovery import RecoveryManager
 from repro.durability.system import CollectorCrash, DurableFresqueSystem
+from repro.records.codec import decode_pairs
 from repro.runtime.faults import FaultPlan
 from repro.telemetry import Telemetry
+from tests.conftest import cloud_state_fingerprint
 
 
 @pytest.fixture
@@ -192,6 +198,55 @@ class TestCrashDrill:
         assert receipt.records_matched == summary.published_pairs
         assert recovered.accountant.remaining_epsilon == pytest.approx(
             baseline_eps
+        )
+
+    def test_a_format_1_checkpoint_is_no_checkpoint(
+        self, flu_config, keystore, tmp_path, lines
+    ):
+        """A data dir whose only checkpoints were written by the previous
+        document format (no stamp, one JSON object per resident) recovers
+        exactly as one with no checkpoint at all: a longer replay, the
+        same cloud — not a failed ``restore``."""
+
+        def drill(data_dir, spoil):
+            cipher = SimulatedCipher(keystore)  # fresh IV sequence per drill
+            plan = FaultPlan(seed=5).crash_collector(after_records=150)
+            crashed = DurableFresqueSystem(
+                flu_config, cipher, data_dir, seed=101, fault_plan=plan
+            )
+            journaled = _run_to_crash(crashed, lines)
+            checkpoints = sorted((data_dir / "checkpoints").glob("*.json"))
+            assert checkpoints
+            for path in checkpoints:
+                spoil(path)
+            recovered, report = RecoveryManager(
+                flu_config, cipher, data_dir, cloud=crashed.cloud, seed=202
+            ).recover()
+            assert not report.checkpoint_used
+            assert report.reset_publications == [0]
+            assert report.replayed_raw == journaled
+            _finish_after_recovery(recovered, lines, journaled)
+            return cloud_state_fingerprint(recovered)
+
+        def as_format_1(path):
+            document = json.loads(path.read_text())
+            assert document.pop("format") == 2
+            for saved in document["state"]["checking"]["publications"].values():
+                leaves, ciphertexts, dummies = decode_pairs(saved["residents"])
+                assert leaves  # mid-publication: the randomer holds pairs
+                saved["residents"] = [
+                    {"pub": 0, "leaf": leaf, "dummy": bool(dummy), "enc": {
+                        "leaf": leaf, "tag": None, "pub": 0,
+                        "ct": base64.b64encode(ciphertext).decode("ascii"),
+                    }}
+                    for leaf, ciphertext, dummy in zip(
+                        leaves, ciphertexts, dummies
+                    )
+                ]
+            path.write_text(json.dumps(document))
+
+        assert drill(tmp_path / "old", as_format_1) == drill(
+            tmp_path / "none", lambda path: path.unlink()
         )
 
     def test_queries_work_after_recovery(

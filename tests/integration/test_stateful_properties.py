@@ -2,10 +2,11 @@
 
 Two machines hammer the trickiest mutable state:
 
-* :class:`RandomerMachine` — arbitrary interleavings of inserts, restores
-  and flushes must conserve every pair, respect the capacity bound, evict
-  and order as a reference swap-pop does, and keep the leaf-keyed view
-  equal to a filter of the buffer;
+* :class:`RandomerMachine` — arbitrary interleavings of batch inserts,
+  restores and flushes must conserve every pair, respect the capacity
+  bound, evict and order as the reference row-list swap-pop of
+  ``tests/core/test_randomer_oracle.py`` does, and keep the leaf-keyed
+  view equal to a filter of the buffer;
 * :class:`LeafArraysMachine` — arbitrary check/update sequences must keep
   AL equal to the number of arrivals per leaf and consume negative noise
   exactly once per removal.
@@ -22,84 +23,52 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.messages import Pair
 from repro.core.randomer import Randomer
 from repro.index.template import LeafArrays
-from repro.records.record import EncryptedRecord
+from tests.columns import columns_of, rows_of
+from tests.core.test_randomer_oracle import (
+    LEAVES,
+    ReferenceSwapPop,
+    assert_same_state,
+)
 
-
-#: Few leaves, so residents share them and every subset can be checked.
-_LEAVES = 4
-_LEAF_SETS = [
-    [leaf for leaf in range(_LEAVES) if mask >> leaf & 1]
-    for mask in range(1 << _LEAVES)
-]
-_leaf = st.integers(min_value=0, max_value=_LEAVES - 1)
-
-
-def _pair(serial: int, leaf_offset: int) -> Pair:
-    return Pair(
-        publication=0,
-        leaf_offset=leaf_offset,
-        encrypted=EncryptedRecord(
-            leaf_offset, serial.to_bytes(8, "little") * 4
-        ),
-    )
-
-
-class _ReferenceSwapPop:
-    """The randomer's buffer discipline, written out: append, swap a
-    uniform victim with the last slot, pop; shuffle on flush."""
-
-    def __init__(self, capacity, rng):
-        self.capacity, self.rng, self.buffer = capacity, rng, []
-
-    def insert(self, pair):
-        self.buffer.append(pair)
-        if len(self.buffer) <= self.capacity:
-            return None
-        buffer = self.buffer
-        victim = self.rng.randrange(len(buffer))
-        buffer[victim], buffer[-1] = buffer[-1], buffer[victim]
-        return buffer.pop()
-
-    def flush(self):
-        self.rng.shuffle(self.buffer)
-        drained, self.buffer = self.buffer, []
-        return drained
+_leaf = st.integers(min_value=0, max_value=LEAVES - 1)
 
 
 class RandomerMachine(RuleBasedStateMachine):
     """Inserts, evictions, restores and flushes conserve pairs, draw and
-    order exactly as the reference swap-pop does — what keeps checkpoints
-    and the cloud's arrival order byte-identical — and keep the
-    leaf-keyed view equal to a filter of the buffer."""
+    order exactly as the reference row-list swap-pop does — what keeps
+    checkpoints and the cloud's arrival order byte-identical — and keep
+    the leaf-keyed view equal to a filter of the buffer."""
 
     @initialize(capacity=st.integers(min_value=1, max_value=30),
                 seed=st.integers(min_value=0, max_value=10**6))
     def setup(self, capacity, seed):
         self.randomer = Randomer(capacity, rng=random.Random(seed))
-        self.reference = _ReferenceSwapPop(capacity, random.Random(seed))
+        self.reference = ReferenceSwapPop(capacity, random.Random(seed))
         self.serial = 0
         self.inserted = 0
         self.released = 0
 
-    def _fresh(self, leaf):
+    def _fresh(self, leaf, dummy=False):
         self.serial += 1
-        return _pair(self.serial, leaf)
+        return (leaf, self.serial.to_bytes(8, "little") * 4, dummy)
 
-    @rule(leaf=_leaf)
-    def insert(self, leaf):
-        pair = self._fresh(leaf)
-        evicted = self.randomer.insert(pair)
-        assert evicted is self.reference.insert(pair)
-        self.inserted += 1
-        if evicted is not None:
-            self.released += 1
+    @rule(arrivals=st.lists(st.tuples(_leaf, st.booleans()), max_size=8))
+    def insert(self, arrivals):
+        batch = [self._fresh(leaf, dummy) for leaf, dummy in arrivals]
+        evicted = rows_of(*self.randomer.insert_batch(*columns_of(batch)))
+        assert evicted == [
+            pair
+            for pair in map(self.reference.insert, batch)
+            if pair is not None
+        ]
+        self.inserted += len(batch)
+        self.released += len(evicted)
 
     @rule()
     def flush(self):
-        drained = self.randomer.flush()
+        drained = rows_of(*self.randomer.flush())
         assert drained == self.reference.flush()
         self.released += len(drained)
 
@@ -108,7 +77,7 @@ class RandomerMachine(RuleBasedStateMachine):
         pairs = [
             self._fresh(leaf) for leaf in leaves[: self.randomer.capacity]
         ]
-        self.randomer.restore(pairs, released=self.released)
+        self.randomer.restore(*columns_of(pairs), released=self.released)
         self.reference.buffer = list(pairs)
         self.inserted = self.released + len(pairs)
 
@@ -122,20 +91,8 @@ class RandomerMachine(RuleBasedStateMachine):
         assert len(self.randomer) <= self.randomer.capacity
 
     @invariant()
-    def buffer_order_is_the_reference(self):
-        assert self.randomer.residents == tuple(self.reference.buffer)
-
-    @invariant()
-    def leaf_view_is_a_filter_of_the_buffer(self):
-        residents = self.randomer.residents
-
-        def by_serial(pairs):
-            return sorted(pairs, key=lambda pair: pair.encrypted.ciphertext)
-
-        for leaves in _LEAF_SETS:
-            assert by_serial(self.randomer.residents_in(leaves)) == by_serial(
-                pair for pair in residents if pair.leaf_offset in leaves
-            )
+    def buffer_order_and_leaf_view_are_the_reference(self):
+        assert_same_state(self.randomer, self.reference)
 
 
 class LeafArraysMachine(RuleBasedStateMachine):

@@ -18,7 +18,7 @@ import threading
 import pytest
 
 import repro
-from repro.core.messages import Pair, Routed
+from repro.core.messages import Routed
 from repro.core.sharded import PartialAl, ShardedFresqueSystem
 from repro.core.system import FresqueSystem
 from repro.crypto.cipher import SimulatedCipher
@@ -108,7 +108,6 @@ def test_the_message_alphabet_is_closed():
     — a route or codec nobody feeds is a second path waiting to drift."""
     routed = _routed_messages()
     assert len(routed) >= 15
-    assert Pair not in routed  # an element of PairBatch, never a message
     root = pathlib.Path(repro.__file__).parent
     codecs = {"runtime/wire.py"}
     sources = {

@@ -134,7 +134,7 @@ class TestBuildHandler:
         out = handle(RawBatch(0, (line,), seq=0, ordinal=0))
         (destination, batch), = out
         assert destination == "checking"
-        assert batch.seq == 0 and len(batch.pairs) == 1
+        assert batch.seq == 0 and len(batch) == 1
         out = handle(PublishingMsg(0, last_seq=0))
         assert isinstance(out[0][1], CnPublishing)
         assert node.waiting_for_done

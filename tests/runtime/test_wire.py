@@ -5,6 +5,7 @@ One codec, one suite: the same frame rides TCP (``bytes`` bodies off
 every case runs over both input types.
 """
 
+import base64
 import hashlib
 import json
 import random
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.checking import CheckingNode
 from repro.core.messages import (
     AlSnapshot,
     AnnouncePublication,
@@ -24,7 +26,6 @@ from repro.core.messages import (
     MergedPublication,
     NewPublication,
     NodeDown,
-    Pair,
     PairBatch,
     PublishingMsg,
     RawBatch,
@@ -49,10 +50,12 @@ from repro.runtime.wire import (
 )
 
 
-#: sha256 over the concatenated un-prefixed bodies of ``PACKED``, computed
-#: at 247665e with the separate ring codec that commit still had.
+#: sha256 over the concatenated un-prefixed bodies of ``PACKED``.  Kinds
+#: 1 and 5 are the bytes the separate ring codec wrote at 247665e; kinds
+#: 2-4 moved once, on purpose, to the pair-column layout of
+#: ``records.codec.pack_pairs`` (docs/PROTOCOL.md) — recomputed then.
 PINNED_PACKED_DIGEST = (
-    "60561103f653153812168b81aee1d608a19297a7c1a71d55c94e730f22f0e1bc"
+    "2d13aba6a410b0d14293f957a626961baecc3c8f891afae244ce49c330dca178"
 )
 
 
@@ -67,10 +70,8 @@ def _encrypted():
     )
 
 
-def _bare(leaf, publication, ciphertext):
-    return EncryptedRecord(
-        leaf_offset=leaf, ciphertext=ciphertext, publication=publication
-    )
+#: The ciphertext of :func:`_encrypted`, for the column-form batches.
+_CT = b"\x01\x02" * 24
 
 
 def _roundtrip(destination, message):
@@ -92,20 +93,14 @@ MESSAGES = {
         RawBatch(0, ("a\tb\tc",), seq=4, ordinal=9, epoch=2),
     ),
     "RawBatch-cn-1_0": ("cn-1", RawBatch(0, (Record(("x", 1, 371, "none")),))),
-    "PairBatch-checking0": (
-        "checking",
-        PairBatch(0, (Pair(0, 5, _encrypted(), dummy=True),)),
-    ),
-    "ToCloudBatch-cloud0": ("cloud", ToCloudBatch(0, ((5, _encrypted()),))),
+    "PairBatch-checking0": ("checking", PairBatch(0, (5,), (_CT,), b"\x01")),
+    "ToCloudBatch-cloud0": ("cloud", ToCloudBatch(0, (5,), (_CT,))),
     "RemovedRecord-merger": ("merger", RemovedRecord(0, 5, _encrypted())),
     "PublishingMsg-cn-0": ("cn-0", PublishingMsg(2)),
     "CnPublishing-checking": ("checking", CnPublishing(2, 1)),
     "NodeDown-checking": ("checking", NodeDown(2, 1)),
     "AlSnapshot-merger": ("merger", AlSnapshot(2, (1, 2, 3, 4))),
-    "BufferFlush-cloud": (
-        "cloud",
-        BufferFlush(2, ((0, _encrypted()), (1, _encrypted()))),
-    ),
+    "BufferFlush-cloud": ("cloud", BufferFlush(2, (0, 1), (_CT, _CT))),
     "DoneMsg-cn-2": ("cn-2", DoneMsg(2)),
     # Batch frames (docs/BATCHING.md): one frame per batch on the wire.
     "RawBatch-cn-0_1": (
@@ -115,15 +110,9 @@ MESSAGES = {
     "RawBatch-cn-1_1": ("cn-1", RawBatch(3, ())),
     "PairBatch-checking1": (
         "checking",
-        PairBatch(
-            1,
-            (Pair(1, 5, _encrypted(), dummy=True), Pair(1, 2, _encrypted())),
-        ),
+        PairBatch(1, (5, 2), (_CT, _CT), b"\x01\x00"),
     ),
-    "ToCloudBatch-cloud1": (
-        "cloud",
-        ToCloudBatch(2, ((0, _encrypted()), (1, _encrypted()))),
-    ),
+    "ToCloudBatch-cloud1": ("cloud", ToCloudBatch(2, (0, 1), (_CT, _CT))),
     # The cases the ring's own codec suite used to hold.
     "RawBatch-lines-and-dummy-record": (
         "cn-1",
@@ -138,31 +127,26 @@ MESSAGES = {
         "checking",
         PairBatch(
             2,
-            tuple(
-                Pair(
-                    2,
-                    leaf,
-                    _bare(leaf, 2, bytes([leaf]) * 9),
-                    dummy=bool(leaf % 2),
-                )
-                for leaf in range(4)
-            ),
+            tuple(range(4)),
+            tuple(bytes([leaf]) * 9 for leaf in range(4)),
+            bytes(leaf % 2 for leaf in range(4)),
             seq=11,
         ),
     ),
     "ToCloudBatch-ciphertext-lengths-differ": (
         "cloud",
-        ToCloudBatch(
-            5, tuple((leaf, _bare(leaf, 5, b"ct" * leaf)) for leaf in (1, 2, 3))
-        ),
+        ToCloudBatch(5, (1, 2, 3), tuple(b"ct" * leaf for leaf in (1, 2, 3))),
     ),
+    # (Ids from the row-form suite, whose e-records carried a leaf and a
+    # tag of their own that could be None; a column-form pair is a leaf
+    # offset and ciphertext bytes, nothing else.)
     "ToCloudBatch-none-leaf-and-tag": (
         "cloud",
-        ToCloudBatch(1, ((0, _bare(None, 1, b"\x00\x01")),)),
+        ToCloudBatch(1, (0,), (b"\x00\x01",)),
     ),
     "BufferFlush-none-leaf-and-tag": (
         "cloud",
-        BufferFlush(1, ((3, _bare(None, 1, b"\x00\x01")),)),
+        BufferFlush(1, (3,), (b"\x00\x01",)),
     ),
     "CreditGrant-dispatcher": ("dispatcher", CreditGrant(7, 4096)),
     "PublishingMsg-stamped": (
@@ -230,8 +214,8 @@ def test_packed_body_is_consumed_exactly(destination, message):
 
 
 def test_packed_layout_pinned():
-    """The ring bytes did not move: the digest was computed at 247665e,
-    over these messages, with the ring's own encoder of that commit."""
+    """The packed bytes do not move by accident: a layout change has to
+    come here and say so."""
     digest = hashlib.sha256()
     for destination, message in PACKED.values():
         digest.update(encode_body(destination, message))
@@ -350,7 +334,7 @@ class TestFraming:
         with pytest.raises(WireError):
             encode_message("x" * 256, DoneMsg(1))
         with pytest.raises(WireError):  # a leaf that is no int32
-            encode_message("cloud", ToCloudBatch(0, ((1 << 40, _encrypted()),)))
+            encode_message("cloud", ToCloudBatch(0, (1 << 40,), (_CT,)))
 
 
 @settings(max_examples=40)
@@ -362,15 +346,153 @@ class TestFraming:
 )
 def test_pair_roundtrip_property(publication, leaf, ciphertext, dummy):
     """Pairs with arbitrary ciphertext bytes survive the wire."""
-    pair = Pair(
-        publication,
-        leaf,
-        EncryptedRecord(leaf, ciphertext, publication=publication),
-        dummy=dummy,
-    )
-    message = PairBatch(publication, (pair,))
+    message = PairBatch(publication, (leaf,), (ciphertext,), bytes((dummy,)))
     _, decoded = _roundtrip("checking", message)
     assert decoded == message
+
+
+_I32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
+_pair_rows = st.lists(
+    st.tuples(_I32, st.binary(max_size=200), st.booleans()), max_size=300
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    publication=st.integers(min_value=0, max_value=10**6),
+    rows=_pair_rows,
+    seq=st.integers(min_value=-1, max_value=10**9),
+)
+def test_pair_columns_roundtrip_property(publication, rows, seq):
+    """Kinds 2, 3 and 4 over 0-300 pairs: ciphertexts of any length
+    (empty included), leaves over the whole ``i32`` range, an empty batch
+    that still carries its ``seq`` — same columns, same types, out."""
+    leaves = tuple(leaf for leaf, _, _ in rows)
+    ciphertexts = tuple(ciphertext for _, ciphertext, _ in rows)
+    dummies = bytes(dummy for _, _, dummy in rows)
+    for destination, message in (
+        (
+            "checking",
+            PairBatch(
+                publication, leaves, ciphertexts, dummies,
+                seq=seq, epoch=3, node=1,
+            ),
+        ),
+        ("cloud", ToCloudBatch(publication, leaves, ciphertexts)),
+        ("cloud", BufferFlush(publication, leaves, ciphertexts)),
+    ):
+        body = encode_body(destination, message)
+        for damaged in (bytes(body), memoryview(body)):
+            got = decode_message(damaged)
+            assert got == (destination, message)
+            assert type(got[1].leaves) is tuple
+            assert type(got[1].ciphertexts) is tuple
+            assert all(type(c) is bytes for c in got[1].ciphertexts)
+
+
+def _pair_body(message, destination="checking"):
+    """``(head, count, leaves, lengths, rest)`` of a packed pair body."""
+    body = bytes(encode_body(destination, message))
+    head = 2 + len(destination) + (32 if isinstance(message, PairBatch) else 8)
+    count = len(message.leaves)
+    leaves_end = head + 4 + 4 * count
+    lengths_end = leaves_end + 4 * count
+    return (
+        body[:head],
+        body[head : head + 4],
+        body[head + 4 : leaves_end],
+        body[leaves_end:lengths_end],
+        body[lengths_end:],
+    )
+
+
+def _u32(value: int) -> bytes:
+    return value.to_bytes(4, "little")
+
+
+_PAIRS = PairBatch(4, (7, 8, 9), (b"aa", b"", b"cccc"), b"\x00\x01\x00", seq=2)
+_CLOUD = ToCloudBatch(4, (7, 8, 9), (b"aa", b"", b"cccc"))
+
+
+def _malformed_pair_bodies():
+    for name, message in (("pairs", _PAIRS), ("cloud", _CLOUD)):
+        head, count, leaves, lengths, rest = _pair_body(message)
+        whole = head + count + leaves + lengths + rest
+        yield f"{name}-count-larger-than-columns", (
+            head + _u32(4) + leaves + lengths + rest
+        )
+        yield f"{name}-count-smaller-than-columns", (
+            head + _u32(2) + leaves + lengths + rest
+        )
+        yield f"{name}-lengths-sum-one-more", (
+            head + count + leaves + _u32(3) + lengths[4:] + rest
+        )
+        yield f"{name}-lengths-sum-one-less", (
+            head + count + leaves + _u32(1) + lengths[4:] + rest
+        )
+        yield f"{name}-trailing-byte", whole + b"\x00"
+        yield f"{name}-huge-count", (
+            head + _u32(2**32 - 1) + leaves + lengths + rest
+        )
+    head, count, leaves, lengths, rest = _pair_body(_PAIRS)
+    yield "pairs-truncated-dummies-column", (
+        head + count + leaves + lengths + rest[:-1]
+    )
+    yield "pairs-no-dummies-column", head + count + leaves + lengths + rest[:-3]
+
+
+_MALFORMED = dict(_malformed_pair_bodies())
+
+
+@pytest.mark.parametrize("body", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_pair_body_rejected(body):
+    """Every way the columns can disagree with each other or with the
+    bytes present is a ``WireError`` — never another exception, never a
+    batch with a column silently shortened."""
+    for damaged in (body, memoryview(body)):
+        with pytest.raises(WireError):
+            decode_message(damaged)
+
+
+@pytest.mark.parametrize("leaf", [2**31, -(2**31) - 1])
+def test_leaf_outside_i32_fails_at_encode(leaf):
+    for message in (
+        PairBatch(0, (leaf,), (b"x",), b"\x00"),
+        ToCloudBatch(0, (leaf,), (b"x",)),
+        BufferFlush(0, (leaf,), (b"x",)),
+    ):
+        with pytest.raises(WireError):
+            encode_body("cloud", message)
+
+
+def test_checkpointed_residents_are_length_checked(flu_config):
+    """The same packer holds the randomer residents in a collector
+    checkpoint; restoring one with a corrupted length word is a
+    ``ValueError``, not a silently shorter buffer."""
+    tree = IndexTree(flu_config.domain, fanout=flu_config.fanout)
+    plan = draw_noise_plan(tree, 1.0, random.Random(2))
+    checking = CheckingNode(flu_config, rng=random.Random(1))
+    checking.on_new_publication(NewPublication(0, plan))
+    checking.on_pair_batch(
+        PairBatch(0, (1, 2, 3), (b"aa", b"", b"cccc"), b"\x00\x01\x00")
+    )
+    snapshot = checking.snapshot()
+    saved = snapshot["publications"]["0"]
+    packed = bytearray(base64.b64decode(saved["residents"]))
+    first_length = slice(4 + 4 * 3, 4 + 4 * 3 + 4)  # past count and leaves
+    assert packed[first_length] == _u32(2)
+
+    def restore_with(length: int) -> CheckingNode:
+        packed[first_length] = _u32(length)
+        saved["residents"] = base64.b64encode(packed).decode("ascii")
+        restored = CheckingNode(flu_config, rng=random.Random(1))
+        restored.restore(snapshot)
+        return restored
+
+    for corrupted in (1, 3, 2**32 - 1):
+        with pytest.raises(ValueError):
+            restore_with(corrupted)
+    assert restore_with(2).snapshot() == checking.snapshot()
 
 
 @settings(max_examples=40)

@@ -5,9 +5,9 @@ point — :func:`run_scenario` — dispatches on ``scenario.workload``:
 
 * ``ingest`` — ingest-only records/s (sync or durable collector);
 * ``publication`` — full-publication records/s on any runtime, with
-  optional named fault plans and checking-shard counts;
-* ``burst-trickle`` — the adaptive-batching duty cycle: wall-clock
-  burst throughput + simulated-clock trickle flush latency;
+  optional named fault plans;
+* ``burst-trickle`` — a bursty duty cycle: wall-clock burst throughput
+  + simulated-clock trickle flush latency;
 * ``churn`` — per-publication throughput across a scripted
   crash/admit/rejoin/retire sequence on the threaded runtime;
 * ``conformance`` — run the stream, return only the cloud-state
@@ -97,12 +97,6 @@ def build_config(scenario: Scenario) -> FresqueConfig:
     delay = scenario.param("max_batch_delay")
     if delay is not None:
         kwargs["max_batch_delay"] = float(delay)
-    if scenario.adaptive:
-        kwargs["adaptive_batching"] = True
-        kwargs["min_batch_size"] = int(scenario.param("min_batch_size", 1))
-        kwargs["max_batch_size"] = int(
-            scenario.param("max_batch_size", max(1024, scenario.batch_size))
-        )
     credit = scenario.param("credit_window")
     if credit is not None:
         kwargs["credit_window"] = int(credit)
@@ -266,28 +260,10 @@ _BUILDERS = {
 
 def _deploy(scenario, config, telemetry, data_root):
     """(system, close) for the scenario's runtime × durability cell."""
-    if scenario.shards:
-        from repro.core.sharded import ShardedFresqueSystem
-
-        if scenario.runtime != "sync" or scenario.durability != "memory":
-            raise RunnerError(
-                f"{scenario.name}: checking shards only deploy on the "
-                "in-memory sync runtime"
-            )
-        system = ShardedFresqueSystem(
-            config,
-            _cipher(scenario),
-            num_checking_shards=scenario.shards,
-            seed=scenario.seed,
-        )
-        system.start()
-        return system, lambda: None
     return _BUILDERS[scenario.runtime](scenario, config, telemetry, data_root)
 
 
-def _fingerprint_of(scenario, system) -> str | None:
-    if scenario.shards:
-        return None  # sharded checking has no single counter set
+def _fingerprint_of(scenario, system) -> str:
     if scenario.runtime == "shm":
         return fingerprint_digest(system.fingerprint())
     return fingerprint_digest(cloud_state_fingerprint(system))
@@ -394,8 +370,8 @@ class _SimLoop:
 
 
 def _run_burst_trickle(scenario, data_root, telemetry) -> Scorecard:
-    """The adaptive-batching duty cycle: wall-clock burst throughput,
-    simulated-clock trickle latency."""
+    """A bursty duty cycle: wall-clock burst throughput, simulated-clock
+    trickle latency (the delay flush is what bounds it)."""
     del telemetry  # this workload needs the simulated clock below
     from repro.core.system import FresqueSystem
 
@@ -455,7 +431,6 @@ def _run_burst_trickle(scenario, data_root, telemetry) -> Scorecard:
         "throughput_rps": busy_records / busy_wall if busy_wall else 0.0,
         "p50_latency_s": latencies[len(latencies) // 2],
         "p99_latency_s": latencies[int(0.99 * (len(latencies) - 1))],
-        "final_batch_size": float(system.dispatcher.batch_size),
     }
     return _scorecard(
         scenario, metrics, counters=_telemetry_counters(sim_telemetry)

@@ -98,8 +98,8 @@ _BATCHING = BenchSpec(
             order_by="batch_size",
             frac=0.10,
             note="a sweep that loses more than 10% from one batch size to "
-            "the next is a cliff the flow controller's upper bound should "
-            "encode; the August artifact showed one at batch 256 (49.7k "
+            "the next is a cliff a deployment's batch_size should stay "
+            "below; the August artifact showed one at batch 256 (49.7k "
             "vs 67.3k rec/s), eight sweeps at c27f386 on a 2-vCPU host "
             "did not (batch 256 at 58-94k against 59-93k at batch 64) — "
             "a cell times ~0.15 s of wall, so one red run is one sample",
@@ -118,101 +118,6 @@ _BATCHING = BenchSpec(
     ),
 )
 
-
-def _summarise_adaptive(cards: list[Scorecard]) -> list[Scorecard]:
-    by_variant = {card.key.get("variant", ""): card for card in cards}
-    adaptive = by_variant.get("adaptive")
-    static = [card for name, card in by_variant.items() if name != "adaptive"]
-    if adaptive is None or not static:
-        return []
-    best_static = max(
-        card.metrics["throughput_rps"] for card in static
-    )
-    static256 = by_variant.get("static-256")
-    metrics = {
-        "adaptive_vs_best_static": adaptive.metrics["throughput_rps"]
-        / best_static,
-        "trickle_p99_s": adaptive.metrics["p99_latency_s"],
-        "final_batch_size": adaptive.metrics["final_batch_size"],
-    }
-    if static256 is not None:
-        metrics["p99_vs_static256"] = (
-            adaptive.metrics["p99_latency_s"]
-            / static256.metrics["p99_latency_s"]
-        )
-    return [
-        Scorecard(
-            scenario="adaptive_batching/summary",
-            key={"variant": "summary"},
-            metrics=metrics,
-        )
-    ]
-
-
-_ADAPTIVE = BenchSpec(
-    name="adaptive_batching",
-    title="Adaptive vs static batching, bursty Gowalla mix",
-    matrix=MatrixSpec(
-        bench="adaptive_batching",
-        base={
-            "workload": "burst-trickle",
-            "dataset": "gowalla",
-            "max_batch_delay": 0.2,
-        },
-        axes={},
-        include=(
-            {"name": "adaptive_batching/static-8", "batch_size": 8,
-             "variant": "static-8"},
-            {"name": "adaptive_batching/static-64", "batch_size": 64,
-             "variant": "static-64"},
-            {"name": "adaptive_batching/static-256", "batch_size": 256,
-             "variant": "static-256"},
-            {"name": "adaptive_batching/adaptive", "batch_size": 8,
-             "adaptive": True, "min_batch_size": 4, "max_batch_size": 512,
-             "variant": "adaptive"},
-        ),
-    ),
-    summarise=_summarise_adaptive,
-    rules=(
-        Rule(
-            id="adaptive-matches-best-static",
-            kind="min-value",
-            metric="adaptive_vs_best_static",
-            select=(("variant", "summary"),),
-            threshold=0.9,
-            note="ported from bench_adaptive_batching's throughput gate",
-        ),
-        Rule(
-            id="adaptive-grows-batch",
-            kind="min-value",
-            metric="final_batch_size",
-            select=(("variant", "adaptive"),),
-            threshold=9,
-            note="drift: the script asserted final_batch_size > 8 "
-            "(strict); min-value encodes it as >= 9 (sizes are integers)",
-        ),
-        Rule(
-            id="trickle-p99-slo",
-            kind="max-value",
-            metric="p99_latency_s",
-            select=(("variant", "adaptive"),),
-            agg="max",
-            threshold=0.1,
-            note="ported p99 SLO (simulated seconds, machine-independent)",
-        ),
-        Rule(
-            id="adaptive-p99-halves-static256",
-            kind="max-ratio",
-            metric="p99_latency_s",
-            select=(("variant", "adaptive"),),
-            baseline=(("variant", "static-256"),),
-            baseline_agg="last",
-            threshold=0.5,
-            note="ported from bench_adaptive_batching: the cliff this "
-            "controller exists to fix",
-        ),
-    ),
-)
 
 _SHM_SCALING = BenchSpec(
     name="shm_scaling",
@@ -405,14 +310,6 @@ CONFORMANCE_MATRIX = MatrixSpec(
         {"runtime": "threaded", "durability": "durable"},
         {"runtime": "tcp", "durability": "durable"},
     ),
-    include=(
-        # The adaptive controller reshapes flush timing; the bytes in
-        # the cloud must not notice.
-        {"name": "conformance/adaptive-sync", "runtime": "sync",
-         "batch_size": 8, "adaptive": True},
-        {"name": "conformance/adaptive-threaded", "runtime": "threaded",
-         "batch_size": 8, "adaptive": True},
-    ),
 )
 
 _CONFORMANCE = BenchSpec(
@@ -428,7 +325,7 @@ _CONFORMANCE = BenchSpec(
                 ("durability", "memory"),
                 ("runtime", "sync"),
             ),
-            note="every runtime x batch x durability x adaptive cell "
+            note="every runtime x batch x durability cell "
             "must publish byte-identical cloud state",
         ),
     ),
@@ -448,10 +345,9 @@ def _summarise_smoke(cards: list[Scorecard]) -> list[Scorecard]:
     base = rate("fabric_smoke/batch_size=1")
     if base > 0:
         metrics["batch64_speedup"] = rate("fabric_smoke/batch_size=64") / base
-    adaptive = by_name.get("fabric_smoke/adaptive")
-    if adaptive is not None:
-        metrics["trickle_p99_s"] = adaptive.metrics["p99_latency_s"]
-        metrics["final_batch_size"] = adaptive.metrics["final_batch_size"]
+    trickle = by_name.get("fabric_smoke/burst-trickle")
+    if trickle is not None:
+        metrics["trickle_p99_s"] = trickle.metrics["p99_latency_s"]
     fingerprints = {
         card.fingerprint
         for card in cards
@@ -480,11 +376,10 @@ _SMOKE = BenchSpec(
         base={"workload": "ingest", "dataset": "gowalla", "records": 4_000},
         axes={"batch_size": (1, 64)},
         include=(
-            {"name": "fabric_smoke/adaptive", "workload": "burst-trickle",
-             "batch_size": 8, "adaptive": True, "min_batch_size": 4,
-             "max_batch_size": 512, "max_batch_delay": 0.2, "bursts": 3,
-             "warmup_bursts": 1, "burst_records": 600,
-             "trickle_records": 20},
+            {"name": "fabric_smoke/burst-trickle",
+             "workload": "burst-trickle", "batch_size": 256,
+             "max_batch_delay": 0.01, "bursts": 3, "warmup_bursts": 1,
+             "burst_records": 600, "trickle_records": 20},
             {"name": "fabric_smoke/conform-sync", "workload": "conformance",
              "records": 150, "batch_size": 8, "deterministic_ivs": True},
             {"name": "fabric_smoke/conform-threaded",
@@ -542,7 +437,6 @@ BENCHES: dict[str, BenchSpec] = {
     spec.name: spec
     for spec in (
         _BATCHING,
-        _ADAPTIVE,
         _SHM_SCALING,
         _SHM_BATCH_SWEEP,
         _CHURN,

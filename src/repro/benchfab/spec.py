@@ -63,9 +63,8 @@ class Scenario:
         Deployment, one of :data:`RUNTIMES`.
     workers:
         Computing-node count.
-    batch_size / adaptive:
-        Static dispatcher batch size, and whether the AIMD controller
-        is live (``adaptive_batching``).
+    batch_size:
+        Dispatcher batch size.
     durability:
         ``memory`` or ``durable`` (write-ahead journal + ε ledger).
     sync_every / checkpoint_every:
@@ -73,8 +72,6 @@ class Scenario:
     fault_plan:
         Named fault/churn plan (:data:`repro.benchfab.runner.FAULT_PLANS`),
         empty for a healthy run.
-    shards:
-        Checking-node shards (0 = unsharded).
     deterministic_ivs:
         Ordinal-keyed IVs — required for cross-runtime byte identity.
     seed / stream_seed:
@@ -96,12 +93,10 @@ class Scenario:
     runtime: str = "sync"
     workers: int = 3
     batch_size: int = 1
-    adaptive: bool = False
     durability: str = "memory"
     sync_every: int = 256
     checkpoint_every: int = 0
     fault_plan: str = ""
-    shards: int = 0
     deterministic_ivs: bool = False
     seed: int = 9
     stream_seed: int = 71
@@ -134,7 +129,7 @@ class Scenario:
     #: Axes always present in the point key, even at their defaults —
     #: rules must be able to select ``batch_size=1`` or ``runtime=sync``
     #: without the key shape depending on which cell of a sweep it is.
-    _CORE_AXES = ("workload", "runtime", "durability", "batch_size", "adaptive")
+    _CORE_AXES = ("workload", "runtime", "durability", "batch_size")
 
     def axes(self) -> dict[str, Any]:
         """The identity of this run: the core axes plus every other

@@ -12,13 +12,6 @@ from repro.core.config import ConfigError, FresqueConfig
 from repro.core.dispatcher import Dispatcher
 from repro.core.merger import MergeReport, Merger
 from repro.core.randomer import Randomer
-from repro.core.sharded import (
-    CheckingShard,
-    ShardedFresqueSystem,
-    ShardedMerger,
-    shard_of,
-    sharded_capacity,
-)
 from repro.core.system import (
     CloudAdapter,
     CollectorAwareQueryTarget,
@@ -35,13 +28,8 @@ __all__ = [
     "Dispatcher",
     "FresqueConfig",
     "FresqueSystem",
-    "CheckingShard",
     "MergeReport",
     "Merger",
     "PublicationSummary",
     "Randomer",
-    "ShardedFresqueSystem",
-    "ShardedMerger",
-    "shard_of",
-    "sharded_capacity",
 ]

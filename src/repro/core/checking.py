@@ -58,9 +58,8 @@ def check_bulk(
 ) -> tuple[list[tuple[str, object]], tuple[int, ...], tuple[bytes, ...], int]:
     """Checker + updater over released pairs (columns), in release order.
 
-    The one check of the collector — :class:`CheckingNode` and every
-    :class:`~repro.core.sharded.CheckingShard` run it once per released
-    batch.  Returns ``(merger messages, cloud leaves, cloud ciphertexts,
+    The one check of the collector — :class:`CheckingNode` runs it once
+    per released batch.  Returns ``(merger messages, cloud leaves, cloud ciphertexts,
     dummies passed)``.  Dummies never touch the arrays, so the non-dummy
     subsequence is updated through one
     :meth:`LeafArrays.check_and_update_bulk` call, whose per-offset

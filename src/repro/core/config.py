@@ -53,19 +53,9 @@ class FresqueConfig:
         dispatch, today's behaviour, through the same code path).
     max_batch_delay:
         Seconds a partially filled batch may wait before it is flushed
-        anyway, bounding the ingest latency batching adds.
-    adaptive_batching:
-        When true, the dispatcher's :class:`~repro.core.flow.FlowController`
-        adapts the effective batch size and flush delay (AIMD, between
-        ``min_batch_size``/``max_batch_size`` and the delay floor/
-        ``max_batch_delay``) to the observed flush throughput and queue
-        depth.  Off by default: the controller is *pinned* and the
-        dispatcher behaves exactly as the static configuration dictates
-        (the batch-equivalence harness relies on this).
-    min_batch_size / max_batch_size:
-        Bounds of the adaptive controller's batch-size excursion.
-        ``batch_size`` is the starting point and must lie inside the
-        bounds when ``adaptive_batching`` is on.
+        anyway, bounding the ingest latency batching adds.  Both batch
+        knobs are fixed for the deployment's lifetime: the dispatcher
+        flushes at exactly these values (docs/BATCHING.md).
     credit_window:
         Records the dispatcher may have in flight towards the checking
         node before it stops releasing flushed batches (credit-based
@@ -103,9 +93,6 @@ class FresqueConfig:
     publish_interval: float = 60.0
     batch_size: int = 1
     max_batch_delay: float = 0.05
-    adaptive_batching: bool = False
-    min_batch_size: int = 1
-    max_batch_size: int = 1024
     credit_window: int = 0
     ingest_queue_limit: int = 0
     shed_policy: str = "drop-newest"
@@ -133,19 +120,6 @@ class FresqueConfig:
         if self.max_batch_delay <= 0:
             raise ConfigError(
                 f"max_batch_delay must be positive, got {self.max_batch_delay}"
-            )
-        if not 1 <= self.min_batch_size <= self.max_batch_size:
-            raise ConfigError(
-                "batch-size bounds must satisfy 1 <= min <= max, got "
-                f"[{self.min_batch_size}, {self.max_batch_size}]"
-            )
-        if self.adaptive_batching and not (
-            self.min_batch_size <= self.batch_size <= self.max_batch_size
-        ):
-            raise ConfigError(
-                f"adaptive batching starts from batch_size={self.batch_size}, "
-                "which must lie inside "
-                f"[{self.min_batch_size}, {self.max_batch_size}]"
             )
         if self.credit_window < 0:
             raise ConfigError(

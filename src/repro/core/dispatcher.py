@@ -10,17 +10,16 @@ and immediately opens the next publication (asynchronous publishing).
 Forwarding is batched (docs/BATCHING.md): arriving records — raw lines
 and released dummies alike — accumulate, in order, in a single in-flight
 batch that is flushed to the next computing node as one
-:class:`~repro.core.messages.RawBatch` when it reaches the effective
-batch size (*size*), when it has waited longer than the effective flush
-delay (*delay*), or when the publication interval closes (*close*) — the
-close flush is what guarantees a batch never straddles a publication
-boundary.  ``batch_size=1`` degenerates to per-record dispatch through
-the exact same path.  The effective size/delay come from the
-:class:`~repro.core.flow.FlowController` — the static config values when
-pinned, the AIMD controller's when ``config.adaptive_batching`` is on —
-which also houses credit-based backpressure (flushed batches park in a
-deferred queue when the checking node's credits run dry) and admission
-control (``config.ingest_queue_limit`` + :meth:`Dispatcher.offer_raw`).
+:class:`~repro.core.messages.RawBatch` when it reaches
+``config.batch_size`` (*size*), when it has waited longer than
+``config.max_batch_delay`` (*delay*), or when the publication interval
+closes (*close*) — the close flush is what guarantees a batch never
+straddles a publication boundary.  ``batch_size=1`` degenerates to
+per-record dispatch through the exact same path.  The
+:class:`~repro.core.flow.FlowController` houses credit-based
+backpressure (flushed batches park in a deferred queue when the checking
+node's credits run dry) and admission control
+(``config.ingest_queue_limit`` + :meth:`Dispatcher.offer_raw`).
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ from repro.core.flow import (
     ADMIT,
     DROP_NEWEST,
     DROP_OLDEST,
-    FLUSH_CLOSE,
-    FLUSH_DELAY,
-    FLUSH_MANUAL,
-    FLUSH_SIZE,
     FlowController,
     SHED_OLDEST,
 )
@@ -57,8 +52,6 @@ from repro.records.codec import decode_record, encode_record
 from repro.telemetry.clock import WALL_CLOCK
 from repro.telemetry.context import coalesce
 
-# FLUSH_* reason labels are defined in repro.core.flow (the controller
-# consumes them too) and re-exported here for their historical home.
 __all__ = [
     "Dispatcher",
     "FLUSH_SIZE",
@@ -66,6 +59,15 @@ __all__ = [
     "FLUSH_CLOSE",
     "FLUSH_MANUAL",
 ]
+
+#: Flush triggers, as reported by the ``dispatcher_batch_flush_total``
+#: counter's ``reason`` label.
+FLUSH_SIZE, FLUSH_DELAY, FLUSH_CLOSE, FLUSH_MANUAL = (
+    "size",
+    "delay",
+    "close",
+    "manual",
+)
 
 
 class Dispatcher(Routed):
@@ -123,9 +125,12 @@ class Dispatcher(Routed):
         if clock is None:
             clock = self._tel.clock if self._tel.enabled else WALL_CLOCK
         self._clock = clock
-        #: Flow control: effective batch size/delay (pinned or adaptive),
-        #: the credit gate and admission control (repro.core.flow).
-        self.flow = FlowController(config, telemetry=telemetry, clock=clock)
+        #: Flush triggers, read on every enqueue.
+        self.batch_size = config.batch_size
+        self.max_batch_delay = config.max_batch_delay
+        #: Flow control: the credit gate and admission control
+        #: (repro.core.flow).
+        self.flow = FlowController(config, telemetry=telemetry)
         #: The in-flight batch: raw lines and dummy Records, arrival order.
         self._batch: list[str | Record] = []
         self._batch_opened: float | None = None
@@ -391,10 +396,6 @@ class Dispatcher(Routed):
         """Apply a checking-node credit grant; release deferred batches."""
         return list(self.flow.credits.grant(message.records))
 
-    def observe_queue_depth(self, depth: int) -> None:
-        """Feed a downstream queue-depth sample to the adaptive controller."""
-        self.flow.controller.observe_depth(depth)
-
     def _enqueue(self, item: str | Record) -> list[tuple[str, object]]:
         """Append one item to the in-flight batch; flush if due."""
         batch = self._batch
@@ -403,13 +404,13 @@ class Dispatcher(Routed):
         batch.append(item)
         self.records_dispatched += 1
         self._records_counter.inc()
-        if len(batch) >= self.flow.batch_size:
+        if len(batch) >= self.batch_size:
             return self._flush(FLUSH_SIZE)
         now = self._clock.now()
         if self._batch_opened is None:
             self._batch_opened = now
             return []
-        if now - self._batch_opened >= self.flow.max_batch_delay:
+        if now - self._batch_opened >= self.max_batch_delay:
             return self._flush(FLUSH_DELAY)
         return []
 
@@ -440,7 +441,6 @@ class Dispatcher(Routed):
         )
         self._flush_counters[reason].inc()
         self._batch_histogram.observe(float(len(items)))
-        self.flow.controller.observe_flush(reason, len(items))
         self._tel.observe_stage("dispatch", self._publication, start)
         if not self.flow.credits.try_send(destination, message):
             return []
@@ -453,7 +453,7 @@ class Dispatcher(Routed):
         return self._flush(reason)
 
     def flush_due(self, now: float | None = None) -> list[tuple[str, object]]:
-        """Flush iff the in-flight batch outlived the effective delay.
+        """Flush iff the in-flight batch outlived ``max_batch_delay``.
 
         Called periodically by every runtime's flush poller — the
         threaded/TCP/shm clusters run a
@@ -469,19 +469,9 @@ class Dispatcher(Routed):
         if self._batch_opened is None:
             self._batch_opened = now
             return []
-        if now - self._batch_opened >= self.flow.max_batch_delay:
+        if now - self._batch_opened >= self.max_batch_delay:
             return self._flush(FLUSH_DELAY)
         return []
-
-    @property
-    def batch_size(self) -> int:
-        """Effective batch size (static, or the adaptive controller's)."""
-        return self.flow.batch_size
-
-    @property
-    def max_batch_delay(self) -> float:
-        """Effective flush-delay bound."""
-        return self.flow.max_batch_delay
 
     @property
     def pending_batch_records(self) -> int:

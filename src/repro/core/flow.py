@@ -1,17 +1,9 @@
-"""Adaptive flow control for the ingestion path (docs/BATCHING.md).
+"""Flow control for the ingestion path (docs/BATCHING.md).
 
-Three cooperating mechanisms keep ingestion fast under bursty,
-sustained traffic without letting latency or memory run away:
-
-``AdaptiveBatchController``
-    AIMD (additive-increase / multiplicative-decrease) over the
-    dispatcher's *effective* batch size and flush delay.  Sustained
-    size-triggered flushes probe the batch size upward while measured
-    throughput holds; a measured throughput regression (the batch-256
-    cliff in BENCH_batching.json) halves it.  Consecutive delay-
-    triggered flushes — the trickle regime — halve the flush delay so
-    sparse traffic publishes promptly, and busy windows grow the delay
-    back toward the configured ceiling.
+Batch size and flush delay are plain configuration
+(``config.batch_size`` / ``config.max_batch_delay``, read by the
+dispatcher).  Two mechanisms keep memory bounded under bursty,
+sustained traffic:
 
 ``CreditGate``
     Credit-based backpressure between the checking node and the
@@ -32,14 +24,9 @@ sustained traffic without letting latency or memory run away:
     the arriving record (``drop-newest``) or evicts the oldest
     not-yet-flushed record (``drop-oldest``), counting every shed.
 
-The :class:`FlowController` bundles the three behind the two knobs the
-dispatcher reads — ``batch_size`` and ``max_batch_delay`` — and
-participates in ``snapshot()``/``restore()`` so crash recovery is
-equivalent for the controller state too.  With
-``config.adaptive_batching`` false the controller is *pinned*: it
-always returns the static configuration values, never consults the
-clock, and the dispatcher behaves exactly as before this module
-existed (the batch-equivalence harness pins it this way).
+The :class:`FlowController` bundles the two and participates in
+``snapshot()``/``restore()`` so crash recovery restores the credit
+window and its deferred batches too.
 """
 
 from __future__ import annotations
@@ -49,17 +36,7 @@ from collections import deque
 
 from repro.core.messages import RawBatch
 from repro.records.codec import decode_record, encode_record
-from repro.telemetry.clock import WALL_CLOCK
 from repro.telemetry.context import coalesce
-
-#: Flush triggers, as reported by the ``dispatcher_batch_flush_total``
-#: counter's ``reason`` label (re-exported by ``repro.core.dispatcher``).
-FLUSH_SIZE, FLUSH_DELAY, FLUSH_CLOSE, FLUSH_MANUAL = (
-    "size",
-    "delay",
-    "close",
-    "manual",
-)
 
 #: Admission decisions (:meth:`AdmissionController.decide`).
 ADMIT, SHED_NEWEST, SHED_OLDEST = "admit", "shed-newest", "shed-oldest"
@@ -133,175 +110,6 @@ class AdmissionController:
     def shed_total(self) -> int:
         """Records shed under either mode since construction/restore."""
         return sum(self.shed.values())
-
-
-class AdaptiveBatchController:
-    """AIMD over the dispatcher's batch size and flush delay.
-
-    Measurement: only *size*-triggered flushes advance the throughput
-    estimate — the interval between two consecutive size flushes spans
-    one whole batch's pipeline cost under load, while delay/close
-    flushes mark idle gaps and reset the interval.  Once a window
-    accumulates enough records (or flushes), the controller adjusts:
-
-    * trickle regime (delay flushes dominate the window, or a streak of
-      consecutive delay flushes): multiplicative decrease of the flush
-      delay toward its floor — sparse traffic should not wait the full
-      configured delay;
-    * throughput regressed below ``(1 - tolerance) ×`` the best
-      observed rate: multiplicative decrease of the batch size (this is
-      what steps back off the batch-256 cliff), and the remembered best
-      decays so the controller keeps re-probing;
-    * otherwise: additive increase of the batch size (accelerated while
-      the observed queue depth is high) and of the delay, probing for
-      more throughput.
-
-    Pinned (``config.adaptive_batching`` false) the controller returns
-    the static configuration values and never reads the clock.
-    """
-
-    WINDOW_RECORDS = 1024
-    WINDOW_FLUSHES = 16
-    GROWTH_STEP = 16
-    TOLERANCE = 0.10
-    BEST_DECAY = 0.7
-    DELAY_STREAK = 2
-
-    def __init__(self, config, telemetry=None, clock=None):
-        self.pinned = not config.adaptive_batching
-        self._min_size = config.min_batch_size
-        self._max_size = config.max_batch_size
-        self._size = config.batch_size
-        self._delay_max = config.max_batch_delay
-        self._delay_min = config.max_batch_delay / 16.0
-        self._delay = config.max_batch_delay
-        self._clock = clock if clock is not None else WALL_CLOCK
-        tel = coalesce(telemetry)
-        self._size_gauge = tel.gauge("flow_batch_size")
-        self._delay_gauge = tel.gauge("flow_batch_delay_seconds")
-        self._adjust_counters = {
-            direction: tel.counter("flow_adjust_total", direction=direction)
-            for direction in ("grow", "shrink", "trickle")
-        }
-        self._best_rate = 0.0
-        self._depth = 0
-        self._delay_streak = 0
-        self._last_size_flush: float | None = None
-        self._win_records = 0
-        self._win_flushes = 0
-        self._win_delay_flushes = 0
-        self._win_seconds = 0.0
-        self._publish_knobs()
-
-    @property
-    def batch_size(self) -> int:
-        """Effective batch size the dispatcher flushes at."""
-        return self._size
-
-    @property
-    def max_batch_delay(self) -> float:
-        """Effective delay bound before a partial batch flushes."""
-        return self._delay
-
-    def observe_depth(self, depth: int) -> None:
-        """Feed the latest downstream queue depth (inbox/ring gauges)."""
-        if self.pinned:
-            return
-        self._depth = max(0, int(depth))
-
-    def observe_flush(self, reason: str, records: int) -> None:
-        """Account one flush; adjust the knobs when a window completes."""
-        if self.pinned:
-            return
-        now = self._clock.now()
-        self._win_flushes += 1
-        if reason == FLUSH_SIZE:
-            self._delay_streak = 0
-            if self._last_size_flush is not None:
-                self._win_seconds += now - self._last_size_flush
-                self._win_records += records
-            self._last_size_flush = now
-        else:
-            # Delay/close/manual flushes break the busy sequence; their
-            # inter-flush gaps are idle time, not pipeline cost.
-            self._last_size_flush = None
-            if reason == FLUSH_DELAY:
-                self._win_delay_flushes += 1
-                self._delay_streak += 1
-                if self._delay_streak >= self.DELAY_STREAK:
-                    self._shrink_delay()
-        if (
-            self._win_records >= self.WINDOW_RECORDS
-            or self._win_flushes >= self.WINDOW_FLUSHES
-        ):
-            self._adjust()
-
-    def _shrink_delay(self) -> None:
-        """Trickle reaction: halve the flush delay toward its floor."""
-        self._delay = max(self._delay_min, self._delay * 0.5)
-        self._adjust_counters["trickle"].inc()
-        self._publish_knobs()
-
-    def _adjust(self) -> None:
-        """Close one measurement window and apply the AIMD step."""
-        records, seconds = self._win_records, self._win_seconds
-        flushes, delay_flushes = self._win_flushes, self._win_delay_flushes
-        self._win_records = 0
-        self._win_flushes = 0
-        self._win_delay_flushes = 0
-        self._win_seconds = 0.0
-        if 2 * delay_flushes >= flushes:
-            # Trickle-dominated window: latency matters, size does not.
-            self._delay = max(self._delay_min, self._delay * 0.5)
-            self._adjust_counters["trickle"].inc()
-            self._publish_knobs()
-            return
-        if seconds <= 0.0 or records == 0:
-            return
-        rate = records / seconds
-        if self._best_rate and rate < self._best_rate * (1 - self.TOLERANCE):
-            # Throughput regressed past the sweet spot: back off
-            # multiplicatively and decay the remembered best so the
-            # controller keeps re-probing instead of chasing a stale
-            # optimum.
-            self._size = max(self._min_size, self._size // 2)
-            self._best_rate *= self.BEST_DECAY
-            self._adjust_counters["shrink"].inc()
-        else:
-            self._best_rate = max(self._best_rate, rate)
-            step = self.GROWTH_STEP
-            if self._depth > 2 * self._size:
-                step *= 4  # deep backlog: probe upward faster
-            self._size = min(self._max_size, self._size + step)
-            self._delay = min(self._delay_max, self._delay + self._delay_max / 8.0)
-            self._adjust_counters["grow"].inc()
-        self._publish_knobs()
-
-    def _publish_knobs(self) -> None:
-        self._size_gauge.set(float(self._size))
-        self._delay_gauge.set(self._delay)
-
-    def snapshot(self) -> dict:
-        """JSON-able controller state (crash recovery)."""
-        return {
-            "size": self._size,
-            "delay": self._delay,
-            "best_rate": self._best_rate,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`; in-window accounting resets."""
-        self._size = int(state["size"])
-        self._delay = float(state["delay"])
-        self._best_rate = float(state["best_rate"])
-        self._depth = 0
-        self._delay_streak = 0
-        self._last_size_flush = None
-        self._win_records = 0
-        self._win_flushes = 0
-        self._win_delay_flushes = 0
-        self._win_seconds = 0.0
-        self._publish_knobs()
 
 
 class CreditGate:
@@ -469,39 +277,24 @@ class CreditGate:
 
 
 class FlowController:
-    """The dispatcher's flow-control bundle (adaptive + credits + shed)."""
+    """The dispatcher's flow-control bundle (credits + shed)."""
 
-    def __init__(self, config, telemetry=None, clock=None):
-        self.controller = AdaptiveBatchController(
-            config, telemetry=telemetry, clock=clock
-        )
+    def __init__(self, config, telemetry=None):
         self.credits = CreditGate(config.credit_window, telemetry=telemetry)
         self.admission = AdmissionController(
             SheddingPolicy(config.ingest_queue_limit, config.shed_policy),
             telemetry=telemetry,
         )
 
-    @property
-    def batch_size(self) -> int:
-        """Effective batch size (static unless adaptive mode is on)."""
-        return self.controller.batch_size
-
-    @property
-    def max_batch_delay(self) -> float:
-        """Effective flush-delay bound."""
-        return self.controller.max_batch_delay
-
     def snapshot(self) -> dict:
         """JSON-able flow state for the dispatcher's snapshot."""
-        return {
-            "controller": self.controller.snapshot(),
-            "credits": self.credits.snapshot(),
-        }
+        return {"credits": self.credits.snapshot()}
 
     def restore(self, state: dict | None) -> None:
         """Inverse of :meth:`snapshot`; ``None`` (pre-flow snapshot) resets
-        nothing — construction defaults already match the config."""
+        nothing — construction defaults already match the config.  Keys
+        other than ``"credits"`` (an older snapshot's ``"controller"``)
+        are ignored."""
         if state is None:
             return
-        self.controller.restore(state["controller"])
         self.credits.restore(state["credits"])

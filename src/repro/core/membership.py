@@ -47,10 +47,9 @@ def stale_for(floors: dict[int, int], message) -> bool:
     ``epoch`` stamp is below its producing ``node``'s floor was emitted
     by that node's previous incarnation, and its records are already
     covered by the crash redispatch.  Unstamped batches (``epoch`` or
-    ``node`` negative — built outside a dispatcher, or split per shard)
-    are never stale.  This is the single staleness predicate
-    every consumer (checking node, checking shards, ordering gate)
-    applies — ``tests/core/test_checking.py::TestEpochGate`` pins that
+    ``node`` negative — built outside a dispatcher) are never stale.
+    This is the single staleness predicate every consumer (checking
+    node, ordering gate) applies — ``tests/core/test_checking.py::TestEpochGate`` pins that
     no pair handler skips it.
     """
     if message.epoch < 0 or message.node < 0:

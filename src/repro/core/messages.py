@@ -68,7 +68,7 @@ class RawBatch:
     never reset across publications) and ``ordinal`` is the global
     dispatch ordinal of the batch's first item (its position in the
     arrival stream).  The dispatcher stamps both on every batch; -1
-    marks a batch built without them (tests, the sharded split).
+    marks a batch built without them (tests).
     ``seq`` lets the checking side restore dispatch order across
     parallel computing nodes (and deduplicate crash redispatches),
     ``ordinal`` keys the deterministic per-record IVs of

@@ -391,10 +391,6 @@ class FresqueSystem:
         """Notice nodes that died (degrading around computing nodes)
         and raise the failures that cannot be degraded around."""
 
-    def _queue_depth(self) -> int:
-        """Deepest computing-node backlog, for the adaptive controller."""
-        return 0
-
     def _kill_node(self, node_id: int) -> None:
         """Make computing node ``node_id`` actually stop (crash drill)."""
 
@@ -490,15 +486,10 @@ class FresqueSystem:
             self._send_all(self.dispatcher.flush_batch())
 
     def _poll_flush(self) -> None:
-        """One flush-poller tick: sample the computing nodes' backlog
-        for the adaptive controller (pinned deployments never read it)
-        and fire the delay flush if the in-flight batch outlived its
-        bound."""
+        """One flush-poller tick: fire the delay flush if the in-flight
+        batch outlived its bound."""
         with self._lock:
-            dispatcher = self.dispatcher
-            if self.telemetry.enabled or not dispatcher.flow.controller.pinned:
-                dispatcher.observe_queue_depth(self._queue_depth())
-            self._send_all(dispatcher.flush_due())
+            self._send_all(self.dispatcher.flush_due())
 
     def poll_flush(self) -> None:
         """Fire the delay flush if the in-flight batch outlived its bound.

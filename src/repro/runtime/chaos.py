@@ -193,6 +193,11 @@ def run_churn(runtime, publications, plan: ChurnPlan, timeout: float = 120.0):
     ``publications`` (a list of line lists), settling each interval
     before the next — identical dummy pacing to every runtime's own
     ``run_publication`` loop, so a no-event plan degenerates exactly.
+
+    Raises :class:`RuntimeError` naming the publication when ``settle``
+    returns without the cloud's receipt for it: a runtime that goes
+    quiescent with a publication missing has lost it, and the loss
+    should surface here rather than as a fingerprint diff later.
     """
     for index, lines in enumerate(publications):
         publication = runtime.dispatcher.publication
@@ -207,3 +212,8 @@ def run_churn(runtime, publications, plan: ChurnPlan, timeout: float = 120.0):
             fire(runtime, event)
         runtime.close_publication()
         runtime.settle(publication, timeout=timeout)
+        if runtime._receipt(publication) is None:
+            raise RuntimeError(
+                f"publication {publication} settled without a cloud "
+                "receipt: its records were lost"
+            )

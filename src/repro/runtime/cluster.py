@@ -160,16 +160,6 @@ class ThreadedFresque(FresqueSystem):
             self._spawn_node_thread(name)
         self._poller.start()
 
-    def _queue_depth(self) -> int:
-        return max(
-            (
-                inbox.qsize()
-                for name, inbox in self._inboxes.items()
-                if name.startswith("cn-")
-            ),
-            default=0,
-        )
-
     def settle(self, publication: int, timeout: float = 120.0) -> None:
         """Block until every in-flight message has drained."""
         if not self._tracker.wait_quiescent(timeout=timeout):

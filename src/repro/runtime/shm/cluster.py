@@ -359,12 +359,6 @@ class ShmFresqueCluster(FresqueSystem):
             self._pump_credits()
             self._poll_flush()
 
-    def _queue_depth(self) -> int:
-        # Worker inboxes are out of the parent's sight; the
-        # dispatcher-side backlog (in-flight + credit-deferred) is the
-        # pressure signal it has.
-        return self.dispatcher.backlog_records
-
     def _salvage(self, node_id: int):
         """Reap a dead computing node's process and take its data ring's
         uncommitted backlog — everything at or past its last committed

@@ -718,16 +718,6 @@ class TcpFresqueCluster(FresqueSystem):
             server.start()
         self._poller.start()
 
-    def _queue_depth(self) -> int:
-        return max(
-            (
-                server.pending
-                for name, server in self._servers.items()
-                if name.startswith("cn-") and name not in self._dead
-            ),
-            default=0,
-        )
-
     def shutdown(self) -> None:
         """Stop the flush poller, every node, and all connections."""
         self._poller.stop()

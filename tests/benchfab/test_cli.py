@@ -18,7 +18,7 @@ def test_list_prints_the_registry(capsys):
 def test_list_scenarios_expands_matrices(capsys):
     assert cli.main(["list", "--scenarios"]) == 0
     out = capsys.readouterr().out
-    assert "conformance/adaptive-sync" in out
+    assert "fabric_smoke/burst-trickle" in out
     assert "runtime=shm" in out
 
 

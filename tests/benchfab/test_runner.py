@@ -23,21 +23,15 @@ def test_build_config_maps_scenario_fields():
     scenario = _scenario(
         workers=5,
         batch_size=16,
-        adaptive=True,
         deterministic_ivs=True,
         params=(
             ("max_batch_delay", 0.5),
-            ("min_batch_size", 2),
-            ("max_batch_size", 128),
             ("credit_window", 32),
         ),
     )
     config = build_config(scenario)
     assert config.num_computing_nodes == 5
     assert config.batch_size == 16
-    assert config.adaptive_batching is True
-    assert config.min_batch_size == 2
-    assert config.max_batch_size == 128
     assert config.max_batch_delay == 0.5
     assert config.credit_window == 32
     assert config.deterministic_ivs is True
@@ -91,20 +85,20 @@ def test_burst_trickle_reports_latency():
         _scenario(
             workload="burst-trickle",
             dataset="gowalla",
-            adaptive=True,
+            batch_size=256,
             params=(
                 ("bursts", 2),
                 ("warmup_bursts", 1),
                 ("burst_records", 200),
                 ("trickle_records", 5),
                 ("max_batch_delay", 0.2),
-                ("min_batch_size", 4),
-                ("max_batch_size", 512),
             ),
         )
     )[0]
-    assert card.metrics["p99_latency_s"] <= 0.2 + 0.011
-    assert card.metrics["final_batch_size"] >= 4
+    # A trickle record waits out the delay flush: the bound plus at
+    # most one 0.01 s poll step, on the simulated clock.
+    assert 0.2 <= card.metrics["p99_latency_s"] <= 0.2 + 0.011
+    assert card.metrics["throughput_rps"] > 0
 
 
 def test_churn_workload_emits_phase_cards_and_summary():
@@ -143,8 +137,6 @@ def test_runner_rejects_bad_scenarios():
         )
     with pytest.raises(RunnerError):
         run_scenario(_scenario(params=(("cipher", "rot13"),)))
-    with pytest.raises(RunnerError):
-        run_scenario(_scenario(shards=2, runtime="threaded"))
 
 
 def test_named_fault_plans_build():

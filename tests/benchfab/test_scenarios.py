@@ -12,7 +12,6 @@ from repro.benchfab.trend import TrajectoryStore
 
 def test_registry_covers_the_ported_benches():
     assert sorted(BENCHES) == [
-        "adaptive_batching",
         "batching",
         "conformance",
         "fabric_smoke",
@@ -42,10 +41,8 @@ def test_ported_gates_keep_their_thresholds():
     assert batching["memory-batch64-speedup"].threshold == 1.15
     assert batching["durable-no-batch-cliff"].frac == 0.10
     assert batching["memory-no-batch-cliff"].frac == 0.15
-    adaptive = {rule.id: rule for rule in bench_spec("adaptive_batching").rules}
-    assert adaptive["adaptive-matches-best-static"].threshold == 0.9
-    assert adaptive["trickle-p99-slo"].threshold == 0.1
-    assert adaptive["adaptive-p99-halves-static256"].threshold == 0.5
+    smoke = {rule.id: rule for rule in bench_spec("fabric_smoke").rules}
+    assert smoke["smoke-trickle-p99-slo"].threshold == 0.1
     shm = {rule.id: rule for rule in bench_spec("shm_scaling").rules}
     assert shm["shm-durable-doubles-threaded"].threshold == 2.0
     assert shm["shm-durable-doubles-threaded"].min_cpus == 4
@@ -63,7 +60,6 @@ def test_behaviour_drift_is_recorded_not_silent():
         if rule.note.startswith("drift:")
     ]
     assert {rule.id for rule in drifted} >= {
-        "adaptive-grows-batch",
         "fleet-restored",
         "smoke-batching-amortises",
     }
@@ -79,9 +75,8 @@ def test_conformance_matrix_shape():
     assert not [
         s for s in scenarios
         if s.runtime in ("threaded", "tcp") and s.durability == "durable"
-        and not s.adaptive
     ]
-    assert [s for s in scenarios if s.adaptive]
+    assert len(scenarios) == 12
 
 
 def _stub_runner(results):
@@ -161,5 +156,4 @@ def test_smoke_tier_is_scale_free():
             "batch64_speedup",
             "trickle_p99_s",
             "conformance_distinct_fingerprints",
-            "final_batch_size",
         ), rule.id

@@ -38,7 +38,7 @@ def test_axes_always_carry_the_core_identity():
     cell of a sweep a scenario is."""
     scenario = Scenario(name="t/default", bench="t")
     axes = scenario.axes()
-    for core in ("workload", "runtime", "durability", "batch_size", "adaptive"):
+    for core in ("workload", "runtime", "durability", "batch_size"):
         assert core in axes
     assert axes["runtime"] == "sync"
     assert axes["batch_size"] == 1
@@ -59,7 +59,7 @@ def test_matrix_expands_product_with_excludes_and_includes():
             "durability": ("memory", "durable"),
         },
         exclude=({"runtime": "threaded", "durability": "durable"},),
-        include=({"name": "m/extra", "runtime": "sync", "shards": 2},),
+        include=({"name": "m/extra", "runtime": "sync", "workers": 2},),
     )
     scenarios = matrix.expand()
     names = [scenario.name for scenario in scenarios]
@@ -70,7 +70,7 @@ def test_matrix_expands_product_with_excludes_and_includes():
         "m/extra",
     ]
     assert all(scenario.records == 10 for scenario in scenarios)
-    assert scenarios[-1].shards == 2
+    assert scenarios[-1].workers == 2
 
 
 def test_matrix_routes_non_field_keys_into_params():

@@ -22,7 +22,6 @@ from repro.core.messages import (
     RemovedRecord,
     TemplateMsg,
 )
-from repro.core.sharded import CheckingShard
 from repro.index.perturb import draw_noise_plan
 from repro.index.tree import IndexTree
 from tests.columns import pair_batch, rows_of
@@ -343,20 +342,6 @@ class TestEpochGate:
         checking.on_pair_batch(pair_batch(0, pairs, epoch=2, node=2))
         assert rows_of(*checking.state_of(0).randomer.columns()) == list(pairs)
         assert checking.stale_batches_discarded == 1
-
-    def test_shard_drops_stale_batch(self, flu_config, plan):
-        shard = CheckingShard(0, 1, flu_config, rng=random.Random(9))
-        shard.on_new_publication(NewPublication(0, plan))
-        shard.on_membership(self.REJOIN)
-        pairs = (_pair(1), _pair(4))
-        before = self._buffered(shard._states[0])
-
-        assert shard.on_pair_batch(pair_batch(0, pairs, epoch=1, node=2)) == []
-        assert self._buffered(shard._states[0]) == before
-        assert shard.stale_batches_discarded == 1
-
-        shard.on_pair_batch(pair_batch(0, pairs, epoch=2, node=2))
-        assert rows_of(*shard._states[0].randomer.columns()) == list(pairs)
 
 
 class TestSnapshotFixedPoint:

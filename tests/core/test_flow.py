@@ -1,9 +1,8 @@
 """Flow-control unit tests (repro.core.flow, docs/BATCHING.md).
 
-Covers the three mechanisms in isolation — the AIMD batch controller,
-the credit gate, admission control — plus their snapshot/restore
-round-trips and the pinned-mode guarantees the equivalence harness
-depends on (static knobs, no clock reads).
+Covers the two mechanisms in isolation — the credit gate and admission
+control — plus their dispatcher wiring and snapshot/restore
+round-trips.
 """
 
 from __future__ import annotations
@@ -18,147 +17,14 @@ from repro.core.flow import (
     ADMIT,
     DROP_NEWEST,
     DROP_OLDEST,
-    FLUSH_DELAY,
-    FLUSH_SIZE,
     SHED_NEWEST,
     SHED_OLDEST,
-    AdaptiveBatchController,
     AdmissionController,
     CreditGate,
     FlowController,
     SheddingPolicy,
 )
 from repro.core.messages import CreditGrant, RawBatch
-from repro.telemetry.clock import SimulatedClock
-
-
-class _ManualLoop:
-    def __init__(self):
-        self.now = 0.0
-
-
-def _adaptive_config(flu_config, **overrides):
-    overrides.setdefault("adaptive_batching", True)
-    overrides.setdefault("batch_size", 64)
-    overrides.setdefault("min_batch_size", 4)
-    overrides.setdefault("max_batch_size", 512)
-    return dataclasses.replace(flu_config, **overrides)
-
-
-def _controller(flu_config, loop=None, **overrides):
-    loop = loop if loop is not None else _ManualLoop()
-    controller = AdaptiveBatchController(
-        _adaptive_config(flu_config, **overrides),
-        clock=SimulatedClock(loop),
-    )
-    return controller, loop
-
-
-def _feed_size_flushes(controller, loop, count, interval, records=None):
-    """Feed ``count`` size flushes, ``interval`` seconds apart."""
-    records = records if records is not None else controller.batch_size
-    for _ in range(count):
-        loop.now += interval
-        controller.observe_flush(FLUSH_SIZE, records)
-
-
-class TestAdaptiveController:
-    def test_pinned_by_default_and_static(self, flu_config):
-        config = dataclasses.replace(flu_config, batch_size=64)
-        controller = AdaptiveBatchController(config)
-        assert controller.pinned
-        for _ in range(64):
-            controller.observe_flush(FLUSH_SIZE, 64)
-        assert controller.batch_size == 64
-        assert controller.max_batch_delay == config.max_batch_delay
-
-    def test_pinned_never_reads_clock(self, flu_config):
-        class _Fails:
-            def now(self):  # pragma: no cover - the assertion is the test
-                raise AssertionError("pinned controller must not read time")
-
-        config = dataclasses.replace(flu_config, batch_size=8)
-        controller = AdaptiveBatchController(config, clock=_Fails())
-        controller.observe_flush(FLUSH_SIZE, 8)
-        controller.observe_flush(FLUSH_DELAY, 3)
-        controller.observe_depth(100)
-        assert controller.batch_size == 8
-
-    def test_sustained_throughput_grows_size(self, flu_config):
-        controller, loop = _controller(flu_config)
-        # Full windows of steady size flushes: additive growth.
-        _feed_size_flushes(
-            controller, loop, controller.WINDOW_FLUSHES, interval=0.01
-        )
-        assert controller.batch_size == 64 + controller.GROWTH_STEP
-
-    def test_throughput_regression_halves_size(self, flu_config):
-        controller, loop = _controller(flu_config)
-        _feed_size_flushes(
-            controller, loop, controller.WINDOW_FLUSHES, interval=0.01
-        )
-        grown = controller.batch_size
-        # Next window is 5x slower per record: multiplicative decrease.
-        _feed_size_flushes(
-            controller, loop, controller.WINDOW_FLUSHES, interval=0.05
-        )
-        assert controller.batch_size == max(4, grown // 2)
-
-    def test_growth_capped_at_max_batch_size(self, flu_config):
-        controller, loop = _controller(flu_config, max_batch_size=80)
-        for _ in range(6):
-            _feed_size_flushes(
-                controller, loop, controller.WINDOW_FLUSHES, interval=0.01
-            )
-        assert controller.batch_size == 80
-
-    def test_deep_backlog_accelerates_growth(self, flu_config):
-        controller, loop = _controller(flu_config)
-        controller.observe_depth(4 * controller.batch_size)
-        _feed_size_flushes(
-            controller, loop, controller.WINDOW_FLUSHES, interval=0.01
-        )
-        assert controller.batch_size == 64 + 4 * controller.GROWTH_STEP
-
-    def test_delay_streak_shrinks_delay_only(self, flu_config):
-        controller, loop = _controller(flu_config)
-        base_delay = controller.max_batch_delay
-        for _ in range(controller.DELAY_STREAK):
-            loop.now += 1.0
-            controller.observe_flush(FLUSH_DELAY, 2)
-        assert controller.max_batch_delay == pytest.approx(base_delay / 2)
-        assert controller.batch_size == 64  # size untouched by trickle
-
-    def test_delay_floor_holds(self, flu_config):
-        controller, loop = _controller(flu_config)
-        floor = flu_config.max_batch_delay / 16.0
-        for _ in range(40):
-            loop.now += 1.0
-            controller.observe_flush(FLUSH_DELAY, 1)
-        assert controller.max_batch_delay == pytest.approx(floor)
-
-    def test_busy_windows_regrow_delay(self, flu_config):
-        controller, loop = _controller(flu_config)
-        for _ in range(controller.DELAY_STREAK):
-            loop.now += 1.0
-            controller.observe_flush(FLUSH_DELAY, 2)
-        shrunk = controller.max_batch_delay
-        _feed_size_flushes(
-            controller, loop, controller.WINDOW_FLUSHES, interval=0.01
-        )
-        assert controller.max_batch_delay > shrunk
-
-    def test_snapshot_restore_round_trip(self, flu_config):
-        controller, loop = _controller(flu_config)
-        _feed_size_flushes(
-            controller, loop, controller.WINDOW_FLUSHES, interval=0.01
-        )
-        state = controller.snapshot()
-        other, _ = _controller(flu_config)
-        other.restore(state)
-        assert other.batch_size == controller.batch_size
-        assert other.max_batch_delay == controller.max_batch_delay
-        assert other.snapshot() == state
 
 
 def _batch(seq, items=("x",)):
@@ -361,12 +227,6 @@ class TestDispatcherIntegration:
 
 
 class TestFlowControllerBundle:
-    def test_knobs_mirror_controller(self, flu_config):
-        config = _adaptive_config(flu_config)
-        flow = FlowController(config)
-        assert flow.batch_size == flow.controller.batch_size
-        assert flow.max_batch_delay == flow.controller.max_batch_delay
-
     def test_restore_none_is_noop(self, flu_config):
         flow = FlowController(dataclasses.replace(flu_config, batch_size=8))
         before = flow.snapshot()

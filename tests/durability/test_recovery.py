@@ -249,6 +249,54 @@ class TestCrashDrill:
             tmp_path / "none", lambda path: path.unlink()
         )
 
+    def test_a_batch_controller_entry_in_the_checkpoint_is_ignored(
+        self, flu_config, keystore, tmp_path, lines
+    ):
+        """Checkpoints written while the dispatcher still had a batch
+        controller carry ``flow["controller"]`` beside the credit gate.
+        Such a document restores the same dispatcher and recovers the
+        same cloud as the one without it — no format bump needed."""
+
+        def drill(data_dir, spoil):
+            cipher = SimulatedCipher(keystore)  # fresh IV sequence per drill
+            plan = FaultPlan(seed=5).crash_collector(after_records=150)
+            crashed = DurableFresqueSystem(
+                flu_config, cipher, data_dir, seed=101, fault_plan=plan
+            )
+            journaled = _run_to_crash(crashed, lines)
+            checkpoints = sorted((data_dir / "checkpoints").glob("*.json"))
+            assert checkpoints
+            for path in checkpoints:
+                spoil(path)
+            latest = json.loads(checkpoints[-1].read_text())["state"]
+            recovered, report = RecoveryManager(
+                flu_config, cipher, data_dir, cloud=crashed.cloud, seed=202
+            ).recover()
+            assert report.checkpoint_used
+            restored = recovered.dispatcher.snapshot()
+            _finish_after_recovery(recovered, lines, journaled)
+            return latest["dispatcher"], restored, cloud_state_fingerprint(
+                recovered
+            )
+
+        def with_controller(path):
+            document = json.loads(path.read_text())
+            document["state"]["dispatcher"]["flow"]["controller"] = {
+                "size": 512,
+                "delay": 0.003,
+                "best_rate": 41_000.0,
+            }
+            path.write_text(json.dumps(document))
+
+        old_saved, old_restored, old_cloud = drill(
+            tmp_path / "old", with_controller
+        )
+        saved, restored, cloud = drill(tmp_path / "new", lambda path: None)
+        assert "controller" in old_saved["flow"]
+        assert "controller" not in saved["flow"]
+        assert old_restored == restored
+        assert old_cloud == cloud
+
     def test_queries_work_after_recovery(
         self, flu_config, fast_cipher, tmp_path, lines
     ):

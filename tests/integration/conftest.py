@@ -7,13 +7,6 @@ end-to-end flows (cross-system, scale, stateful), not only in the
 dedicated equivalence harness.  Tests that pass ``batch_size=``
 explicitly (the equivalence harness compares specific sizes) are left
 untouched.
-
-``FRESQUE_ADAPTIVE=1`` additionally turns on the adaptive batching
-controller (``adaptive_batching=True``) for every config that does not
-pin it — the CI leg pairs it with ``FRESQUE_BATCH_SIZE=64`` so the
-whole integration suite runs with live AIMD knobs, proving adaptivity
-is as byte-invisible on the real flows as the dedicated
-``test_flow_equivalence.py`` harness claims.
 """
 
 from __future__ import annotations
@@ -26,26 +19,18 @@ import pytest
 from repro.core.config import FresqueConfig
 
 _BATCH_OVERRIDE = int(os.environ.get("FRESQUE_BATCH_SIZE", "0"))
-_ADAPTIVE = os.environ.get("FRESQUE_ADAPTIVE", "") not in ("", "0")
 
 
 @pytest.fixture(autouse=True)
 def _batch_size_matrix(monkeypatch):
-    if _BATCH_OVERRIDE <= 0 and not _ADAPTIVE:
+    if _BATCH_OVERRIDE <= 0:
         yield
         return
     original = FresqueConfig.__init__
 
     @functools.wraps(original)
     def patched(self, *args, **kwargs):
-        if _BATCH_OVERRIDE > 0:
-            kwargs.setdefault("batch_size", _BATCH_OVERRIDE)
-        if _ADAPTIVE:
-            kwargs.setdefault("adaptive_batching", True)
-            # The controller requires min <= batch_size <= max; widen
-            # the bounds so any overridden or test-pinned size fits.
-            kwargs.setdefault("min_batch_size", 1)
-            kwargs.setdefault("max_batch_size", 1 << 20)
+        kwargs.setdefault("batch_size", _BATCH_OVERRIDE)
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(FresqueConfig, "__init__", patched)

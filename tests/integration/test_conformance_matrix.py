@@ -1,10 +1,9 @@
 """The fabric's conformance matrix as an executable byte-identity suite.
 
 The benchmark fabric's ``CONFORMANCE_MATRIX`` expands to every
-runtime × batch-size × durability (× adaptive) cell the project claims
-is a *pure deployment change* — sync, threaded, TCP and shared-memory
-runtimes, batch sizes 1 and 64, in-memory and durable storage, plus
-two adaptive-controller rows.  This module drives each cell through
+runtime × batch-size × durability cell the project claims is a *pure
+deployment change* — sync, threaded, TCP and shared-memory runtimes,
+batch sizes 1 and 64, in-memory and durable storage.  This module drives each cell through
 the same :func:`repro.benchfab.runner.run_scenario` path the benches
 use and asserts its cloud-state fingerprint is byte-identical to the
 sync/batch-64/in-memory baseline — the scenario expansion doubling as
@@ -33,9 +32,7 @@ _BASELINE_KEY = {"runtime": "sync", "batch_size": 64, "durability": "memory"}
 
 def _is_baseline(scenario: Scenario) -> bool:
     axes = scenario.axes()
-    return all(axes.get(k) == v for k, v in _BASELINE_KEY.items()) and (
-        not scenario.adaptive
-    )
+    return all(axes.get(k) == v for k, v in _BASELINE_KEY.items())
 
 
 _BASELINE = next(s for s in _SCENARIOS if _is_baseline(s))
@@ -45,13 +42,16 @@ _OTHERS = [s for s in _SCENARIOS if not _is_baseline(s)]
 def test_matrix_covers_every_claimed_deployment_axis():
     """The expansion itself is part of the contract: losing a runtime
     or the durable column would silently shrink conformance coverage."""
-    cells = {(s.runtime, s.batch_size, s.durability, s.adaptive) for s in _SCENARIOS}
-    assert {c[0] for c in cells} == {"sync", "threaded", "tcp", "shm"}
-    assert ("sync", 64, "durable", False) in cells
-    assert ("shm", 1, "durable", False) in cells
-    assert ("sync", 8, "memory", True) in cells
+    cells = {(s.runtime, s.batch_size, s.durability) for s in _SCENARIOS}
+    assert cells == {
+        (runtime, batch_size, durability)
+        for runtime in ("sync", "threaded", "tcp", "shm")
+        for batch_size in (1, 64)
+        for durability in ("memory", "durable")
+        if durability == "memory" or runtime in ("sync", "shm")
+    }
+    assert len(_SCENARIOS) == len(cells) == 12
     assert all(s.deterministic_ivs for s in _SCENARIOS)
-    assert len(_SCENARIOS) >= 14
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,13 @@
-"""Degraded mode × adaptive batching × credit backpressure.
+"""Degraded mode × credit backpressure.
 
-The three mechanisms were built separately; this suite pins their
-*interaction* (the ISSUE's satellite): a computing node dies
-mid-publication while the adaptive controller (``FRESQUE_ADAPTIVE=1``
-semantics: ``adaptive_batching=True``) is live and the credit window is
-nearly dry.  The crash redispatch must refund the dead node's credits —
-without the refund the deferred batches wait forever on grants the dead
-node will never cause — and the degraded run's cloud state must stay
-byte-identical to a healthy static baseline, because none of batching,
-credits or the crash may perturb record bytes (docs/PROTOCOL.md).
+The two mechanisms were built separately; this suite pins their
+*interaction*: a computing node dies mid-publication while the credit
+window is nearly dry.  The crash redispatch must refund the dead node's
+credits — without the refund the deferred batches wait forever on
+grants the dead node will never cause — and the degraded run's cloud
+state must stay byte-identical to a healthy baseline without credits,
+because none of batching, credits or the crash may perturb record bytes
+(docs/PROTOCOL.md).
 """
 
 from __future__ import annotations
@@ -46,16 +45,11 @@ def _config(**overrides) -> FresqueConfig:
     return FresqueConfig(**settings)
 
 
-def _adaptive_overrides() -> dict:
-    """Live AIMD knobs plus a credit window smaller than one batch —
-    the first flush overdraws it, so the window runs near-empty for the
-    whole publication and every later flush defers."""
-    return dict(
-        adaptive_batching=True,
-        min_batch_size=1,
-        max_batch_size=64,
-        credit_window=4,
-    )
+def _credit_overrides() -> dict:
+    """A credit window smaller than one batch (8) — every flush
+    overdraws it, so the window runs near-empty for the whole
+    publication and later flushes defer."""
+    return dict(credit_window=4)
 
 
 def _cipher() -> SimulatedCipher:
@@ -70,7 +64,7 @@ def publications() -> list[list[str]]:
 
 @pytest.fixture(scope="module")
 def baseline(publications) -> dict:
-    """Healthy fleet, pinned batching, no credits: the ground truth."""
+    """Healthy fleet, no credits: the ground truth."""
     system = FresqueSystem(_config(), _cipher(), seed=_SEED)
     for lines in publications:
         system.run_publication(lines)
@@ -80,12 +74,12 @@ def baseline(publications) -> dict:
 _CRASH_PLAN = [ChurnEvent(0, 60, "crash", 1)]
 
 
-class TestDegradedAdaptiveInteraction:
-    def test_sync_degraded_adaptive_matches_baseline(
+class TestDegradedCreditsInteraction:
+    def test_sync_degraded_credits_matches_baseline(
         self, publications, baseline
     ):
         system = FresqueSystem(
-            _config(**_adaptive_overrides()), _cipher(), seed=_SEED
+            _config(**_credit_overrides()), _cipher(), seed=_SEED
         )
         system.start()
         run_churn(system, publications, ChurnPlan(_CRASH_PLAN, _NUM_NODES))
@@ -93,13 +87,13 @@ class TestDegradedAdaptiveInteraction:
         # only shrinks the rotation.  Equivalence is the whole claim.
         assert cloud_state_fingerprint(system) == baseline
 
-    def test_threaded_degraded_adaptive_matches_baseline(
+    def test_threaded_degraded_credits_matches_baseline(
         self, publications, baseline
     ):
         from repro.runtime.cluster import ThreadedFresque
 
         runtime = ThreadedFresque(
-            _config(**_adaptive_overrides()), _cipher(), seed=_SEED
+            _config(**_credit_overrides()), _cipher(), seed=_SEED
         )
         with runtime:
             run_churn(
@@ -126,7 +120,7 @@ class TestDegradedAdaptiveInteraction:
         from repro.core.dispatcher import Dispatcher
 
         dispatcher = Dispatcher(
-            _config(**_adaptive_overrides()), rng=random.Random(7)
+            _config(**_credit_overrides()), rng=random.Random(7)
         )
         dispatcher.start_publication()
         lines = iter(publications[0])

@@ -1,11 +1,11 @@
 """Flow control must be byte-invisible to the published state.
 
-Adaptive batching only moves *flush boundaries*, and credit-based
-backpressure only *defers* already-sequenced batches — neither may
+Credit-based backpressure only *defers* already-sequenced batches, and
+admission control under its limit admits everything — neither may
 change a single published byte.  These tests extend the batch ≡
 per-record harness to both mechanisms: the synchronous driver runs the
-same seeded arrival stream with credits on vs off and with the adaptive
-controller on vs pinned, and the cloud-state fingerprints (file
+same seeded arrival stream with credits on vs off and through
+``offer`` vs ``ingest``, and the cloud-state fingerprints (file
 digests, receipts, collector counters, a query digest) must match
 exactly.
 """
@@ -58,7 +58,7 @@ def _fingerprint(system, publications) -> dict:
 
 @pytest.fixture(scope="module")
 def baseline(publications) -> dict:
-    """Pinned controller, no credits, no admission control."""
+    """No credits, no admission control."""
     return _fingerprint(_build(), publications)
 
 
@@ -76,25 +76,6 @@ class TestCreditsAreByteInvisible:
         for lines in publications:
             system.run_publication(list(lines))
         assert telemetry.registry.counter("checking_credits_total").value > 0
-
-
-class TestAdaptiveIsByteInvisible:
-    def test_fingerprint_matches_pinned_run(self, publications, baseline):
-        system = _build(
-            adaptive_batching=True,
-            min_batch_size=1,
-            max_batch_size=512,
-        )
-        assert _fingerprint(system, publications) == baseline
-
-    def test_adaptive_with_credits_matches_too(self, publications, baseline):
-        system = _build(
-            adaptive_batching=True,
-            min_batch_size=1,
-            max_batch_size=512,
-            credit_window=32,
-        )
-        assert _fingerprint(system, publications) == baseline
 
 
 class TestAdmissionIsByteInvisibleWhenUnderLimit:

@@ -4,14 +4,16 @@ A :class:`ChurnPlan` must be *replayable*: every runtime applies the
 same events at the same stream positions and reaches the same cloud
 state.  Illegal plans — rejoining a node that never crashed, crashing
 the whole fleet, rejoining inside the crash's own publication — are
-rejected at construction, not discovered mid-run.
+rejected at construction, not discovered mid-run.  And a publication a
+runtime loses must fail ``run_churn`` where it happens, not as a
+fingerprint diff publications later.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime.chaos import ChurnEvent, ChurnPlan
+from repro.runtime.chaos import ChurnEvent, ChurnPlan, run_churn
 
 
 class TestChurnEvent:
@@ -153,3 +155,47 @@ class TestSeededPlans:
             ChurnPlan.seeded(1, 1, 100, 3)
         with pytest.raises(ValueError, match="2 nodes"):
             ChurnPlan.seeded(1, 3, 100, 1)
+
+
+class _StubRuntime:
+    """The surface ``run_churn`` drives, with a cloud that may drop
+    publications: ``settle`` only waits for quiescence, exactly like the
+    threaded runtime's, and returns whether or not a receipt arrived."""
+
+    def __init__(self, lose=()):
+        self.dispatcher = type("_Dispatcher", (), {"publication": 0})()
+        self._lose = set(lose)
+        self._receipts = {}
+        self.ingested = []
+
+    def pump_dummies(self, fraction):
+        pass
+
+    def ingest(self, line):
+        self.ingested.append(line)
+
+    def close_publication(self):
+        publication = self.dispatcher.publication
+        if publication not in self._lose:
+            self._receipts[publication] = object()
+        self.dispatcher.publication += 1
+
+    def settle(self, publication, timeout=120.0):
+        pass
+
+    def _receipt(self, publication):
+        return self._receipts.get(publication)
+
+
+class TestRunChurn:
+    def test_every_receipt_present_runs_through(self):
+        runtime = _StubRuntime()
+        run_churn(runtime, [["a", "b"], ["c"]], ChurnPlan((), 3))
+        assert runtime.ingested == ["a", "b", "c"]
+
+    def test_settling_without_a_receipt_names_the_publication(self):
+        runtime = _StubRuntime(lose={1})
+        with pytest.raises(RuntimeError, match="publication 1 settled"):
+            run_churn(runtime, [["a"], ["b"], ["c"]], ChurnPlan((), 3))
+        # The loss stops the run at once: publication 2 never starts.
+        assert runtime.ingested == ["a", "b"]

@@ -3,9 +3,8 @@ transport.
 
 Pins the structure so it cannot re-fork — the dispatcher-facing surface
 is *the same function object* on every runtime, and exactly one module
-builds a dispatcher — and pins the two behaviours the per-runtime copies
-had drifted on: ``offer()``/``flush_ingest()`` existing everywhere, and
-the TCP poller feeding the adaptive controller a queue depth.
+builds a dispatcher — and pins the behaviour the per-runtime copies had
+drifted on: ``offer()``/``flush_ingest()`` existing everywhere.
 """
 
 from __future__ import annotations
@@ -13,19 +12,16 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import re
-import threading
 
 import pytest
 
 import repro
 from repro.core.messages import Routed
-from repro.core.sharded import PartialAl, ShardedFresqueSystem
 from repro.core.system import FresqueSystem
 from repro.crypto.cipher import SimulatedCipher
 from repro.crypto.keys import KeyStore
 from repro.datasets.flu import FluSurveyGenerator
 from repro.durability.system import DurableFresqueSystem
-from repro.runtime.backoff import await_condition
 from repro.runtime.cluster import ThreadedFresque
 from repro.runtime.shm.cluster import ShmFresqueCluster
 from repro.runtime.tcp import TcpFresqueCluster
@@ -61,7 +57,6 @@ JOURNALLING_OVERRIDES = {
     ThreadedFresque: set(),
     TcpFresqueCluster: set(),
     ShmFresqueCluster: {"ingest"},
-    ShardedFresqueSystem: set(),
     DurableFresqueSystem: {"ingest", "ingest_batch", "finish_publication"},
 }
 
@@ -124,17 +119,13 @@ def test_the_message_alphabet_is_closed():
     samples = {type(m): (d, m) for d, m in MESSAGES.values()}
     merged = merged_publication()
     samples[type(merged)] = ("cloud", merged)
-    # Checking shards run in process only: their partial AL never
-    # crosses a transport.
-    in_process_only = {PartialAl}
     for message, routers in routed.items():
         name = message.__name__
-        if message not in in_process_only:
-            assert message in samples, f"{name} ({routers}): no wire sample"
-            destination, sample = samples[message]
-            frame = encode_message(destination, sample)
-            got_destination, got = decode_message(frame[4:])
-            assert (got_destination, type(got)) == (destination, message)
+        assert message in samples, f"{name} ({routers}): no wire sample"
+        destination, sample = samples[message]
+        frame = encode_message(destination, sample)
+        got_destination, got = decode_message(frame[4:])
+        assert (got_destination, type(got)) == (destination, message)
         pattern = re.compile(rf"(?<!class )\b{name}\(")
         assert any(pattern.search(text) for text in sources.values()), (
             f"{name} is routed by {routers} but nothing constructs it"
@@ -198,41 +189,3 @@ class TestSurfaceOnEveryRuntime:
             receipt = system.finish_publication()
         # The shm parent's receipt is the bare matched-record count.
         assert getattr(receipt, "records_matched", receipt) == expected
-
-
-def test_tcp_poller_feeds_the_adaptive_controller(flu_config, fast_cipher):
-    """docs/BATCHING.md: the TCP cluster reports its deepest computing
-    node inbox to the adaptive controller.  Its own poller used to call
-    ``flush_due()`` only, so the controller never saw a depth."""
-    config = dataclasses.replace(
-        flu_config,
-        num_computing_nodes=1,
-        batch_size=4,
-        max_batch_delay=0.01,
-        adaptive_batching=True,
-        min_batch_size=4,
-        max_batch_size=4,
-    )
-    release = threading.Event()
-    with TcpFresqueCluster(config, fast_cipher, seed=5) as cluster:
-        node = cluster.computing_nodes[0]
-        on_raw_batch = node.on_raw_batch
-
-        def stalled(message):
-            release.wait(30.0)
-            return on_raw_batch(message)
-
-        node.on_raw_batch = stalled
-        try:
-            for line in FluSurveyGenerator(seed=33).raw_lines(40):
-                cluster.ingest(line)
-            controller = cluster.dispatcher.flow.controller
-            assert not controller.pinned
-            await_condition(
-                lambda: controller._depth > 0 or None,
-                10.0,
-                "the TCP poller never reported a queue depth",
-            )
-        finally:
-            release.set()
-        cluster.finish_publication()

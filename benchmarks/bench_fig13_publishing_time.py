@@ -20,7 +20,7 @@ from benchmarks.common import (
 )
 from repro.index.domain import gowalla_domain
 from repro.index.perturb import draw_noise_plan
-from repro.index.template import IndexTemplate, merge_template_and_counts
+from repro.index.template import merge_plan_and_counts
 from repro.index.tree import IndexTree
 from repro.simulation.analytic import fresque_publishing_times
 
@@ -82,8 +82,7 @@ def test_fig13_real_merge_job(benchmark):
     counts = [rng.randrange(2000) for _ in range(domain.num_leaves)]
 
     def merge():
-        template = IndexTemplate(domain, fanout=16, plan=plan)
-        return merge_template_and_counts(template, counts)
+        return merge_plan_and_counts(domain, plan, counts, fanout=16)
 
     merged = benchmark(merge)
     assert merged.root.count > 0

@@ -135,8 +135,8 @@ def test_table1_pined_rq_storage_overhead(benchmark):
         len(cipher.encrypt(serialize_record(r, schema))) for r in records
     )
     published_bytes = cloud.store.total_bytes + sum(
-        sum(len(e) for e in array.entries)
-        for array in cloud.engine.published[0].overflow.values()
+        sum(map(len, column))
+        for column in cloud.engine.published[0].overflow.values()
     )
     expansion = published_bytes / dataset_bytes
     emit(

@@ -47,7 +47,7 @@ def publication_digest(system) -> str:
 
     One digest over every published dataset in order — its number, the
     count of every tree node level by level, and every overflow array's
-    leaf, capacity and entries (ciphertexts, in array order).  Two
+    leaf, capacity and ciphertexts, in array order.  Two
     deployments agree iff the merger built byte-identical trees and
     overflow arrays.
     """
@@ -57,11 +57,12 @@ def publication_digest(system) -> str:
         for level in dataset.tree.levels:
             digest.update(repr([node.count for node in level]).encode())
         for leaf_offset in sorted(dataset.overflow):
-            array = dataset.overflow[leaf_offset]
-            digest.update(f"leaf {leaf_offset} {array.capacity}\n".encode())
-            for entry in array.entries:
-                digest.update(len(entry.ciphertext).to_bytes(4, "little"))
-                digest.update(entry.ciphertext)
+            column = dataset.overflow[leaf_offset]
+            # A sealed array holds exactly ``capacity`` ciphertexts.
+            digest.update(f"leaf {leaf_offset} {len(column)}\n".encode())
+            for ciphertext in column:
+                digest.update(len(ciphertext).to_bytes(4, "little"))
+                digest.update(ciphertext)
     return digest.hexdigest()
 
 

@@ -72,13 +72,10 @@ class QueryClient:
             violation under the honest-but-curious model.
         """
         query = RangeQuery(low, high)
-        response = self._cloud.query(query)
-        ciphertexts = response.all_records()
+        ciphertexts = self._cloud.query(query).ciphertexts()
         # Every returned ciphertext is decrypted and padding-checked;
         # only the plaintexts that are not dummies are then decoded.
-        plaintexts = self._cipher.decrypt_batch(
-            [encrypted.ciphertext for encrypted in ciphertexts]
-        )
+        plaintexts = self._cipher.decrypt_batch(ciphertexts)
         schema = self._schema
         matches: list[Record] = []
         dummies = 0

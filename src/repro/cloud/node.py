@@ -29,7 +29,6 @@ from repro.cloud.query_engine import (
 )
 from repro.cloud.storage import EncryptedStore
 from repro.index.domain import AttributeDomain
-from repro.index.overflow import OverflowArray
 from repro.index.query import RangeQuery
 from repro.index.tree import IndexTree
 from repro.records.record import EncryptedRecord
@@ -142,7 +141,7 @@ class _BaseCloud:
         publication: int,
         tree: IndexTree,
         pointers,
-        overflow: dict[int, OverflowArray],
+        overflow: dict[int, tuple[bytes, ...]],
         stats: MatchStats,
     ) -> PublicationReceipt:
         self.engine.publish(
@@ -246,11 +245,13 @@ class FresqueCloud(_BaseCloud):
         self,
         publication: int,
         tree: IndexTree,
-        overflow: dict[int, OverflowArray],
+        overflow: dict[int, tuple[bytes, ...]],
     ) -> PublicationReceipt:
         """Match the arriving secure index against the metadata cache.
 
-        A redelivered publication (same monotonic number) is deduped:
+        ``overflow`` maps a leaf to its sealed overflow array, a tuple of
+        ciphertexts, which is stored and served as it arrived.  A
+        redelivered publication (same monotonic number) is deduped:
         the stored receipt is returned and nothing is re-matched.
         """
         if publication in self._done:
@@ -301,7 +302,7 @@ class MatchingTableCloud(_BaseCloud):
         self,
         publication: int,
         tree: IndexTree,
-        overflow: dict[int, OverflowArray],
+        overflow: dict[int, tuple[bytes, ...]],
         matching_table: dict[int, int],
     ) -> PublicationReceipt:
         """Run the read-back matching process with the published table."""

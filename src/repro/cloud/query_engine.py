@@ -15,7 +15,6 @@ from repro.cloud.matching import LeafPointers
 from repro.cloud.metadata import MetadataCache
 from repro.cloud.storage import EncryptedStore
 from repro.index.domain import AttributeDomain
-from repro.index.overflow import OverflowArray
 from repro.index.query import RangeQuery, traverse
 from repro.index.tree import IndexTree
 from repro.records.record import EncryptedRecord
@@ -34,7 +33,7 @@ class PublishedDataset:
     pointers:
         Leaf-to-record pointers assembled by the matching process.
     overflow:
-        Per-leaf sealed overflow arrays.
+        Per-leaf sealed overflow arrays, each a tuple of ciphertexts.
     file_id:
         The storage file holding this publication's records.
     """
@@ -42,7 +41,7 @@ class PublishedDataset:
     publication: int
     tree: IndexTree
     pointers: LeafPointers
-    overflow: dict[int, OverflowArray]
+    overflow: dict[int, tuple[bytes, ...]]
     file_id: int
 
 
@@ -55,7 +54,7 @@ class QueryResult:
     indexed:
         Records reached through published indexes.
     overflow:
-        Overflow-array entries of every touched leaf (contain the removed
+        Overflow-array ciphertexts of every touched leaf (the removed
         records, padded with dummies).
     unindexed:
         Records of in-flight publications whose leaf offset overlaps the
@@ -65,13 +64,16 @@ class QueryResult:
     """
 
     indexed: tuple[EncryptedRecord, ...]
-    overflow: tuple[EncryptedRecord, ...]
+    overflow: tuple[bytes, ...]
     unindexed: tuple[EncryptedRecord, ...]
     nodes_visited: int
 
-    def all_records(self) -> tuple[EncryptedRecord, ...]:
-        """Every ciphertext the client must decrypt."""
-        return self.indexed + self.overflow + self.unindexed
+    def ciphertexts(self) -> list[bytes]:
+        """Every ciphertext the client must decrypt, in result order."""
+        ciphertexts = [record.ciphertext for record in self.indexed]
+        ciphertexts += self.overflow
+        ciphertexts += [record.ciphertext for record in self.unindexed]
+        return ciphertexts
 
 
 class CloudQueryEngine:
@@ -125,18 +127,17 @@ class CloudQueryEngine:
         """Evaluate a range query over everything the cloud holds."""
         read = self._store.read_ordinals
         indexed: list[EncryptedRecord] = []
-        overflow: list[EncryptedRecord] = []
+        overflow: list[bytes] = []
         nodes_visited = 0
         for dataset in self._published:
             result = traverse(dataset.tree, query)
             nodes_visited += result.nodes_visited
             by_leaf = dataset.pointers.by_leaf
+            arrays = dataset.overflow
             ordinals: list[int] = []
             for leaf_offset in result.leaf_offsets:
                 ordinals += by_leaf.get(leaf_offset, ())
-                array = dataset.overflow.get(leaf_offset)
-                if array is not None:
-                    overflow.extend(array.entries)
+                overflow += arrays.get(leaf_offset, ())
             indexed += read(dataset.file_id, ordinals)
         overlapping = self._domain.leaves_overlapping(query.low, query.high)
         unindexed: list[EncryptedRecord] = []

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import add
 
 from repro.core.config import FresqueConfig
@@ -41,7 +42,7 @@ from repro.core.messages import (
     NodeDown,
     PairBatch,
     PublishingMsg,
-    RemovedRecord,
+    RemovedBatch,
     Routed,
     TemplateMsg,
     ToCloudBatch,
@@ -53,20 +54,17 @@ from repro.records.record import EncryptedRecord
 from repro.telemetry.context import coalesce
 
 
-def check_bulk(
-    arrays: LeafArrays, publication: int, leaves, ciphertexts, dummies
-) -> tuple[list[tuple[str, object]], tuple[int, ...], tuple[bytes, ...], int]:
+def check_bulk(arrays: LeafArrays, leaves, ciphertexts, dummies) -> tuple:
     """Checker + updater over released pairs (columns), in release order.
 
     The one check of the collector — :class:`CheckingNode` runs it once
-    per released batch.  Returns ``(merger messages, cloud leaves, cloud ciphertexts,
-    dummies passed)``.  Dummies never touch the arrays, so the non-dummy
-    subsequence is updated through one
-    :meth:`LeafArrays.check_and_update_bulk` call, whose per-offset
-    decisions are those of the scalar :meth:`LeafArrays.check_and_update`.
-    With nothing removed the input columns are the cloud's, untouched; a
-    removed pair (at most the negative leaf noise per publication) is the
-    one place the collector builds an :class:`EncryptedRecord`.
+    per released batch.  Returns ``(removed leaves, removed ciphertexts,
+    cloud leaves, cloud ciphertexts, dummies passed)``, every column a
+    tuple.  Dummies never touch the arrays, so the non-dummy subsequence
+    is updated through one :meth:`LeafArrays.check_and_update_bulk` call,
+    whose per-offset decisions are those of the scalar
+    :meth:`LeafArrays.check_and_update`.  With nothing removed the input
+    columns are the cloud's, untouched.
     """
     dummy_count = sum(dummies)
     real_offsets = (
@@ -76,19 +74,17 @@ def check_bulk(
     )
     removed = arrays.check_and_update_bulk(real_offsets)
     if True not in removed:
-        return [], tuple(leaves), tuple(ciphertexts), dummy_count
+        return (), (), tuple(leaves), tuple(ciphertexts), dummy_count
     removed_flags = iter(removed)
-    merger_out: list[tuple[str, object]] = []
-    cloud_leaves: list[int] = []
-    cloud_ciphertexts: list[bytes] = []
-    for leaf, ciphertext, dummy in zip(leaves, ciphertexts, dummies):
-        if dummy or not next(removed_flags):
-            cloud_leaves.append(leaf)
-            cloud_ciphertexts.append(ciphertext)
-            continue
-        record = EncryptedRecord(leaf, ciphertext, publication=publication)
-        merger_out.append(("merger", RemovedRecord(publication, leaf, record)))
-    return merger_out, tuple(cloud_leaves), tuple(cloud_ciphertexts), dummy_count
+    kept = [dummy or not next(removed_flags) for dummy in dummies]
+    lost = [not keep for keep in kept]
+    return (
+        tuple(compress(leaves, lost)),
+        tuple(compress(ciphertexts, lost)),
+        tuple(compress(leaves, kept)),
+        tuple(compress(ciphertexts, kept)),
+        dummy_count,
+    )
 
 
 @dataclass
@@ -263,20 +259,31 @@ class CheckingNode(Routed):
     ) -> list:
         """:func:`check_bulk` over released columns, timed and counted.
 
-        Returns ``[merger messages, cloud leaves, cloud ciphertexts]``.
+        Returns ``[merger messages, cloud leaves, cloud ciphertexts]``:
+        what the run lost to negative noise leaves as one
+        :class:`RemovedBatch`.
         """
         tel = self._tel
         start = tel.now()
-        *released, dummy_count = check_bulk(state.arrays, publication, *columns)
+        lost_leaves, lost_ciphertexts, *released, dummy_count = check_bulk(
+            state.arrays, *columns
+        )
         self.pairs_processed += len(columns[0])
         if dummy_count:
             self.dummies_passed += dummy_count
             self._dummies_counter.inc(dummy_count)
-        if released[0]:
-            self.records_removed += len(released[0])
-            self._removed_counter.inc(len(released[0]))
+        out: list[tuple[str, object]] = []
+        if lost_leaves:
+            self.records_removed += len(lost_leaves)
+            self._removed_counter.inc(len(lost_leaves))
+            out.append(
+                (
+                    "merger",
+                    RemovedBatch(publication, lost_leaves, lost_ciphertexts),
+                )
+            )
         tel.observe_stage("check", publication, start)
-        return released
+        return [out, *released]
 
     def _buffer_and_check(
         self, publication: int, state: _PublicationState, *columns
@@ -287,9 +294,8 @@ class CheckingNode(Routed):
         insert makes its own eviction draw, so the released stream (and
         therefore the final cloud state) does not depend on how the
         pairs were cut into batches.  Everything released to the cloud
-        leaves as a single :class:`ToCloudBatch`; removed records still
-        go to the merger individually (they are rare by construction —
-        at most the negative leaf noise).
+        leaves as a single :class:`ToCloudBatch`, everything removed as a
+        single :class:`RemovedBatch` to the merger.
         """
         if not state.closed:
             # (Pairs arriving after the flush — possible only if a

@@ -10,6 +10,10 @@ publication *asynchronous*.  Per publication it receives:
    removed records into fixed-size overflow arrays (padded with dummies
    encrypted in one batch per publication, randomly ordered), and ship
    everything to the cloud under the publication number.
+
+Removed records are held as ciphertexts per leaf, and an overflow array
+leaves as a tuple of ciphertexts: nothing is built per record or per
+padding slot.
 """
 
 from __future__ import annotations
@@ -21,23 +25,28 @@ from repro.core.config import FresqueConfig
 from repro.core.messages import (
     AlSnapshot,
     MergedPublication,
-    RemovedRecord,
+    RemovedBatch,
     Routed,
     TemplateMsg,
 )
 from repro.crypto.cipher import RecordCipher, padding_nonce
-from repro.index.overflow import OverflowArray
 from repro.index.perturb import NoisePlan
-from repro.index.template import IndexTemplate, merge_template_and_counts
+from repro.index.template import merge_plan_and_counts
 from repro.records.record import EncryptedRecord
 from repro.records.codec import (
-    decode_encrypted,
+    decode_pairs,
     decode_plan,
-    encode_encrypted,
+    encode_pairs,
     encode_plan,
 )
 from repro.records.serialize import DummyRecordSerializer
 from repro.telemetry.context import coalesce
+
+
+def _encode_removed(leaves, ciphertexts) -> str:
+    """Removed-record columns as a checkpoint string (no dummy among them);
+    ``decode_pairs(text)[:2]`` reads them back."""
+    return encode_pairs(leaves, ciphertexts, bytes(len(leaves)))
 
 
 @dataclass
@@ -45,7 +54,22 @@ class _MergeState:
     """Per-publication material accumulated before the merge job."""
 
     plan: NoisePlan
-    removed: dict[int, list[EncryptedRecord]] = field(default_factory=dict)
+    #: Leaf offset -> the ciphertexts removed under it, in arrival order.
+    removed: dict[int, list[bytes]] = field(default_factory=dict)
+
+    def hold(self, leaves, ciphertexts) -> None:
+        removed = self.removed
+        for leaf, ciphertext in zip(leaves, ciphertexts):
+            removed.setdefault(leaf, []).append(ciphertext)
+
+    def columns(self) -> tuple[list[int], list[bytes]]:
+        """Everything held, as a leaf and a ciphertext column (leaf by
+        leaf; :meth:`hold` of them rebuilds :attr:`removed`)."""
+        removed = self.removed
+        return (
+            [leaf for leaf, held in removed.items() for _ in held],
+            [ciphertext for held in removed.values() for ciphertext in held],
+        )
 
 
 @dataclass(frozen=True)
@@ -77,7 +101,7 @@ class Merger(Routed):
 
     ROUTES = {
         TemplateMsg: "on_template",
-        RemovedRecord: "on_removed",
+        RemovedBatch: "on_removed",
         AlSnapshot: "on_al",
     }
 
@@ -93,7 +117,9 @@ class Merger(Routed):
         self._rng = rng if rng is not None else random.Random()
         self._dummy_serializer = DummyRecordSerializer(config.schema)
         self._states: dict[int, _MergeState] = {}
-        self._early_removed: dict[int, list[RemovedRecord]] = {}
+        #: Removed records that beat their publication's template here,
+        #: as ``(leaves, ciphertexts)`` columns in arrival order.
+        self._early_removed: dict[int, tuple[tuple, tuple]] = {}
         self.reports: list[MergeReport] = []
         self._tel = coalesce(telemetry)
         self._padding_counter = self._tel.counter(
@@ -107,78 +133,71 @@ class Merger(Routed):
         """Removed records held for unfinished publications.
 
         Query processing must cover them (Section 5.3(c)).  Returns
-        ``(publication, leaf offset, encrypted record)`` triples.
+        ``(publication, leaf offset, encrypted record)`` triples, each
+        record built here from its ciphertext.
         """
-        held = []
-        for publication, state in self._states.items():
-            for leaf_offset, records in state.removed.items():
-                for record in records:
-                    held.append((publication, leaf_offset, record))
-        return held
+        return [
+            (
+                publication,
+                leaf,
+                EncryptedRecord(leaf, ciphertext, publication=publication),
+            )
+            for publication, state in self._states.items()
+            for leaf, held in state.removed.items()
+            for ciphertext in held
+        ]
 
     def removed_in(self, leaves) -> list[EncryptedRecord]:
         """The records of :meth:`pending_removed` under ``leaves``, by
         leaf lookup (the query path; quiescent-only, like
         :meth:`CheckingNode.buffered_in`)."""
-        held: list[EncryptedRecord] = []
-        for state in self._states.values():
-            removed_at = state.removed.get
-            for leaf in leaves:
-                held.extend(removed_at(leaf, ()))
-        return held
+        return [
+            EncryptedRecord(leaf, ciphertext, publication=publication)
+            for publication, state in self._states.items()
+            for leaf in leaves
+            for ciphertext in state.removed.get(leaf, ())
+        ]
 
     def on_template(self, message: TemplateMsg) -> list[tuple[str, object]]:
         """Store the publication's template until the AL arrives."""
-        self._states[message.publication] = _MergeState(plan=message.plan)
-        for early in self._early_removed.pop(message.publication, ()):
-            self.on_removed(early)
+        state = _MergeState(plan=message.plan)
+        self._states[message.publication] = state
+        state.hold(*self._early_removed.pop(message.publication, ((), ())))
         return []
 
-    def on_removed(self, message: RemovedRecord) -> list[tuple[str, object]]:
-        """Buffer one removed record for its leaf's overflow array."""
+    def on_removed(self, message: RemovedBatch) -> list[tuple[str, object]]:
+        """Hold a run of removed records for their leaves' overflow arrays."""
         state = self._states.get(message.publication)
         if state is None:
-            self._early_removed.setdefault(message.publication, []).append(
-                message
+            leaves, ciphertexts = self._early_removed.get(
+                message.publication, ((), ())
+            )
+            self._early_removed[message.publication] = (
+                leaves + message.leaves,
+                ciphertexts + message.ciphertexts,
             )
             return []
-        state.removed.setdefault(message.leaf_offset, []).append(
-            message.encrypted
-        )
+        state.hold(message.leaves, message.ciphertexts)
         return []
 
     def snapshot(self) -> dict:
         """JSON-able snapshot of per-publication merge material.
 
         Captures each unfinished publication's template plan and the
-        removed records buffered for its overflow arrays, plus the
-        early-arrival buffer.
+        removed records held for its overflow arrays (packed columns,
+        ``records.codec.encode_pairs``), plus the early-arrival buffer.
         """
-
-        def _encode_removed(message: RemovedRecord) -> dict:
-            return {
-                "leaf": message.leaf_offset,
-                "enc": encode_encrypted(message.encrypted),
-            }
-
         return {
             "publications": {
                 str(publication): {
                     "plan": encode_plan(state.plan),
-                    "removed": {
-                        str(leaf): [
-                            encode_encrypted(record) for record in records
-                        ]
-                        for leaf, records in state.removed.items()
-                    },
+                    "removed": _encode_removed(*state.columns()),
                 }
                 for publication, state in self._states.items()
             },
             "early_removed": {
-                str(publication): [
-                    _encode_removed(message) for message in messages
-                ]
-                for publication, messages in self._early_removed.items()
+                str(publication): _encode_removed(*columns)
+                for publication, columns in self._early_removed.items()
             },
         }
 
@@ -187,72 +206,64 @@ class Merger(Routed):
         self._states = {}
         for key, saved in state["publications"].items():
             merge_state = _MergeState(plan=decode_plan(saved["plan"]))
-            merge_state.removed = {
-                int(leaf): [
-                    decode_encrypted(payload) for payload in records
-                ]
-                for leaf, records in saved["removed"].items()
-            }
+            merge_state.hold(*decode_pairs(saved["removed"])[:2])
             self._states[int(key)] = merge_state
         self._early_removed = {
-            int(key): [
-                RemovedRecord(
-                    int(key),
-                    payload["leaf"],
-                    decode_encrypted(payload["enc"]),
-                )
-                for payload in messages
-            ]
-            for key, messages in state["early_removed"].items()
+            int(key): decode_pairs(packed)[:2]
+            for key, packed in state["early_removed"].items()
         }
 
     def on_al(self, message: AlSnapshot) -> list[tuple[str, object]]:
         """The merge job: build the secure index and overflow arrays.
 
-        The padding of the whole publication is encrypted in one batch.
         Leaf by leaf, in offset order, the job draws the padding values
         and the leaf's shuffle exactly as sealing one array at a time
         would (``random.shuffle`` consumes draws by list length only, so
-        the slots can be shuffled before any ciphertext exists); the
-        plaintexts collect in padding-counter order, which keeps the IV
-        sequence that of one ``encrypt`` call per dummy.
+        the slots can be shuffled before any ciphertext exists).  The
+        padding of the whole publication is then serialized in one call
+        and encrypted in one batch, in padding-counter order — which keeps
+        the IV sequence that of one ``encrypt`` call per dummy — and each
+        leaf's array is filled from the shuffled slots.
         """
         start = self._tel.now()
         publication = message.publication
         state = self._states.pop(publication, None)
         if state is None:
             raise KeyError(f"AL for unknown publication {publication}")
-        template = IndexTemplate(
-            self.config.domain, fanout=self.config.fanout, plan=state.plan
+        config = self.config
+        domain = config.domain
+        tree = merge_plan_and_counts(
+            domain, state.plan, message.al, fanout=config.fanout
         )
-        tree = merge_template_and_counts(template, list(message.al))
 
-        capacity = self.config.overflow_capacity
-        domain = self.config.domain
-        serialize = self._dummy_serializer.serialize
-        rng = self._rng
-        plaintexts: list[bytes] = []
-        #: Per leaf: its removed records, its first padding counter, and
-        #: the shuffled slots (slot < len(removed) is a removed record,
-        #: the rest count on from the first padding counter).
-        layout: list[tuple[list[EncryptedRecord], int, list[int]]] = []
+        capacity = config.overflow_capacity
+        draw = self._rng.random
+        shuffle = self._rng.shuffle
+        removed_at = state.removed.get
+        values: list[float] = []
+        #: Per leaf: its removed ciphertexts, its first padding counter,
+        #: and the shuffled slots (slot < len(removed) is a removed
+        #: record, the rest count on from the first padding counter).
+        layout: list[tuple[list[bytes], int, list[int]]] = []
         removed_total = 0
         for offset in range(domain.num_leaves):
-            removed = state.removed.get(offset, ())[:capacity]
+            removed = removed_at(offset, [])[:capacity]
             removed_total += len(removed)
-            first_padding = len(plaintexts)
+            first_padding = len(values)
             low, high = domain.leaf_range(offset)
-            for _ in range(capacity - len(removed)):
-                value = (
-                    low if high <= low else low + rng.random() * (high - low)
-                )
-                plaintexts.append(serialize(value))
+            padding = capacity - len(removed)
+            if high <= low:
+                values += [low] * padding
+            else:
+                span = high - low
+                values += [low + draw() * span for _ in range(padding)]
             slots = list(range(capacity))
-            rng.shuffle(slots)
+            shuffle(slots)
             layout.append((removed, first_padding, slots))
 
+        plaintexts = self._dummy_serializer.serialize_many(values)
         padding_encrypts = len(plaintexts)
-        if self.config.deterministic_ivs:
+        if config.deterministic_ivs:
             # Keyed on (publication, padding index): the leaves are padded
             # in a fixed order, so the counter sequence — and with it
             # every padding IV — is identical in every runtime.
@@ -265,24 +276,15 @@ class Merger(Routed):
             )
         else:
             ciphertexts = self.cipher.encrypt_batch(plaintexts)
-        padding = [
-            EncryptedRecord(
-                leaf_offset=None, ciphertext=ciphertext, publication=publication
-            )
-            for ciphertext in ciphertexts
-        ]
-        overflow: dict[int, OverflowArray] = {}
+        overflow: dict[int, tuple[bytes, ...]] = {}
         for offset, (removed, first_padding, slots) in enumerate(layout):
             real = len(removed)
             shift = first_padding - real
-            overflow[offset] = OverflowArray.sealed(
-                offset,
-                capacity,
+            overflow[offset] = tuple(
                 [
-                    removed[slot] if slot < real else padding[slot + shift]
+                    removed[slot] if slot < real else ciphertexts[slot + shift]
                     for slot in slots
-                ],
-                real_count=real,
+                ]
             )
 
         self.reports.append(
@@ -290,7 +292,7 @@ class Merger(Routed):
                 publication=publication,
                 index_nodes=tree.num_nodes,
                 removed_records=removed_total,
-                overflow_capacity=capacity * self.config.domain.num_leaves,
+                overflow_capacity=capacity * domain.num_leaves,
                 padding_encrypts=padding_encrypts,
             )
         )

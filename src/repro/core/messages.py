@@ -9,7 +9,7 @@ runtime (``repro.runtime``) and the discrete-event simulator
 A ``<leaf offset, e-record>`` pair has no class of its own: from the
 computing node to the cloud it is one index into parallel columns — the
 layout the wire, the randomer, the checkpoint and the cloud's files
-share.  Only a *removed* record (rare by construction) is an object.
+share.  Removed records and the sealed overflow arrays are columns too.
 
 Destinations are string names: ``"dispatcher"``, ``"cn-<i>"``,
 ``"checking"``, ``"merger"``, ``"cloud"``.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.index.perturb import NoisePlan
-from repro.records.record import EncryptedRecord, Record
+from repro.records.record import Record
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,14 @@ class ToCloudBatch:
 
 
 @dataclass(frozen=True)
-class RemovedRecord:
-    """Checking node → merger: a record consumed by negative noise."""
+class RemovedBatch:
+    """Checking node → merger: the records of one released run consumed
+    by negative noise, as a leaf column and a ciphertext column in
+    release order (at most one per checked run)."""
 
     publication: int
-    leaf_offset: int
-    encrypted: EncryptedRecord
+    leaves: tuple[int, ...]
+    ciphertexts: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -277,11 +279,16 @@ class DoneMsg:
 
 @dataclass(frozen=True)
 class MergedPublication:
-    """Merger → cloud: the secure index and sealed overflow arrays."""
+    """Merger → cloud: the secure index and the sealed overflow arrays.
+
+    ``overflow`` maps a leaf offset to its array: ``capacity``
+    ciphertexts, removed records and padding dummies in sealed
+    (shuffled) order.
+    """
 
     publication: int
     tree: object  # IndexTree; typed loosely to avoid an import cycle
-    overflow: dict = field(default_factory=dict)
+    overflow: dict[int, tuple[bytes, ...]] = field(default_factory=dict)
 
 
 class Routed:

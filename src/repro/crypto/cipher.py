@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from abc import ABC, abstractmethod
+from itertools import accumulate
 
 from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher
 from repro.crypto.keys import KeyStore
@@ -37,6 +38,16 @@ from repro.crypto.modes import (
     cbc_encrypt_many,
 )
 from repro.crypto.padding import PaddingError, pad, unpad
+
+
+#: By plaintext length mod 32: the PKCS#7 padding to a 16-byte block, then
+#: the zeros that extend the padded message to a whole 32-byte keystream
+#: block (:meth:`SimulatedCipher._encrypt_batch_with_ivs`).
+_BLOCK_TAILS = tuple(
+    bytes([16 - rest % 16]) * (16 - rest % 16)
+    + bytes(16 if (rest + 16 - rest % 16) % 32 else 0)
+    for rest in range(32)
+)
 
 
 class DecryptionError(ValueError):
@@ -126,9 +137,16 @@ class RecordCipher(ABC):
         :meth:`encrypt_batch`: byte-identical to the mapped form."""
         if len(plaintexts) != len(nonces):
             raise ValueError("one nonce per plaintext is required")
+        return self._encrypt_batch_with_ivs(
+            plaintexts, [self.derive_iv(nonce) for nonce in nonces]
+        )
+
+    def _encrypt_batch_with_ivs(
+        self, plaintexts: list[bytes], ivs: list[bytes]
+    ) -> list[bytes]:
         return [
-            self.encrypt_seeded(plaintext, nonce)
-            for plaintext, nonce in zip(plaintexts, nonces)
+            self._encrypt_with_iv(plaintext, iv)
+            for plaintext, iv in zip(plaintexts, ivs)
         ]
 
     def derive_iv(self, nonce: bytes) -> bytes:
@@ -186,15 +204,6 @@ class AesCbcCipher(RecordCipher):
         """
         return self._encrypt_batch_with_ivs(
             plaintexts, [self._keys.fresh_iv() for _ in plaintexts]
-        )
-
-    def encrypt_batch_seeded(
-        self, plaintexts: list[bytes], nonces: list[bytes]
-    ) -> list[bytes]:
-        if len(plaintexts) != len(nonces):
-            raise ValueError("one nonce per plaintext is required")
-        return self._encrypt_batch_with_ivs(
-            plaintexts, [self.derive_iv(nonce) for nonce in nonces]
         )
 
     def _encrypt_batch_with_ivs(
@@ -291,9 +300,7 @@ class SimulatedCipher(RecordCipher):
         ).to_bytes(len(data), "little")
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        iv = self._next_iv()
-        padded = pad(plaintext, BLOCK_SIZE)
-        return iv + self._xor(padded, self._keystream(iv, len(padded)))
+        return self._encrypt_with_iv(plaintext, self._next_iv())
 
     def derive_iv(self, nonce: bytes) -> bytes:
         # Domain-separated from the counter IVs (``iv-seeded`` vs ``iv``)
@@ -308,42 +315,59 @@ class SimulatedCipher(RecordCipher):
         return iv + self._xor(padded, self._keystream(iv, len(padded)))
 
     def encrypt_batch(self, plaintexts: list[bytes]) -> list[bytes]:
-        """Fast path: one lock round trip and one tight keystream loop.
-
-        Byte-identical to mapping :meth:`encrypt` — the batch reserves a
-        contiguous run of IV counters up front (same counter sequence the
-        per-record path would draw), then derives each keystream inline
-        without the per-call method and lock overhead.
-        """
+        """Fast path: one lock round trip reserves a contiguous run of IV
+        counters (the sequence the per-record path would draw), then
+        :meth:`_encrypt_batch_with_ivs`; byte-identical to mapping
+        :meth:`encrypt`."""
         count = len(plaintexts)
-        if count == 0:
-            return []
         with self._counter_lock:
             first = self._counter + 1
             self._counter += count
-        sha256 = hashlib.sha256
-        key = self._key
-        iv_tag = key + b"iv"
-        out = []
-        for index, plaintext in enumerate(plaintexts):
-            iv = sha256(
-                iv_tag + (first + index).to_bytes(8, "little")
-            ).digest()[:BLOCK_SIZE]
-            padded = pad(plaintext, BLOCK_SIZE)
-            length = len(padded)
-            prefix = key + iv
-            keystream = b"".join(
-                sha256(prefix + counter.to_bytes(4, "little")).digest()
-                for counter in range((length + 31) // 32)
-            )[:length]
-            out.append(
-                iv
-                + (
-                    int.from_bytes(padded, "little")
-                    ^ int.from_bytes(keystream, "little")
-                ).to_bytes(length, "little")
+        sha256, iv_tag = hashlib.sha256, self._key + b"iv"
+        ivs = [
+            sha256(iv_tag + counter.to_bytes(8, "little")).digest()[:BLOCK_SIZE]
+            for counter in range(first, first + count)
+        ]
+        return self._encrypt_batch_with_ivs(plaintexts, ivs)
+
+    def _encrypt_batch_with_ivs(
+        self, plaintexts: list[bytes], ivs: list[bytes]
+    ) -> list[bytes]:
+        """The whole batch in one pass.
+
+        Each plaintext takes its PKCS#7 padding and then zeros up to a
+        whole number of 32-byte keystream blocks (:data:`_BLOCK_TAILS`),
+        so the keystreams are every message's digests back to back: one
+        big-int XOR of the joined plaintexts against them, and each
+        ciphertext is its IV plus the first ``len(pad(plaintext))``
+        bytes of its stretch — the bytes of mapping :meth:`encrypt`.
+        """
+        sha256, key, tails = hashlib.sha256, self._key, _BLOCK_TAILS
+        wide = [plaintext + tails[len(plaintext) & 31] for plaintext in plaintexts]
+        counters = [
+            counter.to_bytes(4, "little")
+            for counter in range(max(map(len, wide), default=0) >> 5)
+        ]
+        first = counters[:1]
+        keystream = b"".join(
+            [
+                sha256(prefix + counter).digest()
+                for prefix, block in zip([key + iv for iv in ivs], wide)
+                for counter in (
+                    first if len(block) == 32 else counters[: len(block) >> 5]
+                )
+            ]
+        )
+        body = (
+            int.from_bytes(b"".join(wide), "little")
+            ^ int.from_bytes(keystream, "little")
+        ).to_bytes(len(keystream), "little")
+        return [
+            iv + body[start : start + (len(plaintext) | 15) + 1]
+            for iv, plaintext, start in zip(
+                ivs, plaintexts, accumulate(map(len, wide), initial=0)
             )
-        return out
+        ]
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         if len(ciphertext) < 2 * BLOCK_SIZE:

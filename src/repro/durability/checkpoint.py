@@ -14,9 +14,10 @@ the rename itself is durable.  A crash mid-write leaves either the old
 checkpoint or the new one — never a torn hybrid (the ``FRQ-D702`` lint
 rule keeps this the only write path).
 
-Documents are stamped with :data:`FORMAT`: 2 keeps the randomer residents
-as one base64 string of packed columns (``records.codec.encode_pairs``),
-1 (unstamped) kept a JSON object per pair.  A document of any other
+Documents are stamped with :data:`FORMAT`: 3 keeps the randomer residents
+and the merger's removed records as base64 strings of packed columns
+(``records.codec.encode_pairs``), 2 kept the removed records as a JSON
+object each, 1 (unstamped) the residents too.  A document of any other
 format is skipped exactly like a torn one.
 """
 
@@ -27,7 +28,7 @@ import os
 import pathlib
 
 #: The document format this code writes, and the only one it restores.
-FORMAT = 2
+FORMAT = 3
 
 
 def atomic_write_json(path, payload: dict) -> pathlib.Path:

@@ -9,7 +9,6 @@ from repro.index.domain import (
 from repro.index.overflow import OverflowArray, OverflowError_
 from repro.index.perturb import (
     NoisePlan,
-    SecureIndex,
     draw_noise_plan,
     noise_bound_per_leaf,
     perturb_clear_tree,
@@ -19,7 +18,7 @@ from repro.index.template import (
     CheckResult,
     IndexTemplate,
     LeafArrays,
-    merge_template_and_counts,
+    merge_plan_and_counts,
 )
 from repro.index.tree import IndexNode, IndexTree, expected_height
 
@@ -35,12 +34,11 @@ __all__ = [
     "OverflowArray",
     "OverflowError_",
     "RangeQuery",
-    "SecureIndex",
     "TraversalResult",
     "draw_noise_plan",
     "expected_height",
     "gowalla_domain",
-    "merge_template_and_counts",
+    "merge_plan_and_counts",
     "nasa_domain",
     "noise_bound_per_leaf",
     "perturb_clear_tree",

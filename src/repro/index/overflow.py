@@ -6,6 +6,11 @@ records from the dataset and stores them — encrypted — in the leaf's
 never reveals how many real records were removed (Section 4.1).  Queries
 that touch a leaf return its overflow array too, so removed records are
 never lost, only de-indexed.
+
+The PINED-RQ baselines seal their arrays with this class, trusted-side.
+FRESQUE's merger seals a whole publication at once and ships each array
+as a tuple of ciphertexts (:mod:`repro.core.merger`), which is also how
+the cloud holds every array.
 """
 
 from __future__ import annotations
@@ -40,40 +45,16 @@ class OverflowArray:
         self._real_count = 0
         self._sealed = False
 
-    @classmethod
-    def sealed(
-        cls,
-        leaf_offset: int,
-        capacity: int,
-        entries: list[EncryptedRecord],
-        real_count: int = 0,
-    ) -> "OverflowArray":
-        """An array whose contents are already padded and shuffled.
-
-        The merger pads a whole publication in one batch and fills its
-        arrays afterwards; the wire codec rebuilds what a sender sealed
-        (``real_count`` is trusted-side knowledge and never travels).
-
-        Raises
-        ------
-        OverflowError_
-            If ``entries`` is not exactly ``capacity`` long.
-        """
-        if len(entries) != capacity:
-            raise OverflowError_(
-                f"sealed overflow array for leaf {leaf_offset} needs "
-                f"{capacity} entries, got {len(entries)}"
-            )
-        array = cls(leaf_offset, capacity)
-        array._entries = entries
-        array._real_count = real_count
-        array._sealed = True
-        return array
-
     @property
     def entries(self) -> tuple[EncryptedRecord, ...]:
         """Current contents (removed real records, then padding once sealed)."""
         return tuple(self._entries)
+
+    @property
+    def ciphertexts(self) -> tuple[bytes, ...]:
+        """The entries' ciphertexts, in array order — what the cloud keeps
+        of a sealed array."""
+        return tuple(entry.ciphertext for entry in self._entries)
 
     @property
     def real_count(self) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.index.overflow import OverflowArray
 from repro.index.tree import IndexTree
 from repro.privacy.budget import per_level_epsilon
 from repro.privacy.laplace import LaplaceMechanism
@@ -84,48 +83,6 @@ def noise_bound_per_leaf(plan_scale: float, delta_prime: float) -> int:
     """
     mechanism = LaplaceMechanism(1.0 / plan_scale)
     return mechanism.positive_noise_bound(delta_prime)
-
-
-@dataclass
-class SecureIndex:
-    """A published, perturbed PINED-RQ index.
-
-    Parameters
-    ----------
-    tree:
-        Index tree whose counts are already *noisy* (true + noise).
-    overflow:
-        Per-leaf sealed overflow arrays (only leaves that had a removal
-        budget appear; PINED-RQ materialises one per leaf).
-    epsilon:
-        Budget the index consumed.
-    publication:
-        Monotonic publication number.
-    """
-
-    tree: IndexTree
-    overflow: dict[int, OverflowArray]
-    epsilon: float
-    publication: int = 0
-
-    @property
-    def num_leaves(self) -> int:
-        """Number of histogram bins in the index."""
-        return self.tree.num_leaves
-
-    def leaf_count(self, offset: int) -> float:
-        """Noisy count of the leaf at ``offset``."""
-        return self.tree.leaves[offset].count
-
-    def storage_overhead_records(self) -> int:
-        """Extra published records versus the clear dataset.
-
-        Counts overflow-array slots (removed reals live there instead of the
-        indexed file, but their slots are padded to capacity) — the paper's
-        'small storage overhead' claim is about this quantity staying
-        proportional to the noise bounds, not the data size.
-        """
-        return sum(array.capacity for array in self.overflow.values())
 
 
 def perturb_clear_tree(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.index.domain import AttributeDomain
 from repro.index.perturb import NoisePlan, draw_noise_plan
@@ -185,29 +186,32 @@ class LeafArrays:
         return arrays
 
 
-def merge_template_and_counts(
-    template: IndexTemplate, true_leaf_counts: list[int]
+def merge_plan_and_counts(
+    domain: AttributeDomain,
+    plan: NoisePlan,
+    true_leaf_counts,
+    fanout: int = 16,
 ) -> IndexTree:
-    """Combine a (noise-only) template with true leaf counts — merger logic.
+    """Combine a template's noise plan with true leaf counts — merger logic.
 
-    Every node's final count is its pre-drawn noise plus the sum of the true
-    counts of the leaves below it.  Uses prefix sums so the merge is
-    O(total nodes), independent of the record count.
+    Builds the one tree of the publication: every node's count is its
+    pre-drawn noise plus the sum of the true counts of the leaves below
+    it — what the noise-only template would read after PINED-RQ++'s
+    per-record updates.  Uses prefix sums so the merge is O(total
+    nodes), independent of the record count.
     """
-    tree = template.tree
-    if len(true_leaf_counts) != tree.num_leaves:
+    merged = IndexTree(domain, fanout=fanout)
+    num_leaves = merged.num_leaves
+    if len(true_leaf_counts) != num_leaves:
         raise ValueError(
-            f"got {len(true_leaf_counts)} counts for {tree.num_leaves} leaves"
+            f"got {len(true_leaf_counts)} counts for {num_leaves} leaves"
         )
-    merged = IndexTree(template.domain, fanout=tree.fanout)
-    prefix = [0]
-    for count in true_leaf_counts:
-        prefix.append(prefix[-1] + count)
+    prefix = [0, *accumulate(true_leaf_counts)]
     span = 1
-    for level_nodes, level_noise in zip(merged.levels, template.plan.node_noise):
+    for level_nodes, level_noise in zip(merged.levels, plan.node_noise):
         for node_index, (node, noise) in enumerate(zip(level_nodes, level_noise)):
             leaf_low = node_index * span
-            leaf_high = min((node_index + 1) * span, tree.num_leaves)
+            leaf_high = min((node_index + 1) * span, num_leaves)
             node.count = noise + (prefix[leaf_high] - prefix[leaf_low])
-        span *= tree.fanout
+        span *= fanout
     return merged

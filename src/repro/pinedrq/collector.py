@@ -172,7 +172,11 @@ class PinedRqCollector:
                     ),
                 )
                 encrypt_ops += 1
-        cloud.receive_publication(publication, tree, overflow)
+        cloud.receive_publication(
+            publication,
+            tree,
+            {offset: array.ciphertexts for offset, array in overflow.items()},
+        )
         return BatchPublicationReport(
             publication=publication,
             real_records=len(records),

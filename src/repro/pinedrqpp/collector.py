@@ -254,7 +254,10 @@ class PinedRqPPCollector:
 
         matching_table = dict(self.updater.matching_table)
         cloud.receive_publication(
-            publication, template.tree, overflow, matching_table
+            publication,
+            template.tree,
+            {offset: array.ciphertexts for offset, array in overflow.items()},
+            matching_table,
         )
         report = StreamPublicationReport(
             publication=publication,

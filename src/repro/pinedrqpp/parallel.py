@@ -277,7 +277,7 @@ class ParallelPinedRqPPSystem:
         receipt = self.cloud.receive_publication(
             self.front.publication,
             template.tree,
-            overflow,
+            {offset: array.ciphertexts for offset, array in overflow.items()},
             dict(self._matching_table),
         )
         return receipt.records_matched

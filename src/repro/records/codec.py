@@ -11,9 +11,10 @@ Two codec families:
   and the payloads of the wire's JSON control envelope.
 * One packed form for a run of ``<leaf offset, e-record>`` pairs held as
   columns (:func:`pack_pairs`/:func:`unpack_pairs`) — the body of every
-  pair-carrying batch frame, on sockets and in rings alike, and (base64'd
-  by :func:`encode_pairs`) what a collector checkpoint keeps its randomer
-  residents as.  Read straight off the buffer: one copy per ciphertext.
+  pair-carrying frame, on sockets and in rings alike, and (base64'd by
+  :func:`encode_pairs`) what a collector checkpoint keeps its randomer
+  residents and the merger's removed records as.  Read straight off the
+  buffer: one copy per ciphertext.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import struct
 from itertools import accumulate
 
 from repro.index.perturb import NoisePlan
-from repro.records.record import EncryptedRecord, Record
+from repro.records.record import Record
 
 
 def _b64(data: bytes) -> str:
@@ -32,26 +33,6 @@ def _b64(data: bytes) -> str:
 
 def _unb64(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"))
-
-
-def encode_encrypted(record: EncryptedRecord) -> dict:
-    """Serialise one encrypted record as a JSON-able dict."""
-    return {
-        "leaf": record.leaf_offset,
-        "ct": _b64(record.ciphertext),
-        "tag": record.tag,
-        "pub": record.publication,
-    }
-
-
-def decode_encrypted(payload: dict) -> EncryptedRecord:
-    """Inverse of :func:`encode_encrypted`."""
-    return EncryptedRecord(
-        leaf_offset=payload["leaf"],
-        ciphertext=_unb64(payload["ct"]),
-        tag=payload["tag"],
-        publication=payload["pub"],
-    )
 
 
 def encode_plan(plan: NoisePlan) -> dict:

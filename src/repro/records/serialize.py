@@ -51,13 +51,13 @@ class DummyRecordSerializer:
 
     Byte-identical to ``serialize_record(make_dummy(schema, value), schema)``
     but without building the intermediate :class:`Record` — the merger pads
-    every overflow array to capacity with encrypted dummies, so this path
-    runs tens of thousands of times per publication.
+    every overflow array to capacity with encrypted dummies, tens of
+    thousands per publication, and serializes them in one call.
     """
 
     def __init__(self, schema: Schema):
         position = schema.indexed_position
-        self._coerce = schema.attributes[position].coerce
+        self._coerce = schema.attributes[position].type.python_type()
         before = [_HEADER.pack(DUMMY_FLAG, schema.arity)]
         after: list[bytes] = []
         for pos, filler in enumerate(schema.dummy_filler):
@@ -70,12 +70,13 @@ class DummyRecordSerializer:
         self._before = b"".join(before)
         self._after = b"".join(after)
 
-    def serialize(self, indexed_value) -> bytes:
-        """Wire bytes of a dummy whose indexed attribute is ``indexed_value``."""
-        blob = str(self._coerce(indexed_value)).encode("utf-8")
-        return (
-            self._before + _FIELD_LEN.pack(len(blob)) + blob + self._after
-        )
+    def serialize_many(self, indexed_values) -> list[bytes]:
+        """Wire bytes of one dummy per value of ``indexed_values``, in
+        order (the value is the dummy's indexed attribute)."""
+        coerce, before, after = self._coerce, self._before, self._after
+        prefix = _FIELD_LEN.pack
+        blobs = [str(coerce(value)).encode() for value in indexed_values]
+        return [before + prefix(len(blob)) + blob + after for blob in blobs]
 
 
 def deserialize_record(payload: bytes, schema: Schema) -> Record:

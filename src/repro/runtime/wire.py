@@ -7,12 +7,13 @@ paper's 17-node cluster) and in the shared-memory rings alike::
     length (u32 LE) | kind (u8) | dest length (u8) | dest utf-8 | body
 
 A ring slot holds the frame without its length word, the ring having its
-own (:func:`encode_body`).  Kinds 1-5 — ``RawBatch``, ``PairBatch``,
-``ToCloudBatch``, ``BufferFlush``, ``CreditGrant``: what rides once per
-batch — are packed with ``struct`` and decoded in place: no JSON, no
-base64, one copy per ciphertext; kinds 2-4 are a fixed head plus the pair
-columns of ``records.codec.pack_pairs``, the collector checkpoint's packer
-too.  Kind 0 is a JSON ``{"type", "payload"}`` envelope for every other
+own (:func:`encode_body`).  Kinds 1-7 — ``RawBatch``, ``PairBatch``,
+``ToCloudBatch``, ``BufferFlush``, ``CreditGrant``, ``RemovedBatch``,
+``MergedPublication``: everything that carries ciphertexts or rides once
+per batch — are packed with ``struct`` and decoded in place: no base64,
+one copy per ciphertext; kinds 2-4, 6 and 7 carry the pair columns of
+``records.codec.pack_pairs``, the collector checkpoint's packer too.
+Kind 0 is a JSON ``{"type", "payload"}`` envelope for every other
 message (docs/PROTOCOL.md).
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import groupby
 
 from repro.core.messages import (
     AlSnapshot,
@@ -35,19 +37,16 @@ from repro.core.messages import (
     PairBatch,
     PublishingMsg,
     RawBatch,
-    RemovedRecord,
+    RemovedBatch,
     RingAttach,
     TemplateMsg,
     ToCloudBatch,
 )
 from repro.index.domain import AttributeDomain
-from repro.index.overflow import OverflowArray
 from repro.index.tree import IndexTree
 from repro.records.codec import (
-    decode_encrypted,
     decode_plan,
     decode_record,
-    encode_encrypted,
     encode_plan,
     encode_record,
     pack_pairs,
@@ -96,40 +95,11 @@ def decode_tree(payload: dict) -> IndexTree:
     return tree
 
 
-def _encode_overflow(overflow: dict[int, OverflowArray]) -> list:
-    return [
-        {
-            "leaf": array.leaf_offset,
-            "capacity": array.capacity,
-            "entries": [encode_encrypted(entry) for entry in array.entries],
-        }
-        for array in overflow.values()
-    ]
-
-
-def _decode_overflow(payload: list) -> dict[int, OverflowArray]:
-    # Reconstruct each sealed array verbatim (contents already padded and
-    # shuffled by the sender).
-    return {
-        item["leaf"]: OverflowArray.sealed(
-            item["leaf"],
-            item["capacity"],
-            [decode_encrypted(e) for e in item["entries"]],
-        )
-        for item in payload
-    }
-
-
 #: Message type -> JSON payload, for every message without a packed kind.
 _ENCODERS = {
     NewPublication: lambda m: {"pub": m.publication, "plan": encode_plan(m.plan)},
     TemplateMsg: lambda m: {"pub": m.publication, "plan": encode_plan(m.plan)},
     AnnouncePublication: lambda m: {"pub": m.publication},
-    RemovedRecord: lambda m: {
-        "pub": m.publication,
-        "leaf": m.leaf_offset,
-        "enc": encode_encrypted(m.encrypted),
-    },
     PublishingMsg: lambda m: {
         "pub": m.publication,
         "last": m.last_seq,
@@ -152,20 +122,12 @@ _ENCODERS = {
     },
     AlSnapshot: lambda m: {"pub": m.publication, "al": list(m.al)},
     DoneMsg: lambda m: {"pub": m.publication},
-    MergedPublication: lambda m: {
-        "pub": m.publication,
-        "tree": encode_tree(m.tree),
-        "overflow": _encode_overflow(m.overflow),
-    },
 }
 
 _DECODERS = {
     "NewPublication": lambda p: NewPublication(p["pub"], decode_plan(p["plan"])),
     "TemplateMsg": lambda p: TemplateMsg(p["pub"], decode_plan(p["plan"])),
     "AnnouncePublication": lambda p: AnnouncePublication(p["pub"]),
-    "RemovedRecord": lambda p: RemovedRecord(
-        p["pub"], p["leaf"], decode_encrypted(p["enc"])
-    ),
     "PublishingMsg": lambda p: PublishingMsg(
         p["pub"],
         last_seq=p["last"],
@@ -184,9 +146,6 @@ _DECODERS = {
     "RingAttach": lambda p: RingAttach(p["node"], p["in"], p["out"]),
     "AlSnapshot": lambda p: AlSnapshot(p["pub"], tuple(p["al"])),
     "DoneMsg": lambda p: DoneMsg(p["pub"]),
-    "MergedPublication": lambda p: MergedPublication(
-        p["pub"], decode_tree(p["tree"]), _decode_overflow(p["overflow"])
-    ),
 }
 
 
@@ -210,6 +169,7 @@ _ITEM_HEAD = struct.Struct("<BI")  # 0 = line / 1 = JSON record, utf-8 length
 _PAIR_HEAD = struct.Struct("<qqqq")
 _CLOUD_HEAD = struct.Struct("<q")  # pub; the pair columns (no flags) follow
 _CREDIT = struct.Struct("<qq")  # pub, granted record count
+_HEAD_LENGTH = struct.Struct("<I")  # a MergedPublication's JSON head, bytes
 
 
 def _pack_json(out: bytearray, message) -> None:
@@ -288,6 +248,49 @@ def _unpack_cloud_pairs(message_type, view, offset: int):
     return message_type(publication, leaves, ciphertexts), end
 
 
+def _pack_merged(out: bytearray, message: MergedPublication) -> None:
+    """``head length u32 | JSON head | pair columns``: the columns hold
+    one leaf per overflow slot, each leaf's slots contiguous and in
+    sealed order; decoding regroups them by leaf."""
+    overflow = message.overflow
+    head = _dump_json(
+        {
+            "pub": message.publication,
+            "tree": encode_tree(message.tree),
+            # A leaf of an empty array has no slot to name it below.
+            "empty": [leaf for leaf, column in overflow.items() if not column],
+        }
+    )
+    out += _HEAD_LENGTH.pack(len(head))
+    out += head
+    pack_pairs(
+        out,
+        [leaf for leaf, column in overflow.items() for _ in column],
+        [ciphertext for column in overflow.values() for ciphertext in column],
+    )
+
+
+def _unpack_merged(message_type, view, offset: int):
+    (length,) = _HEAD_LENGTH.unpack_from(view, offset)
+    start = offset + _HEAD_LENGTH.size
+    if start + length > len(view):
+        raise WireError(f"a {length}-byte head past the {len(view)}-byte frame")
+    head = _load_json(view[start : start + length])
+    leaves, ciphertexts, _, end = unpack_pairs(view, start + length)
+    overflow: dict[int, tuple[bytes, ...]] = {}
+    at = 0
+    for leaf, run in groupby(leaves):
+        if leaf in overflow:
+            raise WireError(f"the slots of leaf {leaf} are not contiguous")
+        size = len(list(run))
+        overflow[leaf] = ciphertexts[at : at + size]
+        at += size
+    for leaf in head["empty"]:
+        overflow[leaf] = ()
+    tree = decode_tree(head["tree"])
+    return message_type(head["pub"], tree, overflow), end
+
+
 def _pack_credit(out: bytearray, message: CreditGrant) -> None:
     out += _CREDIT.pack(message.publication, message.records)
 
@@ -306,6 +309,8 @@ _KINDS = (
     (BufferFlush, _pack_cloud_pairs, _unpack_cloud_pairs),
     # Fixed-size: one grant rides per processed PairBatch (docs/BATCHING.md).
     (CreditGrant, _pack_credit, _unpack_credit),
+    (RemovedBatch, _pack_cloud_pairs, _unpack_cloud_pairs),
+    (MergedPublication, _pack_merged, _unpack_merged),
 )
 _KIND_OF = {entry[0]: kind for kind, entry in enumerate(_KINDS)}
 

@@ -148,12 +148,10 @@ def _reference_range_query(schema, cipher, target, low, high):
     """The per-ciphertext loop ``range_query`` replaced: decrypt and
     decode every returned ciphertext, then look at the flag."""
     query = RangeQuery(low, high)
-    ciphertexts = target.query(query).all_records()
+    ciphertexts = target.query(query).ciphertexts()
     matches, dummies, out_of_range = [], 0, 0
-    for encrypted in ciphertexts:
-        record = deserialize_record(
-            cipher.decrypt(encrypted.ciphertext), schema
-        )
+    for ciphertext in ciphertexts:
+        record = deserialize_record(cipher.decrypt(ciphertext), schema)
         if record.is_dummy:
             dummies += 1
         elif not query.contains(record.indexed_value(schema)):
@@ -267,7 +265,7 @@ class TestAgainstTheReferenceLoop:
                 read_ops,
                 bytes_read,
                 hashlib.sha256(
-                    b"".join(r.ciphertext for r in result.all_records())
+                    b"".join(result.ciphertexts())
                 ).hexdigest()[:16],
             )
             for read_ops, bytes_read, result in observed

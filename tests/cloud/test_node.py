@@ -1,12 +1,9 @@
 """Cloud node protocol tests (both variants)."""
 
-import random
-
 import pytest
 
 from repro.cloud.node import CloudError, FresqueCloud, MatchingTableCloud
 from repro.index.domain import AttributeDomain
-from repro.index.overflow import OverflowArray
 from repro.index.query import RangeQuery
 from repro.index.tree import IndexTree
 from repro.records.record import EncryptedRecord
@@ -30,12 +27,12 @@ def _tree(domain, counts):
 
 
 def _sealed_overflow(domain):
-    overflow = {}
-    for offset in range(domain.num_leaves):
-        array = OverflowArray(offset, capacity=2)
-        array.seal(lambda: _record(255), rng=random.Random(offset))
-        overflow[offset] = array
-    return overflow
+    """Two-slot overflow arrays as the merger ships them: per leaf, a
+    tuple of ciphertexts (distinct per leaf here)."""
+    return {
+        offset: (bytes([offset]) * 32, bytes([128 + offset]) * 32)
+        for offset in range(domain.num_leaves)
+    }
 
 
 class TestFresqueCloud:
@@ -85,7 +82,8 @@ class TestFresqueCloud:
             _sealed_overflow(domain),
         )
         result = cloud.query(RangeQuery(20, 29))
-        assert len(result.overflow) == 2  # leaf 2's sealed array
+        # Leaf 2's sealed array, the ciphertexts as they were published.
+        assert result.overflow == _sealed_overflow(domain)[2]
 
     def test_query_covers_unindexed_inflight_data(self, domain):
         cloud = FresqueCloud(domain)

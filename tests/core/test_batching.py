@@ -31,7 +31,7 @@ from repro.core.messages import (
     NewPublication,
     PublishingMsg,
     RawBatch,
-    RemovedRecord,
+    RemovedBatch,
     ToCloudBatch,
 )
 from repro.core.randomer import Randomer
@@ -151,13 +151,14 @@ def _pair(offset: int, tag: int, dummy: bool = False):
 
 
 def _released(outbox) -> tuple[list, list]:
-    """Normalise checking output to (cloud stream, merger stream)."""
+    """Normalise checking output to (cloud stream, merger stream), both
+    as ``(leaf, ciphertext)`` rows in release order."""
     cloud, merger = [], []
     for destination, message in outbox:
         if isinstance(message, ToCloudBatch):
             cloud.extend(cloud_rows(message))
-        elif isinstance(message, RemovedRecord):
-            merger.append(message)
+        elif isinstance(message, RemovedBatch):
+            merger.extend(zip(message.leaves, message.ciphertexts))
     return cloud, merger
 
 
@@ -205,9 +206,7 @@ def _scalar_model(config, plan, pairs, rng):
             dummies += 1
             cloud.append((leaf, ciphertext))
         elif arrays.check_and_update(leaf).removed:
-            merger.append(
-                RemovedRecord(0, leaf, EncryptedRecord(leaf, ciphertext))
-            )
+            merger.append((leaf, ciphertext))
         else:
             cloud.append((leaf, ciphertext))
     residents = [

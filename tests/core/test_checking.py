@@ -19,7 +19,7 @@ from repro.core.messages import (
     NewPublication,
     NodeDown,
     PublishingMsg,
-    RemovedRecord,
+    RemovedBatch,
     TemplateMsg,
 )
 from repro.index.perturb import draw_noise_plan
@@ -112,7 +112,12 @@ class TestCheckerSemantics:
         out = []
         for node_id in range(1, flu_config.num_computing_nodes):
             out.extend(checking.on_cn_publishing(CnPublishing(0, node_id)))
-        removed = [m for _, m in out if isinstance(m, RemovedRecord)]
+        removed = [
+            leaf
+            for _, m in out
+            if isinstance(m, RemovedBatch)
+            for leaf in m.leaves
+        ]
         assert len(removed) == budget
         snapshot = next(
             m for _, m in out if isinstance(m, AlSnapshot)
@@ -156,7 +161,12 @@ class TestFinalisation:
         assert kinds.count(BufferFlush) == 1
         assert kinds.count(DoneMsg) == flu_config.num_computing_nodes
         flush = next(m for _, m in out if isinstance(m, BufferFlush))
-        removed = [m for _, m in out if isinstance(m, RemovedRecord)]
+        removed = [
+            leaf
+            for _, m in out
+            if isinstance(m, RemovedBatch)
+            for leaf in m.leaves
+        ]
         # Nothing lost: every buffered pair either flushes to the cloud or
         # is diverted to the merger as removed.
         assert len(flush.leaves) + len(removed) == 5
@@ -187,7 +197,12 @@ class TestFinalisation:
         _deliver(checking, _pair(3), publication=1)
         out = _finalise(checking, flu_config, publication=0)
         flush = next(m for _, m in out if isinstance(m, BufferFlush))
-        removed = [m for _, m in out if isinstance(m, RemovedRecord)]
+        removed = [
+            leaf
+            for _, m in out
+            if isinstance(m, RemovedBatch)
+            for leaf in m.leaves
+        ]
         assert len(flush.leaves) + len(removed) == 1  # only pub 0's pair
         assert len(checking.state_of(1).randomer) == 1
 

@@ -15,7 +15,7 @@ from repro.core.checking import CheckingNode
 from repro.core.merger import Merger
 from repro.core.messages import (
     NewPublication,
-    RemovedRecord,
+    RemovedBatch,
     TemplateMsg,
 )
 from repro.core.system import CollectorAwareQueryTarget, FresqueSystem
@@ -235,10 +235,17 @@ class TestLeafKeyedLookupEqualsScan:
                     ],
                 )
             )
-            for leaf in leaves[:15]:
-                merger.on_removed(
-                    RemovedRecord(publication, leaf, record(publication, leaf))
+            removed = leaves[:15]
+            merger.on_removed(
+                RemovedBatch(
+                    publication,
+                    tuple(removed),
+                    tuple(
+                        record(publication, leaf).ciphertext
+                        for leaf in removed
+                    ),
                 )
+            )
         assert {p for p, _, _ in checking.buffered_pairs()} == {0, 1}
         assert {p for p, _, _ in merger.pending_removed()} == {0, 1}
 

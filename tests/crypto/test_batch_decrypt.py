@@ -147,7 +147,8 @@ class TestPaddingIsCheckedOnEveryElement:
         """The check is not conditional on the flag the plaintext leads
         with: a dummy whose padding is corrupt fails the batch."""
         cipher = make_cipher()
-        dummy = DummyRecordSerializer(flu_survey_schema()).serialize(37.5)
+        serializer = DummyRecordSerializer(flu_survey_schema())
+        (dummy,) = serializer.serialize_many([37.5])
         assert dummy.startswith(DUMMY_PAYLOAD_PREFIX)
         real = b"\x00" + dummy[1:]
         ciphertexts = [cipher.encrypt(p) for p in (real, dummy, real)]

@@ -8,10 +8,13 @@ no duplicate cloud rows, never more budget than the crash-free run.
 
 import base64
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.cloud.filestore import FileBackedStore
+from repro.benchfab.fingerprint import publication_digest
 from repro.cloud.node import FresqueCloud
 from repro.crypto.cipher import SimulatedCipher
 from repro.durability.recovery import RecoveryManager
@@ -50,6 +53,13 @@ def _finish_after_recovery(system, lines, journaled):
         system.pump_dummies((position + 1) / (total + 1))
         system.ingest(line)
     return system.finish_publication()
+
+
+def _one_pair_randomer(config):
+    """``config`` with a one-pair randomer (``delta_prime`` 0.5 makes the
+    per-leaf bound 0): every pair is released on arrival, so the checker
+    removes records — and the merger holds them — mid-interval."""
+    return replace(config, delta_prime=0.5)
 
 
 def _baseline(config, cipher, tmp_path, lines):
@@ -230,7 +240,7 @@ class TestCrashDrill:
 
         def as_format_1(path):
             document = json.loads(path.read_text())
-            assert document.pop("format") == 2
+            assert document.pop("format") == 3
             for saved in document["state"]["checking"]["publications"].values():
                 leaves, ciphertexts, dummies = decode_pairs(saved["residents"])
                 assert leaves  # mid-publication: the randomer holds pairs
@@ -249,13 +259,66 @@ class TestCrashDrill:
             tmp_path / "none", lambda path: path.unlink()
         )
 
+    def test_a_format_2_checkpoint_is_no_checkpoint(
+        self, flu_config, keystore, tmp_path, lines
+    ):
+        """Format 2 kept the merger's removed records as one JSON object
+        each.  A data dir whose only checkpoints are format 2 recovers
+        exactly as one with no checkpoint at all — as a torn document
+        does — not through a failed ``restore``."""
+        config = _one_pair_randomer(flu_config)
+
+        def drill(data_dir, spoil):
+            cipher = SimulatedCipher(keystore)  # fresh IV sequence per drill
+            plan = FaultPlan(seed=5).crash_collector(after_records=300)
+            crashed = DurableFresqueSystem(
+                config, cipher, data_dir, seed=101, fault_plan=plan
+            )
+            journaled = _run_to_crash(crashed, lines)
+            checkpoints = sorted((data_dir / "checkpoints").glob("*.json"))
+            assert checkpoints
+            for path in checkpoints:
+                spoil(path)
+            recovered, report = RecoveryManager(
+                config, cipher, data_dir, cloud=crashed.cloud, seed=202
+            ).recover()
+            assert not report.checkpoint_used
+            assert report.reset_publications == [0]
+            assert report.replayed_raw == journaled
+            _finish_after_recovery(recovered, lines, journaled)
+            return cloud_state_fingerprint(recovered)
+
+        spoiled = []
+
+        def as_format_2(path):
+            document = json.loads(path.read_text())
+            assert document["format"] == 3
+            document["format"] = 2
+            merger = document["state"]["merger"]
+            for publication, saved in merger["publications"].items():
+                leaves, ciphertexts, _ = decode_pairs(saved["removed"])
+                removed: dict[str, list] = {}
+                for leaf, ciphertext in zip(leaves, ciphertexts):
+                    removed.setdefault(str(leaf), []).append({
+                        "leaf": leaf, "tag": None, "pub": int(publication),
+                        "ct": base64.b64encode(ciphertext).decode("ascii"),
+                    })
+                spoiled.append(len(leaves))
+                saved["removed"] = removed
+            path.write_text(json.dumps(document))
+
+        assert drill(tmp_path / "old", as_format_2) == drill(
+            tmp_path / "none", lambda path: path.unlink()
+        )
+        assert any(spoiled)  # some document held removed records
+
     def test_a_batch_controller_entry_in_the_checkpoint_is_ignored(
         self, flu_config, keystore, tmp_path, lines
     ):
-        """Checkpoints written while the dispatcher still had a batch
-        controller carry ``flow["controller"]`` beside the credit gate.
-        Such a document restores the same dispatcher and recovers the
-        same cloud as the one without it — no format bump needed."""
+        """A format-3 document carrying ``flow["controller"]`` beside the
+        credit gate (what a dispatcher with the deleted batch controller
+        wrote) restores the same dispatcher and recovers the same cloud
+        as the one without it: the stray key needs no format of its own."""
 
         def drill(data_dir, spoil):
             cipher = SimulatedCipher(keystore)  # fresh IV sequence per drill
@@ -281,6 +344,7 @@ class TestCrashDrill:
 
         def with_controller(path):
             document = json.loads(path.read_text())
+            assert document["format"] == 3
             document["state"]["dispatcher"]["flow"]["controller"] = {
                 "size": 512,
                 "delay": 0.003,
@@ -319,6 +383,84 @@ class TestCrashDrill:
         _finish_after_recovery(recovered, lines, journaled)
         result = recovered.query(340, 420)
         assert len(result.records) > 0
+
+
+class TestCrashWhileTheMergerHoldsRemovedRecords:
+    """A crash that lands while the merger holds removed records of the
+    open publication: the checkpoint carries them (packed columns, format
+    3), and they reach the publication's overflow arrays byte for byte.
+
+    Recovery restarts the randomer's RNG (``Randomer.restore``), so the
+    order pairs reach the cloud file after the crash is free to differ
+    from the uncrashed run's; nothing else is.  The drill keeps every
+    other source of divergence out: deterministic IVs (a replayed record
+    encrypts as the original did), the same seed (the merger has drawn
+    nothing before the close, so its padding draws restart where the
+    original's were), and no dummies paced between ingests (their release
+    positions are not journalled) — all of them go out at the close."""
+
+    def test_recovers_the_uncrashed_publication(
+        self, flu_config, keystore, tmp_path, lines
+    ):
+        config = replace(_one_pair_randomer(flu_config), deterministic_ivs=True)
+
+        def feed(system, part):
+            for line in part:
+                system.ingest(line)
+
+        uncrashed = DurableFresqueSystem(
+            config, SimulatedCipher(keystore), tmp_path / "base", seed=101
+        )
+        uncrashed.start()
+        feed(uncrashed, lines)
+        uncrashed.finish_publication()
+
+        plan = FaultPlan(seed=5).crash_collector(after_records=300)
+        crashed = DurableFresqueSystem(
+            config,
+            SimulatedCipher(keystore),
+            tmp_path / "crash",
+            seed=101,
+            fault_plan=plan,
+            checkpoint_every=64,
+        )
+        crashed.start()
+        fed = 0
+        with pytest.raises(CollectorCrash):
+            for line in lines:
+                crashed.ingest(line)
+                fed += 1
+        assert crashed.merger.pending_removed()
+        latest = sorted((tmp_path / "crash" / "checkpoints").glob("*.json"))[-1]
+        saved = json.loads(latest.read_text())["state"]["merger"]
+        held, _, _ = decode_pairs(saved["publications"]["0"]["removed"])
+        assert held  # the checkpoint caught the merger holding records
+
+        recovered, report = RecoveryManager(
+            config,
+            SimulatedCipher(keystore),
+            tmp_path / "crash",
+            cloud=crashed.cloud,
+            seed=101,
+            checkpoint_every=64,
+        ).recover()
+        assert report.checkpoint_used
+        feed(recovered, lines[fed + 1 :])
+        recovered.finish_publication()
+
+        assert publication_digest(recovered) == publication_digest(uncrashed)
+        got = cloud_state_fingerprint(recovered)
+        want = cloud_state_fingerprint(uncrashed)
+        assert got.pop("files").keys() == want.pop("files").keys()
+        assert got == want  # receipts and every checking counter
+        for file_id in uncrashed.cloud.store.file_ids():
+            assert Counter(
+                (record.leaf_offset, record.ciphertext)
+                for _, record in recovered.cloud.store.scan(file_id)
+            ) == Counter(
+                (record.leaf_offset, record.ciphertext)
+                for _, record in uncrashed.cloud.store.scan(file_id)
+            )
 
 
 class TestCommittedPublicationsSurvive:

@@ -17,7 +17,7 @@ from repro.index.perturb import draw_noise_plan
 from repro.index.template import (
     IndexTemplate,
     LeafArrays,
-    merge_template_and_counts,
+    merge_plan_and_counts,
 )
 from repro.index.tree import IndexTree
 
@@ -106,7 +106,9 @@ class TestMergeEquivalence:
         rng = random.Random(5)
         template = IndexTemplate(small_domain, fanout=4, epsilon=1.0, rng=rng)
         counts = [rng.randrange(20) for _ in range(10)]
-        merged = merge_template_and_counts(template, counts)
+        merged = merge_plan_and_counts(
+            small_domain, template.plan, counts, fanout=4
+        )
         expected = IndexTree(small_domain, fanout=4)
         expected.set_leaf_counts(counts)
         for merged_level, true_level, noise_level in zip(
@@ -128,8 +130,8 @@ class TestMergeEquivalence:
         for offset in offsets:
             streaming.update_with_record(offset)
             arrays.check_and_update(offset)
-        merged = merge_template_and_counts(
-            IndexTemplate(small_domain, fanout=4, plan=plan), arrays.snapshot()
+        merged = merge_plan_and_counts(
+            small_domain, plan, arrays.snapshot(), fanout=4
         )
         for merged_level, streaming_level in zip(
             merged.levels, streaming.tree.levels
@@ -143,7 +145,9 @@ class TestMergeEquivalence:
             small_domain, fanout=4, epsilon=1.0, rng=random.Random(1)
         )
         with pytest.raises(ValueError):
-            merge_template_and_counts(template, [1, 2, 3])
+            merge_plan_and_counts(
+                small_domain, template.plan, [1, 2, 3], fanout=4
+            )
 
 
 @settings(max_examples=30)
@@ -170,9 +174,7 @@ def test_merge_equivalence_property(num_leaves, fanout, seed, data):
     for offset, count in enumerate(counts):
         for _ in range(count):
             streaming.update_with_record(offset)
-    merged = merge_template_and_counts(
-        IndexTemplate(domain, fanout=fanout, plan=plan), counts
-    )
+    merged = merge_plan_and_counts(domain, plan, counts, fanout=fanout)
     for merged_level, streaming_level in zip(
         merged.levels, streaming.tree.levels
     ):

@@ -42,7 +42,7 @@ def test_nothing_secret_crosses_the_cloud_boundary(monkeypatch, tmp_path):
     # degree of freedom, and the flu domain has 81 of them.
     dummy = DummyRecordSerializer(schema)
     secrets.update(
-        dummy.serialize(value) for value in range(domain.dmin, domain.dmax + 1)
+        dummy.serialize_many(range(domain.dmin, domain.dmax + 1))
     )
     needles = secrets | {secret.hex().encode() for secret in secrets}
 
@@ -62,7 +62,7 @@ def test_nothing_secret_crosses_the_cloud_boundary(monkeypatch, tmp_path):
     ) as cluster:
         assert cluster.run_publication(lines) >= len(lines)
         # The cloud's side of a query only — decrypting is the client's.
-        answer = cluster.cloud.query(RangeQuery(360, 420)).all_records()
+        answer = cluster.cloud.query(RangeQuery(360, 420)).ciphertexts()
         store = cluster.cloud.store
         stored = b"".join(
             record.ciphertext
@@ -74,7 +74,7 @@ def test_nothing_secret_crosses_the_cloud_boundary(monkeypatch, tmp_path):
     haystacks = {
         "frames sent to the cloud": b"".join(cloud_frames),
         "cloud store": stored,
-        "query answer": b"".join(record.ciphertext for record in answer),
+        "query answer": b"".join(answer),
         "telemetry export": exported,
     }
     for where, haystack in haystacks.items():

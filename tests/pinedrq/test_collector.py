@@ -61,10 +61,10 @@ class TestBatchPublication:
         report = collector.publish(cloud)
         arrays = cloud.engine.published[0].overflow
         assert len(arrays) == flu_domain().num_leaves
-        sizes = {len(array.entries) for array in arrays.values()}
+        sizes = {len(column) for column in arrays.values()}
         assert len(sizes) == 1  # all identical (fixed size)
         assert report.overflow_capacity == sum(
-            array.capacity for array in arrays.values()
+            len(column) for column in arrays.values()
         )
 
     def test_publication_numbers_increment(self, collector, generator):

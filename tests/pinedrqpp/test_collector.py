@@ -9,7 +9,7 @@ from repro.cloud.node import MatchingTableCloud
 from repro.datasets.flu import FluSurveyGenerator, flu_domain
 from repro.pinedrqpp.collector import PinedRqPPCollector
 from repro.records.schema import flu_survey_schema
-from repro.records.serialize import render_raw_line
+from repro.records.serialize import DUMMY_PAYLOAD_PREFIX, render_raw_line
 
 
 @pytest.fixture
@@ -58,12 +58,20 @@ class TestStreamingPublication:
         dataset = cloud.engine.published[0]
         assert dataset.pointers.total == report.matching_table_size
 
-    def test_removed_records_land_in_overflow(self, collector, generator):
+    def test_removed_records_land_in_overflow(
+        self, collector, generator, fast_cipher
+    ):
         cloud = MatchingTableCloud(flu_domain())
         _, report = _run_publication(collector, cloud, generator, 600)
         dataset = cloud.engine.published[0]
+        # What reaches the cloud is ciphertext: decrypting the arrays and
+        # counting the non-dummies recovers every removed record.
+        plaintexts = fast_cipher.decrypt_batch(
+            [ct for column in dataset.overflow.values() for ct in column]
+        )
         real_in_overflow = sum(
-            array.real_count for array in dataset.overflow.values()
+            not plaintext.startswith(DUMMY_PAYLOAD_PREFIX)
+            for plaintext in plaintexts
         )
         assert real_in_overflow == report.records_removed
 

@@ -112,17 +112,17 @@ class TestDummyRecordSerializer:
         from repro.records.serialize import DummyRecordSerializer
 
         schema = schema_factory()
-        fast = DummyRecordSerializer(schema)
-        for value in (0, 1, 375, 1234.9, 626 * 3600):
-            assert fast.serialize(value) == serialize_record(
-                make_dummy(schema, value), schema
-            )
+        values = (0, 1, 375, 1234.9, 626 * 3600)
+        assert DummyRecordSerializer(schema).serialize_many(values) == [
+            serialize_record(make_dummy(schema, value), schema)
+            for value in values
+        ]
 
     def test_deserializes_as_dummy(self):
         from repro.records.serialize import DummyRecordSerializer
 
         schema = gowalla_schema()
-        payload = DummyRecordSerializer(schema).serialize(7200)
+        (payload,) = DummyRecordSerializer(schema).serialize_many([7200])
         record = deserialize_record(payload, schema)
         assert record.is_dummy
         assert record.indexed_value(schema) == 7200

@@ -29,16 +29,16 @@ from repro.core.messages import (
     PairBatch,
     PublishingMsg,
     RawBatch,
-    RemovedRecord,
+    RemovedBatch,
     RingAttach,
     TemplateMsg,
     ToCloudBatch,
 )
 from repro.index.domain import AttributeDomain
-from repro.index.overflow import OverflowArray
 from repro.index.perturb import draw_noise_plan
 from repro.index.tree import IndexTree
-from repro.records.record import DUMMY_FLAG, EncryptedRecord, Record
+from repro.records.codec import pack_pairs
+from repro.records.record import DUMMY_FLAG, Record
 from repro.runtime.wire import (
     WireError,
     decode_message,
@@ -50,12 +50,18 @@ from repro.runtime.wire import (
 )
 
 
-#: sha256 over the concatenated un-prefixed bodies of ``PACKED``.  Kinds
-#: 1 and 5 are the bytes the separate ring codec wrote at 247665e; kinds
-#: 2-4 moved once, on purpose, to the pair-column layout of
-#: ``records.codec.pack_pairs`` (docs/PROTOCOL.md) — recomputed then.
+#: sha256 over the concatenated un-prefixed bodies of kinds 1-5 in
+#: ``PACKED``.  Kinds 1 and 5 are the bytes the separate ring codec wrote
+#: at 247665e; kinds 2-4 moved once, on purpose, to the pair-column layout
+#: of ``records.codec.pack_pairs`` (docs/PROTOCOL.md) — recomputed then.
 PINNED_PACKED_DIGEST = (
     "2d13aba6a410b0d14293f957a626961baecc3c8f891afae244ce49c330dca178"
+)
+#: The same over the removed-record and publication kinds (6 and 7): the
+#: ``RemovedBatch`` bodies of ``PACKED``, then :func:`merged_publication`,
+#: recorded when the two left the JSON envelope.
+PINNED_COLUMN_KINDS_DIGEST = (
+    "4a9714981e666a3a9e1c0f3ef2381314dbc5fe5ac620b4955db55a874e4f8be9"
 )
 
 
@@ -64,13 +70,7 @@ def _plan():
     return draw_noise_plan(IndexTree(domain, fanout=4), 1.0, random.Random(2))
 
 
-def _encrypted():
-    return EncryptedRecord(
-        leaf_offset=2, ciphertext=b"\x01\x02" * 24, tag=77, publication=3
-    )
-
-
-#: The ciphertext of :func:`_encrypted`, for the column-form batches.
+#: One ciphertext, for the column-form messages.
 _CT = b"\x01\x02" * 24
 
 
@@ -95,7 +95,11 @@ MESSAGES = {
     "RawBatch-cn-1_0": ("cn-1", RawBatch(0, (Record(("x", 1, 371, "none")),))),
     "PairBatch-checking0": ("checking", PairBatch(0, (5,), (_CT,), b"\x01")),
     "ToCloudBatch-cloud0": ("cloud", ToCloudBatch(0, (5,), (_CT,))),
-    "RemovedRecord-merger": ("merger", RemovedRecord(0, 5, _encrypted())),
+    "RemovedBatch-merger": ("merger", RemovedBatch(0, (5,), (_CT,))),
+    "RemovedBatch-merger-three": (
+        "merger",
+        RemovedBatch(6, (5, 9, 5), (_CT, b"", b"ct" * 40)),
+    ),
     "PublishingMsg-cn-0": ("cn-0", PublishingMsg(2)),
     "CnPublishing-checking": ("checking", CnPublishing(2, 1)),
     "NodeDown-checking": ("checking", NodeDown(2, 1)),
@@ -165,9 +169,12 @@ MESSAGES = {
     ),
 }
 
-#: The five messages with a packed layout (kinds 1-5); the rest ride the
-#: kind-0 JSON envelope.
-PACKED_TYPES = (RawBatch, PairBatch, ToCloudBatch, BufferFlush, CreditGrant)
+#: The messages with a packed layout that compare with ``==`` (kinds
+#: 1-6; kind 7, ``MergedPublication``, has its own tests below); the rest
+#: ride the kind-0 JSON envelope.
+PACKED_TYPES = (
+    RawBatch, PairBatch, ToCloudBatch, BufferFlush, CreditGrant, RemovedBatch
+)
 PACKED = {
     name: case
     for name, case in MESSAGES.items()
@@ -216,32 +223,125 @@ def test_packed_body_is_consumed_exactly(destination, message):
 def test_packed_layout_pinned():
     """The packed bytes do not move by accident: a layout change has to
     come here and say so."""
-    digest = hashlib.sha256()
+    batches, columns = hashlib.sha256(), hashlib.sha256()
     for destination, message in PACKED.values():
+        digest = columns if isinstance(message, RemovedBatch) else batches
         digest.update(encode_body(destination, message))
-    assert digest.hexdigest() == PINNED_PACKED_DIGEST
+    columns.update(encode_body("cloud", merged_publication()))
+    assert (batches.hexdigest(), columns.hexdigest()) == (
+        PINNED_PACKED_DIGEST,
+        PINNED_COLUMN_KINDS_DIGEST,
+    )
 
 
 def merged_publication():
-    """A ``MergedPublication`` (which has no ``==``) for round trips."""
+    """A ``MergedPublication`` (its tree has no ``==``) as the merger ships
+    it: per leaf, a tuple of ciphertexts in sealed order."""
     domain = AttributeDomain(0, 40, 10)
     tree = IndexTree(domain, fanout=4)
     tree.set_leaf_counts([3, -1, 5, 2])
-    array = OverflowArray(1, capacity=2)
-    array.add_removed(_encrypted())
-    array.seal(lambda: _encrypted(), rng=random.Random(1))
-    return MergedPublication(7, tree, {1: array})
+    return MergedPublication(
+        7,
+        tree,
+        {
+            0: (b"\x03" * 32, _CT),
+            1: (_CT, b"pad" * 16),
+            2: (b"", b"\x04" * 48),
+            3: (b"\x05" * 64, b"\x06" * 16),
+        },
+    )
+
+
+def _same_publication(got, sent) -> bool:
+    return (
+        got.publication == sent.publication
+        and [[n.count for n in level] for level in got.tree.levels]
+        == [[n.count for n in level] for level in sent.tree.levels]
+        and got.overflow == sent.overflow
+        and all(
+            type(column) is tuple and all(type(c) is bytes for c in column)
+            for column in got.overflow.values()
+        )
+    )
 
 
 def test_merged_publication_roundtrip():
     sent = merged_publication()
     destination, message = _roundtrip("cloud", sent)
     assert destination == "cloud"
-    assert message.publication == 7
-    assert [leaf.count for leaf in message.tree.leaves] == [3, -1, 5, 2]
+    assert _same_publication(message, sent)
     assert message.tree.root.count == sent.tree.root.count
-    assert message.overflow[1].capacity == 2
-    assert len(message.overflow[1].entries) == 2
+
+
+class TestMergedPublicationFrame:
+    """Kind 7: a length-prefixed JSON head (number, tree, leaves of empty
+    arrays), then the pair columns with one leaf per overflow slot."""
+
+    def test_roundtrip_from_a_ring_view(self):
+        sent = merged_publication()
+        body = encode_body("cloud", sent)
+        assert encode_message("cloud", sent)[4:] == body
+        for view in (memoryview(body), body, bytes(body)):
+            destination, message = decode_message(view)
+            assert destination == "cloud"
+            assert _same_publication(message, sent)
+
+    def test_empty_arrays_survive(self):
+        """A capacity-0 array has no slot to carry its leaf; the head
+        names it, so every leaf still has an array after the wire."""
+        sent = merged_publication()
+        sent = MergedPublication(8, sent.tree, {0: (), 1: (_CT,), 2: (), 3: ()})
+        _, message = _roundtrip("cloud", sent)
+        assert _same_publication(message, sent)
+
+    def test_body_is_consumed_exactly(self):
+        body = bytes(encode_body("cloud", merged_publication()))
+        for cut in range(len(body)):
+            for damaged in (body[:cut], memoryview(body)[:cut]):
+                with pytest.raises(WireError):
+                    decode_message(damaged)
+        with pytest.raises(WireError):
+            decode_message(body + b"\x00")
+
+    @staticmethod
+    def _parts(message):
+        """``(frame head, head length, JSON head, pair columns)``."""
+        body = bytes(encode_body("cloud", message))
+        at = 2 + len("cloud")
+        length = int.from_bytes(body[at : at + 4], "little")
+        head = body[at + 4 : at + 4 + length]
+        return body[:at], body[at : at + 4], head, body[at + 4 + length :]
+
+    def test_head_length_past_the_frame_rejected(self):
+        frame, _, head, columns = self._parts(merged_publication())
+        total = len(head) + len(columns)
+        for length in (total + 1, 2**32 - 1):
+            damaged = frame + _u32(length) + head + columns
+            with pytest.raises(WireError, match="head past"):
+                decode_message(damaged)
+
+    def test_truncated_head_rejected(self):
+        frame, length, head, columns = self._parts(merged_publication())
+        for damaged in (
+            frame + length[:2],
+            frame + length + head[:-1],
+            frame + _u32(len(head) - 1) + head[:-1] + columns,
+        ):
+            with pytest.raises(WireError):
+                decode_message(damaged)
+
+    def test_leaf_slots_must_be_contiguous(self):
+        sent = merged_publication()
+        frame, length, head, _ = self._parts(sent)
+        columns = bytearray()
+        pack_pairs(columns, (0, 1, 0), (_CT, _CT, _CT))
+        with pytest.raises(WireError, match="not contiguous"):
+            decode_message(frame + length + head + bytes(columns))
+
+    def test_trailing_bytes_rejected(self):
+        frame, length, head, columns = self._parts(merged_publication())
+        with pytest.raises(WireError):
+            decode_message(frame + length + head + columns + b"\x00")
 
 
 class TestTreeCodec:
@@ -412,10 +512,13 @@ def _u32(value: int) -> bytes:
 
 _PAIRS = PairBatch(4, (7, 8, 9), (b"aa", b"", b"cccc"), b"\x00\x01\x00", seq=2)
 _CLOUD = ToCloudBatch(4, (7, 8, 9), (b"aa", b"", b"cccc"))
+_REMOVED = RemovedBatch(4, (7, 8, 9), (b"aa", b"", b"cccc"))
 
 
 def _malformed_pair_bodies():
-    for name, message in (("pairs", _PAIRS), ("cloud", _CLOUD)):
+    for name, message in (
+        ("pairs", _PAIRS), ("cloud", _CLOUD), ("removed", _REMOVED)
+    ):
         head, count, leaves, lengths, rest = _pair_body(message)
         whole = head + count + leaves + lengths + rest
         yield f"{name}-count-larger-than-columns", (

@@ -1,7 +1,7 @@
 """The canonical cloud-state fingerprint, as a library.
 
 This is the byte-identity currency of the whole repository: the batch,
-flow, shm and membership equivalence harnesses all compare deployments
+flow and membership equivalence harnesses all compare deployments
 through this exact serialization (``tests/conftest.py`` delegates
 here), and the benchmark fabric stamps it on every scorecard so a
 conformance row is one string comparison.
@@ -25,8 +25,7 @@ def cloud_state_fingerprint(system) -> dict:
 
     ``system`` is any runtime exposing ``.cloud`` and ``.checking``
     (the sync system, the durable system, the threaded and TCP
-    clusters).  The shared-memory cluster computes the identical shape
-    worker-side via :meth:`ShmFresqueCluster.fingerprint`.
+    clusters).
     """
     receipts = {
         publication: system.cloud.receipt_for(publication).records_matched
@@ -68,9 +67,9 @@ def publication_digest(system) -> str:
 
 def _normalise(value):
     """Representation-independent form: digit-string keys become ints
-    (the shm worker stringifies file ids, and ``"10" < "2"`` as strings
-    would reorder them), mappings become key-sorted pair lists, tuples
-    become lists."""
+    (a fingerprint that went through JSON has string file ids, and
+    ``"10" < "2"`` as strings would reorder them), mappings become
+    key-sorted pair lists, tuples become lists."""
     if isinstance(value, dict):
         pairs = []
         for key, item in value.items():
@@ -87,8 +86,9 @@ def _normalise(value):
 def fingerprint_digest(state: dict) -> str:
     """One comparable string for a fingerprint dict.
 
-    The single-process shape and the shm worker's shape of the *same*
-    cloud state digest identically (see :func:`_normalise`).
+    A fingerprint and its JSON round trip (string file ids) digest
+    identically (see :func:`_normalise`); every pinned digest depends
+    on that rendering, so it does not change.
     """
     return hashlib.sha256(
         json.dumps(_normalise(state), default=list).encode()

@@ -233,40 +233,16 @@ def _build_tcp(scenario, config, telemetry, data_root):
     return system, lambda: system.__exit__(None, None, None)
 
 
-def _build_shm(scenario, config, telemetry, data_root):
-    from repro.runtime.shm.cluster import ShmFresqueCluster
-
-    system = ShmFresqueCluster(
-        config,
-        MASTER_KEY,
-        seed=scenario.seed,
-        telemetry=telemetry,
-        data_dir=_data_dir(scenario, data_root)
-        if scenario.durability == "durable"
-        else None,
-        fault_plan=_fault_plan(scenario),
-    )
-    system.__enter__()
-    return system, lambda: system.__exit__(None, None, None)
-
-
 _BUILDERS = {
     "sync": _build_sync,
     "threaded": _build_threaded,
     "tcp": _build_tcp,
-    "shm": _build_shm,
 }
 
 
 def _deploy(scenario, config, telemetry, data_root):
     """(system, close) for the scenario's runtime × durability cell."""
     return _BUILDERS[scenario.runtime](scenario, config, telemetry, data_root)
-
-
-def _fingerprint_of(scenario, system) -> str:
-    if scenario.runtime == "shm":
-        return fingerprint_digest(system.fingerprint())
-    return fingerprint_digest(cloud_state_fingerprint(system))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +293,7 @@ def _run_publication(scenario, data_root, telemetry) -> Scorecard:
         started = time.perf_counter()
         returned = [system.run_publication(lines) for lines in publications]
         elapsed = time.perf_counter() - started
-        # Matched-pair count: the tcp/shm clusters report it from
+        # Matched-pair count: the TCP cluster reports it from
         # run_publication; single-process runtimes expose the checking
         # counters directly.
         if any(isinstance(value, int) for value in returned):
@@ -332,7 +308,7 @@ def _run_publication(scenario, data_root, telemetry) -> Scorecard:
         else:
             matched = None
         fingerprint = (
-            _fingerprint_of(scenario, system)
+            fingerprint_digest(cloud_state_fingerprint(system))
             if scenario.deterministic_ivs and not scenario.fault_plan
             else None
         )
@@ -576,7 +552,7 @@ def _run_conformance(scenario, data_root, telemetry) -> Scorecard:
     try:
         for lines in publications:
             system.run_publication(lines)
-        digest = _fingerprint_of(scenario, system)
+        digest = fingerprint_digest(cloud_state_fingerprint(system))
     finally:
         close()
     return _scorecard(

@@ -119,116 +119,6 @@ _BATCHING = BenchSpec(
 )
 
 
-_SHM_SCALING = BenchSpec(
-    name="shm_scaling",
-    title="Shared-memory runtime scaling, Gowalla x8000 (records/s)",
-    matrix=MatrixSpec(
-        bench="shm_scaling",
-        base={
-            "workload": "publication",
-            "dataset": "gowalla",
-            "records": 8_000,
-            "batch_size": 64,
-        },
-        axes={
-            "workers": (1, 2, 4, 8),
-            "runtime": ("shm", "threaded", "sync"),
-            "durability": ("memory", "durable"),
-        },
-        exclude=(
-            # The threaded baseline has no durable mode; the sync
-            # baseline rides along only in its durable (single-process
-            # journal) form, exactly the four series the script emitted.
-            {"runtime": "threaded", "durability": "durable"},
-            {"runtime": "sync", "durability": "memory"},
-        ),
-    ),
-    rules=(
-        Rule(
-            id="shm-durable-doubles-threaded",
-            kind="min-ratio",
-            metric="throughput_rps",
-            select=(
-                ("durability", "durable"),
-                ("runtime", "shm"),
-                ("workers", 4),
-            ),
-            baseline=(("runtime", "threaded"), ("workers", 4)),
-            baseline_agg="last",
-            threshold=2.0,
-            min_cpus=4,
-            note="ported from bench_shm_scaling's headline gate; skips "
-            "(not passes) below 4 CPUs exactly like the old _GATED flag",
-        ),
-        Rule(
-            id="shm-2-workers-not-slower",
-            kind="min-ratio",
-            metric="throughput_rps",
-            select=(
-                ("durability", "memory"),
-                ("runtime", "shm"),
-                ("workers", 2),
-            ),
-            baseline=(
-                ("durability", "memory"),
-                ("runtime", "shm"),
-                ("workers", 1),
-            ),
-            baseline_agg="last",
-            threshold=0.9,
-            min_cpus=4,
-            note="ported: memory[2] >= 0.9 * memory[1]",
-        ),
-        Rule(
-            id="shm-4-workers-not-slower",
-            kind="min-ratio",
-            metric="throughput_rps",
-            select=(
-                ("durability", "memory"),
-                ("runtime", "shm"),
-                ("workers", 4),
-            ),
-            baseline=(
-                ("durability", "memory"),
-                ("runtime", "shm"),
-                ("workers", 2),
-            ),
-            baseline_agg="last",
-            threshold=1.0,
-            min_cpus=4,
-            note="ported: memory[4] >= memory[2]",
-        ),
-    ),
-)
-
-_SHM_BATCH_SWEEP = BenchSpec(
-    name="shm_batch_sweep",
-    title="Shared-memory batch sweep at 4 workers, Gowalla x8000 (records/s)",
-    matrix=MatrixSpec(
-        bench="shm_batch_sweep",
-        base={
-            "workload": "publication",
-            "runtime": "shm",
-            "dataset": "gowalla",
-            "records": 8_000,
-            "workers": 4,
-        },
-        axes={"batch_size": (16, 64, 256)},
-    ),
-    rules=(
-        Rule(
-            id="every-batch-makes-progress",
-            kind="min-value",
-            metric="throughput_rps",
-            agg="min",
-            threshold=1,
-            note="ported from bench_shm_scaling: every cell must finish "
-            "with a positive rate; the sweet-spot shape itself is "
-            "machine-dependent and ships ungated in the artifact",
-        ),
-    ),
-)
-
 _CHURN = BenchSpec(
     name="membership_churn",
     title="Threaded-runtime throughput across a membership-churn event",
@@ -302,7 +192,7 @@ CONFORMANCE_MATRIX = MatrixSpec(
         "deterministic_ivs": True,
     },
     axes={
-        "runtime": ("sync", "threaded", "tcp", "shm"),
+        "runtime": ("sync", "threaded", "tcp"),
         "batch_size": (1, 64),
         "durability": ("memory", "durable"),
     },
@@ -437,8 +327,6 @@ BENCHES: dict[str, BenchSpec] = {
     spec.name: spec
     for spec in (
         _BATCHING,
-        _SHM_SCALING,
-        _SHM_BATCH_SWEEP,
         _CHURN,
         _CONFORMANCE,
         _SMOKE,

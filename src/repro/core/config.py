@@ -61,25 +61,19 @@ class FresqueConfig:
         node before it stops releasing flushed batches (credit-based
         backpressure; the checking node grants credits back per
         processed batch).  0 disables the gate.
-    ingest_queue_limit:
-        Records the dispatcher may hold back (in-flight batch plus
-        credit-deferred batches) before admission control sheds load at
-        the source.  0 disables admission control.
-    shed_policy:
-        What to shed when the ingest queue is over its limit:
-        ``"drop-newest"`` rejects the arriving record, ``"drop-oldest"``
-        evicts the oldest not-yet-flushed record to admit the new one.
     deterministic_ivs:
         When true, computing nodes and the merger derive every IV from
         the record's pipeline-wide identity (the dispatch ordinal stamped
         on :class:`~repro.core.messages.RawBatch`, or the merger's
         per-publication padding counter) via the cipher's seeded-encrypt
         API instead of a process-local counter.  The ciphertext stream
-        then no longer depends on which process encrypted which record —
-        the property the shared-memory runtime's byte-identity
-        equivalence harness relies on (docs/RUNTIMES.md).  Off by
-        default: single-process runtimes keep the historical counter
-        IVs.
+        then no longer depends on which computing node encrypted which
+        record, and the threaded and TCP runtimes put the ordering gate
+        (:class:`~repro.runtime.gate.CheckingGate`) in front of the
+        checking node — the two properties the threaded and TCP cells
+        of the conformance matrix rely on for byte identity with the
+        synchronous system (docs/RUNTIMES.md).  Off by default: the
+        runtimes keep the historical counter IVs.
     """
 
     schema: Schema
@@ -94,8 +88,6 @@ class FresqueConfig:
     batch_size: int = 1
     max_batch_delay: float = 0.05
     credit_window: int = 0
-    ingest_queue_limit: int = 0
-    shed_policy: str = "drop-newest"
     deterministic_ivs: bool = False
     _height: int = field(init=False, repr=False, compare=False, default=0)
 
@@ -124,16 +116,6 @@ class FresqueConfig:
         if self.credit_window < 0:
             raise ConfigError(
                 f"credit_window must be >= 0, got {self.credit_window}"
-            )
-        if self.ingest_queue_limit < 0:
-            raise ConfigError(
-                "ingest_queue_limit must be >= 0, got "
-                f"{self.ingest_queue_limit}"
-            )
-        if self.shed_policy not in ("drop-newest", "drop-oldest"):
-            raise ConfigError(
-                f"unknown shed_policy {self.shed_policy!r} "
-                "(expected 'drop-newest' or 'drop-oldest')"
             )
         object.__setattr__(
             self,

@@ -15,11 +15,10 @@ batch that is flushed to the next computing node as one
 ``config.max_batch_delay`` (*delay*), or when the publication interval
 closes (*close*) — the close flush is what guarantees a batch never
 straddles a publication boundary.  ``batch_size=1`` degenerates to
-per-record dispatch through the exact same path.  The
-:class:`~repro.core.flow.FlowController` houses credit-based
-backpressure (flushed batches park in a deferred queue when the checking
-node's credits run dry) and admission control
-(``config.ingest_queue_limit`` + :meth:`Dispatcher.offer_raw`).
+per-record dispatch through the exact same path.  A
+:class:`~repro.core.flow.CreditGate` applies credit-based backpressure:
+flushed batches park in a deferred queue when the checking node's
+credits run dry.
 """
 
 from __future__ import annotations
@@ -28,13 +27,7 @@ import random
 from collections import deque
 
 from repro.core.config import FresqueConfig
-from repro.core.flow import (
-    ADMIT,
-    DROP_NEWEST,
-    DROP_OLDEST,
-    FlowController,
-    SHED_OLDEST,
-)
+from repro.core.flow import CreditGate
 from repro.core.membership import Membership
 from repro.core.messages import (
     CreditGrant,
@@ -128,16 +121,16 @@ class Dispatcher(Routed):
         #: Flush triggers, read on every enqueue.
         self.batch_size = config.batch_size
         self.max_batch_delay = config.max_batch_delay
-        #: Flow control: the credit gate and admission control
+        #: Credit-based backpressure from the checking node
         #: (repro.core.flow).
-        self.flow = FlowController(config, telemetry=telemetry)
+        self.credits = CreditGate(config.credit_window, telemetry=telemetry)
         #: The in-flight batch: raw lines and dummy Records, arrival order.
         self._batch: list[str | Record] = []
         self._batch_opened: float | None = None
         # Global flush sequence (next RawBatch.seq) and the dispatch
         # ordinal of the in-flight batch's first item; both are stamped
-        # onto RawBatch so order-restoring transports (runtime/shm) can
-        # re-serialise batches and key deterministic IVs.
+        # onto RawBatch so the checking gate (runtime/gate.py) can
+        # re-serialise batches and deterministic IVs can key off them.
         self._seq = 0
         self._batch_ordinal = 0
         self._batch_histogram = self._tel.histogram(
@@ -285,7 +278,7 @@ class Dispatcher(Routed):
         out = self._flush(FLUSH_MANUAL)
         node_id = self.membership.admit(node_id)
         self._participants.add(node_id)
-        out.extend(self.flow.credits.drain())
+        out.extend(self.credits.drain())
         out.append(("checking", self._membership_msg()))
         return node_id, out
 
@@ -340,7 +333,7 @@ class Dispatcher(Routed):
         they follow the rerouted one in the returned outbox.
         """
         self.records_rerouted += len(message.items)
-        released = self.flow.credits.refund(len(message.items))
+        released = self.credits.refund(len(message.items))
         out = [(self._next_node(), message)]
         out.extend(released)
         return out
@@ -352,49 +345,9 @@ class Dispatcher(Routed):
         """Accumulate one raw line; forward a batch when a flush triggers."""
         return self._enqueue(line)
 
-    def admit(self) -> bool:
-        """Admission decision for one arriving record; ``False`` = shed.
-
-        With ``config.ingest_queue_limit`` unset every record is
-        admitted.  Over the limit, ``drop-newest`` rejects the arrival
-        while ``drop-oldest`` evicts the oldest unflushed record to make
-        room — falling back to rejection when nothing is evictable (the
-        whole backlog is already flushed and credit-deferred).
-        """
-        decision = self.flow.admission.decide(self.backlog_records)
-        if decision is ADMIT:
-            return True
-        if decision == SHED_OLDEST and self._evict_oldest():
-            self.flow.admission.record_shed(DROP_OLDEST)
-            return True
-        self.flow.admission.record_shed(DROP_NEWEST)
-        return False
-
-    def offer_raw(self, line: str) -> list[tuple[str, object]] | None:
-        """Admission-controlled :meth:`on_raw`: ``None`` means shed."""
-        return self._enqueue(line) if self.admit() else None
-
-    def _evict_oldest(self) -> bool:
-        """Drop the in-flight batch's oldest record; False when empty."""
-        if not self._batch:
-            return False
-        self._batch.pop(0)
-        # The evicted record keeps its dispatch ordinal (it was counted);
-        # the batch's first item is now one ordinal later, preserving the
-        # restore invariant ordinal == records_dispatched - len(batch).
-        self._batch_ordinal += 1
-        if not self._batch:
-            self._batch_opened = None
-        return True
-
-    @property
-    def backlog_records(self) -> int:
-        """Records held back: in-flight batch plus credit-deferred."""
-        return len(self._batch) + self.flow.credits.deferred_records
-
     def on_credit(self, message: CreditGrant) -> list[tuple[str, object]]:
         """Apply a checking-node credit grant; release deferred batches."""
-        return list(self.flow.credits.grant(message.records))
+        return list(self.credits.grant(message.records))
 
     def _enqueue(self, item: str | Record) -> list[tuple[str, object]]:
         """Append one item to the in-flight batch; flush if due."""
@@ -442,7 +395,7 @@ class Dispatcher(Routed):
         self._flush_counters[reason].inc()
         self._batch_histogram.observe(float(len(items)))
         self._tel.observe_stage("dispatch", self._publication, start)
-        if not self.flow.credits.try_send(destination, message):
+        if not self.credits.try_send(destination, message):
             return []
         return [(destination, message)]
 
@@ -456,7 +409,7 @@ class Dispatcher(Routed):
         """Flush iff the in-flight batch outlived ``max_batch_delay``.
 
         Called periodically by every runtime's flush poller — the
-        threaded/TCP/shm clusters run a
+        threaded and TCP clusters run a
         :class:`~repro.runtime.poller.FlushPoller` thread, and the
         synchronous :meth:`FresqueSystem.poll_flush` delegates here — so
         a trickle of records below the batch size never waits longer
@@ -504,7 +457,7 @@ class Dispatcher(Routed):
             "records_rerouted": self.records_rerouted,
             "dummies_generated": self.dummies_generated,
             "seq": self._seq,
-            "flow": self.flow.snapshot(),
+            "flow": {"credits": self.credits.snapshot()},
         }
 
     def restore(self, state: dict) -> None:
@@ -534,8 +487,11 @@ class Dispatcher(Routed):
         # so its first item's ordinal is derivable.
         self._batch_ordinal = self.records_dispatched - len(self._batch)
         # Pre-flow snapshots carry no "flow" key; construction defaults
-        # already match the config in that case.
-        self.flow.restore(state.get("flow"))
+        # already match the config in that case.  Keys beside "credits"
+        # (an older snapshot's "controller") are ignored.
+        flow = state.get("flow")
+        if flow is not None:
+            self.credits.restore(flow["credits"])
 
     def end_publication(self) -> list[tuple[str, object]]:
         """Broadcast *publishing*; the caller immediately starts the next.
@@ -550,7 +506,7 @@ class Dispatcher(Routed):
         # Credits or not, the complete publication must reach the
         # computing nodes before the broadcast: release every deferred
         # batch and reset the credit window at the boundary.
-        out.extend(self.flow.credits.drain())
+        out.extend(self.credits.drain())
         down = set(self.membership.down_ids)
         nodes = tuple(
             i for i in sorted(self._participants) if i not in down

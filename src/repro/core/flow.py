@@ -2,31 +2,19 @@
 
 Batch size and flush delay are plain configuration
 (``config.batch_size`` / ``config.max_batch_delay``, read by the
-dispatcher).  Two mechanisms keep memory bounded under bursty,
-sustained traffic:
-
-``CreditGate``
-    Credit-based backpressure between the checking node and the
-    dispatcher.  Flushing a batch consumes one credit per record; the
-    checking node grants credits back as it processes each
-    :class:`~repro.core.messages.PairBatch`
-    (:class:`~repro.core.messages.CreditGrant`).  When credits run dry
-    the dispatcher parks flushed batches, in order, in a deferred queue
-    instead of releasing them — bounding the records in flight toward
-    the trusted checking node.  The publication-close drain releases
-    everything, so credit loss (a dropped grant, records rejected as
-    malformed at a computing node) can defer work but never lose it.
-
-``AdmissionController`` / ``SheddingPolicy``
-    Bounded ingest queue with load shedding at the source.  When the
-    dispatcher's backlog (in-flight batch plus credit-deferred records)
-    exceeds ``config.ingest_queue_limit``, the policy either rejects
-    the arriving record (``drop-newest``) or evicts the oldest
-    not-yet-flushed record (``drop-oldest``), counting every shed.
-
-The :class:`FlowController` bundles the two and participates in
-``snapshot()``/``restore()`` so crash recovery restores the credit
-window and its deferred batches too.
+dispatcher).  One mechanism keeps memory bounded under bursty,
+sustained traffic: :class:`CreditGate`, credit-based backpressure
+between the checking node and the dispatcher.  Flushing a batch
+consumes one credit per record; the checking node grants credits back
+as it processes each :class:`~repro.core.messages.PairBatch`
+(:class:`~repro.core.messages.CreditGrant`).  When credits run dry the
+dispatcher parks flushed batches, in order, in a deferred queue instead
+of releasing them — bounding the records in flight toward the trusted
+checking node.  The publication-close drain releases everything, so
+credit loss (a dropped grant, records rejected as malformed at a
+computing node) can defer work but never lose it.  The gate takes part
+in the dispatcher's ``snapshot()``/``restore()``, so crash recovery
+restores the credit window and its deferred batches too.
 """
 
 from __future__ import annotations
@@ -37,80 +25,6 @@ from collections import deque
 from repro.core.messages import RawBatch
 from repro.records.codec import decode_record, encode_record
 from repro.telemetry.context import coalesce
-
-#: Admission decisions (:meth:`AdmissionController.decide`).
-ADMIT, SHED_NEWEST, SHED_OLDEST = "admit", "shed-newest", "shed-oldest"
-
-DROP_NEWEST = "drop-newest"
-DROP_OLDEST = "drop-oldest"
-
-
-class SheddingPolicy:
-    """What to shed, and when, at the ingest source.
-
-    Parameters
-    ----------
-    queue_limit:
-        Records the dispatcher may hold back before shedding; 0
-        disables admission control entirely.
-    mode:
-        ``"drop-newest"`` rejects the arriving record; ``"drop-oldest"``
-        evicts the oldest unflushed record to admit the new one.
-    """
-
-    def __init__(self, queue_limit: int = 0, mode: str = DROP_NEWEST):
-        if queue_limit < 0:
-            raise ValueError(f"queue_limit must be >= 0, got {queue_limit}")
-        if mode not in (DROP_NEWEST, DROP_OLDEST):
-            raise ValueError(f"unknown shed mode {mode!r}")
-        self.queue_limit = queue_limit
-        self.mode = mode
-
-    @property
-    def enabled(self) -> bool:
-        """Whether admission control is active at all."""
-        return self.queue_limit > 0
-
-
-class AdmissionController:
-    """Bounded ingest queue: admit, or shed per the policy.
-
-    The controller only *decides*; the dispatcher owns the backlog and
-    performs the eviction, then reports it back via
-    :meth:`record_shed` so the shed counters live in one place.
-    """
-
-    def __init__(self, policy: SheddingPolicy, telemetry=None):
-        self.policy = policy
-        self.admitted = 0
-        self.shed = {DROP_NEWEST: 0, DROP_OLDEST: 0}
-        tel = coalesce(telemetry)
-        self._admitted_counter = tel.counter("dispatcher_admitted_total")
-        self._shed_counters = {
-            mode: tel.counter("dispatcher_shed_total", mode=mode)
-            for mode in (DROP_NEWEST, DROP_OLDEST)
-        }
-
-    def decide(self, backlog: int) -> str:
-        """``ADMIT``, ``SHED_NEWEST`` or ``SHED_OLDEST`` for one arrival."""
-        if not self.policy.enabled or backlog < self.policy.queue_limit:
-            self.admitted += 1
-            self._admitted_counter.inc()
-            return ADMIT
-        if self.policy.mode == DROP_OLDEST:
-            return SHED_OLDEST
-        return SHED_NEWEST
-
-    def record_shed(self, mode: str) -> None:
-        """Count one shed record (called by the dispatcher post-eviction)."""
-        self.shed[mode] += 1
-        self._shed_counters[mode].inc()
-
-    @property
-    def shed_total(self) -> int:
-        """Records shed under either mode since construction/restore."""
-        return sum(self.shed.values())
-
 
 class CreditGate:
     """Credit-based backpressure from the checking node.
@@ -142,12 +56,6 @@ class CreditGate:
         """Credits currently available (may be briefly negative)."""
         with self._lock:
             return self._available
-
-    @property
-    def deferred_records(self) -> int:
-        """Records parked behind exhausted credits."""
-        with self._lock:
-            return sum(len(batch.items) for _, batch in self._deferred)
 
     @property
     def deferred_batches(self) -> int:
@@ -192,7 +100,7 @@ class CreditGate:
 
         ``try_send`` charged the window when the batch first left; if
         the destination crashed, the checking node may never see the
-        batch (dropped inbox frames, torn rings), so the grant that
+        batch (dropped inbox frames), so the grant that
         would have repaid those credits never arrives.  The redispatch
         path refunds them instead — without this, a dry window after
         ``mark_node_down`` deadlocks the dispatcher (deferred batches
@@ -275,26 +183,3 @@ class CreditGate:
             )
             self._publish()
 
-
-class FlowController:
-    """The dispatcher's flow-control bundle (credits + shed)."""
-
-    def __init__(self, config, telemetry=None):
-        self.credits = CreditGate(config.credit_window, telemetry=telemetry)
-        self.admission = AdmissionController(
-            SheddingPolicy(config.ingest_queue_limit, config.shed_policy),
-            telemetry=telemetry,
-        )
-
-    def snapshot(self) -> dict:
-        """JSON-able flow state for the dispatcher's snapshot."""
-        return {"credits": self.credits.snapshot()}
-
-    def restore(self, state: dict | None) -> None:
-        """Inverse of :meth:`snapshot`; ``None`` (pre-flow snapshot) resets
-        nothing — construction defaults already match the config.  Keys
-        other than ``"credits"`` (an older snapshot's ``"controller"``)
-        are ignored."""
-        if state is None:
-            return
-        self.credits.restore(state["credits"])

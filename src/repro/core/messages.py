@@ -238,22 +238,6 @@ class MembershipMsg:
 
 
 @dataclass(frozen=True)
-class RingAttach:
-    """Shm parent → checking worker: a new computing node's rings exist.
-
-    Runtime-admission plumbing for the shared-memory cluster: the parent
-    creates the rings for an admitted (or rejoined) node, then tells the
-    checking worker which ring names to attach — ``inbound`` for the
-    node's pair stream, ``outbound`` for the *done* channel back to it.
-    Other runtimes never see this message.
-    """
-
-    node_id: int
-    inbound: str
-    outbound: str
-
-
-@dataclass(frozen=True)
 class AlSnapshot:
     """Checking node → merger: the final AL of the publication."""
 

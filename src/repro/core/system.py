@@ -4,7 +4,7 @@
 alone builds the components (dispatcher, computing nodes, checking node,
 merger, cloud adapter) and their seed chain, it alone routes a message
 to a component (``handlers[destination](message)``), and it alone
-defines the dispatcher-facing surface: ``start``, ``ingest``, ``offer``,
+defines the dispatcher-facing surface: ``start``, ``ingest``,
 ``pump_dummies``, ``close_publication``, the elastic-membership calls
 and ``run_publication``, over one lock and one ``_send_all(outbox)``.
 
@@ -12,7 +12,7 @@ Run as is, it delivers every message in place through a FIFO queue until
 quiescence — the *functional* reference: exactly the logic the runtimes
 and the discrete-event simulator run, without concurrency or timing, so
 tests can assert end-to-end correctness deterministically.  The runtimes
-(threaded, TCP, shared memory) subclass it and supply only what differs
+(threaded, TCP) subclass it and supply only what differs
 per transport — how one message leaves (:meth:`FresqueSystem._send`),
 how to wait for a publication to drain (:meth:`FresqueSystem.settle`),
 and how a node is spawned, killed, salvaged and brought back; the list
@@ -378,8 +378,8 @@ class FresqueSystem:
     # ------------------------------------------------------------------
 
     def _spawn(self) -> None:
-        """Bring up whatever runs the nodes (threads, servers, worker
-        processes) and the flush poller."""
+        """Bring up whatever runs the nodes (threads, servers) and the
+        flush poller."""
 
     def settle(self, publication: int, timeout: float = 120.0) -> None:
         """Block until ``publication`` has drained to the cloud.
@@ -463,22 +463,6 @@ class FresqueSystem:
         ingest = self.ingest
         for line in lines:
             ingest(line)
-
-    def offer(self, line: str) -> bool:
-        """Admission-controlled :meth:`ingest`; False means shed.
-
-        With ``config.ingest_queue_limit`` set, the dispatcher's
-        :class:`~repro.core.flow.SheddingPolicy` may reject the line (or
-        evict an older unflushed record to admit it) instead of letting
-        the backlog grow without bound.
-        """
-        if not self._started:
-            raise RuntimeError("call start() first")
-        with self._lock:
-            if not self.dispatcher.admit():
-                return False
-            self.ingest(line)
-        return True
 
     def flush_ingest(self) -> None:
         """Flush the dispatcher's in-flight batch through the pipeline."""

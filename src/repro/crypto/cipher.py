@@ -118,15 +118,15 @@ class RecordCipher(ABC):
     def encrypt_seeded(self, plaintext: bytes, nonce: bytes) -> bytes:
         """Encrypt with an IV derived deterministically from ``nonce``.
 
-        The multiprocess runtimes use this (``config.deterministic_ivs``)
-        so every worker derives the IV from the record's pipeline-wide
-        identity (its dispatch ordinal) instead of a process-local
-        counter: the ciphertext stream then does not depend on which
-        process encrypted which record, which is what lets the
-        shared-memory runtime reproduce the in-memory runtime's cloud
-        state byte for byte.  The caller must never reuse a nonce for two
-        different plaintext positions — uniqueness of the derived IV is
-        the only requirement the construction inherits.
+        The runtimes use this under ``config.deterministic_ivs`` so
+        every computing node derives the IV from the record's
+        pipeline-wide identity (its dispatch ordinal) instead of a
+        shared counter: the ciphertext stream then does not depend on
+        which node encrypted which record, which is what lets the
+        threaded and TCP runtimes reproduce the in-memory runtime's
+        cloud state byte for byte.  The caller must never reuse a nonce
+        for two different plaintext positions — uniqueness of the
+        derived IV is the only requirement the construction inherits.
         """
         return self._encrypt_with_iv(plaintext, self.derive_iv(nonce))
 
@@ -259,15 +259,10 @@ class SimulatedCipher(RecordCipher):
     the simulator models separately).
     """
 
-    def __init__(self, keys: KeyStore, counter_start: int = 0):
+    def __init__(self, keys: KeyStore):
         self._key = keys.record_key()
         self._keys = keys
-        # ``counter_start`` partitions the IV-counter space between
-        # cipher instances that share a key but not an address space
-        # (one worker process each): with per-worker offsets, e.g.
-        # ``worker_index << 44``, no two processes can draw the same
-        # counter IV even without the shared lock.
-        self._counter = counter_start
+        self._counter = 0
         # The cipher is shared by every computing-node thread plus the
         # merger; the counter bump must be atomic or two threads can draw
         # the same IV (keystream reuse).

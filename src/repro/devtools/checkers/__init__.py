@@ -13,7 +13,6 @@ from repro.devtools.checkers import (
     membership,
     privacy,
     runtime,
-    shm,
     telemetry,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "membership",
     "privacy",
     "runtime",
-    "shm",
     "telemetry",
 ]

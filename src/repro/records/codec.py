@@ -11,7 +11,7 @@ Two codec families:
   and the payloads of the wire's JSON control envelope.
 * One packed form for a run of ``<leaf offset, e-record>`` pairs held as
   columns (:func:`pack_pairs`/:func:`unpack_pairs`) — the body of every
-  pair-carrying frame, on sockets and in rings alike, and (base64'd by
+  pair-carrying frame on the wire, and (base64'd by
   :func:`encode_pairs`) what a collector checkpoint keeps its randomer
   residents and the merger's removed records as.  Read straight off the
   buffer: one copy per ciphertext.

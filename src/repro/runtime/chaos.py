@@ -3,8 +3,7 @@
 Drives any FRESQUE runtime through a seeded :class:`ChurnPlan` — admit,
 retire, crash and rejoin events interleaved with bursty ingest at exact
 record positions — so the same plan replays identically on the
-synchronous system, the threaded cluster, the TCP cluster and the
-shared-memory cluster.
+synchronous system, the threaded cluster and the TCP cluster.
 
 The load-bearing property (pinned by
 ``tests/integration/test_membership_churn.py``): because epochs version

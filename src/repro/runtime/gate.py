@@ -6,8 +6,8 @@ re-serialises them by the dispatcher's global batch sequence number and
 holds *publishing* / *CN-publishing* control messages until their gates
 clear — after which the checking node observes exactly the synchronous
 runtime's delivery order (the byte-identity property the equivalence
-harness pins).  The threaded, TCP and shared-memory runtimes all wrap
-their checking handler in one of these when deterministic IVs are on.
+harness pins).  The threaded and TCP runtimes both wrap their checking
+handler in one of these when deterministic IVs are on.
 
 Under elastic membership (docs/PROTOCOL.md) the gate is also the
 staleness authority: it tracks per-node join-epoch floors from

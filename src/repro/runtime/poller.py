@@ -6,8 +6,7 @@ steady traffic the next arrival does; under a trickle below the batch
 size nothing would — the stall this module exists to fix.  Each runtime
 cluster starts one :class:`FlushPoller` whose ``tick`` callback takes
 the cluster's dispatch lock, calls ``flush_due()`` and pumps whatever
-flushed (plus any runtime-specific housekeeping, e.g. the shm parent's
-credit pump).
+flushed.
 
 The poller wakes at half the configured ``max_batch_delay`` (clamped),
 so a waiting batch overshoots the delay bound by at most one tick.

@@ -803,8 +803,7 @@ class TcpFresqueCluster(FresqueSystem):
         flight when the receipt lands.  Post-settle state inspection
         (fingerprints) must not race that tail, so block until the
         cloud has announced every publication the dispatcher has
-        opened — the same announce barrier the shm runtime applies
-        before fingerprinting.
+        opened.
         """
         current = self.dispatcher.publication
         while not self.cloud.is_announced(current):

@@ -1,16 +1,15 @@
 """Wire encoding of the FRESQUE protocol messages.
 
 The one module that knows what a routed ``(destination, message)`` pair
-of :mod:`repro.core.messages` looks like as bytes, on TCP sockets (the
-paper's 17-node cluster) and in the shared-memory rings alike::
+of :mod:`repro.core.messages` looks like as bytes on TCP sockets (the
+paper's 17-node cluster)::
 
     length (u32 LE) | kind (u8) | dest length (u8) | dest utf-8 | body
 
-A ring slot holds the frame without its length word, the ring having its
-own (:func:`encode_body`).  Kinds 1-7 — ``RawBatch``, ``PairBatch``,
-``ToCloudBatch``, ``BufferFlush``, ``CreditGrant``, ``RemovedBatch``,
-``MergedPublication``: everything that carries ciphertexts or rides once
-per batch — are packed with ``struct`` and decoded in place: no base64,
+:func:`encode_body` builds the frame without its length word.  Kinds
+1-7 — ``RawBatch``, ``PairBatch``, ``ToCloudBatch``, ``BufferFlush``,
+``CreditGrant``, ``RemovedBatch``, ``MergedPublication``: everything
+that carries ciphertexts or rides once per batch — are packed with ``struct`` and decoded in place: no base64,
 one copy per ciphertext; kinds 2-4, 6 and 7 carry the pair columns of
 ``records.codec.pack_pairs``, the collector checkpoint's packer too.
 Kind 0 is a JSON ``{"type", "payload"}`` envelope for every other
@@ -38,7 +37,6 @@ from repro.core.messages import (
     PublishingMsg,
     RawBatch,
     RemovedBatch,
-    RingAttach,
     TemplateMsg,
     ToCloudBatch,
 )
@@ -115,11 +113,6 @@ _ENCODERS = {
         "down": list(m.down),
         "joined": [list(pair) for pair in m.joined],
     },
-    RingAttach: lambda m: {
-        "node": m.node_id,
-        "in": m.inbound,
-        "out": m.outbound,
-    },
     AlSnapshot: lambda m: {"pub": m.publication, "al": list(m.al)},
     DoneMsg: lambda m: {"pub": m.publication},
 }
@@ -143,7 +136,6 @@ _DECODERS = {
         down=tuple(p["down"]),
         joined=tuple((n, e) for n, e in p["joined"]),
     ),
-    "RingAttach": lambda p: RingAttach(p["node"], p["in"], p["out"]),
     "AlSnapshot": lambda p: AlSnapshot(p["pub"], tuple(p["al"])),
     "DoneMsg": lambda p: DoneMsg(p["pub"]),
 }
@@ -317,7 +309,7 @@ _KIND_OF = {entry[0]: kind for kind, entry in enumerate(_KINDS)}
 
 def encode_body(destination: str, message) -> bytearray:
     """Serialise one routed message as ``kind | dest length | dest |
-    body`` — the frame without its length word, as a ring slot holds it."""
+    body`` — the frame without its length word."""
     dest = destination.encode("utf-8")
     if len(dest) > 255:
         raise WireError(f"destination of {len(dest)} bytes exceeds 255")
@@ -342,7 +334,7 @@ def encode_message(destination: str, message) -> bytes:
 
 def decode_message(body) -> tuple[str, object]:
     """Inverse of :func:`encode_body` for one complete frame body —
-    ``bytes``, a ``bytearray`` or a ring's ``memoryview``, decoded in
+    ``bytes``, a ``bytearray`` or a ``memoryview``, decoded in
     place (no intermediate ``bytes`` of the frame).  The body must be
     consumed exactly; whatever is wrong with it is a :class:`WireError`."""
     view = memoryview(body)

@@ -24,22 +24,6 @@ from repro.telemetry.spans import PUBLICATION_SPAN, STAGES, Span
 FORMAT_VERSION = 1
 
 
-def mirror_shared_stats(telemetry, scope: str, stats: dict) -> None:
-    """Mirror one cross-process stats block into local gauges.
-
-    Multiprocess runtimes cannot share a registry: workers publish their
-    counters through a shared-memory stats block (one f64 cell per
-    field), and the parent periodically mirrors the block into
-    ``shm_worker_stat{scope=...,field=...}`` gauges so the ordinary
-    exporters above see them.  Gauges (not counters) because the block
-    holds absolute values — re-reading must overwrite, not accumulate.
-    """
-    for field, value in stats.items():
-        telemetry.gauge("shm_worker_stat", scope=scope, field=field).set(
-            value
-        )
-
-
 # ---------------------------------------------------------------------------
 # JSON lines
 # ---------------------------------------------------------------------------

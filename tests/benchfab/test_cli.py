@@ -19,7 +19,7 @@ def test_list_scenarios_expands_matrices(capsys):
     assert cli.main(["list", "--scenarios"]) == 0
     out = capsys.readouterr().out
     assert "fabric_smoke/burst-trickle" in out
-    assert "runtime=shm" in out
+    assert "runtime=tcp" in out
 
 
 def test_compare_flags_the_stored_batching_cliff(

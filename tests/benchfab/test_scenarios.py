@@ -16,8 +16,6 @@ def test_registry_covers_the_ported_benches():
         "conformance",
         "fabric_smoke",
         "membership_churn",
-        "shm_batch_sweep",
-        "shm_scaling",
     ]
     with pytest.raises(KeyError):
         bench_spec("nonexistent")
@@ -43,9 +41,6 @@ def test_ported_gates_keep_their_thresholds():
     assert batching["memory-no-batch-cliff"].frac == 0.15
     smoke = {rule.id: rule for rule in bench_spec("fabric_smoke").rules}
     assert smoke["smoke-trickle-p99-slo"].threshold == 0.1
-    shm = {rule.id: rule for rule in bench_spec("shm_scaling").rules}
-    assert shm["shm-durable-doubles-threaded"].threshold == 2.0
-    assert shm["shm-durable-doubles-threaded"].min_cpus == 4
     churn = {rule.id: rule for rule in bench_spec("membership_churn").rules}
     assert churn["steady-state-within-10pct"].threshold == 0.90
 
@@ -68,7 +63,7 @@ def test_behaviour_drift_is_recorded_not_silent():
 def test_conformance_matrix_shape():
     scenarios = bench_spec("conformance").scenarios()
     runtimes = {s.runtime for s in scenarios}
-    assert runtimes == {"sync", "threaded", "tcp", "shm"}
+    assert runtimes == {"sync", "threaded", "tcp"}
     assert all(s.deterministic_ivs for s in scenarios)
     assert all(s.workload == "conformance" for s in scenarios)
     # The socketed runtimes have no durable mode in the matrix.
@@ -76,7 +71,7 @@ def test_conformance_matrix_shape():
         s for s in scenarios
         if s.runtime in ("threaded", "tcp") and s.durability == "durable"
     ]
-    assert len(scenarios) == 12
+    assert len(scenarios) == 8
 
 
 def _stub_runner(results):
@@ -131,18 +126,23 @@ def test_run_bench_only_filter_and_unknown(tmp_path):
 
 
 def test_run_bench_appends_trajectory_after_compare(tmp_path):
-    runner, _ = _stub_runner({})
+    runner, _ = _stub_runner(
+        {
+            scenario.name: {"throughput_rps": float(scenario.batch_size * 100)}
+            for scenario in bench_spec("batching").scenarios()
+        }
+    )
     store = TrajectoryStore(tmp_path / "traj")
     _, first = run_bench(
-        "shm_batch_sweep", out_dir=tmp_path, runner=runner, trajectory=store
+        "batching", out_dir=tmp_path, runner=runner, trajectory=store
     )
     assert first.history_runs == 0  # compared before appending
     assert not first.failed
     _, second = run_bench(
-        "shm_batch_sweep", out_dir=tmp_path, runner=runner, trajectory=store
+        "batching", out_dir=tmp_path, runner=runner, trajectory=store
     )
     assert second.history_runs == 1
-    assert len(store.history("shm_batch_sweep")) == 2
+    assert len(store.history("batching")) == 2
 
 
 def test_smoke_tier_is_scale_free():

@@ -148,33 +148,3 @@ def test_compare_feeds_trajectory_rules(tmp_path):
     assert "trajectory: 1 prior runs" in healthy.report()
     regressed = compare_artifact(_envelope(1.5), rules=rules, trajectory=store)
     assert regressed.failed
-
-
-def test_shm_rule_guard_matches_old_gated_flag(tmp_path):
-    """Every shm scaling rule is machine-bound: on <4 CPUs they skip
-    (like the old ``_GATED`` flag) even over a series that collapses at
-    4 workers; on a big box the same series fails."""
-    rates = {1: 12_000.0, 2: 13_500.0, 4: 5_000.0, 8: 4_500.0}
-
-    def runner(scenario, *, data_root=None):
-        return [
-            Scorecard(
-                scenario=scenario.name,
-                key=scenario.axes(),
-                metrics={"throughput_rps": rates[scenario.workers]},
-            )
-        ]
-
-    _, small = run_bench(
-        "shm_scaling", out_dir=tmp_path, runner=runner, cpu_count=2
-    )
-    assert not small.failed
-    assert {v.status for v in small.verdicts} == {"skip"}
-    _, big = run_bench(
-        "shm_scaling", out_dir=tmp_path, runner=runner, cpu_count=8
-    )
-    collapse = next(
-        v for v in big.verdicts if v.rule.id == "shm-4-workers-not-slower"
-    )
-    assert collapse.status == "fail"
-    assert "workers=4" in collapse.detail

@@ -1,8 +1,7 @@
 """Flow-control unit tests (repro.core.flow, docs/BATCHING.md).
 
-Covers the two mechanisms in isolation — the credit gate and admission
-control — plus their dispatcher wiring and snapshot/restore
-round-trips.
+Covers the credit gate in isolation, plus its dispatcher wiring and
+snapshot/restore round-trips.
 """
 
 from __future__ import annotations
@@ -10,20 +9,8 @@ from __future__ import annotations
 import dataclasses
 import random
 
-import pytest
-
 from repro.core.dispatcher import Dispatcher
-from repro.core.flow import (
-    ADMIT,
-    DROP_NEWEST,
-    DROP_OLDEST,
-    SHED_NEWEST,
-    SHED_OLDEST,
-    AdmissionController,
-    CreditGate,
-    FlowController,
-    SheddingPolicy,
-)
+from repro.core.flow import CreditGate
 from repro.core.messages import CreditGrant, RawBatch
 
 
@@ -97,32 +84,6 @@ class TestCreditGate:
         assert released[0][1].items == ("d", "e")
 
 
-class TestAdmissionControl:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SheddingPolicy(queue_limit=-1)
-        with pytest.raises(ValueError):
-            SheddingPolicy(queue_limit=4, mode="drop-random")
-        assert not SheddingPolicy(0).enabled
-        assert SheddingPolicy(1).enabled
-
-    def test_unbounded_always_admits(self):
-        admission = AdmissionController(SheddingPolicy(0))
-        assert admission.decide(10**9) == ADMIT
-        assert admission.shed_total == 0
-
-    def test_drop_newest_over_limit(self):
-        admission = AdmissionController(SheddingPolicy(4, DROP_NEWEST))
-        assert admission.decide(3) == ADMIT
-        assert admission.decide(4) == SHED_NEWEST
-        admission.record_shed(DROP_NEWEST)
-        assert admission.shed == {DROP_NEWEST: 1, DROP_OLDEST: 0}
-
-    def test_drop_oldest_over_limit(self):
-        admission = AdmissionController(SheddingPolicy(4, DROP_OLDEST))
-        assert admission.decide(4) == SHED_OLDEST
-
-
 def _dispatcher(flu_config, **overrides):
     return Dispatcher(
         dataclasses.replace(flu_config, **overrides),
@@ -131,43 +92,6 @@ def _dispatcher(flu_config, **overrides):
 
 
 class TestDispatcherIntegration:
-    def test_offer_raw_drop_newest_sheds_arrival(self, flu_config):
-        dispatcher = _dispatcher(
-            flu_config, batch_size=64, ingest_queue_limit=2
-        )
-        dispatcher.start_publication()
-        assert dispatcher.offer_raw("a") == []
-        assert dispatcher.offer_raw("b") == []
-        assert dispatcher.offer_raw("c") is None  # backlog at the limit
-        assert dispatcher.pending_batch_records == 2
-        assert dispatcher.flow.admission.shed == {
-            DROP_NEWEST: 1,
-            DROP_OLDEST: 0,
-        }
-        # The close flush ships only the admitted records.
-        out = dispatcher.end_publication()
-        batch = next(m for _, m in out if isinstance(m, RawBatch))
-        assert [i for i in batch.items if isinstance(i, str)] == ["a", "b"]
-
-    def test_offer_raw_drop_oldest_evicts_head(self, flu_config):
-        dispatcher = _dispatcher(
-            flu_config,
-            batch_size=64,
-            ingest_queue_limit=2,
-            shed_policy="drop-oldest",
-        )
-        dispatcher.start_publication()
-        dispatcher.offer_raw("a")
-        dispatcher.offer_raw("b")
-        assert dispatcher.offer_raw("c") == []  # admitted, "a" evicted
-        assert dispatcher.pending_batch_records == 2
-        out = dispatcher.end_publication()
-        batch = next(m for _, m in out if isinstance(m, RawBatch))
-        assert [i for i in batch.items if isinstance(i, str)] == ["b", "c"]
-        # Eviction preserved ordinal == records_dispatched - len(batch)
-        # at flush time: 3 dispatched, 2 in the batch, so ordinal 1.
-        assert batch.ordinal == 1
-
     def test_credit_window_defers_and_grant_releases(self, flu_config):
         dispatcher = _dispatcher(flu_config, batch_size=2, credit_window=2)
         dispatcher.start_publication()
@@ -176,7 +100,7 @@ class TestDispatcherIntegration:
         assert len(out) == 1  # first batch consumes the whole window
         dispatcher.on_raw("c")
         assert dispatcher.on_raw("d") == []  # flushed but deferred
-        assert dispatcher.flow.credits.deferred_batches == 1
+        assert dispatcher.credits.deferred_batches == 1
         released = dispatcher.on_credit(CreditGrant(0, 2))
         (destination, batch), = released
         assert batch.items == ("c", "d")
@@ -189,7 +113,7 @@ class TestDispatcherIntegration:
         dispatcher.start_publication()
         for line in ("a", "b", "c", "d"):
             dispatcher.on_raw(line)
-        assert dispatcher.flow.credits.deferred_batches == 1
+        assert dispatcher.credits.deferred_batches == 1
         out = dispatcher.end_publication()
         kinds = [type(m).__name__ for _, m in out]
         last_batch = max(
@@ -197,8 +121,8 @@ class TestDispatcherIntegration:
         )
         first_publishing = kinds.index("PublishingMsg")
         assert last_batch < first_publishing
-        assert dispatcher.flow.credits.deferred_batches == 0
-        assert dispatcher.flow.credits.available == 2  # window reset
+        assert dispatcher.credits.deferred_batches == 0
+        assert dispatcher.credits.available == 2  # window reset
 
     def test_snapshot_restore_preserves_flow_state(self, flu_config):
         dispatcher = _dispatcher(flu_config, batch_size=2, credit_window=2)
@@ -208,8 +132,8 @@ class TestDispatcherIntegration:
         state = dispatcher.snapshot()
         other = _dispatcher(flu_config, batch_size=2, credit_window=2)
         other.restore(state)
-        assert other.flow.credits.snapshot() == dispatcher.flow.credits.snapshot()
-        assert other.backlog_records == dispatcher.backlog_records
+        assert other.credits.snapshot() == dispatcher.credits.snapshot()
+        assert other.pending_batch_records == dispatcher.pending_batch_records
         # The restored gate still releases the deferred batch on grant.
         released = other.on_credit(CreditGrant(0, 2))
         assert [batch.items for _, batch in released] == [("c", "d")]
@@ -224,11 +148,3 @@ class TestDispatcherIntegration:
         other.restore(state)
         assert other.pending_batch_records == 1
         assert other.batch_size == 4
-
-
-class TestFlowControllerBundle:
-    def test_restore_none_is_noop(self, flu_config):
-        flow = FlowController(dataclasses.replace(flu_config, batch_size=8))
-        before = flow.snapshot()
-        flow.restore(None)
-        assert flow.snapshot() == before

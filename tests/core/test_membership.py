@@ -208,10 +208,10 @@ class TestDispatcherMembership:
         dispatcher.start_publication()
         dispatcher.on_raw("a")
         (destination, lost_batch), = dispatcher.on_raw("b")
-        assert dispatcher.flow.credits.available == 0
+        assert dispatcher.credits.available == 0
         dispatcher.on_raw("c")
         assert dispatcher.on_raw("d") == []  # deferred: window is dry
-        assert dispatcher.flow.credits.deferred_batches == 1
+        assert dispatcher.credits.deferred_batches == 1
 
         victim = int(destination.removeprefix("cn-"))
         dispatcher.mark_node_down(victim)
@@ -223,7 +223,7 @@ class TestDispatcherMembership:
         assert reroute_destination != destination
         # … and the refunded credits released the deferred batch behind it.
         assert [m.items for _, m in out[1:]] == [("c", "d")]
-        assert dispatcher.flow.credits.deferred_batches == 0
+        assert dispatcher.credits.deferred_batches == 0
         assert dispatcher.records_rerouted == 2
 
     def test_redispatch_never_restamps(self, flu_config):

@@ -117,7 +117,7 @@ class TestCli:
 
     def test_node_subcommand_is_gone(self):
         """``repro node`` served ProcessCluster's node processes and
-        went with it; process-per-node deployment is the shm runtime."""
+        went with it; no runtime runs a node in its own process."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["node", "--role", "checking", "--config", "/tmp/c.json"]

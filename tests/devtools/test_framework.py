@@ -95,7 +95,6 @@ class TestRegistry:
             "membership",
             "privacy-budget",
             "hygiene",
-            "shm",
             "telemetry",
             "runtime",
         }

@@ -100,7 +100,7 @@ class TestDegradedCreditsInteraction:
                 runtime, publications, ChurnPlan(_CRASH_PLAN, _NUM_NODES)
             )
             state = cloud_state_fingerprint(runtime)
-            credits = runtime.dispatcher.flow.credits
+            credits = runtime.dispatcher.credits
             rerouted = runtime.dispatcher.records_rerouted
         # The crash actually rerouted backlog, the window was actually
         # exercised, and nothing is still parked behind dead credits.
@@ -127,9 +127,9 @@ class TestDegradedCreditsInteraction:
         routed = []
         # Drive the window dry: no checking node behind the dispatcher,
         # so no grants ever arrive and a batch eventually defers.
-        while dispatcher.flow.credits.deferred_batches == 0:
+        while dispatcher.credits.deferred_batches == 0:
             routed.extend(dispatcher.on_raw(next(lines)))
-        parked = dispatcher.flow.credits.deferred_batches
+        parked = dispatcher.credits.deferred_batches
         assert parked > 0
         # Redispatching the victim's unread batch refunds its credits
         # and that — nothing else is flowing — releases the head.
@@ -137,4 +137,4 @@ class TestDegradedCreditsInteraction:
         dispatcher.mark_node_down(int(destination.removeprefix("cn-")))
         out = dispatcher.redispatch(lost_batch)
         assert len(out) > 1  # the reroute plus released deferrals
-        assert dispatcher.flow.credits.deferred_batches < parked
+        assert dispatcher.credits.deferred_batches < parked

@@ -1,13 +1,11 @@
 """Flow control must be byte-invisible to the published state.
 
-Credit-based backpressure only *defers* already-sequenced batches, and
-admission control under its limit admits everything — neither may
-change a single published byte.  These tests extend the batch ≡
-per-record harness to both mechanisms: the synchronous driver runs the
-same seeded arrival stream with credits on vs off and through
-``offer`` vs ``ingest``, and the cloud-state fingerprints (file
-digests, receipts, collector counters, a query digest) must match
-exactly.
+Credit-based backpressure only *defers* already-sequenced batches, so
+it may not change a single published byte.  These tests extend the
+batch ≡ per-record harness to the credit gate: the synchronous driver
+runs the same seeded arrival stream with credits on vs off, and the
+cloud-state fingerprints (file digests, receipts, collector counters,
+a query digest) must match exactly.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ def _fingerprint(system, publications) -> dict:
 
 @pytest.fixture(scope="module")
 def baseline(publications) -> dict:
-    """No credits, no admission control."""
+    """No credits."""
     return _fingerprint(_build(), publications)
 
 
@@ -76,25 +74,3 @@ class TestCreditsAreByteInvisible:
         for lines in publications:
             system.run_publication(list(lines))
         assert telemetry.registry.counter("checking_credits_total").value > 0
-
-
-class TestAdmissionIsByteInvisibleWhenUnderLimit:
-    def test_offer_below_limit_equals_ingest(self, publications, baseline):
-        """A queue limit that never trips must not change anything."""
-        system = _build(ingest_queue_limit=10_000)
-        for lines in publications:
-            if not system._started:
-                system.start()
-            publication = system.dispatcher.publication
-            total = max(1, len(lines))
-            for position, line in enumerate(lines):
-                system.pump_dummies((position + 1) / (total + 1))
-                assert system.offer(line)
-            system.close_publication()
-            assert publication in {
-                r.publication for r in system._cloud_adapter.receipts
-            }
-        state = cloud_state_fingerprint(system)
-        state["query"] = query_fingerprint(system, 36.0, 39.0)
-        assert state == baseline
-        assert system.dispatcher.flow.admission.shed_total == 0

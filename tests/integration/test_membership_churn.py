@@ -112,16 +112,6 @@ class TestChurnEquivalence:
             state = cloud_state_fingerprint(cluster)
         assert state == baseline
 
-    def test_shm_churned_matches_static(self, publications, plan, baseline):
-        from repro.runtime.shm.cluster import ShmFresqueCluster
-
-        with ShmFresqueCluster(
-            _config(), _MASTER_KEY, seed=_SEED
-        ) as cluster:
-            run_churn(cluster, publications, plan)
-            state = cluster.fingerprint()
-        assert state == baseline
-
 
 class TestChurnBuildingBlocks:
     def test_no_event_plan_degenerates(self, publications, baseline):

@@ -4,7 +4,7 @@ transport.
 Pins the structure so it cannot re-fork — the dispatcher-facing surface
 is *the same function object* on every runtime, and exactly one module
 builds a dispatcher — and pins the behaviour the per-runtime copies had
-drifted on: ``offer()``/``flush_ingest()`` existing everywhere.
+drifted on: ``flush_ingest()`` existing everywhere.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.crypto.keys import KeyStore
 from repro.datasets.flu import FluSurveyGenerator
 from repro.durability.system import DurableFresqueSystem
 from repro.runtime.cluster import ThreadedFresque
-from repro.runtime.shm.cluster import ShmFresqueCluster
 from repro.runtime.tcp import TcpFresqueCluster
 from repro.runtime.wire import decode_message, encode_message
 from tests.runtime.test_wire import MESSAGES, merged_publication
@@ -35,7 +34,6 @@ SHARED = (
     "start",
     "ingest",
     "ingest_batch",
-    "offer",
     "flush_ingest",
     "poll_flush",
     "_poll_flush",
@@ -50,13 +48,11 @@ SHARED = (
     "__exit__",
 )
 
-#: The only overrides: journal-before-dispatch on the durable drivers
-#: (sync-durable, and shm's ``data_dir`` mode) and the durable boundary
-#: checkpoint.
+#: The only overrides: journal-before-dispatch on the durable driver
+#: and its boundary checkpoint.
 JOURNALLING_OVERRIDES = {
     ThreadedFresque: set(),
     TcpFresqueCluster: set(),
-    ShmFresqueCluster: {"ingest"},
     DurableFresqueSystem: {"ingest", "ingest_batch", "finish_publication"},
 }
 
@@ -138,17 +134,15 @@ def _deploy(runtime: str, config):
         return FresqueSystem(config, cipher, seed=3)
     if runtime == "threaded":
         return ThreadedFresque(config, cipher, seed=3)
-    if runtime == "tcp":
-        return TcpFresqueCluster(config, cipher, seed=3)
-    return ShmFresqueCluster(config, _KEY, seed=3)
+    return TcpFresqueCluster(config, cipher, seed=3)
 
 
-@pytest.mark.parametrize("runtime", ["sync", "threaded", "tcp", "shm"])
+@pytest.mark.parametrize("runtime", ["sync", "threaded", "tcp"])
 class TestSurfaceOnEveryRuntime:
-    """``offer`` and ``flush_ingest`` were missing on the threaded and
-    TCP runtimes while each runtime spelled its own surface."""
+    """``flush_ingest`` was missing on the threaded and TCP runtimes
+    while each runtime spelled its own surface."""
 
-    def _config(self, flu_config, **overrides):
+    def _config(self, flu_config):
         # A delay bound no poller reaches: only an explicit flush (or a
         # close) moves the sub-batch trickle.
         return dataclasses.replace(
@@ -156,19 +150,7 @@ class TestSurfaceOnEveryRuntime:
             num_computing_nodes=2,
             batch_size=64,
             max_batch_delay=60.0,
-            **overrides,
         )
-
-    def test_offer_sheds_over_the_queue_limit(self, runtime, flu_config):
-        config = self._config(
-            flu_config, ingest_queue_limit=4, shed_policy="drop-newest"
-        )
-        lines = list(FluSurveyGenerator(seed=31).raw_lines(6))
-        with _deploy(runtime, config) as system:
-            admitted = [system.offer(line) for line in lines]
-            assert admitted == [True] * 4 + [False] * 2
-            assert system.dispatcher.flow.admission.shed_total == 2
-            assert system.dispatcher.pending_batch_records == 4
 
     def test_flush_ingest_pushes_a_trickle_to_a_receipt(
         self, runtime, flu_config
@@ -187,5 +169,4 @@ class TestSurfaceOnEveryRuntime:
             system.flush_ingest()
             assert system.dispatcher.pending_batch_records == 0
             receipt = system.finish_publication()
-        # The shm parent's receipt is the bare matched-record count.
-        assert getattr(receipt, "records_matched", receipt) == expected
+        assert receipt.records_matched == expected

@@ -3,15 +3,16 @@
 Covers the pieces a unit test of :mod:`repro.core.flow` cannot: the
 background flush poller actually draining a sub-batch-size trickle
 (the stalled delay-flush regression), the credit protocol riding each
-transport (threaded inbox, TCP wire, shm control ring), and the
-restored dispatcher's seq/ordinal bookkeeping meshing with the shm
-ordering gate after a crash + node death + redispatch.
+transport (threaded inbox, TCP wire), and the restored dispatcher's
+seq/ordinal bookkeeping meshing with the checking gate after a crash +
+node death + redispatch.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -19,8 +20,8 @@ from repro.core.dispatcher import Dispatcher
 from repro.core.messages import CreditGrant, PairBatch, RawBatch
 from repro.core.system import FresqueSystem
 from repro.datasets.flu import FluSurveyGenerator
-from repro.runtime.backoff import await_condition
 from repro.runtime.cluster import ThreadedFresque
+from repro.runtime.gate import CheckingGate
 from repro.runtime.poller import (
     MAX_INTERVAL,
     MIN_INTERVAL,
@@ -36,6 +37,14 @@ class _ManualLoop:
         self.now = 0.0
 
 
+def _wait_for(predicate, timeout: float, what: str) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            raise TimeoutError(what)
+        time.sleep(0.001)
+
+
 class TestPollInterval:
     def test_half_the_delay_clamped(self):
         assert poll_interval(0.05) == pytest.approx(0.025)
@@ -48,8 +57,8 @@ class TestPollInterval:
 
         poller = FlushPoller(0.001, boom)
         poller.start()
-        await_condition(
-            lambda: poller.error is not None or None,
+        _wait_for(
+            lambda: poller.error is not None,
             5.0,
             "tick error never surfaced",
         )
@@ -77,8 +86,8 @@ class TestTrickleFlushesViaPoller:
                 runtime.ingest(line)
             assert runtime.dispatcher.pending_batch_records == 3
             loop.now = 1.0  # past max_batch_delay on the injected clock
-            await_condition(
-                lambda: len(runtime.checking.buffered_pairs()) >= 3 or None,
+            _wait_for(
+                lambda: len(runtime.checking.buffered_pairs()) >= 3,
                 10.0,
                 "trickle never flushed through the poller",
             )
@@ -118,35 +127,6 @@ class TestCreditProtocolPerRuntime:
             records = cluster.run_publication(lines)
         assert records > 0
 
-    def test_shm_publication_completes_with_credits(self):
-        from repro.crypto.cipher import SimulatedCipher
-        from repro.crypto.keys import KeyStore
-        from repro.datasets.flu import flu_domain
-        from repro.records.schema import flu_survey_schema
-        from repro.core.config import FresqueConfig
-        from repro.runtime.shm.cluster import ShmFresqueCluster
-
-        key = b"fresque-test-master-key-32bytes!"
-        config = FresqueConfig(
-            schema=flu_survey_schema(),
-            domain=flu_domain(),
-            num_computing_nodes=2,
-            batch_size=8,
-            credit_window=16,
-            deterministic_ivs=True,
-        )
-        generator = FluSurveyGenerator(seed=23)
-        lines = list(generator.raw_lines(200))
-        reference = FresqueSystem(
-            dataclasses.replace(config, credit_window=0),
-            SimulatedCipher(KeyStore(key, key_size=16)),
-            seed=4,
-        )
-        expected = reference.run_publication(list(lines)).published_pairs
-        with ShmFresqueCluster(config, key, seed=4) as cluster:
-            records = cluster.run_publication(lines)
-        assert records == expected
-
 
 class TestCreditGrantTransport:
     def test_wire_round_trip(self):
@@ -160,8 +140,8 @@ class TestCreditGrantTransport:
 
 class TestRestoreRedispatchOrdinals:
     """Satellite: a restored in-flight batch, a node death and a
-    redispatch must keep the seq/ordinal bookkeeping the shm ordering
-    gate (and deterministic IVs) key off."""
+    redispatch must keep the seq/ordinal bookkeeping the checking gate
+    (and deterministic IVs) key off."""
 
     def _dispatcher(self, flu_config):
         config = dataclasses.replace(flu_config, batch_size=4)
@@ -202,8 +182,6 @@ class TestRestoreRedispatchOrdinals:
         assert restored.records_rerouted == 2
 
     def test_gate_accepts_resumed_seq_and_drops_duplicate(self, flu_config):
-        from repro.runtime.shm.workers import CheckingGate
-
         dispatcher = self._dispatcher(flu_config)
         dispatcher.start_publication()
         flushed = []

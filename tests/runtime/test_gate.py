@@ -49,6 +49,7 @@ class TestSeqOrdering:
         gate.feed(_batch(0))
         assert [m.seq for m in recorder.seen] == [0, 1]
         assert gate.pending == 0
+        assert gate.next_seq == 2  # past every delivered batch
 
     def test_duplicate_seq_dropped(self):
         gate, recorder = _gate()
@@ -142,21 +143,30 @@ class TestControlGates:
 
     def test_new_publication_waits_for_finalisation(self):
         gate, recorder = _gate(num_nodes=2)
-        gate.feed(PublishingMsg(0, last_seq=-1, nodes=(0, 1)))
+        gate.feed(_batch(1))  # held: seq 0 missing
+        gate.feed(PublishingMsg(0, last_seq=1, nodes=(0, 1)))
         gate.feed(CnPublishing(0, node_id=0))
         gate.feed(NewPublication(1, plan=None))
+        # Each gate holds one: batch, broadcast, ack and announcement.
+        assert gate.pending == 4
+        gate.feed(_batch(0))
         assert not any(
             isinstance(m, NewPublication) for m in recorder.seen
         )
         gate.feed(CnPublishing(0, node_id=1))  # last expected ack
         assert any(isinstance(m, NewPublication) for m in recorder.seen)
+        assert gate.pending == 0
 
     def test_node_down_absolves_missing_ack(self):
         gate, recorder = _gate(num_nodes=2)
-        gate.feed(PublishingMsg(0, last_seq=-1, nodes=(0, 1)))
+        publishing = PublishingMsg(0, last_seq=-1, nodes=(0, 1))
+        gate.feed(publishing)
+        assert recorder.seen == [publishing]  # no batch to wait for
         gate.feed(CnPublishing(0, node_id=0))
         gate.feed(NewPublication(1, plan=None))
-        gate.feed(NodeDown(0, node_id=1))  # node 1 will never ack
+        down = NodeDown(0, node_id=1)  # node 1 will never ack
+        gate.feed(down)
+        assert down in recorder.seen  # delivered at once, never held
         assert any(isinstance(m, NewPublication) for m in recorder.seen)
 
     def test_rejoin_keeps_old_publication_absolved(self):

@@ -1,8 +1,8 @@
 """Wire-format tests: every protocol message round-trips.
 
-One codec, one suite: the same frame rides TCP (``bytes`` bodies off
-``read_frames``) and the shm rings (a ``memoryview`` of the slot), so
-every case runs over both input types.
+One codec, one suite: TCP hands the decoder ``bytes`` bodies off
+``read_frames``, and the decoder also reads a ``memoryview`` in place,
+so every case runs over both input types.
 """
 
 import base64
@@ -30,7 +30,6 @@ from repro.core.messages import (
     PublishingMsg,
     RawBatch,
     RemovedBatch,
-    RingAttach,
     TemplateMsg,
     ToCloudBatch,
 )
@@ -163,10 +162,6 @@ MESSAGES = {
             3, members=(0, 2), retired=(1,), down=(3,), joined=((2, 3),)
         ),
     ),
-    "RingAttach-checking": (
-        "checking",
-        RingAttach(2, "psm_pair_2", "psm_done_2"),
-    ),
 }
 
 #: The messages with a packed layout that compare with ``==`` (kinds
@@ -196,8 +191,8 @@ def test_message_roundtrip(destination, message):
     ("destination", "message"), MESSAGES.values(), ids=MESSAGES.keys()
 )
 def test_message_roundtrip_from_a_ring_view(destination, message):
-    """The ring path: the un-prefixed body, decoded in place from a
-    ``memoryview`` — and it is the TCP frame minus its length word."""
+    """The un-prefixed body, decoded in place from a ``memoryview`` —
+    and it is the TCP frame minus its length word."""
     body = encode_body(destination, message)
     assert encode_message(destination, message)[4:] == body
     assert decode_message(memoryview(body)) == (destination, message)

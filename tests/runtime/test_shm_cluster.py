@@ -1,18 +1,15 @@
-"""The shared-memory multiprocess runtime: gate ordering, end-to-end
-smoke, durability, and the worker-crash drill.
+"""CheckingGate checks written against the gate's original
+shared-memory home.
 
-The byte-identity property (cluster ≡ in-memory ``FresqueSystem``) is
-pinned separately in ``tests/integration/test_shm_equivalence.py``;
-this module covers the machinery underneath it.
+The shared-memory runtime is retired; :class:`CheckingGate` now lives in
+``repro.runtime.gate`` and fronts the checking node of the threaded and
+TCP runtimes.  These cases keep their original names and complement
+``tests/runtime/test_gate.py`` (empty publications, multi-gate
+``pending`` accounting, three-node ack relaxation).
 """
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
-from repro.core.config import FresqueConfig
 from repro.core.messages import (
     CnPublishing,
     NewPublication,
@@ -20,31 +17,7 @@ from repro.core.messages import (
     PairBatch,
     PublishingMsg,
 )
-from repro.crypto.cipher import SimulatedCipher
-from repro.crypto.keys import KeyStore
-from repro.datasets.flu import FluSurveyGenerator, flu_domain
-from repro.records.schema import flu_survey_schema
-from repro.runtime.shm.cluster import ShmFresqueCluster
-from repro.runtime.shm.workers import CheckingGate, stats_fields
-
-_MASTER_KEY = b"fresque-test-master-key-32bytes!"
-_SEED = 20210323
-
-
-def _config(batch_size: int = 8, num_computing_nodes: int = 3) -> FresqueConfig:
-    return FresqueConfig(
-        schema=flu_survey_schema(),
-        domain=flu_domain(),
-        num_computing_nodes=num_computing_nodes,
-        epsilon=1.0,
-        alpha=2.0,
-        batch_size=batch_size,
-    )
-
-
-# ---------------------------------------------------------------------------
-# CheckingGate: the order-restoring front of the checking worker
-# ---------------------------------------------------------------------------
+from repro.runtime.gate import CheckingGate
 
 
 class _Recorder:
@@ -146,116 +119,3 @@ class TestCheckingGate:
         gate.feed(NewPublication(1, plan=None))
         assert gate.pending == 4
 
-
-def test_stats_fields_layouts():
-    assert stats_fields("cn-2") == stats_fields("cn-0")
-    assert "pairs_processed" in stats_fields("checking")
-    assert stats_fields("merger")[0] == "heartbeat"
-
-
-# ---------------------------------------------------------------------------
-# End-to-end smoke (spawns the full worker constellation)
-# ---------------------------------------------------------------------------
-
-
-def _stream(seed: int, per_interval: int, intervals: int) -> list[list[str]]:
-    generator = FluSurveyGenerator(seed=seed)
-    return [list(generator.raw_lines(per_interval)) for _ in range(intervals)]
-
-
-class TestClusterSmoke:
-    def test_two_publications_end_to_end(self):
-        publications = _stream(71, 60, 2)
-        with ShmFresqueCluster(_config(8), _MASTER_KEY, seed=_SEED) as cluster:
-            counts = [cluster.run_publication(lines) for lines in publications]
-            assert all(count >= len(lines)
-                       for count, lines in zip(counts, publications))
-            assert cluster.status() == dict(enumerate(counts))
-            count, sha = cluster.query_fingerprint(36.0, 39.0)
-            assert count >= 0 and len(sha) == 64
-        # Shutdown reaped every shared-memory segment.
-        for ring in cluster._rings.values():
-            with pytest.raises(FileNotFoundError):
-                os.stat(f"/dev/shm/{ring.name}")
-
-    def test_empty_publication(self):
-        with ShmFresqueCluster(_config(4), _MASTER_KEY, seed=_SEED) as cluster:
-            records = cluster.run_publication([])
-            # Only dummies (if the noise plan drew any) reach the cloud.
-            assert records >= 0
-            assert cluster.receipts[0] == records
-
-    def test_durable_mode_journals_and_commits(self, tmp_path):
-        publications = _stream(13, 30, 2)
-        with ShmFresqueCluster(
-            _config(8), _MASTER_KEY, seed=_SEED, data_dir=tmp_path
-        ) as cluster:
-            for lines in publications:
-                cluster.run_publication(lines)
-            assert cluster.accountant.committed_publications == frozenset({0, 1})
-        assert (tmp_path / "journal.wal").stat().st_size > 0
-        assert (tmp_path / "epsilon.ledger").stat().st_size > 0
-
-    def test_durable_close_publication_journals_and_ledgers(self, tmp_path):
-        """The public ``close_publication()`` used to be "the
-        non-durable boundary only" even with ``data_dir`` set: it opened
-        the next publication with a freshly drawn plan and no grant, and
-        journalled nothing.  It now runs the same durable hooks as
-        ``run_publication``."""
-        from collections import Counter
-
-        lines = _stream(17, 40, 1)[0]
-        with ShmFresqueCluster(
-            _config(8), _MASTER_KEY, seed=_SEED, data_dir=tmp_path
-        ) as cluster:
-            for line in lines:
-                cluster.ingest(line)
-            cluster.close_publication()
-            types = Counter(r.type for r in cluster.journal.replay())
-            assert types == {"open": 2, "rawb": 40, "close": 1, "commit": 1}
-            assert cluster.accountant.publications_granted == 2
-            assert cluster.accountant.committed_publications == frozenset({0})
-            assert cluster.dispatcher.publication == 1
-            assert 0 in cluster.receipts
-
-
-class TestWorkerCrash:
-    def test_cn_death_mid_publication_loses_nothing(self):
-        """Hard-kill a computing node mid-interval: the publication still
-        completes, count-exact, through NodeDown + backlog redispatch +
-        the checking gate's sequence dedup."""
-        lines = _stream(5, 240, 1)[0]
-        cluster = ShmFresqueCluster(_config(8), _MASTER_KEY, seed=_SEED)
-        cluster.start()
-        try:
-            publication = cluster.dispatcher.publication
-            for index, line in enumerate(lines):
-                if index == 97:
-                    cluster.kill_worker("cn-1")
-                cluster.ingest(line)
-            cluster._send_all(cluster.dispatcher.end_publication())
-            cluster._send_all(cluster.dispatcher.start_publication())
-            records = cluster._await_receipt(publication, timeout=60.0)
-            stats = cluster._stats["checking"].read_all()
-            expected = (
-                len(lines)
-                + int(stats["dummies_passed"])
-                - int(stats["records_removed"])
-            )
-            assert records == expected
-            assert cluster.dispatcher.dead_nodes == {1}
-            assert cluster.dispatcher.records_rerouted > 0
-        finally:
-            cluster.shutdown()
-
-    def test_checking_death_raises_worker_died(self):
-        from repro.runtime.shm.cluster import WorkerDied
-
-        cluster = ShmFresqueCluster(_config(4), _MASTER_KEY, seed=_SEED)
-        cluster.start()
-        try:
-            cluster.kill_worker("checking")
-            with pytest.raises(WorkerDied):
-                cluster._supervise()
-        finally:
-            cluster.shutdown()

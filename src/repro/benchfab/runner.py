@@ -97,9 +97,6 @@ def build_config(scenario: Scenario) -> FresqueConfig:
     delay = scenario.param("max_batch_delay")
     if delay is not None:
         kwargs["max_batch_delay"] = float(delay)
-    credit = scenario.param("credit_window")
-    if credit is not None:
-        kwargs["credit_window"] = int(credit)
     return FresqueConfig(**kwargs)
 
 

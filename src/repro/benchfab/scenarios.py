@@ -129,7 +129,6 @@ _CHURN = BenchSpec(
             "runtime": "threaded",
             "records": 1_000,
             "batch_size": 8,
-            "credit_window": 32,
             "warmup_pubs": 2,
             "baseline_pubs": 3,
             "recovery_pubs": 5,

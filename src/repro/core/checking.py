@@ -35,7 +35,6 @@ from repro.core.messages import (
     AnnouncePublication,
     BufferFlush,
     CnPublishing,
-    CreditGrant,
     DoneMsg,
     MembershipMsg,
     NewPublication,
@@ -168,10 +167,6 @@ class CheckingNode(Routed):
         self._removed_counter = self._tel.counter("checking_removed_total")
         self._dummies_counter = self._tel.counter("checking_dummies_total")
         self._occupancy_gauge = self._tel.gauge("randomer_occupancy")
-        # Credit-based backpressure (docs/BATCHING.md): grant the
-        # records of every processed PairBatch back to the dispatcher.
-        self._grant_credits = config.credit_window > 0
-        self._credits_counter = self._tel.counter("checking_credits_total")
 
     def state_of(self, publication: int) -> _PublicationState:
         """Internal state of ``publication`` (for tests and metrics)."""
@@ -228,8 +223,8 @@ class CheckingNode(Routed):
         ]
         # Replay anything that raced ahead of this announcement (possible
         # where channels are per-sender).  Early batches were buffered
-        # flat, in arrival order, after admission and the credit grant,
-        # so only the insert → check → ToCloudBatch step is left to run.
+        # flat, in arrival order, after admission, so only the insert →
+        # check → ToCloudBatch step is left to run.
         early_pairs = self._early_pairs.pop(message.publication, None)
         if early_pairs:
             out.extend(
@@ -312,33 +307,20 @@ class CheckingNode(Routed):
         return out
 
     def on_pair_batch(self, message: PairBatch) -> list[tuple[str, object]]:
-        """Grant the batch's credits, then buffer and check it
-        (:meth:`_buffer_and_check`) — or hold it, if it beat its
-        publication's announcement here."""
+        """Buffer and check the batch (:meth:`_buffer_and_check`) — or
+        hold it, if it beat its publication's announcement here."""
         publication = message.publication
-        admitted = self._admit_epoch(message)
-        grant: list[tuple[str, object]] = []
-        if self._grant_credits and message.leaves:
-            # Grant on receipt: the batch reached the trusted node, so
-            # its records no longer count against the dispatcher's
-            # credit window — even while they sit in the randomer.  Stale
-            # batches grant too: their records were charged against the
-            # window by the crashed incarnation's dispatch.
-            self._credits_counter.inc(len(message))
-            grant.append(
-                ("dispatcher", CreditGrant(publication, len(message)))
-            )
-        if not admitted:
+        if not self._admit_epoch(message):
             # Output of a crashed incarnation — the redispatch already
-            # re-covers these records; only the credits matter.
-            return grant
+            # re-covers these records.
+            return []
         arrived = (message.leaves, message.ciphertexts, message.dummies)
         state = self._publications.get(publication)
         if state is None:
             held = self._early_pairs.get(publication, ((), (), b""))
             self._early_pairs[publication] = tuple(map(add, held, arrived))
-            return grant
-        return grant + self._buffer_and_check(publication, state, *arrived)
+            return []
+        return self._buffer_and_check(publication, state, *arrived)
 
     def snapshot(self) -> dict:
         """JSON-able snapshot of per-publication progress.

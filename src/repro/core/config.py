@@ -56,11 +56,6 @@ class FresqueConfig:
         anyway, bounding the ingest latency batching adds.  Both batch
         knobs are fixed for the deployment's lifetime: the dispatcher
         flushes at exactly these values (docs/BATCHING.md).
-    credit_window:
-        Records the dispatcher may have in flight towards the checking
-        node before it stops releasing flushed batches (credit-based
-        backpressure; the checking node grants credits back per
-        processed batch).  0 disables the gate.
     deterministic_ivs:
         When true, computing nodes and the merger derive every IV from
         the record's pipeline-wide identity (the dispatch ordinal stamped
@@ -87,7 +82,6 @@ class FresqueConfig:
     publish_interval: float = 60.0
     batch_size: int = 1
     max_batch_delay: float = 0.05
-    credit_window: int = 0
     deterministic_ivs: bool = False
     _height: int = field(init=False, repr=False, compare=False, default=0)
 
@@ -112,10 +106,6 @@ class FresqueConfig:
         if self.max_batch_delay <= 0:
             raise ConfigError(
                 f"max_batch_delay must be positive, got {self.max_batch_delay}"
-            )
-        if self.credit_window < 0:
-            raise ConfigError(
-                f"credit_window must be >= 0, got {self.credit_window}"
             )
         object.__setattr__(
             self,

@@ -15,10 +15,9 @@ batch that is flushed to the next computing node as one
 ``config.max_batch_delay`` (*delay*), or when the publication interval
 closes (*close*) — the close flush is what guarantees a batch never
 straddles a publication boundary.  ``batch_size=1`` degenerates to
-per-record dispatch through the exact same path.  A
-:class:`~repro.core.flow.CreditGate` applies credit-based backpressure:
-flushed batches park in a deferred queue when the checking node's
-credits run dry.
+per-record dispatch through the exact same path.  As in the paper there
+is no flow control: a flushed batch leaves at once, and nothing is ever
+addressed back to the dispatcher — it only sends.
 """
 
 from __future__ import annotations
@@ -27,16 +26,13 @@ import random
 from collections import deque
 
 from repro.core.config import FresqueConfig
-from repro.core.flow import CreditGate
 from repro.core.membership import Membership
 from repro.core.messages import (
-    CreditGrant,
     MembershipMsg,
     NewPublication,
     NodeDown,
     PublishingMsg,
     RawBatch,
-    Routed,
 )
 from repro.index.perturb import NoisePlan, draw_noise_plan
 from repro.index.tree import IndexTree
@@ -63,8 +59,12 @@ FLUSH_SIZE, FLUSH_DELAY, FLUSH_CLOSE, FLUSH_MANUAL = (
 )
 
 
-class Dispatcher(Routed):
+class Dispatcher:
     """Round-robin record distribution plus publication lifecycle.
+
+    The collector driver calls these methods directly; unlike the nodes
+    behind it the dispatcher has no address and no route table, because
+    no message is ever sent to it.
 
     Parameters
     ----------
@@ -82,8 +82,6 @@ class Dispatcher(Routed):
         :class:`~repro.telemetry.clock.SimulatedClock` so delay flushes
         fire without sleeping.
     """
-
-    ROUTES = {CreditGrant: "on_credit"}
 
     def __init__(
         self,
@@ -121,9 +119,6 @@ class Dispatcher(Routed):
         #: Flush triggers, read on every enqueue.
         self.batch_size = config.batch_size
         self.max_batch_delay = config.max_batch_delay
-        #: Credit-based backpressure from the checking node
-        #: (repro.core.flow).
-        self.credits = CreditGate(config.credit_window, telemetry=telemetry)
         #: The in-flight batch: raw lines and dummy Records, arrival order.
         self._batch: list[str | Record] = []
         self._batch_opened: float | None = None
@@ -270,15 +265,12 @@ class Dispatcher(Routed):
         Returns ``(node_id, outbox)``.  The in-flight batch flushes
         first, stamped and routed under the *old* epoch — admission
         never perturbs batches already sequenced — then the rotation is
-        rebuilt around the grown fleet and the credit window reopens
-        (deferred batches release; they too keep their old stamps and
-        addresses).  The checking node learns the new fleet from the
-        :class:`MembershipMsg`.
+        rebuilt around the grown fleet.  The checking node learns the new
+        fleet from the :class:`MembershipMsg`.
         """
         out = self._flush(FLUSH_MANUAL)
         node_id = self.membership.admit(node_id)
         self._participants.add(node_id)
-        out.extend(self.credits.drain())
         out.append(("checking", self._membership_msg()))
         return node_id, out
 
@@ -327,16 +319,10 @@ class Dispatcher(Routed):
 
         The message object is forwarded unchanged — its seq/ordinal/
         epoch stamps must survive the reroute (the ordering gate dedups
-        by seq, deterministic IVs key off the ordinal).  The dead node's
-        credits are refunded (its batches may never reach the checking
-        node to be granted back), which can release deferred batches —
-        they follow the rerouted one in the returned outbox.
+        by seq, deterministic IVs key off the ordinal).
         """
         self.records_rerouted += len(message.items)
-        released = self.credits.refund(len(message.items))
-        out = [(self._next_node(), message)]
-        out.extend(released)
-        return out
+        return [(self._next_node(), message)]
 
     def _next_node(self) -> str:
         return self.membership.next_destination()
@@ -344,10 +330,6 @@ class Dispatcher(Routed):
     def on_raw(self, line: str) -> list[tuple[str, object]]:
         """Accumulate one raw line; forward a batch when a flush triggers."""
         return self._enqueue(line)
-
-    def on_credit(self, message: CreditGrant) -> list[tuple[str, object]]:
-        """Apply a checking-node credit grant; release deferred batches."""
-        return list(self.credits.grant(message.records))
 
     def _enqueue(self, item: str | Record) -> list[tuple[str, object]]:
         """Append one item to the in-flight batch; flush if due."""
@@ -368,14 +350,8 @@ class Dispatcher(Routed):
         return []
 
     def _flush(self, reason: str) -> list[tuple[str, object]]:
-        """Ship the in-flight batch as one RawBatch; no-op when empty.
-
-        The batch is routed (round robin) and sequenced unconditionally;
-        the credit gate then decides whether it leaves now or waits,
-        already addressed, in the deferred queue until the checking node
-        grants credits back (an empty return with a non-empty deferred
-        queue, not a dropped batch).
-        """
+        """Ship the in-flight batch as one RawBatch, routed (round robin)
+        and sequenced; no-op when empty."""
         if not self._batch:
             return []
         start = self._tel.now()
@@ -395,8 +371,6 @@ class Dispatcher(Routed):
         self._flush_counters[reason].inc()
         self._batch_histogram.observe(float(len(items)))
         self._tel.observe_stage("dispatch", self._publication, start)
-        if not self.credits.try_send(destination, message):
-            return []
         return [(destination, message)]
 
     def flush_batch(
@@ -457,7 +431,6 @@ class Dispatcher(Routed):
             "records_rerouted": self.records_rerouted,
             "dummies_generated": self.dummies_generated,
             "seq": self._seq,
-            "flow": {"credits": self.credits.snapshot()},
         }
 
     def restore(self, state: dict) -> None:
@@ -486,12 +459,6 @@ class Dispatcher(Routed):
         # records_dispatched already counts the restored in-flight batch,
         # so its first item's ordinal is derivable.
         self._batch_ordinal = self.records_dispatched - len(self._batch)
-        # Pre-flow snapshots carry no "flow" key; construction defaults
-        # already match the config in that case.  Keys beside "credits"
-        # (an older snapshot's "controller") are ignored.
-        flow = state.get("flow")
-        if flow is not None:
-            self.credits.restore(flow["credits"])
 
     def end_publication(self) -> list[tuple[str, object]]:
         """Broadcast *publishing*; the caller immediately starts the next.
@@ -503,10 +470,6 @@ class Dispatcher(Routed):
         """
         out = self.due_dummies(1.0)
         out.extend(self._flush(FLUSH_CLOSE))
-        # Credits or not, the complete publication must reach the
-        # computing nodes before the broadcast: release every deferred
-        # batch and reset the credit window at the boundary.
-        out.extend(self.credits.drain())
         down = set(self.membership.down_ids)
         nodes = tuple(
             i for i in sorted(self._participants) if i not in down

@@ -11,8 +11,9 @@ computing node to the cloud it is one index into parallel columns — the
 layout the wire, the randomer, the checkpoint and the cloud's files
 share.  Removed records and the sealed overflow arrays are columns too.
 
-Destinations are string names: ``"dispatcher"``, ``"cn-<i>"``,
-``"checking"``, ``"merger"``, ``"cloud"``.
+Destinations are string names: ``"cn-<i>"``, ``"checking"``,
+``"merger"``, ``"cloud"``.  Nothing is addressed to the dispatcher: it
+is the driver's entry point and only ever sends.
 """
 
 from __future__ import annotations
@@ -184,23 +185,6 @@ class CnPublishing:
 
     publication: int
     node_id: int
-
-
-@dataclass(frozen=True)
-class CreditGrant:
-    """Checking node → dispatcher: backpressure credits replenished.
-
-    Emitted once per processed :class:`PairBatch` when
-    ``config.credit_window > 0``, crediting the dispatcher's
-    :class:`~repro.core.flow.CreditGate` with the records it just got
-    through the randomer.  Dispatching consumes one credit per record,
-    so the window bounds the records in flight toward the checking
-    node; the grant stream is what lets the dispatcher resume releasing
-    deferred batches (docs/BATCHING.md).
-    """
-
-    publication: int
-    records: int
 
 
 @dataclass(frozen=True)

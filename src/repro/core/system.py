@@ -213,7 +213,7 @@ class FresqueSystem:
         )
         #: Destination name → handler ("message in, outbox out"): the
         #: route of every message, on every transport.
-        self._handlers = {"dispatcher": self.dispatcher.handle}
+        self._handlers: dict[str, object] = {}
         self.computing_nodes: list[ComputingNode] = []
         # Keyed by node id: elastic membership can admit ids past the
         # initial fleet and replace crashed incarnations.
@@ -223,10 +223,10 @@ class FresqueSystem:
         #: Names of the computing nodes the driver degraded around.
         self._dead: set[str] = set()
         # The dispatcher is not thread-safe, and on the concurrent
-        # runtimes three threads reach it: the feeder, the flush poller
-        # and whichever thread delivers credit grants.  One lock
-        # serialises them — reentrant, because a send can fail into the
-        # degraded path, which sends again.
+        # runtimes the feeder and the flush poller both drive it (and a
+        # node thread whose send finds a computing node gone reroutes
+        # through it).  One lock serialises them — reentrant, because a
+        # send can fail into the degraded path, which sends again.
         self._lock = threading.RLock()
         self._started = False
 
@@ -345,28 +345,16 @@ class FresqueSystem:
                 if isinstance(message, RawBatch):
                     self._send_all(self.dispatcher.redispatch(message))
 
-    def _handle_dispatcher(self, message) -> list:
-        """Handler of the ``dispatcher`` address where its messages
-        arrive on a thread of their own: the dispatcher is applied under
-        the lock, and whatever a credit grant releases leaves through
-        the driver's send path, not the delivering thread's."""
-        with self._lock:
-            self._send_all(self.dispatcher.handle(message))
-        return []
-
     def _thread_handlers(self) -> None:
         """Ready the handler table for nodes that run concurrently.
 
-        Dispatcher-bound messages take the lock
-        (:meth:`_handle_dispatcher`).  Under deterministic IVs the
-        checking node is fronted by the membership-aware ordering gate,
-        which makes the final cloud state byte-identical to the
-        synchronous system's even with crashes and rejoins interleaving
-        arrivals (docs/PROTOCOL.md).
+        Under deterministic IVs the checking node is fronted by the
+        membership-aware ordering gate, which makes the final cloud state
+        byte-identical to the synchronous system's even with crashes and
+        rejoins interleaving arrivals (docs/PROTOCOL.md).
         """
         from repro.runtime.gate import CheckingGate
 
-        self._handlers["dispatcher"] = self._handle_dispatcher
         if self.config.deterministic_ivs:
             self._checking_gate = CheckingGate(
                 self.checking.handle, self.config.num_computing_nodes

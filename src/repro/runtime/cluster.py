@@ -55,7 +55,8 @@ class ThreadedFresque(FresqueSystem):
     ----------
     config:
         Deployment configuration (``num_computing_nodes`` threads plus
-        dispatcher, checking node, merger and cloud).
+        checking node, merger and cloud; the dispatcher runs on the
+        caller's thread).
     cipher:
         Record cipher shared with the client.
     seed:

@@ -7,13 +7,15 @@ paper's 17-node cluster)::
     length (u32 LE) | kind (u8) | dest length (u8) | dest utf-8 | body
 
 :func:`encode_body` builds the frame without its length word.  Kinds
-1-7 — ``RawBatch``, ``PairBatch``, ``ToCloudBatch``, ``BufferFlush``,
-``CreditGrant``, ``RemovedBatch``, ``MergedPublication``: everything
-that carries ciphertexts or rides once per batch — are packed with ``struct`` and decoded in place: no base64,
-one copy per ciphertext; kinds 2-4, 6 and 7 carry the pair columns of
+1-4, 6 and 7 — ``RawBatch``, ``PairBatch``, ``ToCloudBatch``,
+``BufferFlush``, ``RemovedBatch``, ``MergedPublication``: everything
+that carries ciphertexts or rides once per batch — are packed with
+``struct`` and decoded in place: no base64, one copy per ciphertext;
+kinds 2-4, 6 and 7 carry the pair columns of
 ``records.codec.pack_pairs``, the collector checkpoint's packer too.
 Kind 0 is a JSON ``{"type", "payload"}`` envelope for every other
-message (docs/PROTOCOL.md).
+message.  Kind 5 is retired and unassigned: a frame of that kind is a
+:class:`WireError` (docs/PROTOCOL.md).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from repro.core.messages import (
     AnnouncePublication,
     BufferFlush,
     CnPublishing,
-    CreditGrant,
     DoneMsg,
     MembershipMsg,
     MergedPublication,
@@ -160,7 +161,6 @@ _ITEM_HEAD = struct.Struct("<BI")  # 0 = line / 1 = JSON record, utf-8 length
 #: count, leaves, lengths, ciphertexts, dummy flags) follow.
 _PAIR_HEAD = struct.Struct("<qqqq")
 _CLOUD_HEAD = struct.Struct("<q")  # pub; the pair columns (no flags) follow
-_CREDIT = struct.Struct("<qq")  # pub, granted record count
 _HEAD_LENGTH = struct.Struct("<I")  # a MergedPublication's JSON head, bytes
 
 
@@ -283,28 +283,18 @@ def _unpack_merged(message_type, view, offset: int):
     return message_type(head["pub"], tree, overflow), end
 
 
-def _pack_credit(out: bytearray, message: CreditGrant) -> None:
-    out += _CREDIT.pack(message.publication, message.records)
-
-
-def _unpack_credit(message_type, view, offset: int):
-    grant = message_type(*_CREDIT.unpack_from(view, offset))
-    return grant, offset + _CREDIT.size
-
-
 #: Kind -> (message type, packer, unpacker); every other type rides kind 0.
-_KINDS = (
-    (None, _pack_json, _unpack_json),
-    (RawBatch, _pack_raw_batch, _unpack_raw_batch),
-    (PairBatch, _pack_pair_batch, _unpack_pair_batch),
-    (ToCloudBatch, _pack_cloud_pairs, _unpack_cloud_pairs),
-    (BufferFlush, _pack_cloud_pairs, _unpack_cloud_pairs),
-    # Fixed-size: one grant rides per processed PairBatch (docs/BATCHING.md).
-    (CreditGrant, _pack_credit, _unpack_credit),
-    (RemovedBatch, _pack_cloud_pairs, _unpack_cloud_pairs),
-    (MergedPublication, _pack_merged, _unpack_merged),
-)
-_KIND_OF = {entry[0]: kind for kind, entry in enumerate(_KINDS)}
+#: Kind 5 is retired: it stays unassigned, so its frames do not decode.
+_KINDS = {
+    0: (None, _pack_json, _unpack_json),
+    1: (RawBatch, _pack_raw_batch, _unpack_raw_batch),
+    2: (PairBatch, _pack_pair_batch, _unpack_pair_batch),
+    3: (ToCloudBatch, _pack_cloud_pairs, _unpack_cloud_pairs),
+    4: (BufferFlush, _pack_cloud_pairs, _unpack_cloud_pairs),
+    6: (RemovedBatch, _pack_cloud_pairs, _unpack_cloud_pairs),
+    7: (MergedPublication, _pack_merged, _unpack_merged),
+}
+_KIND_OF = {entry[0]: kind for kind, entry in _KINDS.items()}
 
 
 def encode_body(destination: str, message) -> bytearray:

@@ -24,16 +24,12 @@ def test_build_config_maps_scenario_fields():
         workers=5,
         batch_size=16,
         deterministic_ivs=True,
-        params=(
-            ("max_batch_delay", 0.5),
-            ("credit_window", 32),
-        ),
+        params=(("max_batch_delay", 0.5),),
     )
     config = build_config(scenario)
     assert config.num_computing_nodes == 5
     assert config.batch_size == 16
     assert config.max_batch_delay == 0.5
-    assert config.credit_window == 32
     assert config.deterministic_ivs is True
 
 
@@ -111,7 +107,6 @@ def test_churn_workload_emits_phase_cards_and_summary():
                 ("warmup_pubs", 1),
                 ("baseline_pubs", 2),
                 ("recovery_pubs", 2),
-                ("credit_window", 32),
             ),
         )
     )

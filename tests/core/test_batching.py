@@ -27,7 +27,6 @@ from repro.core.checking import CheckingNode
 from repro.core.dispatcher import Dispatcher
 from repro.core.messages import (
     AnnouncePublication,
-    CreditGrant,
     NewPublication,
     PublishingMsg,
     RawBatch,
@@ -162,13 +161,11 @@ def _released(outbox) -> tuple[list, list]:
     return cloud, merger
 
 
-def _small_buffer(flu_config, delta_prime, **overrides):
+def _small_buffer(flu_config, delta_prime):
     """``flu_config`` with a randomer small enough to evict: the
     capacity is ``alpha * s_i * leaves``, and ``delta_prime`` sets s_i
     (0.5 -> 0, capacity 1; 0.6 -> 1, capacity 160)."""
-    return dataclasses.replace(
-        flu_config, delta_prime=delta_prime, **overrides
-    )
+    return dataclasses.replace(flu_config, delta_prime=delta_prime)
 
 
 def _plan(config):
@@ -246,8 +243,8 @@ class TestRandomerBatchOrdering:
         """A batch that beats its NewPublication (per-sender channels)
         is held, then takes the same path as one delivered in order: the
         same stream, state and counters, one cloud-bound message, and
-        the credits it was granted on receipt — once."""
-        config = _small_buffer(flu_config, delta_prime=0.5, credit_window=64)
+        nothing emitted while it is held."""
+        config = _small_buffer(flu_config, delta_prime=0.5)
         plan = _plan(config)
         batch = pair_batch(0, _pairs(config, 25))
 
@@ -259,7 +256,7 @@ class TestRandomerBatchOrdering:
 
         early = CheckingNode(config, rng=random.Random(9))
         held = early.on_pair_batch(batch)
-        assert held == [("dispatcher", CreditGrant(0, 25))]
+        assert held == []
         replayed = early.on_new_publication(NewPublication(0, plan))
 
         cloud_data = [
@@ -271,8 +268,6 @@ class TestRandomerBatchOrdering:
         assert len(cloud_data) <= 1
         assert _released(replayed) == (cloud, merger)
         assert {d for d, _ in replayed} <= {"merger", "cloud"}
-        grants = [m for _, m in held + replayed if isinstance(m, CreditGrant)]
-        assert grants == [CreditGrant(0, 25)]
         assert early.buffered_pairs() == in_order.buffered_pairs()
         assert early.pairs_processed == in_order.pairs_processed
         assert early.dummies_passed == in_order.dummies_passed

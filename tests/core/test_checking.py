@@ -13,7 +13,6 @@ from repro.core.messages import (
     AnnouncePublication,
     BufferFlush,
     CnPublishing,
-    CreditGrant,
     DoneMsg,
     MembershipMsg,
     NewPublication,
@@ -334,12 +333,10 @@ class TestEpochGate:
     def _buffered(state):
         return state.randomer.columns(), state.arrays.state()
 
-    def test_stale_batch_grants_credits_but_is_not_buffered(
+    def test_stale_batch_emits_nothing_and_is_not_buffered(
         self, flu_config, plan
     ):
-        checking = CheckingNode(
-            replace(flu_config, credit_window=64), rng=random.Random(9)
-        )
+        checking = CheckingNode(flu_config, rng=random.Random(9))
         checking.on_node_down(NodeDown(0, 2))
         checking.on_new_publication(NewPublication(0, plan))
         checking.on_membership(self.REJOIN)
@@ -347,9 +344,7 @@ class TestEpochGate:
         before = self._buffered(checking.state_of(0))
 
         out = checking.on_pair_batch(pair_batch(0, pairs, epoch=1, node=2))
-        # The crashed incarnation's dispatch charged the credit window,
-        # so the grant still flows; nothing else does.
-        assert out == [("dispatcher", CreditGrant(0, len(pairs)))]
+        assert out == []
         assert self._buffered(checking.state_of(0)) == before
         assert checking.stale_batches_discarded == 1
         assert checking.stale_pairs_discarded == len(pairs)

@@ -17,6 +17,7 @@ from repro.cloud.filestore import FileBackedStore
 from repro.benchfab.fingerprint import publication_digest
 from repro.cloud.node import FresqueCloud
 from repro.crypto.cipher import SimulatedCipher
+from repro.durability.checkpoint import FORMAT
 from repro.durability.recovery import RecoveryManager
 from repro.durability.system import CollectorCrash, DurableFresqueSystem
 from repro.records.codec import decode_pairs
@@ -240,7 +241,7 @@ class TestCrashDrill:
 
         def as_format_1(path):
             document = json.loads(path.read_text())
-            assert document.pop("format") == 3
+            assert document.pop("format") == FORMAT
             for saved in document["state"]["checking"]["publications"].values():
                 leaves, ciphertexts, dummies = decode_pairs(saved["residents"])
                 assert leaves  # mid-publication: the randomer holds pairs
@@ -263,9 +264,11 @@ class TestCrashDrill:
         self, flu_config, keystore, tmp_path, lines
     ):
         """Format 2 kept the merger's removed records as one JSON object
-        each.  A data dir whose only checkpoints are format 2 recovers
-        exactly as one with no checkpoint at all — as a torn document
-        does — not through a failed ``restore``."""
+        each, and format 3 the dispatcher's credit window, whose deferred
+        batches nothing can release any more.  A data dir whose only
+        checkpoints are format 2, or format 3, recovers exactly as one
+        with no checkpoint at all — as a torn document does — not
+        through a failed ``restore``."""
         config = _one_pair_randomer(flu_config)
 
         def drill(data_dir, spoil):
@@ -292,7 +295,7 @@ class TestCrashDrill:
 
         def as_format_2(path):
             document = json.loads(path.read_text())
-            assert document["format"] == 3
+            assert document["format"] == FORMAT
             document["format"] = 2
             merger = document["state"]["merger"]
             for publication, saved in merger["publications"].items():
@@ -307,59 +310,19 @@ class TestCrashDrill:
                 saved["removed"] = removed
             path.write_text(json.dumps(document))
 
-        assert drill(tmp_path / "old", as_format_2) == drill(
-            tmp_path / "none", lambda path: path.unlink()
-        )
-        assert any(spoiled)  # some document held removed records
-
-    def test_a_batch_controller_entry_in_the_checkpoint_is_ignored(
-        self, flu_config, keystore, tmp_path, lines
-    ):
-        """A format-3 document carrying ``flow["controller"]`` beside the
-        credit gate (what a dispatcher with the deleted batch controller
-        wrote) restores the same dispatcher and recovers the same cloud
-        as the one without it: the stray key needs no format of its own."""
-
-        def drill(data_dir, spoil):
-            cipher = SimulatedCipher(keystore)  # fresh IV sequence per drill
-            plan = FaultPlan(seed=5).crash_collector(after_records=150)
-            crashed = DurableFresqueSystem(
-                flu_config, cipher, data_dir, seed=101, fault_plan=plan
-            )
-            journaled = _run_to_crash(crashed, lines)
-            checkpoints = sorted((data_dir / "checkpoints").glob("*.json"))
-            assert checkpoints
-            for path in checkpoints:
-                spoil(path)
-            latest = json.loads(checkpoints[-1].read_text())["state"]
-            recovered, report = RecoveryManager(
-                flu_config, cipher, data_dir, cloud=crashed.cloud, seed=202
-            ).recover()
-            assert report.checkpoint_used
-            restored = recovered.dispatcher.snapshot()
-            _finish_after_recovery(recovered, lines, journaled)
-            return latest["dispatcher"], restored, cloud_state_fingerprint(
-                recovered
-            )
-
-        def with_controller(path):
+        def as_format_3(path):
             document = json.loads(path.read_text())
-            assert document["format"] == 3
-            document["state"]["dispatcher"]["flow"]["controller"] = {
-                "size": 512,
-                "delay": 0.003,
-                "best_rate": 41_000.0,
+            assert document["format"] == FORMAT
+            document["format"] = 3
+            document["state"]["dispatcher"]["flow"] = {
+                "credits": {"available": 0, "deferred": []}
             }
             path.write_text(json.dumps(document))
 
-        old_saved, old_restored, old_cloud = drill(
-            tmp_path / "old", with_controller
-        )
-        saved, restored, cloud = drill(tmp_path / "new", lambda path: None)
-        assert "controller" in old_saved["flow"]
-        assert "controller" not in saved["flow"]
-        assert old_restored == restored
-        assert old_cloud == cloud
+        none = drill(tmp_path / "none", lambda path: path.unlink())
+        assert drill(tmp_path / "old", as_format_2) == none
+        assert any(spoiled)  # some document held removed records
+        assert drill(tmp_path / "format-3", as_format_3) == none
 
     def test_queries_work_after_recovery(
         self, flu_config, fast_cipher, tmp_path, lines

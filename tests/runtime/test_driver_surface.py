@@ -170,3 +170,18 @@ class TestSurfaceOnEveryRuntime:
             assert system.dispatcher.pending_batch_records == 0
             receipt = system.finish_publication()
         assert receipt.records_matched == expected
+
+    def test_nothing_is_addressed_to_the_dispatcher(
+        self, runtime, flu_config
+    ):
+        """The dispatcher only sends: it has no handler, and so no inbox
+        thread or listening socket — one per computing node, checking,
+        merger and cloud."""
+        config = self._config(flu_config)
+        expected = ["checking", "cloud", "cn-0", "cn-1", "merger"]
+        with _deploy(runtime, config) as system:
+            assert sorted(system._handlers) == expected
+            if runtime == "threaded":
+                assert sorted(system._inboxes) == expected
+            if runtime == "tcp":
+                assert sorted(system._servers) == expected

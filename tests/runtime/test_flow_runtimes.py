@@ -1,11 +1,9 @@
-"""Flow control across the runtimes (docs/BATCHING.md).
+"""Batch flushing across the runtimes (docs/BATCHING.md).
 
-Covers the pieces a unit test of :mod:`repro.core.flow` cannot: the
-background flush poller actually draining a sub-batch-size trickle
-(the stalled delay-flush regression), the credit protocol riding each
-transport (threaded inbox, TCP wire), and the restored dispatcher's
-seq/ordinal bookkeeping meshing with the checking gate after a crash +
-node death + redispatch.
+Covers the background flush poller actually draining a sub-batch-size
+trickle (the stalled delay-flush regression), and the restored
+dispatcher's seq/ordinal bookkeeping meshing with the checking gate
+after a crash + node death + redispatch.
 """
 
 from __future__ import annotations
@@ -17,8 +15,7 @@ import time
 import pytest
 
 from repro.core.dispatcher import Dispatcher
-from repro.core.messages import CreditGrant, PairBatch, RawBatch
-from repro.core.system import FresqueSystem
+from repro.core.messages import PairBatch, RawBatch
 from repro.datasets.flu import FluSurveyGenerator
 from repro.runtime.cluster import ThreadedFresque
 from repro.runtime.gate import CheckingGate
@@ -28,7 +25,6 @@ from repro.runtime.poller import (
     FlushPoller,
     poll_interval,
 )
-from repro.runtime.wire import decode_message, encode_message, read_frames
 from repro.telemetry.clock import SimulatedClock
 
 
@@ -92,50 +88,6 @@ class TestTrickleFlushesViaPoller:
                 "trickle never flushed through the poller",
             )
             assert runtime.dispatcher.pending_batch_records == 0
-
-
-class TestCreditProtocolPerRuntime:
-    def test_threaded_publication_completes_with_credits(
-        self, flu_config, fast_cipher
-    ):
-        config = dataclasses.replace(
-            flu_config, batch_size=8, credit_window=16
-        )
-        generator = FluSurveyGenerator(seed=21)
-        lines = list(generator.raw_lines(300))
-        reference = FresqueSystem(
-            dataclasses.replace(flu_config, batch_size=8), fast_cipher, seed=6
-        )
-        expected = reference.run_publication(list(lines)).published_pairs
-        with ThreadedFresque(config, fast_cipher, seed=6) as runtime:
-            runtime.run_publication(lines)
-            receipt = runtime.cloud.receipt_for(0)
-        assert receipt.records_matched == expected
-        assert runtime.checking._credits_counter is not None
-
-    def test_tcp_publication_completes_with_credits(
-        self, flu_config, fast_cipher
-    ):
-        from repro.runtime.tcp import TcpFresqueCluster
-
-        config = dataclasses.replace(
-            flu_config, batch_size=8, credit_window=16
-        )
-        generator = FluSurveyGenerator(seed=22)
-        lines = list(generator.raw_lines(200))
-        with TcpFresqueCluster(config, fast_cipher, seed=5) as cluster:
-            records = cluster.run_publication(lines)
-        assert records > 0
-
-
-class TestCreditGrantTransport:
-    def test_wire_round_trip(self):
-        grant = CreditGrant(publication=3, records=17)
-        frame = bytearray(encode_message("dispatcher", grant))
-        (body,) = read_frames(frame)
-        destination, decoded = decode_message(body)
-        assert destination == "dispatcher"
-        assert decoded == grant
 
 
 class TestRestoreRedispatchOrdinals:

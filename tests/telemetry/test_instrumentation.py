@@ -81,9 +81,9 @@ class TestInstrumentedThreadedRuntime:
             for sample in telemetry.registry.samples()
             if sample.name == "inbox_depth"
         ]
-        # One per computing node, checking, merger, cloud — plus the
-        # dispatcher's own backlog gauge feeding the flow controller.
-        assert len(depth_samples) == flu_config.num_computing_nodes + 4
+        # One per computing node, checking, merger and cloud: nothing is
+        # addressed to the dispatcher, so it has no inbox.
+        assert len(depth_samples) == flu_config.num_computing_nodes + 3
         for stage in STAGES:
             assert telemetry.stage_histogram(stage).count > 0, stage
 

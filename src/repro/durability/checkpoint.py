@@ -17,8 +17,8 @@ rule keeps this the only write path).
 Documents are stamped with :data:`FORMAT`: 4 keeps the randomer residents
 and the merger's removed records as base64 strings of packed columns
 (``records.codec.encode_pairs``).  3 had the same layout plus the
-dispatcher's credit window, whose deferred batches nothing can release
-any more; 2 kept the removed records as a JSON object each, 1
+dispatcher's flow-control state, whose deferred batches nothing can
+release any more; 2 kept the removed records as a JSON object each, 1
 (unstamped) the residents too.  A document of any other format is
 skipped exactly like a torn one.
 """

@@ -70,6 +70,8 @@ class QueryClient:
         DecryptionError
             If a returned ciphertext cannot be decrypted — a protocol
             violation under the honest-but-curious model.
+        RecordError
+            If a plaintext that is not a dummy does not decode.
         """
         query = RangeQuery(low, high)
         ciphertexts = self._cloud.query(query).ciphertexts()

@@ -260,9 +260,9 @@ class FileBackedStore(RecordWrites):
             self._dirty.add(file_id)
         return stored - count
 
-    def read_ordinals(self, file_id: int, ordinals) -> list[EncryptedRecord]:
-        """Read the records at ``ordinals`` (a sequence) back from disk,
-        charging the I/O counters."""
+    def read_ordinals(self, file_id: int, ordinals) -> list[bytes]:
+        """Read the ciphertexts at ``ordinals`` (a sequence) back from
+        disk, charging the I/O counters."""
         handle = self._handle(file_id)
         offsets = self._offsets[file_id]
         count = len(offsets)
@@ -270,15 +270,10 @@ class FileBackedStore(RecordWrites):
             raise StorageError(
                 f"ordinal outside the {count} records of file {file_id}"
             )
-        records = [
-            EncryptedRecord(
-                leaf_offset=None, ciphertext=self._body(handle, offsets[i])
-            )
-            for i in ordinals
-        ]
-        self.bytes_read += sum(map(len, records))
-        self.read_ops += len(records)
-        return records
+        ciphertexts = [self._body(handle, offsets[i]) for i in ordinals]
+        self.bytes_read += sum(map(len, ciphertexts))
+        self.read_ops += len(ciphertexts)
+        return ciphertexts
 
     def read(self, address: PhysicalAddress) -> EncryptedRecord:
         """Read one record back from disk.

@@ -87,8 +87,8 @@ def match_with_table(
     the paper's matching table covers every published record, so in practice
     every tag resolves.
     """
-    records = store.read_ordinals(file_id, list(tag_ordinals.values()))
-    bytes_moved = sum(map(len, records))
+    ciphertexts = store.read_ordinals(file_id, list(tag_ordinals.values()))
+    bytes_moved = sum(map(len, ciphertexts))
     pointers = LeafPointers()
     for tag, ordinal in tag_ordinals.items():
         leaf_offset = matching_table.get(tag)
@@ -98,5 +98,5 @@ def match_with_table(
         records=pointers.total,
         bytes_read=bytes_moved,
         bytes_written=bytes_moved,
-        table_lookups=len(records),
+        table_lookups=len(ciphertexts),
     )

@@ -17,7 +17,6 @@ from repro.cloud.storage import EncryptedStore
 from repro.index.domain import AttributeDomain
 from repro.index.query import RangeQuery, traverse
 from repro.index.tree import IndexTree
-from repro.records.record import EncryptedRecord
 
 
 @dataclass
@@ -47,33 +46,30 @@ class PublishedDataset:
 
 @dataclass(frozen=True)
 class QueryResult:
-    """Encrypted result set returned to the client.
+    """Encrypted result set returned to the client, as ciphertext columns.
 
     Parameters
     ----------
     indexed:
-        Records reached through published indexes.
+        Ciphertexts reached through published indexes.
     overflow:
         Overflow-array ciphertexts of every touched leaf (the removed
         records, padded with dummies).
     unindexed:
-        Records of in-flight publications whose leaf offset overlaps the
-        query.
+        Ciphertexts of in-flight pairs (and collector residents) whose
+        leaf offset overlaps the query.
     nodes_visited:
         Total index nodes inspected (query-cost metric).
     """
 
-    indexed: tuple[EncryptedRecord, ...]
+    indexed: tuple[bytes, ...]
     overflow: tuple[bytes, ...]
-    unindexed: tuple[EncryptedRecord, ...]
+    unindexed: tuple[bytes, ...]
     nodes_visited: int
 
     def ciphertexts(self) -> list[bytes]:
         """Every ciphertext the client must decrypt, in result order."""
-        ciphertexts = [record.ciphertext for record in self.indexed]
-        ciphertexts += self.overflow
-        ciphertexts += [record.ciphertext for record in self.unindexed]
-        return ciphertexts
+        return [*self.indexed, *self.overflow, *self.unindexed]
 
 
 class CloudQueryEngine:
@@ -96,17 +92,17 @@ class CloudQueryEngine:
         """Publications whose secure index has been matched."""
         return tuple(self._published)
 
-    def in_flight_pairs(self) -> list[tuple[int, EncryptedRecord]]:
-        """``(leaf offset, e-record)`` pairs of every in-flight publication.
+    def in_flight_pairs(self) -> list[tuple[int, bytes]]:
+        """``(leaf, ciphertext)`` pairs of every in-flight publication.
 
         These are records already stored at the cloud whose publication's
         secure index has not arrived yet — the unindexed set of
         Section 5.3(c).
         """
-        pairs: list[tuple[int, EncryptedRecord]] = []
+        pairs: list[tuple[int, bytes]] = []
         for publication, cache in self._in_flight.items():
-            stored = (record for _, record in self._store.scan(publication))
-            pairs.extend(zip(cache.leaves, stored))
+            stored = self._store.scan(publication)
+            pairs += zip(cache.leaves, (r.ciphertext for _, r in stored))
         return pairs
 
     def open_publication(self, cache: MetadataCache) -> None:
@@ -126,7 +122,7 @@ class CloudQueryEngine:
     def query(self, query: RangeQuery) -> QueryResult:
         """Evaluate a range query over everything the cloud holds."""
         read = self._store.read_ordinals
-        indexed: list[EncryptedRecord] = []
+        indexed: list[bytes] = []
         overflow: list[bytes] = []
         nodes_visited = 0
         for dataset in self._published:
@@ -140,7 +136,7 @@ class CloudQueryEngine:
                 overflow += arrays.get(leaf_offset, ())
             indexed += read(dataset.file_id, ordinals)
         overlapping = self._domain.leaves_overlapping(query.low, query.high)
-        unindexed: list[EncryptedRecord] = []
+        unindexed: list[bytes] = []
         for publication, cache in self._in_flight.items():
             unindexed += read(publication, cache.ordinals_in(overlapping))
         return QueryResult(

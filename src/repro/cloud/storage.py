@@ -6,7 +6,7 @@ Arriving ``<leaf offset, e-record>`` pairs are appended to a per-publication
 ciphertexts as ``bytes`` plus one int column each for byte offset, leaf
 offset, tag and publication — not as one object per record.
 :class:`PhysicalAddress` and :class:`EncryptedRecord` are values built on
-demand (``write`` / ``read`` / ``scan`` / query time), never retained.
+demand by ``write`` / ``read`` / ``scan``, never retained; queries get none.
 The store is in-memory but accounts for bytes written/read so the simulator
 and the matching-time experiments (Figure 15) can charge realistic I/O.
 
@@ -14,10 +14,11 @@ The store contract, implemented here and by
 :class:`~repro.cloud.filestore.FileBackedStore`: ``create_file``,
 ``append_columns`` (the one write primitive: records as parallel columns,
 returns the first ordinal), ``write_batch`` / ``write`` (records in,
-:class:`RecordWrites`' adapters over it), ``address_of``, ``read`` (by address),
-``read_ordinals`` (by ordinal, what matching and queries use), ``scan``,
-``record_count``, ``file_ids``, ``truncate_records``, ``discard_file``,
-``commit``, ``close`` and ``total_bytes``.
+:class:`RecordWrites`' adapters over it), ``address_of``, ``read`` (a record
+by address), ``read_ordinals`` (the ciphertext column by ordinal, what
+queries and matching read), ``scan``, ``record_count``, ``file_ids``,
+``truncate_records``, ``discard_file``, ``commit``, ``close`` and
+``total_bytes``.
 """
 
 from __future__ import annotations
@@ -108,18 +109,21 @@ class PublicationFile:
             raise StorageError(f"no record at offset {address.offset}")
         return ordinal
 
-    def records(self, ordinals) -> list[EncryptedRecord]:
-        """The records at ``ordinals``, each built from its columns."""
+    def ciphertexts(self, ordinals) -> list[bytes]:
+        """The ciphertexts at ``ordinals``, no record built."""
         count = len(self._ciphertexts)
         if ordinals and not (0 <= min(ordinals) and max(ordinals) < count):
             raise StorageError(
                 f"ordinal outside the {count} records of file {self.file_id}"
             )
-        ciphertexts, leaves = self._ciphertexts, self._leaves
-        tags, publications = self._tags, self._publications
+        return list(map(self._ciphertexts.__getitem__, ordinals))
+
+    def records(self, ordinals) -> list[EncryptedRecord]:
+        """The records at ``ordinals``, each built from its columns."""
+        leaves, tags, publications = self._leaves, self._tags, self._publications
         return [
-            EncryptedRecord(leaves[i], ciphertexts[i], tags[i], publications[i])
-            for i in ordinals
+            EncryptedRecord(leaves[i], ciphertext, tags[i], publications[i])
+            for i, ciphertext in zip(ordinals, self.ciphertexts(ordinals))
         ]
 
     def truncate(self, count: int) -> int:
@@ -225,18 +229,19 @@ class EncryptedStore(RecordWrites):
         """The physical address of the ``ordinal``-th record of ``file_id``."""
         return self.file(file_id).address_of(ordinal)
 
-    def read_ordinals(self, file_id: int, ordinals) -> list[EncryptedRecord]:
-        """Read the records at ``ordinals`` (a sequence), charging the I/O
-        counters."""
-        records = self.file(file_id).records(ordinals)
-        self.bytes_read += sum(map(len, records))
-        self.read_ops += len(records)
-        return records
+    def read_ordinals(self, file_id: int, ordinals) -> list[bytes]:
+        """Read the ciphertexts at ``ordinals`` (a sequence), charging the
+        I/O counters."""
+        ciphertexts = self.file(file_id).ciphertexts(ordinals)
+        self.bytes_read += sum(map(len, ciphertexts))
+        self.read_ops += len(ciphertexts)
+        return ciphertexts
 
     def read(self, address: PhysicalAddress) -> EncryptedRecord:
         """Read the record at ``address``, charging the I/O counters."""
-        ordinal = self.file(address.file_id).ordinal_of(address)
-        return self.read_ordinals(address.file_id, (ordinal,))[0]
+        ordinals = (self.file(address.file_id).ordinal_of(address),)
+        self.read_ordinals(address.file_id, ordinals)
+        return self.file(address.file_id).records(ordinals)[0]
 
     def scan(self, file_id: int):
         """Iterate ``(address, record)`` pairs of one file in write order

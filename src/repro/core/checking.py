@@ -191,20 +191,20 @@ class CheckingNode(Routed):
             for leaf, ciphertext in zip(*state.randomer.columns()[:2])
         ]
 
-    def buffered_in(self, leaves) -> list[EncryptedRecord]:
-        """Encrypted records of the randomer residents under ``leaves``.
+    def buffered_in(self, leaves) -> list[bytes]:
+        """Ciphertexts of the randomer residents under ``leaves``.
 
         What a query reads of :meth:`buffered_pairs` — the residents of
         every open publication whose leaf offset is in ``leaves`` — by
-        leaf lookup instead of a scan, one record built per resident
-        returned.  It reads the randomers' live leaf views, so unlike
+        leaf lookup instead of a scan, and as a column: no record is
+        built.  It reads the randomers' live leaf views, so unlike
         :meth:`buffered_pairs` it must not run beside the thread that
         handles this node's messages.
         """
         return [
-            EncryptedRecord(leaf, ciphertext, publication=publication)
-            for publication, state in self._publications.items()
-            for leaf, ciphertext in state.randomer.ciphertexts_in(leaves)
+            ciphertext
+            for state in self._publications.values()
+            for _, ciphertext in state.randomer.ciphertexts_in(leaves)
         ]
 
     def on_new_publication(

@@ -147,13 +147,13 @@ class Merger(Routed):
             for ciphertext in held
         ]
 
-    def removed_in(self, leaves) -> list[EncryptedRecord]:
-        """The records of :meth:`pending_removed` under ``leaves``, by
+    def removed_in(self, leaves) -> list[bytes]:
+        """The ciphertexts of :meth:`pending_removed` under ``leaves``, by
         leaf lookup (the query path; quiescent-only, like
         :meth:`CheckingNode.buffered_in`)."""
         return [
-            EncryptedRecord(leaf, ciphertext, publication=publication)
-            for publication, state in self._states.items()
+            ciphertext
+            for state in self._states.values()
             for leaf in leaves
             for ciphertext in state.removed.get(leaf, ())
         ]

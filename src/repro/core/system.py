@@ -43,7 +43,6 @@ from repro.core.messages import (
     ToCloudBatch,
 )
 from repro.crypto.cipher import RecordCipher
-from repro.records.record import EncryptedRecord
 from repro.telemetry.clock import WALL_CLOCK
 from repro.telemetry.context import coalesce
 
@@ -147,7 +146,7 @@ class CollectorAwareQueryTarget:
         return QueryResult(
             indexed=base.indexed,
             overflow=base.overflow,
-            unindexed=base.unindexed + tuple(extra),
+            unindexed=(*base.unindexed, *extra),
             nodes_visited=base.nodes_visited,
         )
 
@@ -634,6 +633,6 @@ class FresqueSystem:
         return self.make_client().range_query(low, high)
 
     @property
-    def unpublished_pairs(self) -> list[tuple[int, EncryptedRecord]]:
+    def unpublished_pairs(self) -> list[tuple[int, bytes]]:
         """Pairs of the in-flight publication already at the cloud."""
         return self.cloud.engine.in_flight_pairs()

@@ -375,27 +375,48 @@ class SimulatedCipher(RecordCipher):
             raise DecryptionError(str(exc)) from exc
 
     def decrypt_batch(self, ciphertexts: list[bytes]) -> list[bytes]:
-        """Fast path: :meth:`decrypt` with the keystream derived inline,
-        one tight loop over the batch; checks and errors are unchanged."""
-        sha256 = hashlib.sha256
-        key = self._key
-        from_bytes = int.from_bytes
-        out = []
-        for ciphertext in ciphertexts:
-            length = len(ciphertext) - BLOCK_SIZE
-            if length < BLOCK_SIZE:
-                raise DecryptionError("ciphertext shorter than IV + one block")
-            prefix = key + ciphertext[:BLOCK_SIZE]
-            keystream = b"".join(
-                sha256(prefix + counter.to_bytes(4, "little")).digest()
-                for counter in range((length + 31) // 32)
-            )[:length]
-            padded = (
-                from_bytes(ciphertext[BLOCK_SIZE:], "little")
-                ^ from_bytes(keystream, "little")
-            ).to_bytes(length, "little")
-            try:
-                out.append(unpad(padded, BLOCK_SIZE))
-            except PaddingError as exc:
-                raise DecryptionError(str(exc)) from exc
+        """The mirror of :meth:`_encrypt_batch_with_ivs`: bodies
+        zero-extended to whole 32-byte keystream blocks, one big-int XOR
+        against all digests back to back, then :meth:`decrypt`'s PKCS#7
+        check on every slice.  An element of impossible length or bad
+        padding goes to :meth:`decrypt` for its error, after the elements
+        before it — as when mapping."""
+        lengths = list(map(len, ciphertexts))
+        for index, length in enumerate(lengths):
+            if length < 2 * BLOCK_SIZE or length & 15:
+                return self.decrypt_batch(ciphertexts[:index]) + [
+                    self.decrypt(ciphertexts[index])
+                ]
+        sha256, key = hashlib.sha256, self._key
+        counters = [
+            counter.to_bytes(4, "little")
+            for counter in range((max(lengths, default=0) + 15) >> 5)
+        ]
+        prefixes = [key + ciphertext[:BLOCK_SIZE] for ciphertext in ciphertexts]
+        keystream = b"".join(
+            [
+                sha256(prefix + counter).digest()
+                for prefix, length in zip(prefixes, lengths)
+                for counter in counters[: (length + 15) >> 5]
+            ]
+        )
+        wide = b"".join(
+            [
+                ciphertext[BLOCK_SIZE:] + bytes(16 - (length & 16))
+                for ciphertext, length in zip(ciphertexts, lengths)
+            ]
+        )
+        body = (
+            int.from_bytes(wide, "little")
+            ^ int.from_bytes(keystream, "little")
+        ).to_bytes(len(keystream), "little")
+        out, start = [], 0
+        for ciphertext, length in zip(ciphertexts, lengths):
+            end = start + length - BLOCK_SIZE
+            pad = body[end - 1]
+            if 0 < pad <= BLOCK_SIZE and body.count(pad, end - pad, end) == pad:
+                out.append(body[start : end - pad])
+            else:  # raises the error mapping raises here
+                out.append(self.decrypt(ciphertext))
+            start += (length + 15) >> 5 << 5
         return out

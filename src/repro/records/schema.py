@@ -135,6 +135,11 @@ class Schema:
         return tuple(attr.name for attr in self.attributes)
 
     @property
+    def python_types(self) -> tuple[type, ...]:
+        """The Python type of each attribute, in schema order."""
+        return self._py_types
+
+    @property
     def indexed_position(self) -> int:
         """Position of the indexed attribute within the schema."""
         return self._index_pos

@@ -85,27 +85,33 @@ def deserialize_record(payload: bytes, schema: Schema) -> Record:
     Raises
     ------
     RecordError
-        If the payload is truncated or does not match the schema.
+        If the payload is truncated, has bytes past its last field, or
+        does not match the schema (a field that does not coerce included).
     """
-    if len(payload) < _HEADER.size:
-        raise RecordError("payload too short for record header")
-    flag, nfields = _HEADER.unpack_from(payload, 0)
-    if nfields != schema.arity:
+    try:
+        flag, nfields = _HEADER.unpack_from(payload)
+        if nfields != schema.arity:
+            raise RecordError(
+                f"payload has {nfields} fields, schema expects {schema.arity}"
+            )
+        field_length, fields, end = _FIELD_LEN.unpack_from, [], _HEADER.size
+        for _ in range(nfields):
+            start = end + _FIELD_LEN.size
+            end = start + field_length(payload, end)[0]
+            fields.append(payload[start:end].decode())
+    except (struct.error, UnicodeDecodeError) as exc:  # truncated, not UTF-8
+        raise RecordError(f"malformed payload: {exc}") from exc
+    if end != len(payload):
         raise RecordError(
-            f"payload has {nfields} fields, schema expects {schema.arity}"
+            f"payload of {len(payload)} bytes declares fields up to byte {end}"
         )
-    offset = _HEADER.size
-    raw_values: list[str] = []
-    for _ in range(nfields):
-        if len(payload) < offset + _FIELD_LEN.size:
-            raise RecordError("payload truncated in field length")
-        (length,) = _FIELD_LEN.unpack_from(payload, offset)
-        offset += _FIELD_LEN.size
-        if len(payload) < offset + length:
-            raise RecordError("payload truncated in field body")
-        raw_values.append(payload[offset : offset + length].decode("utf-8"))
-        offset += length
-    values = schema.coerce_values(tuple(raw_values))
+    try:
+        values = tuple([cast(f) for cast, f in zip(schema.python_types, fields)])
+    except (TypeError, ValueError):  # again, for the attribute's message
+        try:
+            values = schema.coerce_values(tuple(fields))
+        except ValueError as exc:
+            raise RecordError(str(exc)) from exc
     return Record(values, flag=flag)
 
 

@@ -1,4 +1,10 @@
-"""Trusted-client tests: decryption, dummy filtering, exact-range filter."""
+"""Trusted-client tests: decryption, dummy filtering, exact-range filter.
+
+``FRESQUE_BATCH_SIZE=<n>`` (the CI batch matrix) reruns these with every
+config that does not pin a batch size at ``batch_size=n``, through the
+integration suite's autouse override: the query-path pins below must
+hold at every batch size.
+"""
 
 import hashlib
 from collections import Counter
@@ -27,6 +33,7 @@ from repro.records.serialize import (
     deserialize_record,
     serialize_record,
 )
+from tests.integration.conftest import _batch_size_matrix  # noqa: F401
 
 
 @pytest.fixture
@@ -106,14 +113,14 @@ class _FixedResponse:
     """A query target answering every query with the same ciphertexts."""
 
     def __init__(self, ciphertexts):
-        self._records = tuple(
-            EncryptedRecord(leaf_offset=0, ciphertext=ciphertext)
-            for ciphertext in ciphertexts
-        )
+        self._ciphertexts = tuple(ciphertexts)
 
     def query(self, query):
         return QueryResult(
-            indexed=self._records, overflow=(), unindexed=(), nodes_visited=0
+            indexed=self._ciphertexts,
+            overflow=(),
+            unindexed=(),
+            nodes_visited=0,
         )
 
 
@@ -128,6 +135,22 @@ class TestOnlySurvivorsAreDecoded:
             fast_cipher,
             _FixedResponse([fast_cipher.encrypt(payload[:-3])]),
         )
+        with pytest.raises(RecordError):
+            client.range_query(360, 369)
+
+    def test_real_record_with_a_trailing_byte_raises(
+        self, schema, fast_cipher
+    ):
+        """The ciphertext decrypts and unpads, but its plaintext has a
+        byte after the last declared field: the query raises instead of
+        returning the record the prefix decodes to."""
+        payload = serialize_record(Record(("a", 1, 365, "none")), schema)
+        good = fast_cipher.encrypt(payload)
+        bad = fast_cipher.encrypt(payload + b"\x00")
+        assert fast_cipher.decrypt_batch([good, bad]) == [
+            payload, payload + b"\x00"
+        ]
+        client = QueryClient(schema, fast_cipher, _FixedResponse([good, bad]))
         with pytest.raises(RecordError):
             client.range_query(360, 369)
 

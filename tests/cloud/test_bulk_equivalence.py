@@ -71,17 +71,9 @@ def _feed(cloud, pairs, sizes) -> None:
         turn += 1
 
 
-def _ciphertexts(records) -> list[bytes]:
-    return [record.ciphertext for record in records]
-
-
 def _observe_queries(cloud) -> list:
     return [
-        (
-            _ciphertexts(result.indexed),
-            _ciphertexts(result.unindexed),
-            result.nodes_visited,
-        )
+        (result.indexed, result.unindexed, result.nodes_visited)
         for result in map(cloud.query, _QUERIES)
     ]
 
@@ -108,10 +100,7 @@ def _run(store, pairs, sizes, cut, recovery, keep) -> dict:
         resume = cut
     _feed(cloud, pairs[resume:], sizes)
     seen["pair_count"] = cloud.pair_count(0)
-    seen["in_flight"] = [
-        (leaf, record.ciphertext)
-        for leaf, record in cloud.engine.in_flight_pairs()
-    ]
+    seen["in_flight"] = cloud.engine.in_flight_pairs()
     seen["unindexed_queries"] = _observe_queries(cloud)
     tree = IndexTree(_DOMAIN, fanout=4)
     tree.set_leaf_counts([1] * _DOMAIN.num_leaves)

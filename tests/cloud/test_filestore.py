@@ -75,8 +75,7 @@ class TestFileBackedStore:
             assert (bulk.bytes_written, bulk.write_ops) == (
                 single.bytes_written, single.write_ops
             )
-            read = bulk.read_ordinals(0, [4, 1])
-            assert [r.ciphertext for r in read] == [
+            assert bulk.read_ordinals(0, [4, 1]) == [
                 records[4].ciphertext, records[1].ciphertext
             ]
             assert (bulk.bytes_read, bulk.read_ops) == (14 + 11, 2)
@@ -92,8 +91,9 @@ class TestFileBackedStore:
             assert reopened.file_ids() == [2]
             assert reopened.record_count(2) == 4
             assert reopened.address_of(2, 3).length == 8
-            (third,) = reopened.read_ordinals(2, [2])
-            assert third.ciphertext == _record(2, size=7).ciphertext
+            assert reopened.read_ordinals(2, [2]) == [
+                _record(2, size=7).ciphertext
+            ]
             assert reopened.write_batch(2, [_record(9)]) == 4
 
     def test_bad_ordinal_rejected(self, tmp_path):

@@ -70,8 +70,7 @@ class TestFresqueCloud:
         cloud.receive_pair(0, 7, _record(2))
         cloud.receive_publication(0, _tree(domain, [0, 0, 1, 0, 0, 0, 0, 1, 0, 0]), {})
         result = cloud.query(RangeQuery(20, 29))
-        assert len(result.indexed) == 1
-        assert result.indexed[0].ciphertext == _record(1).ciphertext
+        assert result.indexed == (_record(1).ciphertext,)
 
     def test_query_includes_overflow_of_touched_leaves(self, domain):
         cloud = FresqueCloud(domain)

@@ -5,6 +5,12 @@ columns (``bytes`` ciphertexts and ints, none of them GC-tracked), so
 what a full collection has to walk does not grow with the pairs the
 cloud has ever stored.  The object-per-record layout this replaced kept
 about two tracked objects per published pair (four while in flight).
+
+A query result is columns too: the ciphertexts go from the store (and
+from the collector's buffers) to the client as ``bytes``, so a result
+held by its caller adds a constant number of tracked objects, however
+many pairs it returns.  The record-per-result form this replaced added
+one ``EncryptedRecord`` per returned pair.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import dataclasses
 import gc
 
 from repro.cloud.node import FresqueCloud
-from repro.core.system import FresqueSystem
+from repro.core.system import CollectorAwareQueryTarget, FresqueSystem
 from repro.index.domain import AttributeDomain
 from repro.index.query import RangeQuery
 from repro.index.tree import IndexTree
@@ -52,10 +58,13 @@ def test_tracked_objects_do_not_grow_with_stored_pairs():
     assert receipt.records_matched == PAIRS
     assert _tracked_growth(baseline) <= budget  # published
 
+    gc.collect()
+    before_query = len(gc.get_objects())
     result = cloud.query(RangeQuery(0, 1000))
     assert len(result.indexed) == PAIRS
+    assert _tracked_growth(before_query) <= CONSTANT  # a live result
     del result
-    assert _tracked_growth(baseline) <= budget  # records are built per query
+    assert _tracked_growth(baseline) <= budget  # nothing outlives the query
 
 
 
@@ -85,3 +94,14 @@ def test_tracked_objects_do_not_grow_with_records_inside_the_collector(
     assert system.cloud.pair_count(0) >= 1000
     assert system.merger.pending_removed()
     assert _tracked_growth(baseline) <= 0.1 * PAIRS + CONSTANT
+
+    # A live query result over every resident holds them as ciphertexts.
+    target = CollectorAwareQueryTarget(
+        system.cloud, system.checking, system.merger
+    )
+    domain = system.config.domain
+    gc.collect()
+    before_query = len(gc.get_objects())
+    result = target.query(RangeQuery(domain.dmin, domain.dmax))
+    assert len(result.unindexed) >= PAIRS // 2
+    assert _tracked_growth(before_query) <= CONSTANT

@@ -77,10 +77,16 @@ class TestEncryptedStore:
         assert bulk.write_batch(3, records[2:]) == 2
         assert [bulk.address_of(3, i) for i in range(6)] == addresses
         assert list(bulk.scan(3)) == list(single.scan(3))
-        assert bulk.read_ordinals(3, [4, 1]) == [records[4], records[1]]
+        assert bulk.read_ordinals(3, [4, 1]) == [
+            records[4].ciphertext, records[1].ciphertext
+        ]
         for name in ("bytes_written", "write_ops", "total_bytes"):
             assert getattr(bulk, name) == getattr(single, name)
         assert (bulk.bytes_read, bulk.read_ops) == (16 + 4 + 16 + 1, 2)
+        # The whole record — leaf, tag, publication — reads back by address.
+        assert [bulk.read(addresses[i]) for i in (4, 1)] == [
+            records[4], records[1]
+        ]
 
     def test_bad_ordinal_rejected(self):
         store = EncryptedStore()

@@ -162,6 +162,37 @@ class TestPaddingIsCheckedOnEveryElement:
         )
 
 
+#: Plaintext lengths whose padded bodies run from 16 to 256 bytes, with
+#: odd and even 16-byte block counts side by side (1, 16, 2, 2, 3, 3, 7,
+#: 16, 1, 5, 13, 9, 1): the stand-in zero-extends the odd ones to whole
+#: 32-byte keystream blocks inside one joined buffer.
+_MIXED_LENGTHS = (0, 255, 16, 31, 32, 47, 100, 240, 15, 64, 200, 128, 1)
+
+
+@_CIPHERS
+@pytest.mark.parametrize(
+    "position",
+    [0, len(_MIXED_LENGTHS) // 2, len(_MIXED_LENGTHS) - 1],
+    ids=["first", "middle", "last"],
+)
+def test_mixed_length_batch_with_one_corrupt_element(make_cipher, position):
+    cipher = make_cipher()
+    messages = [bytes(range(length)) for length in _MIXED_LENGTHS]
+    ciphertexts = [cipher.encrypt(message) for message in messages]
+    assert _both_forms(cipher, ciphertexts) == messages
+    for corrupt in (
+        _with_zero_pad_length(
+            ciphertexts[position], messages[position], _LAST_PAD_BYTE[make_cipher]
+        ),
+        ciphertexts[position][:-1],  # an impossible length
+    ):
+        batch = list(ciphertexts)
+        batch[position] = corrupt
+        outcome = _both_forms(cipher, batch)
+        assert outcome == _outcome(lambda: cipher.decrypt(corrupt))
+        assert issubclass(outcome[0], DecryptionError)
+
+
 def test_authenticated_batch_rejects_a_tampered_element():
     cipher = _authenticated()
     ciphertexts = [cipher.encrypt(b"m-%d" % index) for index in range(3)]

@@ -45,6 +45,28 @@ class TestWireFormat:
         with pytest.raises(RecordError):
             deserialize_record(payload, flu_survey_schema())
 
+    def test_trailing_bytes_rejected(self):
+        """No serializer writes past the last declared field, so bytes
+        there mean the payload is not the record it decodes to."""
+        schema = gowalla_schema()
+        payload = serialize_record(Record((7, 3600, 99)), schema)
+        for tail in (b"\x00", b"garbage"):
+            with pytest.raises(RecordError, match="declares fields up to"):
+                deserialize_record(payload + tail, schema)
+
+    def test_uncoercible_field_raises_record_error(self):
+        """A field that does not coerce to its attribute's type raises the
+        documented RecordError (which is still a ValueError), with the
+        attribute-level message."""
+        schema = gowalla_schema()
+        payload = serialize_record(Record(("3x0", 3600, 99)), schema)
+        with pytest.raises(RecordError, match="cannot coerce '3x0'"):
+            deserialize_record(payload, schema)
+        flu = flu_survey_schema()
+        payload = serialize_record(Record(("a", 1, 365, "none")), flu)
+        with pytest.raises(RecordError):  # not UTF-8
+            deserialize_record(payload.replace(b"none", b"\xffone"), flu)
+
 
 class TestRawLines:
     def test_roundtrip(self):

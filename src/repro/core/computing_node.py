@@ -20,9 +20,7 @@ from repro.core.messages import (
     Routed,
 )
 from repro.crypto.cipher import RecordCipher, record_nonce
-from repro.index.domain import DomainError
-from repro.records.record import RecordError
-from repro.records.serialize import parse_raw_line, serialize_record
+from repro.records.serialize import encode_batch
 from repro.telemetry.context import coalesce
 
 
@@ -101,50 +99,29 @@ class ComputingNode(Routed):
     def on_raw_batch(self, message: RawBatch) -> list[tuple[str, object]]:
         """Process one dispatched batch into one :class:`PairBatch`.
 
-        The batched hot path: every item is parsed and offset-computed
-        first, then the whole batch is encrypted through the cipher's
-        multi-block fast path — one ``encrypt_batch`` call instead of one
-        cipher call per record.  A malformed or out-of-domain item is
-        dropped (counted in :attr:`rejected`) without poisoning the rest
-        of its batch — one bad data source must not take down a
-        computing node or the publication — and, because a dropped item
-        never reaches the cipher, without perturbing the IV sequence of
-        the surviving records.
+        The batched hot path: the batch is encoded a column at a time
+        (:func:`~repro.records.serialize.encode_batch`), then encrypted
+        through the cipher's multi-block fast path — one ``encrypt_batch``
+        call instead of one cipher call per record.  A malformed,
+        out-of-domain or unencodable item is dropped (counted in
+        :attr:`rejected`) without poisoning the rest of its batch — one
+        bad data source must not take down a computing node or the
+        publication — and, because a dropped item never reaches the
+        cipher, without perturbing the IV sequence of the surviving
+        records.
         """
         tel = self._tel
-        schema = self.config.schema
-        leaf_offset_of = self.config.domain.leaf_offset
         publication = message.publication
         start = tel.now()
-        # The pairs are built as columns, never one object per record.
-        # ``indices`` keeps each survivor's position within the
-        # dispatched batch; with the batch's first-item ordinal it
-        # identifies the record pipeline-wide, which keys its
+        # Columns, never one object per record.  ``indices`` are the
+        # survivors' positions in the batch; with its first-item ordinal
+        # they identify each record pipeline-wide, which keys its
         # deterministic IV.  Rejected items never reach the cipher, so
-        # (as in the counter path) they do not perturb the IVs of the
-        # survivors — and because the ordinal is global, neither does the
-        # batch layout (batch-size invariance).
-        leaves: list[int] = []
-        plaintexts: list[bytes] = []
-        dummies = bytearray()
-        indices: list[int] = []
-        parsed = rejected = 0
-        for index, item in enumerate(message.items):
-            try:
-                if isinstance(item, str):
-                    record = parse_raw_line(item, schema)
-                    parsed += 1
-                else:
-                    record = item
-                leaf_offset = leaf_offset_of(record.indexed_value(schema))
-                plaintext = serialize_record(record, schema)
-            except (RecordError, DomainError, ValueError):
-                rejected += 1
-                continue
-            leaves.append(leaf_offset)
-            plaintexts.append(plaintext)
-            dummies.append(record.is_dummy)
-            indices.append(index)
+        # they do not perturb the survivors' IVs — and as the ordinal is
+        # global, neither does the batch layout (batch-size invariance).
+        leaves, plaintexts, dummies, indices, parsed, rejected = encode_batch(
+            message.items, self.config.schema, self.config.domain.leaf_offset
+        )
         self.parsed += parsed
         if rejected:
             self.rejected += rejected
@@ -182,7 +159,7 @@ class ComputingNode(Routed):
                 publication,
                 tuple(leaves),
                 tuple(ciphertexts),
-                bytes(dummies),
+                dummies,
                 seq=message.seq,
                 epoch=message.epoch,
                 node=self.node_id,

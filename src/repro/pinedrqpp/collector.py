@@ -157,6 +157,7 @@ class PinedRqPPCollector:
         try:
             record = self.parser.parse(line)
             self.domain.leaf_offset(record.indexed_value(self.schema))
+            line.encode()  # a lone surrogate cannot be serialized
         except ValueError:
             self.rejected += 1
             return

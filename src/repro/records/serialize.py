@@ -14,8 +14,9 @@ Two encodings are implemented:
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 
-from repro.records.record import DUMMY_FLAG, Record, RecordError
+from repro.records.record import DUMMY_FLAG, REAL_FLAG, Record, RecordError
 from repro.records.schema import AttributeType, Schema
 
 _HEADER = struct.Struct("<bH")  # flag, field count
@@ -27,6 +28,8 @@ DUMMY_PAYLOAD_PREFIX = _HEADER.pack(DUMMY_FLAG, 0)[:1]
 
 #: Separator for raw textual lines; chosen to be absent from generated data.
 RAW_SEPARATOR = "\t"
+
+_CAST_ERRORS = (TypeError, ValueError)
 
 
 def serialize_record(record: Record, schema: Schema) -> bytes:
@@ -131,6 +134,26 @@ def render_raw_line(record: Record, schema: Schema) -> str:
     return RAW_SEPARATOR.join(fields)
 
 
+def _pop_flag(fields: list, schema: Schema) -> int:
+    """The raw-line rules on one line's split ``fields``: the schema's
+    fields, then optionally a flag, popped off and returned.  A wrong
+    count, or a flag neither real nor dummy, is a :class:`RecordError`."""
+    flag = REAL_FLAG
+    if len(fields) == schema.arity + 1:
+        try:
+            flag = int(fields.pop())
+        except ValueError as exc:
+            raise RecordError(f"bad flag field: {exc}") from exc
+        if flag != REAL_FLAG and flag != DUMMY_FLAG:
+            raise RecordError(f"flag {flag} is neither real nor dummy")
+    if len(fields) != schema.arity:
+        raise RecordError(
+            f"line has {len(fields)} fields, schema {schema.name!r} "
+            f"expects {schema.arity}"
+        )
+    return flag
+
+
 def parse_raw_line(line: str, schema: Schema) -> Record:
     """Parse a raw textual line into a typed :class:`Record`.
 
@@ -143,17 +166,82 @@ def parse_raw_line(line: str, schema: Schema) -> Record:
         If the line is malformed for the schema.
     """
     fields = line.rstrip("\n").split(RAW_SEPARATOR)
-    flag = 0
-    if len(fields) == schema.arity + 1:
+    flag = _pop_flag(fields, schema)
+    return Record(schema.coerce_values(tuple(fields)), flag=flag)
+
+
+def _map(function, column: list, bad: set, errors=ValueError) -> list:
+    """``list(map(function, column))``, redone row by row if it raises
+    ``errors``: each row that raises joins ``bad`` (holding ``b""``)."""
+    try:
+        return list(map(function, column))
+    except errors:
+        out = []
+    for row, value in enumerate(column):
         try:
-            flag = int(fields[-1])
-        except ValueError as exc:
-            raise RecordError(f"bad flag field in line: {line!r}") from exc
-        fields = fields[:-1]
-    if len(fields) != schema.arity:
-        raise RecordError(
-            f"line has {len(fields)} fields, schema {schema.name!r} "
-            f"expects {schema.arity}"
-        )
-    values = schema.coerce_values(tuple(fields))
-    return Record(values, flag=flag)
+            out.append(function(value))
+        except errors:
+            bad.add(row)
+            out.append(b"")
+    return out
+
+
+def _drop(bad: set, *columns: list) -> list:
+    if not bad:
+        return list(columns)
+    return [[v for row, v in enumerate(c) if row not in bad] for c in columns]
+
+
+def encode_batch(items, schema: Schema, leaf_offset):
+    """A batch of raw lines and pre-built :class:`Record` s (dispatcher
+    dummies, passed through uncoerced) as ``(leaves, plaintexts, dummies,
+    indices, parsed, rejected)``.  Item for item :func:`parse_raw_line`
+    (``parsed`` counts the lines that pass it), ``leaf_offset`` and
+    :func:`serialize_record`, an item dropped where a step raises; but
+    one split per line, then one pass per column, one join per record.
+    """
+    arity = schema.arity
+    positions, flags, rows, records = [], [], [], []
+    for position, item in enumerate(items):
+        if not isinstance(item, str):
+            records.append((position, item))
+            continue
+        fields = item.rstrip("\n").split(RAW_SEPARATOR)
+        try:
+            flag = REAL_FLAG if len(fields) == arity else _pop_flag(fields, schema)
+        except RecordError:
+            continue
+        positions.append(position)
+        flags.append(flag)
+        rows.append(fields)
+    columns = [list(c) for c in zip(*rows)] or [[] for _ in range(arity)]
+    bad: set[int] = set()
+    for attribute, cast in enumerate(schema.python_types):
+        if cast is not str:  # a split field already is one
+            columns[attribute] = _map(cast, columns[attribute], bad, _CAST_ERRORS)
+    positions, flags, *columns = _drop(bad, positions, flags, *columns)
+    parsed = len(positions)
+    for position, record in records:
+        if len(record.values) == arity:
+            row = bisect_left(positions, position)
+            positions.insert(row, position)
+            flags.insert(row, record.flag)
+            for column, value in zip(columns, record.values):
+                column.insert(row, value)
+    bad = set()
+    leaves = _map(leaf_offset, columns[schema.indexed_position], bad)
+    prefix = _FIELD_LEN.pack
+    for attribute, column in enumerate(columns):
+        try:
+            blobs = [str(value).encode() for value in column]
+        except ValueError:  # a lone surrogate
+            blobs = _map(lambda value: str(value).encode(), column, bad)
+        columns[attribute] = [prefix(len(blob)) + blob for blob in blobs]
+    positions, flags, leaves, *columns = _drop(
+        bad, positions, flags, leaves, *columns
+    )
+    heads = map({f: _HEADER.pack(f, arity) for f in set(flags)}.get, flags)
+    plaintexts = [b"".join(parts) for parts in zip(heads, *columns)]
+    dummies = bytes([flag == DUMMY_FLAG for flag in flags])
+    rejected = len(items) - len(positions)
+    return leaves, plaintexts, dummies, positions, parsed, rejected

@@ -185,11 +185,11 @@ def _pack_raw_batch(out: bytearray, message: RawBatch) -> None:
         message.epoch,
         len(message.items),
     )
-    # Ordered, type-tagged items: order is the arrival order the
-    # randomer's mixing relies on.
+    # Ordered, type-tagged items in the arrival order the randomer's mixing
+    # relies on; a line keeps lone surrogates, for the node to reject it.
     for item in message.items:
         if isinstance(item, str):
-            tag, text = 0, item.encode("utf-8")
+            tag, text = 0, item.encode("utf-8", "surrogatepass")
         else:
             tag, text = 1, _dump_json(encode_record(item))
         out += _ITEM_HEAD.pack(tag, len(text))
@@ -210,7 +210,9 @@ def _unpack_raw_batch(message_type, view, offset: int):
         # past it, which decode_message's exact-consumption check rejects.
         text = view[start:offset]
         items.append(
-            str(text, "utf-8") if tag == 0 else decode_record(_load_json(text))
+            str(text, "utf-8", "surrogatepass")
+            if tag == 0
+            else decode_record(_load_json(text))
         )
     return message_type(
         publication, tuple(items), seq=seq, ordinal=ordinal, epoch=epoch

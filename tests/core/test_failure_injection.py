@@ -19,6 +19,8 @@ BAD_LINES = [
     "p1\t1\tnot-a-temp\tnone",  # bad temperature
     "p1\t1\t9999\tnone",  # temperature outside the domain
     "p1\t1\t100\tnone",  # below domain min
+    "p1\t1\t375\tnone\t200",  # flag neither real nor dummy
+    "\ud800\t1\t375\tnone",  # not encodable as UTF-8
 ]
 
 

@@ -92,6 +92,18 @@ class TestRawLines:
         with pytest.raises(ValueError):
             parse_raw_line("x\ty\tz", gowalla_schema())
 
+    @pytest.mark.parametrize("flag", ["200", "1", "-2", "-129"])
+    def test_flag_neither_real_nor_dummy_rejected(self, flag):
+        """The wire header packs the flag as an int8 and readers know two
+        values, so any other flag is a malformed line, not a record."""
+        with pytest.raises(RecordError, match="neither real nor dummy"):
+            parse_raw_line(f"1\t2\t3\t{flag}", gowalla_schema())
+
+    def test_real_and_dummy_flags_accepted(self):
+        schema = gowalla_schema()
+        assert not parse_raw_line("1\t2\t3\t0", schema).is_dummy
+        assert parse_raw_line("1\t2\t3\t-1", schema).is_dummy
+
 
 @given(
     user=st.integers(min_value=0, max_value=10**9),

@@ -47,6 +47,25 @@ class TestTcpCluster:
         with TcpFresqueCluster(flu_config, fast_cipher, seed=9) as cluster:
             assert cluster.run_publication(lines) == expected
 
+    def test_unencodable_line_rejected_as_in_process(
+        self, flu_config, fast_cipher
+    ):
+        """A line holding a lone surrogate crosses the sockets and is
+        dropped and counted by a computing node, as in process — it does
+        not raise out of ``ingest`` and take its batch with it."""
+        from repro.core.system import FresqueSystem
+
+        lines = list(FluSurveyGenerator(seed=84).raw_lines(300))
+        lines[100:100] = ["\ud800\t1\t375\tnone", "p\udfff\t2\t380\tnone"]
+        reference = FresqueSystem(flu_config, fast_cipher, seed=9)
+        reference.start()
+        expected = reference.run_publication(lines).published_pairs
+        with TcpFresqueCluster(flu_config, fast_cipher, seed=9) as cluster:
+            assert cluster.run_publication(lines) == expected
+            nodes = cluster.computing_nodes
+            assert sum(node.rejected for node in nodes) == 2
+        assert sum(node.rejected for node in reference.computing_nodes) == 2
+
     def test_double_start_rejected(self, flu_config, fast_cipher):
         cluster = TcpFresqueCluster(flu_config, fast_cipher, seed=1)
         cluster.start()

@@ -633,3 +633,20 @@ def test_raw_batch_roundtrip_property(publication, items):
     assert [type(item) for item in decoded.items] == [
         type(item) for item in items
     ]
+
+
+def test_raw_line_with_a_lone_surrogate_roundtrips():
+    """A line that is not valid UTF-8 text (a lone surrogate, as
+    ``errors="surrogateescape"`` log reading yields) crosses the wire
+    unchanged, so the computing node rejects it as the in-process
+    runtimes do; a valid line keeps its plain UTF-8 bytes."""
+    message = RawBatch(
+        3,
+        ("\ud800\t1\t375\tnone", "pé\t1\t375\tnone", Record(("x", 1, 371, "none"))),
+        seq=1,
+        ordinal=5,
+    )
+    body = encode_body("cn-0", message)
+    assert "pé\t1\t375\tnone".encode("utf-8") in body
+    assert decode_message(memoryview(body)) == ("cn-0", message)
+    assert _roundtrip("cn-0", message) == ("cn-0", message)

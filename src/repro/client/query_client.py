@@ -10,15 +10,13 @@ leaf-granular, so the cloud over-returns by design).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.crypto.cipher import DecryptionError, RecordCipher
 from repro.index.query import RangeQuery
 from repro.records.record import Record
 from repro.records.schema import Schema
-from repro.records.serialize import (
-    DUMMY_PAYLOAD_PREFIX,
-    deserialize_record,
-)
+from repro.records.serialize import DUMMY_PAYLOAD_PREFIX, decode_batch
 
 
 @dataclass(frozen=True)
@@ -76,24 +74,25 @@ class QueryClient:
         query = RangeQuery(low, high)
         ciphertexts = self._cloud.query(query).ciphertexts()
         # Every returned ciphertext is decrypted and padding-checked;
-        # only the plaintexts that are not dummies are then decoded.
+        # the plaintexts that are not dummies are then decoded as
+        # columns, and a Record is built only for a match.
         plaintexts = self._cipher.decrypt_batch(ciphertexts)
-        schema = self._schema
-        matches: list[Record] = []
-        dummies = 0
-        out_of_range = 0
-        for plaintext in plaintexts:
-            if plaintext.startswith(DUMMY_PAYLOAD_PREFIX):
-                dummies += 1
-                continue
-            record = deserialize_record(plaintext, schema)
-            if query.contains(record.indexed_value(schema)):
-                matches.append(record)
-            else:
-                out_of_range += 1
+        survivors = [
+            plaintext
+            for plaintext in plaintexts
+            if not plaintext.startswith(DUMMY_PAYLOAD_PREFIX)
+        ]
+        flags, columns = decode_batch(survivors, self._schema)
+        keep = [  # query.contains, inlined
+            low <= value <= high
+            for value in columns[self._schema.indexed_position]
+        ]
+        matches = tuple(
+            map(Record, compress(zip(*columns), keep), compress(flags, keep))
+        )
         return ClientResult(
-            records=tuple(matches),
+            records=matches,
             ciphertexts_received=len(ciphertexts),
-            dummies_discarded=dummies,
-            out_of_range_discarded=out_of_range,
+            dummies_discarded=len(plaintexts) - len(survivors),
+            out_of_range_discarded=len(survivors) - len(matches),
         )

@@ -27,7 +27,7 @@ class RangeQuery:
     high: float
 
     def __post_init__(self) -> None:
-        if self.high < self.low:
+        if not self.low <= self.high:  # a NaN bound compares False too
             raise ValueError(f"empty query range [{self.low}, {self.high}]")
 
     def contains(self, value: float) -> bool:

@@ -2,9 +2,9 @@
 
 Two encodings are implemented:
 
-* a *wire* encoding (``serialize_record`` / ``deserialize_record``) used
-  before encryption — length-prefixed fields so that arbitrary strings are
-  safe;
+* a *wire* encoding (``serialize_record`` / ``deserialize_record``, and
+  ``decode_batch`` for a query result's survivors) used before encryption —
+  length-prefixed fields so that arbitrary strings are safe;
 * a *raw line* encoding (``render_raw_line`` / ``parse_raw_line``) emulating
   the textual input the paper's parser component consumes (e.g. an Apache log
   line for NASA, a TSV line for Gowalla).  Parsing raw lines is the "heavy"
@@ -32,6 +32,12 @@ RAW_SEPARATOR = "\t"
 _CAST_ERRORS = (TypeError, ValueError)
 
 
+def _check_flag(flag: int) -> None:
+    """Readers know two flags; any other is a malformed record."""
+    if flag != REAL_FLAG and flag != DUMMY_FLAG:
+        raise RecordError(f"flag {flag} is neither real nor dummy")
+
+
 def serialize_record(record: Record, schema: Schema) -> bytes:
     """Encode a record into the wire format (pre-encryption plaintext).
 
@@ -41,6 +47,7 @@ def serialize_record(record: Record, schema: Schema) -> bytes:
         raise RecordError(
             f"record arity {len(record.values)} != schema arity {schema.arity}"
         )
+    _check_flag(record.flag)
     parts = [_HEADER.pack(record.flag, len(record.values))]
     for value in record.values:
         blob = str(value).encode("utf-8")
@@ -88,11 +95,13 @@ def deserialize_record(payload: bytes, schema: Schema) -> Record:
     Raises
     ------
     RecordError
-        If the payload is truncated, has bytes past its last field, or
-        does not match the schema (a field that does not coerce included).
+        If the payload is truncated, has bytes past its last field, has
+        a flag neither real nor dummy, or does not match the schema (a
+        field that does not coerce included).
     """
     try:
         flag, nfields = _HEADER.unpack_from(payload)
+        _check_flag(flag)
         if nfields != schema.arity:
             raise RecordError(
                 f"payload has {nfields} fields, schema expects {schema.arity}"
@@ -116,6 +125,39 @@ def deserialize_record(payload: bytes, schema: Schema) -> Record:
         except ValueError as exc:
             raise RecordError(str(exc)) from exc
     return Record(values, flag=flag)
+
+
+def decode_batch(
+    payloads: list[bytes], schema: Schema
+) -> tuple[list[int], list[list]]:
+    """``payloads`` decoded as ``(flags, columns)``: payload for payload
+    :func:`deserialize_record`, but one pass per column.  Numeric fields
+    are cast from their raw ASCII bytes; anything that raises redoes the
+    batch through the scalar decoder, so a bad payload raises its error.
+    """
+    arity, flags, fields = schema.arity, [], []
+    heads = {_HEADER.pack(flag, arity): flag for flag in (REAL_FLAG, DUMMY_FLAG)}
+    field_length, prefix = _FIELD_LEN.unpack_from, _FIELD_LEN.size
+    append, head, positions = fields.append, _HEADER.size, range(arity)
+    try:
+        for payload in payloads:
+            flags.append(heads[payload[:head]])  # a known flag, the arity
+            end = head
+            for _ in positions:
+                (length,) = field_length(payload, end)
+                end += prefix + length
+                append(payload[end - length : end])
+            if end != len(payload):
+                raise RecordError(end)
+        columns = [
+            list(map(bytes.decode if cast is str else cast, fields[at::arity]))
+            for at, cast in enumerate(schema.python_types)
+        ]
+    except (LookupError, struct.error, *_CAST_ERRORS):  # the scalar finds why
+        records = [deserialize_record(payload, schema) for payload in payloads]
+        flags = [record.flag for record in records]
+        columns = [list(column) for column in zip(*(r.values for r in records))]
+    return flags, columns
 
 
 def render_raw_line(record: Record, schema: Schema) -> str:
@@ -144,8 +186,7 @@ def _pop_flag(fields: list, schema: Schema) -> int:
             flag = int(fields.pop())
         except ValueError as exc:
             raise RecordError(f"bad flag field: {exc}") from exc
-        if flag != REAL_FLAG and flag != DUMMY_FLAG:
-            raise RecordError(f"flag {flag} is neither real nor dummy")
+        _check_flag(flag)
     if len(fields) != schema.arity:
         raise RecordError(
             f"line has {len(fields)} fields, schema {schema.name!r} "

@@ -7,6 +7,7 @@ hold at every batch size.
 """
 
 import hashlib
+import math
 from collections import Counter
 
 import pytest
@@ -154,6 +155,18 @@ class TestOnlySurvivorsAreDecoded:
         with pytest.raises(RecordError):
             client.range_query(360, 369)
 
+    def test_unknown_flag_raises(self, schema, fast_cipher):
+        """A survivor whose flag is neither real nor dummy is not returned
+        as a real record: the query raises."""
+        payload = serialize_record(Record(("a", 1, 365, "none")), schema)
+        client = QueryClient(
+            schema,
+            fast_cipher,
+            _FixedResponse([fast_cipher.encrypt(b"\x05" + payload[1:])]),
+        )
+        with pytest.raises(RecordError, match="flag 5 is neither"):
+            client.range_query(360, 369)
+
     def test_dummy_with_corrupt_padding_raises(self, schema, fast_cipher):
         """The padding check is not conditional on the dummy flag."""
         payload = serialize_record(make_dummy(schema, 366), schema)
@@ -293,3 +306,70 @@ class TestAgainstTheReferenceLoop:
             )
             for read_ops, bytes_read, result in observed
         ] == _CLOUD_SIDE_AT_PARENT
+
+
+class TestColumnDecode:
+    """Survivors are decoded as columns and a Record is built per match;
+    the result, record order included, is the reference loop's."""
+
+    def test_mixed_result_equals_the_reference(self, schema, fast_cipher):
+        records = [
+            Record(("a", 1, 365, "none")),
+            make_dummy(schema, 366),
+            Record(("b", 2, 361, "cough")),  # same leaf, out of range
+            Record(("c\u00e9", 3, 369, "")),
+            make_dummy(schema, 360),
+            Record(("d", 4, 362, "fever")),
+            Record(("e", 5, 370, "none")),  # out of range
+        ]
+        target = _FixedResponse(
+            fast_cipher.encrypt(serialize_record(record, schema))
+            for record in records
+        )
+        client = QueryClient(schema, fast_cipher, target)
+        got = client.range_query(362, 369)
+        assert got == _reference_range_query(
+            schema, fast_cipher, target, 362, 369
+        )
+        assert got == ClientResult(
+            records=(records[0], records[3], records[5]),
+            ciphertexts_received=7,
+            dummies_discarded=2,
+            out_of_range_discarded=2,
+        )
+
+
+class TestNanBounds:
+    """A NaN bound is refused before the cloud sees the query."""
+
+    @pytest.fixture
+    def system(self, flu_config, fast_cipher):
+        system = FresqueSystem(flu_config, fast_cipher, seed=161)
+        system.start()
+        system.run_publication(list(FluSurveyGenerator(seed=162).raw_lines(400)))
+        return system
+
+    @pytest.mark.parametrize(
+        ("low", "high"), [(math.nan, 400.0), (340.0, math.nan)]
+    )
+    def test_raises_before_the_cloud_is_asked(
+        self, system, monkeypatch, low, high
+    ):
+        cloud, store = system.cloud, system.cloud.store
+        asked = []
+        cloud_query = cloud.query
+        monkeypatch.setattr(
+            cloud, "query", lambda query: asked.append(query) or cloud_query(query)
+        )
+        reads = store.read_ops
+        with pytest.raises(ValueError, match="empty query range"):
+            system.query(low, high)
+        assert asked == []
+        assert store.read_ops == reads
+
+    def test_infinite_bounds_return_the_whole_domain(self, system):
+        everything = system.query(-math.inf, math.inf)
+        assert everything.records
+        domain = system.config.domain
+        whole = system.query(domain.dmin, domain.dmax)
+        assert Counter(everything.records) == Counter(whole.records)

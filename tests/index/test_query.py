@@ -1,5 +1,6 @@
 """Range-query traversal tests."""
 
+import math
 import random
 
 import pytest
@@ -28,6 +29,21 @@ class TestRangeQuery:
     def test_inverted_rejected(self):
         with pytest.raises(ValueError):
             RangeQuery(20, 10)
+
+    @pytest.mark.parametrize(
+        ("low", "high"),
+        [(math.nan, 5.0), (0.0, math.nan), (math.nan, math.nan)],
+        ids=["nan-low", "nan-high", "nan-both"],
+    )
+    def test_nan_bound_rejected(self, low, high):
+        """``high < low`` is False for a NaN bound, yet the range holds
+        no value: it is rejected like an inverted one."""
+        with pytest.raises(ValueError, match="empty query range"):
+            RangeQuery(low, high)
+
+    def test_infinite_bounds_accepted(self):
+        query = RangeQuery(-math.inf, math.inf)
+        assert query.contains(0) and query.contains(-1e300)
 
 
 class TestTraversal:

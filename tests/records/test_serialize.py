@@ -1,5 +1,7 @@
 """Unit and property tests for record (de)serialization and raw parsing."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,6 +68,23 @@ class TestWireFormat:
         payload = serialize_record(Record(("a", 1, 365, "none")), flu)
         with pytest.raises(RecordError):  # not UTF-8
             deserialize_record(payload.replace(b"none", b"\xffone"), flu)
+
+    @pytest.mark.parametrize("flag", [5, 1, -2, 127, -128])
+    def test_flag_neither_real_nor_dummy_rejected(self, flag):
+        """The header packs the flag as an int8 and readers know two
+        values, so a payload with any other flag is not a record."""
+        schema = gowalla_schema()
+        payload = serialize_record(Record((7, 3600, 99)), schema)
+        bad = struct.pack("<bH", flag, 3) + payload[3:]
+        with pytest.raises(RecordError, match=f"flag {flag} is neither"):
+            deserialize_record(bad, schema)
+
+    @pytest.mark.parametrize("flag", [1, 5, -2, 200, -129])
+    def test_flag_neither_real_nor_dummy_rejected_at_serialize(self, flag):
+        """No encoder writes a flag a reader rejects: an unknown flag is
+        a RecordError, an int8 overflow included (not ``struct.error``)."""
+        with pytest.raises(RecordError, match="neither real nor dummy"):
+            serialize_record(Record((1, 2, 3), flag=flag), gowalla_schema())
 
 
 class TestRawLines:

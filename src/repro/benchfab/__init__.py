@@ -2,7 +2,7 @@
 
 Scenarios are *data*: a :class:`~repro.benchfab.spec.Scenario` is one
 concrete run (dataset × runtime × batch size × durability ×
-fault/churn plan), a :class:`~repro.benchfab.spec.MatrixSpec`
+fault plan), a :class:`~repro.benchfab.spec.MatrixSpec`
 expands an axes product into scenarios, the
 :mod:`~repro.benchfab.runner` executes them against the existing system
 builders, and every run emits the one unified scorecard schema

@@ -1,7 +1,7 @@
 """The canonical cloud-state fingerprint, as a library.
 
 This is the byte-identity currency of the whole repository: the batch,
-flow and membership equivalence harnesses all compare deployments
+flow and degraded-mode equivalence harnesses all compare deployments
 through this exact serialization (``tests/conftest.py`` delegates
 here), and the benchmark fabric stamps it on every scorecard so a
 conformance row is one string comparison.

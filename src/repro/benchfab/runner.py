@@ -8,8 +8,6 @@ point — :func:`run_scenario` — dispatches on ``scenario.workload``:
   optional named fault plans;
 * ``burst-trickle`` — a bursty duty cycle: wall-clock burst throughput
   + simulated-clock trickle flush latency;
-* ``churn`` — per-publication throughput across a scripted
-  crash/admit/rejoin/retire sequence on the threaded runtime;
 * ``conformance`` — run the stream, return only the cloud-state
   fingerprint (the cross-runtime byte-identity matrix).
 
@@ -21,7 +19,6 @@ quantiles attached when the runtime supports a private registry.
 from __future__ import annotations
 
 import pathlib
-import statistics
 import tempfile
 import time
 from typing import Callable
@@ -410,134 +407,6 @@ def _run_burst_trickle(scenario, data_root, telemetry) -> Scorecard:
     )
 
 
-def _run_churn(scenario, data_root, telemetry) -> list[Scorecard]:
-    """Throughput trajectory across a scripted membership-churn event.
-
-    Emits one card per publication (``phase`` in the key) plus a
-    summary card.
-    """
-    del data_root
-    from repro.telemetry.clock import WALL_CLOCK
-
-    if scenario.runtime != "threaded":
-        raise RunnerError(
-            f"{scenario.name}: the churn workload drives the threaded "
-            "runtime (per-node threads crash/rejoin in-process)"
-        )
-    warmup = int(scenario.param("warmup_pubs", 2))
-    baseline_pubs = int(scenario.param("baseline_pubs", 3))
-    recovery_pubs = int(scenario.param("recovery_pubs", 5))
-    victim = int(scenario.param("victim", 1))
-    config = build_config(scenario)
-    generator = dataset(scenario.dataset).generator_factory(
-        scenario.stream_seed
-    )
-    from repro.runtime.cluster import ThreadedFresque
-
-    runtime = ThreadedFresque(
-        config, _cipher(scenario), seed=scenario.seed, telemetry=telemetry
-    )
-    series: list[dict] = []
-    with runtime:
-        def run_publication(lines, events=()) -> float:
-            slots: dict[int, list] = {}
-            for position, action in events:
-                slots.setdefault(position, []).append(action)
-            publication = runtime.dispatcher.publication
-            total = max(1, len(lines))
-            started = WALL_CLOCK.now()
-            for position, line in enumerate(lines):
-                for action in slots.get(position, ()):
-                    action(runtime)
-                runtime.pump_dummies((position + 1) / (total + 1))
-                runtime.ingest(line)
-            runtime.close_publication()
-            runtime.settle(publication, timeout=120.0)
-            return WALL_CLOCK.now() - started
-
-        def measure(phase: str, events=()) -> None:
-            lines = list(generator.raw_lines(scenario.records))
-            seconds = run_publication(lines, events)
-            series.append(
-                {
-                    "phase": phase,
-                    "records": len(lines),
-                    "seconds": seconds,
-                    "throughput_rps": len(lines) / seconds
-                    if seconds > 0
-                    else 0.0,
-                }
-            )
-
-        for _ in range(warmup):
-            measure("warmup")
-        for _ in range(baseline_pubs):
-            measure("baseline")
-        # Churn publication: the victim crashes a third of the way in,
-        # a fresh node is admitted two thirds in.
-        measure(
-            "churn",
-            events=(
-                (scenario.records // 3, lambda r: r.crash_node(victim)),
-                (2 * scenario.records // 3, lambda r: r.admit_node()),
-            ),
-        )
-        # Recovery: the victim rejoins at the interval open and the
-        # stand-in retires, restoring the baseline fleet shape.
-        measure(
-            "recovery",
-            events=(
-                (0, lambda r: r.rejoin_node(victim)),
-                (0, lambda r: r.retire_node(scenario.workers)),
-            ),
-        )
-        for _ in range(recovery_pubs - 1):
-            measure("recovery")
-        rerouted = runtime.dispatcher.records_rerouted
-        stale = runtime.checking.stale_batches_discarded
-        epoch = runtime.dispatcher.membership.epoch
-        active = sorted(runtime.dispatcher.membership.active_ids)
-
-    cards = [
-        Scorecard(
-            scenario=f"{scenario.name}/pub{index}",
-            key={**scenario.axes(), "phase": run["phase"], "pub": index},
-            metrics={
-                "records_total": float(run["records"]),
-                "seconds": run["seconds"],
-                "throughput_rps": run["throughput_rps"],
-            },
-        )
-        for index, run in enumerate(series)
-    ]
-    baseline = statistics.median(
-        run["throughput_rps"] for run in series if run["phase"] == "baseline"
-    )
-    churn_rate = next(
-        run["throughput_rps"] for run in series if run["phase"] == "churn"
-    )
-    recovery = [
-        run["throughput_rps"] for run in series if run["phase"] == "recovery"
-    ]
-    summary = Scorecard(
-        scenario=f"{scenario.name}/summary",
-        key={**scenario.axes(), "phase": "summary"},
-        metrics={
-            "baseline_rps": baseline,
-            "churn_rps": churn_rate,
-            "dip_fraction": 1.0 - churn_rate / baseline if baseline else 0.0,
-            "steady_state_rps": max(recovery),
-            "median_recovery_rps": statistics.median(recovery),
-            "records_rerouted": float(rerouted),
-            "stale_batches_discarded": float(stale),
-            "final_epoch": float(epoch),
-            "final_fleet_size": float(len(active)),
-        },
-        counters=_telemetry_counters(telemetry),
-    )
-    return cards + [summary]
-
-
 def _run_conformance(scenario, data_root, telemetry) -> Scorecard:
     """Run the stream; report only the cloud-state fingerprint."""
     source = dataset(scenario.dataset)
@@ -567,7 +436,6 @@ _WORKLOADS = {
     "ingest": _run_ingest,
     "publication": _run_publication,
     "burst-trickle": _run_burst_trickle,
-    "churn": _run_churn,
     "conformance": _run_conformance,
 }
 
@@ -575,7 +443,7 @@ _WORKLOADS = {
 def run_scenario(
     scenario: Scenario, *, data_root=None
 ) -> list[Scorecard]:
-    """Execute one scenario; returns its scorecards (usually one).
+    """Execute one scenario; returns its scorecard, in a list.
 
     ``data_root`` hosts journals/checkpoints for durable scenarios (a
     temporary directory when omitted).
@@ -592,4 +460,4 @@ def run_scenario(
             result = workload(scenario, tmp, telemetry)
     else:
         result = workload(scenario, data_root, telemetry)
-    return result if isinstance(result, list) else [result]
+    return [result]

@@ -119,66 +119,6 @@ _BATCHING = BenchSpec(
 )
 
 
-_CHURN = BenchSpec(
-    name="membership_churn",
-    title="Threaded-runtime throughput across a membership-churn event",
-    matrix=MatrixSpec(
-        bench="membership_churn",
-        base={
-            "workload": "churn",
-            "runtime": "threaded",
-            "records": 1_000,
-            "batch_size": 8,
-            "warmup_pubs": 2,
-            "baseline_pubs": 3,
-            "recovery_pubs": 5,
-        },
-        include=({"name": "membership_churn/churn-drill"},),
-    ),
-    rules=(
-        Rule(
-            id="steady-state-within-10pct",
-            kind="min-ratio",
-            metric="throughput_rps",
-            select=(("phase", "recovery"),),
-            agg="max",
-            baseline=(("phase", "baseline"),),
-            baseline_agg="median",
-            threshold=0.90,
-            note="ported from bench_membership_churn: best post-churn "
-            "interval within 10% of the pre-churn median (best, not "
-            "median — GIL runtimes jitter +-15% on shared boxes)",
-        ),
-        Rule(
-            id="churn-rerouted-backlog",
-            kind="min-value",
-            metric="records_rerouted",
-            select=(("phase", "summary"),),
-            threshold=1,
-            note="ported assert rerouted > 0: the crash landed mid-stream",
-        ),
-        Rule(
-            id="four-epoch-bumps",
-            kind="min-value",
-            metric="final_epoch",
-            select=(("phase", "summary"),),
-            threshold=4,
-            note="ported assert epoch >= 4: crash + admit + rejoin + retire",
-        ),
-        Rule(
-            id="fleet-restored",
-            kind="min-value",
-            metric="final_fleet_size",
-            select=(("phase", "summary"),),
-            agg="min",
-            threshold=3,
-            note="drift: the script asserted the exact roster [0, 1, 2]; "
-            "the rule checks the restored fleet *size* (the runner still "
-            "reports the roster through the epoch counter)",
-        ),
-    ),
-)
-
 #: The cross-runtime conformance matrix (also the integration-test
 #: parametrisation): every cell must fingerprint byte-identically to
 #: the sync baseline.
@@ -326,7 +266,6 @@ BENCHES: dict[str, BenchSpec] = {
     spec.name: spec
     for spec in (
         _BATCHING,
-        _CHURN,
         _CONFORMANCE,
         _SMOKE,
     )

@@ -173,7 +173,7 @@ def load_bench_artifact(source) -> BenchArtifact:
 def extract_points(artifact: BenchArtifact) -> list[Point]:
     """One evaluable point per scorecard.
 
-    Counters are evaluable too (rules gate on reroutes and epochs);
+    Counters are evaluable too (rules may gate on them);
     metrics win on a name collision.
     """
     return [

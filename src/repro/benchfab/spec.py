@@ -31,7 +31,6 @@ WORKLOADS = (
     "ingest",
     "publication",
     "burst-trickle",
-    "churn",
     "conformance",
 )
 
@@ -70,7 +69,7 @@ class Scenario:
     sync_every / checkpoint_every:
         Journal fsync cadence and checkpoint cadence when durable.
     fault_plan:
-        Named fault/churn plan (:data:`repro.benchfab.runner.FAULT_PLANS`),
+        Named fault plan (:data:`repro.benchfab.runner.FAULT_PLANS`),
         empty for a healthy run.
     deterministic_ivs:
         Ordinal-keyed IVs — required for cross-runtime byte identity.

@@ -29,14 +29,12 @@ from itertools import compress
 from operator import add
 
 from repro.core.config import FresqueConfig
-from repro.core.membership import stale_for
 from repro.core.messages import (
     AlSnapshot,
     AnnouncePublication,
     BufferFlush,
     CnPublishing,
     DoneMsg,
-    MembershipMsg,
     NewPublication,
     NodeDown,
     PairBatch,
@@ -97,15 +95,6 @@ class _PublicationState:
     #: The dispatcher's own *publishing* notice arrived — needed to
     #: finalise a publication whose only missing reports are dead nodes.
     interval_closed: bool = False
-    #: Exact node set this publication waits on (``PublishingMsg.nodes``
-    #: under elastic membership); ``None`` falls back to counting against
-    #: ``config.num_computing_nodes`` (pre-membership wire compatibility).
-    expected: set[int] | None = None
-    #: Nodes this publication will never hear from — seeded with the dead
-    #: set at creation and only ever grown.  Monotone per publication: a
-    #: node that *rejoins* later must not resurrect the wait, because its
-    #: new incarnation never saw this publication's interval.
-    absolved: set[int] = field(default_factory=set)
 
 
 class CheckingNode(Routed):
@@ -129,7 +118,6 @@ class CheckingNode(Routed):
         PublishingMsg: "on_publishing",
         CnPublishing: "on_cn_publishing",
         NodeDown: "on_node_down",
-        MembershipMsg: "on_membership",
     }
 
     def __init__(
@@ -146,20 +134,11 @@ class CheckingNode(Routed):
         self._early_pairs: dict[int, tuple[tuple, tuple, bytes]] = {}
         self._early_cn: dict[int, list[CnPublishing]] = {}
         self._dead_nodes: set[int] = set()
-        # Elastic membership (docs/PROTOCOL.md): per-node join-epoch
-        # floors.  A PairBatch stamped with an epoch *below* its
-        # producer's floor is output of a crashed incarnation whose
-        # records were already redispatched — it is discarded, not
-        # processed twice.  ``_membership_epoch`` versions the full-state
-        # MembershipMsg applies (older snapshots are ignored).
-        self._node_epochs: dict[int, int] = {}
-        self._membership_epoch = -1
         # Highest finalised publication: a CnPublishing at or below it
-        # is a straggler (an absolved-but-live node whose report lost
-        # the race against finalisation), not an early arrival to buffer.
+        # is a straggler (a dead node's report that lost the race
+        # against the NodeDown finalising its publication), not an
+        # early arrival to buffer.
         self._finalised_floor = -1
-        self.stale_pairs_discarded = 0
-        self.stale_batches_discarded = 0
         self.pairs_processed = 0
         self.dummies_passed = 0
         self.records_removed = 0
@@ -214,7 +193,6 @@ class CheckingNode(Routed):
         state = _PublicationState(
             randomer=Randomer(self.config.randomer_buffer_size, rng=self._rng),
             arrays=LeafArrays(message.plan.leaf_noise),
-            absolved=set(self._dead_nodes),
         )
         self._publications[message.publication] = state
         out: list[tuple[str, object]] = [
@@ -233,21 +211,6 @@ class CheckingNode(Routed):
         for early in self._early_cn.pop(message.publication, ()):
             out.extend(self.on_cn_publishing(early))
         return out
-
-    def _admit_epoch(self, message) -> bool:
-        """Whether ``message`` passes the membership-epoch staleness check.
-
-        Staleness is keyed by *producer*: a batch whose epoch stamp is
-        below its producing node's join-epoch floor was emitted by that
-        node's previous (crashed) incarnation, and its records are
-        already covered by the crash redispatch.  Unstamped batches
-        (``epoch`` or ``node`` negative) always pass.
-        """
-        if not stale_for(self._node_epochs, message):
-            return True
-        self.stale_batches_discarded += 1
-        self.stale_pairs_discarded += len(message)
-        return False
 
     def _check_bulk(
         self, publication: int, state: _PublicationState, *columns
@@ -310,10 +273,6 @@ class CheckingNode(Routed):
         """Buffer and check the batch (:meth:`_buffer_and_check`) — or
         hold it, if it beat its publication's announcement here."""
         publication = message.publication
-        if not self._admit_epoch(message):
-            # Output of a crashed incarnation — the redispatch already
-            # re-covers these records.
-            return []
         arrived = (message.leaves, message.ciphertexts, message.dummies)
         state = self._publications.get(publication)
         if state is None:
@@ -340,12 +299,6 @@ class CheckingNode(Routed):
                     "cn_reported": sorted(state.cn_reported),
                     "closed": state.closed,
                     "interval_closed": state.interval_closed,
-                    "expected": (
-                        None
-                        if state.expected is None
-                        else sorted(state.expected)
-                    ),
-                    "absolved": sorted(state.absolved),
                 }
                 for publication, state in self._publications.items()
             },
@@ -361,14 +314,7 @@ class CheckingNode(Routed):
                 for publication, messages in self._early_cn.items()
             },
             "dead_nodes": sorted(self._dead_nodes),
-            "node_epochs": {
-                str(node): epoch
-                for node, epoch in sorted(self._node_epochs.items())
-            },
-            "membership_epoch": self._membership_epoch,
             "finalised_floor": self._finalised_floor,
-            "stale_pairs_discarded": self.stale_pairs_discarded,
-            "stale_batches_discarded": self.stale_batches_discarded,
             "pairs_processed": self.pairs_processed,
             "dummies_passed": self.dummies_passed,
             "records_removed": self.records_removed,
@@ -384,15 +330,12 @@ class CheckingNode(Routed):
             randomer.restore(
                 *decode_pairs(saved["residents"]), released=saved["released"]
             )
-            expected = saved.get("expected")
             self._publications[int(key)] = _PublicationState(
                 randomer=randomer,
                 arrays=LeafArrays.from_state(saved["arrays"]),
                 cn_reported=set(saved["cn_reported"]),
                 closed=saved["closed"],
                 interval_closed=saved["interval_closed"],
-                expected=None if expected is None else set(expected),
-                absolved=set(saved.get("absolved", ())),
             )
         self._early_pairs = {
             int(key): decode_pairs(packed)
@@ -406,14 +349,7 @@ class CheckingNode(Routed):
             for key, messages in state["early_cn"].items()
         }
         self._dead_nodes = set(state["dead_nodes"])
-        self._node_epochs = {
-            int(node): epoch
-            for node, epoch in state.get("node_epochs", {}).items()
-        }
-        self._membership_epoch = state.get("membership_epoch", -1)
-        self._finalised_floor = state.get("finalised_floor", -1)
-        self.stale_pairs_discarded = state.get("stale_pairs_discarded", 0)
-        self.stale_batches_discarded = state.get("stale_batches_discarded", 0)
+        self._finalised_floor = state["finalised_floor"]
         self.pairs_processed = state["pairs_processed"]
         self.dummies_passed = state["dummies_passed"]
         self.records_removed = state["records_removed"]
@@ -428,70 +364,24 @@ class CheckingNode(Routed):
         publication-consistency condition of Section 5.3.  In degraded
         mode it marks the interval closed, which (together with the
         dead set) can itself complete the publication.
-
-        A non-empty ``nodes`` tuple pins this publication's *expected*
-        report set — the exact participants the dispatcher broadcast to
-        — so elastic fleets finalise against the true membership, not a
-        static count.
         """
         state = self._publications.get(message.publication)
         if state is None or state.closed:
             return []
-        if message.nodes:
-            state.expected = set(message.nodes)
         state.interval_closed = True
         if self._complete(state):
             return self._finalise(message.publication)
         return []
 
     def _complete(self, state: _PublicationState) -> bool:
-        """The relaxed consistency condition: every *expected* computing
-        node reported, and the interval is known to have ended (any
+        """The relaxed consistency condition: every live computing node
+        reported, and the interval is known to have ended (any
         ``CnPublishing`` implies it; a dead node's report is replaced by
-        the dispatcher's own *publishing* notice).  With an explicit
-        expected set (elastic membership) completion is exact; otherwise
-        it falls back to counting against the configured fleet size."""
+        the dispatcher's own *publishing* notice)."""
         if not (state.cn_reported or state.interval_closed):
             return False
-        absolved = state.absolved | self._dead_nodes
-        if state.expected is not None:
-            return state.expected <= (state.cn_reported | absolved)
-        reported = state.cn_reported | {
-            i
-            for i in absolved
-            if 0 <= i < self.config.num_computing_nodes
-        }
+        reported = state.cn_reported | self._dead_nodes
         return len(reported) >= self.config.num_computing_nodes
-
-    def on_membership(
-        self, message: MembershipMsg
-    ) -> list[tuple[str, object]]:
-        """Apply a full-state membership snapshot from the dispatcher.
-
-        Snapshots are versioned by epoch and apply monotonically: an
-        older (reordered) snapshot is ignored.  Applying one raises the
-        join-epoch floors (arming the stale-batch discard for rejoined
-        nodes), absolves the currently-down nodes in every open
-        publication, and replaces the global dead set — a rejoined node
-        leaves it, but stays absolved for publications opened before its
-        rejoin (its new incarnation never saw their intervals).
-        """
-        if message.epoch <= self._membership_epoch:
-            return []
-        self._membership_epoch = message.epoch
-        for node, epoch in message.joined:
-            if epoch > self._node_epochs.get(node, 0):
-                self._node_epochs[node] = epoch
-        down = set(message.down)
-        for state in self._publications.values():
-            state.absolved |= down
-        self._dead_nodes = down
-        out: list[tuple[str, object]] = []
-        for publication in sorted(self._publications):
-            state = self._publications[publication]
-            if not state.closed and self._complete(state):
-                out.extend(self._finalise(publication))
-        return out
 
     def on_cn_publishing(
         self, message: CnPublishing
@@ -500,8 +390,8 @@ class CheckingNode(Routed):
         state = self._publications.get(message.publication)
         if state is None:
             if message.publication <= self._finalised_floor:
-                # Straggler: absolution completed the publication before
-                # this (live, absolved) node's report was consumed.
+                # Straggler: the dead node's NodeDown completed the
+                # publication before its report was consumed.
                 return []
             self._early_cn.setdefault(message.publication, []).append(message)
             return []
@@ -544,23 +434,11 @@ class CheckingNode(Routed):
             ("merger", AlSnapshot(publication, tuple(state.arrays.snapshot())))
         )
         done = DoneMsg(publication)
-        if state.expected is not None:
-            # ``expected`` is exactly the set the dispatcher broadcast
-            # *publishing* to, so every live member holds pairs against
-            # this DoneMsg and must be released — absolution only
-            # waives a node's report, it does not mean the node is
-            # absent (a rejoined node stays absolved for publications
-            # opened before its rejoin yet still entered this one's
-            # publishing window).  Withholding the done would leave it
-            # holding every later publication's output forever.
-            recipients = sorted(state.expected - self._dead_nodes)
-        else:
-            recipients = [
-                i
-                for i in range(self.config.num_computing_nodes)
-                if i not in self._dead_nodes
-            ]
-        out.extend((f"cn-{i}", done) for i in recipients)
+        out.extend(
+            (f"cn-{i}", done)
+            for i in range(self.config.num_computing_nodes)
+            if i not in self._dead_nodes
+        )
         del self._publications[publication]
         self._finalised_floor = max(self._finalised_floor, publication)
         self._tel.observe_stage("publish", publication, start)

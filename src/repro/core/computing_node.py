@@ -133,14 +133,7 @@ class ComputingNode(Routed):
             # and an all-rejected batch must not stall it.
             if message.seq < 0:
                 return []
-            return self._ship(
-                PairBatch(
-                    publication,
-                    seq=message.seq,
-                    epoch=message.epoch,
-                    node=self.node_id,
-                )
-            )
+            return self._ship(PairBatch(publication, seq=message.seq))
         start = tel.now()
         if self.config.deterministic_ivs and message.ordinal >= 0:
             ordinal = message.ordinal
@@ -161,8 +154,6 @@ class ComputingNode(Routed):
                 tuple(ciphertexts),
                 dummies,
                 seq=message.seq,
-                epoch=message.epoch,
-                node=self.node_id,
             )
         )
 
@@ -200,11 +191,9 @@ class ComputingNode(Routed):
         the wait (back-to-back publications pipeline correctly).
 
         A done for an *older* publication than the one currently waited
-        on is a straggler addressed to a previous incarnation (elastic
-        membership: the checking node releases every node the dispatcher
-        broadcast to, which can include a node that crashed and rejoined
-        meanwhile) — releasing the current hold on it would leak the
-        next publication's pairs past the publishing barrier.
+        on is a straggler (a duplicated frame under an injected fault
+        plan) — releasing the current hold on it would leak the next
+        publication's pairs past the publishing barrier.
         """
         if (
             self._waiting_done

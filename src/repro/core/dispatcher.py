@@ -26,9 +26,7 @@ import random
 from collections import deque
 
 from repro.core.config import FresqueConfig
-from repro.core.membership import Membership
 from repro.core.messages import (
-    MembershipMsg,
     NewPublication,
     NodeDown,
     PublishingMsg,
@@ -94,15 +92,12 @@ class Dispatcher:
         self._rng = rng if rng is not None else random.Random()
         self._tree_shape = IndexTree(config.domain, fanout=config.fanout)
         self._publication = -1
-        #: Versioned node set + round-robin cursor (docs/PROTOCOL.md);
-        #: every membership transition bumps its epoch, and every
-        #: RawBatch is stamped with the epoch it was dispatched under.
-        self.membership = Membership(config.num_computing_nodes)
-        #: Nodes that participated in the current interval (received or
-        #: could have received batches): the *publishing* broadcast set.
-        #: Retirement keeps a node here — it must still report — while
-        #: nodes down at close are excluded at broadcast time.
-        self._participants: set[int] = set(self.membership.active_ids)
+        #: Computing nodes reported down; the set only grows, since a
+        #: crashed node never comes back (docs/PROTOCOL.md).
+        self._dead: set[int] = set()
+        # Round-robin cursor over node ids; a down id is skipped
+        # without being handed a batch.
+        self._next_cn = 0
         # A deque: due_dummies pops from the front as the interval
         # advances, and list.pop(0) would shift the whole schedule per
         # dummy (O(n²) across one publication).
@@ -191,7 +186,6 @@ class Dispatcher:
         dummy counts) of the original.
         """
         self._publication += 1
-        self._participants = set(self.membership.active_ids)
         self._tel.open_publication(self._publication)
         if plan is None:
             # Non-durable fallback: the durable driver injects a granted,
@@ -232,17 +226,14 @@ class Dispatcher:
     @property
     def dead_nodes(self) -> frozenset[int]:
         """Computing nodes reported down (skipped by the round robin)."""
-        return frozenset(self.membership.down_ids)
+        return frozenset(self._dead)
 
     @property
     def live_computing_nodes(self) -> list[int]:
         """Computing nodes still in the rotation."""
-        return self.membership.active_ids
-
-    @property
-    def epoch(self) -> int:
-        """Current membership epoch (stamped onto every RawBatch)."""
-        return self.membership.epoch
+        return [
+            i for i in range(self.num_computing_nodes) if i not in self._dead
+        ]
 
     def mark_node_down(self, node_id: int) -> list[tuple[str, object]]:
         """Take a crashed computing node out of the rotation.
@@ -250,82 +241,37 @@ class Dispatcher:
         Degraded mode: shared-nothing means the surviving nodes can
         absorb the dead node's share of the stream.  Returns the
         :class:`NodeDown` notice for the checking node so publication
-        finalisation stops waiting for the dead node (idempotent).
+        finalisation stops waiting for the dead node (idempotent).  A
+        crash that would leave no node alive is refused.
         """
-        if self.membership.state_of(node_id) == "down":
+        if not 0 <= node_id < self.num_computing_nodes:
+            raise ValueError(f"unknown computing node {node_id}")
+        if node_id in self._dead:
             return []
-        self.membership.mark_down(node_id)
+        if len(self._dead) + 1 >= self.num_computing_nodes:
+            raise RuntimeError("every computing node is down")
+        self._dead.add(node_id)
         return [("checking", NodeDown(self._publication, node_id))]
-
-    def admit_node(
-        self, node_id: int | None = None
-    ) -> tuple[int, list[tuple[str, object]]]:
-        """Admit a computing node into the fleet at runtime.
-
-        Returns ``(node_id, outbox)``.  The in-flight batch flushes
-        first, stamped and routed under the *old* epoch — admission
-        never perturbs batches already sequenced — then the rotation is
-        rebuilt around the grown fleet.  The checking node learns the new
-        fleet from the :class:`MembershipMsg`.
-        """
-        out = self._flush(FLUSH_MANUAL)
-        node_id = self.membership.admit(node_id)
-        self._participants.add(node_id)
-        out.append(("checking", self._membership_msg()))
-        return node_id, out
-
-    def retire_node(self, node_id: int) -> list[tuple[str, object]]:
-        """Drain a computing node out of the rotation (planned removal).
-
-        The in-flight batch flushes under the old epoch (if it was
-        routed to the retiring node it still goes there — drain, not
-        drop), then the node leaves the rotation.  Its share of the
-        dummy schedule needs no reassignment: dummies are scheduled
-        centrally and routed at release time, so the survivors absorb
-        them through the ordinary rotation.  The retired node stays
-        reachable until the interval closes — it reports *publishing*
-        for the records it processed and receives its final *done*.
-        """
-        out = self._flush(FLUSH_MANUAL)
-        self.membership.retire(node_id)
-        out.append(("checking", self._membership_msg()))
-        return out
-
-    def rejoin_node(self, node_id: int) -> list[tuple[str, object]]:
-        """A crashed node returns to the rotation under a fresh epoch.
-
-        The new join epoch is the staleness floor the checking side
-        uses to discard the previous incarnation's late pair batches
-        (the crash redispatch already re-covered them).
-        """
-        out = self._flush(FLUSH_MANUAL)
-        self.membership.rejoin(node_id)
-        self._participants.add(node_id)
-        out.append(("checking", self._membership_msg()))
-        return out
-
-    def _membership_msg(self) -> MembershipMsg:
-        m = self.membership
-        return MembershipMsg(
-            epoch=m.epoch,
-            members=tuple(m.active_ids),
-            retired=tuple(m.retired_ids),
-            down=tuple(m.down_ids),
-            joined=tuple(sorted(m.join_epochs.items())),
-        )
 
     def redispatch(self, message: RawBatch) -> list[tuple[str, object]]:
         """Re-route a batch whose computing node died before reading it.
 
-        The message object is forwarded unchanged — its seq/ordinal/
-        epoch stamps must survive the reroute (the ordering gate dedups
-        by seq, deterministic IVs key off the ordinal).
+        The message object is forwarded unchanged — its seq/ordinal
+        stamps must survive the reroute (the ordering gate dedups by
+        seq, deterministic IVs key off the ordinal).
         """
         self.records_rerouted += len(message.items)
         return [(self._next_node(), message)]
 
     def _next_node(self) -> str:
-        return self.membership.next_destination()
+        """The next live computing node's address, round robin."""
+        count = self.num_computing_nodes
+        for _ in range(count):
+            node_id = self._next_cn
+            self._next_cn = (node_id + 1) % count
+            if node_id not in self._dead:
+                return f"cn-{node_id}"
+        raise RuntimeError("every computing node is down")
 
     def on_raw(self, line: str) -> list[tuple[str, object]]:
         """Accumulate one raw line; forward a batch when a flush triggers."""
@@ -362,11 +308,7 @@ class Dispatcher:
         self._seq += 1
         destination = self._next_node()
         message = RawBatch(
-            self._publication,
-            items,
-            seq=seq,
-            ordinal=self._batch_ordinal,
-            epoch=self.membership.epoch,
+            self._publication, items, seq=seq, ordinal=self._batch_ordinal
         )
         self._flush_counters[reason].inc()
         self._batch_histogram.observe(float(len(items)))
@@ -409,14 +351,13 @@ class Dispatcher:
         """JSON-able snapshot of the dispatcher's durable state.
 
         Captures everything replay cannot re-derive: the publication
-        counter, the membership (round-robin cursor and dead set
-        included), the not-yet-released dummy schedule and the ingest
-        counters.
+        counter, the dead set and the round-robin cursor, the
+        not-yet-released dummy schedule and the ingest counters.
         """
         return {
             "publication": self._publication,
-            "membership": self.membership.snapshot(),
-            "participants": sorted(self._participants),
+            "dead": sorted(self._dead),
+            "cursor": self._next_cn,
             "dummy_schedule": [
                 [fraction, encode_record(dummy)]
                 for fraction, dummy in self._dummy_schedule
@@ -436,11 +377,8 @@ class Dispatcher:
     def restore(self, state: dict) -> None:
         """Inverse of :meth:`snapshot` (crash recovery)."""
         self._publication = state["publication"]
-        self.membership = Membership(self.config.num_computing_nodes)
-        self.membership.restore(state["membership"])
-        self._participants = set(
-            state.get("participants", self.membership.active_ids)
-        )
+        self._dead = set(state["dead"])
+        self._next_cn = state["cursor"]
         self._dummy_schedule = deque(
             (fraction, decode_record(payload))
             for fraction, payload in state["dummy_schedule"]
@@ -470,16 +408,7 @@ class Dispatcher:
         """
         out = self.due_dummies(1.0)
         out.extend(self._flush(FLUSH_CLOSE))
-        down = set(self.membership.down_ids)
-        nodes = tuple(
-            i for i in sorted(self._participants) if i not in down
-        )
-        message = PublishingMsg(
-            self._publication,
-            last_seq=self._seq - 1,
-            epoch=self.membership.epoch,
-            nodes=nodes,
-        )
-        out.extend((f"cn-{i}", message) for i in nodes)
+        message = PublishingMsg(self._publication, last_seq=self._seq - 1)
+        out.extend((f"cn-{i}", message) for i in self.live_computing_nodes)
         out.append(("checking", message))
         return out

@@ -73,20 +73,15 @@ class RawBatch:
     ``seq`` lets the checking side restore dispatch order across
     parallel computing nodes (and deduplicate crash redispatches),
     ``ordinal`` keys the deterministic per-record IVs of
-    ``config.deterministic_ivs`` (docs/RUNTIMES.md).
-
-    ``epoch`` is the membership epoch the batch was dispatched under
-    (:class:`~repro.core.membership.Membership`; -1 when unstamped).  A
-    crash redispatch forwards the same message object, so the stamp
-    survives rerouting — epochs version the *membership*, never the
-    data (docs/PROTOCOL.md).
+    ``config.deterministic_ivs`` (docs/RUNTIMES.md).  A crash
+    redispatch forwards the same message object, so both stamps survive
+    the reroute.
     """
 
     publication: int
     items: tuple[str | Record, ...]
     seq: int = -1
     ordinal: int = -1
-    epoch: int = -1
 
 
 @dataclass(frozen=True)
@@ -108,13 +103,6 @@ class PairBatch:
     number through the computing node (-1 when that batch was
     unstamped); concurrent runtimes use it to re-serialise batches into
     dispatch order before the randomer sees them.
-
-    ``epoch`` propagates the RawBatch's membership epoch and ``node``
-    identifies the producing computing node (-1 when unstamped).
-    Together they let the checking side discard *stale* batches — the
-    output of a crashed node's previous incarnation, already covered by
-    the crash redispatch — once the node's rejoin epoch is known
-    (docs/PROTOCOL.md).
     """
 
     publication: int
@@ -122,8 +110,6 @@ class PairBatch:
     ciphertexts: tuple[bytes, ...] = ()
     dummies: bytes = b""
     seq: int = -1
-    epoch: int = -1
-    node: int = -1
 
     def __len__(self) -> int:
         return len(self.leaves)
@@ -163,20 +149,10 @@ class PublishingMsg:
     consumers hold the message until every batch with ``seq <= last_seq``
     has been processed, restoring the synchronous runtime's guarantee
     that *publishing* arrives after the publication's final batch.
-
-    ``nodes`` is the exact set of computing nodes the dispatcher
-    broadcast this notice to — every node that participated in the
-    interval (including nodes retired mid-interval, excluding nodes
-    down at close).  The checking node finalises against this set
-    instead of the static configured fleet; an empty tuple falls back
-    to the pre-membership counting rule.  ``epoch`` is the membership
-    epoch at interval close (-1 when unstamped).
     """
 
     publication: int
     last_seq: int = -1
-    epoch: int = -1
-    nodes: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -199,26 +175,6 @@ class NodeDown:
 
     publication: int
     node_id: int
-
-
-@dataclass(frozen=True)
-class MembershipMsg:
-    """Dispatcher → checking node: the fleet changed (admit/retire/rejoin).
-
-    Full-state and versioned: carries the complete membership under
-    ``epoch`` — the active ``members``, the drained ``retired`` set, the
-    crashed ``down`` set and the per-node join epochs (``joined`` is a
-    tuple of ``(node_id, epoch)`` pairs).  Consumers apply it only when
-    ``epoch`` is newer than what they have, so duplicated or delayed
-    copies are harmless.  The join epochs are the staleness floors for
-    the crash+rejoin discard rule (docs/PROTOCOL.md).
-    """
-
-    epoch: int
-    members: tuple[int, ...] = ()
-    retired: tuple[int, ...] = ()
-    down: tuple[int, ...] = ()
-    joined: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ alone builds the components (dispatcher, computing nodes, checking node,
 merger, cloud adapter) and their seed chain, it alone routes a message
 to a component (``handlers[destination](message)``), and it alone
 defines the dispatcher-facing surface: ``start``, ``ingest``,
-``pump_dummies``, ``close_publication``, the elastic-membership calls
-and ``run_publication``, over one lock and one ``_send_all(outbox)``.
+``pump_dummies``, ``close_publication``, ``crash_node`` and
+``run_publication``, over one lock and one ``_send_all(outbox)``.
 
 Run as is, it delivers every message in place through a FIFO queue until
 quiescence — the *functional* reference: exactly the logic the runtimes
@@ -15,8 +15,10 @@ tests can assert end-to-end correctness deterministically.  The runtimes
 (threaded, TCP) subclass it and supply only what differs
 per transport — how one message leaves (:meth:`FresqueSystem._send`),
 how to wait for a publication to drain (:meth:`FresqueSystem.settle`),
-and how a node is spawned, killed, salvaged and brought back; the list
-is "What a runtime supplies" in docs/RUNTIMES.md.
+and how a node is spawned, killed and salvaged; the list is "What a
+runtime supplies" in docs/RUNTIMES.md.  The fleet is fixed, as in the
+paper: ``config.num_computing_nodes`` computing nodes, of which a crash
+can only take some away (degraded mode, docs/PROTOCOL.md).
 """
 
 from __future__ import annotations
@@ -213,10 +215,8 @@ class FresqueSystem:
         #: Destination name → handler ("message in, outbox out"): the
         #: route of every message, on every transport.
         self._handlers: dict[str, object] = {}
+        #: Indexed by node id.
         self.computing_nodes: list[ComputingNode] = []
-        # Keyed by node id: elastic membership can admit ids past the
-        # initial fleet and replace crashed incarnations.
-        self._nodes: dict[int, ComputingNode] = {}
         self._build_components(rng, cloud)
         self._queue: deque[tuple[str, object]] = deque()
         #: Names of the computing nodes the driver degraded around.
@@ -239,7 +239,11 @@ class FresqueSystem:
         """
         config, telemetry = self.config, self.telemetry
         for node_id in range(config.num_computing_nodes):
-            self._install_node(node_id)
+            node = ComputingNode(
+                node_id, config, self.cipher, telemetry=telemetry
+            )
+            self.computing_nodes.append(node)
+            self._handlers[f"cn-{node_id}"] = node.handle
         self.checking = CheckingNode(
             config, rng=random.Random(rng.random()), telemetry=telemetry
         )
@@ -258,24 +262,6 @@ class FresqueSystem:
         self._handlers["checking"] = self.checking.handle
         self._handlers["merger"] = self.merger.handle
         self._handlers["cloud"] = self._cloud_adapter.handle
-
-    def _new_node(self, node_id: int) -> ComputingNode:
-        return ComputingNode(
-            node_id, self.config, self.cipher, telemetry=self.telemetry
-        )
-
-    def _install_node(self, node_id: int) -> ComputingNode:
-        """Build computing node ``node_id`` and register it, in place of
-        a previous incarnation of the same id if there was one."""
-        node = self._new_node(node_id)
-        previous = self._nodes.get(node_id)
-        if previous is None:
-            self.computing_nodes.append(node)
-        else:
-            self.computing_nodes[self.computing_nodes.index(previous)] = node
-        self._nodes[node_id] = node
-        self._handlers[f"cn-{node_id}"] = node.handle
-        return node
 
     # ------------------------------------------------------------------
     # Sending
@@ -348,9 +334,9 @@ class FresqueSystem:
         """Ready the handler table for nodes that run concurrently.
 
         Under deterministic IVs the checking node is fronted by the
-        membership-aware ordering gate, which makes the final cloud state
-        byte-identical to the synchronous system's even with crashes and
-        rejoins interleaving arrivals (docs/PROTOCOL.md).
+        ordering gate, which makes the final cloud state byte-identical
+        to the synchronous system's even with crashes interleaving
+        arrivals (docs/PROTOCOL.md).
         """
         from repro.runtime.gate import CheckingGate
 
@@ -386,11 +372,6 @@ class FresqueSystem:
         it is out of the rotation; the driver redispatches the records
         among them after the :class:`NodeDown` notice."""
         return ()
-
-    def _start_node(self, node_id: int) -> None:
-        """Bring up a fresh incarnation of computing node ``node_id``
-        (an admitted node, or a crashed one rejoining)."""
-        self._install_node(node_id)
 
     def shutdown(self) -> None:
         """Stop everything :meth:`_spawn` started."""
@@ -474,8 +455,8 @@ class FresqueSystem:
 
     def pump_dummies(self, fraction: float) -> None:
         """Release every dummy scheduled before ``fraction`` of the
-        interval (how :meth:`run_publication` and the chaos harness pace
-        dummies between ingests)."""
+        interval (how :meth:`run_publication` paces dummies between
+        ingests)."""
         with self._lock:
             self._send_all(self.dispatcher.due_dummies(fraction))
 
@@ -527,38 +508,13 @@ class FresqueSystem:
         )
 
     # ------------------------------------------------------------------
-    # Elastic membership (docs/PROTOCOL.md)
+    # Degraded mode (docs/PROTOCOL.md)
     # ------------------------------------------------------------------
 
     @property
     def dead_nodes(self) -> frozenset[str]:
         """Names of computing nodes the driver degraded around."""
         return frozenset(self._dead)
-
-    def admit_node(self, node_id: int | None = None) -> int:
-        """Admit a new computing node into the live fleet.
-
-        Flushes the in-flight batch under the old epoch, brings the node
-        up, rebuilds the dispatch rotation and broadcasts the membership
-        snapshot.  Returns the admitted node's id.
-        """
-        if not self._started:
-            raise RuntimeError("call start() first")
-        with self._lock:
-            node_id, outbox = self.dispatcher.admit_node(node_id)
-            self._start_node(node_id)
-            self._send_all(outbox)
-        return node_id
-
-    def retire_node(self, node_id: int) -> None:
-        """Gracefully drain ``node_id`` out of the dispatch rotation.
-
-        The node stays reachable until the current publication closes
-        (it still reports *publishing* and receives *done*); it simply
-        receives no further batches.
-        """
-        with self._lock:
-            self._send_all(self.dispatcher.retire_node(node_id))
 
     def crash_node(self, node_id: int) -> None:
         """Crash a computing node and degrade around it.
@@ -567,8 +523,11 @@ class FresqueSystem:
         :class:`NodeDown` and stops waiting for its reports, and what it
         left unread is redispatched to the survivors.  (The synchronous
         driver pumps to quiescence between ingests, so it has no backlog
-        to lose.)
+        to lose.)  An id outside the fleet is a ``ValueError`` on every
+        runtime, raised before anything is killed.
         """
+        if not 0 <= node_id < self.config.num_computing_nodes:
+            raise ValueError(f"unknown computing node {node_id}")
         self._kill_node(node_id)
         self._node_down(node_id)
 
@@ -579,7 +538,7 @@ class FresqueSystem:
         redispatch never routes back to it), and the checking node hears
         :class:`NodeDown` *before* the redispatched backlog.  Messages
         are redispatched as the same objects — never re-stamped — so
-        their seq/ordinal/IV stamps survive and churn stays
+        their seq/ordinal/IV stamps survive and a crash stays
         byte-invisible.
         """
         with self._lock:
@@ -590,25 +549,6 @@ class FresqueSystem:
             backlog = self._salvage(node_id)
             self._send_all(notice)
             self._redispatch(backlog)
-
-    def rejoin_node(self, node_id: int) -> int:
-        """Bring a crashed node back as a fresh incarnation.
-
-        The replacement starts from empty state under a new epoch; the
-        membership broadcast raises its join-epoch floor, so any
-        straggler output of the dead incarnation is discarded.  On the
-        TCP runtime, only call once the surrounding publication has
-        completed — the cloud receipt guarantees the checking node has
-        consumed every frame the old incarnation sent.
-        """
-        self._supervise()
-        if self.dispatcher.membership.state_of(node_id) != "down":
-            raise ValueError(f"node {node_id} is not down")
-        self._start_node(node_id)
-        with self._lock:
-            self._dead.discard(f"cn-{node_id}")
-            self._send_all(self.dispatcher.rejoin_node(node_id))
-        return node_id
 
     # ------------------------------------------------------------------
     # Queries

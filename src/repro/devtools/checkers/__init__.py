@@ -10,7 +10,6 @@ from repro.devtools.checkers import (
     crypto,
     durability,
     hygiene,
-    membership,
     privacy,
     runtime,
     telemetry,
@@ -22,7 +21,6 @@ __all__ = [
     "crypto",
     "durability",
     "hygiene",
-    "membership",
     "privacy",
     "runtime",
     "telemetry",

@@ -14,13 +14,15 @@ the rename itself is durable.  A crash mid-write leaves either the old
 checkpoint or the new one — never a torn hybrid (the ``FRQ-D702`` lint
 rule keeps this the only write path).
 
-Documents are stamped with :data:`FORMAT`: 4 keeps the randomer residents
+Documents are stamped with :data:`FORMAT`: 5 keeps the randomer residents
 and the merger's removed records as base64 strings of packed columns
-(``records.codec.encode_pairs``).  3 had the same layout plus the
-dispatcher's flow-control state, whose deferred batches nothing can
-release any more; 2 kept the removed records as a JSON object each, 1
-(unstamped) the residents too.  A document of any other format is
-skipped exactly like a torn one.
+(``records.codec.encode_pairs``), and the dispatcher's dead set and
+round-robin cursor.  4 had the same columns beside a versioned fleet
+roster and per-node join floors, which a fixed fleet no longer has; 3
+also carried the dispatcher's flow-control state, whose deferred batches
+nothing can release any more; 2 kept the removed records as a JSON
+object each, 1 (unstamped) the residents too.  A document of any other
+format is skipped exactly like a torn one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import os
 import pathlib
 
 #: The document format this code writes, and the only one it restores.
-FORMAT = 4
+FORMAT = 5
 
 
 def atomic_write_json(path, payload: dict) -> pathlib.Path:

@@ -10,8 +10,8 @@ senders included), and to measure real — if Python-scale — ingest rates.
 :class:`ThreadedFresque` is the collector driver
 (:class:`~repro.core.system.FresqueSystem`) over in-process inboxes: it
 supplies the send (inbox put + in-flight tracker), quiescence as
-``settle``, the node threads, and the FIFO barriers a crash and a rejoin
-need on this substrate.
+``settle``, the node threads, and the FIFO barrier a crash needs on
+this substrate.
 """
 
 from __future__ import annotations
@@ -33,19 +33,11 @@ class _Control:
     Runs ``action`` *on the node's thread*, after every message queued
     ahead of it — a FIFO barrier.  Crash handling uses it to salvage a
     dead node's held pairs only once the zombie loop has diverted the
-    whole backlog, and rejoin uses it to know the backlog is empty
-    before swapping the fresh incarnation in.
+    whole backlog.
     """
 
     def __init__(self, action):
         self.action = action
-        self.done = threading.Event()
-
-    def run(self):
-        try:
-            return self.action()
-        finally:
-            self.done.set()
 
 
 class ThreadedFresque(FresqueSystem):
@@ -128,7 +120,7 @@ class ThreadedFresque(FresqueSystem):
                 return
             try:
                 if isinstance(message, _Control):
-                    self._send_all(message.run() or [])
+                    self._send_all(message.action() or [])
                 elif name in self._dead:
                     # A crashed node's thread keeps running as a zombie
                     # that diverts its backlog, so the in-flight tracker
@@ -186,21 +178,20 @@ class ThreadedFresque(FresqueSystem):
         self._threads = []
 
     # ------------------------------------------------------------------
-    # Crash and rejoin on this substrate
+    # Crashes on this substrate
     # ------------------------------------------------------------------
 
-    def _barrier(self, name: str, action) -> _Control:
-        """Queue ``action`` behind everything in ``name``'s inbox."""
-        control = _Control(action)
-        self._send(name, control)
-        return control
+    def _barrier(self, name: str, action) -> None:
+        """Queue ``action`` behind everything in ``name``'s inbox; what
+        it returns is sent as an outbox."""
+        self._send(name, _Control(action))
 
     def _salvage(self, node_id: int):
         """Pairs the node already produced but held while awaiting
         *done* are forwarded to the checking node — their source batches
         were consumed, so redispatch can no longer recreate them.  The
         unread backlog itself is diverted by the node's zombie loop."""
-        node = self._nodes[node_id]
+        node = self.computing_nodes[node_id]
         # FIFO barrier: runs after the backlog has been diverted, on the
         # node's own thread — no handler can be mid-flight touching
         # ``_held`` when the salvage reads it.
@@ -215,20 +206,6 @@ class ThreadedFresque(FresqueSystem):
             for kind, payload in held
             if kind == "batch"
         ]
-
-    def _start_node(self, node_id: int) -> None:
-        name = f"cn-{node_id}"
-        if name not in self._inboxes:
-            self._install_node(node_id)
-            self._spawn_node_thread(name)
-            return
-        # Rejoin: the thread lives on.  Wait until the dead
-        # incarnation's backlog has fully diverted, then swap the fresh
-        # one in — any still-travelling pair of the old incarnation is
-        # discarded as stale by the checking side.
-        if not self._barrier(name, lambda: []).done.wait(timeout=30.0):
-            raise TimeoutError(f"crashed node {node_id} backlog stuck")
-        self._install_node(node_id)
 
     # ------------------------------------------------------------------
     # Publications

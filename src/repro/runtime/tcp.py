@@ -493,26 +493,8 @@ class TcpNode:
     def crash(self) -> None:
         """Driver-side crash injection: same effect as a fault-plan
         crash, enacted from outside the worker thread.  The worker
-        stays parked on the (now empty) inbox, ready for
-        :meth:`restart`."""
+        stays parked on the (now empty) inbox."""
         self._enact_crash(None, restart=False)
-
-    def restart(self) -> None:
-        """Bring a crashed node back up on the same port — the
-        transport half of the rejoin handshake (docs/PROTOCOL.md).
-        Respawns the worker thread if the crash terminated it."""
-        with self._lock:
-            if not self.crashed:
-                return
-        self._rebind()
-        worker = self._worker
-        if worker is None or not worker.is_alive():
-            worker = threading.Thread(
-                target=self._worker_loop, name=f"tcp-worker-{self.name}",
-                daemon=True,
-            )
-            self._worker = worker
-            worker.start()
 
     def _rebind(self) -> None:
         """Fresh server socket + acceptor on the node's original port."""
@@ -726,7 +708,7 @@ class TcpFresqueCluster(FresqueSystem):
         self.router.close()
 
     # ------------------------------------------------------------------
-    # Crash and rejoin on this substrate
+    # Crashes on this substrate
     # ------------------------------------------------------------------
 
     def _kill_node(self, node_id: int) -> None:
@@ -748,21 +730,6 @@ class TcpFresqueCluster(FresqueSystem):
     def _salvage(self, node_id: int):
         """The frames a crash trapped in the dead node's inbox."""
         return self._servers[f"cn-{node_id}"].take_dropped_messages()
-
-    def _start_node(self, node_id: int) -> None:
-        name = f"cn-{node_id}"
-        server = self._servers.get(name)
-        if server is None:
-            self._install_node(node_id)
-            self._add_server(name).start()
-            return
-        # Rejoin on the same port (reconnect-as-rejoin,
-        # docs/PROTOCOL.md).  A crash the fault plan enacted may have
-        # trapped frames after supervision degraded around the node.
-        self._redispatch(server.take_dropped_messages())
-        self._install_node(node_id)
-        server.handler = self._handlers[name]
-        server.restart()
 
     # ------------------------------------------------------------------
     # Settling and supervision

@@ -30,7 +30,6 @@ from repro.core.messages import (
     BufferFlush,
     CnPublishing,
     DoneMsg,
-    MembershipMsg,
     MergedPublication,
     NewPublication,
     NodeDown,
@@ -99,21 +98,9 @@ _ENCODERS = {
     NewPublication: lambda m: {"pub": m.publication, "plan": encode_plan(m.plan)},
     TemplateMsg: lambda m: {"pub": m.publication, "plan": encode_plan(m.plan)},
     AnnouncePublication: lambda m: {"pub": m.publication},
-    PublishingMsg: lambda m: {
-        "pub": m.publication,
-        "last": m.last_seq,
-        "epoch": m.epoch,
-        "nodes": list(m.nodes),
-    },
+    PublishingMsg: lambda m: {"pub": m.publication, "last": m.last_seq},
     CnPublishing: lambda m: {"pub": m.publication, "node": m.node_id},
     NodeDown: lambda m: {"pub": m.publication, "node": m.node_id},
-    MembershipMsg: lambda m: {
-        "epoch": m.epoch,
-        "members": list(m.members),
-        "retired": list(m.retired),
-        "down": list(m.down),
-        "joined": [list(pair) for pair in m.joined],
-    },
     AlSnapshot: lambda m: {"pub": m.publication, "al": list(m.al)},
     DoneMsg: lambda m: {"pub": m.publication},
 }
@@ -122,21 +109,9 @@ _DECODERS = {
     "NewPublication": lambda p: NewPublication(p["pub"], decode_plan(p["plan"])),
     "TemplateMsg": lambda p: TemplateMsg(p["pub"], decode_plan(p["plan"])),
     "AnnouncePublication": lambda p: AnnouncePublication(p["pub"]),
-    "PublishingMsg": lambda p: PublishingMsg(
-        p["pub"],
-        last_seq=p["last"],
-        epoch=p["epoch"],
-        nodes=tuple(p["nodes"]),
-    ),
+    "PublishingMsg": lambda p: PublishingMsg(p["pub"], last_seq=p["last"]),
     "CnPublishing": lambda p: CnPublishing(p["pub"], p["node"]),
     "NodeDown": lambda p: NodeDown(p["pub"], p["node"]),
-    "MembershipMsg": lambda p: MembershipMsg(
-        p["epoch"],
-        members=tuple(p["members"]),
-        retired=tuple(p["retired"]),
-        down=tuple(p["down"]),
-        joined=tuple((n, e) for n, e in p["joined"]),
-    ),
     "AlSnapshot": lambda p: AlSnapshot(p["pub"], tuple(p["al"])),
     "DoneMsg": lambda p: DoneMsg(p["pub"]),
 }
@@ -155,11 +130,11 @@ def _load_json(view):
 # ``out`` and an unpacker reads it at ``offset``: -> (message, end offset).
 # ---------------------------------------------------------------------------
 
-_BATCH_HEAD = struct.Struct("<qqqqI")  # pub, seq, ordinal, epoch, item count
+_BATCH_HEAD = struct.Struct("<qqqI")  # pub, seq, ordinal, item count
 _ITEM_HEAD = struct.Struct("<BI")  # 0 = line / 1 = JSON record, utf-8 length
-#: pub, seq, epoch, node; the pair columns (records.codec.pack_pairs:
-#: count, leaves, lengths, ciphertexts, dummy flags) follow.
-_PAIR_HEAD = struct.Struct("<qqqq")
+#: pub, seq; the pair columns (records.codec.pack_pairs: count, leaves,
+#: lengths, ciphertexts, dummy flags) follow.
+_PAIR_HEAD = struct.Struct("<qq")
 _CLOUD_HEAD = struct.Struct("<q")  # pub; the pair columns (no flags) follow
 _HEAD_LENGTH = struct.Struct("<I")  # a MergedPublication's JSON head, bytes
 
@@ -179,11 +154,7 @@ def _unpack_json(_, view, offset: int):
 
 def _pack_raw_batch(out: bytearray, message: RawBatch) -> None:
     out += _BATCH_HEAD.pack(
-        message.publication,
-        message.seq,
-        message.ordinal,
-        message.epoch,
-        len(message.items),
+        message.publication, message.seq, message.ordinal, len(message.items)
     )
     # Ordered, type-tagged items in the arrival order the randomer's mixing
     # relies on; a line keeps lone surrogates, for the node to reject it.
@@ -197,9 +168,7 @@ def _pack_raw_batch(out: bytearray, message: RawBatch) -> None:
 
 
 def _unpack_raw_batch(message_type, view, offset: int):
-    publication, seq, ordinal, epoch, count = _BATCH_HEAD.unpack_from(
-        view, offset
-    )
+    publication, seq, ordinal, count = _BATCH_HEAD.unpack_from(view, offset)
     offset += _BATCH_HEAD.size
     items = []
     for _ in range(count):
@@ -215,20 +184,19 @@ def _unpack_raw_batch(message_type, view, offset: int):
             else decode_record(_load_json(text))
         )
     return message_type(
-        publication, tuple(items), seq=seq, ordinal=ordinal, epoch=epoch
+        publication, tuple(items), seq=seq, ordinal=ordinal
     ), offset
 
 
 def _pack_pair_batch(out: bytearray, message: PairBatch) -> None:
-    head = (message.publication, message.seq, message.epoch, message.node)
-    out += _PAIR_HEAD.pack(*head)
+    out += _PAIR_HEAD.pack(message.publication, message.seq)
     pack_pairs(out, message.leaves, message.ciphertexts, message.dummies)
 
 
 def _unpack_pair_batch(message_type, view, offset: int):
-    publication, seq, epoch, node = _PAIR_HEAD.unpack_from(view, offset)
+    publication, seq = _PAIR_HEAD.unpack_from(view, offset)
     *columns, end = unpack_pairs(view, offset + _PAIR_HEAD.size, dummies=True)
-    return message_type(publication, *columns, seq=seq, epoch=epoch, node=node), end
+    return message_type(publication, *columns, seq=seq), end
 
 
 def _pack_cloud_pairs(out: bytearray, message) -> None:

@@ -97,30 +97,6 @@ def test_burst_trickle_reports_latency():
     assert card.metrics["throughput_rps"] > 0
 
 
-def test_churn_workload_emits_phase_cards_and_summary():
-    cards = run_scenario(
-        _scenario(
-            workload="churn",
-            runtime="threaded",
-            records=240,
-            params=(
-                ("warmup_pubs", 1),
-                ("baseline_pubs", 2),
-                ("recovery_pubs", 2),
-            ),
-        )
-    )
-    phases = [card.key["phase"] for card in cards]
-    assert phases == [
-        "warmup", "baseline", "baseline", "churn", "recovery", "recovery",
-        "summary",
-    ]
-    summary = cards[-1]
-    assert summary.metrics["records_rerouted"] > 0
-    assert summary.metrics["final_epoch"] >= 4
-    assert summary.metrics["final_fleet_size"] == 3.0
-
-
 def test_runner_rejects_bad_scenarios():
     with pytest.raises(RunnerError):
         run_scenario(_scenario(fault_plan="meteor-strike"))

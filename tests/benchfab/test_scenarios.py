@@ -15,7 +15,6 @@ def test_registry_covers_the_ported_benches():
         "batching",
         "conformance",
         "fabric_smoke",
-        "membership_churn",
     ]
     with pytest.raises(KeyError):
         bench_spec("nonexistent")
@@ -41,8 +40,6 @@ def test_ported_gates_keep_their_thresholds():
     assert batching["memory-no-batch-cliff"].frac == 0.15
     smoke = {rule.id: rule for rule in bench_spec("fabric_smoke").rules}
     assert smoke["smoke-trickle-p99-slo"].threshold == 0.1
-    churn = {rule.id: rule for rule in bench_spec("membership_churn").rules}
-    assert churn["steady-state-within-10pct"].threshold == 0.90
 
 
 def test_behaviour_drift_is_recorded_not_silent():
@@ -54,10 +51,7 @@ def test_behaviour_drift_is_recorded_not_silent():
         for rule in spec.rules
         if rule.note.startswith("drift:")
     ]
-    assert {rule.id for rule in drifted} >= {
-        "fleet-restored",
-        "smoke-batching-amortises",
-    }
+    assert {rule.id for rule in drifted} >= {"smoke-batching-amortises"}
 
 
 def test_conformance_matrix_shape():

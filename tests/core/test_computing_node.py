@@ -94,9 +94,8 @@ class TestPublishBoundary:
         self, node, flu_config
     ):
         """A done for an older publication than the one being waited on
-        (elastic membership: addressed to a previous incarnation of
-        this node id) must not leak the held pairs past the current
-        publishing barrier."""
+        (a duplicated frame) must not leak the held pairs past the
+        current publishing barrier."""
         node.on_publishing(PublishingMsg(1))
         node.on_raw_batch(_raw(flu_config, publication=2))
         assert node.on_done(DoneMsg(0)) == []

@@ -1,11 +1,15 @@
-"""Dispatcher tests: round robin, publication lifecycle, dummy schedule."""
+"""Dispatcher tests: round robin, publication lifecycle, dummy schedule,
+and the fixed fleet's degraded mode (a crash only ever shrinks it)."""
 
+import dataclasses
+import json
 import random
 
 import pytest
 
+from repro.core.config import ConfigError
 from repro.core.dispatcher import Dispatcher
-from repro.core.messages import NewPublication, PublishingMsg, RawBatch
+from repro.core.messages import NewPublication, NodeDown, PublishingMsg, RawBatch
 
 
 @pytest.fixture
@@ -100,9 +104,11 @@ class TestDummySchedule:
 
 
 class TestDegradedMode:
-    def test_mark_node_down_notifies_checking(self, dispatcher):
-        from repro.core.messages import NodeDown
+    def test_needs_at_least_one_node(self, flu_config):
+        with pytest.raises(ConfigError, match="at least one computing node"):
+            dataclasses.replace(flu_config, num_computing_nodes=0)
 
+    def test_mark_node_down_notifies_checking(self, dispatcher):
         dispatcher.start_publication()
         out = dispatcher.mark_node_down(1)
         assert out == [("checking", NodeDown(0, 1))]
@@ -110,22 +116,33 @@ class TestDegradedMode:
         assert dispatcher.live_computing_nodes == [0, 2]
         # Idempotent: a second report changes nothing and sends nothing.
         assert dispatcher.mark_node_down(1) == []
+        assert dispatcher.dead_nodes == {1}
+        assert dispatcher.live_computing_nodes == [0, 2]
 
     def test_mark_unknown_node_rejected(self, dispatcher):
         dispatcher.start_publication()
-        with pytest.raises(ValueError):
-            dispatcher.mark_node_down(7)
+        for node_id in (7, 3, -1):
+            with pytest.raises(ValueError, match="unknown computing node"):
+                dispatcher.mark_node_down(node_id)
+        assert dispatcher.dead_nodes == frozenset()
 
     def test_round_robin_skips_dead_node(self, dispatcher, flu_config):
         dispatcher.start_publication()
         dispatcher.mark_node_down(1)
         destinations = [dispatcher.on_raw(f"l{i}")[0][0] for i in range(8)]
-        assert "cn-1" not in destinations
-        assert set(destinations) == {"cn-0", "cn-2"}
+        assert destinations == ["cn-0", "cn-2"] * 4
+
+    def test_round_robin_resumes_past_a_node_that_dies(self, dispatcher):
+        """The cursor keeps its place: a crash mid-rotation skips the
+        dead id where it falls, and the rotation order is unchanged."""
+        dispatcher.start_publication()
+        first = [dispatcher.on_raw(f"a{i}")[0][0] for i in range(4)]
+        dispatcher.mark_node_down(2)
+        then = [dispatcher.on_raw(f"b{i}")[0][0] for i in range(4)]
+        assert first == ["cn-0", "cn-1", "cn-2", "cn-0"]
+        assert then == ["cn-1", "cn-0", "cn-1", "cn-0"]
 
     def test_redispatch_reroutes_and_counts(self, dispatcher):
-        from repro.core.messages import RawBatch
-
         dispatcher.start_publication()
         dispatcher.mark_node_down(0)
         message = RawBatch(0, ("orphan",))
@@ -134,12 +151,50 @@ class TestDegradedMode:
         assert routed is message
         assert dispatcher.records_rerouted == 1
 
+    def test_redispatch_never_restamps(self, flu_config):
+        dispatcher = Dispatcher(
+            dataclasses.replace(flu_config, batch_size=2),
+            rng=random.Random(7),
+        )
+        dispatcher.start_publication()
+        dispatcher.on_raw("a")
+        (destination, batch), = dispatcher.on_raw("b")
+        dispatcher.mark_node_down(int(destination.removeprefix("cn-")))
+        # The reroute is the whole outbox, and the SAME object (stamps
+        # intact) goes to a survivor.
+        (reroute_destination, rerouted), = dispatcher.redispatch(batch)
+        assert rerouted is batch
+        assert reroute_destination != destination
+        assert dispatcher.records_rerouted == 2
+        assert (rerouted.seq, rerouted.ordinal) == (0, 0)
+
     def test_all_nodes_down_raises(self, dispatcher):
         dispatcher.start_publication()
         dispatcher.mark_node_down(0)
         dispatcher.mark_node_down(1)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="every computing node"):
             dispatcher.mark_node_down(2)
+        # Refused, not half-applied: the last node stays in rotation.
+        assert dispatcher.live_computing_nodes == [2]
+        assert dispatcher.on_raw("still ingesting")[0][0] == "cn-2"
+
+    def test_single_node_fleet_refuses_its_crash(self, flu_config):
+        dispatcher = Dispatcher(
+            dataclasses.replace(flu_config, num_computing_nodes=1),
+            rng=random.Random(7),
+        )
+        dispatcher.start_publication()
+        with pytest.raises(RuntimeError, match="every computing node"):
+            dispatcher.mark_node_down(0)
+        assert dispatcher.dead_nodes == frozenset()
+
+    def test_dispatch_with_every_node_down_raises(self, dispatcher):
+        dispatcher.start_publication()
+        dispatcher.mark_node_down(0)
+        dispatcher.mark_node_down(1)
+        dispatcher._dead.add(2)  # bypass the empty-fleet guard
+        with pytest.raises(RuntimeError, match="every computing node"):
+            dispatcher.on_raw("nowhere to go")
 
     def test_end_publication_skips_dead_node(self, dispatcher):
         dispatcher.start_publication()
@@ -149,6 +204,24 @@ class TestDegradedMode:
             dest for dest, msg in out if isinstance(msg, PublishingMsg)
         }
         assert publishing_dests == {"cn-0", "cn-1", "checking"}
+
+    def test_snapshot_restore_round_trip(self, flu_config):
+        """Through the JSON a checkpoint is: the dead set and the
+        round-robin cursor come back, so the rotation continues where it
+        left off."""
+        config = dataclasses.replace(flu_config, batch_size=2)
+        dispatcher = Dispatcher(config, rng=random.Random(7))
+        dispatcher.start_publication()
+        for i in range(5):
+            dispatcher.on_raw(f"l{i}")
+        dispatcher.mark_node_down(1)
+        document = json.dumps(dispatcher.snapshot())
+        restored = Dispatcher(config, rng=random.Random(1))
+        restored.restore(json.loads(document))
+        assert json.dumps(restored.snapshot()) == document
+        assert restored.dead_nodes == {1}
+        for i in range(6):
+            assert restored.on_raw(f"m{i}") == dispatcher.on_raw(f"m{i}")
 
 
 class TestDummyScheduleComplexity:

@@ -92,7 +92,6 @@ class TestRegistry:
             "concurrency",
             "crypto",
             "durability",
-            "membership",
             "privacy-budget",
             "hygiene",
             "telemetry",

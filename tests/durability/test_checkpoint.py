@@ -60,9 +60,10 @@ class TestCheckpointStore:
         "document",
         ["[1,2]", "null", "7", '"state"', '{"state":{"watermark":2}}',
          '{"format":1,"state":{"watermark":2}}', '{"format":2}',
-         '{"format":3,"state":{"watermark":2}}'],
+         '{"format":3,"state":{"watermark":2}}',
+         '{"format":4,"state":{"watermark":2}}'],
         ids=["list", "null", "number", "string", "unstamped", "format-1",
-             "no-state", "format-3"],
+             "no-state", "format-3", "format-4"],
     )
     def test_wrong_shape_or_format_falls_back_to_previous(
         self, tmp_path, document

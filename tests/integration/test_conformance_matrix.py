@@ -11,7 +11,7 @@ the conformance suite, so a new matrix axis (a runtime, a durability
 mode) is automatically held to byte identity the moment it is added.
 
 The dedicated equivalence harnesses (``test_batch_equivalence``,
-``test_degraded_mode``, ``test_membership_churn``) probe *why* the
+``test_degraded_mode``) probe *why* the
 property holds, with adversarial interleavings; this suite pins that
 the declarative matrix the benchmarks gate on exercises the very same
 property end to end.

@@ -4,10 +4,14 @@ A computing node dies mid-publication; the survivors absorb its share of
 the stream, and on a concurrent runtime its unread backlog is
 redispatched to them.  The degraded run's cloud state must stay
 byte-identical to a healthy baseline, because neither batching nor the
-crash may perturb record bytes (docs/PROTOCOL.md).
+crash may perturb record bytes (docs/PROTOCOL.md).  The baseline runs at
+batch 8; every crashed run, at batch 1, 4 or 8, must match it.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import threading
 
 import pytest
 
@@ -17,7 +21,6 @@ from repro.crypto.cipher import SimulatedCipher
 from repro.crypto.keys import KeyStore
 from repro.datasets.flu import FluSurveyGenerator, flu_domain
 from repro.records.schema import flu_survey_schema
-from repro.runtime.chaos import ChurnEvent, ChurnPlan, run_churn
 
 from tests.conftest import cloud_state_fingerprint
 
@@ -26,16 +29,20 @@ _SEED = 20210323
 _NUM_NODES = 3
 _LINES = 120
 _PUBS = 2
+#: Node 1 crashes before line 60 of publication 0.
+_VICTIM = 1
+_CRASH_AT = 60
+_BATCH_SIZES = (1, 4, 8)
 
 
-def _config() -> FresqueConfig:
+def _config(batch_size: int = 8) -> FresqueConfig:
     return FresqueConfig(
         schema=flu_survey_schema(),
         domain=flu_domain(),
         num_computing_nodes=_NUM_NODES,
         epsilon=1.0,
         alpha=2.0,
-        batch_size=8,
+        batch_size=batch_size,
         deterministic_ivs=True,
     )
 
@@ -59,28 +66,66 @@ def baseline(publications) -> dict:
     return cloud_state_fingerprint(system)
 
 
-_CRASH_PLAN = [ChurnEvent(0, 60, "crash", 1)]
+def _run_with_crash(system, publications, after_crash=lambda: None) -> None:
+    """Feed ``publications`` with ``run_publication``'s dummy pacing,
+    crashing node 1 before line 60 of the first; every publication must
+    reach the cloud."""
+    for index, lines in enumerate(publications):
+        total = max(1, len(lines))
+        for position, line in enumerate(lines):
+            if index == 0 and position == _CRASH_AT:
+                system.crash_node(_VICTIM)
+                after_crash()
+            system.pump_dummies((position + 1) / (total + 1))
+            system.ingest(line)
+        assert system.finish_publication() is not None
 
 
+@pytest.mark.parametrize("batch_size", _BATCH_SIZES)
 class TestDegradedMatchesBaseline:
-    def test_sync_crash_matches_baseline(self, publications, baseline):
-        system = FresqueSystem(_config(), _cipher(), seed=_SEED)
+    def test_sync_crash_matches_baseline(
+        self, publications, baseline, batch_size
+    ):
+        system = FresqueSystem(_config(batch_size), _cipher(), seed=_SEED)
         system.start()
-        run_churn(system, publications, ChurnPlan(_CRASH_PLAN, _NUM_NODES))
+        _run_with_crash(system, publications)
         # Synchronous processing leaves no backlog to reroute; the crash
         # only shrinks the rotation.  Equivalence is the whole claim.
+        assert system.dispatcher.records_rerouted == 0
         assert cloud_state_fingerprint(system) == baseline
 
-    def test_threaded_crash_matches_baseline(self, publications, baseline):
+    def test_threaded_crash_matches_baseline(
+        self, publications, baseline, batch_size
+    ):
         from repro.runtime.cluster import ThreadedFresque
 
-        runtime = ThreadedFresque(_config(), _cipher(), seed=_SEED)
+        runtime = ThreadedFresque(_config(batch_size), _cipher(), seed=_SEED)
+        released = threading.Event()
+
+        def park() -> None:
+            released.wait(timeout=60.0)
+
         with runtime:
-            run_churn(
-                runtime, publications, ChurnPlan(_CRASH_PLAN, _NUM_NODES)
-            )
+            # Park cn-1's thread from the first line until after the
+            # crash, so every batch routed to it meanwhile is backlog
+            # that the crash must redispatch, at every batch size.
+            runtime._barrier(f"cn-{_VICTIM}", park)
+            _run_with_crash(runtime, publications, after_crash=released.set)
             state = cloud_state_fingerprint(runtime)
             rerouted = runtime.dispatcher.records_rerouted
         # The crash actually rerouted backlog.
         assert rerouted > 0
+        assert state == baseline
+
+    def test_tcp_crash_matches_baseline(
+        self, publications, baseline, batch_size
+    ):
+        from repro.runtime.tcp import TcpFresqueCluster
+
+        cluster = TcpFresqueCluster(_config(batch_size), _cipher(), seed=_SEED)
+        with cluster:
+            _run_with_crash(cluster, publications)
+            state = cloud_state_fingerprint(cluster)
+            dead = cluster.dead_nodes
+        assert dead == {f"cn-{_VICTIM}"}
         assert state == baseline

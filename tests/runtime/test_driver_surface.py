@@ -4,7 +4,8 @@ transport.
 Pins the structure so it cannot re-fork — the dispatcher-facing surface
 is *the same function object* on every runtime, and exactly one module
 builds a dispatcher — and pins the behaviour the per-runtime copies had
-drifted on: ``flush_ingest()`` existing everywhere.
+drifted on: ``flush_ingest()`` existing everywhere, and ``crash_node``
+refusing an id outside the fleet the same way everywhere.
 """
 
 from __future__ import annotations
@@ -40,10 +41,7 @@ SHARED = (
     "pump_dummies",
     "close_publication",
     "finish_publication",
-    "admit_node",
-    "retire_node",
     "crash_node",
-    "rejoin_node",
     "__enter__",
     "__exit__",
 )
@@ -98,7 +96,7 @@ def test_the_message_alphabet_is_closed():
     wire codec and is constructed in the package, not only by a decoder
     — a route or codec nobody feeds is a second path waiting to drift."""
     routed = _routed_messages()
-    assert len(routed) >= 15
+    assert len(routed) >= 14
     root = pathlib.Path(repro.__file__).parent
     codecs = {"runtime/wire.py"}
     sources = {
@@ -140,7 +138,8 @@ def _deploy(runtime: str, config):
 @pytest.mark.parametrize("runtime", ["sync", "threaded", "tcp"])
 class TestSurfaceOnEveryRuntime:
     """``flush_ingest`` was missing on the threaded and TCP runtimes
-    while each runtime spelled its own surface."""
+    while each runtime spelled its own surface; ``crash_node`` of an
+    unknown id raised a different error on TCP."""
 
     def _config(self, flu_config):
         # A delay bound no poller reaches: only an explicit flush (or a
@@ -185,3 +184,19 @@ class TestSurfaceOnEveryRuntime:
                 assert sorted(system._inboxes) == expected
             if runtime == "tcp":
                 assert sorted(system._servers) == expected
+
+    def test_crash_node_rejects_an_unknown_id(self, runtime, flu_config):
+        """An id outside the fleet is the same ``ValueError`` on every
+        runtime, raised before anything is killed: TCP used to look the
+        id up in its server table first and raise ``KeyError``."""
+        config = self._config(flu_config)
+        with _deploy(runtime, config) as system:
+            for node_id in (7, -1):
+                with pytest.raises(
+                    ValueError, match=f"unknown computing node {node_id}$"
+                ):
+                    system.crash_node(node_id)
+            assert system.dead_nodes == frozenset()
+            assert system.dispatcher.dead_nodes == frozenset()
+            system.ingest(FluSurveyGenerator(seed=32).raw_line())
+            assert system.finish_publication() is not None

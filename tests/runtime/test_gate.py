@@ -1,10 +1,9 @@
 """Unit tests for the checking-side ordering gate (repro.runtime.gate).
 
-The :class:`CheckingGate` is the staleness and ordering authority in
-front of the checking node: it re-serialises parallel PairBatch streams
-by dispatch seq, dedups crash-redispatch twins, discards stale output
-of crashed incarnations, and holds control messages until their gates
-clear (docs/PROTOCOL.md).  These tests drive it with a recording
+The :class:`CheckingGate` is the ordering authority in front of the
+checking node: it re-serialises parallel PairBatch streams by dispatch
+seq, dedups crash-redispatch twins, and holds control messages until
+their gates clear (docs/PROTOCOL.md).  These tests drive it with a recording
 handler, no real checking node behind it.
 """
 
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 from repro.core.messages import (
     CnPublishing,
-    MembershipMsg,
     NewPublication,
     NodeDown,
     PairBatch,
@@ -32,8 +30,8 @@ class _Recorder:
         return []
 
 
-def _batch(seq, *, publication=0, epoch=0, node=0):
-    return PairBatch(publication, (), seq=seq, epoch=epoch, node=node)
+def _batch(seq, *, publication=0):
+    return PairBatch(publication, (), seq=seq)
 
 
 def _gate(num_nodes=2):
@@ -72,55 +70,6 @@ class TestSeqOrdering:
         assert recorder.seen == [marker]
 
 
-class TestStaleness:
-    def test_batch_below_join_floor_discarded(self):
-        gate, recorder = _gate()
-        gate.feed(MembershipMsg(epoch=3, members=(0, 1), joined=((0, 3),)))
-        gate.feed(_batch(0, epoch=2, node=0))  # dead incarnation's output
-        assert gate.stale_discards == 1
-        assert not any(isinstance(m, PairBatch) for m in recorder.seen)
-        # The discarded seq is NOT consumed: its redispatch twin (same
-        # records, same seq, produced by a survivor) must still deliver.
-        gate.feed(_batch(0, epoch=2, node=1))
-        assert [m.seq for m in recorder.seen if isinstance(m, PairBatch)] == [0]
-
-    def test_batch_at_floor_admitted(self):
-        gate, recorder = _gate()
-        gate.feed(MembershipMsg(epoch=3, members=(0, 1), joined=((0, 3),)))
-        gate.feed(_batch(0, epoch=3, node=0))
-        assert gate.stale_discards == 0
-        assert any(isinstance(m, PairBatch) for m in recorder.seen)
-
-    def test_unstamped_epoch_never_stale(self):
-        gate, recorder = _gate()
-        gate.feed(MembershipMsg(epoch=3, members=(0, 1), joined=((0, 3),)))
-        gate.feed(PairBatch(0, (), seq=0, epoch=-1, node=-1))
-        assert gate.stale_discards == 0
-
-    def test_floors_are_monotone(self):
-        gate, _ = _gate()
-        gate.feed(MembershipMsg(epoch=5, members=(0,), joined=((0, 5),)))
-        # A delayed, older snapshot must not lower the floor.
-        gate.feed(MembershipMsg(epoch=2, members=(0,), joined=((0, 2),)))
-        gate.feed(_batch(0, epoch=3, node=0))
-        assert gate.stale_discards == 1
-
-    def test_membership_forwarded_with_joined_stripped(self):
-        gate, recorder = _gate()
-        gate.feed(
-            MembershipMsg(
-                epoch=4, members=(0, 1), down=(1,), joined=((1, 4),)
-            )
-        )
-        (forwarded,) = recorder.seen
-        assert isinstance(forwarded, MembershipMsg)
-        assert forwarded.epoch == 4
-        assert forwarded.down == (1,)
-        # The gate is the staleness authority; the checking node's own
-        # floors stay unarmed behind it.
-        assert forwarded.joined == ()
-
-
 class TestControlGates:
     def test_publishing_waits_for_last_seq(self):
         gate, recorder = _gate()
@@ -144,7 +93,7 @@ class TestControlGates:
     def test_new_publication_waits_for_finalisation(self):
         gate, recorder = _gate(num_nodes=2)
         gate.feed(_batch(1))  # held: seq 0 missing
-        gate.feed(PublishingMsg(0, last_seq=1, nodes=(0, 1)))
+        gate.feed(PublishingMsg(0, last_seq=1))
         gate.feed(CnPublishing(0, node_id=0))
         gate.feed(NewPublication(1, plan=None))
         # Each gate holds one: batch, broadcast, ack and announcement.
@@ -159,7 +108,7 @@ class TestControlGates:
 
     def test_node_down_absolves_missing_ack(self):
         gate, recorder = _gate(num_nodes=2)
-        publishing = PublishingMsg(0, last_seq=-1, nodes=(0, 1))
+        publishing = PublishingMsg(0, last_seq=-1)
         gate.feed(publishing)
         assert recorder.seen == [publishing]  # no batch to wait for
         gate.feed(CnPublishing(0, node_id=0))
@@ -167,17 +116,4 @@ class TestControlGates:
         down = NodeDown(0, node_id=1)  # node 1 will never ack
         gate.feed(down)
         assert down in recorder.seen  # delivered at once, never held
-        assert any(isinstance(m, NewPublication) for m in recorder.seen)
-
-    def test_rejoin_keeps_old_publication_absolved(self):
-        """A node that rejoins is alive for *future* intervals only: the
-        publication it missed stays absolved, or finalisation would wait
-        forever for an ack the new incarnation cannot send."""
-        gate, recorder = _gate(num_nodes=2)
-        gate.feed(PublishingMsg(0, last_seq=-1, nodes=(0, 1)))
-        gate.feed(NodeDown(0, node_id=1))
-        # Rejoin: node 1 leaves the down set under the new epoch.
-        gate.feed(MembershipMsg(epoch=2, members=(0, 1), joined=((1, 2),)))
-        gate.feed(CnPublishing(0, node_id=0))
-        gate.feed(NewPublication(1, plan=None))
         assert any(isinstance(m, NewPublication) for m in recorder.seen)

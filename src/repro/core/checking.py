@@ -46,7 +46,7 @@ from repro.core.messages import (
 )
 from repro.core.randomer import Randomer
 from repro.index.template import LeafArrays
-from repro.records.codec import decode_pairs, encode_pairs
+from repro.records.codec import pairs_from_bytes, pairs_to_bytes
 from repro.records.record import EncryptedRecord
 from repro.telemetry.context import coalesce
 
@@ -282,7 +282,8 @@ class CheckingNode(Routed):
         return self._buffer_and_check(publication, state, *arrived)
 
     def snapshot(self) -> dict:
-        """JSON-able snapshot of per-publication progress.
+        """Snapshot of per-publication progress: JSON-able, but for the
+        packed pair columns, which are ``bytes`` (checkpoint sections).
 
         Captures, per open publication, the AL/ALN arrays, the randomer's
         resident pairs and the boundary bookkeeping, plus the early
@@ -294,7 +295,7 @@ class CheckingNode(Routed):
             "publications": {
                 str(publication): {
                     "arrays": state.arrays.state(),
-                    "residents": encode_pairs(*state.randomer.columns()),
+                    "residents": pairs_to_bytes(*state.randomer.columns()),
                     "released": state.randomer.released,
                     "cn_reported": sorted(state.cn_reported),
                     "closed": state.closed,
@@ -303,7 +304,7 @@ class CheckingNode(Routed):
                 for publication, state in self._publications.items()
             },
             "early_pairs": {
-                str(publication): encode_pairs(*columns)
+                str(publication): pairs_to_bytes(*columns)
                 for publication, columns in self._early_pairs.items()
             },
             "early_cn": {
@@ -328,7 +329,8 @@ class CheckingNode(Routed):
                 self.config.randomer_buffer_size, rng=self._rng
             )
             randomer.restore(
-                *decode_pairs(saved["residents"]), released=saved["released"]
+                *pairs_from_bytes(saved["residents"]),
+                released=saved["released"],
             )
             self._publications[int(key)] = _PublicationState(
                 randomer=randomer,
@@ -338,7 +340,7 @@ class CheckingNode(Routed):
                 interval_closed=saved["interval_closed"],
             )
         self._early_pairs = {
-            int(key): decode_pairs(packed)
+            int(key): pairs_from_bytes(packed)
             for key, packed in state["early_pairs"].items()
         }
         self._early_cn = {

@@ -8,14 +8,17 @@ records and the publication number; at the end it broadcasts *publishing*
 and immediately opens the next publication (asynchronous publishing).
 
 Forwarding is batched (docs/BATCHING.md): arriving records — raw lines
-and released dummies alike — accumulate, in order, in a single in-flight
-batch that is flushed to the next computing node as one
-:class:`~repro.core.messages.RawBatch` when it reaches
-``config.batch_size`` (*size*), when it has waited longer than
-``config.max_batch_delay`` (*delay*), or when the publication interval
-closes (*close*) — the close flush is what guarantees a batch never
-straddles a publication boundary.  ``batch_size=1`` degenerates to
-per-record dispatch through the exact same path.  As in the paper there
+and released dummies alike — arrive as *runs* (:meth:`Dispatcher.on_run`;
+a line or a release is a run of one) and accumulate, in order, in a
+single in-flight batch.  A run is cut by slicing into
+:class:`~repro.core.messages.RawBatch`es, each flushed to the next
+computing node when it reaches ``config.batch_size`` (*size*); what
+stays in flight is flushed when it has waited longer than
+``config.max_batch_delay`` (*delay*, checked once per run), or when the
+publication interval closes (*close*) — the close flush is what
+guarantees a batch never straddles a publication boundary.
+``batch_size=1`` degenerates to per-record dispatch through the exact
+same path.  As in the paper there
 is no flow control: a flushed batch leaves at once, and nothing is ever
 addressed back to the dispatcher — it only sends.
 """
@@ -23,6 +26,7 @@ addressed back to the dispatcher — it only sends.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 
 from repro.core.config import FresqueConfig
@@ -35,7 +39,12 @@ from repro.core.messages import (
 from repro.index.perturb import NoisePlan, draw_noise_plan
 from repro.index.tree import IndexTree
 from repro.records.record import Record, make_dummy
-from repro.records.codec import decode_record, encode_record
+from repro.records.codec import (
+    decode_record,
+    encode_record,
+    floats_from_bytes,
+    floats_to_bytes,
+)
 from repro.telemetry.clock import WALL_CLOCK
 from repro.telemetry.context import coalesce
 
@@ -212,11 +221,13 @@ class Dispatcher:
         mixing guarantee needs them interleaved in arrival order), so the
         returned messages are whatever batch flushes the releases trigger.
         """
-        out: list[tuple[str, object]] = []
-        while self._dummy_schedule and self._dummy_schedule[0][0] <= fraction:
-            _, dummy = self._dummy_schedule.popleft()
-            out.extend(self._enqueue(dummy))
-        return out
+        schedule = self._dummy_schedule
+        if not schedule or schedule[0][0] > fraction:
+            return []
+        released = []
+        while schedule and schedule[0][0] <= fraction:
+            released.append(schedule.popleft()[1])
+        return self._cut(released)
 
     @property
     def pending_dummies(self) -> int:
@@ -274,19 +285,71 @@ class Dispatcher:
         raise RuntimeError("every computing node is down")
 
     def on_raw(self, line: str) -> list[tuple[str, object]]:
-        """Accumulate one raw line; forward a batch when a flush triggers."""
-        return self._enqueue(line)
+        """Accumulate one raw line; forward a batch when a flush triggers
+        (a run of one, :meth:`on_run`)."""
+        return self._cut((line,))
 
-    def _enqueue(self, item: str | Record) -> list[tuple[str, object]]:
-        """Append one item to the in-flight batch; flush if due."""
+    def on_run(self, lines, fractions=None) -> list[tuple[str, object]]:
+        """Dispatch a run of raw lines, with the dummies due among them.
+
+        ``fractions`` (one per line, non-decreasing) are the lines'
+        interval positions.  Before each line the dummies it makes due
+        join the run — the ``schedule[0][0] <= fraction`` rule of
+        :meth:`due_dummies`, found by bisecting ``fractions`` once per
+        dummy — so any cut of a stream into runs yields the batches that
+        a per-line ``due_dummies(fraction)`` + ``on_raw(line)`` loop
+        does.  Without ``fractions`` no dummy is released.
+        """
+        schedule = self._dummy_schedule
+        if not fractions or not schedule:
+            return self._cut(lines)
+        items: list[str | Record] = []
+        taken, count = 0, len(lines)
+        while schedule:
+            due = bisect_left(fractions, schedule[0][0], taken, count)
+            if due == count:
+                break
+            items += lines[taken:due]
+            items.append(schedule.popleft()[1])
+            taken = due
+        items += lines[taken:]
+        return self._cut(items)
+
+    def _cut(self, items) -> list[tuple[str, object]]:
+        """Append ``items`` to the in-flight batch and cut every batch
+        they fill, by slicing; the delay flush is checked once, for
+        whatever stays in flight (a run arrives at one instant)."""
+        count = len(items)
+        if not count:
+            return []
         batch = self._batch
         if not batch:
             self._batch_ordinal = self.records_dispatched
-        batch.append(item)
-        self.records_dispatched += 1
-        self._records_counter.inc()
-        if len(batch) >= self.batch_size:
-            return self._flush(FLUSH_SIZE)
+        self.records_dispatched += count
+        self._records_counter.inc(count)
+        size = self.batch_size
+        room = size - len(batch)
+        if count < room:
+            batch += items
+        else:
+            # An over-full batch (the size lowered under it) flushes
+            # with the next item, as it did one item at a time.
+            room = max(room, 1)
+            batch += items[:room]
+            out = self._flush(FLUSH_SIZE)
+            if room == count:
+                return out
+            ordinal = self.records_dispatched - count + room
+            end = room + (count - room) // size * size
+            for start in range(room, end, size):
+                out.append(self._ship(items[start : start + size], ordinal))
+                self._flush_counters[FLUSH_SIZE].inc()
+                ordinal += size
+            self._batch = list(items[end:])
+            self._batch_ordinal = ordinal
+            if end < count:
+                self._batch_opened = self._clock.now()
+            return out
         now = self._clock.now()
         if self._batch_opened is None:
             self._batch_opened = now
@@ -295,25 +358,27 @@ class Dispatcher:
             return self._flush(FLUSH_DELAY)
         return []
 
-    def _flush(self, reason: str) -> list[tuple[str, object]]:
-        """Ship the in-flight batch as one RawBatch, routed (round robin)
-        and sequenced; no-op when empty."""
-        if not self._batch:
-            return []
+    def _ship(self, items, ordinal: int) -> tuple[str, RawBatch]:
+        """One cut batch, sequenced and routed (round robin)."""
         start = self._tel.now()
-        items = tuple(self._batch)
-        self._batch = []
-        self._batch_opened = None
         seq = self._seq
         self._seq += 1
-        destination = self._next_node()
         message = RawBatch(
-            self._publication, items, seq=seq, ordinal=self._batch_ordinal
+            self._publication, tuple(items), seq=seq, ordinal=ordinal
         )
-        self._flush_counters[reason].inc()
         self._batch_histogram.observe(float(len(items)))
         self._tel.observe_stage("dispatch", self._publication, start)
-        return [(destination, message)]
+        return self._next_node(), message
+
+    def _flush(self, reason: str) -> list[tuple[str, object]]:
+        """Ship the in-flight batch; no-op when empty."""
+        if not self._batch:
+            return []
+        items = self._batch
+        self._batch = []
+        self._batch_opened = None
+        self._flush_counters[reason].inc()
+        return [self._ship(items, self._batch_ordinal)]
 
     def flush_batch(
         self, reason: str = FLUSH_MANUAL
@@ -348,20 +413,27 @@ class Dispatcher:
         return len(self._batch)
 
     def snapshot(self) -> dict:
-        """JSON-able snapshot of the dispatcher's durable state.
+        """Snapshot of the dispatcher's durable state.
 
         Captures everything replay cannot re-derive: the publication
         counter, the dead set and the round-robin cursor, the
-        not-yet-released dummy schedule and the ingest counters.
+        not-yet-released dummy schedule and the ingest counters.  The
+        schedule is two packed ``float64`` columns (checkpoint
+        sections): release fractions and the dummies' indexed values,
+        from which :func:`make_dummy` rebuilds each dummy.
         """
+        position = self.config.schema.indexed_position
+        schedule = self._dummy_schedule
         return {
             "publication": self._publication,
             "dead": sorted(self._dead),
             "cursor": self._next_cn,
-            "dummy_schedule": [
-                [fraction, encode_record(dummy)]
-                for fraction, dummy in self._dummy_schedule
-            ],
+            "dummy_fractions": floats_to_bytes(
+                [fraction for fraction, _ in schedule]
+            ),
+            "dummy_values": floats_to_bytes(
+                [dummy.values[position] for _, dummy in schedule]
+            ),
             "batch": [
                 ["line", item]
                 if isinstance(item, str)
@@ -379,13 +451,18 @@ class Dispatcher:
         self._publication = state["publication"]
         self._dead = set(state["dead"])
         self._next_cn = state["cursor"]
+        fractions = floats_from_bytes(state["dummy_fractions"])
+        values = floats_from_bytes(state["dummy_values"])
+        if len(fractions) != len(values):
+            raise ValueError("dummy schedule columns differ in length")
+        schema = self.config.schema
         self._dummy_schedule = deque(
-            (fraction, decode_record(payload))
-            for fraction, payload in state["dummy_schedule"]
+            (fraction, make_dummy(schema, value))
+            for fraction, value in zip(fractions, values)
         )
         self._batch = [
             payload if kind == "line" else decode_record(payload)
-            for kind, payload in state.get("batch", [])
+            for kind, payload in state["batch"]
         ]
         # Absolute flush deadlines do not survive a restart; the restored
         # batch's delay window re-arms from the next enqueue or poll.
@@ -393,7 +470,7 @@ class Dispatcher:
         self.records_dispatched = state["records_dispatched"]
         self.records_rerouted = state["records_rerouted"]
         self.dummies_generated = state["dummies_generated"]
-        self._seq = state.get("seq", 0)
+        self._seq = state["seq"]
         # records_dispatched already counts the restored in-flight batch,
         # so its first item's ordinal is derivable.
         self._batch_ordinal = self.records_dispatched - len(self._batch)

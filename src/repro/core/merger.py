@@ -34,19 +34,19 @@ from repro.index.perturb import NoisePlan
 from repro.index.template import merge_plan_and_counts
 from repro.records.record import EncryptedRecord
 from repro.records.codec import (
-    decode_pairs,
     decode_plan,
-    encode_pairs,
     encode_plan,
+    pairs_from_bytes,
+    pairs_to_bytes,
 )
 from repro.records.serialize import DummyRecordSerializer
 from repro.telemetry.context import coalesce
 
 
-def _encode_removed(leaves, ciphertexts) -> str:
-    """Removed-record columns as a checkpoint string (no dummy among them);
-    ``decode_pairs(text)[:2]`` reads them back."""
-    return encode_pairs(leaves, ciphertexts, bytes(len(leaves)))
+def _encode_removed(leaves, ciphertexts) -> bytes:
+    """Removed-record columns as a checkpoint section (no dummy among
+    them); ``pairs_from_bytes(data)[:2]`` reads them back."""
+    return pairs_to_bytes(leaves, ciphertexts, bytes(len(leaves)))
 
 
 @dataclass
@@ -181,11 +181,12 @@ class Merger(Routed):
         return []
 
     def snapshot(self) -> dict:
-        """JSON-able snapshot of per-publication merge material.
+        """Snapshot of per-publication merge material.
 
         Captures each unfinished publication's template plan and the
-        removed records held for its overflow arrays (packed columns,
-        ``records.codec.encode_pairs``), plus the early-arrival buffer.
+        removed records held for its overflow arrays (packed columns as
+        ``bytes``, ``records.codec.pairs_to_bytes``), plus the
+        early-arrival buffer.
         """
         return {
             "publications": {
@@ -206,10 +207,10 @@ class Merger(Routed):
         self._states = {}
         for key, saved in state["publications"].items():
             merge_state = _MergeState(plan=decode_plan(saved["plan"]))
-            merge_state.hold(*decode_pairs(saved["removed"])[:2])
+            merge_state.hold(*pairs_from_bytes(saved["removed"])[:2])
             self._states[int(key)] = merge_state
         self._early_removed = {
-            int(key): decode_pairs(packed)[:2]
+            int(key): pairs_from_bytes(packed)[:2]
             for key, packed in state["early_removed"].items()
         }
 

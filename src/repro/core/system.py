@@ -5,8 +5,11 @@ alone builds the components (dispatcher, computing nodes, checking node,
 merger, cloud adapter) and their seed chain, it alone routes a message
 to a component (``handlers[destination](message)``), and it alone
 defines the dispatcher-facing surface: ``start``, ``ingest``,
-``pump_dummies``, ``close_publication``, ``crash_node`` and
-``run_publication``, over one lock and one ``_send_all(outbox)``.
+``ingest_batch``, ``pump_dummies``, ``close_publication``, ``crash_node``
+and ``run_publication``, over one lock and one ``_send_all(outbox)``.
+``ingest_batch`` and ``run_publication`` hand the dispatcher whole runs
+of lines (:meth:`~repro.core.dispatcher.Dispatcher.on_run`), not one
+line per call.
 
 Run as is, it delivers every message in place through a FIFO queue until
 quiescence — the *functional* reference: exactly the logic the runtimes
@@ -427,10 +430,17 @@ class FresqueSystem:
             self._send_all(self.dispatcher.on_raw(line))
 
     def ingest_batch(self, lines: list[str]) -> None:
-        """Feed many raw lines into the current publication, in order."""
-        ingest = self.ingest
-        for line in lines:
-            ingest(line)
+        """Feed many raw lines into the current publication, in order:
+        one run through the dispatcher, under one lock."""
+        if not self._started:
+            raise RuntimeError("call start() first")
+        self._ingest_chunk(lines)
+
+    def _ingest_chunk(self, lines, fractions=None) -> None:
+        """Dispatch ``lines`` as one run (:meth:`Dispatcher.on_run`);
+        ``fractions``, their interval positions, pace the dummies."""
+        with self._lock:
+            self._send_all(self.dispatcher.on_run(lines, fractions))
 
     def flush_ingest(self) -> None:
         """Flush the dispatcher's in-flight batch through the pipeline."""
@@ -480,14 +490,17 @@ class FresqueSystem:
 
     def _feed(self, lines: list[str]) -> None:
         """Ingest ``lines`` into the current publication (starting the
-        driver if need be), the scheduled dummies interleaved uniformly."""
+        driver if need be), the scheduled dummies interleaved uniformly:
+        ``batch_size``-line runs, each line at interval position
+        ``(position + 1) / (len(lines) + 1)``."""
         if not self._started:
             self.start()
-        pump_dummies, ingest = self.pump_dummies, self.ingest
-        total = max(1, len(lines))
-        for position, line in enumerate(lines):
-            pump_dummies((position + 1) / (total + 1))
-            ingest(line)
+        total = max(1, len(lines)) + 1
+        fractions = [position / total for position in range(1, len(lines) + 1)]
+        size = self.config.batch_size
+        for start in range(0, len(lines), size):
+            end = start + size
+            self._ingest_chunk(lines[start:end], fractions[start:end])
 
     def run_publication(self, lines: list[str]) -> PublicationSummary:
         """Ingest ``lines``, interleave the scheduled dummies uniformly,

@@ -11,7 +11,7 @@ the crash-free one).  The third only shows when a crash tears a write:
   ``write_text``, ``write_bytes``) in the ``durability`` package inside a
   function that never calls both ``os.fsync`` and ``os.replace``.
   Durable state must go through the write-temp + fsync + atomic-rename
-  path (:func:`~repro.durability.checkpoint.atomic_write_json`); a plain
+  path (:func:`~repro.durability.checkpoint.atomic_write_bytes`); a plain
   overwrite torn by a crash destroys the *old* good copy too.
 """
 
@@ -89,5 +89,5 @@ class DurabilityChecker(Checker):
                         "FRQ-D702",
                         "truncate-mode write without fsync + atomic rename "
                         "— a crash mid-write destroys the old copy too; "
-                        "use atomic_write_json / write-temp + os.replace",
+                        "use atomic_write_bytes / write-temp + os.replace",
                     )

@@ -28,7 +28,7 @@ from repro.durability.journal import (
     JournalRecord,
     WriteAheadJournal,
 )
-from repro.durability.checkpoint import CheckpointStore, atomic_write_json
+from repro.durability.checkpoint import CheckpointStore, atomic_write_bytes
 from repro.durability.ledger import BudgetLedger, LedgerState
 from repro.durability.recovery import RecoveryManager, RecoveryReport
 from repro.durability.system import CollectorCrash, DurableFresqueSystem
@@ -45,5 +45,5 @@ __all__ = [
     "RecoveryManager",
     "RecoveryReport",
     "WriteAheadJournal",
-    "atomic_write_json",
+    "atomic_write_bytes",
 ]

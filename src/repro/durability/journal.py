@@ -22,8 +22,12 @@ semantics):
 
 Appends reach the OS on every record (the handle is unbuffered), so a
 *process* crash loses nothing; ``fsync`` — which bounds loss on a
-*power* failure — is batched every ``sync_every`` records and forced at
-publication boundaries by the caller.
+*power* failure — is batched every ``sync_every`` *appends* (frames) and
+forced at publication boundaries by the caller.  A ``rawb`` chunk is one
+append however many lines it holds, so the power-loss window is up to
+``sync_every`` chunks: ``sync_every * batch_size`` records on the
+batched paths (65,536 at the defaults of 256 and 256), ``sync_every``
+records when every line is its own chunk.
 """
 
 from __future__ import annotations
@@ -143,7 +147,10 @@ class WriteAheadJournal:
         truncates a torn tail and positions appends after the last valid
         frame.
     sync_every:
-        ``fsync`` cadence in records; ``0`` means only explicit
+        ``fsync`` cadence in appends (frames), not records: a ``rawb``
+        chunk of any number of lines takes one slot, so up to
+        ``sync_every`` chunks — ``sync_every * batch_size`` records —
+        can be lost to a power failure.  ``0`` means only explicit
         :meth:`sync` calls (publication boundaries) reach the platter.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`; feeds the

@@ -21,10 +21,15 @@ protocol of docs/DURABILITY.md:
   per-publication count of pairs already delivered to the cloud — which
   bounds how much journal suffix recovery must replay.
 
+Each journalled chunk is dispatched as one run
+(:meth:`~repro.core.dispatcher.Dispatcher.on_run`), and replay sends a
+journalled chunk the same way.
+
 Crash injection: a :class:`~repro.runtime.faults.FaultPlan` with a
 ``crash_collector`` rule makes ingestion raise :class:`CollectorCrash`
 *after* the journal append and *before* a record's dispatch — the
-worst-case window recovery must close.
+worst-case window recovery must close.  The plan is asked once per
+chunk how many records survive; that prefix is dispatched first.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ class DurableFresqueSystem(FresqueSystem):
         Journal fsync cadence, see :class:`WriteAheadJournal`.
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan`; its
-        ``crash_collector`` rule is consulted once per ingested record.
+        ``crash_collector`` rule is consulted once per ingested chunk.
     """
 
     def __init__(
@@ -178,38 +183,37 @@ class DurableFresqueSystem(FresqueSystem):
         """
         if not self._started:
             raise RuntimeError("call start() first")
-        size = max(1, self.config.batch_size)
+        size = self.config.batch_size
         for start in range(0, len(lines), size):
-            self._ingest_chunk(list(lines[start : start + size]))
+            self._ingest_chunk(lines[start : start + size])
 
-    def _ingest_chunk(self, lines: list[str], fractions=None) -> None:
-        """Journal one chunk as a single frame, then feed it in order.
+    def _ingest_chunk(self, lines, fractions=None) -> None:
+        """Journal one chunk as a single frame, then dispatch it as one
+        run.
 
         Journal-first holds chunk-wide: the journal frame lands before
-        any of the chunk's records mutate pipeline state.  The
-        optional crash hook fires once per record, between the append
-        and that record's dispatch — the worst crash point (durably
-        ingested, never dispatched).  ``fractions`` (optional, one per
-        line) threads the interval position through to the dummy
-        scheduler so dummies interleave exactly as in the base driver's
-        :meth:`~repro.core.system.FresqueSystem._feed`.
+        any of the chunk's records mutate pipeline state.  The fault
+        plan is asked once how many of the chunk's records survive; the
+        crash fires after that prefix is dispatched and before the next
+        record is — the crash point a per-record hook gives, and the
+        worst one (durably ingested, never dispatched).
         """
         if not lines:
             return
         self._last_seq = self.journal.append_raw_batch(
             self.dispatcher.publication, lines
         )
-        fault = self.fault_plan
-        send_all = self._send_all
-        dispatcher = self.dispatcher
-        for index, line in enumerate(lines):
-            if fault is not None and fault.on_collector_record():
-                raise CollectorCrash(
-                    f"injected crash after journal seq {self._last_seq}"
-                )
-            if fractions is not None:
-                send_all(dispatcher.due_dummies(fractions[index]))
-            send_all(dispatcher.on_raw(line))
+        survivors = len(lines)
+        if self.fault_plan is not None:
+            survivors = self.fault_plan.on_collector_records(survivors)
+        super()._ingest_chunk(
+            lines[:survivors],
+            None if fractions is None else fractions[:survivors],
+        )
+        if survivors < len(lines):
+            raise CollectorCrash(
+                f"injected crash after journal seq {self._last_seq}"
+            )
         self._note_ingested(len(lines))
 
     def _note_ingested(self, records: int) -> None:
@@ -234,23 +238,6 @@ class DurableFresqueSystem(FresqueSystem):
         self.accountant.commit(publication)
         self._last_seq = self.journal.append_commit(publication)
         self._open_publications.discard(publication)
-
-    def _feed(self, lines: list[str]) -> None:
-        """The base driver's interval loop, journalled: one ``rawb``
-        group-commit frame per dispatcher-batch-sized chunk."""
-        size = self.config.batch_size
-        if not self._started:
-            self.start()
-        total = max(1, len(lines))
-        for start in range(0, len(lines), size):
-            chunk = list(lines[start : start + size])
-            self._ingest_chunk(
-                chunk,
-                fractions=[
-                    (start + index + 1) / (total + 1)
-                    for index in range(len(chunk))
-                ],
-            )
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -306,11 +293,9 @@ class DurableFresqueSystem(FresqueSystem):
             )
 
     def _replay_raw_batch(self, lines: tuple[str, ...]) -> None:
-        """Re-dispatch one journalled chunk, line order preserved."""
-        send_all = self._send_all
-        on_raw = self.dispatcher.on_raw
-        for line in lines:
-            send_all(on_raw(line))
+        """Re-dispatch one journalled chunk as one run (no journal
+        append, no dummy released)."""
+        self._send_all(self.dispatcher.on_run(lines))
 
     def _replay_close(self, publication: int) -> None:
         """Re-run a journalled interval end; commit if the cloud acked."""

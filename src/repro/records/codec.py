@@ -11,28 +11,19 @@ Two codec families:
   and the payloads of the wire's JSON control envelope.
 * One packed form for a run of ``<leaf offset, e-record>`` pairs held as
   columns (:func:`pack_pairs`/:func:`unpack_pairs`) — the body of every
-  pair-carrying frame on the wire, and (base64'd by
-  :func:`encode_pairs`) what a collector checkpoint keeps its randomer
-  residents and the merger's removed records as.  Read straight off the
-  buffer: one copy per ciphertext.
+  pair-carrying frame on the wire, and (whole, as :func:`pairs_to_bytes`)
+  the checkpoint section a randomer's residents or the merger's removed
+  records are kept in.  Read straight off the buffer: one copy per
+  ciphertext.
 """
 
 from __future__ import annotations
 
-import base64
 import struct
 from itertools import accumulate
 
 from repro.index.perturb import NoisePlan
 from repro.records.record import Record
-
-
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
 
 
 def encode_plan(plan: NoisePlan) -> dict:
@@ -121,18 +112,30 @@ def unpack_pairs(view, offset: int = 0, *, dummies: bool = False):
     return leaves, ciphertexts, flags, end
 
 
-def encode_pairs(leaves, ciphertexts, dummies) -> str:
-    """One base64 string of :func:`pack_pairs` output (checkpoints)."""
+def pairs_to_bytes(leaves, ciphertexts, dummies) -> bytearray:
+    """One :func:`pack_pairs` run, flag column included, on its own."""
     out = bytearray()
     pack_pairs(out, leaves, ciphertexts, dummies)
-    return _b64(out)
+    return out
 
 
-def decode_pairs(text: str) -> tuple[tuple, tuple, bytes]:
-    """Inverse of :func:`encode_pairs`; the packed run must fill the
-    decoded bytes exactly, anything else is a ``ValueError``."""
-    data = _unb64(text)
+def pairs_from_bytes(data) -> tuple[tuple, tuple, bytes]:
+    """Inverse of :func:`pairs_to_bytes`; the packed run must fill
+    ``data`` exactly, anything else is a ``ValueError``."""
     *columns, end = unpack_pairs(data, dummies=True)
     if end != len(data):
         raise ValueError(f"pair columns end at {end} of {len(data)} bytes")
     return tuple(columns)
+
+
+def floats_to_bytes(values) -> bytes:
+    """A column of floats as packed little-endian ``float64``."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def floats_from_bytes(data) -> tuple[float, ...]:
+    """Inverse of :func:`floats_to_bytes`; a length that is not a whole
+    number of ``float64`` is a ``ValueError``."""
+    if len(data) % 8:
+        raise ValueError(f"{len(data)} bytes is no float64 column")
+    return struct.unpack(f"<{len(data) // 8}d", data)

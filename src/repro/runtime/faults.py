@@ -16,7 +16,7 @@ node supervision) can be exercised reproducibly.  The plan plugs into
 * :class:`~repro.runtime.cluster.ThreadedFresque` — the same send-side
   decisions applied to in-memory channels;
 * :class:`~repro.durability.DurableFresqueSystem` — consulted once per
-  journalled raw record (:meth:`FaultPlan.on_collector_record`): the
+  journalled chunk (:meth:`FaultPlan.on_collector_records`): the
   whole collector process can crash after ingesting a chosen number of
   records, exercising journal replay and checkpointed recovery.
 
@@ -257,19 +257,34 @@ class FaultPlan:
             return action
 
     def on_collector_record(self) -> bool:
-        """Decide whether the collector survives its next raw record.
+        """Decide whether the collector survives its next raw record:
+        :meth:`on_collector_records` for a chunk of one.  Returns
+        ``True`` when the collector must crash now."""
+        return not self.on_collector_records(1)
+
+    def on_collector_records(self, count: int) -> int:
+        """How many of the collector's next ``count`` raw records it
+        survives.
 
         Counts records ingested (0-based, target ``"collector"``); a
         :meth:`crash_collector` rule with ``after_records=n`` lets ``n``
-        records through and crashes on the ``n+1``-th.  Returns ``True``
-        when the collector must crash now.
+        records through and crashes on the ``n+1``-th.  A return below
+        ``count`` means the collector crashes on the record after that
+        many; the records behind it are never counted.
         """
         with self._lock:
             index = self._frame_counts.get("collector", 0)
-            self._frame_counts["collector"] = index + 1
             rule = self._node_rules.get("collector")
-            if rule is None or rule.fired or index < rule.after_handled:
-                return False
+            survivors = count
+            if rule is not None and not rule.fired:
+                survivors = min(count, max(0, rule.after_handled - index))
+            if survivors == count:
+                self._frame_counts["collector"] = index + count
+                return count
             rule.fired = True
-            self.schedule.append(FaultEvent("node", "collector", index, CRASH))
-            return True
+            crashed_at = index + survivors
+            self._frame_counts["collector"] = crashed_at + 1
+            self.schedule.append(
+                FaultEvent("node", "collector", crashed_at, CRASH)
+            )
+            return survivors

@@ -1,6 +1,5 @@
 """Checking node tests: randomer wiring, AL/ALN updates, finalisation."""
 
-import json
 import random
 from dataclasses import replace
 
@@ -19,6 +18,11 @@ from repro.core.messages import (
     PublishingMsg,
     RemovedBatch,
     TemplateMsg,
+)
+from repro.durability.checkpoint import (
+    FORMAT,
+    decode_checkpoint,
+    encode_checkpoint,
 )
 from repro.index.perturb import draw_noise_plan
 from repro.index.tree import IndexTree
@@ -293,7 +297,7 @@ class TestSnapshotFixedPoint:
         self, flu_config, fast_cipher, plan
     ):
         """``snapshot() → restore() → snapshot()`` is a fixed point, through
-        the JSON a checkpoint is, with everything a checkpoint can hold
+        the bytes a checkpoint file is, with everything a checkpoint can hold
         present: randomer residents (dummies among them), pairs that beat
         their announcement, and removed records at the merger."""
         config = replace(flu_config, delta_prime=0.6)  # a 160-pair randomer
@@ -326,8 +330,8 @@ class TestSnapshotFixedPoint:
             (checking, restored),
             (merger, Merger(config, fast_cipher, rng=random.Random(2))),
         ):
-            document = json.dumps(node.snapshot())
-            fresh.restore(json.loads(document))
-            assert json.dumps(fresh.snapshot()) == document
+            document = encode_checkpoint({"format": FORMAT, "state": node.snapshot()})
+            fresh.restore(decode_checkpoint(document)["state"])
+            assert encode_checkpoint({"format": FORMAT, "state": fresh.snapshot()}) == document
         assert restored.buffered_pairs() == checking.buffered_pairs()
         assert restored._early_pairs == checking._early_pairs

@@ -2,7 +2,6 @@
 and the fixed fleet's degraded mode (a crash only ever shrinks it)."""
 
 import dataclasses
-import json
 import random
 
 import pytest
@@ -10,6 +9,11 @@ import pytest
 from repro.core.config import ConfigError
 from repro.core.dispatcher import Dispatcher
 from repro.core.messages import NewPublication, NodeDown, PublishingMsg, RawBatch
+from repro.durability.checkpoint import (
+    FORMAT,
+    decode_checkpoint,
+    encode_checkpoint,
+)
 
 
 @pytest.fixture
@@ -206,7 +210,7 @@ class TestDegradedMode:
         assert publishing_dests == {"cn-0", "cn-1", "checking"}
 
     def test_snapshot_restore_round_trip(self, flu_config):
-        """Through the JSON a checkpoint is: the dead set and the
+        """Through the bytes a checkpoint file is: the dead set and the
         round-robin cursor come back, so the rotation continues where it
         left off."""
         config = dataclasses.replace(flu_config, batch_size=2)
@@ -215,10 +219,10 @@ class TestDegradedMode:
         for i in range(5):
             dispatcher.on_raw(f"l{i}")
         dispatcher.mark_node_down(1)
-        document = json.dumps(dispatcher.snapshot())
+        document = encode_checkpoint({"format": FORMAT, "state": dispatcher.snapshot()})
         restored = Dispatcher(config, rng=random.Random(1))
-        restored.restore(json.loads(document))
-        assert json.dumps(restored.snapshot()) == document
+        restored.restore(decode_checkpoint(document)["state"])
+        assert encode_checkpoint({"format": FORMAT, "state": restored.snapshot()}) == document
         assert restored.dead_nodes == {1}
         for i in range(6):
             assert restored.on_raw(f"m{i}") == dispatcher.on_raw(f"m{i}")

@@ -131,3 +131,78 @@ class TestMidBatchCrashDrill:
         reference = results[CRASH_SIZES[0]]
         for batch_size, state in results.items():
             assert state == reference, f"batch_size={batch_size} diverged"
+
+
+def _chunk_crash(root, lines, batch_size: int, crash_at: int):
+    """Crash ``run_publication`` on record ``crash_at``; return the
+    crashed system and every ``RawBatch`` its computing nodes received."""
+    plan = FaultPlan(seed=5).crash_collector(after_records=crash_at)
+    crashed = DurableFresqueSystem(
+        _config(batch_size), _cipher(), root, seed=101, fault_plan=plan,
+        checkpoint_every=0,
+    )
+    received = []
+    for name in [f"cn-{i}" for i in range(crashed.config.num_computing_nodes)]:
+        handler = crashed._handlers[name]
+
+        def capture(message, handler=handler):
+            received.append(message)
+            return handler(message)
+
+        crashed._handlers[name] = capture
+    with pytest.raises(CollectorCrash):
+        crashed.run_publication(lines)
+    return crashed, received
+
+
+class TestCrashPointParity:
+    """One fault-plan question per chunk gives the per-record crash
+    point: the whole chunk is journalled, exactly its first records up
+    to the crash are dispatched, and recovery finishes the interval."""
+
+    @pytest.mark.parametrize(
+        "batch_size, count, crash_points",
+        [
+            (4, 12, range(12)),  # every record of three chunks
+            (256, 768, (37, 256 + 200, 512 + 255)),  # one inside each
+        ],
+    )
+    def test_crash_inside_a_chunk(
+        self, tmp_path, lines, batch_size, count, crash_points
+    ):
+        stream = (lines * 2)[:count]
+        for crash_at in crash_points:
+            root = tmp_path / f"crash-{crash_at}"
+            crashed, received = _chunk_crash(
+                root, stream, batch_size, crash_at
+            )
+            chunk_end = (crash_at // batch_size + 1) * batch_size
+            journalled = [
+                line
+                for record in crashed.journal.replay()
+                if record.lines is not None
+                for line in record.lines
+            ]
+            assert journalled == stream[:chunk_end]
+
+            # Dispatched, in ordinal order: the flushed batches, then
+            # the batch still in flight at the crash.
+            received.sort(key=lambda batch: batch.ordinal)
+            items = [item for batch in received for item in batch.items]
+            assert [batch.ordinal for batch in received] == [
+                sum(len(batch.items) for batch in received[:index])
+                for index in range(len(received))
+            ]
+            items += crashed.dispatcher._batch
+            assert [item for item in items if isinstance(item, str)] == (
+                stream[:crash_at]
+            )
+
+            recovered, report = RecoveryManager(
+                _config(batch_size), _cipher(), root, cloud=crashed.cloud,
+                seed=202, checkpoint_every=0,
+            ).recover()
+            assert report.replayed_raw == chunk_end
+            summary = recovered.run_publication(stream[chunk_end:])
+            assert summary.publication == 0  # the cloud's receipt
+            assert summary.published_pairs > 0

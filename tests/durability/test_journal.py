@@ -155,3 +155,34 @@ class TestFramingFuzz:
             return  # loud failure: acceptable
         # Quiet success must be a clean prefix of the original stream.
         assert recovered == payloads[: len(recovered)]
+
+
+class TestSyncCadence:
+    """``sync_every`` counts appends: a ``rawb`` frame is one slot of
+    the fsync cadence whether it holds one line or a whole batch."""
+
+    def _fsyncs(self, tmp_path, monkeypatch, chunks) -> int:
+        import repro.durability.journal as journal_module
+
+        calls = []
+        real = journal_module.os.fsync
+        with WriteAheadJournal(tmp_path / "j.wal", sync_every=4) as journal:
+            monkeypatch.setattr(
+                journal_module.os, "fsync",
+                lambda fd: (calls.append(fd), real(fd)),
+            )
+            for chunk in chunks:
+                journal.append_raw_batch(0, chunk)
+            monkeypatch.setattr(journal_module.os, "fsync", real)
+        return len(calls)
+
+    def test_one_slot_per_rawb_frame(self, tmp_path, monkeypatch):
+        batch = [f"line-{index}" for index in range(256)]
+        assert self._fsyncs(tmp_path / "a", monkeypatch, [batch] * 3) == 0
+        assert self._fsyncs(tmp_path / "b", monkeypatch, [batch] * 4) == 1
+        assert self._fsyncs(tmp_path / "c", monkeypatch, [batch] * 9) == 2
+
+    def test_single_lines_fill_the_cadence_as_fast(self, tmp_path, monkeypatch):
+        lines = [[f"line-{index}"] for index in range(8)]
+        assert self._fsyncs(tmp_path / "a", monkeypatch, lines[:3]) == 0
+        assert self._fsyncs(tmp_path / "b", monkeypatch, lines) == 2

@@ -17,10 +17,10 @@ from repro.cloud.filestore import FileBackedStore
 from repro.benchfab.fingerprint import publication_digest
 from repro.cloud.node import FresqueCloud
 from repro.crypto.cipher import SimulatedCipher
-from repro.durability.checkpoint import FORMAT
+from repro.durability.checkpoint import FORMAT, CheckpointStore
 from repro.durability.recovery import RecoveryManager
 from repro.durability.system import CollectorCrash, DurableFresqueSystem
-from repro.records.codec import decode_pairs
+from repro.records.codec import pairs_from_bytes
 from repro.runtime.faults import FaultPlan
 from repro.telemetry import Telemetry
 from tests.conftest import cloud_state_fingerprint
@@ -54,6 +54,27 @@ def _finish_after_recovery(system, lines, journaled):
         system.pump_dummies((position + 1) / (total + 1))
         system.ingest(line)
     return system.finish_publication()
+
+
+def _read_checkpoint(path) -> dict:
+    """One checkpoint file's whole document, read through the store."""
+    return CheckpointStore(path.parent).read(path)
+
+
+def _write_legacy_json(path, document) -> None:
+    """Write ``document`` over ``path`` as an older collector did: one
+    JSON document, packed columns as base64 strings."""
+
+    def legacy(value):
+        if isinstance(value, dict):
+            return {key: legacy(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [legacy(item) for item in value]
+        if isinstance(value, bytes):
+            return base64.b64encode(value).decode("ascii")
+        return value
+
+    path.write_text(json.dumps(legacy(document)))
 
 
 def _one_pair_randomer(config):
@@ -226,7 +247,7 @@ class TestCrashDrill:
                 flu_config, cipher, data_dir, seed=101, fault_plan=plan
             )
             journaled = _run_to_crash(crashed, lines)
-            checkpoints = sorted((data_dir / "checkpoints").glob("*.json"))
+            checkpoints = sorted((data_dir / "checkpoints").glob("*.ckpt"))
             assert checkpoints
             for path in checkpoints:
                 spoil(path)
@@ -240,10 +261,12 @@ class TestCrashDrill:
             return cloud_state_fingerprint(recovered)
 
         def as_format_1(path):
-            document = json.loads(path.read_text())
+            document = _read_checkpoint(path)
             assert document.pop("format") == FORMAT
             for saved in document["state"]["checking"]["publications"].values():
-                leaves, ciphertexts, dummies = decode_pairs(saved["residents"])
+                leaves, ciphertexts, dummies = pairs_from_bytes(
+                    saved["residents"]
+                )
                 assert leaves  # mid-publication: the randomer holds pairs
                 saved["residents"] = [
                     {"pub": 0, "leaf": leaf, "dummy": bool(dummy), "enc": {
@@ -254,7 +277,7 @@ class TestCrashDrill:
                         leaves, ciphertexts, dummies
                     )
                 ]
-            path.write_text(json.dumps(document))
+            _write_legacy_json(path, document)
 
         assert drill(tmp_path / "old", as_format_1) == drill(
             tmp_path / "none", lambda path: path.unlink()
@@ -278,7 +301,7 @@ class TestCrashDrill:
                 config, cipher, data_dir, seed=101, fault_plan=plan
             )
             journaled = _run_to_crash(crashed, lines)
-            checkpoints = sorted((data_dir / "checkpoints").glob("*.json"))
+            checkpoints = sorted((data_dir / "checkpoints").glob("*.ckpt"))
             assert checkpoints
             for path in checkpoints:
                 spoil(path)
@@ -294,12 +317,12 @@ class TestCrashDrill:
         spoiled = []
 
         def as_format_2(path):
-            document = json.loads(path.read_text())
+            document = _read_checkpoint(path)
             assert document["format"] == FORMAT
             document["format"] = 2
             merger = document["state"]["merger"]
             for publication, saved in merger["publications"].items():
-                leaves, ciphertexts, _ = decode_pairs(saved["removed"])
+                leaves, ciphertexts, _ = pairs_from_bytes(saved["removed"])
                 removed: dict[str, list] = {}
                 for leaf, ciphertext in zip(leaves, ciphertexts):
                     removed.setdefault(str(leaf), []).append({
@@ -308,16 +331,16 @@ class TestCrashDrill:
                     })
                 spoiled.append(len(leaves))
                 saved["removed"] = removed
-            path.write_text(json.dumps(document))
+            _write_legacy_json(path, document)
 
         def as_format_3(path):
-            document = json.loads(path.read_text())
+            document = _read_checkpoint(path)
             assert document["format"] == FORMAT
             document["format"] = 3
             document["state"]["dispatcher"]["flow"] = {
                 "credits": {"available": 0, "deferred": []}
             }
-            path.write_text(json.dumps(document))
+            _write_legacy_json(path, document)
 
         none = drill(tmp_path / "none", lambda path: path.unlink())
         assert drill(tmp_path / "old", as_format_2) == none
@@ -394,9 +417,9 @@ class TestCrashWhileTheMergerHoldsRemovedRecords:
                 crashed.ingest(line)
                 fed += 1
         assert crashed.merger.pending_removed()
-        latest = sorted((tmp_path / "crash" / "checkpoints").glob("*.json"))[-1]
-        saved = json.loads(latest.read_text())["state"]["merger"]
-        held, _, _ = decode_pairs(saved["publications"]["0"]["removed"])
+        latest = sorted((tmp_path / "crash" / "checkpoints").glob("*.ckpt"))[-1]
+        saved = crashed.checkpoints.read(latest)["state"]["merger"]
+        held, _, _ = pairs_from_bytes(saved["publications"]["0"]["removed"])
         assert held  # the checkpoint caught the merger holding records
 
         recovered, report = RecoveryManager(

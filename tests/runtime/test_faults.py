@@ -412,3 +412,24 @@ class TestCollectorCrashRule:
     def test_no_rule_never_fires(self):
         plan = FaultPlan(seed=1)
         assert not any(plan.on_collector_record() for _ in range(10))
+
+    @pytest.mark.parametrize("after", [0, 1, 5, 7, 8, 17])
+    def test_count_form_matches_the_per_record_form(self, after):
+        """Asking once for a chunk of n is asking n times for one: the
+        same survivors, the same crash index in the schedule, and the
+        same count afterwards."""
+        per_record = FaultPlan(seed=1).crash_collector(after_records=after)
+        chunked = FaultPlan(seed=1).crash_collector(after_records=after)
+        survived = []
+        for size in (3, 4, 1, 4, 6):
+            answer = chunked.on_collector_records(size)
+            expected = size
+            for index in range(size):
+                if per_record.on_collector_record():
+                    expected = index
+                    break
+            assert answer == expected
+            survived.append(answer)
+        assert chunked.schedule == per_record.schedule
+        assert chunked.on_collector_records(2) == 2
+        assert survived != [3, 4, 1, 4, 6]  # the rule fired

@@ -5,7 +5,6 @@ One codec, one suite: TCP hands the decoder ``bytes`` bodies off
 so every case runs over both input types.
 """
 
-import base64
 import hashlib
 import json
 import random
@@ -583,13 +582,13 @@ def test_checkpointed_residents_are_length_checked(flu_config):
     )
     snapshot = checking.snapshot()
     saved = snapshot["publications"]["0"]
-    packed = bytearray(base64.b64decode(saved["residents"]))
+    packed = bytearray(saved["residents"])
     first_length = slice(4 + 4 * 3, 4 + 4 * 3 + 4)  # past count and leaves
     assert packed[first_length] == _u32(2)
 
     def restore_with(length: int) -> CheckingNode:
         packed[first_length] = _u32(length)
-        saved["residents"] = base64.b64encode(packed).decode("ascii")
+        saved["residents"] = bytes(packed)
         restored = CheckingNode(flu_config, rng=random.Random(1))
         restored.restore(snapshot)
         return restored

@@ -16,8 +16,9 @@ Top-level subpackages
 ``repro.cloud`` / ``repro.client``
     The untrusted cloud store and the trusted query client.
 ``repro.runtime`` / ``repro.simulation``
-    Execution substrates: a threaded in-process runtime for functional runs
-    and a discrete-event cluster simulator for the performance experiments.
+    Execution substrates: a seeded single-threaded schedule, real TCP
+    sockets, and a discrete-event cluster simulator for the performance
+    experiments.
 ``repro.datasets`` / ``repro.baselines`` / ``repro.analysis``
     Synthetic NASA/Gowalla workloads, comparison baselines (ArxRange, OPE,
     bucketization), and the informed-online-attacker analysis.

@@ -24,8 +24,8 @@ def cloud_state_fingerprint(system) -> dict:
     """Canonical, byte-level serialization of a deployment's cloud state.
 
     ``system`` is any runtime exposing ``.cloud`` and ``.checking``
-    (the sync system, the durable system, the threaded and TCP
-    clusters).
+    (the sync system, the durable system, the scheduled and TCP
+    runtimes).
     """
     receipts = {
         publication: system.cloud.receipt_for(publication).records_matched

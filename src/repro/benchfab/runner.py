@@ -183,15 +183,15 @@ def _build_sync(scenario, config, telemetry, data_root):
     return system, lambda: None
 
 
-def _build_threaded(scenario, config, telemetry, data_root):
+def _build_scheduled(scenario, config, telemetry, data_root):
     del data_root
-    from repro.runtime.cluster import ThreadedFresque
+    from repro.runtime.schedule import ScheduledFresque
 
     if scenario.durability == "durable":
         raise RunnerError(
-            f"{scenario.name}: the threaded runtime has no durable mode"
+            f"{scenario.name}: the scheduled runtime has no durable mode"
         )
-    system = ThreadedFresque(
+    system = ScheduledFresque(
         config,
         _cipher(scenario),
         seed=scenario.seed,
@@ -229,7 +229,7 @@ def _build_tcp(scenario, config, telemetry, data_root):
 
 _BUILDERS = {
     "sync": _build_sync,
-    "threaded": _build_threaded,
+    "scheduled": _build_scheduled,
     "tcp": _build_tcp,
 }
 

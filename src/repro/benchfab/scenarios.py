@@ -131,12 +131,12 @@ CONFORMANCE_MATRIX = MatrixSpec(
         "deterministic_ivs": True,
     },
     axes={
-        "runtime": ("sync", "threaded", "tcp"),
+        "runtime": ("sync", "scheduled", "tcp"),
         "batch_size": (1, 64),
         "durability": ("memory", "durable"),
     },
     exclude=(
-        {"runtime": "threaded", "durability": "durable"},
+        {"runtime": "scheduled", "durability": "durable"},
         {"runtime": "tcp", "durability": "durable"},
     ),
 )
@@ -211,8 +211,8 @@ _SMOKE = BenchSpec(
              "burst_records": 600, "trickle_records": 20},
             {"name": "fabric_smoke/conform-sync", "workload": "conformance",
              "records": 150, "batch_size": 8, "deterministic_ivs": True},
-            {"name": "fabric_smoke/conform-threaded",
-             "workload": "conformance", "runtime": "threaded",
+            {"name": "fabric_smoke/conform-scheduled",
+             "workload": "conformance", "runtime": "scheduled",
              "records": 150, "batch_size": 8, "deterministic_ivs": True},
             {"name": "fabric_smoke/conform-durable",
              "workload": "conformance", "durability": "durable",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 #: Deployment runtimes the fabric can build (docs/RUNTIMES.md).
-RUNTIMES = ("sync", "threaded", "tcp")
+RUNTIMES = ("sync", "scheduled", "tcp")
 
 #: Durability modes: in-memory collector vs write-ahead journal + ledger.
 DURABILITIES = ("memory", "durable")

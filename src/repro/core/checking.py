@@ -429,7 +429,7 @@ class CheckingNode(Routed):
         # the merger: the cloud's FIFO inbox then guarantees every pair is
         # stored (and its metadata cached) before the merger's publication
         # triggers the matching process.  With the opposite order the
-        # merger can race ahead under the threaded runtime and match an
+        # merger can race ahead on a concurrent runtime and match an
         # incomplete publication.
         out.append(("cloud", BufferFlush(publication, *flushed)))
         out.append(

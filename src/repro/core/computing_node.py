@@ -157,6 +157,13 @@ class ComputingNode(Routed):
             )
         )
 
+    def take_held_batches(self) -> list[PairBatch]:
+        """Empty the hold and return its pair batches — the salvage of
+        a crashed node.  Its *publishing* markers die with it: the
+        :class:`NodeDown` notice stands in for its acknowledgements."""
+        held, self._held = self._held, []
+        return [payload for kind, payload in held if kind == "batch"]
+
     def _ship(self, batch: PairBatch) -> list[tuple[str, object]]:
         """Forward a pair batch, or hold it while waiting for *done*."""
         if self._waiting_done and batch.publication != self._publishing:
@@ -209,6 +216,17 @@ class ComputingNode(Routed):
             if kind == "batch":
                 out.append(("checking", payload))
                 continue
+            # Re-armed for ``payload``: its own batches held behind the
+            # marker (a crash redispatch that arrived while an earlier
+            # done was awaited) ship now, as :meth:`_ship` ships them on
+            # arrival — its finalisation waits on exactly these pairs.
+            still_held = []
+            for entry in self._held:
+                if entry[0] == "batch" and entry[1].publication == payload:
+                    out.append(("checking", entry[1]))
+                else:
+                    still_held.append(entry)
+            self._held = still_held
             out.append(("checking", CnPublishing(payload, self.node_id)))
             self._waiting_done = True
             self._publishing = payload

@@ -389,10 +389,9 @@ class Dispatcher:
     def flush_due(self, now: float | None = None) -> list[tuple[str, object]]:
         """Flush iff the in-flight batch outlived ``max_batch_delay``.
 
-        Called periodically by every runtime's flush poller — the
-        threaded and TCP clusters run a
-        :class:`~repro.runtime.poller.FlushPoller` thread, and the
-        synchronous :meth:`FresqueSystem.poll_flush` delegates here — so
+        Called periodically — the TCP cluster runs a
+        :class:`~repro.runtime.poller.FlushPoller` thread, and
+        :meth:`FresqueSystem.poll_flush` delegates here — so
         a trickle of records below the batch size never waits longer
         than the configured delay for its flush.
         """

@@ -2,8 +2,8 @@
 
 Every component is transport-agnostic: handlers consume these dataclasses
 and return ``(destination, message)`` pairs.  The same message flow is
-executed by the synchronous driver (``repro.core.system``), the threaded
-runtime (``repro.runtime``) and the discrete-event simulator
+executed by the synchronous driver (``repro.core.system``), the scheduled
+and TCP runtimes (``repro.runtime``) and the discrete-event simulator
 (``repro.simulation``).
 
 A ``<leaf offset, e-record>`` pair has no class of its own: from the

@@ -68,8 +68,8 @@ class CollectorStats:
 
 
 def collect_stats(system) -> CollectorStats:
-    """Snapshot a :class:`~repro.core.system.FresqueSystem` (or the
-    threaded runtime, which exposes the same components)."""
+    """Snapshot a :class:`~repro.core.system.FresqueSystem` (or any
+    runtime built on it, which exposes the same components)."""
     return CollectorStats(
         records_dispatched=system.dispatcher.records_dispatched,
         dummies_generated=system.dispatcher.dummies_generated,

@@ -15,7 +15,7 @@ Run as is, it delivers every message in place through a FIFO queue until
 quiescence — the *functional* reference: exactly the logic the runtimes
 and the discrete-event simulator run, without concurrency or timing, so
 tests can assert end-to-end correctness deterministically.  The runtimes
-(threaded, TCP) subclass it and supply only what differs
+(scheduled, TCP) subclass it and supply only what differs
 per transport — how one message leaves (:meth:`FresqueSystem._send`),
 how to wait for a publication to drain (:meth:`FresqueSystem.settle`),
 and how a node is spawned, killed and salvaged; the list is "What a
@@ -224,8 +224,8 @@ class FresqueSystem:
         self._queue: deque[tuple[str, object]] = deque()
         #: Names of the computing nodes the driver degraded around.
         self._dead: set[str] = set()
-        # The dispatcher is not thread-safe, and on the concurrent
-        # runtimes the feeder and the flush poller both drive it (and a
+        # The dispatcher is not thread-safe, and on the TCP runtime the
+        # feeder and the flush poller both drive it (and a
         # node thread whose send finds a computing node gone reroutes
         # through it).  One lock serialises them — reentrant, because a
         # send can fail into the degraded path, which sends again.
@@ -368,7 +368,10 @@ class FresqueSystem:
         and raise the failures that cannot be degraded around."""
 
     def _kill_node(self, node_id: int) -> None:
-        """Make computing node ``node_id`` actually stop (crash drill)."""
+        """Make computing node ``node_id`` actually stop (crash drill)
+        and degrade around it (:meth:`_node_down`) — at once here; a
+        runtime may leave that step to its supervision."""
+        self._node_down(node_id)
 
     def _salvage(self, node_id: int):
         """The messages a dead computing node left unread.  Called once
@@ -456,8 +459,8 @@ class FresqueSystem:
     def poll_flush(self) -> None:
         """Fire the delay flush if the in-flight batch outlived its bound.
 
-        The runtimes run a :class:`~repro.runtime.poller.FlushPoller`
-        thread on this; drivers of the synchronous system with idle
+        The TCP runtime runs a :class:`~repro.runtime.poller.FlushPoller`
+        thread on this; drivers of the in-process runtimes with idle
         periods call it periodically, so a trickle below the batch size
         never stalls past ``max_batch_delay``.
         """
@@ -542,7 +545,6 @@ class FresqueSystem:
         if not 0 <= node_id < self.config.num_computing_nodes:
             raise ValueError(f"unknown computing node {node_id}")
         self._kill_node(node_id)
-        self._node_down(node_id)
 
     def _node_down(self, node_id: int) -> None:
         """Degrade around dead computing node ``node_id`` (idempotent).
@@ -553,6 +555,12 @@ class FresqueSystem:
         are redispatched as the same objects — never re-stamped — so
         their seq/ordinal/IV stamps survive and a crash stays
         byte-invisible.
+
+        Pairs the node already produced but held while awaiting *done*
+        go to the checking node ahead of the notice (which may finalise
+        their publication): their source batches were consumed, so
+        redispatch can no longer recreate them.  This reads the dead
+        node's in-process state (docs/PROTOCOL.md).
         """
         with self._lock:
             notice = self.dispatcher.mark_node_down(node_id)
@@ -560,6 +568,8 @@ class FresqueSystem:
                 return
             self._dead.add(f"cn-{node_id}")
             backlog = self._salvage(node_id)
+            held = self.computing_nodes[node_id].take_held_batches()
+            self._send_all([("checking", batch) for batch in held])
             self._send_all(notice)
             self._redispatch(backlog)
 

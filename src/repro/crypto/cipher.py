@@ -123,7 +123,7 @@ class RecordCipher(ABC):
         pipeline-wide identity (its dispatch ordinal) instead of a
         shared counter: the ciphertext stream then does not depend on
         which node encrypted which record, which is what lets the
-        threaded and TCP runtimes reproduce the in-memory runtime's
+        scheduled and TCP runtimes reproduce the in-memory runtime's
         cloud state byte for byte.  The caller must never reuse a nonce
         for two different plaintext positions — uniqueness of the
         derived IV is the only requirement the construction inherits.

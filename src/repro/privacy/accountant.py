@@ -6,7 +6,7 @@ one record per individual per publication).  :class:`PublicationAccountant`
 implements that policy: a total budget, a planned horizon of publications,
 and per-publication shares released one at a time.
 
-Grants are thread-safe (the threaded runtimes may open publications from
+Grants are thread-safe (a concurrent runtime may open publications from
 worker threads) and optionally *durable*: with a
 :class:`~repro.durability.ledger.BudgetLedger` attached, every grant is a
 two-phase **intent → commit** append, so a collector crash between grant

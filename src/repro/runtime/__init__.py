@@ -1,7 +1,7 @@
-"""Execution substrates: threaded actors, TCP sockets, wire encoding."""
+"""Execution substrates: a seeded single-threaded schedule, TCP sockets,
+wire encoding."""
 
-from repro.runtime.channel import POISON, Inbox, InFlightTracker
-from repro.runtime.cluster import ThreadedFresque
+from repro.runtime.schedule import ScheduledFresque, ScheduleStall
 from repro.runtime.tcp import Router, TcpFresqueCluster, TcpNode
 from repro.runtime.wire import (
     WireError,
@@ -13,13 +13,11 @@ from repro.runtime.wire import (
 )
 
 __all__ = [
-    "Inbox",
-    "InFlightTracker",
-    "POISON",
     "Router",
+    "ScheduleStall",
+    "ScheduledFresque",
     "TcpFresqueCluster",
     "TcpNode",
-    "ThreadedFresque",
     "WireError",
     "decode_message",
     "decode_tree",

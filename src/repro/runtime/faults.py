@@ -13,8 +13,8 @@ node supervision) can be exercised reproducibly.  The plan plugs into
   restarting on the same port) after handling a chosen number of
   frames, dropping whatever its inbox still holds — like a machine
   going down mid-publication;
-* :class:`~repro.runtime.cluster.ThreadedFresque` — the same send-side
-  decisions applied to in-memory channels;
+* :class:`~repro.runtime.schedule.ScheduledFresque` — the same
+  send-side decisions applied to its in-process FIFOs;
 * :class:`~repro.durability.DurableFresqueSystem` — consulted once per
   journalled chunk (:meth:`FaultPlan.on_collector_records`): the
   whole collector process can crash after ingesting a chosen number of

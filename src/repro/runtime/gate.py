@@ -6,7 +6,7 @@ re-serialises them by the dispatcher's global batch sequence number and
 holds *publishing* / *CN-publishing* control messages until their gates
 clear — after which the checking node observes exactly the synchronous
 runtime's delivery order (the byte-identity property the equivalence
-harness pins).  The threaded and TCP runtimes both wrap their checking
+harness pins).  The scheduled and TCP runtimes both wrap their checking
 handler in one of these when deterministic IVs are on.  Its seq rule is
 also what makes a crash redispatch exactly-once (docs/PROTOCOL.md).
 """
@@ -40,11 +40,14 @@ class CheckingGate:
     3. **CnPublishing gate**: a node's publishing acknowledgement waits
        until its publication's :class:`PublishingMsg` has been
        delivered (the synchronous broadcast order).
-    4. **NewPublication gate**: the next publication's announcement
-       waits until the previous one has *finalised* — its publishing
-       broadcast delivered and every live node's acknowledgement in.
-       Finalisation shuffles the randomer buffer (an RNG draw), so the
-       next interval's eviction draws must not overtake it.
+    4. **NewPublication gate**: publication ``p``'s announcement waits
+       until every publication before ``p`` has *finalised* — its
+       publishing broadcast delivered and every live node's
+       acknowledgement in.  Finalisation shuffles the randomer buffer
+       (an RNG draw), so the next interval's eviction draws must not
+       overtake it.  Later publications do not hold it back: their
+       pairs stay at the computing nodes until ``p``'s *done*, which
+       needs ``p`` announced.
 
     :class:`NodeDown` passes through immediately (matching the
     dispatcher, which emits it out of band) and relaxes the ack gate: a
@@ -143,13 +146,15 @@ class CheckingGate:
                     out.extend(self._deliver_cn(message))
                 progress = True
             while self._pending_new:
-                if self._pending_publishing or not all(
-                    self._finalised(p) for p in self._acked
-                ):
+                publication = self._pending_new[0].publication
+                earlier = [p for p in self._acked if p < publication]
+                if any(
+                    held.publication < publication
+                    for held in self._pending_publishing
+                ) or not all(self._finalised(p) for p in earlier):
                     break
-                done = [p for p in self._acked if self._finalised(p)]
-                for publication in done:
-                    del self._acked[publication]
+                for finalised in earlier:
+                    del self._acked[finalised]
                 out.extend(self._handler(self._pending_new.popleft()))
                 progress = True
         return out

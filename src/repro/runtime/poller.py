@@ -1,12 +1,13 @@
-"""Periodic flush polling shared by the runtime clusters.
+"""Periodic flush polling for the TCP cluster.
 
 The dispatcher's delay flush (:meth:`Dispatcher.flush_due`,
 docs/BATCHING.md) only fires when *something* checks the clock.  Under
 steady traffic the next arrival does; under a trickle below the batch
-size nothing would — the stall this module exists to fix.  Each runtime
+size nothing would — the stall this module exists to fix.  The TCP
 cluster starts one :class:`FlushPoller` whose ``tick`` callback takes
 the cluster's dispatch lock, calls ``flush_due()`` and pumps whatever
-flushed.
+flushed.  (The scheduled runtime has no thread to poll with: its
+caller calls ``poll_flush()`` on the injected clock.)
 
 The poller wakes at half the configured ``max_batch_delay`` (clamped),
 so a waiting batch overshoots the delay bound by at most one tick.

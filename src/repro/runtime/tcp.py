@@ -5,9 +5,9 @@ interface and exchanges the wire-encoded protocol frames of
 :mod:`repro.runtime.wire` — the transport of the paper's deployment, where
 "the TCP socket was used for exchanging data among the components"
 (Section 7.1).  Every node runs its handler on a dedicated worker thread
-(actor-style, like :class:`~repro.runtime.cluster.ThreadedFresque`), but
-nothing is shared between nodes except bytes on sockets, so the same code
-splits across processes or machines by changing the address book.
+(actor-style), but nothing is shared between nodes except bytes on
+sockets, so the same code splits across processes or machines by
+changing the address book.
 
 Fault tolerance
 ---------------
@@ -288,8 +288,9 @@ class TcpNode:
         The node's protocol address.
     handler:
         Callable handling one message and returning routed outbox pairs.
-    router:
-        Shared router for outbound messages.
+    send_all:
+        Callable taking that outbox: the cluster's send path, which
+        degrades around a dead computing node.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`; counts received
         bytes and tracks the inbox depth per node.
@@ -304,12 +305,12 @@ class TcpNode:
     """
 
     def __init__(
-        self, name: str, handler, router: Router, telemetry=None,
+        self, name: str, handler, send_all, telemetry=None,
         fault_plan=None,
     ):
         self.name = name
         self.handler = handler
-        self.router = router
+        self.send_all = send_all
         self._tel = coalesce(telemetry)
         self._recv_bytes = self._tel.counter(
             "tcp_recv_bytes_total", node=name
@@ -445,8 +446,7 @@ class TcpNode:
                     raise ValueError(
                         f"frame for {destination!r} delivered to {self.name!r}"
                     )
-                for out_destination, out_message in self.handler(message):
-                    self.router.send(out_destination, out_message)
+                self.send_all(self.handler(message))
                 with self._lock:
                     self._handled += 1
                     self._last_seen = WALL_CLOCK.now()
@@ -492,9 +492,13 @@ class TcpNode:
 
     def crash(self) -> None:
         """Driver-side crash injection: same effect as a fault-plan
-        crash, enacted from outside the worker thread.  The worker
-        stays parked on the (now empty) inbox."""
+        crash, enacted from outside the worker thread.  Returns once
+        the worker has stopped, so the driver may read the dead node's
+        state."""
         self._enact_crash(None, restart=False)
+        self._inbox.put(_STOP)
+        if self._worker is not None:
+            self._worker.join(timeout=5)
 
     def _rebind(self) -> None:
         """Fresh server socket + acceptor on the node's original port."""
@@ -684,7 +688,7 @@ class TcpFresqueCluster(FresqueSystem):
         server = TcpNode(
             name,
             self._handlers[name],
-            self.router,
+            self._send_all,
             telemetry=self.telemetry,
             fault_plan=self._frame_faults,
         )
@@ -724,8 +728,12 @@ class TcpFresqueCluster(FresqueSystem):
             if server.handled + server.pending >= sent:
                 break
             time.sleep(0.001)
-        server.crash()
-        self.router.evict(name)
+        # Under the lock, a node thread that finds the victim gone waits
+        # in the degraded path until the victim's worker has stopped.
+        with self._lock:
+            server.crash()
+            self.router.evict(name)
+            self._node_down(node_id)
 
     def _salvage(self, node_id: int):
         """The frames a crash trapped in the dead node's inbox."""

@@ -1,6 +1,6 @@
 """Thread-safe metrics: counters, gauges and fixed-bucket histograms.
 
-Designed to stay enabled inside the threaded and TCP runtimes: the hot
+Designed to stay enabled inside the TCP runtime's threads: the hot
 path (``Counter.inc``, ``Histogram.observe``) takes no locks.  Each
 instrument keeps one *cell* per writer thread, keyed by thread id — a
 thread only ever mutates its own cell, and CPython's per-key dict

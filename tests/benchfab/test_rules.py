@@ -123,7 +123,7 @@ def test_fingerprint_match():
     )
     agreeing = [
         card("c/sync", "sync", "f00d"),
-        card("c/threaded", "threaded", "f00d"),
+        card("c/scheduled", "scheduled", "f00d"),
         card("c/tcp", "tcp", "f00d"),
     ]
     assert _one([], rule, cards=agreeing).status == "pass"

@@ -61,19 +61,19 @@ def test_publication_fingerprints_agree_across_durability(tmp_path):
     assert any("cloud" in name for name in memory.counters)
 
 
-def test_conformance_threaded_matches_sync():
+def test_conformance_scheduled_matches_sync():
     sync = run_scenario(
         _scenario(workload="conformance", deterministic_ivs=True)
     )[0]
-    threaded = run_scenario(
+    scheduled = run_scenario(
         _scenario(
-            name="t/threaded",
+            name="t/scheduled",
             workload="conformance",
-            runtime="threaded",
+            runtime="scheduled",
             deterministic_ivs=True,
         )
     )[0]
-    assert sync.fingerprint == threaded.fingerprint
+    assert sync.fingerprint == scheduled.fingerprint
 
 
 def test_burst_trickle_reports_latency():
@@ -101,10 +101,10 @@ def test_runner_rejects_bad_scenarios():
     with pytest.raises(RunnerError):
         run_scenario(_scenario(fault_plan="meteor-strike"))
     with pytest.raises(RunnerError):
-        run_scenario(_scenario(workload="ingest", runtime="threaded"))
+        run_scenario(_scenario(workload="ingest", runtime="scheduled"))
     with pytest.raises(RunnerError):
         run_scenario(
-            _scenario(runtime="threaded", durability="durable")
+            _scenario(runtime="scheduled", durability="durable")
         )
     with pytest.raises(RunnerError):
         run_scenario(_scenario(params=(("cipher", "rot13"),)))

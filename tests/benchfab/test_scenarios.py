@@ -57,13 +57,13 @@ def test_behaviour_drift_is_recorded_not_silent():
 def test_conformance_matrix_shape():
     scenarios = bench_spec("conformance").scenarios()
     runtimes = {s.runtime for s in scenarios}
-    assert runtimes == {"sync", "threaded", "tcp"}
+    assert runtimes == {"sync", "scheduled", "tcp"}
     assert all(s.deterministic_ivs for s in scenarios)
     assert all(s.workload == "conformance" for s in scenarios)
-    # The socketed runtimes have no durable mode in the matrix.
+    # Only the sync runtime has a durable mode in the matrix.
     assert not [
         s for s in scenarios
-        if s.runtime in ("threaded", "tcp") and s.durability == "durable"
+        if s.runtime in ("scheduled", "tcp") and s.durability == "durable"
     ]
     assert len(scenarios) == 8
 

@@ -55,17 +55,17 @@ def test_matrix_expands_product_with_excludes_and_includes():
         bench="m",
         base={"workload": "publication", "records": 10},
         axes={
-            "runtime": ("sync", "threaded"),
+            "runtime": ("sync", "scheduled"),
             "durability": ("memory", "durable"),
         },
-        exclude=({"runtime": "threaded", "durability": "durable"},),
+        exclude=({"runtime": "scheduled", "durability": "durable"},),
         include=({"name": "m/extra", "runtime": "sync", "workers": 2},),
     )
     scenarios = matrix.expand()
     names = [scenario.name for scenario in scenarios]
     assert names == [
         "m/durability=memory/runtime=sync",
-        "m/durability=memory/runtime=threaded",
+        "m/durability=memory/runtime=scheduled",
         "m/durability=durable/runtime=sync",
         "m/extra",
     ]

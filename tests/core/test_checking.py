@@ -79,7 +79,7 @@ class TestPairFlow:
         assert out == []  # absorbed by the randomer
 
     def test_early_pair_replayed_on_announcement(self, checking, plan):
-        # Under the threaded runtime a pair can race the NewPublication.
+        # On a concurrent runtime a pair can race the NewPublication.
         assert _deliver(checking, _pair(0)) == []
         checking.on_new_publication(NewPublication(0, plan))
         assert len(checking.state_of(0).randomer) == 1

@@ -23,7 +23,7 @@ from repro.core.messages import (
     RawBatch,
 )
 from repro.datasets.flu import FluSurveyGenerator
-from repro.runtime.cluster import ThreadedFresque
+from repro.runtime.schedule import ScheduledFresque
 
 
 def _raw(flu_config, publication, value=371):
@@ -72,16 +72,44 @@ class TestHeldEventOrdering:
         assert node.on_done(DoneMsg(2)) == []
         assert not node.waiting_for_done
 
+    def test_rearm_ships_the_awaited_publications_held_batches(
+        self, flu_config, fast_cipher
+    ):
+        """A batch of publication 1 redispatched from a crashed sibling
+        while done(0) is still awaited is held behind the publishing(1)
+        marker.  Re-arming for publication 1 must ship it: done(1) waits
+        on exactly its pairs, so holding it would deadlock."""
+        node = ComputingNode(0, flu_config, fast_cipher)
+        node.on_publishing(PublishingMsg(0))
+        node.on_raw_batch(_raw(flu_config, publication=1))
+        node.on_publishing(PublishingMsg(1))
+        node.on_raw_batch(_raw(flu_config, publication=1))  # redispatched
+        node.on_raw_batch(_raw(flu_config, publication=2))
+        out = node.on_done(DoneMsg(0))
+        assert [(type(m), m.publication) for _, m in out] == [
+            (PairBatch, 1),
+            (PairBatch, 1),
+            (CnPublishing, 1),
+        ]
+        assert node.held_pairs == 1  # publication 2's pair waits for done(1)
+        out = node.on_done(DoneMsg(1))
+        assert [(type(m), m.publication) for _, m in out] == [(PairBatch, 2)]
 
-class TestPipelinedThreadedRuns:
+
+class TestPipelinedScheduledRuns:
     @pytest.mark.parametrize("trial", range(3))
     def test_deterministic_publications(self, flu_config, fast_cipher, trial):
-        """Same seed + same stream must publish identical pair counts on
-        every run, regardless of thread interleavings."""
+        """Publications closed back to back without waiting must publish
+        the synchronous driver's pair counts under every interleaving
+        (one per seed)."""
         generator = FluSurveyGenerator(seed=99)
         batches = [list(generator.raw_lines(400)) for _ in range(3)]
-        with ThreadedFresque(flu_config, fast_cipher, seed=14) as runtime:
-            runtime.run_publications_pipelined(batches)
+        seed = 14 + trial
+        with ScheduledFresque(flu_config, fast_cipher, seed=seed) as runtime:
+            for lines in batches:
+                runtime.ingest_batch(lines)
+                runtime.close_publication()
+            runtime.settle(len(batches) - 1)
             totals = [
                 d.pointers.total for d in runtime.cloud.engine.published
             ]
@@ -90,7 +118,7 @@ class TestPipelinedThreadedRuns:
         # Reference totals from the synchronous driver under the same seed.
         from repro.core.system import FresqueSystem
 
-        reference = FresqueSystem(flu_config, fast_cipher, seed=14)
+        reference = FresqueSystem(flu_config, fast_cipher, seed=seed)
         reference.start()
         generator = FluSurveyGenerator(seed=99)
         expected = [

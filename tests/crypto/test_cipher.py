@@ -101,7 +101,7 @@ def test_simulated_roundtrip_property(payload):
 
 class TestCipherThreadSafety:
     """The cipher is shared by every computing-node thread plus the merger
-    (see ThreadedFresque); concurrent encrypts must never reuse an IV."""
+    (see TcpFresqueCluster); concurrent encrypts must never reuse an IV."""
 
     def test_concurrent_encrypts_use_unique_ivs(self, keystore):
         import threading

@@ -2,7 +2,7 @@
 
 The benchmark fabric's ``CONFORMANCE_MATRIX`` expands to every
 runtime × batch-size × durability cell the project claims is a *pure
-deployment change* — sync, threaded and TCP runtimes, batch sizes 1
+deployment change* — sync, scheduled and TCP runtimes, batch sizes 1
 and 64, in-memory and durable storage.  This module drives each cell through
 the same :func:`repro.benchfab.runner.run_scenario` path the benches
 use and asserts its cloud-state fingerprint is byte-identical to the
@@ -48,8 +48,8 @@ def test_matrix_covers_every_claimed_deployment_axis():
         ("sync", 1, "durable"),
         ("sync", 64, "memory"),
         ("sync", 64, "durable"),
-        ("threaded", 1, "memory"),
-        ("threaded", 64, "memory"),
+        ("scheduled", 1, "memory"),
+        ("scheduled", 64, "memory"),
         ("tcp", 1, "memory"),
         ("tcp", 64, "memory"),
     }

@@ -13,7 +13,7 @@ from repro.crypto.keys import KeyStore
 from repro.datasets.gowalla import GowallaGenerator
 from repro.datasets.nasa import NasaLogGenerator
 from repro.records.serialize import parse_raw_line
-from repro.runtime.cluster import ThreadedFresque
+from repro.runtime.schedule import ScheduledFresque
 
 
 class TestPaperDomainsFunctional:
@@ -48,7 +48,7 @@ class TestPaperDomainsFunctional:
         assert len(result.records) <= len(expected)
         assert len(result.records) >= 0.5 * len(expected)
 
-    def test_gowalla_domain_threaded(self, fast_cipher):
+    def test_gowalla_domain_scheduled(self, fast_cipher):
         generator = GowallaGenerator(seed=4)
         config = FresqueConfig(
             schema=generator.schema,
@@ -56,8 +56,13 @@ class TestPaperDomainsFunctional:
             num_computing_nodes=4,
         )
         batches = [list(generator.raw_lines(1500)) for _ in range(3)]
-        with ThreadedFresque(config, fast_cipher, seed=6) as runtime:
-            runtime.run_publications_pipelined(batches)
+        with ScheduledFresque(config, fast_cipher, seed=6) as runtime:
+            # Closed back to back, settled once: ingestion overlaps the
+            # earlier publications' publishing.
+            for lines in batches:
+                runtime.ingest_batch(lines)
+                runtime.close_publication()
+            runtime.settle(len(batches) - 1)
             assert len(runtime.cloud.engine.published) == 3
             result = runtime.make_client().range_query(0, 626 * 3600)
             # At ~7 records/leaf the Laplace noise (scale 4) prunes many

@@ -23,7 +23,7 @@ from repro.crypto.cipher import SimulatedCipher
 from repro.crypto.keys import KeyStore
 from repro.datasets.flu import FluSurveyGenerator
 from repro.durability.system import DurableFresqueSystem
-from repro.runtime.cluster import ThreadedFresque
+from repro.runtime.schedule import ScheduledFresque
 from repro.runtime.tcp import TcpFresqueCluster
 from repro.runtime.wire import decode_message, encode_message
 from tests.runtime.test_wire import MESSAGES, merged_publication
@@ -49,7 +49,7 @@ SHARED = (
 #: The only overrides: journal-before-dispatch on the durable driver
 #: and its boundary checkpoint.
 JOURNALLING_OVERRIDES = {
-    ThreadedFresque: set(),
+    ScheduledFresque: set(),
     TcpFresqueCluster: set(),
     DurableFresqueSystem: {"ingest", "ingest_batch", "finish_publication"},
 }
@@ -130,14 +130,14 @@ def _deploy(runtime: str, config):
     cipher = SimulatedCipher(KeyStore(_KEY, key_size=16))
     if runtime == "sync":
         return FresqueSystem(config, cipher, seed=3)
-    if runtime == "threaded":
-        return ThreadedFresque(config, cipher, seed=3)
+    if runtime == "scheduled":
+        return ScheduledFresque(config, cipher, seed=3)
     return TcpFresqueCluster(config, cipher, seed=3)
 
 
-@pytest.mark.parametrize("runtime", ["sync", "threaded", "tcp"])
+@pytest.mark.parametrize("runtime", ["sync", "scheduled", "tcp"])
 class TestSurfaceOnEveryRuntime:
-    """``flush_ingest`` was missing on the threaded and TCP runtimes
+    """``flush_ingest`` was missing on the concurrent runtimes
     while each runtime spelled its own surface; ``crash_node`` of an
     unknown id raised a different error on TCP."""
 
@@ -173,15 +173,15 @@ class TestSurfaceOnEveryRuntime:
     def test_nothing_is_addressed_to_the_dispatcher(
         self, runtime, flu_config
     ):
-        """The dispatcher only sends: it has no handler, and so no inbox
-        thread or listening socket — one per computing node, checking,
-        merger and cloud."""
+        """The dispatcher only sends: it has no handler, and so no FIFO
+        or listening socket — one per computing node, checking, merger
+        and cloud."""
         config = self._config(flu_config)
         expected = ["checking", "cloud", "cn-0", "cn-1", "merger"]
         with _deploy(runtime, config) as system:
             assert sorted(system._handlers) == expected
-            if runtime == "threaded":
-                assert sorted(system._inboxes) == expected
+            if runtime == "scheduled":
+                assert sorted(system._fifos) == expected
             if runtime == "tcp":
                 assert sorted(system._servers) == expected
 

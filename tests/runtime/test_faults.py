@@ -24,6 +24,10 @@ def _fast_retry() -> RetryPolicy:
     return RetryPolicy(max_attempts=5, base_delay=0.01, max_delay=0.05)
 
 
+def _discard(outbox) -> None:
+    """A standalone node's send path: its handler emits nothing."""
+
+
 class _Sink:
     """A minimal frame-collecting server for router tests."""
 
@@ -202,11 +206,10 @@ class TestNodeCrash:
         inbox; with restart=True it comes back on the same port."""
         handled = []
         plan = FaultPlan().crash_node("victim", after_handled=2, restart=True)
-        router = Router({}, retry_policy=_fast_retry())
         node = TcpNode(
             "victim",
             lambda message: handled.append(message) or [],
-            router,
+            _discard,
             fault_plan=plan,
         )
         node.start()
@@ -224,7 +227,6 @@ class TestNodeCrash:
         finally:
             sender.close()
             node.stop()
-            router.close()
         assert node.restarts == 1
         assert not node.crashed
         # Frame #2 triggered the crash and was dropped with the inbox.
@@ -235,8 +237,7 @@ class TestNodeCrash:
 
     def test_crash_without_restart_stays_dead(self):
         plan = FaultPlan().crash_node("victim", after_handled=0)
-        router = Router({})
-        node = TcpNode("victim", lambda m: [], router, fault_plan=plan)
+        node = TcpNode("victim", lambda m: [], _discard, fault_plan=plan)
         node.start()
         sender = Router(
             {"victim": node.port}, retry_policy=_fast_retry()
@@ -258,7 +259,6 @@ class TestNodeCrash:
         finally:
             sender.close()
             node.stop()
-            router.close()
 
 
 class TestSeveredPublication:
@@ -356,37 +356,42 @@ class TestDegradedPublication:
         assert second > 150
 
 
-class TestThreadedFaults:
+class TestScheduledFaults:
     def test_dropped_messages_shrink_the_publication(
         self, flu_config, fast_cipher
     ):
-        """The same plan API plugs into the in-process threaded runtime:
-        dropped pair frames never reach the checking node."""
-        from repro.runtime.cluster import ThreadedFresque
+        """The same plan API plugs into the scheduled runtime: dropped
+        pair frames never reach the checking node, and the publication
+        completes without them."""
+        from repro.runtime.schedule import ScheduledFresque
 
         lines = list(FluSurveyGenerator(seed=86).raw_lines(150))
-        baseline = ThreadedFresque(flu_config, fast_cipher, seed=5)
+        baseline = ScheduledFresque(flu_config, fast_cipher, seed=5)
         with baseline:
             baseline.run_publication(lines)
-        plan = FaultPlan(seed=9).drop_frames("checking", probability=0.2)
-        lossy = ThreadedFresque(
+        # Frame 0 to the checking node announces the publication; every
+        # frame up to the close carries pairs.
+        plan = FaultPlan(seed=9).drop_frames(
+            "checking", at_frames=(10, 20, 30)
+        )
+        lossy = ScheduledFresque(
             flu_config, fast_cipher, seed=5, fault_plan=plan
         )
         with lossy:
             lossy.run_publication(lines)
         assert lossy.checking.pairs_processed < baseline.checking.pairs_processed
-        assert any(e.action == "drop" for e in plan.schedule)
+        assert [e.action for e in plan.schedule] == ["drop"] * 3
 
     def test_delayed_messages_still_drain(self, flu_config, fast_cipher):
-        """Delayed deliveries are counted in-flight up front, so
-        quiescence waits for them instead of finishing early."""
-        from repro.runtime.cluster import ThreadedFresque
+        """A delayed send stalls its sender, then is delivered: the
+        publication drains with every delayed message in it."""
+        from repro.runtime.schedule import ScheduledFresque
 
         lines = list(FluSurveyGenerator(seed=87).raw_lines(60))
         plan = FaultPlan().delay_frames(
             "checking", 0.05, at_frames=(0, 5, 10)
         )
-        runtime = ThreadedFresque(
+        runtime = ScheduledFresque(
             flu_config, fast_cipher, seed=5, fault_plan=plan
         )
         with runtime:

@@ -1,7 +1,7 @@
 """Batch flushing across the runtimes (docs/BATCHING.md).
 
-Covers the background flush poller actually draining a sub-batch-size
-trickle (the stalled delay-flush regression), and the restored
+Covers the TCP cluster's background flush poller actually draining a
+sub-batch-size trickle (the stalled delay-flush regression), and the restored
 dispatcher's seq/ordinal bookkeeping meshing with the checking gate
 after a crash + node death + redispatch.
 """
@@ -17,7 +17,6 @@ import pytest
 from repro.core.dispatcher import Dispatcher
 from repro.core.messages import PairBatch, RawBatch
 from repro.datasets.flu import FluSurveyGenerator
-from repro.runtime.cluster import ThreadedFresque
 from repro.runtime.gate import CheckingGate
 from repro.runtime.poller import (
     MAX_INTERVAL,
@@ -25,12 +24,7 @@ from repro.runtime.poller import (
     FlushPoller,
     poll_interval,
 )
-from repro.telemetry.clock import SimulatedClock
-
-
-class _ManualLoop:
-    def __init__(self):
-        self.now = 0.0
+from repro.runtime.tcp import TcpFresqueCluster
 
 
 def _wait_for(predicate, timeout: float, what: str) -> None:
@@ -68,20 +62,15 @@ class TestTrickleFlushesViaPoller:
     ):
         """The stalled-trickle regression: with nothing else arriving,
         records below the batch size must still flush once the delay
-        bound passes — driven by the background poller, not a close."""
-        loop = _ManualLoop()
+        bound passes — driven by the background poller on the wall
+        clock, not a close."""
         config = dataclasses.replace(
             flu_config, batch_size=64, max_batch_delay=0.05
         )
         generator = FluSurveyGenerator(seed=11)
-        runtime = ThreadedFresque(
-            config, fast_cipher, seed=3, clock=SimulatedClock(loop)
-        )
-        with runtime:
+        with TcpFresqueCluster(config, fast_cipher, seed=3) as runtime:
             for line in generator.raw_lines(3):
                 runtime.ingest(line)
-            assert runtime.dispatcher.pending_batch_records == 3
-            loop.now = 1.0  # past max_batch_delay on the injected clock
             _wait_for(
                 lambda: len(runtime.checking.buffered_pairs()) >= 3,
                 10.0,

@@ -106,6 +106,31 @@ class TestControlGates:
         assert any(isinstance(m, NewPublication) for m in recorder.seen)
         assert gate.pending == 0
 
+    def test_empty_publication_publishes_immediately(self):
+        gate, recorder = _gate()
+        publishing = PublishingMsg(0, last_seq=-1)  # no batches dispatched
+        gate.feed(publishing)
+        assert recorder.seen == [publishing]
+
+    def test_pending_counts_every_gate(self):
+        gate, _ = _gate()
+        gate.feed(_batch(5))
+        gate.feed(PublishingMsg(0, last_seq=5))
+        gate.feed(CnPublishing(0, node_id=0))
+        gate.feed(NewPublication(1, plan=None))
+        assert gate.pending == 4
+
+    def test_node_down_relaxes_the_ack_gate(self):
+        gate, recorder = _gate(num_nodes=3)
+        gate.feed(PublishingMsg(0, last_seq=-1))
+        gate.feed(NewPublication(1, plan=None))
+        gate.feed(CnPublishing(0, node_id=0))
+        down = NodeDown(0, node_id=1)
+        gate.feed(down)
+        assert down in recorder.seen  # passes through immediately
+        gate.feed(CnPublishing(0, node_id=2))
+        assert isinstance(recorder.seen[-1], NewPublication)
+
     def test_node_down_absolves_missing_ack(self):
         gate, recorder = _gate(num_nodes=2)
         publishing = PublishingMsg(0, last_seq=-1)
@@ -117,3 +142,39 @@ class TestControlGates:
         gate.feed(down)
         assert down in recorder.seen  # delivered at once, never held
         assert any(isinstance(m, NewPublication) for m in recorder.seen)
+
+
+class TestBackToBackPublications:
+    def test_announcement_waits_only_for_earlier_publications(self):
+        """Publications closed back to back: ``PublishingMsg(2)`` waits
+        for pairs the computing nodes hold until *done(1)*, and *done(1)*
+        needs ``NewPublication(1)`` delivered — so a later publication's
+        pending broadcast must not hold an earlier announcement back."""
+        gate, recorder = _gate(num_nodes=2)
+
+        def announced():
+            return [
+                m.publication
+                for m in recorder.seen
+                if isinstance(m, NewPublication)
+            ]
+
+        for publication in range(3):  # batch ``p`` is publication p's
+            gate.feed(PublishingMsg(publication, last_seq=publication))
+            gate.feed(NewPublication(publication + 1, plan=None))
+        gate.feed(_batch(0))
+        gate.feed(CnPublishing(0, node_id=0))
+        gate.feed(CnPublishing(0, node_id=1))
+        # Publication 0 finalised: 1 is announced while PublishingMsg(2)
+        # still waits; 2 waits for publication 1's finalisation.
+        assert announced() == [1]
+        gate.feed(_batch(1, publication=1))
+        gate.feed(CnPublishing(1, node_id=0))
+        assert announced() == [1]
+        gate.feed(CnPublishing(1, node_id=1))
+        assert announced() == [1, 2]
+        gate.feed(_batch(2, publication=2))
+        gate.feed(CnPublishing(2, node_id=0))
+        gate.feed(CnPublishing(2, node_id=1))
+        assert announced() == [1, 2, 3]
+        assert gate.pending == 0

@@ -8,6 +8,10 @@ from repro.records.serialize import parse_raw_line
 from repro.runtime.tcp import TcpFresqueCluster
 
 
+def _discard(outbox) -> None:
+    """A standalone node's send path: its handler emits nothing."""
+
+
 @pytest.fixture
 def cluster(flu_config, fast_cipher):
     with TcpFresqueCluster(flu_config, fast_cipher, seed=42) as running:
@@ -258,10 +262,9 @@ class TestNodeLifecycle:
         import threading
         import time
 
-        from repro.runtime.tcp import Router, TcpNode
+        from repro.runtime.tcp import TcpNode
 
-        router = Router({})
-        node = TcpNode("solo", lambda message: [], router)
+        node = TcpNode("solo", lambda message: [], _discard)
         node.start()
         client = socket.create_connection(("127.0.0.1", node.port), 5)
         deadline = time.monotonic() + 5
@@ -278,7 +281,6 @@ class TestNodeLifecycle:
         client.settimeout(5)
         assert client.recv(1) == b""
         client.close()
-        router.close()
         # Idempotent.
         node.stop()
 
@@ -287,10 +289,9 @@ class TestNodeLifecycle:
         import struct
         import time
 
-        from repro.runtime.tcp import Router, TcpNode, TornFrame
+        from repro.runtime.tcp import TcpNode, TornFrame
 
-        router = Router({})
-        node = TcpNode("victim", lambda message: [], router)
+        node = TcpNode("victim", lambda message: [], _discard)
         node.start()
         try:
             client = socket.create_connection(("127.0.0.1", node.port), 5)
@@ -302,7 +303,6 @@ class TestNodeLifecycle:
                 time.sleep(0.01)
         finally:
             node.stop()
-            router.close()
         assert len(node.errors) == 1
         assert isinstance(node.errors[0], TornFrame)
         assert "mid-frame" in str(node.errors[0])
@@ -312,11 +312,10 @@ class TestNodeLifecycle:
         import struct
         import time
 
-        from repro.runtime.tcp import Router, TcpNode
+        from repro.runtime.tcp import TcpNode
         from repro.runtime.wire import WireError
 
-        router = Router({})
-        node = TcpNode("victim", lambda message: [], router)
+        node = TcpNode("victim", lambda message: [], _discard)
         node.start()
         try:
             client = socket.create_connection(("127.0.0.1", node.port), 5)
@@ -327,7 +326,6 @@ class TestNodeLifecycle:
             client.close()
         finally:
             node.stop()
-            router.close()
         assert node.errors and isinstance(node.errors[0], WireError)
 
     def test_repeated_cycles_leak_no_fds_or_threads(

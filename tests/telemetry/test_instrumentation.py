@@ -63,27 +63,17 @@ class TestInstrumentedSystem:
         assert system.telemetry.recorder.spans() == ()
 
 
-class TestInstrumentedThreadedRuntime:
-    def test_runtime_counts_messages_and_depths(self, flu_config, fast_cipher):
-        from repro.runtime.cluster import ThreadedFresque
+class TestInstrumentedScheduledRuntime:
+    def test_every_stage_observed(self, flu_config, fast_cipher):
+        from repro.runtime.schedule import ScheduledFresque
 
         telemetry = Telemetry()
-        with ThreadedFresque(
+        with ScheduledFresque(
             flu_config, fast_cipher, seed=5, telemetry=telemetry
         ) as runtime:
             runtime.run_publication(
                 list(FluSurveyGenerator(seed=6).raw_lines(200))
             )
-        assert telemetry.counter("runtime_messages_total").value > 200
-        # Each node got an inbox-depth gauge; quiescent queues read 0.
-        depth_samples = [
-            sample
-            for sample in telemetry.registry.samples()
-            if sample.name == "inbox_depth"
-        ]
-        # One per computing node, checking, merger and cloud: nothing is
-        # addressed to the dispatcher, so it has no inbox.
-        assert len(depth_samples) == flu_config.num_computing_nodes + 3
         for stage in STAGES:
             assert telemetry.stage_histogram(stage).count > 0, stage
 

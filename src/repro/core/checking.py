@@ -19,6 +19,10 @@ cloud and sends *done* back to the computing nodes.
 
 Because publishing is asynchronous, state is kept per publication: pairs of
 publication ``n + 1`` may arrive while ``n`` is still being finalised.
+
+Messages arrive in the synchronous driver's order (on a concurrent
+runtime the ordering gate restores it), so a pair or a report for a
+publication never announced is a :class:`ProtocolError`.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import add
 
 from repro.core.config import FresqueConfig
 from repro.core.messages import (
+    Admitted,
     AlSnapshot,
     AnnouncePublication,
     BufferFlush,
@@ -84,14 +88,18 @@ def check_bulk(arrays: LeafArrays, leaves, ciphertexts, dummies) -> tuple:
     )
 
 
+class ProtocolError(RuntimeError):
+    """A message the protocol order rules out reached the checking node."""
+
+
 @dataclass
 class _PublicationState:
-    """Per-publication randomer + arrays + boundary bookkeeping."""
+    """Per-publication randomer + arrays + boundary bookkeeping, from
+    the announcement until finalisation."""
 
     randomer: Randomer
     arrays: LeafArrays
     cn_reported: set[int] = field(default_factory=set)
-    closed: bool = False
     #: The dispatcher's own *publishing* notice arrived — needed to
     #: finalise a publication whose only missing reports are dead nodes.
     interval_closed: bool = False
@@ -129,15 +137,11 @@ class CheckingNode(Routed):
         self.config = config
         self._rng = rng if rng is not None else random.Random()
         self._publications: dict[int, _PublicationState] = {}
-        #: Pairs that beat their publication's announcement here, as
-        #: ``(leaves, ciphertexts, dummies)`` columns in arrival order.
-        self._early_pairs: dict[int, tuple[tuple, tuple, bytes]] = {}
-        self._early_cn: dict[int, list[CnPublishing]] = {}
         self._dead_nodes: set[int] = set()
         # Highest finalised publication: a CnPublishing at or below it
         # is a straggler (a dead node's report that lost the race
-        # against the NodeDown finalising its publication), not an
-        # early arrival to buffer.
+        # against the NodeDown finalising its publication); above it,
+        # a publication without state was never announced.
         self._finalised_floor = -1
         self.pairs_processed = 0
         self.dummies_passed = 0
@@ -195,22 +199,22 @@ class CheckingNode(Routed):
             arrays=LeafArrays(message.plan.leaf_noise),
         )
         self._publications[message.publication] = state
-        out: list[tuple[str, object]] = [
+        return [
             ("merger", TemplateMsg(message.publication, message.plan)),
             ("cloud", AnnouncePublication(message.publication)),
         ]
-        # Replay anything that raced ahead of this announcement (possible
-        # where channels are per-sender).  Early batches were buffered
-        # flat, in arrival order, after admission, so only the insert →
-        # check → ToCloudBatch step is left to run.
-        early_pairs = self._early_pairs.pop(message.publication, None)
-        if early_pairs:
-            out.extend(
-                self._buffer_and_check(message.publication, state, *early_pairs)
+
+    def _open_state(self, message) -> _PublicationState | None:
+        """The state of ``message``'s publication; ``None`` if it was
+        finalised already.  A publication above the finalised floor
+        without state was never announced: a :class:`ProtocolError`."""
+        state = self._publications.get(message.publication)
+        if state is None and message.publication > self._finalised_floor:
+            raise ProtocolError(
+                f"{type(message).__name__} for publication "
+                f"{message.publication}, which was never announced"
             )
-        for early in self._early_cn.pop(message.publication, ()):
-            out.extend(self.on_cn_publishing(early))
-        return out
+        return state
 
     def _check_bulk(
         self, publication: int, state: _PublicationState, *columns
@@ -255,13 +259,9 @@ class CheckingNode(Routed):
         leaves as a single :class:`ToCloudBatch`, everything removed as a
         single :class:`RemovedBatch` to the merger.
         """
-        if not state.closed:
-            # (Pairs arriving after the flush — possible only if a
-            # computing node mis-ordered its publishing message — bypass
-            # the buffer.)
-            columns = state.randomer.insert_batch(*columns)
-            if self._tel.enabled:
-                self._occupancy_gauge.set(len(state.randomer))
+        columns = state.randomer.insert_batch(*columns)
+        if self._tel.enabled:
+            self._occupancy_gauge.set(len(state.randomer))
         if not columns[0]:
             return []
         out, *cloud = self._check_bulk(publication, state, *columns)
@@ -270,26 +270,30 @@ class CheckingNode(Routed):
         return out
 
     def on_pair_batch(self, message: PairBatch) -> list[tuple[str, object]]:
-        """Buffer and check the batch (:meth:`_buffer_and_check`) — or
-        hold it, if it beat its publication's announcement here."""
+        """Buffer and check the batch (:meth:`_buffer_and_check`), and
+        tell the dispatcher a stamped batch is admitted (:class:`Admitted`:
+        it stops retaining the batch for a crash re-send)."""
         publication = message.publication
-        arrived = (message.leaves, message.ciphertexts, message.dummies)
         state = self._publications.get(publication)
         if state is None:
-            held = self._early_pairs.get(publication, ((), (), b""))
-            self._early_pairs[publication] = tuple(map(add, held, arrived))
-            return []
-        return self._buffer_and_check(publication, state, *arrived)
+            raise ProtocolError(
+                f"pair batch for publication {publication}, which is not open"
+            )
+        columns = (message.leaves, message.ciphertexts, message.dummies)
+        out = self._buffer_and_check(publication, state, *columns)
+        if message.seq >= 0:
+            out.append(("dispatcher", Admitted(message.seq)))
+        return out
 
     def snapshot(self) -> dict:
         """Snapshot of per-publication progress: JSON-able, but for the
         packed pair columns, which are ``bytes`` (checkpoint sections).
 
         Captures, per open publication, the AL/ALN arrays, the randomer's
-        resident pairs and the boundary bookkeeping, plus the early
-        buffers and the dead set — everything a restarted checking node
-        needs to continue mid-publication without reprocessing the
-        records already released downstream.
+        resident pairs and the boundary bookkeeping, plus the dead set —
+        everything a restarted checking node needs to continue
+        mid-publication without reprocessing the records already
+        released downstream.
         """
         return {
             "publications": {
@@ -298,21 +302,9 @@ class CheckingNode(Routed):
                     "residents": pairs_to_bytes(*state.randomer.columns()),
                     "released": state.randomer.released,
                     "cn_reported": sorted(state.cn_reported),
-                    "closed": state.closed,
                     "interval_closed": state.interval_closed,
                 }
                 for publication, state in self._publications.items()
-            },
-            "early_pairs": {
-                str(publication): pairs_to_bytes(*columns)
-                for publication, columns in self._early_pairs.items()
-            },
-            "early_cn": {
-                str(publication): [
-                    [message.publication, message.node_id]
-                    for message in messages
-                ]
-                for publication, messages in self._early_cn.items()
             },
             "dead_nodes": sorted(self._dead_nodes),
             "finalised_floor": self._finalised_floor,
@@ -336,20 +328,8 @@ class CheckingNode(Routed):
                 randomer=randomer,
                 arrays=LeafArrays.from_state(saved["arrays"]),
                 cn_reported=set(saved["cn_reported"]),
-                closed=saved["closed"],
                 interval_closed=saved["interval_closed"],
             )
-        self._early_pairs = {
-            int(key): pairs_from_bytes(packed)
-            for key, packed in state["early_pairs"].items()
-        }
-        self._early_cn = {
-            int(key): [
-                CnPublishing(publication, node_id)
-                for publication, node_id in messages
-            ]
-            for key, messages in state["early_cn"].items()
-        }
         self._dead_nodes = set(state["dead_nodes"])
         self._finalised_floor = state["finalised_floor"]
         self.pairs_processed = state["pairs_processed"]
@@ -367,8 +347,8 @@ class CheckingNode(Routed):
         mode it marks the interval closed, which (together with the
         dead set) can itself complete the publication.
         """
-        state = self._publications.get(message.publication)
-        if state is None or state.closed:
+        state = self._open_state(message)
+        if state is None:
             return []
         state.interval_closed = True
         if self._complete(state):
@@ -388,17 +368,16 @@ class CheckingNode(Routed):
     def on_cn_publishing(
         self, message: CnPublishing
     ) -> list[tuple[str, object]]:
-        """Track per-node *publishing*; finalise when all nodes reported."""
-        state = self._publications.get(message.publication)
+        """Track per-node *publishing*; finalise when all nodes reported.
+
+        A report for a finalised publication is a straggler: the dead
+        node's NodeDown completed the publication before its report was
+        consumed."""
+        state = self._open_state(message)
         if state is None:
-            if message.publication <= self._finalised_floor:
-                # Straggler: the dead node's NodeDown completed the
-                # publication before its report was consumed.
-                return []
-            self._early_cn.setdefault(message.publication, []).append(message)
             return []
         state.cn_reported.add(message.node_id)
-        if state.closed or not self._complete(state):
+        if not self._complete(state):
             return []
         return self._finalise(message.publication)
 
@@ -412,8 +391,7 @@ class CheckingNode(Routed):
         self._dead_nodes.add(message.node_id)
         out: list[tuple[str, object]] = []
         for publication in sorted(self._publications):
-            state = self._publications[publication]
-            if not state.closed and self._complete(state):
+            if self._complete(self._publications[publication]):
                 out.extend(self._finalise(publication))
         return out
 
@@ -421,7 +399,6 @@ class CheckingNode(Routed):
         """Drain the buffer, ship AL, flush to cloud, release the CNs."""
         start = self._tel.now()
         state = self._publications[publication]
-        state.closed = True
         out, *flushed = self._check_bulk(
             publication, state, *state.randomer.flush()
         )

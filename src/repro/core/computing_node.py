@@ -157,13 +157,6 @@ class ComputingNode(Routed):
             )
         )
 
-    def take_held_batches(self) -> list[PairBatch]:
-        """Empty the hold and return its pair batches — the salvage of
-        a crashed node.  Its *publishing* markers die with it: the
-        :class:`NodeDown` notice stands in for its acknowledgements."""
-        held, self._held = self._held, []
-        return [payload for kind, payload in held if kind == "batch"]
-
     def _ship(self, batch: PairBatch) -> list[tuple[str, object]]:
         """Forward a pair batch, or hold it while waiting for *done*."""
         if self._waiting_done and batch.publication != self._publishing:

@@ -61,14 +61,12 @@ class FresqueConfig:
         the record's pipeline-wide identity (the dispatch ordinal stamped
         on :class:`~repro.core.messages.RawBatch`, or the merger's
         per-publication padding counter) via the cipher's seeded-encrypt
-        API instead of a process-local counter.  The ciphertext stream
-        then no longer depends on which computing node encrypted which
-        record, and the scheduled and TCP runtimes put the ordering gate
-        (:class:`~repro.runtime.gate.CheckingGate`) in front of the
-        checking node — the two properties the scheduled and TCP cells
-        of the conformance matrix rely on for byte identity with the
-        synchronous system (docs/RUNTIMES.md).  Off by default: the
-        runtimes keep the historical counter IVs.
+        API instead of a process-local counter.  The field selects IVs
+        only: the ciphertext stream then no longer depends on which
+        computing node encrypted which record, the property the
+        scheduled and TCP cells of the conformance matrix rely on for
+        byte identity with the synchronous system (docs/RUNTIMES.md).
+        Off by default: the runtimes keep the historical counter IVs.
     """
 
     schema: Schema

@@ -19,8 +19,9 @@ publication interval closes (*close*) — the close flush is what
 guarantees a batch never straddles a publication boundary.
 ``batch_size=1`` degenerates to per-record dispatch through the exact
 same path.  As in the paper there
-is no flow control: a flushed batch leaves at once, and nothing is ever
-addressed back to the dispatcher — it only sends.
+is no flow control: a flushed batch leaves at once.  It is retained
+until the checking node admits it, for a crash re-send (upstream
+backup, docs/PROTOCOL.md).
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from collections import deque
 
 from repro.core.config import FresqueConfig
 from repro.core.messages import (
+    Admitted,
     NewPublication,
     NodeDown,
     PublishingMsg,
     RawBatch,
+    Routed,
 )
 from repro.index.perturb import NoisePlan, draw_noise_plan
 from repro.index.tree import IndexTree
@@ -66,12 +69,11 @@ FLUSH_SIZE, FLUSH_DELAY, FLUSH_CLOSE, FLUSH_MANUAL = (
 )
 
 
-class Dispatcher:
+class Dispatcher(Routed):
     """Round-robin record distribution plus publication lifecycle.
 
-    The collector driver calls these methods directly; unlike the nodes
-    behind it the dispatcher has no address and no route table, because
-    no message is ever sent to it.
+    The collector driver calls these methods directly; the only message
+    routed to the dispatcher is the checking node's :class:`Admitted`.
 
     Parameters
     ----------
@@ -89,6 +91,8 @@ class Dispatcher:
         :class:`~repro.telemetry.clock.SimulatedClock` so delay flushes
         fire without sleeping.
     """
+
+    ROUTES = {Admitted: "on_admitted"}
 
     def __init__(
         self,
@@ -132,6 +136,9 @@ class Dispatcher:
         # re-serialise batches and deterministic IVs can key off them.
         self._seq = 0
         self._batch_ordinal = 0
+        #: seq → (destination, batch) of every shipped batch the checking
+        #: node has not admitted yet, in seq order.
+        self._unadmitted: dict[int, tuple[str, RawBatch]] = {}
         self._batch_histogram = self._tel.histogram(
             "dispatcher_batch_records",
             buckets=(
@@ -264,15 +271,36 @@ class Dispatcher:
         self._dead.add(node_id)
         return [("checking", NodeDown(self._publication, node_id))]
 
+    def resend(self, node_id: int) -> list[RawBatch]:
+        """The batches shipped to ``node_id`` and not yet admitted, in
+        seq order: what its crash may have lost, for :meth:`redispatch`."""
+        destination = f"cn-{node_id}"
+        return [
+            batch
+            for sent_to, batch in self._unadmitted.values()
+            if sent_to == destination
+        ]
+
     def redispatch(self, message: RawBatch) -> list[tuple[str, object]]:
-        """Re-route a batch whose computing node died before reading it.
+        """Re-route a batch whose computing node died, retaining it under
+        its new destination until it is admitted.
 
         The message object is forwarded unchanged — its seq/ordinal
         stamps must survive the reroute (the ordering gate dedups by
         seq, deterministic IVs key off the ordinal).
         """
         self.records_rerouted += len(message.items)
-        return [(self._next_node(), message)]
+        return [self._route(message)]
+
+    def on_admitted(self, message: Admitted) -> list[tuple[str, object]]:
+        """The checking node admitted batch ``seq``: stop retaining it."""
+        self._unadmitted.pop(message.seq, None)
+        return []
+
+    @property
+    def oldest_unadmitted(self) -> int | None:
+        """The lowest seq still retained (``None``: all admitted)."""
+        return next(iter(self._unadmitted), None)
 
     def _next_node(self) -> str:
         """The next live computing node's address, round robin."""
@@ -368,7 +396,13 @@ class Dispatcher:
         )
         self._batch_histogram.observe(float(len(items)))
         self._tel.observe_stage("dispatch", self._publication, start)
-        return self._next_node(), message
+        return self._route(message)
+
+    def _route(self, message: RawBatch) -> tuple[str, RawBatch]:
+        """Route ``message`` round robin, retaining it until admitted."""
+        destination = self._next_node()
+        self._unadmitted[message.seq] = (destination, message)
+        return destination, message
 
     def _flush(self, reason: str) -> list[tuple[str, object]]:
         """Ship the in-flight batch; no-op when empty."""

@@ -12,8 +12,8 @@ layout the wire, the randomer, the checkpoint and the cloud's files
 share.  Removed records and the sealed overflow arrays are columns too.
 
 Destinations are string names: ``"cn-<i>"``, ``"checking"``,
-``"merger"``, ``"cloud"``.  Nothing is addressed to the dispatcher: it
-is the driver's entry point and only ever sends.
+``"merger"``, ``"cloud"`` and ``"dispatcher"``, which receives only
+:class:`Admitted`.
 """
 
 from __future__ import annotations
@@ -175,6 +175,16 @@ class NodeDown:
 
     publication: int
     node_id: int
+
+
+@dataclass(frozen=True)
+class Admitted:
+    """Checking node → dispatcher: the :class:`PairBatch` of dispatch
+    sequence number ``seq`` was admitted, so the dispatcher stops
+    retaining its :class:`RawBatch` for a crash re-send
+    (docs/PROTOCOL.md, "Redispatch")."""
+
+    seq: int
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ tests can assert end-to-end correctness deterministically.  The runtimes
 (scheduled, TCP) subclass it and supply only what differs
 per transport — how one message leaves (:meth:`FresqueSystem._send`),
 how to wait for a publication to drain (:meth:`FresqueSystem.settle`),
-and how a node is spawned, killed and salvaged; the list is "What a
-runtime supplies" in docs/RUNTIMES.md.  The fleet is fixed, as in the
-paper: ``config.num_computing_nodes`` computing nodes, of which a crash
-can only take some away (degraded mode, docs/PROTOCOL.md).
+and how a node is spawned and killed; the list is "What a runtime
+supplies" in docs/RUNTIMES.md.  The fleet is fixed, as in the paper:
+``config.num_computing_nodes`` computing nodes, of which a crash can
+only take some away (degraded mode, docs/PROTOCOL.md).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.core.messages import (
     AnnouncePublication,
     BufferFlush,
     MergedPublication,
-    RawBatch,
     Routed,
     ToCloudBatch,
 )
@@ -265,6 +264,13 @@ class FresqueSystem:
         self._handlers["checking"] = self.checking.handle
         self._handlers["merger"] = self.merger.handle
         self._handlers["cloud"] = self._cloud_adapter.handle
+        self._handlers["dispatcher"] = self._admit
+
+    def _admit(self, message) -> list:
+        """The dispatcher's handler (:class:`Admitted` only), under the
+        driver lock: on TCP it runs on a node thread."""
+        with self._lock:
+            return self.dispatcher.handle(message)
 
     # ------------------------------------------------------------------
     # Sending
@@ -303,7 +309,7 @@ class FresqueSystem:
                 if destination in self._dead or not self._send(
                     destination, message
                 ):
-                    self._degrade(destination, message)
+                    self._degrade(destination)
                     break
 
     def _send(self, destination: str, message) -> bool:
@@ -315,39 +321,27 @@ class FresqueSystem:
         """
         raise NotImplementedError
 
-    def _degrade(self, destination: str, message) -> None:
+    def _degrade(self, destination: str) -> None:
         """The degraded-send rule: ``destination`` is a dead computing
-        node.  It leaves the rotation, records shift to the survivors
-        (shared-nothing makes that safe), and control traffic is
-        dropped — the :class:`NodeDown` notice stands in for the dead
-        node's acknowledgements."""
-        with self._lock:
-            self._node_down(int(destination[3:]))
-            self._redispatch((message,))
-
-    def _redispatch(self, messages) -> None:
-        """Re-route the record-carrying ones among ``messages``, which
-        a dead computing node never processed, to the survivors."""
-        with self._lock:
-            for message in messages:
-                if isinstance(message, RawBatch):
-                    self._send_all(self.dispatcher.redispatch(message))
+        node.  It leaves the rotation, its unadmitted batches are
+        re-sent (:meth:`_node_down`) and control traffic is dropped —
+        the :class:`NodeDown` notice stands in for its acknowledgements."""
+        self._node_down(int(destination[3:]))
 
     def _thread_handlers(self) -> None:
         """Ready the handler table for nodes that run concurrently.
 
-        Under deterministic IVs the checking node is fronted by the
-        ordering gate, which makes the final cloud state byte-identical
-        to the synchronous system's even with crashes interleaving
-        arrivals (docs/PROTOCOL.md).
+        The checking node is fronted by the ordering gate, which
+        restores the synchronous delivery order — the cloud state is
+        then the synchronous system's, crashes included — and drops the
+        twin of a re-sent batch (docs/PROTOCOL.md).
         """
         from repro.runtime.gate import CheckingGate
 
-        if self.config.deterministic_ivs:
-            self._checking_gate = CheckingGate(
-                self.checking.handle, self.config.num_computing_nodes
-            )
-            self._handlers["checking"] = self._checking_gate.feed
+        self._checking_gate = CheckingGate(
+            self.checking.handle, self.config.num_computing_nodes
+        )
+        self._handlers["checking"] = self._checking_gate.feed
 
     # ------------------------------------------------------------------
     # Transport seams (no-ops in process)
@@ -372,12 +366,6 @@ class FresqueSystem:
         and degrade around it (:meth:`_node_down`) — at once here; a
         runtime may leave that step to its supervision."""
         self._node_down(node_id)
-
-    def _salvage(self, node_id: int):
-        """The messages a dead computing node left unread.  Called once
-        it is out of the rotation; the driver redispatches the records
-        among them after the :class:`NodeDown` notice."""
-        return ()
 
     def shutdown(self) -> None:
         """Stop everything :meth:`_spawn` started."""
@@ -536,11 +524,11 @@ class FresqueSystem:
         """Crash a computing node and degrade around it.
 
         The dispatcher takes it out of rotation, the checking node hears
-        :class:`NodeDown` and stops waiting for its reports, and what it
-        left unread is redispatched to the survivors.  (The synchronous
-        driver pumps to quiescence between ingests, so it has no backlog
-        to lose.)  An id outside the fleet is a ``ValueError`` on every
-        runtime, raised before anything is killed.
+        :class:`NodeDown` and stops waiting for its reports, and the
+        batches shipped to it and not yet admitted are re-sent to the
+        survivors (:meth:`_node_down`).  An id outside the fleet is a
+        ``ValueError`` on every runtime, raised before anything is
+        killed.
         """
         if not 0 <= node_id < self.config.num_computing_nodes:
             raise ValueError(f"unknown computing node {node_id}")
@@ -551,27 +539,21 @@ class FresqueSystem:
 
         Ordering matters: the node leaves the rotation *first* (so
         redispatch never routes back to it), and the checking node hears
-        :class:`NodeDown` *before* the redispatched backlog.  Messages
-        are redispatched as the same objects — never re-stamped — so
-        their seq/ordinal/IV stamps survive and a crash stays
-        byte-invisible.
-
-        Pairs the node already produced but held while awaiting *done*
-        go to the checking node ahead of the notice (which may finalise
-        their publication): their source batches were consumed, so
-        redispatch can no longer recreate them.  This reads the dead
-        node's in-process state (docs/PROTOCOL.md).
+        :class:`NodeDown` *before* the re-sent batches: every batch
+        shipped to the node and not yet admitted, in seq order, as the
+        same objects — so their seq/ordinal/IV stamps survive, the
+        ordering gate drops whichever twin comes second, and a crash
+        stays byte-invisible.  Nothing of the dead node is read
+        (docs/PROTOCOL.md, "Redispatch").
         """
         with self._lock:
             notice = self.dispatcher.mark_node_down(node_id)
             if not notice:
                 return
             self._dead.add(f"cn-{node_id}")
-            backlog = self._salvage(node_id)
-            held = self.computing_nodes[node_id].take_held_batches()
-            self._send_all([("checking", batch) for batch in held])
             self._send_all(notice)
-            self._redispatch(backlog)
+            for batch in self.dispatcher.resend(node_id):
+                self._send_all(self.dispatcher.redispatch(batch))
 
     # ------------------------------------------------------------------
     # Queries

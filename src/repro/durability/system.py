@@ -249,8 +249,11 @@ class DurableFresqueSystem(FresqueSystem):
         Called only at quiescent points (the pump loop has drained), so
         the snapshot is a consistent cut: every journalled record with
         ``seq <= watermark`` is fully reflected in it, every later one
-        not at all.
+        not at all — and every shipped batch is admitted, so none is
+        retained for a crash re-send; one that is raises.
         """
+        if (oldest := self.dispatcher.oldest_unadmitted) is not None:
+            raise RuntimeError(f"not a quiescent cut: seq {oldest} unadmitted")
         pairs_sent = {
             str(pub): self.cloud.pair_count(pub)
             for pub in self._open_publications

@@ -6,9 +6,11 @@ re-serialises them by the dispatcher's global batch sequence number and
 holds *publishing* / *CN-publishing* control messages until their gates
 clear — after which the checking node observes exactly the synchronous
 runtime's delivery order (the byte-identity property the equivalence
-harness pins).  The scheduled and TCP runtimes both wrap their checking
-handler in one of these when deterministic IVs are on.  Its seq rule is
-also what makes a crash redispatch exactly-once (docs/PROTOCOL.md).
+harness pins).  The scheduled and TCP runtimes always wrap their
+checking handler in one, whatever ``config.deterministic_ivs`` says.
+Its seq rule is also what makes a crash re-send exactly-once: the twin
+of a re-sent batch is dropped here, so the cloud never receives a
+record twice (docs/PROTOCOL.md).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ class CheckingGate:
 
     1. **PairBatch reorder**: batches are delivered strictly in the
        dispatcher's global ``seq`` order.  A batch with ``seq`` below
-       the next expected — or equal to one already buffered — is a
-       crash-redispatch duplicate and is dropped (counted in
+       the next expected — or equal to one already buffered — is the
+       twin of a crash re-send and is dropped (counted in
        :attr:`duplicates`).
     2. **Publishing gate**: a :class:`PublishingMsg` waits until every
        batch with ``seq <= last_seq`` has been delivered.

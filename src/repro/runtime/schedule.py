@@ -13,7 +13,9 @@ each run compared with the synchronous driver at the same seed.
 Per destination, delivery is FIFO, as with one inbox per node.  Across
 destinations, everything is permuted; so are the degrade steps of
 crashed computing nodes, which run where the schedule puts them, as a
-supervisor noticing a dead peer would.
+supervisor noticing a dead peer would.  A crash stops the node: its FIFO
+is discarded, and what is sent to it before the degrade step is lost,
+for the dispatcher to re-send.
 """
 
 from __future__ import annotations
@@ -82,9 +84,10 @@ class ScheduledFresque(FresqueSystem):
         self._thread_handlers()
 
     def _send(self, destination: str, message) -> bool:
-        # A crashed node's FIFO keeps filling until its degrade step
-        # salvages it, like frames queued at a peer that just died.
-        self._fifos[destination].append(message)
+        # Until its degrade step, a crashed node silently loses what it
+        # is sent, like a peer that just died.
+        if destination not in self._stopped:
+            self._fifos[destination].append(message)
         return True
 
     def _send_all(self, outbox) -> None:
@@ -143,7 +146,7 @@ class ScheduledFresque(FresqueSystem):
             raise ScheduleStall(self._stall_report(publication))
 
     def _stall_report(self, publication: int) -> str:
-        gate = getattr(self, "_checking_gate", None)
+        gate = self._checking_gate
         waiting = {
             f"cn-{i}": node.held_pairs
             for i, node in enumerate(self.computing_nodes)
@@ -152,7 +155,9 @@ class ScheduledFresque(FresqueSystem):
         return (
             f"publication {publication} unmatched with every queue empty "
             f"(pace {self.pace:.3f}): the checking gate holds "
-            f"{gate.pending if gate else 0} messages; nodes awaiting done "
+            f"{gate.pending} messages and awaits seq {gate.next_seq}; the "
+            f"dispatcher's oldest unadmitted seq is "
+            f"{self.dispatcher.oldest_unadmitted}; nodes awaiting done "
             f"with their held pairs: {waiting}; dead: {sorted(self._dead)}"
         )
 
@@ -161,13 +166,9 @@ class ScheduledFresque(FresqueSystem):
     # ------------------------------------------------------------------
 
     def _kill_node(self, node_id: int) -> None:
-        """Stop stepping the node at once; its degrade step is queued
-        for the schedule to place."""
-        self._stopped.add(f"cn-{node_id}")
+        """Stop the node at once, discarding its FIFO; its degrade step
+        is queued for the schedule to place."""
+        name = f"cn-{node_id}"
+        self._stopped.add(name)
+        self._fifos[name].clear()
         self._downs.append(node_id)
-
-    def _salvage(self, node_id: int):
-        fifo = self._fifos[f"cn-{node_id}"]
-        backlog = list(fifo)
-        fifo.clear()
-        return backlog

@@ -21,11 +21,11 @@ The runtime survives transient transport faults instead of timing out:
   tracks accepted connections so shutdown closes every fd, and reports
   :meth:`TcpNode.health`;
 * :class:`TcpFresqueCluster` degrades around a dead computing node —
-  the dispatcher reroutes its share of the stream to the survivors
-  (shared-nothing makes that safe) and a :class:`NodeDown` notice lets
-  the checking node finalise without the dead node's report; a missed
-  deadline raises :class:`ClusterTimeout` carrying a per-node health
-  report instead of a bare ``TimeoutError``.
+  the dispatcher re-sends the batches the checking node has not
+  admitted to the survivors (shared-nothing makes that safe) and a
+  :class:`NodeDown` notice lets the checking node finalise without the
+  dead node's report; a missed deadline raises :class:`ClusterTimeout`
+  carrying a per-node health report instead of a bare ``TimeoutError``.
 
 Faults themselves can be injected deterministically through
 :class:`repro.runtime.faults.FaultPlan`.
@@ -142,11 +142,7 @@ class Router:
         self.reconnects = 0
         #: Failed attempts that were retried (evict + backoff + redial).
         self.retries = 0
-        #: Destination → frames successfully transmitted.  The driver's
-        #: crash injection uses this to wait until the victim has
-        #: accounted for every frame addressed to it (inboxed or
-        #: handled) before cutting it down — a frame still in the
-        #: victim's kernel buffer would otherwise vanish untracked.
+        #: Destination → frames successfully transmitted.
         self.sent_to: dict[str, int] = {}
         tel = coalesce(telemetry)
         self._sent_bytes = tel.counter("tcp_sent_bytes_total")
@@ -331,7 +327,8 @@ class TcpNode:
         self._closing = False
         self.crashed = False
         self.restarts = 0
-        self.dropped_frames: list[bytes] = []
+        #: Frames a crash discarded from the inbox, unread.
+        self.dropped_frames = 0
         self.errors: list[BaseException] = []
         self._lock = threading.Lock()
         self._handled = 0
@@ -383,8 +380,12 @@ class TcpNode:
             with self._lock:
                 registered = self._running
                 if registered:
+                    # Started under the lock: a crash or stop that
+                    # copies the reader list must never join a reader
+                    # that has not started.
                     self._connections.append(connection)
                     self._readers.append(reader)
+                    reader.start()
             if not registered:
                 # stop() raced us; it already closed everything it knew
                 # about, so this late connection is ours to close.
@@ -393,7 +394,6 @@ class TcpNode:
                 except OSError:
                     pass
                 return
-            reader.start()
 
     def _read_loop(self, connection: socket.socket) -> None:
         buffer = bytearray()
@@ -457,10 +457,11 @@ class TcpNode:
         """Fault injection: die like a crashed machine.
 
         Closes the server and every accepted connection (peers see the
-        node go away), drops the pending frame and the rest of the
-        inbox, and either stays dead or — with ``restart`` — rebinds the
-        same port with a fresh acceptor and an empty inbox.  Returns
-        whether the node restarted.
+        node go away), discards the pending frame and the rest of the
+        inbox unread (counting them in :attr:`dropped_frames`), and
+        either stays dead or — with ``restart`` — rebinds the same port
+        with a fresh acceptor and an empty inbox.  Returns whether the
+        node restarted.
         """
         with self._lock:
             self.crashed = True
@@ -475,16 +476,15 @@ class TcpNode:
             self._shutdown_socket(connection)
         for reader in readers:
             reader.join(timeout=2)
-        dropped = [] if pending_frame is None else [pending_frame]
+        dropped = pending_frame is not None
         while True:
             try:
                 item = self._inbox.get_nowait()
             except queue.Empty:
                 break
-            if item is not _STOP:
-                dropped.append(item)
+            dropped += item is not _STOP
         with self._lock:
-            self.dropped_frames = self.dropped_frames + dropped
+            self.dropped_frames += dropped
         if not restart:
             return False
         self._rebind()
@@ -493,8 +493,7 @@ class TcpNode:
     def crash(self) -> None:
         """Driver-side crash injection: same effect as a fault-plan
         crash, enacted from outside the worker thread.  Returns once
-        the worker has stopped, so the driver may read the dead node's
-        state."""
+        the worker has stopped."""
         self._enact_crash(None, restart=False)
         self._inbox.put(_STOP)
         if self._worker is not None:
@@ -537,25 +536,12 @@ class TcpNode:
         """Frames queued but not yet handled."""
         return self._inbox.qsize()
 
-    def dropped_messages(self) -> list:
-        """Decoded messages lost to an injected crash (for accounting)."""
-        with self._lock:
-            frames = list(self.dropped_frames)
-        return [decode_message(frame)[1] for frame in frames]
-
-    def take_dropped_messages(self) -> list:
-        """Decoded messages lost to a crash, clearing the ledger — the
-        caller owns their recovery (crash_node redispatches batches)."""
-        with self._lock:
-            frames, self.dropped_frames = self.dropped_frames, []
-        return [decode_message(frame)[1] for frame in frames]
-
     def health(self) -> dict:
         """Heartbeat snapshot for supervision and timeout reports."""
         with self._lock:
             handled = self._handled
             last_seen = self._last_seen
-            dropped = len(self.dropped_frames)
+            dropped = self.dropped_frames
         worker = self._worker
         return {
             "name": self.name,
@@ -594,9 +580,10 @@ class ClusterTimeout(TimeoutError):
     """A publication missed its deadline.
 
     Carries :attr:`health_report` (per-node heartbeat snapshots, router
-    retry/reconnect totals and the degraded-mode dead set) and renders
-    it in the message, so the failure is diagnosable instead of a bare
-    ``TimeoutError``.
+    retry/reconnect totals, the degraded-mode dead set, the seq the
+    checking gate awaits and the dispatcher's oldest unadmitted seq) and
+    renders it in the message, so the failure is diagnosable instead of
+    a bare ``TimeoutError``.
     """
 
     def __init__(self, publication: int, timeout: float, report: dict):
@@ -620,6 +607,11 @@ class ClusterTimeout(TimeoutError):
         dead = report.get("dead_nodes")
         if dead:
             lines.append(f"  degraded around dead nodes: {sorted(dead)}")
+        if "next_seq" in report:
+            lines.append(
+                "  gate awaits seq {next_seq}; oldest unadmitted seq "
+                "{oldest_unadmitted}".format(**report)
+            )
         super().__init__("\n".join(lines))
 
 
@@ -716,28 +708,12 @@ class TcpFresqueCluster(FresqueSystem):
     # ------------------------------------------------------------------
 
     def _kill_node(self, node_id: int) -> None:
+        """Crash-stop the node, then degrade around it: whatever it held
+        or had not read is lost, and the dispatcher re-sends it."""
         name = f"cn-{node_id}"
-        server = self._servers[name]
-        # Enactment barrier: every frame transmitted to the victim must
-        # be accounted for (inboxed or handled) before the cut — a frame
-        # still in its kernel receive buffer would vanish *untracked*,
-        # invisible to both the dropped-frame ledger and redispatch.
-        deadline = WALL_CLOCK.now() + 5.0
-        while WALL_CLOCK.now() < deadline:
-            sent = self.router.sent_to.get(name, 0)
-            if server.handled + server.pending >= sent:
-                break
-            time.sleep(0.001)
-        # Under the lock, a node thread that finds the victim gone waits
-        # in the degraded path until the victim's worker has stopped.
-        with self._lock:
-            server.crash()
-            self.router.evict(name)
-            self._node_down(node_id)
-
-    def _salvage(self, node_id: int):
-        """The frames a crash trapped in the dead node's inbox."""
-        return self._servers[f"cn-{node_id}"].take_dropped_messages()
+        self._servers[name].crash()
+        self.router.evict(name)
+        self._node_down(node_id)
 
     # ------------------------------------------------------------------
     # Settling and supervision
@@ -820,7 +796,9 @@ class TcpFresqueCluster(FresqueSystem):
 
     def health_report(self) -> dict:
         """Diagnosable cluster snapshot: per-node heartbeats, router
-        retry/reconnect totals, and the degraded-mode dead set."""
+        retry/reconnect totals, the degraded-mode dead set, and the seq
+        the gate awaits beside the oldest unadmitted one (equal when the
+        gate waits on a lost batch)."""
         return {
             "nodes": [server.health() for server in self._servers.values()],
             "router": {
@@ -828,6 +806,8 @@ class TcpFresqueCluster(FresqueSystem):
                 "reconnects": self.router.reconnects,
             },
             "dead_nodes": sorted(self._dead),
+            "next_seq": self._checking_gate.next_seq,
+            "oldest_unadmitted": self.dispatcher.oldest_unadmitted,
         }
 
     def run_publication(self, lines: list[str], timeout: float = 60.0) -> int:

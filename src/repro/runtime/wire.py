@@ -25,6 +25,7 @@ import struct
 from itertools import groupby
 
 from repro.core.messages import (
+    Admitted,
     AlSnapshot,
     AnnouncePublication,
     BufferFlush,
@@ -103,6 +104,7 @@ _ENCODERS = {
     NodeDown: lambda m: {"pub": m.publication, "node": m.node_id},
     AlSnapshot: lambda m: {"pub": m.publication, "al": list(m.al)},
     DoneMsg: lambda m: {"pub": m.publication},
+    Admitted: lambda m: {"seq": m.seq},
 }
 
 _DECODERS = {
@@ -114,6 +116,7 @@ _DECODERS = {
     "NodeDown": lambda p: NodeDown(p["pub"], p["node"]),
     "AlSnapshot": lambda p: AlSnapshot(p["pub"], tuple(p["al"])),
     "DoneMsg": lambda p: DoneMsg(p["pub"]),
+    "Admitted": lambda p: Admitted(p["seq"]),
 }
 
 

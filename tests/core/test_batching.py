@@ -10,8 +10,7 @@ of as a fingerprint mismatch in the integration harness:
 * the randomer processes a :class:`PairBatch` exactly as a scalar model
   over ``Randomer.insert`` + ``LeafArrays.check_and_update`` processes
   the same pairs one at a time (same eviction draws, same released
-  stream, same residue) — however the pairs are cut into batches, and
-  also when a batch beats its publication's announcement;
+  stream, same residue) — however the pairs are cut into batches;
 * the *delay* flush fires from the injected clock — no wall-clock sleeps
   in the pipeline or in this test.
 """
@@ -23,10 +22,9 @@ import random
 
 import pytest
 
-from repro.core.checking import CheckingNode
+from repro.core.checking import CheckingNode, ProtocolError
 from repro.core.dispatcher import Dispatcher
 from repro.core.messages import (
-    AnnouncePublication,
     NewPublication,
     PublishingMsg,
     RawBatch,
@@ -239,36 +237,13 @@ class TestRandomerBatchOrdering:
         assert batched.dummies_passed == dummies
         assert batched.records_removed == len(merger)
 
-    def test_early_batch_replays_as_one_batch(self, flu_config):
-        """A batch that beats its NewPublication (per-sender channels)
-        is held, then takes the same path as one delivered in order: the
-        same stream, state and counters, one cloud-bound message, and
-        nothing emitted while it is held."""
+    def test_an_unannounced_batch_raises(self, flu_config):
+        """Delivery order is the synchronous driver's (the ordering gate
+        restores it on concurrent runtimes), so a batch that beats its
+        NewPublication is a protocol error, not an arrival to hold."""
         config = _small_buffer(flu_config, delta_prime=0.5)
-        plan = _plan(config)
         batch = pair_batch(0, _pairs(config, 25))
-
-        in_order = CheckingNode(config, rng=random.Random(9))
-        expected = in_order.on_new_publication(NewPublication(0, plan))
-        expected += in_order.on_pair_batch(batch)
-        cloud, merger = _released(expected)
-        assert len(cloud) + len(merger) >= 2
-
-        early = CheckingNode(config, rng=random.Random(9))
-        held = early.on_pair_batch(batch)
-        assert held == []
-        replayed = early.on_new_publication(NewPublication(0, plan))
-
-        cloud_data = [
-            message
-            for destination, message in replayed
-            if destination == "cloud"
-            and not isinstance(message, AnnouncePublication)
-        ]
-        assert len(cloud_data) <= 1
-        assert _released(replayed) == (cloud, merger)
-        assert {d for d, _ in replayed} <= {"merger", "cloud"}
-        assert early.buffered_pairs() == in_order.buffered_pairs()
-        assert early.pairs_processed == in_order.pairs_processed
-        assert early.dummies_passed == in_order.dummies_passed
-        assert early.records_removed == in_order.records_removed
+        checking = CheckingNode(config, rng=random.Random(9))
+        with pytest.raises(ProtocolError, match="publication 0"):
+            checking.on_pair_batch(batch)
+        assert checking.pairs_processed == 0

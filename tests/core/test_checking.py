@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.checking import CheckingNode
+from repro.core.checking import CheckingNode, ProtocolError
 from repro.core.merger import Merger
 from repro.core.messages import (
+    Admitted,
     AlSnapshot,
     AnnouncePublication,
     BufferFlush,
@@ -78,11 +79,34 @@ class TestPairFlow:
         out = _deliver(checking, _pair(0))
         assert out == []  # absorbed by the randomer
 
-    def test_early_pair_replayed_on_announcement(self, checking, plan):
-        # On a concurrent runtime a pair can race the NewPublication.
-        assert _deliver(checking, _pair(0)) == []
+    def test_pair_for_an_unannounced_publication_raises(
+        self, checking, flu_config, plan
+    ):
+        """Arrival order is the synchronous driver's — the ordering gate
+        restores it on concurrent runtimes — so a pair or a report for a
+        publication never announced is a protocol error, not an early
+        arrival to hold; a report for a finalised one is a straggler."""
+        with pytest.raises(ProtocolError, match="publication 0"):
+            _deliver(checking, _pair(0))
+        with pytest.raises(ProtocolError, match="never announced"):
+            checking.on_cn_publishing(CnPublishing(0, 0))
         checking.on_new_publication(NewPublication(0, plan))
-        assert len(checking.state_of(0).randomer) == 1
+        _finalise(checking, flu_config)
+        assert checking.on_cn_publishing(CnPublishing(0, 0)) == []
+        with pytest.raises(ProtocolError, match="not open"):
+            _deliver(checking, _pair(0))
+        with pytest.raises(ProtocolError, match="never announced"):
+            checking.on_cn_publishing(CnPublishing(1, 0))
+
+    def test_a_stamped_batch_is_admitted_to_the_dispatcher(
+        self, checking, plan
+    ):
+        """Admission answers the dispatcher, which stops retaining the
+        batch; an unstamped batch (seq -1) was never retained."""
+        checking.on_new_publication(NewPublication(0, plan))
+        out = checking.on_pair_batch(pair_batch(0, (_pair(0),), seq=4))
+        assert out == [("dispatcher", Admitted(4))]
+        assert _deliver(checking, _pair(0)) == []
 
     def test_eviction_routes_real_record(self, checking, flu_config, plan):
         small = CheckingNode(flu_config, rng=random.Random(9))
@@ -270,7 +294,7 @@ class TestDegradedMode:
         assert checking.on_node_down(self._node_down(0, 0)) == []
         assert checking.on_node_down(self._node_down(0, 1)) == []
         assert checking.on_node_down(self._node_down(0, 2)) == []
-        assert not checking.state_of(0).closed
+        assert checking.state_of(0) is not None  # still open
         out = checking.on_publishing(PublishingMsg(0))
         assert any(isinstance(m, BufferFlush) for _, m in out)
 
@@ -298,8 +322,8 @@ class TestSnapshotFixedPoint:
     ):
         """``snapshot() → restore() → snapshot()`` is a fixed point, through
         the bytes a checkpoint file is, with everything a checkpoint can hold
-        present: randomer residents (dummies among them), pairs that beat
-        their announcement, and removed records at the merger."""
+        present: randomer residents (dummies among them) and removed
+        records at the merger."""
         config = replace(flu_config, delta_prime=0.6)  # a 160-pair randomer
         checking = CheckingNode(config, rng=random.Random(9))
         merger = Merger(config, fast_cipher, rng=random.Random(10))
@@ -313,16 +337,13 @@ class TestSnapshotFixedPoint:
             for index in range(400)
         ]
         out = checking.on_new_publication(NewPublication(0, plan))
-        for start in range(0, 300, 64):
+        for start in range(0, len(pairs), 64):
             out += checking.on_pair_batch(pair_batch(0, pairs[start : start + 64]))
-        checking.on_pair_batch(pair_batch(1, pairs[300:350]))
-        checking.on_pair_batch(pair_batch(1, pairs[350:]))
         for destination, message in out:
             if destination == "merger":
                 merger.handle(message)
         assert len(checking.state_of(0).randomer) == 160
         assert sum(checking.state_of(0).randomer.columns()[2])  # dummies
-        assert len(checking._early_pairs[1][0]) == 100
         assert merger.pending_removed()
 
         restored = CheckingNode(config, rng=random.Random(1))
@@ -334,4 +355,3 @@ class TestSnapshotFixedPoint:
             fresh.restore(decode_checkpoint(document)["state"])
             assert encode_checkpoint({"format": FORMAT, "state": fresh.snapshot()}) == document
         assert restored.buffered_pairs() == checking.buffered_pairs()
-        assert restored._early_pairs == checking._early_pairs

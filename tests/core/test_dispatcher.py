@@ -8,7 +8,13 @@ import pytest
 
 from repro.core.config import ConfigError
 from repro.core.dispatcher import Dispatcher
-from repro.core.messages import NewPublication, NodeDown, PublishingMsg, RawBatch
+from repro.core.messages import (
+    Admitted,
+    NewPublication,
+    NodeDown,
+    PublishingMsg,
+    RawBatch,
+)
 from repro.durability.checkpoint import (
     FORMAT,
     decode_checkpoint,
@@ -226,6 +232,70 @@ class TestDegradedMode:
         assert restored.dead_nodes == {1}
         for i in range(6):
             assert restored.on_raw(f"m{i}") == dispatcher.on_raw(f"m{i}")
+
+
+class TestUpstreamBackup:
+    """The dispatcher retains every shipped batch until the checking
+    node admits its seq, and a dead node's unadmitted batches are what
+    it re-sends (docs/PROTOCOL.md, "Redispatch")."""
+
+    def _shipped(self, dispatcher, count):
+        dispatcher.start_publication()
+        return [
+            dispatcher.on_raw(f"line-{i}")[0] for i in range(count)
+        ]
+
+    def test_ship_retains(self, dispatcher):
+        assert dispatcher.oldest_unadmitted is None
+        shipped = self._shipped(dispatcher, 6)
+        assert [batch.seq for _, batch in shipped] == list(range(6))
+        assert dispatcher.oldest_unadmitted == 0
+        for node_id in range(3):
+            assert dispatcher.resend(node_id) == [
+                batch
+                for destination, batch in shipped
+                if destination == f"cn-{node_id}"
+            ]
+
+    def test_admitted_frees_exactly_its_seq(self, dispatcher):
+        shipped = self._shipped(dispatcher, 6)
+        assert dispatcher.handle(Admitted(0)) == []
+        assert dispatcher.oldest_unadmitted == 1
+        dispatcher.handle(Admitted(3))  # cn-0's second batch
+        assert dispatcher.resend(0) == []
+        assert dispatcher.resend(1) == [shipped[1][1], shipped[4][1]]
+        assert dispatcher.resend(2) == [shipped[2][1], shipped[5][1]]
+        for seq in (1, 2, 4, 5):
+            dispatcher.handle(Admitted(seq))
+        assert dispatcher.oldest_unadmitted is None
+
+    def test_resend_returns_the_dead_nodes_unadmitted_batches(
+        self, dispatcher
+    ):
+        """In seq order, as the same objects, and only the dead node's."""
+        shipped = self._shipped(dispatcher, 9)
+        dispatcher.handle(Admitted(4))  # cn-1's second batch
+        dispatcher.mark_node_down(1)
+        resent = dispatcher.resend(1)
+        assert [batch.seq for batch in resent] == [1, 7]
+        assert resent[0] is shipped[1][1] and resent[1] is shipped[7][1]
+        assert dispatcher.resend(1) == resent  # retained until admitted
+
+    def test_a_batch_resent_to_a_node_that_dies_is_resent_again(
+        self, dispatcher
+    ):
+        (_, zero), (_, one), (_, two) = self._shipped(dispatcher, 3)
+        dispatcher.mark_node_down(0)
+        assert dispatcher.redispatch(zero) == [("cn-1", zero)]
+        assert dispatcher.resend(0) == []
+        assert dispatcher.resend(1) == [zero, one]  # seq order
+        dispatcher.mark_node_down(1)
+        assert [
+            dispatcher.redispatch(batch)[0] for batch in dispatcher.resend(1)
+        ] == [("cn-2", zero), ("cn-2", one)]
+        dispatcher.handle(Admitted(0))
+        assert dispatcher.resend(2) == [one, two]
+        assert dispatcher.records_rerouted == 3
 
 
 class TestDummyScheduleComplexity:

@@ -108,7 +108,7 @@ _STATE = {
     "pairs_sent": {"3": 17},
     "checking": {
         "publications": {"3": {"residents": b"\x00\x01\xff" * 50}},
-        "early_pairs": {"4": b""},
+        "empty_column": {"4": b""},
     },
     "dispatcher": {"fractions": b"\x7f" * 8, "values": b"\x00" * 16,
                    "dead": [1]},

@@ -556,6 +556,30 @@ class TestDurableStoreIntegration:
         assert records == receipt.records_matched
 
 
+class TestCheckpointIsAQuiescentCut:
+    def test_a_retained_batch_refuses_the_checkpoint(
+        self, flu_config, fast_cipher, tmp_path, lines
+    ):
+        """At a quiescent point every shipped batch is admitted, so no
+        checkpoint field holds retained batches; a batch still retained
+        means the cut is not quiescent, and the checkpoint raises
+        instead of saving a state that silently lost it."""
+        system = DurableFresqueSystem(
+            flu_config, fast_cipher, tmp_path, seed=101, checkpoint_every=0
+        )
+        system.start()
+        system.ingest_batch(lines[:50])
+        system.checkpoint()
+        saved = system.checkpoints.latest()
+        # Shipped, never delivered: as if the batch were still in flight.
+        dispatcher = system.dispatcher
+        (_, batch), = dispatcher.on_raw(lines[50]) + dispatcher.flush_batch()
+        with pytest.raises(RuntimeError, match=f"seq {batch.seq} unadmitted"):
+            system.checkpoint()
+        assert system.checkpoints.latest() == saved
+        system.close()
+
+
 class TestRecoveryTelemetry:
     def test_counters_and_histogram(
         self, flu_config, fast_cipher, tmp_path, lines

@@ -1,8 +1,9 @@
 """Degraded mode: a crash mid-publication leaves the cloud unchanged.
 
 A computing node dies mid-publication; the survivors absorb its share of
-the stream, and on the scheduled and TCP runtimes its unread backlog is
-redispatched to them.  The degraded run's cloud state must stay
+the stream, and on the scheduled and TCP runtimes the dispatcher re-sends
+them the batches it shipped to the dead node that the checking node has
+not admitted.  The degraded run's cloud state must stay
 byte-identical to a healthy baseline, because neither batching nor the
 crash may perturb record bytes (docs/PROTOCOL.md).  The baseline runs at
 batch 8; every crashed run, at batch 1, 4 or 8, must match it.
@@ -85,8 +86,9 @@ class TestDegradedMatchesBaseline:
         system = FresqueSystem(_config(batch_size), _cipher(), seed=_SEED)
         system.start()
         _run_with_crash(system, publications)
-        # Synchronous processing leaves no backlog to reroute; the crash
-        # only shrinks the rotation.  Equivalence is the whole claim.
+        # Synchronous processing admits every shipped batch between
+        # calls, so nothing is re-sent; the crash only shrinks the
+        # rotation.  Equivalence is the whole claim.
         assert system.dispatcher.records_rerouted == 0
         assert cloud_state_fingerprint(system) == baseline
 
@@ -100,8 +102,8 @@ class TestDegradedMatchesBaseline:
             _run_with_crash(runtime, publications)
             state = cloud_state_fingerprint(runtime)
             rerouted = runtime.dispatcher.records_rerouted
-        # The crash actually rerouted backlog: the batches queued for the
-        # victim before its degrade step ran.
+        # The crash actually re-sent batches: those shipped to the victim
+        # and not admitted before its degrade step ran.
         assert rerouted > 0
         assert state == baseline
 

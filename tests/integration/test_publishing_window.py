@@ -5,7 +5,10 @@ wait for the checking node's *done* of ``n`` (Section 5.3), so
 publications overlap.  Three 120-line publications are closed back to
 back without waiting, then settled once; with or without computing node
 1 crashing at line 40 of publication 1, the cloud must end up
-byte-identical to the synchronous driver's at the same seed.
+byte-identical to the synchronous driver's at the same seed.  The
+crash is a crash-stop: nothing the victim received or held is read back,
+and the dispatcher re-sends every batch it shipped there that the
+checking node has not admitted.
 
 The scheduled runtime replays one interleaving per seed, so a seed
 sweep covers interleavings that threads reach only rarely.  Tier-1
@@ -45,7 +48,7 @@ TIER1_SEEDS = tuple(range(8))
 #: Seeds whose schedules stalled before two fixes, as ``(seed, crash)``:
 #: seed 30 on the checking gate holding ``NewPublication(n + 1)`` behind
 #: ``PublishingMsg(n + 2)``; seed 12 (with the crash) on a computing
-#: node keeping a redispatched batch of the publication it re-armed for
+#: node keeping a re-sent batch of the publication it re-armed for
 #: behind that publication's own marker.
 PINNED = ((30, False), (12, True))
 
@@ -126,7 +129,7 @@ def test_scheduled_run_matches_sync(seed, batch_size, crash):
 def test_tcp_crash_in_the_window_matches_sync(batch_size):
     """A crash while publications overlap: the checking node's *done*
     to the dead node takes the degraded path, and the pairs the dead
-    node held are salvaged."""
+    node held are never read: the dispatcher re-sends their batches."""
     from repro.runtime.tcp import TcpFresqueCluster
 
     state = run_back_to_back(TcpFresqueCluster, 20210323, batch_size, True)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import re
+import time
 
 import pytest
 
 import repro
-from repro.core.messages import Routed
+from repro.core.messages import Admitted, DoneMsg, Routed
 from repro.core.system import FresqueSystem
 from repro.crypto.cipher import SimulatedCipher
 from repro.crypto.keys import KeyStore
@@ -170,20 +171,34 @@ class TestSurfaceOnEveryRuntime:
             receipt = system.finish_publication()
         assert receipt.records_matched == expected
 
-    def test_nothing_is_addressed_to_the_dispatcher(
+    def test_the_dispatcher_receives_only_admitted(
         self, runtime, flu_config
     ):
-        """The dispatcher only sends: it has no handler, and so no FIFO
-        or listening socket — one per computing node, checking, merger
-        and cloud."""
+        """The dispatcher has a handler — and so a FIFO or a listening
+        socket, beside each computing node, checking, merger and cloud —
+        for the checking node's ``Admitted`` alone: once a publication is
+        matched, every batch it retained for a crash re-send is freed."""
         config = self._config(flu_config)
-        expected = ["checking", "cloud", "cn-0", "cn-1", "merger"]
+        expected = ["checking", "cloud", "cn-0", "cn-1", "dispatcher", "merger"]
         with _deploy(runtime, config) as system:
             assert sorted(system._handlers) == expected
             if runtime == "scheduled":
                 assert sorted(system._fifos) == expected
             if runtime == "tcp":
                 assert sorted(system._servers) == expected
+            assert system.dispatcher.ROUTES == {Admitted: "on_admitted"}
+            with pytest.raises(TypeError, match="cannot handle DoneMsg"):
+                system._handlers["dispatcher"](DoneMsg(0))
+            system.ingest_batch(list(FluSurveyGenerator(seed=33).raw_lines(200)))
+            assert system.finish_publication() is not None
+            # (On TCP the last acknowledgements may still be on the wire.)
+            deadline = time.monotonic() + 10
+            while (
+                system.dispatcher.oldest_unadmitted is not None
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert system.dispatcher.oldest_unadmitted is None
 
     def test_crash_node_rejects_an_unknown_id(self, runtime, flu_config):
         """An id outside the fleet is the same ``ValueError`` on every

@@ -1,5 +1,6 @@
 """Fault-injection tests: deterministic schedules, reconnect, degraded mode."""
 
+import re
 import socket
 import threading
 import time
@@ -11,6 +12,7 @@ from repro.core.messages import PublishingMsg
 from repro.datasets.flu import FluSurveyGenerator
 from repro.runtime.faults import CRASH, RESTART, FaultPlan
 from repro.runtime.tcp import (
+    ClusterTimeout,
     PeerUnavailable,
     RetryPolicy,
     Router,
@@ -229,8 +231,10 @@ class TestNodeCrash:
             node.stop()
         assert node.restarts == 1
         assert not node.crashed
-        # Frame #2 triggered the crash and was dropped with the inbox.
-        assert len(node.dropped_messages()) >= 1
+        # Frame #2 triggered the crash and was dropped with the inbox:
+        # counted, never kept.
+        assert node.dropped_frames >= 1
+        assert health["dropped_frames"] == node.dropped_frames
         assert [m.publication for m in handled[:2]] == [0, 1]
         assert len(handled) >= 3
         assert health["alive"]
@@ -289,7 +293,8 @@ class TestDegradedPublication:
     def test_cn_crash_mid_stream_completes_degraded(self, flu_config, fast_cipher):
         """The acceptance drill: one computing node crashes mid-stream
         and one router connection is severed, yet the publication
-        completes with consistent matched-pair accounting."""
+        matches exactly what a crash-free run of the same lines and seed
+        matches: the dispatcher re-sends whatever the crash lost."""
         # The 1ms delay on cn-1 sends paces the driver against the
         # worker, guaranteeing the crash lands while the stream is still
         # flowing — so the drill exercises rerouting, not just
@@ -302,6 +307,8 @@ class TestDegradedPublication:
         )
         generator = FluSurveyGenerator(seed=84)
         lines = list(generator.raw_lines(600))
+        with TcpFresqueCluster(flu_config, fast_cipher, seed=42) as healthy:
+            expected = healthy.run_publication(lines, timeout=60.0)
         cluster = TcpFresqueCluster(
             flu_config,
             fast_cipher,
@@ -311,14 +318,11 @@ class TestDegradedPublication:
         )
         with cluster:
             matched = cluster.run_publication(lines, timeout=60.0)
-        # The dead node's unread frames are lost, everything else must
-        # arrive: matched pairs == pairs the checker released to the
-        # cloud.  This identity is arrival-order-independent.
+        # Nothing is lost: matched pairs == pairs the checker released
+        # to the cloud == the crash-free run's.
         checking = cluster.checking
         assert matched == checking.pairs_processed - checking.records_removed
-        # Rough loss bound: only frames queued at the dead node (plus at
-        # most a couple in its kernel buffers) may vanish.
-        assert matched > 300
+        assert matched == expected
         assert cluster.dead_nodes == {"cn-1"}
         assert 1 in cluster.dispatcher.dead_nodes
         assert 1 in checking._dead_nodes
@@ -356,19 +360,47 @@ class TestDegradedPublication:
         assert second > 150
 
 
-class TestScheduledFaults:
-    def test_dropped_messages_shrink_the_publication(
+class TestLostFrameStall:
+    def test_a_dropped_pair_frame_times_out_naming_its_seq(
         self, flu_config, fast_cipher
     ):
-        """The same plan API plugs into the scheduled runtime: dropped
-        pair frames never reach the checking node, and the publication
-        completes without them."""
-        from repro.runtime.schedule import ScheduledFresque
+        """A frame lost without a crash is not re-sent: the ordering
+        gate waits for its seq, and the ``ClusterTimeout`` report names
+        it twice — the seq the gate awaits is the dispatcher's oldest
+        unadmitted one."""
+        lines = list(FluSurveyGenerator(seed=86).raw_lines(150))
+        plan = FaultPlan(seed=9).drop_frames("checking", at_frames=(10,))
+        cluster = TcpFresqueCluster(
+            flu_config,
+            fast_cipher,
+            seed=5,
+            fault_plan=plan,
+            retry_policy=_fast_retry(),
+        )
+        with cluster, pytest.raises(ClusterTimeout) as timeout:
+            cluster.run_publication(lines, timeout=3.0)
+        report = timeout.value.health_report
+        seq = report["next_seq"]
+        assert seq == report["oldest_unadmitted"] > 0
+        assert (
+            f"gate awaits seq {seq}; oldest unadmitted seq {seq}"
+            in str(timeout.value)
+        )
+
+
+class TestScheduledFaults:
+    def test_a_dropped_pair_frame_is_a_named_stall(
+        self, flu_config, fast_cipher
+    ):
+        """The same plan API plugs into the scheduled runtime.  A lost
+        pair frame is no crash, so nothing re-sends its batch: the
+        ordering gate waits for that seq, and ``settle`` raises
+        ``ScheduleStall`` naming it — the seq the gate awaits is the
+        dispatcher's oldest unadmitted one — instead of publishing a
+        smaller publication."""
+        from repro.runtime.schedule import ScheduledFresque, ScheduleStall
 
         lines = list(FluSurveyGenerator(seed=86).raw_lines(150))
-        baseline = ScheduledFresque(flu_config, fast_cipher, seed=5)
-        with baseline:
-            baseline.run_publication(lines)
         # Frame 0 to the checking node announces the publication; every
         # frame up to the close carries pairs.
         plan = FaultPlan(seed=9).drop_frames(
@@ -377,9 +409,13 @@ class TestScheduledFaults:
         lossy = ScheduledFresque(
             flu_config, fast_cipher, seed=5, fault_plan=plan
         )
-        with lossy:
+        with lossy, pytest.raises(ScheduleStall) as stall:
             lossy.run_publication(lines)
-        assert lossy.checking.pairs_processed < baseline.checking.pairs_processed
+        awaited = re.search(r"awaits seq (\d+)", str(stall.value))
+        oldest = re.search(r"oldest unadmitted seq is (\d+)", str(stall.value))
+        assert awaited and oldest
+        assert int(awaited[1]) == int(oldest[1]) == lossy._checking_gate.next_seq
+        assert lossy.dispatcher.oldest_unadmitted == int(oldest[1])
         assert [e.action for e in plan.schedule] == ["drop"] * 3
 
     def test_delayed_messages_still_drain(self, flu_config, fast_cipher):

@@ -158,17 +158,25 @@ class TestSettle:
 
 class TestCrash:
     def test_the_degrade_step_is_scheduled(self, flu_config, fast_cipher):
-        """``crash_node`` stops the node at once; the NodeDown notice,
-        salvage and redispatch run where the schedule puts them."""
+        """``crash_node`` stops the node at once and discards its FIFO
+        unread; the NodeDown notice and the dispatcher's re-send run
+        where the schedule puts them, and the victim never handles
+        another message."""
         config = dataclasses.replace(flu_config, batch_size=1)
         runtime = ScheduledFresque(config, fast_cipher, seed=2)
         runtime.start()
         lines = list(FluSurveyGenerator(seed=50).raw_lines(60))
         runtime.ingest_batch(lines[:30])
+        queued = len(runtime._fifos["cn-1"])
+        handled_after_crash = []
+        runtime._handlers["cn-1"] = handled_after_crash.append
         runtime.crash_node(1)
+        assert not runtime._fifos["cn-1"]
         assert runtime.dead_nodes == frozenset()
         assert runtime.dispatcher.dead_nodes == frozenset()
         runtime.ingest_batch(lines[30:])
         assert runtime.finish_publication() is not None
         assert runtime.dead_nodes == {"cn-1"}
         assert not runtime._fifos["cn-1"]
+        assert handled_after_crash == []
+        assert runtime.dispatcher.records_rerouted >= queued > 0

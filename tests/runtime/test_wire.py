@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.checking import CheckingNode
 from repro.core.messages import (
+    Admitted,
     AlSnapshot,
     AnnouncePublication,
     BufferFlush,
@@ -159,6 +160,7 @@ MESSAGES = {
         BufferFlush(1, (3,), (b"\x00\x01",)),
     ),
     "PublishingMsg-stamped": ("checking", PublishingMsg(4, last_seq=9)),
+    "Admitted-dispatcher": ("dispatcher", Admitted(12)),
 }
 
 #: The messages with a packed layout that compare with ``==`` (kinds
@@ -221,6 +223,21 @@ def test_packed_layout_pinned():
     assert (batches.hexdigest(), columns.hexdigest()) == (
         PINNED_PACKED_DIGEST,
         PINNED_COLUMN_KINDS_DIGEST,
+    )
+
+
+def test_admitted_rides_the_json_envelope():
+    """The checking node's acknowledgement to the dispatcher is a kind-0
+    frame: one seq, no packed layout to pin."""
+    frame = encode_message("dispatcher", Admitted(41))
+    assert frame[4] == 0
+    assert json.loads(frame[4 + 2 + len("dispatcher") :]) == {
+        "type": "Admitted",
+        "payload": {"seq": 41},
+    }
+    assert _roundtrip("dispatcher", Admitted(41)) == (
+        "dispatcher",
+        Admitted(41),
     )
 
 
@@ -388,6 +405,7 @@ class TestFraming:
             (NodeDown(0, node_id=1), "node"),
             (NodeDown(0, node_id=1), "pub"),
             (PublishingMsg(0, last_seq=3), "last"),
+            (Admitted(3), "seq"),
         ],
     )
     def test_frame_missing_a_stamp_rejected(self, message, stamp):

@@ -1,7 +1,8 @@
 """A computing node (Section 5.3).
 
 Performs the heavy per-record work in parallel with its ``k - 1`` siblings:
-parse the raw line, compute the O(1) leaf offset, encrypt, and ship the
+parse the raw line (or render a dispatcher dummy from its indexed value),
+compute the O(1) leaf offset, encrypt, and ship the
 ``<leaf offset, e-record>`` pair to the checking node.  While waiting for
 the checking node's *done* message at a publication boundary, freshly
 arriving records of the next publication are still processed but buffered
@@ -20,7 +21,7 @@ from repro.core.messages import (
     Routed,
 )
 from repro.crypto.cipher import RecordCipher, record_nonce
-from repro.records.serialize import encode_batch
+from repro.records.serialize import DummyRecordSerializer, encode_batch
 from repro.telemetry.context import coalesce
 
 
@@ -56,6 +57,7 @@ class ComputingNode(Routed):
         self.node_id = node_id
         self.config = config
         self.cipher = cipher
+        self._dummy_serializer = DummyRecordSerializer(config.schema)
         self.parsed = 0
         self.encrypted = 0
         self.bytes_out = 0
@@ -120,7 +122,10 @@ class ComputingNode(Routed):
         # they do not perturb the survivors' IVs — and as the ordinal is
         # global, neither does the batch layout (batch-size invariance).
         leaves, plaintexts, dummies, indices, parsed, rejected = encode_batch(
-            message.items, self.config.schema, self.config.domain.leaf_offset
+            message.items,
+            self.config.schema,
+            self.config.domain.leaf_offset,
+            self._dummy_serializer,
         )
         self.parsed += parsed
         if rejected:

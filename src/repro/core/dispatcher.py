@@ -8,15 +8,16 @@ records and the publication number; at the end it broadcasts *publishing*
 and immediately opens the next publication (asynchronous publishing).
 
 Forwarding is batched (docs/BATCHING.md): arriving records — raw lines
-and released dummies alike — arrive as *runs* (:meth:`Dispatcher.on_run`;
-a line or a release is a run of one) and accumulate, in order, in a
-single in-flight batch.  A run is cut by slicing into
-:class:`~repro.core.messages.RawBatch`es, each flushed to the next
-computing node when it reaches ``config.batch_size`` (*size*); what
-stays in flight is flushed when it has waited longer than
-``config.max_batch_delay`` (*delay*, checked once per run), or when the
-publication interval closes (*close*) — the close flush is what
-guarantees a batch never straddles a publication boundary.
+and released dummies alike, a dummy as nothing but its indexed value
+(the computing node renders the rest from the schema) — arrive as
+*runs* (:meth:`Dispatcher.on_run`; a line or a release is a run of one)
+and accumulate, in order, in a single in-flight batch.  A run is cut
+by slicing into :class:`~repro.core.messages.RawBatch`es, each flushed
+to the next computing node when it reaches ``config.batch_size``
+(*size*); what stays in flight is flushed when it has waited longer
+than ``config.max_batch_delay`` (*delay*, checked once per run), or
+when the publication interval closes (*close*) — the close flush is
+what guarantees a batch never straddles a publication boundary.
 ``batch_size=1`` degenerates to per-record dispatch through the exact
 same path.  As in the paper there
 is no flow control: a flushed batch leaves at once.  It is retained
@@ -29,6 +30,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
+from operator import itemgetter
 
 from repro.core.config import FresqueConfig
 from repro.core.messages import (
@@ -41,13 +43,7 @@ from repro.core.messages import (
 )
 from repro.index.perturb import NoisePlan, draw_noise_plan
 from repro.index.tree import IndexTree
-from repro.records.record import Record, make_dummy
-from repro.records.codec import (
-    decode_record,
-    encode_record,
-    floats_from_bytes,
-    floats_to_bytes,
-)
+from repro.records.codec import floats_from_bytes, floats_to_bytes
 from repro.telemetry.clock import WALL_CLOCK
 from repro.telemetry.context import coalesce
 
@@ -104,6 +100,8 @@ class Dispatcher(Routed):
         self.config = config
         self._rng = rng if rng is not None else random.Random()
         self._tree_shape = IndexTree(config.domain, fanout=config.fanout)
+        #: Per leaf, ``(low, width)``: where its dummies' values are drawn.
+        self._leaf_bounds = config.domain.leaf_spans()
         self._publication = -1
         #: Computing nodes reported down; the set only grows, since a
         #: crashed node never comes back (docs/PROTOCOL.md).
@@ -111,10 +109,11 @@ class Dispatcher(Routed):
         # Round-robin cursor over node ids; a down id is skipped
         # without being handed a batch.
         self._next_cn = 0
-        # A deque: due_dummies pops from the front as the interval
+        # (release fraction, indexed value) per dummy, by fraction.  A
+        # deque: due_dummies pops from the front as the interval
         # advances, and list.pop(0) would shift the whole schedule per
         # dummy (O(n²) across one publication).
-        self._dummy_schedule: deque[tuple[float, Record]] = deque()
+        self._dummy_schedule: deque[tuple[float, float]] = deque()
         self.records_dispatched = 0
         self.records_rerouted = 0
         self.dummies_generated = 0
@@ -127,8 +126,8 @@ class Dispatcher(Routed):
         #: Flush triggers, read on every enqueue.
         self.batch_size = config.batch_size
         self.max_batch_delay = config.max_batch_delay
-        #: The in-flight batch: raw lines and dummy Records, arrival order.
-        self._batch: list[str | Record] = []
+        #: The in-flight batch: raw lines and dummy values, arrival order.
+        self._batch: list[str | float] = []
         self._batch_opened: float | None = None
         # Global flush sequence (next RawBatch.seq) and the dispatch
         # ordinal of the in-flight batch's first item; both are stamped
@@ -173,18 +172,19 @@ class Dispatcher(Routed):
         """Workers records are spread over."""
         return self.config.num_computing_nodes
 
-    def _make_dummies(self, plan) -> list[Record]:
-        dummies = []
-        for offset, noise in enumerate(plan.leaf_noise):
+    def _dummy_values(self, plan) -> list[float]:
+        """One indexed value per dummy the plan's positive leaf noise
+        asks for, leaf by leaf: uniform over the leaf's interval."""
+        draw = self._rng.random
+        values: list[float] = []
+        for (low, span), noise in zip(self._leaf_bounds, plan.leaf_noise):
             if noise <= 0:
                 continue
-            low, high = self.config.domain.leaf_range(offset)
-            for _ in range(noise):
-                value = low if high <= low else low + self._rng.random() * (
-                    high - low
-                )
-                dummies.append(make_dummy(self.config.schema, value))
-        return dummies
+            if span <= 0:
+                values += [low] * noise
+            else:
+                values += [low + draw() * span for _ in range(noise)]
+        return values
 
     def start_publication(
         self, plan: NoisePlan | None = None
@@ -210,14 +210,13 @@ class Dispatcher(Routed):
             plan = draw_noise_plan(
                 self._tree_shape, self.config.epsilon, rng=self._rng
             )
-        dummies = self._make_dummies(plan)
-        self.dummies_generated += len(dummies)
-        self._dummies_counter.inc(len(dummies))
+        values = self._dummy_values(plan)
+        self.dummies_generated += len(values)
+        self._dummies_counter.inc(len(values))
+        draw = self._rng.random
+        fractions = [draw() for _ in values]
         self._dummy_schedule = deque(
-            sorted(
-                ((self._rng.random(), dummy) for dummy in dummies),
-                key=lambda item: item[0],
-            )
+            sorted(zip(fractions, values), key=itemgetter(0))
         )
         return [("checking", NewPublication(self._publication, plan))]
 
@@ -331,7 +330,7 @@ class Dispatcher(Routed):
         schedule = self._dummy_schedule
         if not fractions or not schedule:
             return self._cut(lines)
-        items: list[str | Record] = []
+        items: list[str | float] = []
         taken, count = 0, len(lines)
         while schedule:
             due = bisect_left(fractions, schedule[0][0], taken, count)
@@ -450,12 +449,12 @@ class Dispatcher(Routed):
 
         Captures everything replay cannot re-derive: the publication
         counter, the dead set and the round-robin cursor, the
-        not-yet-released dummy schedule and the ingest counters.  The
-        schedule is two packed ``float64`` columns (checkpoint
-        sections): release fractions and the dummies' indexed values,
-        from which :func:`make_dummy` rebuilds each dummy.
+        not-yet-released dummy schedule, the in-flight batch and the
+        ingest counters.  The schedule is two packed ``float64`` columns
+        (checkpoint sections): release fractions and the dummies'
+        indexed values.  The in-flight batch is a JSON list whose
+        strings are raw lines and whose numbers are dummy values.
         """
-        position = self.config.schema.indexed_position
         schedule = self._dummy_schedule
         return {
             "publication": self._publication,
@@ -464,15 +463,8 @@ class Dispatcher(Routed):
             "dummy_fractions": floats_to_bytes(
                 [fraction for fraction, _ in schedule]
             ),
-            "dummy_values": floats_to_bytes(
-                [dummy.values[position] for _, dummy in schedule]
-            ),
-            "batch": [
-                ["line", item]
-                if isinstance(item, str)
-                else ["record", encode_record(item)]
-                for item in self._batch
-            ],
+            "dummy_values": floats_to_bytes([value for _, value in schedule]),
+            "batch": list(self._batch),
             "records_dispatched": self.records_dispatched,
             "records_rerouted": self.records_rerouted,
             "dummies_generated": self.dummies_generated,
@@ -488,15 +480,8 @@ class Dispatcher(Routed):
         values = floats_from_bytes(state["dummy_values"])
         if len(fractions) != len(values):
             raise ValueError("dummy schedule columns differ in length")
-        schema = self.config.schema
-        self._dummy_schedule = deque(
-            (fraction, make_dummy(schema, value))
-            for fraction, value in zip(fractions, values)
-        )
-        self._batch = [
-            payload if kind == "line" else decode_record(payload)
-            for kind, payload in state["batch"]
-        ]
+        self._dummy_schedule = deque(zip(fractions, values))
+        self._batch = list(state["batch"])
         # Absolute flush deadlines do not survive a restart; the restored
         # batch's delay window re-arms from the next enqueue or poll.
         self._batch_opened = None

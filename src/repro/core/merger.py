@@ -11,9 +11,15 @@ publication *asynchronous*.  Per publication it receives:
    encrypted in one batch per publication, randomly ordered), and ship
    everything to the cloud under the publication number.
 
+The checking node sends both the template and the removed records, the
+template first, over one FIFO link: a removed record for a publication
+without a template is a protocol violation and raises, as an AL does.
+
 Removed records are held as ciphertexts per leaf, and an overflow array
 leaves as a tuple of ciphertexts: nothing is built per record or per
-padding slot.
+padding slot.  Each array is one ``itemgetter`` over the leaf's removed
+records and its slice of the padding, its slot order drawn by
+:func:`~repro.core.randomer.shuffled_range`.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.core.messages import (
     Routed,
     TemplateMsg,
 )
+from repro.core.randomer import gather, shuffled_range
 from repro.crypto.cipher import RecordCipher, padding_nonce
 from repro.index.perturb import NoisePlan
 from repro.index.template import merge_plan_and_counts
@@ -116,10 +123,9 @@ class Merger(Routed):
         self.cipher = cipher
         self._rng = rng if rng is not None else random.Random()
         self._dummy_serializer = DummyRecordSerializer(config.schema)
+        #: Per leaf, ``(low, width)``: where its padding values are drawn.
+        self._leaf_bounds = config.domain.leaf_spans()
         self._states: dict[int, _MergeState] = {}
-        #: Removed records that beat their publication's template here,
-        #: as ``(leaves, ciphertexts)`` columns in arrival order.
-        self._early_removed: dict[int, tuple[tuple, tuple]] = {}
         self.reports: list[MergeReport] = []
         self._tel = coalesce(telemetry)
         self._padding_counter = self._tel.counter(
@@ -160,23 +166,16 @@ class Merger(Routed):
 
     def on_template(self, message: TemplateMsg) -> list[tuple[str, object]]:
         """Store the publication's template until the AL arrives."""
-        state = _MergeState(plan=message.plan)
-        self._states[message.publication] = state
-        state.hold(*self._early_removed.pop(message.publication, ((), ())))
+        self._states[message.publication] = _MergeState(plan=message.plan)
         return []
 
     def on_removed(self, message: RemovedBatch) -> list[tuple[str, object]]:
         """Hold a run of removed records for their leaves' overflow arrays."""
         state = self._states.get(message.publication)
         if state is None:
-            leaves, ciphertexts = self._early_removed.get(
-                message.publication, ((), ())
+            raise KeyError(
+                f"removed records of unknown publication {message.publication}"
             )
-            self._early_removed[message.publication] = (
-                leaves + message.leaves,
-                ciphertexts + message.ciphertexts,
-            )
-            return []
         state.hold(message.leaves, message.ciphertexts)
         return []
 
@@ -185,8 +184,7 @@ class Merger(Routed):
 
         Captures each unfinished publication's template plan and the
         removed records held for its overflow arrays (packed columns as
-        ``bytes``, ``records.codec.pairs_to_bytes``), plus the
-        early-arrival buffer.
+        ``bytes``, ``records.codec.pairs_to_bytes``).
         """
         return {
             "publications": {
@@ -195,10 +193,6 @@ class Merger(Routed):
                     "removed": _encode_removed(*state.columns()),
                 }
                 for publication, state in self._states.items()
-            },
-            "early_removed": {
-                str(publication): _encode_removed(*columns)
-                for publication, columns in self._early_removed.items()
             },
         }
 
@@ -209,22 +203,18 @@ class Merger(Routed):
             merge_state = _MergeState(plan=decode_plan(saved["plan"]))
             merge_state.hold(*pairs_from_bytes(saved["removed"])[:2])
             self._states[int(key)] = merge_state
-        self._early_removed = {
-            int(key): pairs_from_bytes(packed)[:2]
-            for key, packed in state["early_removed"].items()
-        }
 
     def on_al(self, message: AlSnapshot) -> list[tuple[str, object]]:
         """The merge job: build the secure index and overflow arrays.
 
         Leaf by leaf, in offset order, the job draws the padding values
-        and the leaf's shuffle exactly as sealing one array at a time
-        would (``random.shuffle`` consumes draws by list length only, so
-        the slots can be shuffled before any ciphertext exists).  The
-        padding of the whole publication is then serialized in one call
-        and encrypted in one batch, in padding-counter order — which keeps
-        the IV sequence that of one ``encrypt`` call per dummy — and each
-        leaf's array is filled from the shuffled slots.
+        and the leaf's slot order exactly as sealing one array at a time
+        would (a shuffle consumes draws by length only, so the slots can
+        be shuffled before any ciphertext exists).  The padding of the
+        whole publication is then serialized in one call and encrypted in
+        one batch, in padding-counter order — which keeps the IV sequence
+        that of one ``encrypt`` call per dummy — and each leaf's array is
+        gathered from its removed records and its padding slice.
         """
         start = self._tel.now()
         publication = message.publication
@@ -239,28 +229,23 @@ class Merger(Routed):
 
         capacity = config.overflow_capacity
         draw = self._rng.random
-        shuffle = self._rng.shuffle
+        getrandbits = self._rng.getrandbits
         removed_at = state.removed.get
         values: list[float] = []
-        #: Per leaf: its removed ciphertexts, its first padding counter,
-        #: and the shuffled slots (slot < len(removed) is a removed
-        #: record, the rest count on from the first padding counter).
-        layout: list[tuple[list[bytes], int, list[int]]] = []
+        #: Per leaf: its removed ciphertexts and its shuffled slots (slot
+        #: < len(removed) is a removed record, the rest index the leaf's
+        #: padding, which follows the previous leaves' in ``values``).
+        layout: list[tuple[list[bytes], list[int]]] = []
         removed_total = 0
-        for offset in range(domain.num_leaves):
+        for offset, (low, span) in enumerate(self._leaf_bounds):
             removed = removed_at(offset, [])[:capacity]
             removed_total += len(removed)
-            first_padding = len(values)
-            low, high = domain.leaf_range(offset)
             padding = capacity - len(removed)
-            if high <= low:
+            if span <= 0:
                 values += [low] * padding
             else:
-                span = high - low
                 values += [low + draw() * span for _ in range(padding)]
-            slots = list(range(capacity))
-            shuffle(slots)
-            layout.append((removed, first_padding, slots))
+            layout.append((removed, shuffled_range(capacity, getrandbits)))
 
         plaintexts = self._dummy_serializer.serialize_many(values)
         padding_encrypts = len(plaintexts)
@@ -278,14 +263,11 @@ class Merger(Routed):
         else:
             ciphertexts = self.cipher.encrypt_batch(plaintexts)
         overflow: dict[int, tuple[bytes, ...]] = {}
-        for offset, (removed, first_padding, slots) in enumerate(layout):
-            real = len(removed)
-            shift = first_padding - real
-            overflow[offset] = tuple(
-                [
-                    removed[slot] if slot < real else ciphertexts[slot + shift]
-                    for slot in slots
-                ]
+        end = 0
+        for offset, (removed, slots) in enumerate(layout):
+            start_padding, end = end, end + capacity - len(removed)
+            overflow[offset] = gather(
+                slots, removed + ciphertexts[start_padding:end]
             )
 
         self.reports.append(

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.index.perturb import NoisePlan
-from repro.records.record import Record
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,11 @@ class RawBatch:
     message (and, on the TCP transport, one frame) holds up to
     ``batch_size`` of them, and a single record is a batch of one.
     ``items`` preserves arrival order; each element is either an unparsed
-    raw line (``str``) or a pre-built :class:`Record` (dispatcher-made
-    dummies).  Every item belongs to ``publication`` — the dispatcher
-    flushes the accumulator at interval close, so a batch never straddles
-    a publication boundary (see docs/BATCHING.md).
+    raw line (``str``) or a dispatcher-made dummy, carried as nothing but
+    its indexed value (a number; the computing node renders the rest of
+    the dummy from the schema).  Every item belongs to ``publication`` —
+    the dispatcher flushes the accumulator at interval close, so a batch
+    never straddles a publication boundary (see docs/BATCHING.md).
 
     ``seq`` is the dispatcher's global flush sequence number (gap-free,
     never reset across publications) and ``ordinal`` is the global
@@ -79,7 +79,7 @@ class RawBatch:
     """
 
     publication: int
-    items: tuple[str | Record, ...]
+    items: tuple[str | float, ...]
     seq: int = -1
     ordinal: int = -1
 

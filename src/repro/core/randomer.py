@@ -10,7 +10,10 @@ observes.  Behaviour:
   never as an object of its own;
 * once the buffer exceeds its capacity, one *uniformly random* resident is
   evicted and released downstream (the trigger function);
-* at publishing time the whole buffer is shuffled and flushed.
+* at publishing time the whole buffer is shuffled and flushed: one
+  index permutation from :func:`shuffled_range` (``random.shuffle``'s
+  Fisher–Yates with its draw rule inlined), every column gathered
+  through it by one ``operator.itemgetter``.
 
 The capacity must exceed the publication's dummy count with high
 probability while not depending on the actual draw — it is computed from
@@ -22,6 +25,36 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from collections.abc import Iterator
+from operator import itemgetter
+
+
+def shuffled_range(n: int, getrandbits) -> list[int]:
+    """``list(range(n))`` shuffled as ``random.Random.shuffle`` shuffles
+    it, drawing from ``getrandbits`` (a ``random.Random``'s bound method).
+
+    The Fisher–Yates loop of ``shuffle`` with its ``_randbelow`` inlined
+    (the ``_randbelow_with_getrandbits`` rule: ``k`` bits per try for a
+    bound of bit length ``k``, redrawn until below the bound), so the
+    permutation and the generator's state afterwards are exactly those
+    of ``rng.shuffle(list(range(n)))`` — without a Python call per draw.
+    """
+    order = list(range(n))
+    for i in reversed(range(1, n)):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def gather(order: list[int], column) -> tuple:
+    """``column``'s items at the indices of ``order``, as a tuple: one
+    ``itemgetter`` call (it returns a bare item for one index, and
+    cannot be built for none)."""
+    if len(order) > 1:
+        return itemgetter(*order)(column)
+    return tuple([column[index] for index in order])
 
 
 class Randomer:
@@ -133,18 +166,17 @@ class Randomer:
             self._slots[leaf].add(slot)
         self.released = released
 
-    def flush(self) -> tuple[list[int], list[bytes], bytes]:
+    def flush(self) -> tuple[tuple[int, ...], tuple[bytes, ...], bytes]:
         """Shuffle and empty the buffer (end-of-interval publication).
 
-        ``random.shuffle`` consumes draws by length only: every column read
-        through one shuffled index list is a shuffled list of pairs.
+        A shuffle consumes draws by length only: every column read
+        through one shuffled index list is a shuffled run of pairs.
         """
-        order = list(range(len(self._leaves)))
-        self._rng.shuffle(order)
+        order = shuffled_range(len(self._leaves), self._rng.getrandbits)
         drained = (
-            [self._leaves[slot] for slot in order],
-            [self._ciphertexts[slot] for slot in order],
-            bytes([self._dummies[slot] for slot in order]),
+            gather(order, self._leaves),
+            gather(order, self._ciphertexts),
+            bytes(gather(order, self._dummies)),
         )
         self.restore((), (), b"", released=self.released + len(order))
         return drained

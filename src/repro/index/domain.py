@@ -91,6 +91,15 @@ class AttributeDomain:
             return low, self.dmax
         return low, low + self.bin_interval
 
+    def leaf_spans(self) -> list[tuple[float, float]]:
+        """``(low, high - low)`` of every leaf's :meth:`leaf_range`, in
+        offset order: what a uniform draw over each leaf needs (a width
+        of 0 or less leaves ``low`` as the only value)."""
+        return [
+            (low, high - low)
+            for low, high in map(self.leaf_range, range(self.num_leaves))
+        ]
+
     def leaves_overlapping(self, low: float, high: float) -> range:
         """Offsets of all leaves intersecting the query range ``[low, high]``.
 

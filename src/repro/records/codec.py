@@ -1,14 +1,15 @@
-"""Payload codecs for records, pair columns and noise plans.
+"""Payload codecs for pair columns, float columns and noise plans.
 
 Shared by the wire format (:mod:`repro.runtime.wire`), the durability
 journal and the collector checkpoints — living here, below both the core
-pipeline and the runtime, so any layer can serialise records without
+pipeline and the runtime, so any layer can serialise them without
 importing the transport.
 
 Two codec families:
 
-* JSON-able dicts (``encode_*``/``decode_*``) — every durable artefact
-  and the payloads of the wire's JSON control envelope.
+* A noise plan as a JSON-able dict (:func:`encode_plan` /
+  :func:`decode_plan`) — for the journal, the checkpoints and the wire's
+  JSON control envelope.
 * One packed form for a run of ``<leaf offset, e-record>`` pairs held as
   columns (:func:`pack_pairs`/:func:`unpack_pairs`) — the body of every
   pair-carrying frame on the wire, and (whole, as :func:`pairs_to_bytes`)
@@ -23,7 +24,6 @@ import struct
 from itertools import accumulate
 
 from repro.index.perturb import NoisePlan
-from repro.records.record import Record
 
 
 def encode_plan(plan: NoisePlan) -> dict:
@@ -42,16 +42,6 @@ def decode_plan(payload: dict) -> NoisePlan:
         epsilon=payload["epsilon"],
         per_level_scale=payload["scale"],
     )
-
-
-def encode_record(record: Record) -> dict:
-    """Serialise one plaintext record as a JSON-able dict."""
-    return {"values": list(record.values), "flag": record.flag}
-
-
-def decode_record(payload: dict) -> Record:
-    """Inverse of :func:`encode_record`."""
-    return Record(tuple(payload["values"]), flag=payload["flag"])
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,15 @@ class DummyRecordSerializer:
     Byte-identical to ``serialize_record(make_dummy(schema, value), schema)``
     but without building the intermediate :class:`Record` — the merger pads
     every overflow array to capacity with encrypted dummies, tens of
-    thousands per publication, and serializes them in one call.
+    thousands per publication, and the computing node renders the
+    dispatcher's dummies, each no more than its indexed value, through
+    the same template.
     """
 
     def __init__(self, schema: Schema):
         position = schema.indexed_position
-        self._coerce = schema.attributes[position].type.python_type()
+        #: The indexed attribute's type: a dummy value's coercion.
+        self.coerce = schema.attributes[position].type.python_type()
         before = [_HEADER.pack(DUMMY_FLAG, schema.arity)]
         after: list[bytes] = []
         for pos, filler in enumerate(schema.dummy_filler):
@@ -82,11 +85,13 @@ class DummyRecordSerializer:
 
     def serialize_many(self, indexed_values) -> list[bytes]:
         """Wire bytes of one dummy per value of ``indexed_values``, in
-        order (the value is the dummy's indexed attribute)."""
-        coerce, before, after = self._coerce, self._before, self._after
-        prefix = _FIELD_LEN.pack
-        blobs = [str(coerce(value)).encode() for value in indexed_values]
-        return [before + prefix(len(blob)) + blob + after for blob in blobs]
+        order (the value is the dummy's indexed attribute).  The part
+        before the value's bytes is packed once per length."""
+        before, after = self._before, self._after
+        strings = map(str, map(self.coerce, indexed_values))
+        blobs = list(map(str.encode, strings))
+        heads = {n: before + _FIELD_LEN.pack(n) for n in set(map(len, blobs))}
+        return [heads[len(blob)] + blob + after for blob in blobs]
 
 
 def deserialize_record(payload: bytes, schema: Schema) -> Record:
@@ -233,19 +238,24 @@ def _drop(bad: set, *columns: list) -> list:
     return [[v for row, v in enumerate(c) if row not in bad] for c in columns]
 
 
-def encode_batch(items, schema: Schema, leaf_offset):
-    """A batch of raw lines and pre-built :class:`Record` s (dispatcher
-    dummies, passed through uncoerced) as ``(leaves, plaintexts, dummies,
-    indices, parsed, rejected)``.  Item for item :func:`parse_raw_line`
-    (``parsed`` counts the lines that pass it), ``leaf_offset`` and
-    :func:`serialize_record`, an item dropped where a step raises; but
-    one split per line, then one pass per column, one join per record.
+def encode_batch(items, schema: Schema, leaf_offset, dummy_serializer=None):
+    """A batch of raw lines and dispatcher dummies (a dummy is its indexed
+    value, any item that is not a ``str``) as ``(leaves, plaintexts,
+    dummies, indices, parsed, rejected)``.  Item for item
+    :func:`parse_raw_line` (``parsed`` counts the lines that pass it) or
+    ``make_dummy``, then ``leaf_offset`` and :func:`serialize_record`,
+    an item dropped where a step raises; but one split per line, then
+    one pass per column, one join per record, and the dummies rendered
+    through ``dummy_serializer`` (a :class:`DummyRecordSerializer` of
+    ``schema``, built here when not given).
     """
     arity = schema.arity
-    positions, flags, rows, records = [], [], [], []
+    positions, flags, rows = [], [], []
+    dummy_positions, dummy_values = [], []
     for position, item in enumerate(items):
         if not isinstance(item, str):
-            records.append((position, item))
+            dummy_positions.append(position)
+            dummy_values.append(item)
             continue
         fields = item.rstrip("\n").split(RAW_SEPARATOR)
         try:
@@ -262,13 +272,6 @@ def encode_batch(items, schema: Schema, leaf_offset):
             columns[attribute] = _map(cast, columns[attribute], bad, _CAST_ERRORS)
     positions, flags, *columns = _drop(bad, positions, flags, *columns)
     parsed = len(positions)
-    for position, record in records:
-        if len(record.values) == arity:
-            row = bisect_left(positions, position)
-            positions.insert(row, position)
-            flags.insert(row, record.flag)
-            for column, value in zip(columns, record.values):
-                column.insert(row, value)
     bad = set()
     leaves = _map(leaf_offset, columns[schema.indexed_position], bad)
     prefix = _FIELD_LEN.pack
@@ -283,6 +286,26 @@ def encode_batch(items, schema: Schema, leaf_offset):
     )
     heads = map({f: _HEADER.pack(f, arity) for f in set(flags)}.get, flags)
     plaintexts = [b"".join(parts) for parts in zip(heads, *columns)]
+    if dummy_positions:
+        dummy_serializer = dummy_serializer or DummyRecordSerializer(schema)
+        bad = set()
+        errors = (*_CAST_ERRORS, OverflowError)  # int(inf) overflows
+        values = _map(dummy_serializer.coerce, dummy_values, bad, errors)
+        dummy_positions, values = _drop(bad, dummy_positions, values)
+        bad = set()
+        dummy_leaves = _map(leaf_offset, values, bad)
+        dummy_positions, values, dummy_leaves = _drop(
+            bad, dummy_positions, values, dummy_leaves
+        )
+        rendered = dummy_serializer.serialize_many(values)
+        for position, leaf, plaintext in zip(
+            dummy_positions, dummy_leaves, rendered
+        ):
+            row = bisect_left(positions, position)
+            positions.insert(row, position)
+            flags.insert(row, DUMMY_FLAG)
+            leaves.insert(row, leaf)
+            plaintexts.insert(row, plaintext)
     dummies = bytes([flag == DUMMY_FLAG for flag in flags])
     rejected = len(items) - len(positions)
     return leaves, plaintexts, dummies, positions, parsed, rejected

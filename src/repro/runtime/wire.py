@@ -21,8 +21,9 @@ message.  Kind 5 is retired and unassigned: a frame of that kind is a
 from __future__ import annotations
 
 import json
+import operator
 import struct
-from itertools import groupby
+from itertools import accumulate, groupby
 
 from repro.core.messages import (
     Admitted,
@@ -45,9 +46,7 @@ from repro.index.domain import AttributeDomain
 from repro.index.tree import IndexTree
 from repro.records.codec import (
     decode_plan,
-    decode_record,
     encode_plan,
-    encode_record,
     pack_pairs,
     unpack_pairs,
 )
@@ -133,8 +132,9 @@ def _load_json(view):
 # ``out`` and an unpacker reads it at ``offset``: -> (message, end offset).
 # ---------------------------------------------------------------------------
 
-_BATCH_HEAD = struct.Struct("<qqqI")  # pub, seq, ordinal, item count
-_ITEM_HEAD = struct.Struct("<BI")  # 0 = line / 1 = JSON record, utf-8 length
+#: pub, seq, ordinal, item count, dummy count; the dummy positions and
+#: values, the line ends and the joined lines follow.
+_BATCH_HEAD = struct.Struct("<qqqII")
 #: pub, seq; the pair columns (records.codec.pack_pairs: count, leaves,
 #: lengths, ciphertexts, dummy flags) follow.
 _PAIR_HEAD = struct.Struct("<qq")
@@ -156,39 +156,65 @@ def _unpack_json(_, view, offset: int):
 
 
 def _pack_raw_batch(out: bytearray, message: RawBatch) -> None:
+    """``head | dummy positions (u32 each) | dummy values (f64 each) |
+    line ends (u32 each) | the lines' UTF-8, joined``: the items in the
+    arrival order the randomer's mixing relies on, a dummy (a number)
+    named by its position among them.  A line keeps lone surrogates, for
+    the node to reject it."""
+    items = message.items
+    at = [i for i, item in enumerate(items) if not isinstance(item, str)]
+    lines = [item for item in items if isinstance(item, str)] if at else items
+    text = "".join(lines).encode("utf-8", "surrogatepass")
+    if len(text) == sum(map(len, lines)):  # ASCII: a character is a byte
+        ends = accumulate(map(len, lines))
+    else:
+        ends = accumulate(
+            len(line.encode("utf-8", "surrogatepass")) for line in lines
+        )
     out += _BATCH_HEAD.pack(
-        message.publication, message.seq, message.ordinal, len(message.items)
+        message.publication, message.seq, message.ordinal, len(items), len(at)
     )
-    # Ordered, type-tagged items in the arrival order the randomer's mixing
-    # relies on; a line keeps lone surrogates, for the node to reject it.
-    for item in message.items:
-        if isinstance(item, str):
-            tag, text = 0, item.encode("utf-8", "surrogatepass")
-        else:
-            tag, text = 1, _dump_json(encode_record(item))
-        out += _ITEM_HEAD.pack(tag, len(text))
-        out += text
+    out += struct.pack(f"<{len(at)}I", *at)
+    out += struct.pack(f"<{len(at)}d", *[items[i] for i in at])
+    out += struct.pack(f"<{len(lines)}I", *ends)
+    out += text
 
 
 def _unpack_raw_batch(message_type, view, offset: int):
-    publication, seq, ordinal, count = _BATCH_HEAD.unpack_from(view, offset)
+    publication, seq, ordinal, count, dummies = _BATCH_HEAD.unpack_from(
+        view, offset
+    )
+    if dummies > count:
+        raise WireError(f"{dummies} dummies among {count} items")
     offset += _BATCH_HEAD.size
-    items = []
-    for _ in range(count):
-        tag, length = _ITEM_HEAD.unpack_from(view, offset)
-        start = offset + _ITEM_HEAD.size
-        offset = start + length
-        # A slice cut short by the end of the frame leaves ``offset``
-        # past it, which decode_message's exact-consumption check rejects.
-        text = view[start:offset]
-        items.append(
-            str(text, "utf-8", "surrogatepass")
-            if tag == 0
-            else decode_record(_load_json(text))
-        )
+    at = struct.unpack_from(f"<{dummies}I", view, offset)
+    offset += 4 * dummies
+    values = struct.unpack_from(f"<{dummies}d", view, offset)
+    offset += 8 * dummies
+    ends = struct.unpack_from(f"<{count - dummies}I", view, offset)
+    offset += 4 * (count - dummies)
+    if at and (at[-1] >= count or any(map(operator.ge, at, at[1:]))):
+        raise WireError("dummy positions not increasing below the count")
+    if any(map(operator.gt, ends, ends[1:])):
+        raise WireError("line ends decrease")
+    end = offset + (ends[-1] if ends else 0)
+    if end > len(view):
+        raise WireError(f"lines need {end} of {len(view)} bytes")
+    blob = bytes(view[offset:end])
+    text = str(blob, "utf-8", "surrogatepass")
+    starts = (0, *ends)
+    if len(text) == len(blob):  # ASCII: byte ends are character ends
+        items = [text[a:b] for a, b in zip(starts, ends)]
+    else:
+        items = [
+            str(blob[a:b], "utf-8", "surrogatepass")
+            for a, b in zip(starts, ends)
+        ]
+    for position, value in zip(at, values):
+        items.insert(position, value)
     return message_type(
         publication, tuple(items), seq=seq, ordinal=ordinal
-    ), offset
+    ), end
 
 
 def _pack_pair_batch(out: bytearray, message: PairBatch) -> None:

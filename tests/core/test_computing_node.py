@@ -5,7 +5,7 @@ import pytest
 from repro.core.computing_node import ComputingNode
 from repro.core.messages import DoneMsg, PairBatch, PublishingMsg, RawBatch
 from repro.records.record import Record, make_dummy
-from repro.records.serialize import render_raw_line
+from repro.records.serialize import render_raw_line, serialize_record
 
 
 @pytest.fixture
@@ -31,11 +31,19 @@ class TestProcessing:
         assert node.parsed == 1
         assert node.encrypted == 1
 
-    def test_pre_built_record_skips_parsing(self, node, flu_config):
-        dummy = make_dummy(flu_config.schema, 380)
-        out = node.on_raw_batch(RawBatch(0, (dummy,)))
+    def test_pre_built_record_skips_parsing(
+        self, node, flu_config, fast_cipher
+    ):
+        """A dispatcher dummy arrives as its indexed value alone and is
+        rendered, not parsed: the plaintext of ``make_dummy``'s record."""
+        schema = flu_config.schema
+        out = node.on_raw_batch(RawBatch(0, (380.5,)))
         (_, batch), = out
         assert batch.dummies == b"\x01"
+        assert batch.leaves == (flu_config.domain.leaf_offset(380),)
+        assert fast_cipher.decrypt(batch.ciphertexts[0]) == serialize_record(
+            make_dummy(schema, 380.5), schema
+        )
         assert node.parsed == 0  # no raw line parsed
         assert node.encrypted == 1
 

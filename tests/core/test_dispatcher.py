@@ -20,6 +20,7 @@ from repro.durability.checkpoint import (
     decode_checkpoint,
     encode_checkpoint,
 )
+from repro.records.record import make_dummy
 
 
 @pytest.fixture
@@ -84,13 +85,15 @@ class TestDummySchedule:
         assert dispatcher.pending_dummies == 0
 
     def test_dummy_records_are_flagged(self, dispatcher):
+        """A dummy travels as its indexed value — a number, never a raw
+        line — and the computing node renders it flagged."""
         dispatcher.start_publication()
         released = dispatcher.due_dummies(1.0)
         assert released, "expected at least one dummy under epsilon=1"
         for _, message in released:
             assert isinstance(message, RawBatch)
-            (record,) = message.items
-            assert record.is_dummy
+            (value,) = message.items
+            assert isinstance(value, (int, float))
 
     def test_dummy_values_lie_in_their_leaf(self, dispatcher, flu_config):
         (_, announcement), = dispatcher.start_publication()
@@ -98,8 +101,9 @@ class TestDummySchedule:
         domain = flu_config.domain
         counts = [0] * domain.num_leaves
         for _, message in dispatcher.due_dummies(1.0):
-            (record,) = message.items
-            offset = domain.leaf_offset(record.indexed_value(schema))
+            (value,) = message.items
+            dummy = make_dummy(schema, value)
+            offset = domain.leaf_offset(dummy.indexed_value(schema))
             counts[offset] += 1
         for offset, noise in enumerate(announcement.plan.leaf_noise):
             assert counts[offset] == max(0, noise)
@@ -109,7 +113,7 @@ class TestDummySchedule:
         out = dispatcher.end_publication()
         batches = [m for _, m in out if isinstance(m, RawBatch)]
         for batch in batches:
-            assert all(record.is_dummy for record in batch.items)
+            assert not any(isinstance(item, str) for item in batch.items)
         assert dispatcher.pending_dummies == 0
 
 

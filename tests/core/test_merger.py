@@ -85,16 +85,20 @@ class TestMergeJob:
         assert _real_count(fast_cipher, arrays[3]) == 0
         assert merger.reports[0].removed_records == 1
 
-    def test_removed_before_template_buffers(
+    def test_removed_before_template_raises(
         self, merger, flu_config, fast_cipher, plan
     ):
-        # Race tolerance: a removed record may beat the template message.
-        merger.on_removed(_removed(fast_cipher, 1))
+        """The checking node sends a publication's template before any
+        of its removed records, over one FIFO link: a removed record
+        without its template is a protocol violation, as an AL is."""
+        with pytest.raises(KeyError):
+            merger.on_removed(_removed(fast_cipher, 1))
         merger.on_template(TemplateMsg(0, plan))
+        assert "early_removed" not in merger.snapshot()
         (_, message), = merger.on_al(
             AlSnapshot(0, tuple([0] * flu_config.domain.num_leaves))
         )
-        assert _real_count(fast_cipher, message.overflow[1]) == 1
+        assert _real_count(fast_cipher, message.overflow[1]) == 0
 
     def test_al_without_template_raises(self, merger, flu_config):
         with pytest.raises(KeyError):
@@ -230,6 +234,47 @@ class TestBatchedPaddingEqualsPerLeafSealing:
         assert report.removed_records == removed_total == capacity + 4
         assert report.padding_encrypts == paddings
         assert report.overflow_capacity == capacity * config.domain.num_leaves
+
+    @pytest.mark.parametrize(
+        ("delta", "capacity"), [(0.5, 0), (0.6, 1), (0.7, 2)]
+    )
+    def test_small_capacities(self, keystore, plan, delta, capacity):
+        """Capacity 0 (no ``itemgetter`` can be built), 1 (it would return
+        a bare ciphertext) and 2 seal as the per-leaf loop does."""
+        config = FresqueConfig(
+            schema=flu_survey_schema(),
+            domain=flu_domain(),
+            num_computing_nodes=3,
+            epsilon=1.0,
+            alpha=2.0,
+            delta=delta,
+        )
+        assert config.overflow_capacity == capacity
+        removed = {
+            1: [b"\x07" * 32],
+            3: [bytes([fill]) * 16 for fill in range(3)],
+        }
+        expected, removed_total, paddings = _reference_merge(
+            config, SimulatedCipher(keystore), random.Random(8), removed, 2
+        )
+        cipher = SimulatedCipher(keystore)
+        merger = Merger(config, cipher, rng=random.Random(8))
+        merger.on_template(TemplateMsg(2, plan))
+        for offset, ciphertexts in removed.items():
+            leaves = (offset,) * len(ciphertexts)
+            merger.on_removed(RemovedBatch(2, leaves, tuple(ciphertexts)))
+        al = tuple([0] * config.domain.num_leaves)
+        (_, message), = merger.on_al(AlSnapshot(2, al))
+        assert message.overflow == {
+            offset: expected[offset].ciphertexts for offset in expected
+        }
+        assert all(
+            type(column) is tuple and len(column) == capacity
+            for column in message.overflow.values()
+        )
+        (report,) = merger.reports
+        assert report.removed_records == removed_total
+        assert report.padding_encrypts == paddings
 
     def test_padding_is_one_batch_call(self, flu_config, fast_cipher, plan):
         calls = []

@@ -58,8 +58,20 @@ class TestRandomer:
         assert len(randomer) == 0
         assert set(leaves) == set(range(7))
         # Every column went through the same permutation.
-        assert ciphertexts == [_ciphertext(leaf) for leaf in leaves]
+        assert list(ciphertexts) == [_ciphertext(leaf) for leaf in leaves]
         assert dummies == bytes(leaf % 2 for leaf in leaves)
+
+    def test_flush_with_no_and_with_one_resident(self):
+        """Nothing to shuffle draws nothing; one resident leaves alone."""
+        rng = random.Random(4)
+        randomer = Randomer(3, rng=rng)
+        state = rng.getstate()
+        assert randomer.flush() == ((), (), b"")
+        assert rng.getstate() == state
+        _insert(randomer, 5, dummy=True)
+        assert randomer.flush() == ((5,), (_ciphertext(5),), b"\x01")
+        assert rng.getstate() == state
+        assert len(randomer) == 0 and randomer.released == 1
 
     def test_flush_shuffles(self):
         orders = set()

@@ -47,6 +47,29 @@ class TestPublicationLifecycle:
         assert len(system.cloud.engine.published) == 2
 
 
+class TestPublicationWithoutDummies:
+    def test_a_publication_that_draws_no_dummies_closes(
+        self, fast_cipher, flu_generator
+    ):
+        """At a budget this large every leaf's noise rounds to 0: the
+        dispatcher schedules no dummy, and the publication still closes
+        with every real record at the cloud."""
+        config = FresqueConfig(
+            schema=flu_survey_schema(),
+            domain=flu_domain(),
+            num_computing_nodes=3,
+            epsilon=1e9,
+            alpha=2.0,
+        )
+        system = FresqueSystem(config, fast_cipher, seed=5)
+        system.start()
+        lines = list(flu_generator.raw_lines(200))
+        summary = system.run_publication(lines)
+        assert system.dispatcher.dummies_generated == 0
+        assert (summary.dummies, summary.removed) == (0, 0)
+        assert summary.published_pairs == len(lines)
+
+
 class TestIndexConsistency:
     def test_published_index_equals_truth_plus_noise(self, system, lines):
         system.run_publication(lines)

@@ -66,9 +66,10 @@ class TestCheckpointStore:
         ["[1,2]", "null", "7", '"state"', '{"state":{"watermark":2}}',
          '{"format":1,"state":{"watermark":2}}', '{"format":2}',
          '{"format":3,"state":{"watermark":2}}',
-         '{"format":4,"state":{"watermark":2}}'],
+         '{"format":4,"state":{"watermark":2}}',
+         '{"checkpoint":1,"format":6,"state":{"watermark":2}}'],
         ids=["list", "null", "number", "string", "unstamped", "format-1",
-             "no-state", "format-3", "format-4"],
+             "no-state", "format-3", "format-4", "format-6"],
     )
     def test_wrong_shape_or_format_falls_back_to_previous(
         self, tmp_path, document
@@ -187,6 +188,20 @@ class TestFormat6:
             tmp_path,
             lambda data: encode_checkpoint(
                 {"checkpoint": 1, "format": FORMAT + 1, "state": _STATE}
+            ),
+        )
+
+    def test_format_6_file_falls_back(self, tmp_path):
+        """Format 6 had this framing; its dispatcher kept in-flight
+        dummies as JSON records and its merger an early-removed buffer."""
+        state = {**_STATE, "dispatcher": {"batch": [
+            ["line", "p1\t1\t375\tnone"],
+            ["record", {"values": ["", 0, 375, ""], "flag": -1}],
+        ]}, "merger": {"publications": {}, "early_removed": {}}}
+        self._fall_back(
+            tmp_path,
+            lambda data: encode_checkpoint(
+                {"checkpoint": 1, "format": 6, "state": state}
             ),
         )
 

@@ -65,6 +65,11 @@ class TestLeafRange:
             previous_high = high
         assert previous_high == small_domain.dmax
 
+    def test_spans_are_the_ranges_as_low_and_width(self):
+        """The last leaf absorbs a non-divisible domain's remainder."""
+        domain = AttributeDomain(dmin=5, dmax=37, bin_interval=10)
+        assert domain.leaf_spans() == [(5, 10), (15, 10), (25, 12)]
+
     def test_bad_offset(self, small_domain):
         with pytest.raises(DomainError):
             small_domain.leaf_range(-1)

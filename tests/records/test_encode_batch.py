@@ -2,11 +2,13 @@
 
 ``encode_batch`` turns a dispatched batch into the computing node's
 plaintext columns a column at a time.  Its reference is what the node
-did one item at a time: ``parse_raw_line`` (lines only), the domain's
-``leaf_offset`` of the indexed value, ``serialize_record``, dropping an
-item at the first step that raises.  Every output column and both
-counters must equal that reference's, on valid lines, dispatcher dummy
-``Record`` s and every kind of malformed item, mixed in one batch.
+did one item at a time: ``parse_raw_line`` for a line, ``make_dummy``
+for a dispatcher dummy (a batch carries a dummy as its indexed value
+alone), the domain's ``leaf_offset`` of the indexed value,
+``serialize_record``, dropping an item at the first step that raises.
+Every output column and both counters must equal that reference's, on
+valid lines, dummy values and every kind of malformed item, mixed in
+one batch.
 """
 
 import pytest
@@ -19,7 +21,9 @@ from repro.datasets.nasa import NasaLogGenerator
 from repro.index.domain import DomainError, gowalla_domain, nasa_domain
 from repro.records.record import RecordError, make_dummy
 from repro.records.schema import (
+    Attribute,
     AttributeType,
+    Schema,
     flu_survey_schema,
     gowalla_schema,
     nasa_log_schema,
@@ -51,10 +55,10 @@ def scalar(items, schema, leaf_offset):
                 record = parse_raw_line(item, schema)
                 parsed += 1
             else:
-                record = item
+                record = make_dummy(schema, item)
             leaf = leaf_offset(record.indexed_value(schema))
             plaintext = serialize_record(record, schema)
-        except (RecordError, DomainError, ValueError):
+        except (RecordError, DomainError, ValueError, OverflowError):
             rejected += 1
             continue
         leaves.append(leaf)
@@ -76,7 +80,7 @@ KINDS = (
     "valid",
     "valid",
     "dummy",
-    "record",
+    "dummy-float",
     "newline",
     "dummy-line",
     "real-flag-line",
@@ -93,15 +97,20 @@ KINDS = (
 @st.composite
 def batch_item(draw, name):
     """One item of a dispatched batch: a line, possibly mutated, or a
-    pre-built record (mostly dispatcher dummies)."""
+    dummy's indexed value (in the domain, near it, or no number at all)."""
     schema, domain, lines = SCHEMAS[name]
     kind = draw(st.sampled_from(KINDS))
+    low, high = int(domain.dmin), int(domain.dmax)
     if kind == "dummy":
-        low, high = int(domain.dmin), int(domain.dmax)
-        return make_dummy(schema, draw(st.integers(low - 2, high + 2)))
+        return draw(st.integers(low - 2, high + 2))
+    if kind == "dummy-float":
+        return draw(
+            st.one_of(
+                st.floats(low - 2, high + 2),
+                st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+            )
+        )
     line = draw(st.sampled_from(lines))
-    if kind == "record":  # a pre-built real record, as tests send
-        return parse_raw_line(line, schema)
     fields = line.split("\t")
     numeric = [
         position
@@ -157,9 +166,11 @@ def test_every_item_rejected():
         "p1\tnot-a-week\t375\tnone",
         "p1\t1\t9999\tnone",  # parses, outside the domain
         "\ud800\t1\t375\tnone",  # parses, not UTF-8
-        make_dummy(schema, domain.dmax + 1),
+        domain.dmax + 1,  # a dummy outside the domain
+        float("nan"),
+        float("inf"),
     ]
-    assert assert_matches_scalar(items, "flu") == ([], [], b"", [], 2, 6)
+    assert assert_matches_scalar(items, "flu") == ([], [], b"", [], 2, 8)
 
 
 @pytest.mark.parametrize(
@@ -178,7 +189,7 @@ def test_one_column_fails_for_one_row(position, bad):
     batch the failing column pass meets it."""
     schema, domain, lines = SCHEMAS["nasa"]
     items = list(lines[:12])
-    items.insert(6, make_dummy(schema, 2048))
+    items.insert(6, 2048.5)
     fields = items[3].split("\t")
     fields[position] = bad
     items[3] = "\t".join(fields)
@@ -189,3 +200,42 @@ def test_one_column_fails_for_one_row(position, bad):
     assert indices == [index for index in range(13) if index != 3]
     assert dummies == bytes(index == 6 for index in indices)
     assert len(leaves) == len(plaintexts) == 12
+
+
+def _float_indexed(schema: Schema) -> Schema:
+    """``schema`` with its indexed attribute re-typed as FLOAT."""
+    return Schema(
+        name=schema.name,
+        attributes=tuple(
+            Attribute(attr.name, AttributeType.FLOAT)
+            if attr.name == schema.indexed_attribute
+            else attr
+            for attr in schema.attributes
+        ),
+        indexed_attribute=schema.indexed_attribute,
+    )
+
+
+@pytest.mark.parametrize("indexed", ["as-is", "float"])
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_dummy_values_render_as_make_dummy(name, indexed):
+    """A dummy value's plaintext is ``serialize_record(make_dummy(...))``
+    and its leaf that of the coerced value, for every dataset schema and
+    for a FLOAT indexed attribute."""
+    schema, domain, _ = SCHEMAS[name]
+    if indexed == "float":
+        schema = _float_indexed(schema)
+    width = domain.dmax - domain.dmin
+    values = [domain.dmin, domain.dmax, domain.dmin + width * 0.37]
+    values += [domain.dmin + width * (k / 7) for k in range(1, 7)]
+    leaves, plaintexts, dummies, indices, parsed, rejected = encode_batch(
+        values, schema, domain.leaf_offset
+    )
+    reference = [make_dummy(schema, value) for value in values]
+    assert plaintexts == [serialize_record(r, schema) for r in reference]
+    assert leaves == [
+        domain.leaf_offset(r.indexed_value(schema)) for r in reference
+    ]
+    assert (dummies, indices, parsed, rejected) == (
+        b"\x01" * len(values), list(range(len(values))), 0, 0
+    )

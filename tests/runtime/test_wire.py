@@ -36,7 +36,6 @@ from repro.index.domain import AttributeDomain
 from repro.index.perturb import draw_noise_plan
 from repro.index.tree import IndexTree
 from repro.records.codec import pack_pairs
-from repro.records.record import DUMMY_FLAG, Record
 from repro.runtime.wire import (
     WireError,
     decode_message,
@@ -61,8 +60,17 @@ from repro.runtime.wire import (
 #: alone digest the same under ccfde70's encoder and this one, so their
 #: bytes did not move:
 #: 6e97b1cb253ee7880c3d4c623c33b9ffc947f4b67fe437273750135ce7e48c70.
+#: Recomputed again when kind 1 moved to columns: the head gained a
+#: dummy count (``<qqqII``), and the per-item tag, length and JSON
+#: record gave way to dummy positions, dummy values as ``f64``, line
+#: ends and the joined lines; the kind-1 samples' dummies became values.
+#: The kinds 3 and 4 samples still digest to the value above.
 PINNED_PACKED_DIGEST = (
-    "e474e732727a13390e9eb225fa25251269e45b24e43f2ea00a72c4b59aca5a4b"
+    "d34fa83c925d7d994182dcd9a976390256accc4877e1a6c212fd8967831671dc"
+)
+#: The kinds 3 and 4 samples of ``PACKED`` alone.
+PINNED_CLOUD_KINDS_DIGEST = (
+    "6e97b1cb253ee7880c3d4c623c33b9ffc947f4b67fe437273750135ce7e48c70"
 )
 #: The same over the removed-record and publication kinds (6 and 7): the
 #: ``RemovedBatch`` bodies of ``PACKED``, then :func:`merged_publication`,
@@ -99,7 +107,7 @@ MESSAGES = {
         "cn-0",
         RawBatch(0, ("a\tb\tc",), seq=4, ordinal=9),
     ),
-    "RawBatch-cn-1_0": ("cn-1", RawBatch(0, (Record(("x", 1, 371, "none")),))),
+    "RawBatch-cn-1_0": ("cn-1", RawBatch(0, (371.0,))),
     "PairBatch-checking0": ("checking", PairBatch(0, (5,), (_CT,), b"\x01")),
     "ToCloudBatch-cloud0": ("cloud", ToCloudBatch(0, (5,), (_CT,))),
     "RemovedBatch-merger": ("merger", RemovedBatch(0, (5,), (_CT,))),
@@ -116,7 +124,7 @@ MESSAGES = {
     # Batch frames (docs/BATCHING.md): one frame per batch on the wire.
     "RawBatch-cn-0_1": (
         "cn-0",
-        RawBatch(0, ("a\tb\tc", Record(("x", 1, 371, "none")), "d\te")),
+        RawBatch(0, ("a\tb\tc", 371.0, "d\te")),
     ),
     "RawBatch-cn-1_1": ("cn-1", RawBatch(3, ())),
     "PairBatch-checking1": (
@@ -129,7 +137,7 @@ MESSAGES = {
         "cn-1",
         RawBatch(
             3,
-            ("a line", Record(values=(1.5, "x"), flag=DUMMY_FLAG), "another"),
+            ("a line", 1.5, "another"),
             seq=7,
             ordinal=21,
         ),
@@ -224,6 +232,15 @@ def test_packed_layout_pinned():
         PINNED_PACKED_DIGEST,
         PINNED_COLUMN_KINDS_DIGEST,
     )
+
+
+def test_cloud_kinds_did_not_move():
+    """Kind 1's layout change left the kinds 3 and 4 bytes alone."""
+    digest = hashlib.sha256()
+    for destination, message in PACKED.values():
+        if isinstance(message, (ToCloudBatch, BufferFlush)):
+            digest.update(encode_body(destination, message))
+    assert digest.hexdigest() == PINNED_CLOUD_KINDS_DIGEST
 
 
 def test_admitted_rides_the_json_envelope():
@@ -576,6 +593,90 @@ def test_malformed_pair_body_rejected(body):
             decode_message(damaged)
 
 
+#: A kind-1 sample and its fields, as ``_raw_body`` lays them out.
+_RAW = RawBatch(3, ("ab", 1.5, "", "cde", 2.5), seq=7, ordinal=21)
+_RAW_FIELDS = dict(
+    count=5, dummies=2, positions=(1, 4), values=(1.5, 2.5), ends=(2, 2, 5),
+    text=b"abcde",
+)
+
+
+def _raw_body(count, dummies, positions, values, ends, text):
+    """A kind-1 body to ``cn-0``: ``pub | seq | ordinal | count | dummies``
+    (``<qqqII``), the dummy positions (u32), the dummy values (f64), the
+    line ends (u32), the joined lines."""
+    return (
+        b"\x01\x04cn-0"
+        + struct.pack("<qqqII", 3, 7, 21, count, dummies)
+        + struct.pack(f"<{len(positions)}I", *positions)
+        + struct.pack(f"<{len(values)}d", *values)
+        + struct.pack(f"<{len(ends)}I", *ends)
+        + text
+    )
+
+
+def _malformed_raw_bodies():
+    def body(**changes):
+        return _raw_body(**{**_RAW_FIELDS, **changes})
+
+    yield "count-larger-than-columns", body(count=6)
+    yield "count-smaller-than-columns", body(count=4)
+    yield "more-dummies-than-items", body(count=1)
+    yield "huge-count", body(count=2**32 - 1)
+    yield "ends-decrease", body(ends=(2, 1, 5))
+    yield "end-past-the-frame", body(ends=(2, 2, 6))
+    yield "ends-short-of-the-lines", body(ends=(2, 2, 4))
+    yield "end-inside-a-character", body(
+        count=4, ends=(1, 3), text="éx".encode()
+    )
+    yield "lines-not-utf-8", body(text=b"ab\xffde")
+    yield "positions-unsorted", body(positions=(4, 1))
+    yield "positions-duplicated", body(positions=(1, 1))
+    yield "position-out-of-range", body(positions=(1, 5))
+    whole = body()
+    field_ends = {
+        "head": 6 + 32,
+        "positions": 6 + 32 + 8,
+        "values": 6 + 32 + 8 + 16,
+        "ends": 6 + 32 + 8 + 16 + 12,
+        "lines": len(whole),
+    }
+    for field, end in field_ends.items():
+        yield f"truncated-in-the-{field}", whole[: end - 1]
+    yield "trailing-byte", whole + b"\x00"
+
+
+_MALFORMED_RAW = dict(_malformed_raw_bodies())
+
+
+class TestRawBatchFrame:
+    """Kind 1 is strict: every field is checked against the others and
+    against the bytes present."""
+
+    def test_layout(self):
+        assert bytes(encode_body("cn-0", _RAW)) == _raw_body(**_RAW_FIELDS)
+        assert decode_message(_raw_body(**_RAW_FIELDS)) == ("cn-0", _RAW)
+
+    @pytest.mark.parametrize(
+        "body", _MALFORMED_RAW.values(), ids=_MALFORMED_RAW.keys()
+    )
+    def test_malformed_body_rejected(self, body):
+        for damaged in (body, memoryview(body)):
+            with pytest.raises(WireError):
+                decode_message(damaged)
+
+    def test_an_item_that_is_no_line_or_number_fails_at_encode(self):
+        with pytest.raises(WireError):
+            encode_body("cn-0", RawBatch(0, ("a line", object())))
+
+    def test_non_ascii_lines_keep_their_bytes(self):
+        message = RawBatch(1, ("é", 4.0, "x\ud800", "", "ü\tz"))
+        body = bytes(encode_body("cn-0", message))
+        surrogate = b"\xed\xa0\x80"
+        assert body.endswith("éx".encode() + surrogate + "ü\tz".encode())
+        assert decode_message(body) == ("cn-0", message)
+
+
 @pytest.mark.parametrize("leaf", [2**31, -(2**31) - 1])
 def test_leaf_outside_i32_fails_at_encode(leaf):
     for message in (
@@ -623,18 +724,14 @@ def test_checkpointed_residents_are_length_checked(flu_config):
     items=st.lists(
         st.one_of(
             st.text(max_size=60).filter(lambda s: "\n" not in s),
-            st.builds(
-                lambda v, flag: Record((v, 1, 371, "none"), flag=flag),
-                st.sampled_from(["a", "b", "d"]),
-                st.sampled_from([0, -1]),  # REAL_FLAG / DUMMY_FLAG
-            ),
+            st.floats(allow_nan=False),  # a dummy's indexed value
         ),
         max_size=12,
     ),
 )
 def test_raw_batch_roundtrip_property(publication, items):
-    """Mixed line/record batches of any size survive the wire — order,
-    item kinds and dummy flags intact, as one frame."""
+    """Mixed line/dummy batches of any size survive the wire — order,
+    item kinds and dummy values intact, as one frame."""
     message = RawBatch(publication, tuple(items))
     frame = encode_message("cn-0", message)
     buffer = bytearray(frame)
@@ -653,7 +750,7 @@ def test_raw_line_with_a_lone_surrogate_roundtrips():
     runtimes do; a valid line keeps its plain UTF-8 bytes."""
     message = RawBatch(
         3,
-        ("\ud800\t1\t375\tnone", "pé\t1\t375\tnone", Record(("x", 1, 371, "none"))),
+        ("\ud800\t1\t375\tnone", "pé\t1\t375\tnone", 371.0),
         seq=1,
         ordinal=5,
     )

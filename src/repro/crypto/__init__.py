@@ -1,4 +1,4 @@
-"""Encryption substrate: pure-Python AES-CBC and the record cipher API."""
+"""Encryption substrate: AES-CBC on libcrypto and the record cipher API."""
 
 from repro.crypto.aes import BLOCK_SIZE, KEY_SIZES, AesBlockCipher, AesKeyError
 from repro.crypto.authenticated import AuthenticatedCipher, AuthenticationError

@@ -2,20 +2,19 @@
 
 Two interchangeable implementations:
 
-* :class:`AesCbcCipher` — real AES-CBC, the paper's scheme.  Its batch
-  methods (``encrypt_batch``, ``encrypt_batch_seeded``, ``decrypt_batch``
-  — what computing nodes, the merger and the query client call) run on the
-  many-block AES kernel and land in the same throughput band as the
-  stand-in below; single-record ``encrypt`` / ``decrypt`` use the
-  single-block reference at ~35 µs per block.
+* :class:`AesCbcCipher` — real AES-CBC, the paper's scheme, on OpenSSL's
+  ``libcrypto`` (:mod:`repro.crypto.aes`).  Its batch methods
+  (``encrypt_batch``, ``encrypt_batch_seeded``, ``decrypt_batch`` — what
+  computing nodes, the merger and the query client call) encrypt each
+  block offset of a batch in one library call; single-record ``encrypt``
+  / ``decrypt`` are batches of one.
 * :class:`SimulatedCipher` — a stand-in that produces ciphertexts of the
   same length as AES-CBC would (IV + padded blocks) by keyed-stream XOR.  It
   preserves everything the system cares about structurally (length, dummy
   indistinguishability, decrypt-ability with the key).  It remains for the
   discrete-event simulation, whose cost model charges the *cost* of AES
-  explicitly, and for callers that encrypt one record at a time (the
-  PINED-RQ family and the baselines), where the AES kernel has nothing to
-  batch.
+  explicitly, and for every workload and test whose pinned ciphertexts
+  were computed under it.
 
 Both hide the record's dummy flag inside the ciphertext, as the paper
 requires (an observer of ``<leaf offset, e-record>`` pairs cannot tell
@@ -31,12 +30,7 @@ from itertools import accumulate
 
 from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher
 from repro.crypto.keys import KeyStore
-from repro.crypto.modes import (
-    cbc_decrypt,
-    cbc_decrypt_many,
-    cbc_encrypt,
-    cbc_encrypt_many,
-)
+from repro.crypto.modes import cbc_decrypt_many, cbc_encrypt_many
 from repro.crypto.padding import PaddingError, pad, unpad
 
 
@@ -98,7 +92,7 @@ class RecordCipher(ABC):
         ``[self.encrypt(p) for p in plaintexts]`` including IV order, so
         the batched ingest path produces the exact ciphertext stream of
         the per-record path.  Subclasses override this with a fast path
-        (the AES kernel, the inlined keystream loop); the base
+        (position-major AES-CBC, the inlined keystream loop); the base
         implementation is the semantic reference.
         """
         return [self.encrypt(plaintext) for plaintext in plaintexts]
@@ -184,8 +178,9 @@ class AesCbcCipher(RecordCipher):
         self._iv_key = keys.derive("fresque/seeded-iv")
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        iv = self._keys.fresh_iv()
-        return iv + cbc_encrypt(self._block, plaintext, iv)
+        return self._encrypt_batch_with_ivs(
+            [plaintext], self._keys.fresh_ivs(1)
+        )[0]
 
     def derive_iv(self, nonce: bytes) -> bytes:
         # PRF of a never-reused nonce under a dedicated subkey — the IV
@@ -194,16 +189,17 @@ class AesCbcCipher(RecordCipher):
         return hashlib.sha256(self._iv_key + nonce).digest()[:BLOCK_SIZE]
 
     def _encrypt_with_iv(self, plaintext: bytes, iv: bytes) -> bytes:
-        return iv + cbc_encrypt(self._block, plaintext, iv)
+        return self._encrypt_batch_with_ivs([plaintext], [iv])[0]
 
     def encrypt_batch(self, plaintexts: list[bytes]) -> list[bytes]:
-        """The batch through the many-block kernel, position-major.
+        """The batch through :func:`cbc_encrypt_many`, position-major.
 
-        Each message still gets its own fresh IV and its own chain — the
-        construction and the bytes are those of mapping :meth:`encrypt`.
+        Each message still gets its own fresh IV (all drawn by one
+        :meth:`KeyStore.fresh_ivs`) and its own chain — the construction
+        is that of mapping :meth:`encrypt`.
         """
         return self._encrypt_batch_with_ivs(
-            plaintexts, [self._keys.fresh_iv() for _ in plaintexts]
+            plaintexts, self._keys.fresh_ivs(len(plaintexts))
         )
 
     def _encrypt_batch_with_ivs(
@@ -217,12 +213,12 @@ class AesCbcCipher(RecordCipher):
             raise DecryptionError("ciphertext shorter than IV + one block")
         iv, body = ciphertext[:BLOCK_SIZE], ciphertext[BLOCK_SIZE:]
         try:
-            return cbc_decrypt(self._block, body, iv)
+            return cbc_decrypt_many(self._block, [body], [iv])[0]
         except (PaddingError, ValueError) as exc:
             raise DecryptionError(str(exc)) from exc
 
     def decrypt_batch(self, ciphertexts: list[bytes]) -> list[bytes]:
-        """Every block of the batch through one kernel call.
+        """Every block of the batch through one ``libcrypto`` call.
 
         All length, IV and PKCS#7 checks of :meth:`decrypt` run on every
         element.  A ciphertext of impossible length is handed to
@@ -254,9 +250,9 @@ class SimulatedCipher(RecordCipher):
     Encrypts by XOR with a keystream derived from SHA-256(key || IV || ctr)
     over the PKCS#7-padded plaintext, prefixed by the IV — so ciphertext
     lengths match :class:`AesCbcCipher` exactly.  This is *not* offered as a
-    secure construction; it exists so structural experiments and
-    record-at-a-time callers don't pay the single-block AES cost (which
-    the simulator models separately).
+    secure construction; it exists for the simulator, which models the
+    cost of AES separately, and for the structural experiments whose
+    pinned ciphertexts were computed under it.
     """
 
     def __init__(self, keys: KeyStore):

@@ -4,17 +4,16 @@ Only CBC is provided: the paper's unified privacy model (Definition 3)
 explicitly assumes AES in CBC mode as the semantically secure encryption
 scheme.
 
-:func:`cbc_encrypt` / :func:`cbc_decrypt` handle one message over the
-single-block reference cipher.  :func:`cbc_encrypt_many` /
-:func:`cbc_decrypt_many` are the batch forms every pipeline stage calls;
-they produce the same bytes over the many-block kernel
-(:meth:`AesBlockCipher.encrypt_blocks`), which needs its blocks to be
-independent of each other:
+:func:`cbc_encrypt_many` / :func:`cbc_decrypt_many` are the batch forms
+every pipeline stage calls; :func:`cbc_encrypt` / :func:`cbc_decrypt` are
+the same functions over a batch of one.  Both run on
+:class:`AesBlockCipher`, one ``libcrypto`` call per set of independent
+blocks:
 
 * in CBC *encryption* block ``j`` of a message needs that message's
   ciphertext block ``j - 1`` first, so the only independent blocks are
   those at the same offset of *different* messages — the batch goes
-  through the kernel position-major, one call per block offset;
+  through the cipher position-major, one call per block offset;
 * in CBC *decryption* every block's cipher input is ciphertext that is
   already there, so all blocks of all messages go through one call and
   the chaining is a single XOR afterwards.
@@ -25,9 +24,8 @@ from __future__ import annotations
 from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher
 from repro.crypto.padding import pad, unpad
 
-#: Messages per kernel run.  Bounds the transient buffers of a batch
-#: (the merger pads a whole publication with one call); the kernel is
-#: already at its per-block floor well below this.
+#: Messages per run.  Bounds the transient buffers of a batch (the merger
+#: pads a whole publication with one call).
 _RUN_MESSAGES = 512
 
 
@@ -55,15 +53,7 @@ def cbc_encrypt(cipher: AesBlockCipher, plaintext: bytes, iv: bytes) -> bytes:
         16-byte initialisation vector; must be fresh and uniformly random
         per message for semantic security.
     """
-    _check_iv(iv)
-    padded = pad(plaintext, BLOCK_SIZE)
-    blocks = []
-    previous = iv
-    for offset in range(0, len(padded), BLOCK_SIZE):
-        block = _xor(padded[offset : offset + BLOCK_SIZE], previous)
-        previous = cipher.encrypt_block(block)
-        blocks.append(previous)
-    return b"".join(blocks)
+    return cbc_encrypt_many(cipher, [plaintext], [iv])[0]
 
 
 def cbc_encrypt_many(
@@ -71,13 +61,13 @@ def cbc_encrypt_many(
     plaintexts: list[bytes],
     ivs: list[bytes],
 ) -> list[bytes]:
-    """CBC-encrypt a batch of messages, position-major over the kernel.
+    """CBC-encrypt a batch of messages, position-major.
 
-    Byte-identical to ``[cbc_encrypt(cipher, p, iv) for p, iv in
-    zip(plaintexts, ivs)]`` — every message's chain starts from its own
-    IV.  At block offset ``j`` the ``j``-th block of every message that
-    still has one is XORed with that message's previous ciphertext block
-    and all of them are encrypted by one kernel call.
+    Every message's chain starts from its own IV, so the bytes do not
+    depend on the batch's shape.  At block offset ``j`` the ``j``-th
+    block of every message that still has one is XORed with that
+    message's previous ciphertext block and all of them are encrypted by
+    one call.
     """
     if len(plaintexts) != len(ivs):
         raise ValueError(
@@ -143,14 +133,7 @@ def cbc_decrypt(cipher: AesBlockCipher, ciphertext: bytes, iv: bytes) -> bytes:
     repro.crypto.padding.PaddingError
         If the recovered padding is invalid (wrong key or corrupt data).
     """
-    _check_body(ciphertext, iv)
-    plaintext = bytearray()
-    previous = iv
-    for offset in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[offset : offset + BLOCK_SIZE]
-        plaintext += _xor(cipher.decrypt_block(block), previous)
-        previous = block
-    return unpad(bytes(plaintext), BLOCK_SIZE)
+    return cbc_decrypt_many(cipher, [ciphertext], [iv])[0]
 
 
 def _check_body(ciphertext: bytes, iv: bytes) -> None:
@@ -164,12 +147,11 @@ def cbc_decrypt_many(
     ciphertexts: list[bytes],
     ivs: list[bytes],
 ) -> list[bytes]:
-    """CBC-decrypt a batch of messages with one kernel call per run.
+    """CBC-decrypt a batch of messages with one cipher call per run.
 
-    Equal to ``[cbc_decrypt(cipher, c, iv) for c, iv in zip(ciphertexts,
-    ivs)]``, with the same errors: every IV and ciphertext length is
-    checked before anything is decrypted, and every message is unpadded,
-    in order, so the first invalid padding is the one raised.
+    Every IV and ciphertext length is checked before anything is
+    decrypted, and every message is unpadded, in order, so the first
+    invalid padding is the one raised.
     """
     if len(ciphertexts) != len(ivs):
         raise ValueError(

@@ -29,6 +29,7 @@ from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher
 from repro.crypto.cipher import AesCbcCipher, SimulatedCipher, record_nonce
 from repro.crypto.keys import KeyStore
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, cbc_encrypt_many
+from tests.crypto.reference_aes import ReferenceAes, reference_cbc_encrypt
 
 # NIST SP 800-38A F.2.1 (CBC-AES128.Encrypt).
 _KEY_128 = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -77,9 +78,10 @@ class _DeterministicKeyStore(KeyStore):
         super().__init__(_MASTER_KEY, key_size=16)
         self._iv_counter = 0
 
-    def fresh_iv(self) -> bytes:
-        self._iv_counter += 1
-        return _iv(self._iv_counter)
+    def fresh_ivs(self, count: int) -> list[bytes]:
+        first = self._iv_counter + 1
+        self._iv_counter += count
+        return [_iv(index) for index in range(first, first + count)]
 
 
 class TestNistBatchVectors:
@@ -116,8 +118,10 @@ class TestNistBatchVectors:
 class TestLongChainsAndPadding:
     def test_sixteen_block_chain_matches_block_recurrence(self):
         """A ≥16-block message through the batch path satisfies the CBC
-        recurrence C_i = E(P_i xor C_{i-1}) block by block."""
+        recurrence C_i = E(P_i xor C_{i-1}) block by block, E being the
+        FIPS-197 reference."""
         cipher = AesBlockCipher(_KEY_128)
+        reference = ReferenceAes(_KEY_128)
         plaintext = bytes(range(256))  # exactly 16 blocks before padding
         (ciphertext,) = cbc_encrypt_many(cipher, [plaintext], [_iv(0)])
         assert len(ciphertext) == 17 * BLOCK_SIZE  # + full padding block
@@ -130,7 +134,7 @@ class TestLongChainsAndPadding:
                     padded[offset : offset + BLOCK_SIZE], previous
                 )
             )
-            previous = cipher.encrypt_block(block)
+            previous = reference.encrypt_block(block)
             assert ciphertext[offset : offset + BLOCK_SIZE] == previous
 
     def test_mixed_length_chains_in_one_batch(self):
@@ -175,11 +179,17 @@ class TestLongChainsAndPadding:
     iv_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_property_cbc_many_equals_map(messages, iv_seed):
-    """Modes level: one batch loop ≡ one cbc_encrypt call per message."""
+    """Modes level: one batch loop ≡ one cbc_encrypt call per message ≡
+    CBC block by block over the FIPS-197 reference."""
     cipher = AesBlockCipher(_KEY_128)
     ivs = [_iv(iv_seed + index) for index in range(len(messages))]
-    assert cbc_encrypt_many(cipher, messages, ivs) == [
+    batch = cbc_encrypt_many(cipher, messages, ivs)
+    assert batch == [
         cbc_encrypt(cipher, message, iv)
+        for message, iv in zip(messages, ivs)
+    ]
+    assert batch == [
+        reference_cbc_encrypt(_KEY_128, message, iv)
         for message, iv in zip(messages, ivs)
     ]
 
@@ -232,7 +242,7 @@ def test_simulated_interleaved_batches_continue_counter():
 
 
 # ---------------------------------------------------------------------------
-# Byte identity with the pre-kernel cipher, and the kernel under threads
+# Byte identity with the pre-kernel cipher, and one cipher under threads
 # ---------------------------------------------------------------------------
 
 #: sha256 over the concatenated ciphertexts of ``_pinned_plaintexts()``
@@ -253,8 +263,8 @@ def _pinned_plaintexts() -> list[bytes]:
 
 
 def test_seeded_batch_stream_is_the_parent_commits():
-    """Same key, same IVs, same bytes: the kernel changed the cost of the
-    ciphertext stream and nothing else."""
+    """Same key, same IVs, same bytes: neither the many-block kernel nor
+    the move to libcrypto changed anything but the cost of the stream."""
     cipher = AesCbcCipher(KeyStore(_MASTER_KEY, key_size=16))
     plaintexts = _pinned_plaintexts()
     nonces = [record_nonce(ordinal) for ordinal in range(len(plaintexts))]
@@ -274,9 +284,9 @@ def test_aes_seeded_batch_needs_one_nonce_per_plaintext():
 
 
 def test_one_aes_cipher_shared_by_concurrent_batches():
-    """Computing-node threads and the merger share one cipher object: the
-    kernel keeps nothing on the instance between (or during) calls, so
-    interleaved batches of different shapes all round-trip."""
+    """Computing-node threads and the merger share one cipher object: its
+    libcrypto contexts are only used with the GIL held, so interleaved
+    batches of different shapes all round-trip."""
     cipher = AesCbcCipher(KeyStore(_MASTER_KEY, key_size=16))
     workers = 4
     batches = {

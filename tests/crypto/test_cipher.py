@@ -81,7 +81,10 @@ class TestKeyStore:
         assert KeyStore().record_key() != KeyStore().record_key()
 
     def test_fresh_ivs_differ(self, keystore):
-        assert keystore.fresh_iv() != keystore.fresh_iv()
+        ivs = keystore.fresh_ivs(3) + keystore.fresh_ivs(1)
+        assert [len(iv) for iv in ivs] == [16] * 4
+        assert len(set(ivs)) == 4
+        assert keystore.fresh_ivs(0) == []
 
 
 @settings(max_examples=25)

@@ -9,9 +9,8 @@ by running :func:`digests` on a checkout of 3aa4427 (where
 every later commit must keep reproducing them.
 
 ``python -m tests.integration.test_parent_identity`` prints the digests
-of every cell, including the NASA cell under pure-Python AES (54 k
-padding encryptions per publication) that tier-1 leaves out, and
-exits non-zero if any cell differs from :data:`PINNED`.
+of every cell and exits non-zero if any cell differs from
+:data:`PINNED`.
 """
 
 from __future__ import annotations
@@ -82,10 +81,6 @@ PINNED = {
     }
 }
 
-#: Cells tier-1 runs; the rest is for the command line.
-FAST_CELLS = [name for name in CELLS if name != "nasa-aes-seeded"]
-
-
 def digests(cell: str) -> dict[str, str]:
     """Run one seed-7 pipeline; digest its cloud, its indexes, one query."""
     name, cipher_kind, seeded, records, (low_at, high_at) = CELLS[cell]
@@ -120,14 +115,14 @@ def digests(cell: str) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("cell", FAST_CELLS)
+@pytest.mark.parametrize("cell", CELLS)
 def test_cloud_indexes_and_query_match_the_parent_commit(cell):
     assert digests(cell) == PINNED[cell]
 
 
 def main() -> int:
     """Every cell against :data:`PINNED`; the exit status is the number
-    of cells that moved (CI runs this for the cell tier-1 skips)."""
+    of cells that moved."""
     got = {cell: digests(cell) for cell in CELLS}
     print(json.dumps(got, indent=2))
     moved = [cell for cell in CELLS if got[cell] != PINNED[cell]]

@@ -12,17 +12,22 @@ Runs sequentially but every per-record task is O(1):
 * dummy pairs (recognised by the trusted-side flag) skip the arrays
   entirely and go straight to the cloud.
 
-At a publication boundary — once *publishing* messages from **all**
-computing nodes arrived — the node drains the randomer through the checker,
+At a publication boundary — once the dispatcher's *publishing* notice and
+the *publishing* messages of **all** live computing nodes arrived — the
+node drains the randomer through the checker,
 ships the final AL to the merger, publishes the shuffled residue to the
 cloud and sends *done* back to the computing nodes.
 
-Because publishing is asynchronous, state is kept per publication: pairs of
-publication ``n + 1`` may arrive while ``n`` is still being finalised.
+State is kept per publication, from its announcement to its
+finalisation.
 
-Messages arrive in the synchronous driver's order (on a concurrent
-runtime the ordering gate restores it), so a pair or a report for a
-publication never announced is a :class:`ProtocolError`.
+The node is also the collector's one ordering layer.  Computing nodes run
+in parallel, so their pair batches and reports interleave arbitrarily on
+the way here; :meth:`CheckingNode.handle` admits each message under five
+rules (docs/PROTOCOL.md, guarantee 4) and holds it until its rule clears,
+so every runtime applies the synchronous driver's order.  A pair or a
+report for a publication neither open nor held for announcement is a
+:class:`ProtocolError`.
 """
 
 from __future__ import annotations
@@ -101,12 +106,32 @@ class _PublicationState:
     arrays: LeafArrays
     cn_reported: set[int] = field(default_factory=set)
     #: The dispatcher's own *publishing* notice arrived — needed to
-    #: finalise a publication whose only missing reports are dead nodes.
+    #: finalise.
     interval_closed: bool = False
 
 
 class CheckingNode(Routed):
     """The sequential trusted node hosting randomer, checker and updater.
+
+    :meth:`handle` admits a message before it is applied, and holds it
+    until its rule clears:
+
+    1. A stamped :class:`PairBatch` is applied in ``seq`` order.  A twin
+       below :attr:`next_seq`, or of a held batch, is the twin of a
+       crash re-send and is dropped (counted in :attr:`duplicates`).
+    2. :class:`PublishingMsg` ``p`` waits until every batch with
+       ``seq <= last_seq`` is applied and ``p`` is announced.
+    3. :class:`CnPublishing` ``p`` waits until ``p`` is announced.
+    4. :class:`NewPublication` ``p`` waits while a publication below
+       ``p`` is open: finalisation shuffles the randomer (an RNG draw),
+       so the next interval's eviction draws must not overtake it.
+    5. :class:`NodeDown` applies at once.
+
+    A held message is applied through :meth:`Routed.handle` once its rule
+    clears, so the ``on_*`` handlers see every message, in the
+    synchronous driver's order.  A publication finalises once its
+    interval closed (the dispatcher's own :class:`PublishingMsg`) and
+    every live computing node reported.
 
     Parameters
     ----------
@@ -146,10 +171,73 @@ class CheckingNode(Routed):
         self.pairs_processed = 0
         self.dummies_passed = 0
         self.records_removed = 0
+        #: The dispatch ``seq`` of the next batch to apply (rule 1).
+        self.next_seq = 0
+        #: Batch twins dropped by rule 1.
+        self.duplicates = 0
+        # Stamped batches held by rule 1 (by seq) and the other held
+        # messages, in arrival order.
+        self._held_batches: dict[int, PairBatch] = {}
+        self._held: list = []
         self._tel = coalesce(telemetry)
         self._removed_counter = self._tel.counter("checking_removed_total")
         self._dummies_counter = self._tel.counter("checking_dummies_total")
         self._occupancy_gauge = self._tel.gauge("randomer_occupancy")
+
+    @property
+    def pending(self) -> int:
+        """Messages admission holds back."""
+        return len(self._held_batches) + len(self._held)
+
+    def handle(self, message) -> list[tuple[str, object]]:
+        """Admit one message, then apply every held message whose rule
+        clears (the class docstring's five rules); returns the outbox."""
+        seq = message.seq if type(message) is PairBatch else -1
+        if seq >= 0:
+            if seq < self.next_seq or seq in self._held_batches:
+                self.duplicates += 1
+                return []
+            self._held_batches[seq] = message
+        else:
+            self._held.append(message)
+        out: list[tuple[str, object]] = []
+        while (ready := self._next_ready()) is not None:
+            out += super().handle(ready)
+        return out
+
+    def _next_ready(self):
+        """Remove and return a held message whose rule holds; ``None``
+        if every held message still waits."""
+        batch = self._held_batches.get(self.next_seq)
+        if batch is not None and self._ready(batch):
+            del self._held_batches[self.next_seq]
+            self.next_seq += 1
+            return batch
+        for index, message in enumerate(self._held):
+            if self._ready(message):
+                return self._held.pop(index)
+        return None
+
+    def _announcing(self, publication: int) -> bool:
+        """Whether ``publication``'s announcement is held (rule 4)."""
+        return any(
+            type(held) is NewPublication and held.publication == publication
+            for held in self._held
+        )
+
+    def _ready(self, message) -> bool:
+        """Whether a held message's rule holds (a stamped batch's seq
+        is checked by the caller)."""
+        kind = type(message)
+        if kind is NewPublication:
+            return not any(
+                open_ < message.publication for open_ in self._publications
+            )
+        if kind is PublishingMsg and message.last_seq >= self.next_seq:
+            return False
+        if kind in (PublishingMsg, CnPublishing, PairBatch):
+            return not self._announcing(message.publication)
+        return True
 
     def state_of(self, publication: int) -> _PublicationState:
         """Internal state of ``publication`` (for tests and metrics)."""
@@ -290,11 +378,17 @@ class CheckingNode(Routed):
         packed pair columns, which are ``bytes`` (checkpoint sections).
 
         Captures, per open publication, the AL/ALN arrays, the randomer's
-        resident pairs and the boundary bookkeeping, plus the dead set —
-        everything a restarted checking node needs to continue
-        mid-publication without reprocessing the records already
-        released downstream.
+        resident pairs and the boundary bookkeeping, plus the dead set
+        and the next batch ``seq`` to apply — everything a restarted
+        checking node needs to continue mid-publication without
+        reprocessing the records already released downstream.  Taken at
+        a quiescent cut only: a held message raises.
         """
+        if self.pending:
+            raise RuntimeError(
+                f"not a quiescent cut: the checking node holds "
+                f"{self.pending} messages"
+            )
         return {
             "publications": {
                 str(publication): {
@@ -308,6 +402,7 @@ class CheckingNode(Routed):
             },
             "dead_nodes": sorted(self._dead_nodes),
             "finalised_floor": self._finalised_floor,
+            "next_seq": self.next_seq,
             "pairs_processed": self.pairs_processed,
             "dummies_passed": self.dummies_passed,
             "records_removed": self.records_removed,
@@ -332,6 +427,7 @@ class CheckingNode(Routed):
             )
         self._dead_nodes = set(state["dead_nodes"])
         self._finalised_floor = state["finalised_floor"]
+        self.next_seq = state["next_seq"]
         self.pairs_processed = state["pairs_processed"]
         self.dummies_passed = state["dummies_passed"]
         self.records_removed = state["records_removed"]
@@ -339,13 +435,11 @@ class CheckingNode(Routed):
     def on_publishing(
         self, message: PublishingMsg
     ) -> list[tuple[str, object]]:
-        """The dispatcher's own *publishing* notice.
+        """The dispatcher's own *publishing* notice: the interval closed.
 
-        With every node live this is informational only — finalisation
-        waits for the per-computing-node messages, which is the
-        publication-consistency condition of Section 5.3.  In degraded
-        mode it marks the interval closed, which (together with the
-        dead set) can itself complete the publication.
+        Finalisation also waits for the per-computing-node reports, the
+        publication-consistency condition of Section 5.3; in degraded
+        mode the dead set stands in for the dead nodes' reports.
         """
         state = self._open_state(message)
         if state is None:
@@ -356,19 +450,19 @@ class CheckingNode(Routed):
         return []
 
     def _complete(self, state: _PublicationState) -> bool:
-        """The relaxed consistency condition: every live computing node
-        reported, and the interval is known to have ended (any
-        ``CnPublishing`` implies it; a dead node's report is replaced by
-        the dispatcher's own *publishing* notice)."""
-        if not (state.cn_reported or state.interval_closed):
-            return False
+        """The consistency condition: the interval closed and every live
+        computing node reported."""
         reported = state.cn_reported | self._dead_nodes
-        return len(reported) >= self.config.num_computing_nodes
+        return (
+            state.interval_closed
+            and len(reported) >= self.config.num_computing_nodes
+        )
 
     def on_cn_publishing(
         self, message: CnPublishing
     ) -> list[tuple[str, object]]:
-        """Track per-node *publishing*; finalise when all nodes reported.
+        """Track per-node *publishing*; finalise when the interval closed
+        and every live node reported.
 
         A report for a finalised publication is a straggler: the dead
         node's NodeDown completed the publication before its report was
@@ -385,8 +479,9 @@ class CheckingNode(Routed):
         """A computing node died: stop waiting for its reports.
 
         The dead set is global — it applies to the carried publication
-        and every later one.  Any open publication whose remaining
-        missing reports are all dead nodes finalises immediately.
+        and every later one.  Any open publication whose interval closed
+        and whose remaining missing reports are all dead nodes finalises
+        immediately.
         """
         self._dead_nodes.add(message.node_id)
         out: list[tuple[str, object]] = []

@@ -133,9 +133,9 @@ class ComputingNode(Routed):
             self._rejected_counter.inc(rejected)
         tel.observe_stage("parse", publication, start)
         if not leaves:
-            # Stamped transports still need the (empty) batch: the
-            # checking-side reorder gate waits for every sequence number,
-            # and an all-rejected batch must not stall it.
+            # A stamped batch still needs its (empty) pair batch: the
+            # checking node applies batches in sequence order, and an
+            # all-rejected batch must not stall it.
             if message.seq < 0:
                 return []
             return self._ship(PairBatch(publication, seq=message.seq))

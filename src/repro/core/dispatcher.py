@@ -131,8 +131,8 @@ class Dispatcher(Routed):
         self._batch_opened: float | None = None
         # Global flush sequence (next RawBatch.seq) and the dispatch
         # ordinal of the in-flight batch's first item; both are stamped
-        # onto RawBatch so the checking gate (runtime/gate.py) can
-        # re-serialise batches and deterministic IVs can key off them.
+        # onto RawBatch so the checking node can re-serialise batches
+        # and deterministic IVs can key off them.
         self._seq = 0
         self._batch_ordinal = 0
         #: seq → (destination, batch) of every shipped batch the checking
@@ -285,7 +285,7 @@ class Dispatcher(Routed):
         its new destination until it is admitted.
 
         The message object is forwarded unchanged — its seq/ordinal
-        stamps must survive the reroute (the ordering gate dedups by
+        stamps must survive the reroute (the checking node dedups by
         seq, deterministic IVs key off the ordinal).
         """
         self.records_rerouted += len(message.items)

@@ -101,8 +101,8 @@ class PairBatch:
 
     ``seq`` carries the originating :class:`RawBatch`'s flush sequence
     number through the computing node (-1 when that batch was
-    unstamped); concurrent runtimes use it to re-serialise batches into
-    dispatch order before the randomer sees them.
+    unstamped); the checking node applies stamped batches in ``seq``
+    order, so the randomer sees them in dispatch order on every runtime.
     """
 
     publication: int
@@ -145,10 +145,10 @@ class PublishingMsg:
     """Dispatcher → computing nodes and checking node: interval over.
 
     ``last_seq`` is the dispatcher's highest flushed :class:`RawBatch`
-    sequence number at interval close (-1 when unstamped).  Reordering
-    consumers hold the message until every batch with ``seq <= last_seq``
-    has been processed, restoring the synchronous runtime's guarantee
-    that *publishing* arrives after the publication's final batch.
+    sequence number at interval close (-1 when none was flushed).  The
+    checking node holds the message until every batch with
+    ``seq <= last_seq`` has been applied, so *publishing* takes effect
+    after the publication's final batch on every runtime.
     """
 
     publication: int

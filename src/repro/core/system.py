@@ -328,21 +328,6 @@ class FresqueSystem:
         the :class:`NodeDown` notice stands in for its acknowledgements."""
         self._node_down(int(destination[3:]))
 
-    def _thread_handlers(self) -> None:
-        """Ready the handler table for nodes that run concurrently.
-
-        The checking node is fronted by the ordering gate, which
-        restores the synchronous delivery order — the cloud state is
-        then the synchronous system's, crashes included — and drops the
-        twin of a re-sent batch (docs/PROTOCOL.md).
-        """
-        from repro.runtime.gate import CheckingGate
-
-        self._checking_gate = CheckingGate(
-            self.checking.handle, self.config.num_computing_nodes
-        )
-        self._handlers["checking"] = self._checking_gate.feed
-
     # ------------------------------------------------------------------
     # Transport seams (no-ops in process)
     # ------------------------------------------------------------------
@@ -542,7 +527,7 @@ class FresqueSystem:
         :class:`NodeDown` *before* the re-sent batches: every batch
         shipped to the node and not yet admitted, in seq order, as the
         same objects — so their seq/ordinal/IV stamps survive, the
-        ordering gate drops whichever twin comes second, and a crash
+        checking node drops whichever twin comes second, and a crash
         stays byte-invisible.  Nothing of the dead node is read
         (docs/PROTOCOL.md, "Redispatch").
         """

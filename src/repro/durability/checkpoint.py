@@ -7,7 +7,7 @@ of pairs already delivered to the cloud per open publication.  Recovery
 loads the newest readable checkpoint and replays the journal suffix past
 its watermark.
 
-One checkpoint is one file of CRC-framed parts (:data:`FORMAT` 7)::
+One checkpoint is one file of CRC-framed parts (:data:`FORMAT` 8)::
 
     length (u32 LE) | crc32 (u32 LE) | manifest (utf-8 JSON)
     length (u32 LE) | crc32 (u32 LE) | section 0
@@ -26,11 +26,12 @@ rename itself is durable.  A crash mid-write leaves either the old
 checkpoint or the new one — never a torn hybrid (the ``FRQ-D702`` lint
 rule keeps this the only write path).
 
-A file that does not decode as format 7 — torn, bit-flipped, truncated,
+A file that does not decode as format 8 — torn, bit-flipped, truncated,
 with trailing bytes, a JSON document of formats 1–5 (base64 columns
-inside one JSON object), or a format-6 file (the same framing, its
+inside one JSON object), a format-6 file (the same framing, its
 dispatcher's in-flight dummies JSON records, its merger state with an
-early-removed buffer) — is skipped exactly like a torn one.
+early-removed buffer) or a format-7 file (no ``next_seq`` in its
+checking state) — is skipped exactly like a torn one.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ import struct
 import zlib
 
 #: The checkpoint format this code writes, and the only one it restores.
-FORMAT = 7
+FORMAT = 8
 
 _HEADER = struct.Struct("<II")  # length, crc32
 _SECTION = "$section"
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file that is not a readable format-7 checkpoint."""
+    """A checkpoint file that is not a readable format-8 checkpoint."""
 
 
 def _lift(value, sections: list):
@@ -89,7 +90,7 @@ def encode_checkpoint(document: dict) -> bytes:
 
 def decode_checkpoint(data) -> dict:
     """Inverse of :func:`encode_checkpoint`; anything but a whole,
-    CRC-valid format-7 file is a :class:`CheckpointError`."""
+    CRC-valid format-8 file is a :class:`CheckpointError`."""
     view = memoryview(data)
     parts = []
     offset = 0
@@ -190,7 +191,7 @@ class CheckpointStore:
     def read(self, path) -> dict:
         """The whole document of one checkpoint file (``checkpoint``,
         ``format``, ``state``); :class:`CheckpointError` if it is not a
-        readable format-7 checkpoint."""
+        readable format-8 checkpoint."""
         return decode_checkpoint(pathlib.Path(path).read_bytes())
 
     def latest(self) -> dict | None:

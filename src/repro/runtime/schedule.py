@@ -80,9 +80,6 @@ class ScheduledFresque(FresqueSystem):
     # Transport: one FIFO per destination, stepped by the schedule
     # ------------------------------------------------------------------
 
-    def _spawn(self) -> None:
-        self._thread_handlers()
-
     def _send(self, destination: str, message) -> bool:
         # Until its degrade step, a crashed node silently loses what it
         # is sent, like a peer that just died.
@@ -146,7 +143,7 @@ class ScheduledFresque(FresqueSystem):
             raise ScheduleStall(self._stall_report(publication))
 
     def _stall_report(self, publication: int) -> str:
-        gate = self._checking_gate
+        checking = self.checking
         waiting = {
             f"cn-{i}": node.held_pairs
             for i, node in enumerate(self.computing_nodes)
@@ -154,8 +151,9 @@ class ScheduledFresque(FresqueSystem):
         }
         return (
             f"publication {publication} unmatched with every queue empty "
-            f"(pace {self.pace:.3f}): the checking gate holds "
-            f"{gate.pending} messages and awaits seq {gate.next_seq}; the "
+            f"(pace {self.pace:.3f}): the checking node holds "
+            f"{checking.pending} messages and awaits seq "
+            f"{checking.next_seq}; the "
             f"dispatcher's oldest unadmitted seq is "
             f"{self.dispatcher.oldest_unadmitted}; nodes awaiting done "
             f"with their held pairs: {waiting}; dead: {sorted(self._dead)}"

@@ -580,10 +580,10 @@ class ClusterTimeout(TimeoutError):
     """A publication missed its deadline.
 
     Carries :attr:`health_report` (per-node heartbeat snapshots, router
-    retry/reconnect totals, the degraded-mode dead set, the seq the
-    checking gate awaits and the dispatcher's oldest unadmitted seq) and
-    renders it in the message, so the failure is diagnosable instead of
-    a bare ``TimeoutError``.
+    retry/reconnect totals, the degraded-mode dead set, the messages the
+    checking node holds, the seq it awaits and the dispatcher's oldest
+    unadmitted seq) and renders it in the message, so the failure is
+    diagnosable instead of a bare ``TimeoutError``.
     """
 
     def __init__(self, publication: int, timeout: float, report: dict):
@@ -609,7 +609,8 @@ class ClusterTimeout(TimeoutError):
             lines.append(f"  degraded around dead nodes: {sorted(dead)}")
         if "next_seq" in report:
             lines.append(
-                "  gate awaits seq {next_seq}; oldest unadmitted seq "
+                "  the checking node holds {held} messages and awaits "
+                "seq {next_seq}; oldest unadmitted seq "
                 "{oldest_unadmitted}".format(**report)
             )
         super().__init__("\n".join(lines))
@@ -689,7 +690,6 @@ class TcpFresqueCluster(FresqueSystem):
         return server
 
     def _spawn(self) -> None:
-        self._thread_handlers()
         for name in self._handlers:
             self._add_server(name)
         for server in self._servers.values():
@@ -796,9 +796,10 @@ class TcpFresqueCluster(FresqueSystem):
 
     def health_report(self) -> dict:
         """Diagnosable cluster snapshot: per-node heartbeats, router
-        retry/reconnect totals, the degraded-mode dead set, and the seq
-        the gate awaits beside the oldest unadmitted one (equal when the
-        gate waits on a lost batch)."""
+        retry/reconnect totals, the degraded-mode dead set, and the
+        messages the checking node holds and the seq it awaits beside
+        the oldest unadmitted one (equal when it waits on a lost
+        batch)."""
         return {
             "nodes": [server.health() for server in self._servers.values()],
             "router": {
@@ -806,7 +807,8 @@ class TcpFresqueCluster(FresqueSystem):
                 "reconnects": self.router.reconnects,
             },
             "dead_nodes": sorted(self._dead),
-            "next_seq": self._checking_gate.next_seq,
+            "held": self.checking.pending,
+            "next_seq": self.checking.next_seq,
             "oldest_unadmitted": self.dispatcher.oldest_unadmitted,
         }
 

@@ -238,9 +238,9 @@ class TestRandomerBatchOrdering:
         assert batched.records_removed == len(merger)
 
     def test_an_unannounced_batch_raises(self, flu_config):
-        """Delivery order is the synchronous driver's (the ordering gate
-        restores it on concurrent runtimes), so a batch that beats its
-        NewPublication is a protocol error, not an arrival to hold."""
+        """Admission applies messages in the synchronous driver's order,
+        so a batch for a publication neither open nor held for
+        announcement is a protocol error, not an arrival to hold."""
         config = _small_buffer(flu_config, delta_prime=0.5)
         batch = pair_batch(0, _pairs(config, 25))
         checking = CheckingNode(config, rng=random.Random(9))

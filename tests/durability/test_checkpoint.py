@@ -205,6 +205,19 @@ class TestFormat6:
             ),
         )
 
+    def test_format_7_file_falls_back(self, tmp_path):
+        """Format 7 had this framing; its checking state had no
+        ``next_seq``, so its checking node would wait for seq 0."""
+        state = {**_STATE, "checking": {
+            "publications": {}, "dead_nodes": [], "finalised_floor": -1,
+        }}
+        self._fall_back(
+            tmp_path,
+            lambda data: encode_checkpoint(
+                {"checkpoint": 1, "format": 7, "state": state}
+            ),
+        )
+
     def test_format_5_json_document_falls_back(self, tmp_path):
         """Format 5 was one JSON document, its packed columns base64."""
         residents = base64.b64encode(b"\x00\x01\xff" * 50).decode("ascii")

@@ -18,6 +18,11 @@ sweeps :data:`TIER1_SEEDS` plus :data:`PINNED`; the full sweep runs as
 
 and exits non-zero on any mismatch or stall.  The TCP cases run the
 same stream on real threads and sockets.
+
+An empty publication closed right after its predecessor is the
+window's edge case: it dispatches no batch, so its *publishing* notice
+reaches the checking node while its announcement still waits for the
+predecessor's finalisation (:data:`EMPTY_SEEDS`).
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ _CRASH_AT = 40
 BATCH_SIZES = (1, 4, 8)
 TIER1_SEEDS = tuple(range(8))
 #: Seeds whose schedules stalled before two fixes, as ``(seed, crash)``:
-#: seed 30 on the checking gate holding ``NewPublication(n + 1)`` behind
+#: seed 30 on the ordering layer holding ``NewPublication(n + 1)`` behind
 #: ``PublishingMsg(n + 2)``; seed 12 (with the crash) on a computing
 #: node keeping a re-sent batch of the publication it re-armed for
 #: behind that publication's own marker.
@@ -134,6 +139,47 @@ def test_tcp_crash_in_the_window_matches_sync(batch_size):
 
     state = run_back_to_back(TcpFresqueCluster, 20210323, batch_size, True)
     assert state == sync_fingerprint(20210323)
+
+
+#: Seeds of the empty-publication case on the scheduled runtime; before
+#: ``PublishingMsg(p)`` waited for ``p``'s announcement, 29 of them
+#: raised ``ProtocolError``.
+EMPTY_SEEDS = tuple(range(40))
+_EMPTY_LINES = list(FluSurveyGenerator(seed=71).raw_lines(40))
+
+
+def empty_publication_receipt(runtime_cls, seed: int):
+    """Ingest 40 lines into publication 0, close it and then publication
+    1 with nothing in it, settle publication 1 and return its receipt.
+    ``epsilon`` is so large that no dummy is drawn."""
+    config = FresqueConfig(
+        schema=flu_survey_schema(),
+        domain=flu_domain(),
+        num_computing_nodes=2,
+        epsilon=1000.0,
+        batch_size=4,
+    )
+    with runtime_cls(config, _cipher(), seed=seed) as system:
+        for line in _EMPTY_LINES:
+            system.ingest(line)
+        system.close_publication()
+        system.close_publication()
+        system.settle(1)
+        return system._receipt(1)
+
+
+@pytest.mark.parametrize("seed", EMPTY_SEEDS)
+def test_scheduled_empty_publication_matches_sync(seed):
+    receipt = empty_publication_receipt(ScheduledFresque, seed)
+    assert receipt.records_matched == 0
+    assert receipt == empty_publication_receipt(FresqueSystem, seed)
+
+
+def test_tcp_empty_publication_matches_sync():
+    from repro.runtime.tcp import TcpFresqueCluster
+
+    receipt = empty_publication_receipt(TcpFresqueCluster, 0)
+    assert receipt == empty_publication_receipt(FresqueSystem, 0)
 
 
 def main(argv: list[str]) -> int:

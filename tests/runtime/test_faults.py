@@ -364,10 +364,10 @@ class TestLostFrameStall:
     def test_a_dropped_pair_frame_times_out_naming_its_seq(
         self, flu_config, fast_cipher
     ):
-        """A frame lost without a crash is not re-sent: the ordering
-        gate waits for its seq, and the ``ClusterTimeout`` report names
-        it twice — the seq the gate awaits is the dispatcher's oldest
-        unadmitted one."""
+        """A frame lost without a crash is not re-sent: the checking
+        node waits for its seq, and the ``ClusterTimeout`` report names
+        it twice — the seq the checking node awaits is the dispatcher's
+        oldest unadmitted one — beside the messages it holds."""
         lines = list(FluSurveyGenerator(seed=86).raw_lines(150))
         plan = FaultPlan(seed=9).drop_frames("checking", at_frames=(10,))
         cluster = TcpFresqueCluster(
@@ -380,11 +380,12 @@ class TestLostFrameStall:
         with cluster, pytest.raises(ClusterTimeout) as timeout:
             cluster.run_publication(lines, timeout=3.0)
         report = timeout.value.health_report
-        seq = report["next_seq"]
+        seq, held = report["next_seq"], report["held"]
         assert seq == report["oldest_unadmitted"] > 0
+        assert held == cluster.checking.pending > 0
         assert (
-            f"gate awaits seq {seq}; oldest unadmitted seq {seq}"
-            in str(timeout.value)
+            f"the checking node holds {held} messages and awaits seq "
+            f"{seq}; oldest unadmitted seq {seq}" in str(timeout.value)
         )
 
 
@@ -394,10 +395,10 @@ class TestScheduledFaults:
     ):
         """The same plan API plugs into the scheduled runtime.  A lost
         pair frame is no crash, so nothing re-sends its batch: the
-        ordering gate waits for that seq, and ``settle`` raises
-        ``ScheduleStall`` naming it — the seq the gate awaits is the
-        dispatcher's oldest unadmitted one — instead of publishing a
-        smaller publication."""
+        checking node waits for that seq, and ``settle`` raises
+        ``ScheduleStall`` naming it — the seq the checking node awaits
+        is the dispatcher's oldest unadmitted one — instead of
+        publishing a smaller publication."""
         from repro.runtime.schedule import ScheduledFresque, ScheduleStall
 
         lines = list(FluSurveyGenerator(seed=86).raw_lines(150))
@@ -414,7 +415,10 @@ class TestScheduledFaults:
         awaited = re.search(r"awaits seq (\d+)", str(stall.value))
         oldest = re.search(r"oldest unadmitted seq is (\d+)", str(stall.value))
         assert awaited and oldest
-        assert int(awaited[1]) == int(oldest[1]) == lossy._checking_gate.next_seq
+        assert int(awaited[1]) == int(oldest[1]) == lossy.checking.next_seq
+        held = lossy.checking.pending
+        assert held > 0
+        assert f"the checking node holds {held} messages" in str(stall.value)
         assert lossy.dispatcher.oldest_unadmitted == int(oldest[1])
         assert [e.action for e in plan.schedule] == ["drop"] * 3
 

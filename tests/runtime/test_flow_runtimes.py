@@ -2,8 +2,8 @@
 
 Covers the TCP cluster's background flush poller actually draining a
 sub-batch-size trickle (the stalled delay-flush regression), and the restored
-dispatcher's seq/ordinal bookkeeping meshing with the checking gate
-after a crash + node death + redispatch.
+dispatcher's seq/ordinal bookkeeping meshing with the checking node's
+seq rule after a crash + node death + redispatch.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import time
 
 import pytest
 
+from repro.core.checking import CheckingNode
 from repro.core.dispatcher import Dispatcher
-from repro.core.messages import PairBatch, RawBatch
+from repro.core.messages import Admitted, PairBatch, RawBatch
 from repro.datasets.flu import FluSurveyGenerator
-from repro.runtime.gate import CheckingGate
 from repro.runtime.poller import (
     MAX_INTERVAL,
     MIN_INTERVAL,
@@ -81,7 +81,7 @@ class TestTrickleFlushesViaPoller:
 
 class TestRestoreRedispatchOrdinals:
     """Satellite: a restored in-flight batch, a node death and a
-    redispatch must keep the seq/ordinal bookkeeping the checking gate
+    redispatch must keep the seq/ordinal bookkeeping the checking node
     (and deterministic IVs) key off."""
 
     def _dispatcher(self, flu_config):
@@ -114,7 +114,7 @@ class TestRestoreRedispatchOrdinals:
         assert batch.ordinal == 4  # records 4 and 5 of the publication
 
         # The survivor dies mid-delivery too: redispatch must preserve
-        # the stamped seq/ordinal (the gate dedups by seq, the IVs key
+        # the stamped seq/ordinal (the checking node dedups by seq, the IVs key
         # off the ordinal), only the route may change.
         (redest, rebatch), = restored.redispatch(batch)
         assert rebatch.seq == batch.seq
@@ -124,7 +124,7 @@ class TestRestoreRedispatchOrdinals:
 
     def test_gate_accepts_resumed_seq_and_drops_duplicate(self, flu_config):
         dispatcher = self._dispatcher(flu_config)
-        dispatcher.start_publication()
+        ((_, announcement),) = dispatcher.start_publication()
         flushed = []
         for i in range(6):
             flushed.extend(dispatcher.on_raw(f"line-{i}"))
@@ -133,21 +133,21 @@ class TestRestoreRedispatchOrdinals:
         restored.mark_node_down(0)
         (_, tail), = restored.flush_batch()
 
-        delivered = []
+        checking = CheckingNode(flu_config, rng=random.Random(1))
+        checking.handle(announcement)
 
-        def handler(message):
-            delivered.append(message)
-            return []
+        def admitted(message):
+            return [
+                m.seq for _, m in checking.handle(message)
+                if isinstance(m, Admitted)
+            ]
 
-        gate = CheckingGate(handler, num_nodes=3)
         # The pre-crash batch arrives after the post-restore one (the
-        # redispatch raced it); the gate re-serialises, and the crash
-        # overlap copy of seq 0 is dropped as a duplicate.
+        # redispatch raced it); the checking node re-serialises, and
+        # the crash overlap copy of seq 0 is dropped as a duplicate.
         head = next(m for _, m in flushed if isinstance(m, RawBatch))
-        gate.feed(PairBatch(0, (), seq=tail.seq))
-        assert delivered == []  # waits for seq 0
-        gate.feed(PairBatch(0, (), seq=head.seq))
-        assert [m.seq for m in delivered] == [0, 1]
-        gate.feed(PairBatch(0, (), seq=head.seq))  # redispatch overlap
-        assert gate.duplicates == 1
-        assert [m.seq for m in delivered] == [0, 1]
+        assert admitted(PairBatch(0, seq=tail.seq)) == []  # waits for 0
+        assert admitted(PairBatch(0, seq=head.seq)) == [0, 1]
+        assert admitted(PairBatch(0, seq=head.seq)) == []  # the overlap
+        assert checking.duplicates == 1
+        assert checking.next_seq == 2

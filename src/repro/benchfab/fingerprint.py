@@ -3,8 +3,7 @@
 This is the byte-identity currency of the whole repository: the batch,
 flow and degraded-mode equivalence harnesses all compare deployments
 through this exact serialization (``tests/conftest.py`` delegates
-here), and the benchmark fabric stamps it on every scorecard so a
-conformance row is one string comparison.
+here), and a conformance cell is one string comparison of its digest.
 
 Two runs agree on the fingerprint iff the cloud holds byte-identical
 publications in identical order with the same receipts and checking

@@ -244,28 +244,15 @@ class WriteAheadJournal:
 
         The one raw-line append, for a dispatcher batch and for a single
         line alike: hand-rolled JSON (escaped through the stdlib's C
-        escaper) and an inlined frame write keep the journal off the
-        ingest critical path's profile, and the whole chunk shares one
-        ``write(2)`` (and one fsync-cadence slot).
+        escaper) keeps the journal off the ingest critical path's
+        profile, and the whole chunk shares one ``write(2)`` (and one
+        fsync-cadence slot).
         """
         payload = (
             '{"t":"rawb","pub":%d,"lines":[%s]}'
             % (publication, ",".join(map(_encode_json_str, lines)))
         ).encode("utf-8")
-        if len(payload) > MAX_PAYLOAD_BYTES:
-            raise JournalError(
-                f"journal payload of {len(payload)} bytes exceeds the maximum"
-            )
-        frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        self._handle.write(frame)
-        seq = self._entries
-        self._entries = seq + 1
-        self._unsynced += 1
-        self._pending_bytes += len(frame)
-        self._pending_records += 1
-        if self.sync_every and self._unsynced >= self.sync_every:
-            self.sync()
-        return seq
+        return self._append_payload(payload, sync=False)
 
     def append_close(self, publication: int) -> int:
         """Journal the end of a publication interval."""

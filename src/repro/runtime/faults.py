@@ -9,10 +9,10 @@ node supervision) can be exercised reproducibly.  The plan plugs into
   duplicated, or the cached connection severed right before the write
   (the classic dead-cached-socket scenario);
 * :class:`~repro.runtime.tcp.TcpNode` — consulted once per inbox frame
-  (:meth:`FaultPlan.on_node_frame`): a node can crash (optionally
-  restarting on the same port) after handling a chosen number of
-  frames, dropping whatever its inbox still holds — like a machine
-  going down mid-publication;
+  (:meth:`FaultPlan.on_node_frame`): a node can crash after handling
+  a chosen number of frames, dropping whatever its inbox still holds —
+  like a machine going down mid-publication.  A crashed node stays
+  down (crash-stop);
 * :class:`~repro.runtime.schedule.ScheduledFresque` — the same
   send-side decisions applied to its in-process FIFOs;
 * :class:`~repro.durability.DurableFresqueSystem` — consulted once per
@@ -38,9 +38,8 @@ import random
 import threading
 from dataclasses import dataclass, field
 
-#: Node actions returned by :meth:`FaultPlan.on_node_frame`.
+#: The node action returned by :meth:`FaultPlan.on_node_frame`.
 CRASH = "crash"
-RESTART = "restart"
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ class _SendRule:
 @dataclass
 class _NodeRule:
     after_handled: int
-    restart: bool = False
     fired: bool = False
 
 
@@ -174,14 +172,11 @@ class FaultPlan:
         )
         return self
 
-    def crash_node(
-        self, name: str, *, after_handled: int, restart: bool = False
-    ) -> "FaultPlan":
+    def crash_node(self, name: str, *, after_handled: int) -> "FaultPlan":
         """Crash node ``name`` once it has handled ``after_handled``
         frames; the triggering frame and the rest of its inbox are
-        dropped.  With ``restart=True`` the node rebinds its port and
-        resumes with a fresh (empty) inbox."""
-        self._node_rules[name] = _NodeRule(after_handled, restart)
+        dropped, and the node stays down."""
+        self._node_rules[name] = _NodeRule(after_handled)
         return self
 
     def crash_collector(self, *, after_records: int) -> "FaultPlan":
@@ -240,7 +235,7 @@ class FaultPlan:
     def on_node_frame(self, name: str) -> str | None:
         """Decide whether node ``name`` survives its next inbox frame.
 
-        Returns :data:`CRASH`, :data:`RESTART` or ``None``.  The index
+        Returns :data:`CRASH` or ``None``.  The index
         counts frames *offered* to the node (0-based): a rule with
         ``after_handled=n`` lets ``n`` frames through and kills the node
         on the ``n+1``-th.
@@ -252,9 +247,8 @@ class FaultPlan:
             if rule is None or rule.fired or index < rule.after_handled:
                 return None
             rule.fired = True
-            action = RESTART if rule.restart else CRASH
-            self.schedule.append(FaultEvent("node", name, index, action))
-            return action
+            self.schedule.append(FaultEvent("node", name, index, CRASH))
+            return CRASH
 
     def on_collector_record(self) -> bool:
         """Decide whether the collector survives its next raw record:

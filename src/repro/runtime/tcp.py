@@ -44,7 +44,6 @@ from repro.client.query_client import QueryClient
 from repro.core.config import FresqueConfig
 from repro.core.system import FresqueSystem
 from repro.crypto.cipher import RecordCipher
-from repro.runtime.faults import RESTART
 from repro.runtime.poller import FlushPoller, poll_interval
 from repro.runtime.wire import WireError, decode_message, encode_message, read_frames
 from repro.telemetry.clock import WALL_CLOCK
@@ -292,7 +291,7 @@ class TcpNode:
         bytes and tracks the inbox depth per node.
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan` consulted once
-        per inbox frame (node crash/restart injection).
+        per inbox frame (node crash injection).
 
     Supervision: reader-thread failures and torn frames are recorded in
     :attr:`errors` (surfaced by the driver), accepted connections are
@@ -326,7 +325,6 @@ class TcpNode:
         self._running = False
         self._closing = False
         self.crashed = False
-        self.restarts = 0
         #: Frames a crash discarded from the inbox, unread.
         self.dropped_frames = 0
         self.errors: list[BaseException] = []
@@ -344,7 +342,7 @@ class TcpNode:
         """Spawn the acceptor and worker threads."""
         self._running = True
         acceptor = threading.Thread(
-            target=self._accept_loop, args=(self._server,),
+            target=self._accept_loop,
             name=f"tcp-accept-{self.name}", daemon=True,
         )
         worker = threading.Thread(
@@ -359,10 +357,10 @@ class TcpNode:
     def _record_error(self, error: BaseException) -> None:
         self.errors.append(error)
 
-    def _accept_loop(self, server: socket.socket) -> None:
+    def _accept_loop(self) -> None:
         while True:
             try:
-                connection, _ = server.accept()
+                connection, _ = self._server.accept()
             except OSError as exc:
                 if self._running and not self._closing:
                     self._record_error(
@@ -435,10 +433,8 @@ class TcpNode:
             if item is _STOP:
                 return
             if self._fault_plan is not None:
-                action = self._fault_plan.on_node_frame(self.name)
-                if action is not None:
-                    if self._enact_crash(item, restart=action == RESTART):
-                        continue
+                if self._fault_plan.on_node_frame(self.name) is not None:
+                    self._enact_crash(item)
                     return
             try:
                 destination, message = decode_message(item)
@@ -453,15 +449,13 @@ class TcpNode:
             except BaseException as exc:  # surfaced by the driver
                 self.errors.append(exc)
 
-    def _enact_crash(self, pending_frame, restart: bool) -> bool:
+    def _enact_crash(self, pending_frame) -> None:
         """Fault injection: die like a crashed machine.
 
         Closes the server and every accepted connection (peers see the
-        node go away), discards the pending frame and the rest of the
-        inbox unread (counting them in :attr:`dropped_frames`), and
-        either stays dead or — with ``restart`` — rebinds the same port
-        with a fresh acceptor and an empty inbox.  Returns whether the
-        node restarted.
+        node go away) and discards the pending frame and the rest of the
+        inbox unread (counting them in :attr:`dropped_frames`).  The
+        node stays dead.
         """
         with self._lock:
             self.crashed = True
@@ -485,38 +479,15 @@ class TcpNode:
             dropped += item is not _STOP
         with self._lock:
             self.dropped_frames += dropped
-        if not restart:
-            return False
-        self._rebind()
-        return True
 
     def crash(self) -> None:
         """Driver-side crash injection: same effect as a fault-plan
         crash, enacted from outside the worker thread.  Returns once
         the worker has stopped."""
-        self._enact_crash(None, restart=False)
+        self._enact_crash(None)
         self._inbox.put(_STOP)
         if self._worker is not None:
             self._worker.join(timeout=5)
-
-    def _rebind(self) -> None:
-        """Fresh server socket + acceptor on the node's original port."""
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind(("127.0.0.1", self.port))
-        server.listen(32)
-        acceptor = threading.Thread(
-            target=self._accept_loop, args=(server,),
-            name=f"tcp-accept-{self.name}", daemon=True,
-        )
-        with self._lock:
-            self._server = server
-            self._acceptor = acceptor
-            self.restarts += 1
-            self.crashed = False
-            self._closing = False
-            self._running = True
-        acceptor.start()
 
     @staticmethod
     def _shutdown_socket(sock: socket.socket) -> None:
@@ -549,7 +520,6 @@ class TcpNode:
                 worker is not None and worker.is_alive() and not self.crashed
             ),
             "crashed": self.crashed,
-            "restarts": self.restarts,
             "handled": handled,
             "pending": self.pending,
             "dropped_frames": dropped,

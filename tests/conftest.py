@@ -16,9 +16,9 @@ from repro.index.domain import AttributeDomain
 from repro.records.schema import flu_survey_schema
 
 # cloud_state_fingerprint — the canonical byte-level serialization of a
-# deployment's cloud state — now lives in repro.benchfab.fingerprint so
-# the benchmark fabric and the equivalence harnesses share one
-# implementation; tests keep importing it from here.
+# deployment's cloud state — lives in repro.benchfab.fingerprint so the
+# benchmarks and the equivalence harnesses share one implementation;
+# tests keep importing it from here.
 
 
 def query_fingerprint(system, low: float, high: float) -> tuple:

@@ -1,74 +1,115 @@
-"""The fabric's conformance matrix as an executable byte-identity suite.
+"""Cross-runtime byte identity over every deployment cell.
 
-The benchmark fabric's ``CONFORMANCE_MATRIX`` expands to every
-runtime × batch-size × durability cell the project claims is a *pure
-deployment change* — sync, scheduled and TCP runtimes, batch sizes 1
-and 64, in-memory and durable storage.  This module drives each cell through
-the same :func:`repro.benchfab.runner.run_scenario` path the benches
-use and asserts its cloud-state fingerprint is byte-identical to the
-sync/batch-64/in-memory baseline — the scenario expansion doubling as
-the conformance suite, so a new matrix axis (a runtime, a durability
-mode) is automatically held to byte identity the moment it is added.
+Every runtime × batch-size × durability cell the project claims is a
+*pure deployment change* — the sync, scheduled and TCP runtimes, batch
+sizes 1, 8 and 64, in-memory and durable storage — runs the same two
+Flu publications on seeded IVs, and its cloud-state fingerprint and
+published-index digest must equal the sync / batch-64 / in-memory
+baseline's.
 
 The dedicated equivalence harnesses (``test_batch_equivalence``,
-``test_degraded_mode``) probe *why* the
-property holds, with adversarial interleavings; this suite pins that
-the declarative matrix the benchmarks gate on exercises the very same
-property end to end.
+``test_degraded_mode``) probe *why* the property holds, with
+adversarial interleavings; this suite pins it end to end on the real
+constructors.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from repro.benchfab.runner import run_scenario
-from repro.benchfab.scenarios import CONFORMANCE_MATRIX
-from repro.benchfab.spec import Scenario
+from repro.benchfab.datasets import dataset
+from repro.benchfab.fingerprint import (
+    cloud_state_fingerprint,
+    fingerprint_digest,
+    publication_digest,
+)
+from repro.benchfab.runner import MASTER_KEY
+from repro.core.config import FresqueConfig
+from repro.core.system import FresqueSystem
+from repro.crypto.cipher import SimulatedCipher
+from repro.crypto.keys import KeyStore
+from repro.durability.system import DurableFresqueSystem
+from repro.runtime.schedule import ScheduledFresque
+from repro.runtime.tcp import TcpFresqueCluster
 
-_SCENARIOS = CONFORMANCE_MATRIX.expand()
+RUNTIMES = {
+    "sync": FresqueSystem,
+    "scheduled": ScheduledFresque,
+    "tcp": TcpFresqueCluster,
+}
+BATCH_SIZES = (1, 8, 64)
+SEED, STREAM_SEED, RECORDS, PUBLICATIONS = 9, 71, 150, 2
 
-_BASELINE_KEY = {"runtime": "sync", "batch_size": 64, "durability": "memory"}
+#: (batch_size, durability, runtime); only the sync driver has a
+#: durable mode.
+CELLS = [
+    (batch_size, durability, runtime)
+    for durability, batch_size, runtime in itertools.product(
+        ("memory", "durable"), BATCH_SIZES, RUNTIMES
+    )
+    if durability == "memory" or runtime == "sync"
+]
+BASELINE = (64, "memory", "sync")
+OTHERS = [cell for cell in CELLS if cell != BASELINE]
 
 
-def _is_baseline(scenario: Scenario) -> bool:
-    axes = scenario.axes()
-    return all(axes.get(k) == v for k, v in _BASELINE_KEY.items())
+def _cell_id(cell) -> str:
+    batch_size, durability, runtime = cell
+    return f"batch_size={batch_size}/durability={durability}/runtime={runtime}"
 
 
-_BASELINE = next(s for s in _SCENARIOS if _is_baseline(s))
-_OTHERS = [s for s in _SCENARIOS if not _is_baseline(s)]
+def _digests(cell, data_dir) -> tuple[str, str]:
+    """Run the cell's stream; its fingerprint and publication digests."""
+    batch_size, durability, runtime = cell
+    source = dataset("flu")
+    config = FresqueConfig(
+        schema=source.schema(),
+        domain=source.domain(),
+        num_computing_nodes=3,
+        epsilon=1.0,
+        alpha=2.0,
+        batch_size=batch_size,
+        deterministic_ivs=True,
+    )
+    cipher = SimulatedCipher(KeyStore(MASTER_KEY, key_size=16))
+    if durability == "durable":
+        system = DurableFresqueSystem(
+            config, cipher, data_dir, seed=SEED, checkpoint_every=0
+        )
+    else:
+        system = RUNTIMES[runtime](config, cipher, seed=SEED)
+    with system:
+        for lines in source.lines(STREAM_SEED, RECORDS, PUBLICATIONS):
+            system.run_publication(lines)
+        digests = (
+            fingerprint_digest(cloud_state_fingerprint(system)),
+            publication_digest(system),
+        )
+    if durability == "durable":
+        system.close()
+    return digests
 
 
 def test_matrix_covers_every_claimed_deployment_axis():
-    """The expansion itself is part of the contract: losing a runtime
-    or the durable column would silently shrink conformance coverage."""
-    cells = {(s.runtime, s.batch_size, s.durability) for s in _SCENARIOS}
-    assert cells == {
-        ("sync", 1, "memory"),
-        ("sync", 1, "durable"),
-        ("sync", 64, "memory"),
-        ("sync", 64, "durable"),
-        ("scheduled", 1, "memory"),
-        ("scheduled", 64, "memory"),
-        ("tcp", 1, "memory"),
-        ("tcp", 64, "memory"),
-    }
-    assert len(_SCENARIOS) == len(cells) == 8
-    assert all(s.deterministic_ivs for s in _SCENARIOS)
+    """Losing a runtime, a batch size or the durable column would
+    silently shrink conformance coverage."""
+    assert len(CELLS) == len(set(CELLS)) == 12
+    assert {runtime for _, _, runtime in CELLS} == set(RUNTIMES)
+    assert {batch for batch, _, _ in CELLS} == set(BATCH_SIZES)
+    assert {(batch, runtime) for batch, d, runtime in CELLS
+            if d == "durable"} == {(batch, "sync") for batch in BATCH_SIZES}
+    assert BASELINE in CELLS
 
 
 @pytest.fixture(scope="module")
-def baseline_fingerprint():
-    card = run_scenario(_BASELINE)[0]
-    assert card.fingerprint, "baseline cell produced no fingerprint"
-    return card.fingerprint
+def baseline_digests(tmp_path_factory):
+    return _digests(BASELINE, tmp_path_factory.mktemp("baseline"))
 
 
-@pytest.mark.parametrize(
-    "scenario", _OTHERS, ids=[s.name.split("/", 1)[1] for s in _OTHERS]
-)
-def test_cell_matches_sync_baseline(scenario, baseline_fingerprint, tmp_path):
-    card = run_scenario(scenario, data_root=tmp_path)[0]
-    assert card.fingerprint == baseline_fingerprint, (
-        f"{scenario.name}: cloud state diverged from the sync baseline"
+@pytest.mark.parametrize("cell", OTHERS, ids=[_cell_id(c) for c in OTHERS])
+def test_cell_matches_sync_baseline(cell, baseline_digests, tmp_path):
+    assert _digests(cell, tmp_path) == baseline_digests, (
+        f"{_cell_id(cell)}: cloud state diverged from the sync baseline"
     )

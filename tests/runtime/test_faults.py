@@ -7,10 +7,9 @@ import time
 
 import pytest
 
-from repro.benchfab.runner import FAULT_PLANS
 from repro.core.messages import PublishingMsg
 from repro.datasets.flu import FluSurveyGenerator
-from repro.runtime.faults import CRASH, RESTART, FaultPlan
+from repro.runtime.faults import CRASH, FaultPlan
 from repro.runtime.tcp import (
     ClusterTimeout,
     PeerUnavailable,
@@ -20,6 +19,13 @@ from repro.runtime.tcp import (
     TcpNode,
 )
 from repro.runtime.wire import decode_message, read_frames
+
+#: Named fault plans for the TCP publication drills.
+FAULT_PLANS = {
+    "sever-checking": lambda: FaultPlan(seed=5).sever_connection(
+        "checking", at_frames=(50, 150)
+    ),
+}
 
 
 def _fast_retry() -> RetryPolicy:
@@ -137,9 +143,6 @@ class TestFaultPlanDeterminism:
         plan = FaultPlan().crash_node("cn-0", after_handled=2)
         actions = [plan.on_node_frame("cn-0") for _ in range(6)]
         assert actions == [None, None, CRASH, None, None, None]
-        plan = FaultPlan().crash_node("cn-0", after_handled=0, restart=True)
-        assert plan.on_node_frame("cn-0") == RESTART
-        assert plan.on_node_frame("cn-0") is None
 
 
 class TestRouterFaults:
@@ -203,11 +206,11 @@ class TestRouterFaults:
 
 
 class TestNodeCrash:
-    def test_crash_and_restart(self):
+    def test_crash_without_restart_stays_dead(self):
         """An injected crash closes the node's sockets and drops its
-        inbox; with restart=True it comes back on the same port."""
+        inbox unread; the node never comes back (crash-stop)."""
         handled = []
-        plan = FaultPlan().crash_node("victim", after_handled=2, restart=True)
+        plan = FaultPlan().crash_node("victim", after_handled=2)
         node = TcpNode(
             "victim",
             lambda message: handled.append(message) or [],
@@ -219,50 +222,32 @@ class TestNodeCrash:
             {"victim": node.port}, retry_policy=_fast_retry()
         )
         try:
-            for i in range(6):
+            for i in range(3):
                 sender.send("victim", PublishingMsg(i))
-                time.sleep(0.05)
+            # The crash counts its dropped frames last.
             deadline = time.monotonic() + 5
-            while len(handled) < 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            health = node.health()
-        finally:
-            sender.close()
-            node.stop()
-        assert node.restarts == 1
-        assert not node.crashed
-        # Frame #2 triggered the crash and was dropped with the inbox:
-        # counted, never kept.
-        assert node.dropped_frames >= 1
-        assert health["dropped_frames"] == node.dropped_frames
-        assert [m.publication for m in handled[:2]] == [0, 1]
-        assert len(handled) >= 3
-        assert health["alive"]
-
-    def test_crash_without_restart_stays_dead(self):
-        plan = FaultPlan().crash_node("victim", after_handled=0)
-        node = TcpNode("victim", lambda m: [], _discard, fault_plan=plan)
-        node.start()
-        sender = Router(
-            {"victim": node.port}, retry_policy=_fast_retry()
-        )
-        try:
-            sender.send("victim", PublishingMsg(0))
-            deadline = time.monotonic() + 5
-            while not node.crashed and time.monotonic() < deadline:
+            while (
+                not node.health()["dropped_frames"]
+                and time.monotonic() < deadline
+            ):
                 time.sleep(0.01)
             assert node.crashed
-            assert not node.health()["alive"]
+            health = node.health()
+            assert not health["alive"]
             # The first post-crash write may still land in the dead
             # peer's kernel buffer; within a few frames the RST surfaces
             # and the retry budget is spent against the closed port.
             with pytest.raises(PeerUnavailable):
-                for i in range(1, 6):
+                for i in range(3, 8):
                     sender.send("victim", PublishingMsg(i))
                     time.sleep(0.02)
         finally:
             sender.close()
             node.stop()
+        # Frame #2 triggered the crash and was dropped with the inbox:
+        # counted, never handled.
+        assert health["dropped_frames"] == node.dropped_frames >= 1
+        assert [m.publication for m in handled] == [0, 1]
 
 
 class TestSeveredPublication:

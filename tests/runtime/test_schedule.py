@@ -11,6 +11,7 @@ from repro.records.schema import flu_survey_schema
 from repro.records.serialize import parse_raw_line
 from repro.runtime.schedule import ScheduledFresque, ScheduleStall
 from repro.telemetry.clock import SimulatedClock
+from repro.telemetry.context import Telemetry
 
 from tests.conftest import cloud_state_fingerprint
 
@@ -138,22 +139,42 @@ class TestSettle:
 
     def test_poll_flush_on_the_injected_clock(self, flu_config, fast_cipher):
         """No poller thread: the caller's ``poll_flush`` fires the delay
-        flush once the injected clock passes the bound."""
-        loop = _ManualLoop()
+        flush once the injected clock passes the bound.  On the
+        scheduled and the sync driver, after a burst at batch 256, each
+        trickle line is flushed within ``max_batch_delay`` plus one poll
+        of simulated time."""
+        delay = poll = 0.01
         config = dataclasses.replace(
-            flu_config, batch_size=64, max_batch_delay=0.05
+            flu_config, batch_size=256, max_batch_delay=delay
         )
-        runtime = ScheduledFresque(
-            config, fast_cipher, seed=3, clock=SimulatedClock(loop)
+        lines = list(FluSurveyGenerator(seed=11).raw_lines(620))
+        burst, trickle = lines[:600], lines[600:]
+        drivers = (
+            lambda clock: ScheduledFresque(
+                config, fast_cipher, seed=3, clock=clock
+            ),
+            lambda clock: FresqueSystem(
+                config, fast_cipher, seed=3,
+                telemetry=Telemetry(clock=clock),
+            ),
         )
-        with runtime:
-            for line in FluSurveyGenerator(seed=11).raw_lines(3):
-                runtime.ingest(line)
-            runtime.poll_flush()
-            assert runtime.dispatcher.pending_batch_records == 3
-            loop.now = 1.0
-            runtime.poll_flush()
+        for build in drivers:
+            loop = _ManualLoop()
+            runtime = build(SimulatedClock(loop))
+            runtime.start()
+            runtime.ingest_batch(burst)
+            runtime.flush_ingest()
             assert runtime.dispatcher.pending_batch_records == 0
+            for line in trickle:
+                runtime.ingest(line)
+                enqueued = loop.now
+                runtime.poll_flush()
+                assert runtime.dispatcher.pending_batch_records == 1
+                while runtime.dispatcher.pending_batch_records:
+                    loop.now += poll
+                    runtime.poll_flush()
+                    assert loop.now - enqueued <= delay + poll + 1e-9
+            runtime.shutdown()
 
 
 class TestCrash:

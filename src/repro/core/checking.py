@@ -194,6 +194,15 @@ class CheckingNode(Routed):
         clears (the class docstring's five rules); returns the outbox."""
         seq = message.seq if type(message) is PairBatch else -1
         if seq >= 0:
+            if (
+                seq == self.next_seq
+                and not self._held_batches
+                and not self._held
+            ):
+                # In order with nothing held: every rule holds now, and
+                # applying it can release nothing else.
+                self.next_seq += 1
+                return super().handle(message)
             if seq < self.next_seq or seq in self._held_batches:
                 self.duplicates += 1
                 return []
@@ -220,6 +229,8 @@ class CheckingNode(Routed):
 
     def _announcing(self, publication: int) -> bool:
         """Whether ``publication``'s announcement is held (rule 4)."""
+        if not self._held:
+            return False
         return any(
             type(held) is NewPublication and held.publication == publication
             for held in self._held

@@ -5,9 +5,14 @@ Two interchangeable implementations:
 * :class:`AesCbcCipher` — real AES-CBC, the paper's scheme, on OpenSSL's
   ``libcrypto`` (:mod:`repro.crypto.aes`).  Its batch methods
   (``encrypt_batch``, ``encrypt_batch_seeded``, ``decrypt_batch`` — what
-  computing nodes, the merger and the query client call) encrypt each
-  block offset of a batch in one library call; single-record ``encrypt``
-  / ``decrypt`` are batches of one.
+  computing nodes, the merger and the query client call) hand the whole
+  batch to :func:`~repro.crypto.modes.cbc_encrypt_framed` /
+  :func:`~repro.crypto.modes.cbc_decrypt_framed`, whose ciphertexts are
+  already framed ``iv ‖ body``: one library call per block offset of a
+  run to encrypt, one per run to decrypt, and no per-message join or
+  split of IV and body here.  The random IVs go in as
+  :meth:`KeyStore.fresh_ivs` draws them, back to back in one ``bytes``.
+  Single-record ``encrypt`` / ``decrypt`` are batches of one.
 * :class:`SimulatedCipher` — a stand-in that produces ciphertexts of the
   same length as AES-CBC would (IV + padded blocks) by keyed-stream XOR.  It
   preserves everything the system cares about structurally (length, dummy
@@ -30,7 +35,7 @@ from itertools import accumulate
 
 from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher
 from repro.crypto.keys import KeyStore
-from repro.crypto.modes import cbc_decrypt_many, cbc_encrypt_many
+from repro.crypto.modes import cbc_decrypt_framed, cbc_encrypt_framed
 from repro.crypto.padding import PaddingError, pad, unpad
 
 
@@ -92,7 +97,7 @@ class RecordCipher(ABC):
         ``[self.encrypt(p) for p in plaintexts]`` including IV order, so
         the batched ingest path produces the exact ciphertext stream of
         the per-record path.  Subclasses override this with a fast path
-        (position-major AES-CBC, the inlined keystream loop); the base
+        (the AES-CBC rectangle, the inlined keystream loop); the base
         implementation is the semantic reference.
         """
         return [self.encrypt(plaintext) for plaintext in plaintexts]
@@ -178,8 +183,8 @@ class AesCbcCipher(RecordCipher):
         self._iv_key = keys.derive("fresque/seeded-iv")
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        return self._encrypt_batch_with_ivs(
-            [plaintext], self._keys.fresh_ivs(1)
+        return cbc_encrypt_framed(
+            self._block, [plaintext], self._keys.fresh_ivs(1)
         )[0]
 
     def derive_iv(self, nonce: bytes) -> bytes:
@@ -189,59 +194,43 @@ class AesCbcCipher(RecordCipher):
         return hashlib.sha256(self._iv_key + nonce).digest()[:BLOCK_SIZE]
 
     def _encrypt_with_iv(self, plaintext: bytes, iv: bytes) -> bytes:
-        return self._encrypt_batch_with_ivs([plaintext], [iv])[0]
+        return cbc_encrypt_framed(self._block, [plaintext], iv)[0]
 
     def encrypt_batch(self, plaintexts: list[bytes]) -> list[bytes]:
-        """The batch through :func:`cbc_encrypt_many`, position-major.
+        """The batch through :func:`cbc_encrypt_framed`.
 
         Each message still gets its own fresh IV (all drawn by one
-        :meth:`KeyStore.fresh_ivs`) and its own chain — the construction
-        is that of mapping :meth:`encrypt`.
+        :meth:`KeyStore.fresh_ivs`, handed on as drawn) and its own chain
+        — the construction is that of mapping :meth:`encrypt`.
         """
-        return self._encrypt_batch_with_ivs(
-            plaintexts, self._keys.fresh_ivs(len(plaintexts))
+        return cbc_encrypt_framed(
+            self._block, plaintexts, self._keys.fresh_ivs(len(plaintexts))
         )
 
     def _encrypt_batch_with_ivs(
         self, plaintexts: list[bytes], ivs: list[bytes]
     ) -> list[bytes]:
-        bodies = cbc_encrypt_many(self._block, plaintexts, ivs)
-        return [iv + body for iv, body in zip(ivs, bodies)]
+        return cbc_encrypt_framed(self._block, plaintexts, b"".join(ivs))
 
     def decrypt(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) < 2 * BLOCK_SIZE:
-            raise DecryptionError("ciphertext shorter than IV + one block")
-        iv, body = ciphertext[:BLOCK_SIZE], ciphertext[BLOCK_SIZE:]
         try:
-            return cbc_decrypt_many(self._block, [body], [iv])[0]
-        except (PaddingError, ValueError) as exc:
+            return cbc_decrypt_framed(self._block, [ciphertext])[0]
+        except ValueError as exc:  # PaddingError included
             raise DecryptionError(str(exc)) from exc
 
     def decrypt_batch(self, ciphertexts: list[bytes]) -> list[bytes]:
-        """Every block of the batch through one ``libcrypto`` call.
+        """Every block of a run through one ``libcrypto`` call.
 
-        All length, IV and PKCS#7 checks of :meth:`decrypt` run on every
-        element.  A ciphertext of impossible length is handed to
-        :meth:`decrypt` for its error, but only after the elements before
-        it have been decrypted and unpadded — as when mapping, an earlier
-        element's padding error wins.
+        All length and PKCS#7 checks of :meth:`decrypt` run on every
+        element.  If one fails, the batch is decrypted again by mapping
+        :meth:`decrypt`, so the error raised is the one mapping raises —
+        the first bad element's, whether its length or its padding is at
+        fault.
         """
-        for index, ciphertext in enumerate(ciphertexts):
-            if (
-                len(ciphertext) < 2 * BLOCK_SIZE
-                or len(ciphertext) % BLOCK_SIZE != 0
-            ):
-                return self.decrypt_batch(ciphertexts[:index]) + [
-                    self.decrypt(ciphertext)
-                ]
         try:
-            return cbc_decrypt_many(
-                self._block,
-                [ciphertext[BLOCK_SIZE:] for ciphertext in ciphertexts],
-                [ciphertext[:BLOCK_SIZE] for ciphertext in ciphertexts],
-            )
-        except PaddingError as exc:
-            raise DecryptionError(str(exc)) from exc
+            return cbc_decrypt_framed(self._block, ciphertexts)
+        except ValueError:  # PaddingError included
+            return [self.decrypt(ciphertext) for ciphertext in ciphertexts]
 
 
 class SimulatedCipher(RecordCipher):

@@ -64,8 +64,7 @@ class KeyStore:
         """Subkey used to encrypt record payloads."""
         return self.derive("fresque/record-encryption")
 
-    def fresh_ivs(self, count: int) -> list[bytes]:
-        """``count`` fresh random 16-byte IVs, one per CBC encryption, from
-        a single ``os.urandom`` draw."""
-        pool = os.urandom(16 * count)
-        return [pool[start : start + 16] for start in range(0, len(pool), 16)]
+    def fresh_ivs(self, count: int) -> bytes:
+        """``count`` fresh random 16-byte IVs back to back, one per CBC
+        encryption, from a single ``os.urandom`` draw."""
+        return os.urandom(16 * count)

@@ -78,10 +78,10 @@ class _DeterministicKeyStore(KeyStore):
         super().__init__(_MASTER_KEY, key_size=16)
         self._iv_counter = 0
 
-    def fresh_ivs(self, count: int) -> list[bytes]:
+    def fresh_ivs(self, count: int) -> bytes:
         first = self._iv_counter + 1
         self._iv_counter += count
-        return [_iv(index) for index in range(first, first + count)]
+        return b"".join([_iv(index) for index in range(first, first + count)])
 
 
 class TestNistBatchVectors:

@@ -81,10 +81,11 @@ class TestKeyStore:
         assert KeyStore().record_key() != KeyStore().record_key()
 
     def test_fresh_ivs_differ(self, keystore):
-        ivs = keystore.fresh_ivs(3) + keystore.fresh_ivs(1)
-        assert [len(iv) for iv in ivs] == [16] * 4
-        assert len(set(ivs)) == 4
-        assert keystore.fresh_ivs(0) == []
+        pool = keystore.fresh_ivs(3) + keystore.fresh_ivs(1)
+        assert len(pool) == 4 * 16
+        ivs = {pool[start : start + 16] for start in range(0, len(pool), 16)}
+        assert len(ivs) == 4
+        assert keystore.fresh_ivs(0) == b""
 
 
 @settings(max_examples=25)

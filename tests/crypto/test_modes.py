@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher
 from repro.crypto.modes import (
     cbc_decrypt,
+    cbc_decrypt_framed,
     cbc_decrypt_many,
     cbc_encrypt,
+    cbc_encrypt_framed,
     cbc_encrypt_many,
 )
 from repro.crypto.padding import PaddingError
+from tests.crypto.reference_aes import reference_cbc_encrypt
 
 # NIST SP 800-38A F.2.1 (AES-128 CBC).
 _KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -137,8 +140,8 @@ class TestManyEqualsMap:
         ]
 
     def test_input_order_is_kept_whatever_the_lengths(self):
-        """Internally the run is sorted longest-first; results come back
-        in the caller's order."""
+        """Messages of one to five blocks share the rectangle; results
+        come back in the caller's order."""
         cipher = AesBlockCipher(_KEY)
         messages = [
             bytes([index]) * length
@@ -240,3 +243,96 @@ class TestManyEqualsMap:
         cipher = AesBlockCipher(_KEY)
         with pytest.raises(ValueError):
             cbc_decrypt_many(cipher, [bytes(16), bytes(16)], [_IV])
+
+
+#: Lengths around every block edge the rectangle's padding and cut meet.
+_EDGE_LENGTHS = [0, 1, 15, 16, 17, 31, 32, 33, 47, 48, 64, 80]
+
+
+def _framed_reference(messages, ivs):
+    """CBC block after block over the FIPS-197 reference, framed."""
+    return [
+        iv + reference_cbc_encrypt(_KEY, message, iv)
+        for message, iv in zip(messages, ivs)
+    ]
+
+
+class TestRectangle:
+    """The framed forms the record cipher calls: messages as equal-width
+    rows, cut into bands when one message is far wider than the rest."""
+
+    @given(
+        lengths=st.lists(
+            st.one_of(
+                st.sampled_from(_EDGE_LENGTHS),
+                st.integers(min_value=0, max_value=80),
+            ),
+            max_size=12,
+        ),
+        long_length=st.one_of(
+            st.none(), st.integers(min_value=300, max_value=700)
+        ),
+        position=st.integers(min_value=0, max_value=12),
+        iv_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_encrypt_equals_reference_property(
+        self, lengths, long_length, position, iv_seed
+    ):
+        """Mixed lengths, and at times one message many times longer
+        than the rest (its own band), against the reference CBC; the
+        framed decrypt recovers them and agrees with mapping."""
+        if long_length is not None:
+            lengths.insert(min(position, len(lengths)), long_length)
+        messages = [
+            _message(iv_seed + index, length)
+            for index, length in enumerate(lengths)
+        ]
+        ivs = [_iv(iv_seed + index) for index in range(len(messages))]
+        cipher = AesBlockCipher(_KEY)
+        framed = cbc_encrypt_framed(cipher, messages, b"".join(ivs))
+        assert framed == _framed_reference(messages, ivs)
+        assert cbc_decrypt_framed(cipher, framed) == messages
+        assert [
+            cbc_decrypt(cipher, ciphertext[BLOCK_SIZE:], iv)
+            for ciphertext, iv in zip(framed, ivs)
+        ] == messages
+
+    @pytest.mark.parametrize("count", [511, 512, 513])
+    def test_run_sizes_around_the_cut(self, count):
+        """One run, exactly one run, and a second run of one message;
+        a long message in the first run gives that run two bands."""
+        lengths = [(index * 7) % 50 for index in range(count)]
+        lengths[3] = 2000
+        messages = [_message(i, length) for i, length in enumerate(lengths)]
+        ivs = [_iv(index) for index in range(count)]
+        cipher = AesBlockCipher(_KEY)
+        framed = cbc_encrypt_framed(cipher, messages, b"".join(ivs))
+        assert framed == _framed_reference(messages, ivs)
+        assert cbc_decrypt_framed(cipher, framed) == messages
+
+    def test_decrypt_framed_equals_map(self):
+        """Framed ciphertexts of every padding length decrypt as mapping
+        :func:`cbc_decrypt` over their IVs and bodies does."""
+        cipher = AesBlockCipher(_KEY)
+        messages = [_message(index, index) for index in range(40)]
+        ivs = [_iv(index) for index in range(len(messages))]
+        framed = [
+            iv + cbc_encrypt(cipher, message, iv)
+            for message, iv in zip(messages, ivs)
+        ]
+        assert cbc_decrypt_framed(cipher, framed) == [
+            cbc_decrypt(cipher, ciphertext[BLOCK_SIZE:], ciphertext[:BLOCK_SIZE])
+            for ciphertext in framed
+        ]
+        assert cbc_decrypt_framed(cipher, []) == []
+
+    def test_framed_input_checks(self):
+        cipher = AesBlockCipher(_KEY)
+        assert cbc_encrypt_framed(cipher, [], b"") == []
+        with pytest.raises(ValueError):
+            cbc_encrypt_framed(cipher, [b"a", b"b"], _IV)
+        with pytest.raises(ValueError, match="shorter than IV"):
+            cbc_decrypt_framed(cipher, [bytes(32), bytes(16)])
+        with pytest.raises(ValueError, match="block multiple"):
+            cbc_decrypt_framed(cipher, [bytes(32), bytes(40)])

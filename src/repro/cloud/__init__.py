@@ -1,6 +1,5 @@
 """Untrusted cloud substrate: storage, metadata, matching, query engine."""
 
-from repro.cloud.filestore import FileBackedStore
 from repro.cloud.matching import (
     LeafPointers,
     MatchStats,
@@ -30,7 +29,6 @@ __all__ = [
     "CloudError",
     "CloudQueryEngine",
     "EncryptedStore",
-    "FileBackedStore",
     "FresqueCloud",
     "LeafPointers",
     "MatchStats",

@@ -57,10 +57,6 @@ class _BaseCloud:
         The indexed attribute's domain.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`.
-    store:
-        Record store; the in-memory :class:`EncryptedStore` by default, a
-        :class:`~repro.cloud.filestore.FileBackedStore` (ideally in
-        durable mode) for deployments that must survive a cloud restart.
 
     Redelivery semantics: a crashed-and-recovered collector replays its
     journal, so the cloud may see a publication *again*.  Publication
@@ -70,9 +66,9 @@ class _BaseCloud:
     exactly-once publication.
     """
 
-    def __init__(self, domain: AttributeDomain, telemetry=None, store=None):
+    def __init__(self, domain: AttributeDomain, telemetry=None):
         self.domain = domain
-        self.store = store if store is not None else EncryptedStore()
+        self.store = EncryptedStore()
         self.engine = CloudQueryEngine(domain, self.store)
         self._active: set[int] = set()
         self._done: set[int] = set()
@@ -153,9 +149,6 @@ class _BaseCloud:
                 file_id=publication,
             )
         )
-        # Durable stores make the publication's file crash-proof the
-        # moment the index is installed (fsync + atomic rename).
-        self.store.commit(publication)
         self._active.discard(publication)
         self._done.add(publication)
         receipt = PublicationReceipt(
@@ -172,8 +165,8 @@ class _BaseCloud:
 class FresqueCloud(_BaseCloud):
     """Cloud in FRESQUE mode: leaf-offset pairs and metadata matching."""
 
-    def __init__(self, domain: AttributeDomain, telemetry=None, store=None):
-        super().__init__(domain, telemetry=telemetry, store=store)
+    def __init__(self, domain: AttributeDomain, telemetry=None):
+        super().__init__(domain, telemetry=telemetry)
         self._metadata: dict[int, MetadataCache] = {}
 
     def announce_publication(self, publication: int) -> None:
@@ -271,8 +264,8 @@ class FresqueCloud(_BaseCloud):
 class MatchingTableCloud(_BaseCloud):
     """Cloud in PINED-RQ++ mode: random tags and read-back matching."""
 
-    def __init__(self, domain: AttributeDomain, telemetry=None, store=None):
-        super().__init__(domain, telemetry=telemetry, store=store)
+    def __init__(self, domain: AttributeDomain, telemetry=None):
+        super().__init__(domain, telemetry=telemetry)
         #: publication -> ``random tag -> ordinal`` in its file.
         self._tags: dict[int, dict[int, int]] = {}
 

@@ -10,15 +10,10 @@ demand by ``write`` / ``read`` / ``scan``, never retained; queries get none.
 The store is in-memory but accounts for bytes written/read so the simulator
 and the matching-time experiments (Figure 15) can charge realistic I/O.
 
-The store contract, implemented here and by
-:class:`~repro.cloud.filestore.FileBackedStore`: ``create_file``,
-``append_columns`` (the one write primitive: records as parallel columns,
-returns the first ordinal), ``write_batch`` / ``write`` (records in,
-:class:`RecordWrites`' adapters over it), ``address_of``, ``read`` (a record
-by address), ``read_ordinals`` (the ciphertext column by ordinal, what
-queries and matching read), ``scan``, ``record_count``, ``file_ids``,
-``truncate_records``, ``discard_file``, ``commit``, ``close`` and
-``total_bytes``.
+``append_columns`` is the one write primitive (records as parallel
+columns, returning the first ordinal); ``write_batch`` and ``write`` take
+records and go through it.  ``read_ordinals`` (the ciphertext column by
+ordinal) is what queries and matching read.
 """
 
 from __future__ import annotations
@@ -152,29 +147,7 @@ class PublicationFile:
         return stored - count
 
 
-class RecordWrites:
-    """Record-shaped writes, as adapters over ``append_columns(file_id,
-    ciphertexts, leaves, tags, publications)`` — the one write primitive
-    a store implements."""
-
-    def write_batch(self, file_id: int, records) -> int:
-        """Append ``records`` (a sequence) to ``file_id`` in order, creating
-        the file if needed; returns the ordinal of the first one (the rest
-        follow)."""
-        return self.append_columns(
-            file_id,
-            [record.ciphertext for record in records],
-            [record.leaf_offset for record in records],
-            [record.tag for record in records],
-            [record.publication for record in records],
-        )
-
-    def write(self, file_id: int, record: EncryptedRecord) -> PhysicalAddress:
-        """Append one record, returning its physical address."""
-        return self.address_of(file_id, self.write_batch(file_id, (record,)))
-
-
-class EncryptedStore(RecordWrites):
+class EncryptedStore:
     """All publication files at the cloud, plus I/O accounting."""
 
     def __init__(self):
@@ -225,6 +198,22 @@ class EncryptedStore(RecordWrites):
         self.write_ops += len(ciphertexts)
         return first
 
+    def write_batch(self, file_id: int, records) -> int:
+        """Append ``records`` (a sequence) to ``file_id`` in order, creating
+        the file if needed; returns the ordinal of the first one (the rest
+        follow)."""
+        return self.append_columns(
+            file_id,
+            [record.ciphertext for record in records],
+            [record.leaf_offset for record in records],
+            [record.tag for record in records],
+            [record.publication for record in records],
+        )
+
+    def write(self, file_id: int, record: EncryptedRecord) -> PhysicalAddress:
+        """Append one record, returning its physical address."""
+        return self.address_of(file_id, self.write_batch(file_id, (record,)))
+
     def address_of(self, file_id: int, ordinal: int) -> PhysicalAddress:
         """The physical address of the ``ordinal``-th record of ``file_id``."""
         return self.file(file_id).address_of(ordinal)
@@ -251,13 +240,6 @@ class EncryptedStore(RecordWrites):
         for ordinal, record in zip(ordinals, handle.records(ordinals)):
             yield handle.address_of(ordinal), record
 
-    def commit(self, file_id: int) -> None:
-        """Nothing to make durable: the in-memory store dies with the
-        process (:class:`FileBackedStore` fsyncs and renames here)."""
-
-    def close(self) -> None:
-        """No handles to release."""
-
     def discard_file(self, file_id: int) -> None:
         """Drop ``file_id`` entirely (crash recovery: an uncheckpointed
         in-flight publication is replayed from its journalled start, so
@@ -276,7 +258,7 @@ class EncryptedStore(RecordWrites):
 
 def file_digests(store) -> dict[int, tuple[int, str]]:
     """``file id -> (record count, sha256 over its records in write
-    order)`` of any store, read through its public contract.
+    order)`` of ``store``.
 
     The files half of the cloud-state fingerprint
     (:mod:`repro.benchfab.fingerprint`); each record contributes its

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -183,18 +182,14 @@ class FresqueSystem:
         Optional :class:`~repro.telemetry.Telemetry` shared by every
         component; when omitted telemetry is disabled (null facade).
     cloud:
-        Pre-built cloud node to drive instead of a fresh in-memory
-        :class:`FresqueCloud` — e.g. one backed by a durable
-        :class:`~repro.cloud.filestore.FileBackedStore`, or the
+        Pre-built cloud node to drive instead of a fresh one — the
         surviving cloud of a crashed collector during recovery.
     """
 
     #: Time source handed to the dispatcher (``None``: telemetry or wall
-    #: clock) and the fault plan consulted once per sent message.  The
-    #: runtimes that take them as constructor arguments set them before
-    #: building the base.
+    #: clock).  A runtime that takes one as a constructor argument sets
+    #: it before building the base.
     _clock = None
-    _fault_plan = None
 
     def __init__(
         self,
@@ -292,25 +287,13 @@ class FresqueSystem:
     def _transmit_all(self, outbox) -> None:
         """The :meth:`_send_all` of a runtime with real channels (each
         aliases it): every message leaves through the transport's
-        :meth:`_send`, after the fault plan has had its say.  A message
-        for a computing node that is gone takes the degraded path."""
-        plan = self._fault_plan
+        :meth:`_send`.  A message for a computing node that is gone
+        takes the degraded path."""
         for destination, message in outbox:
-            copies = 1
-            if plan is not None:
-                decision = plan.on_send(destination)
-                if decision.faulted:
-                    if decision.delay > 0:
-                        time.sleep(decision.delay)
-                    if decision.drop:
-                        continue
-                    copies += decision.duplicates
-            for _ in range(copies):
-                if destination in self._dead or not self._send(
-                    destination, message
-                ):
-                    self._degrade(destination)
-                    break
+            if destination in self._dead or not self._send(
+                destination, message
+            ):
+                self._degrade(destination)
 
     def _send(self, destination: str, message) -> bool:
         """Transport seam: hand one message to ``destination``.

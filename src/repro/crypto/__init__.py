@@ -1,7 +1,6 @@
 """Encryption substrate: AES-CBC on libcrypto and the record cipher API."""
 
 from repro.crypto.aes import BLOCK_SIZE, KEY_SIZES, AesBlockCipher, AesKeyError
-from repro.crypto.authenticated import AuthenticatedCipher, AuthenticationError
 from repro.crypto.cipher import (
     AesCbcCipher,
     DecryptionError,
@@ -16,8 +15,6 @@ __all__ = [
     "AesBlockCipher",
     "AesCbcCipher",
     "AesKeyError",
-    "AuthenticatedCipher",
-    "AuthenticationError",
     "BLOCK_SIZE",
     "DecryptionError",
     "KEY_SIZES",

@@ -6,10 +6,9 @@ scheme.
 
 :func:`cbc_encrypt_framed` / :func:`cbc_decrypt_framed` are the batch
 forms the record cipher calls; their ciphertexts are framed ``iv ‖ body``,
-as records are stored.  :func:`cbc_encrypt_many` / :func:`cbc_decrypt_many`
-are the same functions with the IVs kept apart from the bodies, and
-:func:`cbc_encrypt` / :func:`cbc_decrypt` are those over a batch of one.
-All of them run on :class:`AesBlockCipher`, one ``libcrypto`` call per set
+as records are stored.  :func:`cbc_encrypt` / :func:`cbc_decrypt` are
+those over a batch of one, with the IV kept apart from the body.
+Both run on :class:`AesBlockCipher`, one ``libcrypto`` call per set
 of independent blocks.  The Python around the calls does a fixed number
 of steps per block offset, plus a pass over the messages to pad (or
 check the padding) and one to cut the results; none of it is work per
@@ -68,23 +67,8 @@ def cbc_encrypt(cipher: AesBlockCipher, plaintext: bytes, iv: bytes) -> bytes:
         16-byte initialisation vector; must be fresh and uniformly random
         per message for semantic security.
     """
-    return cbc_encrypt_many(cipher, [plaintext], [iv])[0]
-
-
-def cbc_encrypt_many(
-    cipher: AesBlockCipher,
-    plaintexts: list[bytes],
-    ivs: list[bytes],
-) -> list[bytes]:
-    """:func:`cbc_encrypt_framed` with one IV per message, bodies only."""
-    if len(plaintexts) != len(ivs):
-        raise ValueError(
-            f"{len(plaintexts)} plaintexts but {len(ivs)} IVs"
-        )
-    for iv in ivs:
-        _check_iv(iv)
-    framed = cbc_encrypt_framed(cipher, plaintexts, b"".join(ivs))
-    return [ciphertext[BLOCK_SIZE:] for ciphertext in framed]
+    _check_iv(iv)
+    return cbc_encrypt_framed(cipher, [plaintext], iv)[0][BLOCK_SIZE:]
 
 
 def cbc_encrypt_framed(
@@ -212,35 +196,10 @@ def cbc_decrypt(cipher: AesBlockCipher, ciphertext: bytes, iv: bytes) -> bytes:
     repro.crypto.padding.PaddingError
         If the recovered padding is invalid (wrong key or corrupt data).
     """
-    return cbc_decrypt_many(cipher, [ciphertext], [iv])[0]
-
-
-def _check_body(ciphertext: bytes, iv: bytes) -> None:
     _check_iv(iv)
     if not ciphertext or len(ciphertext) % BLOCK_SIZE != 0:
         raise ValueError("ciphertext must be a non-empty block multiple")
-
-
-def cbc_decrypt_many(
-    cipher: AesBlockCipher,
-    ciphertexts: list[bytes],
-    ivs: list[bytes],
-) -> list[bytes]:
-    """:func:`cbc_decrypt_framed` with the IVs apart from the bodies.
-
-    Every IV and ciphertext length is checked before anything is
-    decrypted, and every message is unpadded, in order, so the first
-    invalid padding is the one raised.
-    """
-    if len(ciphertexts) != len(ivs):
-        raise ValueError(
-            f"{len(ciphertexts)} ciphertexts but {len(ivs)} IVs"
-        )
-    for ciphertext, iv in zip(ciphertexts, ivs):
-        _check_body(ciphertext, iv)
-    return cbc_decrypt_framed(
-        cipher, [iv + ciphertext for iv, ciphertext in zip(ivs, ciphertexts)]
-    )
+    return cbc_decrypt_framed(cipher, [iv + ciphertext])[0]
 
 
 def cbc_decrypt_framed(

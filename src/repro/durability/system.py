@@ -273,10 +273,9 @@ class DurableFresqueSystem(FresqueSystem):
         self._checkpoints_counter.inc()
 
     def close(self) -> None:
-        """Sync and close the durable files (not the cloud)."""
+        """Sync and close the journal and the ledger."""
         self.journal.close()
         self.accountant.close()
-        self.cloud.store.close()
 
     # ------------------------------------------------------------------
     # Replay hooks (used by RecoveryManager)

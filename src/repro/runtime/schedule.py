@@ -41,11 +41,6 @@ class ScheduledFresque(FresqueSystem):
         As for :class:`~repro.core.system.FresqueSystem`.  ``seed`` also
         draws the schedule, from an RNG of its own, so the components'
         seed chain (and every fingerprint) is the synchronous driver's.
-    fault_plan:
-        Optional :class:`~repro.runtime.faults.FaultPlan` consulted on
-        every sent message: dropped messages never reach a queue,
-        duplicated ones are queued twice, delayed ones stall their
-        sender.  ``sever`` has no meaning here and is ignored.
     clock:
         Time source injected into the dispatcher; its delay flush runs
         when the caller calls :meth:`poll_flush` (there is no poller).
@@ -57,11 +52,9 @@ class ScheduledFresque(FresqueSystem):
         cipher: RecordCipher,
         seed: int | None = None,
         telemetry=None,
-        fault_plan=None,
         clock=None,
     ):
         self._clock = clock
-        self._fault_plan = fault_plan
         super().__init__(config, cipher, seed=seed, telemetry=telemetry)
         self._schedule = random.Random(f"schedule:{seed}")
         #: Share of the pending messages delivered after a driver call:

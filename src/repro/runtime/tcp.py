@@ -27,7 +27,7 @@ The runtime survives transient transport faults instead of timing out:
   dead node's report; a missed deadline raises :class:`ClusterTimeout`
   carrying a per-node health report instead of a bare ``TimeoutError``.
 
-Faults themselves can be injected deterministically through
+Node crashes can be injected deterministically through
 :class:`repro.runtime.faults.FaultPlan`.
 """
 
@@ -113,9 +113,6 @@ class Router:
     telemetry:
         Optional telemetry; counts frames/bytes, retries, reconnects
         and backoff sleeps.
-    fault_plan:
-        Optional :class:`~repro.runtime.faults.FaultPlan` consulted once
-        per outbound frame.
     retry_policy:
         Reconnect/backoff budget (:class:`RetryPolicy` default).
     seed:
@@ -126,7 +123,6 @@ class Router:
         self,
         address_book: dict[str, int],
         telemetry=None,
-        fault_plan=None,
         retry_policy: RetryPolicy | None = None,
         seed: int = 0,
     ):
@@ -134,7 +130,6 @@ class Router:
         self._connections: dict[str, socket.socket] = {}
         self._locks: dict[str, threading.Lock] = {}
         self._guard = threading.Lock()
-        self._fault_plan = fault_plan
         self._retry = retry_policy if retry_policy is not None else RetryPolicy()
         self._rng = random.Random(seed)
         #: Sends that succeeded after at least one failed attempt.
@@ -148,33 +143,17 @@ class Router:
         self._sent_frames = tel.counter("tcp_sent_frames_total")
         self._retries_counter = tel.counter("tcp_send_retries_total")
         self._reconnects_counter = tel.counter("tcp_reconnects_total")
-        self._dropped_counter = tel.counter("tcp_frames_dropped_total")
         self._backoff_histogram = tel.histogram("tcp_backoff_seconds")
 
     def send(self, destination: str, message) -> None:
         """Frame and transmit one message to ``destination``,
         reconnecting (with backoff) around transport failures."""
         frame = encode_message(destination, message)
-        copies = 1
-        if self._fault_plan is not None:
-            decision = self._fault_plan.on_send(destination)
-            if decision.faulted:
-                if decision.sever:
-                    self._poison(destination)
-                if decision.drop:
-                    self._dropped_counter.inc()
-                    return
-                if decision.delay > 0:
-                    time.sleep(decision.delay)
-                copies += decision.duplicates
-        for _ in range(copies):
-            self._transmit(destination, frame)
-            self._sent_bytes.inc(len(frame))
-            self._sent_frames.inc()
-            with self._guard:
-                self.sent_to[destination] = (
-                    self.sent_to.get(destination, 0) + 1
-                )
+        self._transmit(destination, frame)
+        self._sent_bytes.inc(len(frame))
+        self._sent_frames.inc()
+        with self._guard:
+            self.sent_to[destination] = self.sent_to.get(destination, 0) + 1
 
     def _transmit(self, destination: str, frame: bytes) -> None:
         attempt = 0
@@ -251,17 +230,6 @@ class Router:
             cached.close()
         except OSError:
             pass
-
-    def _poison(self, destination: str) -> None:
-        """Fault injection: kill the cached socket *without* evicting it,
-        so the next write fails exactly like a peer dying underneath."""
-        with self._guard:
-            connection = self._connections.get(destination)
-        if connection is not None:
-            try:
-                connection.close()
-            except OSError:
-                pass
 
     def close(self) -> None:
         """Tear down every outbound connection."""
@@ -600,8 +568,8 @@ class TcpFresqueCluster(FresqueSystem):
     config, cipher, seed, telemetry:
         As for :class:`~repro.core.system.FresqueSystem`.
     fault_plan:
-        Optional :class:`~repro.runtime.faults.FaultPlan` wired into the
-        router and every node.
+        Optional :class:`~repro.runtime.faults.FaultPlan` wired into
+        every node (node crashes).
     retry_policy:
         Router reconnect budget (:class:`RetryPolicy` default).
     """
@@ -616,16 +584,10 @@ class TcpFresqueCluster(FresqueSystem):
         retry_policy: RetryPolicy | None = None,
     ):
         super().__init__(config, cipher, seed=seed, telemetry=telemetry)
-        # The plan acts per frame inside the router and the nodes (every
-        # hop, not just the driver's), so the base's per-send consult
-        # stays off.
-        self._frame_faults = fault_plan
+        self._fault_plan = fault_plan
         self._address_book: dict[str, int] = {}
         self.router = Router(
-            self._address_book,
-            telemetry=telemetry,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
+            self._address_book, telemetry=telemetry, retry_policy=retry_policy
         )
         self._servers: dict[str, TcpNode] = {}
         self._poller = FlushPoller(
@@ -653,7 +615,7 @@ class TcpFresqueCluster(FresqueSystem):
             self._handlers[name],
             self._send_all,
             telemetry=self.telemetry,
-            fault_plan=self._frame_faults,
+            fault_plan=self._fault_plan,
         )
         self._servers[name] = server
         self._address_book[name] = server.port

@@ -1,4 +1,4 @@
-"""The bulk receive path ≡ the one-pair path, on both stores.
+"""The bulk receive path ≡ the one-pair path.
 
 ``FresqueCloud.receive_pairs`` appends a batch — a leaf column and a
 ciphertext column — to the publication's columns; ``receive_pair`` is the
@@ -6,8 +6,7 @@ same code with one element.  For any
 pair stream, any split of it into batches, and a crash-recovery
 ``truncate_publication`` / ``reset_publication`` at an arbitrary cut, the
 cloud must end up with identical files, pointers, in-flight listing,
-counters and query results — on the in-memory :class:`EncryptedStore` and
-on the :class:`FileBackedStore`.
+counters and query results.
 
 ``FRESQUE_BATCH_SIZE=<n>`` (the CI batch matrix) pins every batch of the
 split to ``n`` pairs, so the one-element and the 64-element bulk path are
@@ -17,15 +16,12 @@ each exercised on every push.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.filestore import FileBackedStore
 from repro.cloud.node import FresqueCloud
-from repro.cloud.storage import EncryptedStore
 from repro.index.domain import AttributeDomain
 from repro.index.query import RangeQuery
 from repro.index.tree import IndexTree
@@ -78,14 +74,15 @@ def _observe_queries(cloud) -> list:
     ]
 
 
-def _run(store, pairs, sizes, cut, recovery, keep) -> dict:
+def _run(pairs, sizes, cut, recovery, keep) -> dict:
     """Stream ``pairs[:cut]``, recover, stream the rest, publish, replay.
 
     ``recovery`` is ``"truncate"`` (roll back to the first ``keep`` pairs
     and resume from there), ``"reset"`` (discard and replay from the
     start) or ``None``.
     """
-    cloud = FresqueCloud(_DOMAIN, store=store)
+    cloud = FresqueCloud(_DOMAIN)
+    store = cloud.store
     cloud.announce_publication(0)
     _feed(cloud, pairs[:cut], sizes)
     seen = {}
@@ -124,15 +121,6 @@ def _run(store, pairs, sizes, cut, recovery, keep) -> dict:
     return seen
 
 
-def _on_each_store(run):
-    """``run(store)`` on a fresh store of either kind."""
-    results = {"memory": run(EncryptedStore())}
-    with tempfile.TemporaryDirectory() as directory:
-        with FileBackedStore(directory) as store:
-            results["files"] = run(store)
-    return results
-
-
 @settings(
     max_examples=40,
     deadline=None,
@@ -150,33 +138,15 @@ def test_any_batch_split_equals_pair_by_pair(raw, sizes, recovery, data):
     pairs = _stream(raw)
     cut = data.draw(st.integers(min_value=0, max_value=len(pairs)))
     keep = data.draw(st.integers(min_value=0, max_value=cut))
-    bulk = _on_each_store(
-        lambda store: _run(store, pairs, sizes, cut, recovery, keep)
-    )
-    single = _on_each_store(
-        lambda store: _run(store, pairs, [1], cut, recovery, keep)
-    )
-    assert bulk == single
+    bulk = _run(pairs, sizes, cut, recovery, keep)
+    assert bulk == _run(pairs, [1], cut, recovery, keep)
     # Recovery leaves no trace: the end state is a clean run's.
-    clean = _run(EncryptedStore(), pairs, [1], len(pairs), None, 0)
+    clean = _run(pairs, [1], len(pairs), None, 0)
     for field in (
         "file", "record_count", "pointers", "in_flight", "matched",
         "unindexed_queries", "indexed_queries", "total_bytes",
     ):
-        assert bulk["memory"][field] == clean[field]
-    # The two stores differ only in what a disk file cannot hold.
-    memory, files = bulk["memory"], bulk["files"]
-    for field in memory:
-        if field in ("file", "total_bytes"):
-            # Disk offsets include the 4-byte record headers, and the file
-            # store's total is cumulative bytes written.
-            continue
-        assert memory[field] == files[field]
-    assert _ciphertexts_of(memory["file"]) == _ciphertexts_of(files["file"])
-
-
-def _ciphertexts_of(scanned) -> list[bytes]:
-    return [ciphertext for _, ciphertext in scanned]
+        assert bulk[field] == clean[field]
 
 
 @pytest.mark.parametrize("size", [1, 64])
@@ -185,12 +155,7 @@ def test_fixed_batch_sizes_on_a_long_stream(size):
     pairs = _stream(
         [(index % 10, bytes([index % 251]) * (8 + index % 23)) for index in range(300)]
     )
-    bulk = _on_each_store(
-        lambda store: _run(store, pairs, [size], 200, "truncate", 130)
-    )
-    single = _on_each_store(
-        lambda store: _run(store, pairs, [1], 200, "truncate", 130)
-    )
-    assert bulk == single
-    assert bulk["memory"]["record_count"] == 300
-    assert bulk["memory"]["dropped"] == 70
+    bulk = _run(pairs, [size], 200, "truncate", 130)
+    assert bulk == _run(pairs, [1], 200, "truncate", 130)
+    assert bulk["record_count"] == 300
+    assert bulk["dropped"] == 70

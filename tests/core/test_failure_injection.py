@@ -43,7 +43,7 @@ class TestComputingNodeResilience:
 
 
 class TestSystemResilience:
-    def test_publication_survives_poisoned_stream(self, flu_config, fast_cipher):
+    def test_publication_survives_malformed_lines(self, flu_config, fast_cipher):
         system = FresqueSystem(flu_config, fast_cipher, seed=66)
         system.start()
         generator = FluSurveyGenerator(seed=13)

@@ -11,15 +11,11 @@ protocol violation as a real record with corrupt padding.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import BLOCK_SIZE
-from repro.crypto.authenticated import AuthenticatedCipher, AuthenticationError
 from repro.crypto.cipher import AesCbcCipher, DecryptionError, SimulatedCipher
 from repro.crypto.keys import KeyStore
 from repro.records.schema import flu_survey_schema
@@ -39,31 +35,18 @@ def _aes():
     return AesCbcCipher(KeyStore(_MASTER_KEY, key_size=16))
 
 
-def _authenticated():
-    keys = KeyStore(_MASTER_KEY)
-    return AuthenticatedCipher(SimulatedCipher(keys), keys)
-
-
-def _authenticated_aes():
-    keys = KeyStore(_MASTER_KEY, key_size=16)
-    return AuthenticatedCipher(AesCbcCipher(keys), keys)
-
-
 _CIPHERS = pytest.mark.parametrize(
     "make_cipher",
-    [_simulated, _aes, _authenticated, _authenticated_aes],
-    ids=["simulated", "aes-cbc", "authenticated", "authenticated-aes"],
+    [_simulated, _aes],
+    ids=["simulated", "aes-cbc"],
 )
 
 #: Which ciphertext byte carries the last padding byte: the keystream
 #: cipher XORs in place; in CBC the last plaintext block is XORed with
 #: the ciphertext block before it (the IV for a one-block message).
-#: Under a MAC any changed byte fails verification first.
 _LAST_PAD_BYTE = {
     _simulated: -1,
     _aes: -1 - BLOCK_SIZE,
-    _authenticated: -1,
-    _authenticated_aes: -1,
 }
 
 
@@ -123,9 +106,7 @@ class TestBatchEqualsMap:
         assert first != second
 
 
-@pytest.mark.parametrize(
-    "make_cipher", [_simulated, _aes], ids=["simulated", "aes-cbc"]
-)
+@_CIPHERS
 class TestPaddingIsCheckedOnEveryElement:
     @pytest.mark.parametrize("position", [0, 2, 4])
     def test_corrupt_padding_at_position_k(self, make_cipher, position):
@@ -193,50 +174,6 @@ def test_mixed_length_batch_with_one_corrupt_element(make_cipher, position):
         assert issubclass(outcome[0], DecryptionError)
 
 
-def test_authenticated_batch_rejects_a_tampered_element():
-    cipher = _authenticated()
-    ciphertexts = [cipher.encrypt(b"m-%d" % index) for index in range(3)]
-    tampered = bytearray(ciphertexts[1])
-    tampered[5] ^= 1
-    ciphertexts[1] = bytes(tampered)
-    assert _both_forms(cipher, ciphertexts) == (
-        AuthenticationError,
-        "MAC verification failed",
-    )
-
-
-@pytest.mark.parametrize(
-    "make_cipher, make_inner, pad_byte",
-    [
-        (_authenticated, _simulated, -1),
-        (_authenticated_aes, _aes, -1 - BLOCK_SIZE),
-    ],
-    ids=["authenticated", "authenticated-aes"],
-)
-def test_authenticated_batch_lets_an_earlier_padding_error_win(
-    make_cipher, make_inner, pad_byte
-):
-    """Element 0 verifies but its body does not unpad (forged under the
-    MAC key); element 1 fails verification.  Mapping raises element 0's
-    padding error, and so must the batch although it verifies every tag
-    before it decrypts anything."""
-    cipher = make_cipher()
-    inner = make_inner()
-    mac_key = KeyStore(_MASTER_KEY).derive("fresque/record-authentication")
-    body = _with_zero_pad_length(inner.encrypt(b"payload"), b"payload", pad_byte)
-    forged = body + hmac.new(mac_key, body, hashlib.sha256).digest()
-    bad_mac = bytearray(cipher.encrypt(b"payload"))
-    bad_mac[-1] ^= 1
-    assert _both_forms(cipher, [forged, bytes(bad_mac)]) == (
-        DecryptionError,
-        "invalid padding length 0",
-    )
-    assert _both_forms(cipher, [bytes(bad_mac), forged]) == (
-        AuthenticationError,
-        "MAC verification failed",
-    )
-
-
 _messages = st.lists(st.binary(max_size=200), max_size=12)
 
 
@@ -253,24 +190,6 @@ def test_simulated_batch_equals_map(messages):
 @settings(max_examples=15, deadline=None)
 def test_aes_batch_equals_map(messages):
     cipher = _aes()
-    ciphertexts = cipher.encrypt_batch(messages)
-    assert cipher.decrypt_batch(ciphertexts) == messages
-    assert [cipher.decrypt(c) for c in ciphertexts] == messages
-
-
-@given(messages=_messages)
-@settings(max_examples=40, deadline=None)
-def test_authenticated_batch_equals_map(messages):
-    cipher = _authenticated()
-    ciphertexts = cipher.encrypt_batch(messages)
-    assert cipher.decrypt_batch(ciphertexts) == messages
-    assert [cipher.decrypt(c) for c in ciphertexts] == messages
-
-
-@given(messages=st.lists(st.binary(max_size=70), max_size=4))
-@settings(max_examples=15, deadline=None)
-def test_authenticated_aes_batch_equals_map(messages):
-    cipher = _authenticated_aes()
     ciphertexts = cipher.encrypt_batch(messages)
     assert cipher.decrypt_batch(ciphertexts) == messages
     assert [cipher.decrypt(c) for c in ciphertexts] == messages

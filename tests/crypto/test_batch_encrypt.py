@@ -7,7 +7,7 @@ byte-identical to mapping* :meth:`encrypt` *over the batch*, IV sequence
 included.  This module pins that contract three ways:
 
 * NIST SP 800-38A CBC vectors (AES-128 F.2.1, AES-256 F.2.5) pushed
-  through :func:`cbc_encrypt_many`, including the chained per-block form;
+  through :func:`cbc_encrypt_framed`, including the chained per-block form;
 * explicit long chains (≥16 blocks) and every PKCS#7 padding length
   1..16 through the batch path;
 * hypothesis round-trip properties for :class:`SimulatedCipher` and
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher
 from repro.crypto.cipher import AesCbcCipher, SimulatedCipher, record_nonce
 from repro.crypto.keys import KeyStore
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt, cbc_encrypt_many
+from repro.crypto.modes import cbc_decrypt, cbc_encrypt, cbc_encrypt_framed
 from tests.crypto.reference_aes import ReferenceAes, reference_cbc_encrypt
 
 # NIST SP 800-38A F.2.1 (CBC-AES128.Encrypt).
@@ -92,11 +92,12 @@ class TestNistBatchVectors:
     )
     def test_single_message_batch_matches_vector(self, key, expected):
         cipher = AesBlockCipher(key)
-        (ciphertext,) = cbc_encrypt_many(cipher, [_NIST_PLAIN], [_IV])
+        (framed,) = cbc_encrypt_framed(cipher, [_NIST_PLAIN], _IV)
         # Our CBC appends a PKCS#7 padding block after the four vector
         # blocks; the vector prefix must survive the batch path exactly.
-        assert ciphertext[:64] == expected
-        assert ciphertext == cbc_encrypt(cipher, _NIST_PLAIN, _IV)
+        assert framed[:BLOCK_SIZE] == _IV
+        assert framed[BLOCK_SIZE : BLOCK_SIZE + 64] == expected
+        assert framed[BLOCK_SIZE:] == cbc_encrypt(cipher, _NIST_PLAIN, _IV)
 
     @pytest.mark.parametrize(
         "key, expected",
@@ -110,9 +111,9 @@ class TestNistBatchVectors:
         cipher = AesBlockCipher(key)
         plain_blocks = [_NIST_PLAIN[i : i + 16] for i in range(0, 64, 16)]
         chain_ivs = [_IV] + [expected[i : i + 16] for i in range(0, 48, 16)]
-        ciphertexts = cbc_encrypt_many(cipher, plain_blocks, chain_ivs)
-        for index, ciphertext in enumerate(ciphertexts):
-            assert ciphertext[:16] == expected[index * 16 : index * 16 + 16]
+        framed = cbc_encrypt_framed(cipher, plain_blocks, b"".join(chain_ivs))
+        for index, ciphertext in enumerate(framed):
+            assert ciphertext[16:32] == expected[index * 16 : index * 16 + 16]
 
 
 class TestLongChainsAndPadding:
@@ -123,7 +124,8 @@ class TestLongChainsAndPadding:
         cipher = AesBlockCipher(_KEY_128)
         reference = ReferenceAes(_KEY_128)
         plaintext = bytes(range(256))  # exactly 16 blocks before padding
-        (ciphertext,) = cbc_encrypt_many(cipher, [plaintext], [_iv(0)])
+        (framed,) = cbc_encrypt_framed(cipher, [plaintext], _iv(0))
+        ciphertext = framed[BLOCK_SIZE:]
         assert len(ciphertext) == 17 * BLOCK_SIZE  # + full padding block
         padded = plaintext + bytes([BLOCK_SIZE]) * BLOCK_SIZE
         previous = _iv(0)
@@ -143,10 +145,10 @@ class TestLongChainsAndPadding:
         cipher = AesBlockCipher(_KEY_128)
         plaintexts = [bytes([n % 251]) * (16 * n) for n in (1, 2, 16, 33)]
         ivs = [_iv(n) for n in range(len(plaintexts))]
-        batch = cbc_encrypt_many(cipher, plaintexts, ivs)
-        for plaintext, iv, ciphertext in zip(plaintexts, ivs, batch):
-            assert ciphertext == cbc_encrypt(cipher, plaintext, iv)
-            assert cbc_decrypt(cipher, ciphertext, iv) == plaintext
+        batch = cbc_encrypt_framed(cipher, plaintexts, b"".join(ivs))
+        for plaintext, iv, framed in zip(plaintexts, ivs, batch):
+            assert framed == iv + cbc_encrypt(cipher, plaintext, iv)
+            assert cbc_decrypt(cipher, framed[BLOCK_SIZE:], iv) == plaintext
 
     def test_every_padding_length_through_batch_path(self):
         """Plaintext lengths 0..32 cover every PKCS#7 pad amount 1..16
@@ -154,9 +156,11 @@ class TestLongChainsAndPadding:
         cipher = AesBlockCipher(_KEY_128)
         plaintexts = [bytes([length]) * length for length in range(33)]
         ivs = [_iv(100 + length) for length in range(33)]
-        batch = cbc_encrypt_many(cipher, plaintexts, ivs)
+        batch = cbc_encrypt_framed(cipher, plaintexts, b"".join(ivs))
         assert {16 - (len(p) % 16) for p in plaintexts} == set(range(1, 17))
-        for plaintext, iv, ciphertext in zip(plaintexts, ivs, batch):
+        for plaintext, iv, framed in zip(plaintexts, ivs, batch):
+            assert framed[:BLOCK_SIZE] == iv
+            ciphertext = framed[BLOCK_SIZE:]
             expected_blocks = len(plaintext) // 16 + 1
             assert len(ciphertext) == expected_blocks * BLOCK_SIZE
             assert ciphertext == cbc_encrypt(cipher, plaintext, iv)
@@ -164,11 +168,11 @@ class TestLongChainsAndPadding:
 
     def test_batch_input_validation(self):
         cipher = AesBlockCipher(_KEY_128)
-        assert cbc_encrypt_many(cipher, [], []) == []
+        assert cbc_encrypt_framed(cipher, [], b"") == []
         with pytest.raises(ValueError):
-            cbc_encrypt_many(cipher, [b"a", b"b"], [_iv(0)])
+            cbc_encrypt_framed(cipher, [b"a", b"b"], _iv(0))
         with pytest.raises(ValueError):
-            cbc_encrypt_many(cipher, [b"a"], [b"short"])
+            cbc_encrypt_framed(cipher, [b"a"], b"short")
 
 
 @settings(max_examples=20, deadline=None)
@@ -179,17 +183,17 @@ class TestLongChainsAndPadding:
     iv_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_property_cbc_many_equals_map(messages, iv_seed):
-    """Modes level: one batch loop ≡ one cbc_encrypt call per message ≡
-    CBC block by block over the FIPS-197 reference."""
+    """Modes level: one framed batch ≡ one cbc_encrypt call per message
+    ≡ CBC block by block over the FIPS-197 reference."""
     cipher = AesBlockCipher(_KEY_128)
     ivs = [_iv(iv_seed + index) for index in range(len(messages))]
-    batch = cbc_encrypt_many(cipher, messages, ivs)
+    batch = cbc_encrypt_framed(cipher, messages, b"".join(ivs))
     assert batch == [
-        cbc_encrypt(cipher, message, iv)
+        iv + cbc_encrypt(cipher, message, iv)
         for message, iv in zip(messages, ivs)
     ]
     assert batch == [
-        reference_cbc_encrypt(_KEY_128, message, iv)
+        iv + reference_cbc_encrypt(_KEY_128, message, iv)
         for message, iv in zip(messages, ivs)
     ]
 

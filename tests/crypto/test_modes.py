@@ -10,10 +10,8 @@ from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher
 from repro.crypto.modes import (
     cbc_decrypt,
     cbc_decrypt_framed,
-    cbc_decrypt_many,
     cbc_encrypt,
     cbc_encrypt_framed,
-    cbc_encrypt_many,
 )
 from repro.crypto.padding import PaddingError
 from tests.crypto.reference_aes import reference_cbc_encrypt
@@ -104,8 +102,8 @@ def _outcome(call):
 
 
 class TestManyEqualsMap:
-    """The batch forms against the one-message forms they replace: the
-    same bytes, the same errors, for any batch shape."""
+    """The framed batch forms against the one-message forms: the same
+    bytes, the same errors, for any batch shape."""
 
     def test_encrypt_across_two_run_cuts(self):
         """1 025 messages of lengths 0..80: three kernel runs (512 + 512
@@ -116,12 +114,9 @@ class TestManyEqualsMap:
         assert {0, 16, 32, 48, 64, 80} <= set(lengths)
         messages = [_message(i, length) for i, length in enumerate(lengths)]
         ivs = [_iv(index) for index in range(len(messages))]
-        batch = cbc_encrypt_many(cipher, messages, ivs)
-        assert batch == [
-            cbc_encrypt(cipher, message, iv)
-            for message, iv in zip(messages, ivs)
-        ]
-        assert cbc_decrypt_many(cipher, batch, ivs) == messages
+        batch = cbc_encrypt_framed(cipher, messages, b"".join(ivs))
+        assert batch == _framed_map(cipher, messages, ivs)
+        assert cbc_decrypt_framed(cipher, batch) == messages
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 5])
     def test_small_batches(self, count):
@@ -129,13 +124,10 @@ class TestManyEqualsMap:
         cipher = AesBlockCipher(_KEY)
         messages = [_message(index, 7 + 20 * index) for index in range(count)]
         ivs = [_iv(index) for index in range(count)]
-        batch = cbc_encrypt_many(cipher, messages, ivs)
-        assert batch == [
-            cbc_encrypt(cipher, message, iv)
-            for message, iv in zip(messages, ivs)
-        ]
-        assert cbc_decrypt_many(cipher, batch, ivs) == [
-            cbc_decrypt(cipher, ciphertext, iv)
+        batch = cbc_encrypt_framed(cipher, messages, b"".join(ivs))
+        assert batch == _framed_map(cipher, messages, ivs)
+        assert cbc_decrypt_framed(cipher, batch) == [
+            cbc_decrypt(cipher, ciphertext[BLOCK_SIZE:], iv)
             for ciphertext, iv in zip(batch, ivs)
         ]
 
@@ -148,9 +140,8 @@ class TestManyEqualsMap:
             for index, length in enumerate([3, 70, 0, 33, 16, 70, 1])
         ]
         ivs = [_iv(index) for index in range(len(messages))]
-        batch = cbc_encrypt_many(cipher, messages, ivs)
-        for message, iv, ciphertext in zip(messages, ivs, batch):
-            assert ciphertext == cbc_encrypt(cipher, message, iv)
+        batch = cbc_encrypt_framed(cipher, messages, b"".join(ivs))
+        assert batch == _framed_map(cipher, messages, ivs)
 
     def test_nist_vector_through_decrypt_many(self):
         """SP 800-38A F.2.2 (CBC-AES128.Decrypt): the four vector blocks
@@ -158,12 +149,12 @@ class TestManyEqualsMap:
         The vector has no PKCS#7 block, so one is chained on."""
         cipher = AesBlockCipher(_KEY)
         final = cbc_encrypt(cipher, b"", _NIST_CIPHER[-BLOCK_SIZE:])
-        vector = _NIST_CIPHER + final
-        assert cbc_decrypt_many(cipher, [vector], [_IV]) == [_NIST_PLAIN]
-        other = cbc_encrypt(cipher, b"neighbour", _iv(1))
-        assert cbc_decrypt_many(
-            cipher, [other, vector, other, vector], [_iv(1), _IV, _iv(1), _IV]
-        ) == [b"neighbour", _NIST_PLAIN, b"neighbour", _NIST_PLAIN]
+        vector = _IV + _NIST_CIPHER + final
+        assert cbc_decrypt_framed(cipher, [vector]) == [_NIST_PLAIN]
+        other = _iv(1) + cbc_encrypt(cipher, b"neighbour", _iv(1))
+        assert cbc_decrypt_framed(cipher, [other, vector, other, vector]) == [
+            b"neighbour", _NIST_PLAIN, b"neighbour", _NIST_PLAIN
+        ]
 
     @given(
         messages=st.lists(st.binary(max_size=80), max_size=6),
@@ -173,10 +164,10 @@ class TestManyEqualsMap:
     def test_decrypt_many_equals_map_property(self, messages, iv_seed):
         cipher = AesBlockCipher(_KEY)
         ivs = [_iv(iv_seed + index) for index in range(len(messages))]
-        batch = cbc_encrypt_many(cipher, messages, ivs)
-        assert cbc_decrypt_many(cipher, batch, ivs) == messages
+        batch = cbc_encrypt_framed(cipher, messages, b"".join(ivs))
+        assert cbc_decrypt_framed(cipher, batch) == messages
         assert [
-            cbc_decrypt(cipher, ciphertext, iv)
+            cbc_decrypt(cipher, ciphertext[BLOCK_SIZE:], iv)
             for ciphertext, iv in zip(batch, ivs)
         ] == messages
 
@@ -192,25 +183,27 @@ class TestManyEqualsMap:
         ],
     )
     def test_decrypt_many_rejects_what_decrypt_rejects(self, bad_body, bad_iv):
-        """Same ``ValueError`` text as ``cbc_decrypt``, wherever in the
-        batch the malformed element sits — and before any decryption, so
-        it also beats an earlier element's padding error."""
+        """A frame ``iv ‖ body`` that ``cbc_decrypt`` rejects is a
+        ``ValueError`` wherever in the batch it sits — raised before any
+        decryption, so it also beats an earlier element's padding
+        error."""
         cipher = AesBlockCipher(_KEY)
-        good = cbc_encrypt(cipher, b"fine", _iv(0))
-        expected = _outcome(lambda: cbc_decrypt(cipher, bad_body, bad_iv))
+        assert _outcome(lambda: cbc_decrypt(cipher, bad_body, bad_iv))[0] is (
+            ValueError
+        )
+        good = _iv(0) + cbc_encrypt(cipher, b"fine", _iv(0))
+        bad = bad_iv + bad_body
+        expected = _outcome(lambda: cbc_decrypt_framed(cipher, [bad]))
         assert expected[0] is ValueError
         for position in range(3):
-            bodies = [good, good, good]
-            ivs = [_iv(0), _iv(0), _iv(0)]
-            bodies[position], ivs[position] = bad_body, bad_iv
-            assert _outcome(
-                lambda: cbc_decrypt_many(cipher, bodies, ivs)
-            ) == expected
-        corrupt_padding = bytes(BLOCK_SIZE)
-        assert _outcome(
-            lambda: cbc_decrypt_many(
-                cipher, [corrupt_padding, bad_body], [_iv(0), bad_iv]
+            frames = [good, good, good]
+            frames[position] = bad
+            assert _outcome(lambda: cbc_decrypt_framed(cipher, frames)) == (
+                expected
             )
+        corrupt_padding = _iv(0) + bytes(BLOCK_SIZE)
+        assert _outcome(
+            lambda: cbc_decrypt_framed(cipher, [corrupt_padding, bad])
         ) == expected
 
     def test_decrypt_many_raises_the_first_padding_error(self):
@@ -229,20 +222,30 @@ class TestManyEqualsMap:
         assert zero_length == (PaddingError, "invalid padding length 0")
         assert corrupt_bytes == (PaddingError, "corrupt padding bytes")
         assert _outcome(
-            lambda: cbc_decrypt_many(
-                cipher, [body] * 3, [iv, zero_length_iv, corrupt_bytes_iv]
+            lambda: cbc_decrypt_framed(
+                cipher,
+                [iv + body, zero_length_iv + body, corrupt_bytes_iv + body],
             )
         ) == zero_length
         assert _outcome(
-            lambda: cbc_decrypt_many(
-                cipher, [body] * 3, [iv, corrupt_bytes_iv, zero_length_iv]
+            lambda: cbc_decrypt_framed(
+                cipher,
+                [iv + body, corrupt_bytes_iv + body, zero_length_iv + body],
             )
         ) == corrupt_bytes
 
     def test_count_mismatch_rejected(self):
         cipher = AesBlockCipher(_KEY)
         with pytest.raises(ValueError):
-            cbc_decrypt_many(cipher, [bytes(16), bytes(16)], [_IV])
+            cbc_encrypt_framed(cipher, [bytes(16), bytes(16)], _IV)
+
+
+def _framed_map(cipher, messages, ivs) -> list[bytes]:
+    """The framed batch as mapping the one-message form builds it."""
+    return [
+        iv + cbc_encrypt(cipher, message, iv)
+        for message, iv in zip(messages, ivs)
+    ]
 
 
 #: Lengths around every block edge the rectangle's padding and cut meet.

@@ -57,7 +57,7 @@ def lines() -> list[str]:
 
 def _crash_and_recover(batch_size: int, root, lines):
     """Run to the injected crash, recover, finish the interval."""
-    plan = FaultPlan(seed=5).crash_collector(after_records=CRASH_AT - 1)
+    plan = FaultPlan().crash_collector(after_records=CRASH_AT - 1)
     crashed = DurableFresqueSystem(
         _config(batch_size),
         _cipher(),
@@ -136,7 +136,7 @@ class TestMidBatchCrashDrill:
 def _chunk_crash(root, lines, batch_size: int, crash_at: int):
     """Crash ``run_publication`` on record ``crash_at``; return the
     crashed system and every ``RawBatch`` its computing nodes received."""
-    plan = FaultPlan(seed=5).crash_collector(after_records=crash_at)
+    plan = FaultPlan().crash_collector(after_records=crash_at)
     crashed = DurableFresqueSystem(
         _config(batch_size), _cipher(), root, seed=101, fault_plan=plan,
         checkpoint_every=0,

@@ -13,9 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cloud.filestore import FileBackedStore
 from repro.benchfab.fingerprint import publication_digest
-from repro.cloud.node import FresqueCloud
 from repro.crypto.cipher import SimulatedCipher
 from repro.durability.checkpoint import FORMAT, CheckpointStore
 from repro.durability.recovery import RecoveryManager
@@ -99,7 +97,7 @@ class TestCrashDrill:
             flu_config, fast_cipher, tmp_path, lines
         )
 
-        plan = FaultPlan(seed=5).crash_collector(after_records=crash_after)
+        plan = FaultPlan().crash_collector(after_records=crash_after)
         crashed = DurableFresqueSystem(
             flu_config,
             fast_cipher,
@@ -167,7 +165,7 @@ class TestCrashDrill:
         self, flu_config, fast_cipher, tmp_path, lines
     ):
         def drill(root):
-            plan = FaultPlan(seed=5).crash_collector(after_records=200)
+            plan = FaultPlan().crash_collector(after_records=200)
             system = DurableFresqueSystem(
                 flu_config,
                 fast_cipher,
@@ -202,7 +200,7 @@ class TestCrashDrill:
         summary, baseline_eps = _baseline(
             flu_config, fast_cipher, tmp_path, lines
         )
-        plan = FaultPlan(seed=5).crash_collector(after_records=150)
+        plan = FaultPlan().crash_collector(after_records=150)
         crashed = DurableFresqueSystem(
             flu_config,
             fast_cipher,
@@ -242,7 +240,7 @@ class TestCrashDrill:
 
         def drill(data_dir, spoil):
             cipher = SimulatedCipher(keystore)  # fresh IV sequence per drill
-            plan = FaultPlan(seed=5).crash_collector(after_records=150)
+            plan = FaultPlan().crash_collector(after_records=150)
             crashed = DurableFresqueSystem(
                 flu_config, cipher, data_dir, seed=101, fault_plan=plan
             )
@@ -296,7 +294,7 @@ class TestCrashDrill:
 
         def drill(data_dir, spoil):
             cipher = SimulatedCipher(keystore)  # fresh IV sequence per drill
-            plan = FaultPlan(seed=5).crash_collector(after_records=300)
+            plan = FaultPlan().crash_collector(after_records=300)
             crashed = DurableFresqueSystem(
                 config, cipher, data_dir, seed=101, fault_plan=plan
             )
@@ -350,7 +348,7 @@ class TestCrashDrill:
     def test_queries_work_after_recovery(
         self, flu_config, fast_cipher, tmp_path, lines
     ):
-        plan = FaultPlan(seed=5).crash_collector(after_records=250)
+        plan = FaultPlan().crash_collector(after_records=250)
         crashed = DurableFresqueSystem(
             flu_config,
             fast_cipher,
@@ -401,7 +399,7 @@ class TestCrashWhileTheMergerHoldsRemovedRecords:
         feed(uncrashed, lines)
         uncrashed.finish_publication()
 
-        plan = FaultPlan(seed=5).crash_collector(after_records=300)
+        plan = FaultPlan().crash_collector(after_records=300)
         crashed = DurableFresqueSystem(
             config,
             SimulatedCipher(keystore),
@@ -455,7 +453,7 @@ class TestCommittedPublicationsSurvive:
     ):
         first = list(flu_generator.raw_lines(200))
         second = list(flu_generator.raw_lines(200))
-        plan = FaultPlan(seed=5).crash_collector(after_records=300)
+        plan = FaultPlan().crash_collector(after_records=300)
         system = DurableFresqueSystem(
             flu_config,
             fast_cipher,
@@ -524,38 +522,6 @@ class TestCommittedPublicationsSurvive:
         )
 
 
-class TestDurableStoreIntegration:
-    def test_drill_with_durable_file_store(
-        self, flu_config, fast_cipher, tmp_path, lines
-    ):
-        store = FileBackedStore(tmp_path / "cloud", durable=True)
-        cloud = FresqueCloud(flu_config.domain, store=store)
-        plan = FaultPlan(seed=5).crash_collector(after_records=250)
-        system = DurableFresqueSystem(
-            flu_config,
-            fast_cipher,
-            tmp_path / "collector",
-            seed=101,
-            cloud=cloud,
-            fault_plan=plan,
-            checkpoint_every=64,
-        )
-        journaled = _run_to_crash(system, lines)
-        recovered, _ = RecoveryManager(
-            flu_config,
-            fast_cipher,
-            tmp_path / "collector",
-            cloud=cloud,
-            seed=202,
-            checkpoint_every=64,
-        ).recover()
-        receipt = _finish_after_recovery(recovered, lines, journaled)
-        # The published file was committed: final name, fsync'd contents.
-        assert (tmp_path / "cloud" / "publication-0.dat").exists()
-        records = sum(1 for _ in store.scan(0))
-        assert records == receipt.records_matched
-
-
 class TestCheckpointIsAQuiescentCut:
     def test_a_retained_batch_refuses_the_checkpoint(
         self, flu_config, fast_cipher, tmp_path, lines
@@ -585,7 +551,7 @@ class TestRecoveryTelemetry:
         self, flu_config, fast_cipher, tmp_path, lines
     ):
         telemetry = Telemetry()
-        plan = FaultPlan(seed=5).crash_collector(after_records=100)
+        plan = FaultPlan().crash_collector(after_records=100)
         system = DurableFresqueSystem(
             flu_config,
             fast_cipher,

@@ -5,7 +5,8 @@ Every runtime × batch-size × durability cell the project claims is a
 sizes 1, 8 and 64, in-memory and durable storage — runs the same two
 Flu publications on seeded IVs, and its cloud-state fingerprint and
 published-index digest must equal the sync / batch-64 / in-memory
-baseline's.
+baseline's.  One more cell runs with a Randomer that fills
+(:data:`FILLING_CELL`), against the baseline at the same ``delta_prime``.
 
 The dedicated equivalence harnesses (``test_batch_equivalence``,
 ``test_degraded_mode``) probe *why* the property holds, with
@@ -53,6 +54,10 @@ CELLS = [
 ]
 BASELINE = (64, "memory", "sync")
 OTHERS = [cell for cell in CELLS if cell != BASELINE]
+#: ``delta_prime`` 0.6 leaves the Randomer 160 pairs against 150-record
+#: publications plus their dummies, so it evicts before each close.
+FILLING_DELTA_PRIME = 0.6
+FILLING_CELL = (8, "memory", "tcp")
 
 
 def _cell_id(cell) -> str:
@@ -60,11 +65,9 @@ def _cell_id(cell) -> str:
     return f"batch_size={batch_size}/durability={durability}/runtime={runtime}"
 
 
-def _digests(cell, data_dir) -> tuple[str, str]:
-    """Run the cell's stream; its fingerprint and publication digests."""
-    batch_size, durability, runtime = cell
+def _config(batch_size: int, **extra) -> FresqueConfig:
     source = dataset("flu")
-    config = FresqueConfig(
+    return FresqueConfig(
         schema=source.schema(),
         domain=source.domain(),
         num_computing_nodes=3,
@@ -72,8 +75,21 @@ def _digests(cell, data_dir) -> tuple[str, str]:
         alpha=2.0,
         batch_size=batch_size,
         deterministic_ivs=True,
+        **extra,
     )
-    cipher = SimulatedCipher(KeyStore(MASTER_KEY, key_size=16))
+
+
+def _cipher() -> SimulatedCipher:
+    return SimulatedCipher(KeyStore(MASTER_KEY, key_size=16))
+
+
+def _digests(cell, data_dir, **extra) -> tuple[str, str]:
+    """Run the cell's stream; its fingerprint and publication digests.
+    ``extra`` overrides configuration fields."""
+    batch_size, durability, runtime = cell
+    source = dataset("flu")
+    config = _config(batch_size, **extra)
+    cipher = _cipher()
     if durability == "durable":
         system = DurableFresqueSystem(
             config, cipher, data_dir, seed=SEED, checkpoint_every=0
@@ -112,4 +128,20 @@ def baseline_digests(tmp_path_factory):
 def test_cell_matches_sync_baseline(cell, baseline_digests, tmp_path):
     assert _digests(cell, tmp_path) == baseline_digests, (
         f"{_cell_id(cell)}: cloud state diverged from the sync baseline"
+    )
+
+
+def test_filling_randomer_cell_matches_sync(tmp_path):
+    """A Randomer that evicts mid-publication: the TCP cell at batch 8
+    against the sync / batch-64 baseline at the same ``delta_prime``."""
+    probe = FresqueSystem(
+        _config(64, delta_prime=FILLING_DELTA_PRIME), _cipher(), seed=SEED
+    )
+    first, *_ = dataset("flu").lines(STREAM_SEED, RECORDS, PUBLICATIONS)
+    probe._feed(first)
+    assert probe.unpublished_pairs, "the buffer never filled before the close"
+    assert _digests(
+        FILLING_CELL, tmp_path / "cell", delta_prime=FILLING_DELTA_PRIME
+    ) == _digests(
+        BASELINE, tmp_path / "baseline", delta_prime=FILLING_DELTA_PRIME
     )

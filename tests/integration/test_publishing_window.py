@@ -19,6 +19,14 @@ sweeps :data:`TIER1_SEEDS` plus :data:`PINNED`; the full sweep runs as
 and exits non-zero on any mismatch or stall.  The TCP cases run the
 same stream on real threads and sockets.
 
+At the default ``delta_prime`` the Randomer's buffer (1,920 pairs at
+Flu) never fills, so no pair reaches the cloud before its publication
+closes.  The filling cells (:data:`FILLING_CELLS`) run the same stream at
+``delta_prime`` :data:`FILLING_DELTA_PRIME`: a 160-pair buffer against a
+120-line publication plus its dummies, so evictions interleave with the
+window and the crash; each first checks that its sync baseline had pairs
+at the cloud before the first close.
+
 An empty publication closed right after its predecessor is the
 window's edge case: it dispatches no batch, so its *publishing* notice
 reaches the checking node while its announcement still waits for the
@@ -56,12 +64,20 @@ TIER1_SEEDS = tuple(range(8))
 #: node keeping a re-sent batch of the publication it re-armed for
 #: behind that publication's own marker.
 PINNED = ((30, False), (12, True))
+#: ``delta_prime`` of the filling cells, and the cells themselves.
+FILLING_DELTA_PRIME = 0.6
+FILLING_CELLS = [
+    (seed, batch_size, crash)
+    for seed in range(4)
+    for batch_size in (1, 8)
+    for crash in (False, True)
+]
 
 _STREAM = FluSurveyGenerator(seed=71)
 PUBLICATIONS = [list(_STREAM.raw_lines(_LINES)) for _ in range(_PUBS)]
 
 
-def _config(batch_size: int) -> FresqueConfig:
+def _config(batch_size: int, **extra) -> FresqueConfig:
     return FresqueConfig(
         schema=flu_survey_schema(),
         domain=flu_domain(),
@@ -70,6 +86,7 @@ def _config(batch_size: int) -> FresqueConfig:
         alpha=2.0,
         batch_size=batch_size,
         deterministic_ivs=True,
+        **extra,
     )
 
 
@@ -77,23 +94,37 @@ def _cipher() -> SimulatedCipher:
     return SimulatedCipher(KeyStore(_MASTER_KEY, key_size=16))
 
 
-_SYNC: dict[int, dict] = {}
+_SYNC: dict[tuple, tuple[dict, int]] = {}
+
+
+def sync_baseline(seed: int, **extra) -> tuple[dict, int]:
+    """The synchronous driver's cloud state at ``seed`` and the pairs
+    at the cloud before the first close (cached)."""
+    key = (seed, *sorted(extra.items()))
+    if key not in _SYNC:
+        system = FresqueSystem(_config(8, **extra), _cipher(), seed=seed)
+        evicted = 0
+        for index, lines in enumerate(PUBLICATIONS):
+            system._feed(lines)
+            if index == 0:
+                evicted = len(system.unpublished_pairs)
+            system.finish_publication()
+        _SYNC[key] = cloud_state_fingerprint(system), evicted
+    return _SYNC[key]
 
 
 def sync_fingerprint(seed: int) -> dict:
     """The synchronous driver's cloud state at ``seed`` (cached)."""
-    if seed not in _SYNC:
-        system = FresqueSystem(_config(8), _cipher(), seed=seed)
-        for lines in PUBLICATIONS:
-            system.run_publication(lines)
-        _SYNC[seed] = cloud_state_fingerprint(system)
-    return _SYNC[seed]
+    return sync_baseline(seed)[0]
 
 
-def run_back_to_back(runtime_cls, seed: int, batch_size: int, crash: bool):
+def run_back_to_back(
+    runtime_cls, seed: int, batch_size: int, crash: bool, **extra
+):
     """Close every publication without waiting, settle once, and return
-    the cloud fingerprint."""
-    with runtime_cls(_config(batch_size), _cipher(), seed=seed) as system:
+    the cloud fingerprint.  ``extra`` overrides configuration fields."""
+    config = _config(batch_size, **extra)
+    with runtime_cls(config, _cipher(), seed=seed) as system:
         for index, lines in enumerate(PUBLICATIONS):
             for position, line in enumerate(lines):
                 if crash and (index, position) == (_CRASH_PUB, _CRASH_AT):
@@ -117,17 +148,33 @@ _CELLS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "seed,batch_size,crash",
-    _CELLS,
-    ids=[
+def _ids(cells) -> list[str]:
+    return [
         f"seed={seed}-batch={batch}-{'crash' if crash else 'healthy'}"
-        for seed, batch, crash in _CELLS
-    ],
-)
+        for seed, batch, crash in cells
+    ]
+
+
+@pytest.mark.parametrize("seed,batch_size,crash", _CELLS, ids=_ids(_CELLS))
 def test_scheduled_run_matches_sync(seed, batch_size, crash):
     state = run_back_to_back(ScheduledFresque, seed, batch_size, crash)
     assert state == sync_fingerprint(seed)
+
+
+@pytest.mark.parametrize(
+    "seed,batch_size,crash", FILLING_CELLS, ids=_ids(FILLING_CELLS)
+)
+def test_filling_randomer_matches_sync(seed, batch_size, crash):
+    expected, evicted = sync_baseline(seed, delta_prime=FILLING_DELTA_PRIME)
+    assert evicted > 0, "the buffer never filled before the first close"
+    state = run_back_to_back(
+        ScheduledFresque,
+        seed,
+        batch_size,
+        crash,
+        delta_prime=FILLING_DELTA_PRIME,
+    )
+    assert state == expected
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)

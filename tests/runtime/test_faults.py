@@ -1,15 +1,23 @@
-"""Fault-injection tests: deterministic schedules, reconnect, degraded mode."""
+"""Fault-injection tests: deterministic crashes, reconnect, degraded mode.
+
+Links neither lose, delay nor duplicate frames, so :class:`FaultPlan`
+scripts crashes only.  A test that needs a transport fault makes it on
+its own side: a runtime whose ``_send`` drops or delays a message, or a
+router whose cached socket is closed under it.
+"""
 
 import re
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro.core.messages import PublishingMsg
 from repro.datasets.flu import FluSurveyGenerator
 from repro.runtime.faults import CRASH, FaultPlan
+from repro.runtime.schedule import ScheduledFresque, ScheduleStall
 from repro.runtime.tcp import (
     ClusterTimeout,
     PeerUnavailable,
@@ -20,16 +28,41 @@ from repro.runtime.tcp import (
 )
 from repro.runtime.wire import decode_message, read_frames
 
-#: Named fault plans for the TCP publication drills.
-FAULT_PLANS = {
-    "sever-checking": lambda: FaultPlan(seed=5).sever_connection(
-        "checking", at_frames=(50, 150)
-    ),
-}
-
 
 def _fast_retry() -> RetryPolicy:
     return RetryPolicy(max_attempts=5, base_delay=0.01, max_delay=0.05)
+
+
+def _sever(router: Router, destination: str) -> None:
+    """Close the router's cached socket to ``destination`` without
+    evicting it: the next write fails like a peer dying underneath."""
+    with router._guard:
+        connection = router._connections.get(destination)
+    if connection is not None:
+        connection.close()
+
+
+def _faulty(runtime_cls):
+    """``runtime_cls`` whose ``_send`` first calls ``fault(runtime,
+    destination, index)`` — ``index`` counts the sends to that
+    destination from 0 — and drops the message if it returns ``False``."""
+
+    class Faulty(runtime_cls):
+        def __init__(self, *args, fault, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._fault = fault
+            self._counts = Counter()
+            self._counts_lock = threading.Lock()
+
+        def _send(self, destination, message):
+            with self._counts_lock:
+                index = self._counts[destination]
+                self._counts[destination] += 1
+            if not self._fault(self, destination, index):
+                return True
+            return super()._send(destination, message)
+
+    return Faulty
 
 
 def _discard(outbox) -> None:
@@ -89,55 +122,45 @@ class _Sink:
 
 
 class TestFaultPlanDeterminism:
-    def test_same_seed_same_schedule(self):
+    def test_identical_plans_same_schedule(self):
         """Two identically-built plans fed the same event sequence fire
         the same faults — the reproducibility contract."""
 
         def build():
             return (
-                FaultPlan(seed=7)
-                .drop_frames("checking", probability=0.3)
-                .duplicate_frames("cloud", probability=0.2)
-                .sever_connection("merger", at_frames=(3, 9))
+                FaultPlan()
                 .crash_node("cn-1", after_handled=5)
+                .crash_node("cn-0", after_handled=2)
+                .crash_collector(after_records=7)
             )
+
+        def drive(plan):
+            actions = []
+            for _ in range(10):
+                actions.append(plan.on_node_frame("cn-1"))
+                actions.append(plan.on_node_frame("cn-0"))
+                actions.append(plan.on_collector_records(3))
+            return actions
 
         first, second = build(), build()
-        decisions_a = [first.on_send("checking") for _ in range(50)]
-        decisions_a += [first.on_send("cloud") for _ in range(50)]
-        decisions_a += [first.on_send("merger") for _ in range(12)]
-        actions_a = [first.on_node_frame("cn-1") for _ in range(10)]
-        decisions_b = [second.on_send("checking") for _ in range(50)]
-        decisions_b += [second.on_send("cloud") for _ in range(50)]
-        decisions_b += [second.on_send("merger") for _ in range(12)]
-        actions_b = [second.on_node_frame("cn-1") for _ in range(10)]
-        assert decisions_a == decisions_b
-        assert actions_a == actions_b
+        assert drive(first) == drive(second)
         assert first.schedule == second.schedule
-        assert any(d.drop for d in decisions_a)
-        assert any(d.sever for d in decisions_a)
+        assert [(e.target, e.index) for e in first.schedule] == [
+            ("cn-0", 2), ("collector", 7), ("cn-1", 5),
+        ]
 
     def test_per_target_counters_ignore_interleaving(self):
-        """at_frames rules index each target's own event stream, so the
-        decision for frame n of a target is interleaving-independent."""
-        plan = FaultPlan().drop_frames("checking", at_frames=(2,))
-        # Interleave sends to another destination between the checking
-        # frames; the drop still lands on checking's frame #2.
+        """Rules index each target's own event stream, so the decision
+        for frame n of a target is interleaving-independent."""
+        plan = FaultPlan().crash_node("cn-0", after_handled=2)
+        # Interleave frames of another node between cn-0's; the crash
+        # still lands on cn-0's frame #2.
         outcomes = []
-        for i in range(5):
-            plan.on_send("cloud")
-            outcomes.append(plan.on_send("checking").drop)
-            plan.on_send("cloud")
-        assert outcomes == [False, False, True, False, False]
-
-    def test_different_seed_different_schedule(self):
-        def build(seed):
-            plan = FaultPlan(seed=seed).drop_frames(
-                "checking", probability=0.5
-            )
-            return [plan.on_send("checking").drop for _ in range(64)]
-
-        assert build(1) != build(2)
+        for _ in range(5):
+            plan.on_node_frame("cn-1")
+            outcomes.append(plan.on_node_frame("cn-0"))
+            plan.on_node_frame("cn-1")
+        assert outcomes == [None, None, CRASH, None, None]
 
     def test_crash_fires_once(self):
         plan = FaultPlan().crash_node("cn-0", after_handled=2)
@@ -150,14 +173,11 @@ class TestRouterFaults:
         """A severed connection stays poisoned in the cache; the next
         send must evict it, back off, and reconnect."""
         sink = _Sink()
-        plan = FaultPlan().sever_connection("sink", at_frames=(2,))
-        router = Router(
-            {"sink": sink.port},
-            fault_plan=plan,
-            retry_policy=_fast_retry(),
-        )
+        router = Router({"sink": sink.port}, retry_policy=_fast_retry())
         try:
             for i in range(5):
+                if i == 2:
+                    _sever(router, "sink")
                 router.send("sink", PublishingMsg(i))
             received = sink.wait_messages(5)
         finally:
@@ -167,23 +187,6 @@ class TestRouterFaults:
         assert router.reconnects >= 1
         assert router.retries >= 1
         assert len(sink.connections) == 2
-
-    def test_drop_and_duplicate(self):
-        sink = _Sink()
-        plan = (
-            FaultPlan()
-            .drop_frames("sink", at_frames=(1,))
-            .duplicate_frames("sink", at_frames=(3,))
-        )
-        router = Router({"sink": sink.port}, fault_plan=plan)
-        try:
-            for i in range(4):
-                router.send("sink", PublishingMsg(i))
-            received = sink.wait_messages(4)
-        finally:
-            router.close()
-            sink.close()
-        assert sorted(m.publication for m in received) == [0, 2, 3, 3]
 
     def test_peer_unavailable_after_budget(self):
         """With nobody listening, the retry budget is spent and the send
@@ -256,21 +259,24 @@ class TestSeveredPublication:
         retries and a reconnect, not records: the publication matches
         exactly what the healthy run of the same stream matches."""
         lines = list(FluSurveyGenerator(seed=71).raw_lines(400))
-        matched = {}
-        for name, plan in (
-            ("healthy", None),
-            ("severed", FAULT_PLANS["sever-checking"]()),
-        ):
-            cluster = TcpFresqueCluster(
-                flu_config,
-                fast_cipher,
-                seed=9,
-                fault_plan=plan,
-                retry_policy=_fast_retry(),
-            )
-            with cluster:
-                matched[name] = cluster.run_publication(lines, timeout=60.0)
-        assert matched["severed"] == matched["healthy"] > 0
+
+        def sever(cluster, destination, index):
+            if destination == "checking" and index in (50, 150):
+                _sever(cluster.router, destination)
+            return True
+
+        with TcpFresqueCluster(flu_config, fast_cipher, seed=9) as healthy:
+            expected = healthy.run_publication(lines, timeout=60.0)
+        cluster = _faulty(TcpFresqueCluster)(
+            flu_config,
+            fast_cipher,
+            seed=9,
+            retry_policy=_fast_retry(),
+            fault=sever,
+        )
+        with cluster:
+            matched = cluster.run_publication(lines, timeout=60.0)
+        assert matched == expected > 0
         assert cluster.router.reconnects >= 1
 
 
@@ -284,22 +290,24 @@ class TestDegradedPublication:
         # worker, guaranteeing the crash lands while the stream is still
         # flowing — so the drill exercises rerouting, not just
         # inbox-dropping.
-        plan = (
-            FaultPlan(seed=11)
-            .crash_node("cn-1", after_handled=40)
-            .delay_frames("cn-1", 0.001, probability=1.0)
-            .sever_connection("checking", at_frames=(120,))
-        )
+        def delay_and_sever(cluster, destination, index):
+            if destination == "cn-1":
+                time.sleep(0.001)
+            if destination == "checking" and index == 120:
+                _sever(cluster.router, destination)
+            return True
+
         generator = FluSurveyGenerator(seed=84)
         lines = list(generator.raw_lines(600))
         with TcpFresqueCluster(flu_config, fast_cipher, seed=42) as healthy:
             expected = healthy.run_publication(lines, timeout=60.0)
-        cluster = TcpFresqueCluster(
+        cluster = _faulty(TcpFresqueCluster)(
             flu_config,
             fast_cipher,
             seed=42,
-            fault_plan=plan,
+            fault_plan=FaultPlan().crash_node("cn-1", after_handled=40),
             retry_policy=_fast_retry(),
+            fault=delay_and_sever,
         )
         with cluster:
             matched = cluster.run_publication(lines, timeout=60.0)
@@ -321,7 +329,7 @@ class TestDegradedPublication:
     def test_follow_up_publication_still_works(self, flu_config, fast_cipher):
         """After degrading around a dead node, later publications keep
         completing on the survivors."""
-        plan = FaultPlan(seed=3).crash_node("cn-0", after_handled=10)
+        plan = FaultPlan().crash_node("cn-0", after_handled=10)
         generator = FluSurveyGenerator(seed=85)
         cluster = TcpFresqueCluster(
             flu_config,
@@ -354,13 +362,13 @@ class TestLostFrameStall:
         it twice — the seq the checking node awaits is the dispatcher's
         oldest unadmitted one — beside the messages it holds."""
         lines = list(FluSurveyGenerator(seed=86).raw_lines(150))
-        plan = FaultPlan(seed=9).drop_frames("checking", at_frames=(10,))
-        cluster = TcpFresqueCluster(
+        cluster = _faulty(TcpFresqueCluster)(
             flu_config,
             fast_cipher,
             seed=5,
-            fault_plan=plan,
             retry_policy=_fast_retry(),
+            fault=lambda _, destination, index: (destination, index)
+            != ("checking", 10),
         )
         with cluster, pytest.raises(ClusterTimeout) as timeout:
             cluster.run_publication(lines, timeout=3.0)
@@ -378,22 +386,24 @@ class TestScheduledFaults:
     def test_a_dropped_pair_frame_is_a_named_stall(
         self, flu_config, fast_cipher
     ):
-        """The same plan API plugs into the scheduled runtime.  A lost
-        pair frame is no crash, so nothing re-sends its batch: the
-        checking node waits for that seq, and ``settle`` raises
+        """A lost pair frame is no crash, so nothing re-sends its batch:
+        the checking node waits for that seq, and ``settle`` raises
         ``ScheduleStall`` naming it — the seq the checking node awaits
         is the dispatcher's oldest unadmitted one — instead of
         publishing a smaller publication."""
-        from repro.runtime.schedule import ScheduledFresque, ScheduleStall
-
         lines = list(FluSurveyGenerator(seed=86).raw_lines(150))
+        dropped = []
+
         # Frame 0 to the checking node announces the publication; every
         # frame up to the close carries pairs.
-        plan = FaultPlan(seed=9).drop_frames(
-            "checking", at_frames=(10, 20, 30)
-        )
-        lossy = ScheduledFresque(
-            flu_config, fast_cipher, seed=5, fault_plan=plan
+        def drop(_, destination, index):
+            if destination == "checking" and index in (10, 20, 30):
+                dropped.append(index)
+                return False
+            return True
+
+        lossy = _faulty(ScheduledFresque)(
+            flu_config, fast_cipher, seed=5, fault=drop
         )
         with lossy, pytest.raises(ScheduleStall) as stall:
             lossy.run_publication(lines)
@@ -405,57 +415,40 @@ class TestScheduledFaults:
         assert held > 0
         assert f"the checking node holds {held} messages" in str(stall.value)
         assert lossy.dispatcher.oldest_unadmitted == int(oldest[1])
-        assert [e.action for e in plan.schedule] == ["drop"] * 3
-
-    def test_delayed_messages_still_drain(self, flu_config, fast_cipher):
-        """A delayed send stalls its sender, then is delivered: the
-        publication drains with every delayed message in it."""
-        from repro.runtime.schedule import ScheduledFresque
-
-        lines = list(FluSurveyGenerator(seed=87).raw_lines(60))
-        plan = FaultPlan().delay_frames(
-            "checking", 0.05, at_frames=(0, 5, 10)
-        )
-        runtime = ScheduledFresque(
-            flu_config, fast_cipher, seed=5, fault_plan=plan
-        )
-        with runtime:
-            runtime.run_publication(lines)
-        assert runtime.checking.pairs_processed > 0
-        assert len([e for e in plan.schedule if e.action == "delay"]) == 3
+        assert dropped == [10, 20, 30]
 
 
 class TestCollectorCrashRule:
     def test_fires_once_after_threshold(self):
-        plan = FaultPlan(seed=1).crash_collector(after_records=3)
-        decisions = [plan.on_collector_record() for _ in range(6)]
-        assert decisions == [False, False, False, True, False, False]
+        plan = FaultPlan().crash_collector(after_records=3)
+        survivors = [plan.on_collector_records(1) for _ in range(6)]
+        assert survivors == [1, 1, 1, 0, 1, 1]
 
     def test_recorded_in_schedule(self):
-        plan = FaultPlan(seed=1).crash_collector(after_records=0)
-        assert plan.on_collector_record()
+        plan = FaultPlan().crash_collector(after_records=0)
+        assert plan.on_collector_records(1) == 0
         event = plan.schedule[-1]
         assert (event.site, event.target, event.action) == (
             "node", "collector", CRASH,
         )
 
     def test_no_rule_never_fires(self):
-        plan = FaultPlan(seed=1)
-        assert not any(plan.on_collector_record() for _ in range(10))
+        plan = FaultPlan()
+        assert [plan.on_collector_records(1) for _ in range(10)] == [1] * 10
 
     @pytest.mark.parametrize("after", [0, 1, 5, 7, 8, 17])
     def test_count_form_matches_the_per_record_form(self, after):
         """Asking once for a chunk of n is asking n times for one: the
         same survivors, the same crash index in the schedule, and the
         same count afterwards."""
-        per_record = FaultPlan(seed=1).crash_collector(after_records=after)
-        chunked = FaultPlan(seed=1).crash_collector(after_records=after)
+        per_record = FaultPlan().crash_collector(after_records=after)
+        chunked = FaultPlan().crash_collector(after_records=after)
         survived = []
         for size in (3, 4, 1, 4, 6):
             answer = chunked.on_collector_records(size)
             expected = size
             for index in range(size):
-                if per_record.on_collector_record():
+                if not per_record.on_collector_records(1):
                     expected = index
                     break
             assert answer == expected

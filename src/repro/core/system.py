@@ -16,7 +16,8 @@ quiescence — the *functional* reference: exactly the logic the runtimes
 and the discrete-event simulator run, without concurrency or timing, so
 tests can assert end-to-end correctness deterministically.  The runtimes
 (scheduled, TCP) subclass it and supply only what differs
-per transport — how one message leaves (:meth:`FresqueSystem._send`),
+per transport — how a run of messages to one destination leaves
+(:meth:`FresqueSystem._send`),
 how to wait for a publication to drain (:meth:`FresqueSystem.settle`),
 and how a node is spawned and killed; the list is "What a runtime
 supplies" in docs/RUNTIMES.md.  The fleet is fixed, as in the paper:
@@ -30,6 +31,8 @@ import random
 import threading
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from repro.client.query_client import ClientResult, QueryClient
 from repro.cloud.node import FresqueCloud
@@ -46,16 +49,19 @@ from repro.core.messages import (
     ToCloudBatch,
 )
 from repro.crypto.cipher import RecordCipher
-from repro.telemetry.clock import WALL_CLOCK
 from repro.telemetry.context import coalesce
+
+
+_DESTINATION = itemgetter(0)
 
 
 class CloudAdapter(Routed):
     """Adapts the protocol messages onto :class:`FresqueCloud` calls.
 
-    Receipt arrival is signalled through a :class:`threading.Condition`
-    so a driver thread can block in :meth:`wait_for_receipt` instead of
-    busy-polling :attr:`receipts`.
+    Receipts and announcements are signalled through a
+    :class:`threading.Condition`, so a driver thread can block in
+    :meth:`wait_for_receipt` or :meth:`wait_for_announce` instead of
+    polling.
     """
 
     ROUTES = {
@@ -68,10 +74,12 @@ class CloudAdapter(Routed):
     def __init__(self, cloud: FresqueCloud):
         self.cloud = cloud
         self.receipts = []
-        self._receipts_cond = threading.Condition()
+        self._cond = threading.Condition()
 
     def _announce(self, message: AnnouncePublication) -> list:
-        self.cloud.announce_publication(message.publication)
+        with self._cond:
+            self.cloud.announce_publication(message.publication)
+            self._cond.notify_all()
         return []
 
     def _receive_pairs(self, message: ToCloudBatch | BufferFlush) -> list:
@@ -88,39 +96,37 @@ class CloudAdapter(Routed):
         return []
 
     def _deliver_receipt(self, receipt) -> None:
-        with self._receipts_cond:
+        with self._cond:
             self.receipts.append(receipt)
-            self._receipts_cond.notify_all()
+            self._cond.notify_all()
+
+    def _find_receipt(self, publication: int):
+        return next(
+            (r for r in self.receipts if r.publication == publication), None
+        )
 
     def receipt_for(self, publication: int):
         """The matching receipt of ``publication``, or ``None``."""
-        with self._receipts_cond:
-            return next(
-                (r for r in self.receipts if r.publication == publication),
-                None,
-            )
+        with self._cond:
+            return self._find_receipt(publication)
 
     def wait_for_receipt(self, publication: int, timeout: float):
         """Block until ``publication``'s receipt arrives (or ``timeout``
         elapses — returns ``None``).  Wakes promptly on delivery; no
         polling."""
-        deadline = WALL_CLOCK.now() + timeout
-        with self._receipts_cond:
-            while True:
-                receipt = next(
-                    (
-                        r
-                        for r in self.receipts
-                        if r.publication == publication
-                    ),
-                    None,
-                )
-                if receipt is not None:
-                    return receipt
-                remaining = deadline - WALL_CLOCK.now()
-                if remaining <= 0:
-                    return None
-                self._receipts_cond.wait(remaining)
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: self._find_receipt(publication), timeout
+            )
+
+    def wait_for_announce(self, publication: int, timeout: float) -> bool:
+        """Block until the cloud has announced ``publication`` (or
+        ``timeout`` elapses — returns ``False``).  Wakes promptly on the
+        announcement; no polling."""
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: self.cloud.is_announced(publication), timeout
+            )
 
 
 class CollectorAwareQueryTarget:
@@ -286,17 +292,21 @@ class FresqueSystem:
 
     def _transmit_all(self, outbox) -> None:
         """The :meth:`_send_all` of a runtime with real channels (each
-        aliases it): every message leaves through the transport's
-        :meth:`_send`.  A message for a computing node that is gone
-        takes the degraded path."""
-        for destination, message in outbox:
+        aliases it): every run of consecutive messages to one
+        destination leaves through one call of the transport's
+        :meth:`_send`.  A run for a computing node that is gone takes
+        the degraded path."""
+        if not outbox:  # most ingests ship nothing; grouping costs more
+            return
+        for destination, routed in groupby(outbox, _DESTINATION):
             if destination in self._dead or not self._send(
-                destination, message
+                destination, [message for _, message in routed]
             ):
                 self._degrade(destination)
 
-    def _send(self, destination: str, message) -> bool:
-        """Transport seam: hand one message to ``destination``.
+    def _send(self, destination: str, messages: list) -> bool:
+        """Transport seam: hand a run of messages to ``destination``, in
+        order.
 
         ``False`` means the destination is a computing node that is
         gone, and the driver degrades around it; a trusted node

@@ -11,8 +11,9 @@ not need it) and constructing an :class:`AesBlockCipher` raises
 back on.
 
 :class:`AesBlockCipher` encrypts or decrypts any number of independent
-16-byte blocks (ECB) in one library call; :mod:`repro.crypto.modes` builds
-CBC on top of it.  The FIPS-197 vectors and a step-by-step reference
+16-byte blocks (ECB) in one library call, and CBC-decrypts a chain of
+them in one call; :mod:`repro.crypto.modes` builds CBC on top of it.
+The FIPS-197 vectors and a step-by-step reference
 (``tests/crypto/reference_aes.py``) check it in the test suite.
 """
 
@@ -77,6 +78,7 @@ def _load_libcrypto() -> ctypes.PyDLL | None:
         lib.EVP_CipherUpdate.restype = number
         for bits in (128, 192, 256):
             getattr(lib, f"EVP_aes_{bits}_ecb").restype = void
+            getattr(lib, f"EVP_aes_{bits}_cbc").restype = void
         return lib
     return None
 
@@ -94,9 +96,10 @@ _LIBCRYPTO = _load_libcrypto()
 class AesBlockCipher:
     """Raw AES encryption/decryption of 16-byte blocks.
 
-    Holds one encrypt and one decrypt AES-ECB ``EVP_CIPHER_CTX`` with
-    padding off, keyed once and freed when the cipher is collected.  Each
-    :meth:`encrypt_blocks` / :meth:`decrypt_blocks` is one
+    Holds one encrypt and one decrypt AES-ECB ``EVP_CIPHER_CTX`` and one
+    AES-CBC decrypt context, all with padding off, keyed once and freed
+    when the cipher is collected.  Each :meth:`encrypt_blocks` /
+    :meth:`decrypt_blocks` / :meth:`decrypt_chain` is one
     ``EVP_CipherUpdate`` over every block of the call.
 
     Parameters
@@ -122,20 +125,26 @@ class AesBlockCipher:
                 + "), which could not be loaded"
             )
         self._update = lib.EVP_CipherUpdate
-        self._encrypt_ctx = self._context(lib, key, encrypt=True)
-        self._decrypt_ctx = self._context(lib, key, encrypt=False)
+        self._encrypt_ctx = self._context(lib, key, "ecb", encrypt=True)
+        self._decrypt_ctx = self._context(lib, key, "ecb", encrypt=False)
+        self._chain_ctx = self._context(lib, key, "cbc", encrypt=False)
 
-    def _context(self, lib: ctypes.PyDLL, key: bytes, encrypt: bool) -> int:
+    def _context(
+        self, lib: ctypes.PyDLL, key: bytes, mode: str, encrypt: bool
+    ) -> int:
         ctx = lib.EVP_CIPHER_CTX_new()
         if not ctx:
             raise MemoryError("EVP_CIPHER_CTX_new failed")
         weakref.finalize(self, lib.EVP_CIPHER_CTX_free, ctx)
-        ecb = getattr(lib, f"EVP_aes_{8 * len(key)}_ecb")()
+        cipher = getattr(lib, f"EVP_aes_{8 * len(key)}_{mode}")()
+        iv = bytes(BLOCK_SIZE) if mode == "cbc" else None
         if not (
-            lib.EVP_CipherInit_ex(ctx, ecb, None, bytes(key), None, int(encrypt))
+            lib.EVP_CipherInit_ex(ctx, cipher, None, bytes(key), iv, int(encrypt))
             and lib.EVP_CIPHER_CTX_set_padding(ctx, 0)
         ):
-            raise AesUnavailableError("libcrypto refused the AES-ECB key")
+            raise AesUnavailableError(
+                f"libcrypto refused the AES-{mode.upper()} key"
+            )
         return ctx
 
     def encrypt_blocks(self, data: bytes) -> bytes:
@@ -147,6 +156,13 @@ class AesBlockCipher:
         """Decrypt ``len(data) // 16`` independent blocks; the inverse of
         :meth:`encrypt_blocks`."""
         return self._run(self._decrypt_ctx, data)
+
+    def decrypt_chain(self, data: bytes) -> bytes:
+        """CBC-decrypt ``data`` as one chain: output block ``j >= 1`` is
+        ``D(C_j) xor C_{j-1}``.  Block 0 is chained to whatever the last
+        call left in the context, so it is meaningless: a caller puts an
+        IV there and discards it."""
+        return self._run(self._chain_ctx, data)
 
     def _run(self, ctx: int, data: bytes) -> bytes:
         size = len(data)

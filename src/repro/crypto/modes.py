@@ -26,9 +26,8 @@ message per offset:
   so it never sets the width of the short ones' rows;
 * in CBC *decryption* every block's cipher input is ciphertext that is
   already there: the framed ciphertexts are joined, IVs included, and
-  decrypted by one call, and one XOR against the same buffer shifted by a
-  block chains every message at once (what lands on an IV block is
-  discarded).
+  one CBC decryption of the joined buffer chains every message at once
+  (what lands on an IV block is discarded).
 """
 
 from __future__ import annotations
@@ -236,20 +235,14 @@ def _decrypt_run(
     cipher: AesBlockCipher, ciphertexts: list[bytes], lengths: list[int]
 ) -> list[bytes]:
     # P_j = D(C_j) ^ C_{j-1}, and C_{-1} = IV is the block before C_0 in
-    # the joined buffer: D(whole)[16:] ^ whole[:-16] is every message's
-    # padded plaintext, each starting where its IV starts in ``whole``.
-    whole = b"".join(ciphertexts)
-    size = len(whole) - BLOCK_SIZE
-    chained = (
-        int.from_bytes(
-            memoryview(cipher.decrypt_blocks(whole))[BLOCK_SIZE:], "little"
-        )
-        ^ int.from_bytes(memoryview(whole)[:size], "little")
-    ).to_bytes(size, "little")
-    # Message k is chained[marks[k] + 16 : ends[k]]: its padded
-    # plaintext, as long as its body.  A pad is never longer than a
-    # message, so ``endswith`` needs only each message's end.
-    marks = list(accumulate(lengths, initial=-BLOCK_SIZE))
+    # the joined buffer: one CBC decryption of the whole buffer gives
+    # every message's padded plaintext where its body sits in ``whole``.
+    # What lands on an IV block (message 0's: whatever chain the context
+    # held) is discarded.
+    chained = cipher.decrypt_chain(b"".join(ciphertexts))
+    # Message k is chained[marks[k] + 16 : ends[k]].  A pad is never
+    # longer than a message, so ``endswith`` needs only each end.
+    marks = list(accumulate(lengths, initial=0))
     ends = marks[1:]
     pads = bytes([chained[end - 1] for end in ends])
     if (

@@ -73,11 +73,11 @@ class ScheduledFresque(FresqueSystem):
     # Transport: one FIFO per destination, stepped by the schedule
     # ------------------------------------------------------------------
 
-    def _send(self, destination: str, message) -> bool:
+    def _send(self, destination: str, messages) -> bool:
         # Until its degrade step, a crashed node silently loses what it
         # is sent, like a peer that just died.
         if destination not in self._stopped:
-            self._fifos[destination].append(message)
+            self._fifos[destination].extend(messages)
         return True
 
     def _send_all(self, outbox) -> None:

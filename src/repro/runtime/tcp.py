@@ -33,6 +33,7 @@ Node crashes can be injected deterministically through
 
 from __future__ import annotations
 
+import bisect
 import queue
 import random
 import socket
@@ -45,7 +46,7 @@ from repro.core.config import FresqueConfig
 from repro.core.system import FresqueSystem
 from repro.crypto.cipher import RecordCipher
 from repro.runtime.poller import FlushPoller, poll_interval
-from repro.runtime.wire import WireError, decode_message, encode_message, read_frames
+from repro.runtime.wire import WireError, append_frame, decode_message, read_frames
 from repro.telemetry.clock import WALL_CLOCK
 from repro.telemetry.context import coalesce
 
@@ -145,31 +146,61 @@ class Router:
         self._reconnects_counter = tel.counter("tcp_reconnects_total")
         self._backoff_histogram = tel.histogram("tcp_backoff_seconds")
 
-    def send(self, destination: str, message) -> None:
-        """Frame and transmit one message to ``destination``,
-        reconnecting (with backoff) around transport failures."""
-        frame = encode_message(destination, message)
-        self._transmit(destination, frame)
-        self._sent_bytes.inc(len(frame))
-        self._sent_frames.inc()
-        with self._guard:
-            self.sent_to[destination] = self.sent_to.get(destination, 0) + 1
+    def send(
+        self, destination: str, message, run: bytearray | None = None
+    ) -> None:
+        """Frame one message to ``destination`` and transmit it,
+        reconnecting (with backoff) around transport failures.
 
-    def _transmit(self, destination: str, frame: bytes) -> None:
+        Inside :meth:`send_run`, ``run`` is the run's buffer: the frame
+        is appended to it and leaves with the rest of the run, so every
+        message still passes through here once."""
+        if run is None:
+            self.send_run(destination, (message,))
+        else:
+            append_frame(run, destination, message)
+
+    def send_run(self, destination: str, messages) -> None:
+        """Frame ``messages`` into one buffer and transmit it to
+        ``destination`` as one write: per-link FIFO order holds, and the
+        receiver reads the same frames as from one send each."""
+        run = bytearray()
+        ends = []
+        for message in messages:
+            self.send(destination, message, run=run)
+            ends.append(len(run))
+        self._transmit(destination, memoryview(run), ends)
+        self._sent_bytes.inc(len(run))
+        self._sent_frames.inc(len(ends))
+        with self._guard:
+            self.sent_to[destination] = (
+                self.sent_to.get(destination, 0) + len(ends)
+            )
+
+    def _transmit(self, destination: str, run: memoryview, ends) -> None:
+        """Write ``run``, whose frames end at ``ends``.  A failed write
+        resumes on a fresh connection at the first frame the dying one
+        did not take whole: a torn tail is re-sent, never a whole frame."""
         attempt = 0
+        done = 0  # bytes of whole frames the socket has taken
         while True:
             attempt += 1
             connection = None
+            written = done
             try:
                 connection, lock = self._connect(destination)
                 with lock:
                     # The per-connection lock exists precisely to serialize
                     # frame writes on this socket, so the blocking send is
                     # intentional.
-                    connection.sendall(frame)  # fresque-lint: disable=FRQ-C102
+                    while written < len(run):
+                        # fresque-lint: disable=FRQ-C102
+                        written += connection.send(run[written:])
             except OSError as exc:
                 if connection is not None:
                     self.evict(destination, connection)
+                whole = bisect.bisect_right(ends, written)
+                done = ends[whole - 1] if whole else 0
                 if attempt >= self._retry.max_attempts:
                     raise PeerUnavailable(destination, attempt, exc) from exc
                 with self._guard:
@@ -252,14 +283,19 @@ class TcpNode:
     handler:
         Callable handling one message and returning routed outbox pairs.
     send_all:
-        Callable taking that outbox: the cluster's send path, which
-        degrades around a dead computing node.
+        Callable taking an outbox: the cluster's send path, which
+        degrades around a dead computing node.  The worker handles every
+        frame queued when it wakes, in arrival order, and then hands it
+        their outboxes joined, so each run of messages to one
+        destination leaves in one write.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`; counts received
         bytes and tracks the inbox depth per node.
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan` consulted once
-        per inbox frame (node crash injection).
+        per inbox frame (node crash injection).  A crash in the middle of
+        a drain sends the outputs of the frames handled before it and
+        drops the rest, as if each frame's outputs had left on its own.
 
     Supervision: reader-thread failures and torn frames are recorded in
     :attr:`errors` (surfaced by the driver), accepted connections are
@@ -285,7 +321,10 @@ class TcpNode:
         self._server.bind(("127.0.0.1", 0))  # a free ephemeral port
         self._server.listen(32)
         self.port = self._server.getsockname()[1]
-        self._inbox: queue.Queue = queue.Queue()
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        #: Frames the worker took from the inbox whose outputs have not
+        #: left yet.
+        self._in_hand = 0
         self._acceptor: threading.Thread | None = None
         self._worker: threading.Thread | None = None
         self._readers: list[threading.Thread] = []
@@ -302,7 +341,8 @@ class TcpNode:
 
     @property
     def handled(self) -> int:
-        """Frames fully processed by the worker thread."""
+        """Frames fully processed by the worker thread: handled, and
+        their drain's outputs sent."""
         with self._lock:
             return self._handled
 
@@ -396,34 +436,71 @@ class TcpNode:
                 self._depth_gauge.set(self._inbox.qsize())
 
     def _worker_loop(self) -> None:
+        inbox = self._inbox
         while True:
-            item = self._inbox.get()
-            if item is _STOP:
+            frames = [inbox.get()]
+            # The worker is the inbox's one consumer, so every frame
+            # counted is there to take: the whole backlog, in order.
+            frames += [inbox.get_nowait() for _ in range(inbox.qsize())]
+            with self._lock:
+                self._in_hand = len(frames)
+            if self._drain(frames):
                 return
-            if self._fault_plan is not None:
-                if self._fault_plan.on_node_frame(self.name) is not None:
-                    self._enact_crash(item)
-                    return
+
+    def _drain(self, frames: list) -> bool:
+        """Handle ``frames`` in arrival order, then send what they
+        emitted as one outbox: each run of messages to one destination
+        leaves in one write.  Returns ``True`` when the worker is to
+        stop — on :data:`_STOP`, or on a crash, which comes before the
+        next frame: the outputs of the frames handled go out, and the
+        frames not handled are dropped."""
+        outbox: list = []
+        handled = 0
+        crash_at = None
+        stop = False
+        for index, item in enumerate(frames):
+            if item is _STOP:
+                stop = True
+                break
+            if self.crashed or (
+                self._fault_plan is not None
+                and self._fault_plan.on_node_frame(self.name) is not None
+            ):
+                crash_at = index
+                break
             try:
                 destination, message = decode_message(item)
                 if destination != self.name:
                     raise ValueError(
                         f"frame for {destination!r} delivered to {self.name!r}"
                     )
-                self.send_all(self.handler(message))
-                with self._lock:
-                    self._handled += 1
-                    self._last_seen = WALL_CLOCK.now()
+                outbox += self.handler(message)
+                handled += 1
             except BaseException as exc:  # surfaced by the driver
                 self.errors.append(exc)
+        try:
+            if outbox:
+                self.send_all(outbox)
+        except BaseException as exc:  # surfaced by the driver
+            self.errors.append(exc)
+            handled = 0
+        with self._lock:
+            self._handled += handled
+            self._in_hand = 0
+            self._last_seen = WALL_CLOCK.now()
+        if crash_at is None:
+            return stop
+        self._enact_crash(sum(item is not _STOP for item in frames[crash_at:]))
+        return True
 
-    def _enact_crash(self, pending_frame) -> None:
+    def _enact_crash(self, unread: int) -> None:
         """Fault injection: die like a crashed machine.
 
         Closes the server and every accepted connection (peers see the
-        node go away) and discards the pending frame and the rest of the
-        inbox unread (counting them in :attr:`dropped_frames`).  The
-        node stays dead.
+        node go away) and discards the ``unread`` frames the worker took
+        and did not handle and the rest of the inbox, counting them in
+        :attr:`dropped_frames`.  The node stays dead.  Enacting it again
+        (the worker, after a driver-side :meth:`crash`) only counts.
         """
         with self._lock:
             self.crashed = True
@@ -438,7 +515,7 @@ class TcpNode:
             self._shutdown_socket(connection)
         for reader in readers:
             reader.join(timeout=2)
-        dropped = pending_frame is not None
+        dropped = unread
         while True:
             try:
                 item = self._inbox.get_nowait()
@@ -452,7 +529,7 @@ class TcpNode:
         """Driver-side crash injection: same effect as a fault-plan
         crash, enacted from outside the worker thread.  Returns once
         the worker has stopped."""
-        self._enact_crash(None)
+        self._enact_crash(0)
         self._inbox.put(_STOP)
         if self._worker is not None:
             self._worker.join(timeout=5)
@@ -472,8 +549,9 @@ class TcpNode:
 
     @property
     def pending(self) -> int:
-        """Frames queued but not yet handled."""
-        return self._inbox.qsize()
+        """Frames queued, or taken by the worker and not yet handled
+        (a frame is handled once its drain's outputs have left)."""
+        return self._inbox.qsize() + self._in_hand
 
     def health(self) -> dict:
         """Heartbeat snapshot for supervision and timeout reports."""
@@ -600,9 +678,9 @@ class TcpFresqueCluster(FresqueSystem):
 
     _send_all = FresqueSystem._transmit_all
 
-    def _send(self, destination: str, message) -> bool:
+    def _send(self, destination: str, messages) -> bool:
         try:
-            self.router.send(destination, message)
+            self.router.send_run(destination, messages)
         except PeerUnavailable:
             if not destination.startswith("cn-"):
                 raise
@@ -686,14 +764,16 @@ class TcpFresqueCluster(FresqueSystem):
         flight when the receipt lands.  Post-settle state inspection
         (fingerprints) must not race that tail, so block until the
         cloud has announced every publication the dispatcher has
-        opened.
+        opened: a wait on the cloud adapter's condition, woken by the
+        announcement, waking every 250 ms to supervise.
         """
         current = self.dispatcher.publication
-        while not self.cloud.is_announced(current):
+        while not self._cloud_adapter.wait_for_announce(
+            current, timeout=min(0.25, max(0.0, deadline - WALL_CLOCK.now()))
+        ):
             if WALL_CLOCK.now() >= deadline:
                 raise ClusterTimeout(current, 0.0, self.health_report())
             self._supervise()
-            time.sleep(0.001)
 
     def _supervise(self) -> None:
         """Absorb computing-node crashes; raise anything else.

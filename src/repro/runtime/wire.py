@@ -6,7 +6,9 @@ paper's 17-node cluster)::
 
     length (u32 LE) | kind (u8) | dest length (u8) | dest utf-8 | body
 
-:func:`encode_body` builds the frame without its length word.  Kinds
+:func:`encode_body` builds the frame without its length word;
+:func:`append_frame` appends the whole frame to a buffer, so a run of
+frames to one destination is one buffer and one socket write.  Kinds
 1-4, 6 and 7 — ``RawBatch``, ``PairBatch``, ``ToCloudBatch``,
 ``BufferFlush``, ``RemovedBatch``, ``MergedPublication``: everything
 that carries ciphertexts or rides once per batch — are packed with
@@ -296,29 +298,50 @@ _KINDS = {
 _KIND_OF = {entry[0]: kind for kind, entry in _KINDS.items()}
 
 
-def encode_body(destination: str, message) -> bytearray:
-    """Serialise one routed message as ``kind | dest length | dest |
-    body`` — the frame without its length word."""
+def _append_body(out: bytearray, destination: str, message) -> None:
     dest = destination.encode("utf-8")
     if len(dest) > 255:
         raise WireError(f"destination of {len(dest)} bytes exceeds 255")
     kind = _KIND_OF.get(type(message), 0)
     _, pack, _ = _KINDS[kind]
-    out = bytearray((kind, len(dest)))
+    out += bytes((kind, len(dest)))
     out += dest
     try:
         pack(out, message)
     except struct.error as exc:  # a field its layout cannot hold
         raise WireError(f"cannot pack a kind-{kind} body: {exc}") from exc
+
+
+def encode_body(destination: str, message) -> bytearray:
+    """Serialise one routed message as ``kind | dest length | dest |
+    body`` — the frame without its length word."""
+    out = bytearray()
+    _append_body(out, destination, message)
     return out
+
+
+def append_frame(out: bytearray, destination: str, message) -> None:
+    """Append one routed message to ``out`` as a length-prefixed frame,
+    so a run of frames is built in one buffer.  A message that cannot be
+    framed raises :class:`WireError` and leaves ``out`` as it was."""
+    start = len(out)
+    out += _FRAME_HEADER.pack(0)  # the length word, patched below
+    try:
+        _append_body(out, destination, message)
+        length = len(out) - start - _FRAME_HEADER.size
+        if length > MAX_FRAME_BYTES:
+            raise WireError(f"frame of {length} bytes exceeds the maximum")
+    except BaseException:
+        del out[start:]
+        raise
+    _FRAME_HEADER.pack_into(out, start, length)
 
 
 def encode_message(destination: str, message) -> bytes:
     """Serialise one routed message into a length-prefixed frame."""
-    body = encode_body(destination, message)
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {len(body)} bytes exceeds the maximum")
-    return _FRAME_HEADER.pack(len(body)) + body
+    out = bytearray()
+    append_frame(out, destination, message)
+    return bytes(out)
 
 
 def decode_message(body) -> tuple[str, object]:

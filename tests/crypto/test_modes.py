@@ -339,3 +339,64 @@ class TestRectangle:
             cbc_decrypt_framed(cipher, [bytes(32), bytes(16)])
         with pytest.raises(ValueError, match="block multiple"):
             cbc_decrypt_framed(cipher, [bytes(32), bytes(40)])
+
+
+def _decrypt_block_by_block(cipher, framed: bytes) -> bytes:
+    """CBC decryption of one framed ciphertext over independent ECB
+    blocks, padding stripped: no chaining state anywhere."""
+    blocks = [
+        framed[start : start + BLOCK_SIZE]
+        for start in range(0, len(framed), BLOCK_SIZE)
+    ]
+    plain = b"".join(
+        bytes(a ^ b for a, b in zip(cipher.decrypt_blocks(block), previous))
+        for previous, block in zip(blocks, blocks[1:])
+    )
+    return plain[: -plain[-1]]
+
+
+class TestChainedDecrypt:
+    """The framed decrypt is one CBC call per run, and the CBC context
+    carries its chain from call to call; the block that chain lands on
+    is an IV's, so no call depends on the one before."""
+
+    def _runs(self, cipher):
+        runs = []
+        for offset, count in ((0, 7), (100, 1), (200, 30)):
+            messages = [
+                _message(offset + index, (offset + 11 * index) % 70)
+                for index in range(count)
+            ]
+            ivs = b"".join(_iv(offset + index) for index in range(count))
+            runs.append(
+                (cbc_encrypt_framed(cipher, messages, ivs), messages)
+            )
+        return runs
+
+    def test_runs_back_to_back_equal_mapping_decrypt(self):
+        cipher = AesBlockCipher(_KEY)
+        runs = self._runs(cipher)
+        for framed, messages in runs + runs[::-1]:
+            assert cbc_decrypt_framed(cipher, framed) == messages
+            assert [
+                _decrypt_block_by_block(cipher, ciphertext)
+                for ciphertext in framed
+            ] == messages
+
+    def test_interleaved_calls_equal_mapping_decrypt(self):
+        """Decrypts of different runs interleaved with encryptions, ECB
+        calls and one-message decrypts on the same cipher."""
+        cipher = AesBlockCipher(_KEY)
+        runs = self._runs(cipher)
+        for step in range(6):
+            framed, messages = runs[step % len(runs)]
+            cipher.encrypt_blocks(_message(step, 48))
+            assert cbc_decrypt_framed(cipher, framed) == messages
+            cipher.decrypt_blocks(_message(step, 16))
+            assert [
+                cbc_decrypt(cipher, ciphertext[BLOCK_SIZE:], ciphertext[:BLOCK_SIZE])
+                for ciphertext in framed
+            ] == messages
+            assert cipher.decrypt_chain(b"".join(framed))[BLOCK_SIZE:] == (
+                AesBlockCipher(_KEY).decrypt_chain(b"".join(framed))[BLOCK_SIZE:]
+            )

@@ -47,15 +47,15 @@ def test_nothing_secret_crosses_the_cloud_boundary(monkeypatch, tmp_path):
     needles = secrets | {secret.hex().encode() for secret in secrets}
 
     cloud_frames = []
-    encode = tcp.encode_message
+    append = tcp.append_frame
 
-    def recording_encode(destination, message):
-        frame = encode(destination, message)
+    def recording_append(out, destination, message):
+        start = len(out)
+        append(out, destination, message)
         if destination == "cloud":
-            cloud_frames.append(frame)
-        return frame
+            cloud_frames.append(bytes(out[start:]))
 
-    monkeypatch.setattr(tcp, "encode_message", recording_encode)
+    monkeypatch.setattr(tcp, "append_frame", recording_append)
     telemetry = Telemetry()
     with tcp.TcpFresqueCluster(
         config, SimulatedCipher(keys), seed=3, telemetry=telemetry

@@ -46,10 +46,10 @@ class PerLinkScheduled(ScheduledFresque):
         self._links: dict[tuple[str, str], deque] = {}
         self._sender = _DRIVER
 
-    def _send(self, destination: str, message) -> bool:
+    def _send(self, destination: str, messages) -> bool:
         if destination not in self._stopped:
             link = (self._sender, destination)
-            self._links.setdefault(link, deque()).append(message)
+            self._links.setdefault(link, deque()).extend(messages)
         return True
 
     def _pending(self) -> int:

@@ -17,7 +17,9 @@ sweeps :data:`TIER1_SEEDS` plus :data:`PINNED`; the full sweep runs as
     PYTHONPATH=src python -m tests.integration.test_publishing_window 60
 
 and exits non-zero on any mismatch or stall.  The TCP cases run the
-same stream on real threads and sockets.
+same stream on real threads and sockets; ``--tcp 10`` sweeps seeds 0-9
+there the same way (a seed names the components' randomness, not the
+interleaving, which the threads choose).
 
 At the default ``delta_prime`` the Randomer's buffer (1,920 pairs at
 Flu) never fills, so no pair reaches the cloud before its publication
@@ -230,25 +232,35 @@ def test_tcp_empty_publication_matches_sync():
 
 
 def main(argv: list[str]) -> int:
-    seeds = int(argv[0]) if argv else 60
+    """``[--tcp] [seeds]``: every seed below ``seeds`` (60; 10 with
+    ``--tcp``) at each batch size, healthy and with the crash, on the
+    scheduled runtime — or, with ``--tcp``, on real threads and sockets
+    — each compared with the synchronous driver at that seed."""
+    from repro.runtime.tcp import ClusterTimeout, TcpFresqueCluster
+
+    tcp = "--tcp" in argv
+    counts = [arg for arg in argv if arg != "--tcp"]
+    seeds = int(counts[0]) if counts else (10 if tcp else 60)
+    runtime_cls = TcpFresqueCluster if tcp else ScheduledFresque
     failures = []
     for seed in range(seeds):
         for batch_size in BATCH_SIZES:
             for crash in (False, True):
                 try:
                     state = run_back_to_back(
-                        ScheduledFresque, seed, batch_size, crash
+                        runtime_cls, seed, batch_size, crash
                     )
                     matched = state == sync_fingerprint(seed)
                     verdict = "cloud state differs from sync"
-                except ScheduleStall as stall:
-                    matched, verdict = False, str(stall)
+                except (ScheduleStall, ClusterTimeout, RuntimeError) as error:
+                    matched, verdict = False, f"{type(error).__name__}: {error}"
                 if not matched:
                     failures.append((seed, batch_size, crash, verdict))
     for seed, batch_size, crash, verdict in failures:
         print(f"seed {seed} batch {batch_size} crash={crash}: {verdict}")
     runs = seeds * len(BATCH_SIZES) * 2
-    print(f"{runs - len(failures)}/{runs} scheduled runs match sync")
+    kind = "tcp" if tcp else "scheduled"
+    print(f"{runs - len(failures)}/{runs} {kind} runs match sync")
     return 1 if failures else 0
 
 

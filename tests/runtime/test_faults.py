@@ -2,8 +2,8 @@
 
 Links neither lose, delay nor duplicate frames, so :class:`FaultPlan`
 scripts crashes only.  A test that needs a transport fault makes it on
-its own side: a runtime whose ``_send`` drops or delays a message, or a
-router whose cached socket is closed under it.
+its own side: a runtime whose ``_send`` drops or delays a message of a
+run, or a router whose cached socket is closed under it.
 """
 
 import re
@@ -44,8 +44,9 @@ def _sever(router: Router, destination: str) -> None:
 
 def _faulty(runtime_cls):
     """``runtime_cls`` whose ``_send`` first calls ``fault(runtime,
-    destination, index)`` — ``index`` counts the sends to that
-    destination from 0 — and drops the message if it returns ``False``."""
+    destination, index)`` for each message of the run — ``index`` counts
+    the messages sent to that destination from 0 — and drops the message
+    if it returns ``False``; the rest of the run is sent."""
 
     class Faulty(runtime_cls):
         def __init__(self, *args, fault, **kwargs):
@@ -54,13 +55,16 @@ def _faulty(runtime_cls):
             self._counts = Counter()
             self._counts_lock = threading.Lock()
 
-        def _send(self, destination, message):
+        def _send(self, destination, messages):
             with self._counts_lock:
-                index = self._counts[destination]
-                self._counts[destination] += 1
-            if not self._fault(self, destination, index):
-                return True
-            return super()._send(destination, message)
+                first = self._counts[destination]
+                self._counts[destination] += len(messages)
+            kept = [
+                message
+                for index, message in enumerate(messages, first)
+                if self._fault(self, destination, index)
+            ]
+            return not kept or super()._send(destination, kept)
 
     return Faulty
 

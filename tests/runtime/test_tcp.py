@@ -390,3 +390,251 @@ class TestReceiptCondition:
 
         adapter = CloudAdapter(FresqueCloud(AttributeDomain(0, 100, 10)))
         assert adapter.wait_for_receipt(0, timeout=0.05) is None
+
+    def test_wait_for_announce_wakes_on_the_announcement(self):
+        import threading
+
+        from repro.cloud.node import FresqueCloud
+        from repro.core.messages import AnnouncePublication
+        from repro.core.system import CloudAdapter
+        from repro.index.domain import AttributeDomain
+
+        adapter = CloudAdapter(FresqueCloud(AttributeDomain(0, 100, 10)))
+        assert not adapter.wait_for_announce(0, timeout=0.05)
+        timer = threading.Timer(
+            0.1, adapter.handle, args=(AnnouncePublication(0),)
+        )
+        timer.daemon = True
+        timer.start()
+        assert adapter.wait_for_announce(0, timeout=10.0)
+
+    def test_settle_waits_for_the_announcement_without_sleeping(
+        self, flu_config, fast_cipher, monkeypatch
+    ):
+        """The trailing announcement of the next publication is waited
+        for on the adapter's condition: with ``time.sleep`` raising and
+        that announcement held back, ``settle`` still returns."""
+        import threading
+        import time
+
+        lines = list(FluSurveyGenerator(seed=89).raw_lines(100))
+        with TcpFresqueCluster(flu_config, fast_cipher, seed=3) as cluster:
+            adapter = cluster._cloud_adapter
+            announce = adapter._announce
+
+            def late_announce(message):
+                if message.publication >= 1:
+                    threading.Event().wait(0.2)
+                return announce(message)
+
+            adapter._announce = late_announce
+
+            def no_sleep(seconds):
+                raise AssertionError(f"time.sleep({seconds}) polled")
+
+            cluster._feed(lines)
+            monkeypatch.setattr(time, "sleep", no_sleep)
+            receipt = cluster.finish_publication(timeout=30.0)
+            monkeypatch.undo()
+        assert receipt is not None and receipt.records_matched > 0
+        assert cluster.cloud.is_announced(1)
+
+
+def _wait_until(condition, timeout: float = 5.0) -> None:
+    import time
+
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+class TestInboxDrain:
+    """A node's worker handles every frame queued when it wakes, then
+    writes each destination's run of outputs in one socket write."""
+
+    @pytest.fixture
+    def wired(self, flu_config, fast_cipher):
+        """An unstarted cluster lending its send path, and two started
+        sink nodes ``a`` and ``b`` recording what they receive."""
+        from repro.runtime.tcp import TcpNode
+
+        cluster = TcpFresqueCluster(flu_config, fast_cipher, seed=1)
+        received = {"a": [], "b": []}
+        sinks = []
+        for name, messages in received.items():
+            sink = TcpNode(
+                name, lambda m, into=messages: into.append(m) or [], _discard
+            )
+            sink.start()
+            cluster._address_book[name] = sink.port
+            sinks.append(sink)
+        yield cluster, received
+        cluster.router.close()
+        for sink in sinks:
+            sink.stop()
+
+    @staticmethod
+    def _queued_node(cluster, handler, frames: int, fault_plan=None):
+        """Node ``n`` with ``frames`` publishing notices in its inbox
+        before its worker starts."""
+        from repro.core.messages import PublishingMsg
+        from repro.runtime.tcp import TcpNode
+        from repro.runtime.wire import encode_message
+
+        node = TcpNode("n", handler, cluster._send_all, fault_plan=fault_plan)
+        for index in range(frames):
+            node._inbox.put(encode_message("n", PublishingMsg(index))[4:])
+        return node
+
+    def test_queued_frames_handled_in_order_one_write_per_run(
+        self, wired, monkeypatch
+    ):
+        import socket
+
+        from repro.core.messages import DoneMsg
+
+        cluster, received = wired
+        ports = {port: name for name, port in cluster._address_book.items()}
+        writes = []
+        for method in ("send", "sendall"):
+            original = getattr(socket.socket, method)
+
+            def spy(sock, data, *args, original=original):
+                writes.append(ports.get(sock.getpeername()[1]))
+                return original(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, method, spy)
+        handled = []
+
+        def handler(message):
+            index = message.publication
+            handled.append(index)
+            if index < 4:
+                return [("a", DoneMsg(index))]
+            return [("b", DoneMsg(index)), ("b", DoneMsg(100 + index))]
+
+        node = self._queued_node(cluster, handler, 5)
+        node.start()
+        try:
+            _wait_until(lambda: len(received["a"]) + len(received["b"]) == 6)
+        finally:
+            node.stop()
+        assert handled == [0, 1, 2, 3, 4]
+        assert [m.publication for m in received["a"]] == [0, 1, 2, 3]
+        assert [m.publication for m in received["b"]] == [4, 104]
+        assert writes == ["a", "b"]
+        assert node.handled == 5 and node.pending == 0
+
+    def test_crash_mid_drain_sends_the_handled_and_drops_the_rest(
+        self, wired
+    ):
+        from repro.core.messages import DoneMsg
+        from repro.runtime.faults import FaultPlan
+
+        cluster, received = wired
+        handled = []
+
+        def handler(message):
+            handled.append(message.publication)
+            return [("a", DoneMsg(message.publication))]
+
+        plan = FaultPlan().crash_node("n", after_handled=3)
+        node = self._queued_node(cluster, handler, 6, fault_plan=plan)
+        node.start()
+        try:
+            _wait_until(lambda: node.dropped_frames and len(received["a"]) == 3)
+        finally:
+            node.stop()
+        assert node.crashed
+        assert handled == [0, 1, 2]
+        assert [m.publication for m in received["a"]] == [0, 1, 2]
+        assert node.dropped_frames == 3
+        assert node.handled == 3
+
+
+class TestRunWrite:
+    def test_a_run_torn_mid_write_resumes_at_the_torn_frame(
+        self, monkeypatch
+    ):
+        """The connection takes frame 0 and part of frame 1, then
+        breaks: the retry on a fresh connection starts at frame 1, so
+        every frame arrives once."""
+        import errno
+        import socket
+
+        from repro.core.messages import DoneMsg
+        from repro.runtime.tcp import RetryPolicy, Router, TcpNode, TornFrame
+        from repro.runtime.wire import encode_message
+
+        received = []
+        sink = TcpNode("sink", lambda m: received.append(m) or [], _discard)
+        sink.start()
+        router = Router(
+            {"sink": sink.port},
+            retry_policy=RetryPolicy(base_delay=0.01, max_delay=0.05),
+        )
+        first = len(encode_message("sink", DoneMsg(0)))
+        original = socket.socket.send
+        calls = []
+
+        def breaking_send(sock, data, *args):
+            calls.append(len(data))
+            if len(calls) == 1:  # the socket takes a frame and a half
+                return original(sock, data[: first + 3], *args)
+            if len(calls) == 2:
+                sock.close()
+                raise OSError(errno.EPIPE, "broken pipe")
+            return original(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "send", breaking_send)
+        try:
+            router.send_run("sink", [DoneMsg(index) for index in range(5)])
+            _wait_until(lambda: len(received) == 5)
+        finally:
+            router.close()
+            sink.stop()
+        assert sorted(m.publication for m in received) == [0, 1, 2, 3, 4]
+        assert calls[2] == calls[0] - first  # resumed at frame 1
+        assert router.retries == 1 and router.sent_to == {"sink": 5}
+        assert any(isinstance(error, TornFrame) for error in sink.errors)
+
+
+def test_a_driver_crash_mid_drain_counts_every_frame_once():
+    """``crash()`` lands while the worker holds a 2,000-frame drain,
+    inside the handler of frame 50: that frame's outputs still count as
+    handled, the 1,950 frames behind it are dropped, none twice."""
+    import threading
+
+    from repro.core.messages import PublishingMsg
+    from repro.runtime.tcp import TcpNode
+    from repro.runtime.wire import encode_message
+
+    frames = 2000
+    reached, go = threading.Event(), threading.Event()
+    seen = []
+
+    def handler(message):
+        seen.append(message)
+        if len(seen) == 50:
+            reached.set()
+            go.wait(5)
+        return []
+
+    node = TcpNode("n", handler, _discard)
+    for index in range(frames):
+        node._inbox.put(encode_message("n", PublishingMsg(index))[4:])
+    node.start()
+    try:
+        assert reached.wait(5)
+        crasher = threading.Thread(target=node.crash)
+        crasher.start()
+        _wait_until(lambda: node.crashed)
+        go.set()
+        crasher.join(5)
+        assert not crasher.is_alive()
+    finally:
+        go.set()
+        node.stop()
+    assert not node._worker.is_alive()
+    assert node.handled == len(seen) == 50
+    assert node.dropped_frames == frames - 50

@@ -15,7 +15,6 @@ from benchmarks.common import DATASETS, emit, format_series
 from repro.cloud.matching import match_with_metadata, match_with_table
 from repro.cloud.metadata import MetadataCache
 from repro.cloud.storage import EncryptedStore
-from repro.records.record import EncryptedRecord
 from repro.simulation.analytic import (
     fresque_matching_time,
     parallel_pp_matching_time,
@@ -68,14 +67,10 @@ def test_fig15_series(benchmark):
 
 def _build_publication(records: int):
     store = EncryptedStore()
-    store.write_batch(
+    store.append_columns(
         0,
-        [
-            EncryptedRecord(
-                leaf_offset=None, ciphertext=index.to_bytes(4, "little") * 16
-            )
-            for index in range(records)
-        ],
+        [index.to_bytes(4, "little") * 16 for index in range(records)],
+        [None] * records,
     )
     leaves = [index % 626 for index in range(records)]
     # Arrival order makes record ``index`` ordinal ``index`` of file 0.

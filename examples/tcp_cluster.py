@@ -32,7 +32,7 @@ def main() -> None:
             print(f"  {node.name:<10} 127.0.0.1:{node.port}")
         lines = list(generator.raw_lines(3000))
         started = time.perf_counter()
-        matched = cluster.run_publication(lines)
+        matched = cluster.run_publication(lines).published_pairs
         elapsed = time.perf_counter() - started
         print(
             f"\npublished {matched} pairs over TCP in {elapsed:.2f}s "

@@ -20,7 +20,6 @@ from repro.cloud.query_engine import (
 )
 from repro.cloud.storage import (
     EncryptedStore,
-    PhysicalAddress,
     PublicationFile,
     StorageError,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "MatchStats",
     "MatchingTableCloud",
     "MetadataCache",
-    "PhysicalAddress",
     "PublicationFile",
     "PublicationReceipt",
     "PublishedDataset",

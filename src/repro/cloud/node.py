@@ -31,7 +31,6 @@ from repro.cloud.storage import EncryptedStore
 from repro.index.domain import AttributeDomain
 from repro.index.query import RangeQuery
 from repro.index.tree import IndexTree
-from repro.records.record import EncryptedRecord
 from repro.telemetry.context import coalesce
 
 
@@ -200,12 +199,6 @@ class FresqueCloud(_BaseCloud):
         self.store.truncate_records(publication, count)
         return dropped
 
-    def receive_pair(
-        self, publication: int, leaf_offset: int, record: EncryptedRecord
-    ) -> int:
-        """Store one arriving pair: :meth:`receive_pairs` with one element."""
-        return self.receive_pairs(publication, (leaf_offset,), (record.ciphertext,))
-
     def receive_pairs(self, publication: int, leaves, ciphertexts) -> int:
         """Store a batch of pairs — a leaf column and a ciphertext column —
         in order.
@@ -226,9 +219,7 @@ class FresqueCloud(_BaseCloud):
             return 0
         self._require_active(publication)
         written = self.store.bytes_written
-        self.store.append_columns(
-            publication, ciphertexts, leaves, [None] * count, [publication] * count
-        )
+        self.store.append_columns(publication, ciphertexts, leaves)
         self._metadata[publication].extend(leaves)
         self._pairs_counter.inc(count)
         self._bytes_counter.inc(self.store.bytes_written - written)
@@ -281,15 +272,17 @@ class MatchingTableCloud(_BaseCloud):
         return True
 
     def receive_tagged(
-        self, publication: int, tag: int, record: EncryptedRecord
+        self, publication: int, tag: int, ciphertext: bytes
     ) -> None:
-        """Store one arriving ``<id, e-record>`` pair."""
+        """Store one arriving ``<id, e-record>`` pair: the ciphertext goes
+        to the file (its leaf unknown until the matching table arrives),
+        the tag only to the tag → ordinal map."""
         self._require_active(publication)
-        self._tags[publication][tag] = self.store.write_batch(
-            publication, (record,)
+        self._tags[publication][tag] = self.store.append_columns(
+            publication, (ciphertext,), (None,)
         )
         self._pairs_counter.inc()
-        self._bytes_counter.inc(len(record.ciphertext))
+        self._bytes_counter.inc(len(ciphertext))
 
     def receive_publication(
         self,

@@ -100,9 +100,8 @@ class CloudQueryEngine:
         Section 5.3(c).
         """
         pairs: list[tuple[int, bytes]] = []
-        for publication, cache in self._in_flight.items():
-            stored = self._store.scan(publication)
-            pairs += zip(cache.leaves, (r.ciphertext for _, r in stored))
+        for publication in self._in_flight:
+            pairs += self._store.scan(publication)
         return pairs
 
     def open_publication(self, cache: MetadataCache) -> None:

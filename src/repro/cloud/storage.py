@@ -2,42 +2,24 @@
 
 Arriving ``<leaf offset, e-record>`` pairs are appended to a per-publication
 *file* (Section 5.3, Cloud).  A record's address inside its file is its
-**arrival ordinal**; the file keeps a publication as columns — the
-ciphertexts as ``bytes`` plus one int column each for byte offset, leaf
-offset, tag and publication — not as one object per record.
-:class:`PhysicalAddress` and :class:`EncryptedRecord` are values built on
-demand by ``write`` / ``read`` / ``scan``, never retained; queries get none.
-The store is in-memory but accounts for bytes written/read so the simulator
-and the matching-time experiments (Figure 15) can charge realistic I/O.
+**arrival ordinal**; the file keeps a publication as two columns — the
+ciphertexts as ``bytes`` and their leaf offsets — plus its byte size, not
+as one object per record.  The store is in-memory but accounts for bytes
+written/read so the simulator and the matching-time experiments
+(Figure 15) can charge realistic I/O.
 
-``append_columns`` is the one write primitive (records as parallel
-columns, returning the first ordinal); ``write_batch`` and ``write`` take
-records and go through it.  ``read_ordinals`` (the ciphertext column by
-ordinal) is what queries and matching read.
+``append_columns`` is the one write; ``read_ordinals`` (the ciphertext
+column by ordinal) is what queries and matching read, and ``scan`` walks
+a file's ``(leaf, ciphertext)`` pairs in write order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from array import array
-from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import accumulate
-
-from repro.records.record import EncryptedRecord
-
-
-@dataclass(frozen=True)
-class PhysicalAddress:
-    """Disk location of one encrypted record: (file, byte offset)."""
-
-    file_id: int
-    offset: int
-    length: int
 
 
 class StorageError(KeyError):
-    """Raised for reads of unknown files or addresses."""
+    """Raised for reads of unknown files or ordinals."""
 
 
 class PublicationFile:
@@ -46,10 +28,9 @@ class PublicationFile:
     def __init__(self, file_id: int):
         self.file_id = file_id
         self._ciphertexts: list[bytes] = []
-        self._offsets = array("q")
+        #: Leaf offsets; ``None`` for a tagged pair, whose leaf the
+        #: cloud learns only from the matching table.
         self._leaves: list[int | None] = []
-        self._tags: list[int | None] = []
-        self._publications: list[int] = []
         self._size = 0
 
     @property
@@ -62,47 +43,14 @@ class PublicationFile:
         """Number of records in this file."""
         return len(self._ciphertexts)
 
-    def extend(self, ciphertexts, leaves, tags, publications) -> int:
+    def extend(self, ciphertexts, leaves) -> int:
         """Append a run of records (equal-length columns); returns bytes
         written."""
-        start = self._size
-        # Running byte offsets of the batch; the last one is the new size.
-        offsets = list(accumulate(map(len, ciphertexts), initial=start))
-        self._size = offsets.pop()
-        self._offsets.extend(offsets)
+        written = sum(map(len, ciphertexts))
+        self._size += written
         self._ciphertexts += ciphertexts
         self._leaves += leaves
-        self._tags += tags
-        self._publications += publications
-        return self._size - start
-
-    def address_of(self, ordinal: int) -> PhysicalAddress:
-        """The physical address of the ``ordinal``-th record written."""
-        if not 0 <= ordinal < len(self._ciphertexts):
-            raise StorageError(
-                f"no record {ordinal} in file {self.file_id}"
-            )
-        return PhysicalAddress(
-            self.file_id, self._offsets[ordinal], len(self._ciphertexts[ordinal])
-        )
-
-    def ordinal_of(self, address: PhysicalAddress) -> int:
-        """The arrival ordinal of the record stored at ``address``.
-
-        Raises
-        ------
-        StorageError
-            If the address does not identify a stored record.
-        """
-        if address.file_id != self.file_id:
-            raise StorageError(
-                f"address file {address.file_id} != file {self.file_id}"
-            )
-        offsets = self._offsets
-        ordinal = bisect_left(offsets, address.offset)
-        if ordinal >= len(offsets) or offsets[ordinal] != address.offset:
-            raise StorageError(f"no record at offset {address.offset}")
-        return ordinal
+        return written
 
     def ciphertexts(self, ordinals) -> list[bytes]:
         """The ciphertexts at ``ordinals``, no record built."""
@@ -113,13 +61,9 @@ class PublicationFile:
             )
         return list(map(self._ciphertexts.__getitem__, ordinals))
 
-    def records(self, ordinals) -> list[EncryptedRecord]:
-        """The records at ``ordinals``, each built from its columns."""
-        leaves, tags, publications = self._leaves, self._tags, self._publications
-        return [
-            EncryptedRecord(leaves[i], ciphertext, tags[i], publications[i])
-            for i, ciphertext in zip(ordinals, self.ciphertexts(ordinals))
-        ]
+    def scan(self):
+        """The ``(leaf, ciphertext)`` pairs, in write order."""
+        return zip(self._leaves, self._ciphertexts)
 
     def truncate(self, count: int) -> int:
         """Keep only the first ``count`` records; return records dropped.
@@ -134,16 +78,9 @@ class PublicationFile:
                 f"cannot truncate file {self.file_id} to {count} of "
                 f"{stored} records"
             )
-        if count < stored:
-            self._size = self._offsets[count]
-        for column in (
-            self._ciphertexts,
-            self._offsets,
-            self._leaves,
-            self._tags,
-            self._publications,
-        ):
-            del column[count:]
+        self._size -= sum(map(len, self._ciphertexts[count:]))
+        del self._ciphertexts[count:]
+        del self._leaves[count:]
         return stored - count
 
 
@@ -185,38 +122,18 @@ class EncryptedStore:
         """Records stored in ``file_id``."""
         return self.file(file_id).record_count
 
-    def append_columns(self, file_id: int, ciphertexts, *columns) -> int:
-        """Append a run of records — ciphertexts, leaves, tags and
-        publications: four columns of equal length — to ``file_id`` in
-        order, creating the file if needed; returns the ordinal of the
-        first one (the rest follow)."""
+    def append_columns(self, file_id: int, ciphertexts, leaves) -> int:
+        """Append a run of records — a ciphertext column and a leaf
+        column of equal length — to ``file_id`` in order, creating the
+        file if needed; returns the ordinal of the first one (the rest
+        follow)."""
         handle = self._files.get(file_id)
         if handle is None:
             handle = self.create_file(file_id)
         first = handle.record_count
-        self.bytes_written += handle.extend(ciphertexts, *columns)
+        self.bytes_written += handle.extend(ciphertexts, leaves)
         self.write_ops += len(ciphertexts)
         return first
-
-    def write_batch(self, file_id: int, records) -> int:
-        """Append ``records`` (a sequence) to ``file_id`` in order, creating
-        the file if needed; returns the ordinal of the first one (the rest
-        follow)."""
-        return self.append_columns(
-            file_id,
-            [record.ciphertext for record in records],
-            [record.leaf_offset for record in records],
-            [record.tag for record in records],
-            [record.publication for record in records],
-        )
-
-    def write(self, file_id: int, record: EncryptedRecord) -> PhysicalAddress:
-        """Append one record, returning its physical address."""
-        return self.address_of(file_id, self.write_batch(file_id, (record,)))
-
-    def address_of(self, file_id: int, ordinal: int) -> PhysicalAddress:
-        """The physical address of the ``ordinal``-th record of ``file_id``."""
-        return self.file(file_id).address_of(ordinal)
 
     def read_ordinals(self, file_id: int, ordinals) -> list[bytes]:
         """Read the ciphertexts at ``ordinals`` (a sequence), charging the
@@ -226,19 +143,10 @@ class EncryptedStore:
         self.read_ops += len(ciphertexts)
         return ciphertexts
 
-    def read(self, address: PhysicalAddress) -> EncryptedRecord:
-        """Read the record at ``address``, charging the I/O counters."""
-        ordinals = (self.file(address.file_id).ordinal_of(address),)
-        self.read_ordinals(address.file_id, ordinals)
-        return self.file(address.file_id).records(ordinals)[0]
-
     def scan(self, file_id: int):
-        """Iterate ``(address, record)`` pairs of one file in write order
-        (a maintenance walk: no I/O is charged)."""
-        handle = self.file(file_id)
-        ordinals = range(handle.record_count)
-        for ordinal, record in zip(ordinals, handle.records(ordinals)):
-            yield handle.address_of(ordinal), record
+        """Iterate the ``(leaf, ciphertext)`` pairs of one file in write
+        order (a maintenance walk: no I/O is charged)."""
+        return self.file(file_id).scan()
 
     def discard_file(self, file_id: int) -> None:
         """Drop ``file_id`` entirely (crash recovery: an uncheckpointed
@@ -267,9 +175,9 @@ def file_digests(store) -> dict[int, tuple[int, str]]:
     files = {}
     for file_id in store.file_ids():
         digest = hashlib.sha256()
-        for _, record in store.scan(file_id):
-            digest.update(record.leaf_offset.to_bytes(4, "little"))
-            digest.update(len(record.ciphertext).to_bytes(4, "little"))
-            digest.update(record.ciphertext)
+        for leaf, ciphertext in store.scan(file_id):
+            digest.update(leaf.to_bytes(4, "little"))
+            digest.update(len(ciphertext).to_bytes(4, "little"))
+            digest.update(ciphertext)
         files[file_id] = (store.record_count(file_id), digest.hexdigest())
     return files

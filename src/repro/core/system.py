@@ -471,16 +471,26 @@ class FresqueSystem:
             end = start + size
             self._ingest_chunk(lines[start:end], fractions[start:end])
 
-    def run_publication(self, lines: list[str]) -> PublicationSummary:
+    def run_publication(
+        self, lines: list[str], timeout: float | None = None
+    ) -> PublicationSummary:
         """Ingest ``lines``, interleave the scheduled dummies uniformly,
-        close the publication and open the next one.
+        close the publication and open the next one, waiting up to
+        ``timeout`` seconds for it to drain (:meth:`finish_publication`;
+        ``None`` keeps its default wait).
 
         Returns a summary of what was published.
         """
         dummies_before = self.checking.dummies_passed
         removed_before = self.checking.records_removed
         self._feed(lines)
-        receipt = self.finish_publication()
+        # Called without an argument unless one is given: callers may
+        # stand a timer in for ``finish_publication`` (the ledger does).
+        receipt = (
+            self.finish_publication()
+            if timeout is None
+            else self.finish_publication(timeout)
+        )
         return PublicationSummary(
             publication=receipt.publication,
             real_records=len(lines),

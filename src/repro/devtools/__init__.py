@@ -20,7 +20,7 @@ A rule lives here only while it is the sole guard of something any
 module could get wrong; what a behavioural test can observe is a test.
 See ``docs/STATIC_ANALYSIS.md`` for every diagnostic code, the paper
 invariant it protects, the mutation audit behind that rule, and how to
-suppress or baseline a finding.
+suppress a finding.
 """
 
 from repro.devtools.diagnostics import Diagnostic

@@ -5,10 +5,8 @@ registry in :mod:`repro.devtools.registry`.
 """
 
 from repro.devtools.checkers import (
-    batching,
     concurrency,
     crypto,
-    durability,
     hygiene,
     privacy,
     runtime,
@@ -16,10 +14,8 @@ from repro.devtools.checkers import (
 )
 
 __all__ = [
-    "batching",
     "concurrency",
     "crypto",
-    "durability",
     "hygiene",
     "privacy",
     "runtime",

@@ -10,9 +10,10 @@ accountant never sees, so the published ε is wrong.
 
 * ``FRQ-P301`` — Laplace sampling performed outside ``privacy/``;
 * ``FRQ-P302`` — a numeric epsilon literal outside ``privacy/`` and the
-  config defaults;
-* ``FRQ-P303`` — ``draw_noise_plan`` called with a literal epsilon
-  instead of the configured budget.
+  config defaults.
+
+That each ``draw_noise_plan`` caller draws at the configured budget is
+observable, and tested (``tests/privacy/test_configured_epsilon.py``).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class PrivacyBudgetChecker(Checker):
     codes = {
         "FRQ-P301": "Laplace sampling outside privacy/ bypasses the accountant",
         "FRQ-P302": "numeric epsilon literal outside privacy/ and config",
-        "FRQ-P303": "draw_noise_plan called with a literal epsilon",
     }
 
     def check(self, module: ModuleInfo) -> Iterable[Diagnostic]:
@@ -59,7 +59,6 @@ class PrivacyBudgetChecker(Checker):
             yield from self._check_sampling(module)
             if not module.is_module(*_EPSILON_DEFAULT_MODULES):
                 yield from self._check_epsilon_literals(module)
-        yield from self._check_noise_plan_literals(module)
 
     # -- FRQ-P301 ----------------------------------------------------------
 
@@ -180,33 +179,3 @@ class PrivacyBudgetChecker(Checker):
                             f"{name} assigned a literal — epsilon belongs in "
                             f"FresqueConfig, not scattered through the code",
                         )
-
-    # -- FRQ-P303 ----------------------------------------------------------
-
-    def _check_noise_plan_literals(
-        self, module: ModuleInfo
-    ) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = call_name(node) or ""
-            if not callee.rsplit(".", 1)[-1] == "draw_noise_plan":
-                continue
-            literal_args = [
-                arg for arg in node.args if _numeric_literal(arg)
-            ] + [
-                keyword.value
-                for keyword in node.keywords
-                if keyword.arg is not None
-                and _EPSILON_NAME_RE.search(keyword.arg)
-                and _numeric_literal(keyword.value)
-            ]
-            for arg in literal_args:
-                yield self.diagnostic(
-                    module,
-                    arg,
-                    "FRQ-P303",
-                    "draw_noise_plan called with a literal epsilon — pass "
-                    "the configured budget so the per-level split stays "
-                    "consistent with the published guarantee",
-                )

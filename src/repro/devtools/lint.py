@@ -5,10 +5,9 @@ Usage::
     python -m repro.devtools.lint [paths...]          # default: src
     python -m repro.devtools.lint --list-codes
     python -m repro.devtools.lint --select FRQ-C101 src
-    python -m repro.devtools.lint --update-baseline src
 
-Exit status: 0 when every finding is inline-suppressed or baselined,
-1 when new findings exist, 2 on usage errors.
+Exit status: 0 when every finding is suppressed inline, 1 when
+findings exist, 2 on usage errors.
 
 One pass: every registered :class:`~repro.devtools.registry.Checker`
 sees each parsed file on its own, so linting a subset of files gives
@@ -23,7 +22,6 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from repro.devtools.baseline import Baseline, render_baseline
 from repro.devtools.diagnostics import Diagnostic, is_suppressed
 from repro.devtools.registry import (
     ModuleInfo,
@@ -31,8 +29,6 @@ from repro.devtools.registry import (
     all_codes,
     iter_diagnostics,
 )
-
-DEFAULT_BASELINE = ".fresque-lint-baseline"
 
 
 def _repo_root(start: Path) -> Path:
@@ -83,17 +79,9 @@ def run_lint(
     paths: list[Path],
     root: Path,
     select: set[str] | None = None,
-    ignore: set[str] | None = None,
 ) -> list[Diagnostic]:
-    """All unsuppressed diagnostics for ``paths`` (baseline not applied)."""
-
-    def wanted(diagnostic: Diagnostic) -> bool:
-        if select and diagnostic.code not in select:
-            return False
-        if ignore and diagnostic.code in ignore:
-            return False
-        return True
-
+    """All unsuppressed diagnostics for ``paths`` (only ``select``'s
+    codes when given)."""
     checkers = all_checkers()
     diagnostics: list[Diagnostic] = []
     for path in discover_files(paths):
@@ -102,9 +90,9 @@ def run_lint(
             diagnostics.append(module)
             continue
         for diagnostic in iter_diagnostics(checkers, module):
-            if wanted(diagnostic) and not is_suppressed(
-                diagnostic, module.source_lines
-            ):
+            if (
+                not select or diagnostic.code in select
+            ) and not is_suppressed(diagnostic, module.source_lines):
                 diagnostics.append(diagnostic)
     return sorted(set(diagnostics))
 
@@ -118,28 +106,10 @@ def main(argv: list[str] | None = None) -> int:
         "paths", nargs="*", default=["src"], help="files or directories"
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE} at the repo root)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to absorb all current findings",
-    )
-    parser.add_argument(
         "--list-codes", action="store_true", help="list diagnostic codes"
     )
     parser.add_argument(
         "--select", action="append", default=[], help="only these codes"
-    )
-    parser.add_argument(
-        "--ignore", action="append", default=[], help="skip these codes"
     )
     args = parser.parse_args(argv)
 
@@ -149,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     known_codes = set(all_codes()) | {"FRQ-E000"}
-    unknown = (set(args.select) | set(args.ignore)) - known_codes
+    unknown = set(args.select) - known_codes
     if unknown:
         print(
             f"error: unknown code(s): {', '.join(sorted(unknown))} "
@@ -163,51 +133,15 @@ def main(argv: list[str] | None = None) -> int:
     if missing:
         print(f"error: no such path: {missing[0]}", file=sys.stderr)
         return 2
-    root = _repo_root(Path.cwd())
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-    )
-
     diagnostics = run_lint(
-        paths,
-        root,
-        select=set(args.select) or None,
-        ignore=set(args.ignore) or None,
+        paths, _repo_root(Path.cwd()), select=set(args.select) or None
     )
-
-    if args.update_baseline:
-        baseline_path.write_text(render_baseline(diagnostics))
-        print(
-            f"wrote {baseline_path} with {len(diagnostics)} "
-            f"grandfathered finding(s)"
-        )
-        return 0
-
-    try:
-        baseline = (
-            Baseline() if args.no_baseline else Baseline.load(baseline_path)
-        )
-    except ValueError as error:
-        print(f"error: {baseline_path}: {error}", file=sys.stderr)
-        return 2
-    fresh = [d for d in diagnostics if not baseline.absorbs(d)]
-
-    for diagnostic in fresh:
+    for diagnostic in diagnostics:
         print(diagnostic.render())
-    if not (args.select or args.ignore):
-        # With a code filter active the baseline legitimately under-fires,
-        # so staleness would be noise.
-        for path, code, allowed, seen in baseline.stale_entries():
-            print(
-                f"warning: stale baseline entry {path}:{code} "
-                f"(allows {allowed}, found {seen}) — delete it",
-                file=sys.stderr,
-            )
-    if fresh:
+    if diagnostics:
         print(
-            f"\n{len(fresh)} finding(s). Fix them, suppress inline with "
-            f"'# fresque-lint: disable=CODE -- why', or baseline with "
-            f"--update-baseline.",
+            f"\n{len(diagnostics)} finding(s). Fix them, or suppress one "
+            f"inline with '# fresque-lint: disable=CODE -- why'.",
             file=sys.stderr,
         )
         return 1

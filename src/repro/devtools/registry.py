@@ -36,8 +36,7 @@ class ModuleInfo:
     path:
         Filesystem path of the module.
     display_path:
-        The (usually repo-relative, posix-style) path used in diagnostics
-        and baseline entries.
+        The (usually repo-relative, posix-style) path used in diagnostics.
     tree:
         Parsed ``ast.Module``.
     source_lines:

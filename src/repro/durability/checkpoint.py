@@ -23,8 +23,9 @@ Every write is crash-atomic: the file goes to a temporary name in the
 same directory, is flushed and ``fsync``'d, and only then renamed over
 the final name (``os.replace``), followed by a directory fsync so the
 rename itself is durable.  A crash mid-write leaves either the old
-checkpoint or the new one — never a torn hybrid (the ``FRQ-D702`` lint
-rule keeps this the only write path).
+checkpoint or the new one — never a torn hybrid.  Each save also writes
+a fresh numbered file, so even a torn write could not destroy the
+previous checkpoint: :meth:`CheckpointStore.latest` skips it.
 
 A file that does not decode as format 8 — torn, bit-flipped, truncated,
 with trailing bytes, a JSON document of formats 1–5 (base64 columns
@@ -151,17 +152,15 @@ class CheckpointStore:
     ----------
     directory:
         Where ``checkpoint-<n>.ckpt`` files live; created if missing.
-    keep:
-        How many past checkpoints to retain (older ones are pruned after
-        each save; at least 1).
     """
 
-    def __init__(self, directory, *, keep: int = 2):
-        if keep < 1:
-            raise ValueError(f"keep must be at least 1, got {keep}")
+    #: Checkpoints retained after each save: the newest, and the one
+    #: :meth:`latest` falls back to when the newest is unreadable.
+    KEEP = 2
+
+    def __init__(self, directory):
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
         self._next = 1 + max(
             (number for number, _ in self._existing()), default=-1
         )
@@ -184,7 +183,7 @@ class CheckpointStore:
                 {"checkpoint": number, "format": FORMAT, "state": state}
             ),
         )
-        for _, old in self._existing()[: -self.keep]:
+        for _, old in self._existing()[: -self.KEEP]:
             old.unlink()
         return path
 

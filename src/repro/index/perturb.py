@@ -65,7 +65,11 @@ def draw_noise_plan(
     """
     level_epsilon = per_level_epsilon(epsilon, tree.height)
     mechanism = LaplaceMechanism(level_epsilon, sensitivity=1.0, rng=rng)
+    # This is the sanctioned noise-plan layer: ε arrives pre-split by
+    # per_level_epsilon, and every caller draws at the budget the
+    # accountant charges.
     node_noise = tuple(
+        # fresque-lint: disable=FRQ-P301 -- the sanctioned noise-plan layer
         tuple(mechanism.sample_integer() for _ in level) for level in tree.levels
     )
     return NoisePlan(

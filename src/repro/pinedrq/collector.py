@@ -161,17 +161,12 @@ class PinedRqCollector:
 
         # Step 3: encrypt the (modified) dataset and publish everything.
         for offset, bucket in enumerate(per_leaf):
-            for record in bucket:
-                cloud.receive_pair(
-                    publication,
-                    offset,
-                    EncryptedRecord(
-                        leaf_offset=offset,
-                        ciphertext=self._encrypt(record),
-                        publication=publication,
-                    ),
-                )
-                encrypt_ops += 1
+            cloud.receive_pairs(
+                publication,
+                [offset] * len(bucket),
+                [self._encrypt(record) for record in bucket],
+            )
+            encrypt_ops += len(bucket)
         cloud.receive_publication(
             publication,
             tree,

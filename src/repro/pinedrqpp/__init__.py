@@ -8,21 +8,13 @@ from repro.pinedrqpp.components import (
     Parser,
     Updater,
 )
-from repro.pinedrqpp.parallel import (
-    FrontNode,
-    ParallelPinedRqPPSystem,
-    WorkerNode,
-)
 
 __all__ = [
     "Checker",
     "Encrypter",
     "Enricher",
-    "FrontNode",
-    "ParallelPinedRqPPSystem",
     "Parser",
     "PinedRqPPCollector",
     "StreamPublicationReport",
     "Updater",
-    "WorkerNode",
 ]

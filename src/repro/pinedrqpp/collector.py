@@ -173,16 +173,8 @@ class PinedRqPPCollector:
             return  # buffered at the collector until publishing time
         tag = self.enricher.tag()
         self.updater.update(record, tag)
-        ciphertext = self.encrypter.encrypt(record)
         cloud.receive_tagged(
-            self._publication,
-            tag,
-            EncryptedRecord(
-                leaf_offset=None,
-                ciphertext=ciphertext,
-                tag=tag,
-                publication=self._publication,
-            ),
+            self._publication, tag, self.encrypter.encrypt(record)
         )
         if record.is_dummy:
             self._dummies_sent += 1

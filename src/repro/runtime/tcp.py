@@ -41,7 +41,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.client.query_client import QueryClient
 from repro.core.config import FresqueConfig
 from repro.core.system import FresqueSystem
 from repro.crypto.cipher import RecordCipher
@@ -116,8 +115,8 @@ class Router:
         and backoff sleeps.
     retry_policy:
         Reconnect/backoff budget (:class:`RetryPolicy` default).
-    seed:
-        Seed for the backoff jitter.
+
+    The backoff jitter is drawn from ``random.Random(0)``.
     """
 
     def __init__(
@@ -125,14 +124,13 @@ class Router:
         address_book: dict[str, int],
         telemetry=None,
         retry_policy: RetryPolicy | None = None,
-        seed: int = 0,
     ):
         self._addresses = address_book
         self._connections: dict[str, socket.socket] = {}
         self._locks: dict[str, threading.Lock] = {}
         self._guard = threading.Lock()
         self._retry = retry_policy if retry_policy is not None else RetryPolicy()
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         #: Sends that succeeded after at least one failed attempt.
         self.reconnects = 0
         #: Failed attempts that were retried (evict + backoff + redial).
@@ -194,7 +192,7 @@ class Router:
                     # frame writes on this socket, so the blocking send is
                     # intentional.
                     while written < len(run):
-                        # fresque-lint: disable=FRQ-C102
+                        # fresque-lint: disable=FRQ-C102 -- serializing is the lock's job
                         written += connection.send(run[written:])
             except OSError as exc:
                 if connection is not None:
@@ -823,13 +821,3 @@ class TcpFresqueCluster(FresqueSystem):
             "next_seq": self.checking.next_seq,
             "oldest_unadmitted": self.dispatcher.oldest_unadmitted,
         }
-
-    def run_publication(self, lines: list[str], timeout: float = 60.0) -> int:
-        """Ingest ``lines``, close the publication, wait for the cloud to
-        match it (:meth:`settle`).  Returns the matched pair count."""
-        self._feed(lines)
-        return self.finish_publication(timeout).records_matched
-
-    def make_client(self) -> QueryClient:
-        """Query client over the cluster's cloud (call between runs)."""
-        return QueryClient(self.config.schema, self.cipher, self.cloud)

@@ -22,12 +22,7 @@ from repro.datasets.flu import FluSurveyGenerator
 from repro.index.domain import AttributeDomain
 from repro.index.query import RangeQuery
 from repro.index.tree import IndexTree
-from repro.records.record import (
-    EncryptedRecord,
-    Record,
-    RecordError,
-    make_dummy,
-)
+from repro.records.record import Record, RecordError, make_dummy
 from repro.records.schema import flu_survey_schema
 from repro.records.serialize import (
     DUMMY_PAYLOAD_PREFIX,
@@ -53,13 +48,8 @@ def _publish(cloud, domain, cipher, schema, records):
     for record in records:
         offset = domain.leaf_offset(record.indexed_value(schema))
         counts[offset] += 1
-        cloud.receive_pair(
-            0,
-            offset,
-            EncryptedRecord(
-                leaf_offset=offset,
-                ciphertext=cipher.encrypt(serialize_record(record, schema)),
-            ),
+        cloud.receive_pairs(
+            0, (offset,), (cipher.encrypt(serialize_record(record, schema)),)
         )
     tree = IndexTree(domain, fanout=4)
     tree.set_leaf_counts(counts)

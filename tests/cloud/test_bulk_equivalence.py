@@ -1,8 +1,8 @@
 """The bulk receive path ≡ the one-pair path.
 
 ``FresqueCloud.receive_pairs`` appends a batch — a leaf column and a
-ciphertext column — to the publication's columns; ``receive_pair`` is the
-same code with one element.  For any
+ciphertext column — to the publication's columns; a batch of one pair
+is the same call with one element.  For any
 pair stream, any split of it into batches, and a crash-recovery
 ``truncate_publication`` / ``reset_publication`` at an arbitrary cut, the
 cloud must end up with identical files, pointers, in-flight listing,
@@ -25,7 +25,6 @@ from repro.cloud.node import FresqueCloud
 from repro.index.domain import AttributeDomain
 from repro.index.query import RangeQuery
 from repro.index.tree import IndexTree
-from repro.records.record import EncryptedRecord
 
 _FORCED_BATCH = int(os.environ.get("FRESQUE_BATCH_SIZE", "0"))
 _DOMAIN = AttributeDomain(0, 100, 10)
@@ -40,29 +39,19 @@ _pairs = st.lists(
 )
 
 
-def _stream(raw) -> list[tuple[int, EncryptedRecord]]:
-    return [
-        (leaf, EncryptedRecord(leaf, ciphertext, publication=0))
-        for leaf, ciphertext in raw
-    ]
-
-
 def _feed(cloud, pairs, sizes) -> None:
-    """Deliver ``pairs`` split by ``sizes`` (cycled); a batch of one goes
-    through the singular entry point."""
+    """Deliver ``(leaf, ciphertext)`` ``pairs`` split by ``sizes``
+    (cycled)."""
     position = 0
     turn = 0
     while position < len(pairs):
         size = sizes[turn % len(sizes)]
         batch = pairs[position : position + size]
-        if len(batch) == 1:
-            cloud.receive_pair(0, *batch[0])
-        else:
-            cloud.receive_pairs(
-                0,
-                tuple(leaf for leaf, _ in batch),
-                tuple(record.ciphertext for _, record in batch),
-            )
+        cloud.receive_pairs(
+            0,
+            tuple(leaf for leaf, _ in batch),
+            tuple(ciphertext for _, ciphertext in batch),
+        )
         position += len(batch)
         turn += 1
 
@@ -110,9 +99,7 @@ def _run(pairs, sizes, cut, recovery, keep) -> dict:
     seen["indexed_queries"] = _observe_queries(cloud)
     _feed(cloud, pairs[: len(pairs) // 2], sizes)  # post-publish replay
     seen["duplicate_pairs"] = cloud.duplicate_pairs
-    seen["file"] = [
-        (address, record.ciphertext) for address, record in store.scan(0)
-    ]
+    seen["file"] = list(store.scan(0))
     seen["record_count"] = store.record_count(0)
     for counter in (
         "bytes_written", "write_ops", "bytes_read", "read_ops", "total_bytes"
@@ -135,7 +122,7 @@ def _run(pairs, sizes, cut, recovery, keep) -> dict:
 def test_any_batch_split_equals_pair_by_pair(raw, sizes, recovery, data):
     if _FORCED_BATCH:
         sizes = [_FORCED_BATCH]
-    pairs = _stream(raw)
+    pairs = raw
     cut = data.draw(st.integers(min_value=0, max_value=len(pairs)))
     keep = data.draw(st.integers(min_value=0, max_value=cut))
     bulk = _run(pairs, sizes, cut, recovery, keep)
@@ -152,9 +139,10 @@ def test_any_batch_split_equals_pair_by_pair(raw, sizes, recovery, data):
 @pytest.mark.parametrize("size", [1, 64])
 def test_fixed_batch_sizes_on_a_long_stream(size):
     """The two sizes the CI matrix names, without the environment."""
-    pairs = _stream(
-        [(index % 10, bytes([index % 251]) * (8 + index % 23)) for index in range(300)]
-    )
+    pairs = [
+        (index % 10, bytes([index % 251]) * (8 + index % 23))
+        for index in range(300)
+    ]
     bulk = _run(pairs, [size], 200, "truncate", 130)
     assert bulk == _run(pairs, [1], 200, "truncate", 130)
     assert bulk["record_count"] == 300

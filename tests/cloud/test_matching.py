@@ -3,18 +3,20 @@
 from repro.cloud.matching import match_with_metadata, match_with_table
 from repro.cloud.metadata import MetadataCache
 from repro.cloud.storage import EncryptedStore
-from repro.records.record import EncryptedRecord
 
 
-def _record(fill: int) -> EncryptedRecord:
-    return EncryptedRecord(leaf_offset=None, ciphertext=bytes([fill]) * 48)
+def _write(store: EncryptedStore, *fills: int) -> int:
+    """Append 48-byte tagged ciphertexts (leaf unknown) to file 0."""
+    return store.append_columns(
+        0, [bytes([fill]) * 48 for fill in fills], [None] * len(fills)
+    )
 
 
 class TestMetadataMatching:
     def test_builds_pointers_without_io(self):
         store = EncryptedStore()
         cache = MetadataCache(0)
-        store.write_batch(0, [_record(i) for i in range(10)])
+        _write(store, *range(10))
         cache.extend([i % 3 for i in range(10)])
         read_before = store.bytes_read
         pointers, stats = match_with_metadata(cache)
@@ -37,7 +39,7 @@ class TestTableMatching:
         tag_ordinals = {}
         table = {}
         for tag in range(10):
-            tag_ordinals[tag] = store.write_batch(0, [_record(tag)])
+            tag_ordinals[tag] = _write(store, tag)
             table[tag] = tag % 3
         pointers, stats = match_with_table(store, 0, tag_ordinals, table)
         assert stats.records == 10
@@ -49,7 +51,7 @@ class TestTableMatching:
 
     def test_unknown_tags_skipped(self):
         store = EncryptedStore()
-        ordinal = store.write_batch(0, [_record(1)])
+        ordinal = _write(store, 1)
         pointers, stats = match_with_table(store, 0, {42: ordinal}, {})
         assert stats.records == 0
         assert stats.table_lookups == 1
@@ -63,7 +65,7 @@ class TestTableMatching:
         tag_ordinals = {}
         table = {}
         for i in range(200):
-            tag_ordinals[i] = store.write_batch(0, [_record(i % 250)])
+            tag_ordinals[i] = _write(store, i % 250)
             cache.extend([i % 5])
             table[i] = i % 5
         _, fresque_stats = match_with_metadata(cache)

@@ -6,7 +6,6 @@ from repro.cloud.node import CloudError, FresqueCloud, MatchingTableCloud
 from repro.index.domain import AttributeDomain
 from repro.index.query import RangeQuery
 from repro.index.tree import IndexTree
-from repro.records.record import EncryptedRecord
 
 
 @pytest.fixture
@@ -14,10 +13,8 @@ def domain():
     return AttributeDomain(0, 100, 10)
 
 
-def _record(fill: int, publication: int = 0) -> EncryptedRecord:
-    return EncryptedRecord(
-        leaf_offset=None, ciphertext=bytes([fill]) * 32, publication=publication
-    )
+def _ciphertext(fill: int) -> bytes:
+    return bytes([fill]) * 32
 
 
 def _tree(domain, counts):
@@ -40,7 +37,7 @@ class TestFresqueCloud:
         cloud = FresqueCloud(domain)
         cloud.announce_publication(0)
         for i in range(10):
-            cloud.receive_pair(0, i % 10, _record(i))
+            cloud.receive_pairs(0, (i % 10,), (_ciphertext(i),))
         receipt = cloud.receive_publication(
             0, _tree(domain, [1] * 10), _sealed_overflow(domain)
         )
@@ -56,7 +53,7 @@ class TestFresqueCloud:
     def test_pair_for_unknown_publication_rejected(self, domain):
         cloud = FresqueCloud(domain)
         with pytest.raises(CloudError):
-            cloud.receive_pair(5, 0, _record(1))
+            cloud.receive_pairs(5, (0,), (_ciphertext(1),))
 
     def test_publish_unknown_publication_rejected(self, domain):
         cloud = FresqueCloud(domain)
@@ -66,16 +63,16 @@ class TestFresqueCloud:
     def test_query_over_published(self, domain):
         cloud = FresqueCloud(domain)
         cloud.announce_publication(0)
-        cloud.receive_pair(0, 2, _record(1))
-        cloud.receive_pair(0, 7, _record(2))
+        cloud.receive_pairs(0, (2,), (_ciphertext(1),))
+        cloud.receive_pairs(0, (7,), (_ciphertext(2),))
         cloud.receive_publication(0, _tree(domain, [0, 0, 1, 0, 0, 0, 0, 1, 0, 0]), {})
         result = cloud.query(RangeQuery(20, 29))
-        assert result.indexed == (_record(1).ciphertext,)
+        assert result.indexed == (_ciphertext(1),)
 
     def test_query_includes_overflow_of_touched_leaves(self, domain):
         cloud = FresqueCloud(domain)
         cloud.announce_publication(0)
-        cloud.receive_pair(0, 2, _record(1))
+        cloud.receive_pairs(0, (2,), (_ciphertext(1),))
         cloud.receive_publication(
             0, _tree(domain, [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]),
             _sealed_overflow(domain),
@@ -87,7 +84,7 @@ class TestFresqueCloud:
     def test_query_covers_unindexed_inflight_data(self, domain):
         cloud = FresqueCloud(domain)
         cloud.announce_publication(0)
-        cloud.receive_pair(0, 3, _record(9))
+        cloud.receive_pairs(0, (3,), (_ciphertext(9),))
         result = cloud.query(RangeQuery(30, 39))
         assert len(result.unindexed) == 1
         assert result.indexed == ()
@@ -95,7 +92,7 @@ class TestFresqueCloud:
     def test_unindexed_moves_to_indexed_after_publish(self, domain):
         cloud = FresqueCloud(domain)
         cloud.announce_publication(0)
-        cloud.receive_pair(0, 3, _record(9))
+        cloud.receive_pairs(0, (3,), (_ciphertext(9),))
         cloud.receive_publication(
             0, _tree(domain, [0, 0, 0, 1, 0, 0, 0, 0, 0, 0]), {}
         )
@@ -110,7 +107,7 @@ class TestMatchingTableCloud:
         cloud.announce_publication(0)
         table = {}
         for i in range(10):
-            cloud.receive_tagged(0, 1000 + i, _record(i))
+            cloud.receive_tagged(0, 1000 + i, _ciphertext(i))
             table[1000 + i] = i % 10
         receipt = cloud.receive_publication(
             0, _tree(domain, [1] * 10), {}, table
@@ -121,7 +118,7 @@ class TestMatchingTableCloud:
     def test_query_after_matching(self, domain):
         cloud = MatchingTableCloud(domain)
         cloud.announce_publication(0)
-        cloud.receive_tagged(0, 42, _record(5))
+        cloud.receive_tagged(0, 42, _ciphertext(5))
         cloud.receive_publication(
             0, _tree(domain, [0, 1, 0, 0, 0, 0, 0, 0, 0, 0]), {}, {42: 1}
         )
@@ -133,7 +130,7 @@ class TestMatchingTableCloud:
         # records by range.
         cloud = MatchingTableCloud(domain)
         cloud.announce_publication(0)
-        cloud.receive_tagged(0, 42, _record(5))
+        cloud.receive_tagged(0, 42, _ciphertext(5))
         result = cloud.query(RangeQuery(0, 100))
         assert result.unindexed == ()
         assert result.indexed == ()
@@ -146,7 +143,7 @@ class TestExactlyOncePublication:
     def _publish(self, cloud, domain, publication=0, pairs=10):
         cloud.announce_publication(publication)
         for i in range(pairs):
-            cloud.receive_pair(publication, i % 10, _record(i, publication))
+            cloud.receive_pairs(publication, (i % 10,), (_ciphertext(i),))
         return cloud.receive_publication(
             publication, _tree(domain, [1] * 10), _sealed_overflow(domain)
         )
@@ -161,7 +158,7 @@ class TestExactlyOncePublication:
     def test_redelivered_pairs_dropped_and_counted(self, domain):
         cloud = FresqueCloud(domain)
         self._publish(cloud, domain)
-        assert cloud.receive_pair(0, 3, _record(3)) == 0
+        assert cloud.receive_pairs(0, (3,), (_ciphertext(3),)) == 0
         assert cloud.duplicate_pairs == 1
         assert cloud.store.record_count(0) == 10
 
@@ -188,7 +185,7 @@ class TestCrashReconciliation:
     def test_reset_discards_inflight_publication(self, domain):
         cloud = FresqueCloud(domain)
         cloud.announce_publication(0)
-        cloud.receive_pair(0, 3, _record(1))
+        cloud.receive_pairs(0, (3,), (_ciphertext(1),))
         assert cloud.reset_publication(0)
         # The replay re-announces and re-streams from scratch.
         cloud.announce_publication(0)
@@ -199,7 +196,7 @@ class TestCrashReconciliation:
         cloud = FresqueCloud(domain)
         cloud.announce_publication(0)
         for i in range(3):
-            cloud.receive_pair(0, i, _record(i))
+            cloud.receive_pairs(0, (i,), (_ciphertext(i),))
         cloud.receive_publication(
             0, _tree(domain, [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]),
             _sealed_overflow(domain),
@@ -211,14 +208,14 @@ class TestCrashReconciliation:
         cloud = FresqueCloud(domain)
         cloud.announce_publication(0)
         for i in range(8):
-            cloud.receive_pair(0, i % 10, _record(i))
+            cloud.receive_pairs(0, (i % 10,), (_ciphertext(i),))
         dropped = cloud.truncate_publication(0, 5)
         assert dropped == 3
         assert cloud.pair_count(0) == 5
         assert cloud.store.record_count(0) == 5
         assert len(cloud.engine.in_flight_pairs()) == 5
         # The stream resumes exactly where the checkpoint left it.
-        cloud.receive_pair(0, 5, _record(5))
+        cloud.receive_pairs(0, (5,), (_ciphertext(5),))
         receipt = cloud.receive_publication(
             0, _tree(domain, [1] * 10), _sealed_overflow(domain)
         )
@@ -227,10 +224,10 @@ class TestCrashReconciliation:
     def test_matching_table_cloud_reset(self, domain):
         cloud = MatchingTableCloud(domain)
         cloud.announce_publication(0)
-        cloud.receive_tagged(0, 42, _record(5))
+        cloud.receive_tagged(0, 42, _ciphertext(5))
         assert cloud.reset_publication(0)
         cloud.announce_publication(0)
-        cloud.receive_tagged(0, 43, _record(6))
+        cloud.receive_tagged(0, 43, _ciphertext(6))
         receipt = cloud.receive_publication(
             0, _tree(domain, [0, 1] + [0] * 8), {}, {43: 1}
         )

@@ -167,11 +167,7 @@ class TestMidPublicationUnion:
         cloud = FresqueCloud(domain)
         cloud.announce_publication(0)
         at_cloud_offset = domain.leaf_offset(352)
-        cloud.receive_pair(
-            0,
-            at_cloud_offset,
-            EncryptedRecord(at_cloud_offset, b"at-cloud", publication=0),
-        )
+        cloud.receive_pairs(0, (at_cloud_offset,), (b"at-cloud",))
         target = CollectorAwareQueryTarget(
             cloud,
             _StubChecking([self._pair(domain, 0, 353, b"at-randomer")]),

@@ -107,32 +107,3 @@ class TestP302EpsilonLiterals:
         )
         assert codes_of(diagnostics) == []
 
-
-class TestP303NoisePlanLiteralEpsilon:
-    def test_positive_literal_epsilon_positional(self):
-        diagnostics = lint_source(
-            """
-            def perturb(tree, draw_noise_plan):
-                return draw_noise_plan(tree, 1.0)
-            """
-        )
-        assert codes_of(diagnostics) == ["FRQ-P303"]
-
-    def test_positive_literal_epsilon_keyword(self):
-        diagnostics = lint_source(
-            """
-            def perturb(tree, draw_noise_plan):
-                return draw_noise_plan(tree, epsilon=1.0)
-            """
-        )
-        # Keyword literal also trips the generic epsilon-literal rule.
-        assert codes_of(diagnostics) == ["FRQ-P302", "FRQ-P303"]
-
-    def test_negative_configured_epsilon(self):
-        diagnostics = lint_source(
-            """
-            def perturb(tree, config, draw_noise_plan):
-                return draw_noise_plan(tree, config.epsilon)
-            """
-        )
-        assert codes_of(diagnostics) == []

@@ -42,7 +42,7 @@ class TestCheckpointStore:
         assert store.latest() == {"watermark": 9}
 
     def test_prunes_to_keep(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=2)
+        store = CheckpointStore(tmp_path)
         for i in range(5):
             store.save({"watermark": i})
         assert len(list(tmp_path.glob("checkpoint-*.ckpt"))) == 2
@@ -95,10 +95,6 @@ class TestCheckpointStore:
             "format": FORMAT,
             "state": {"watermark": 5},
         }
-
-    def test_keep_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            CheckpointStore(tmp_path, keep=0)
 
 
 #: A state holding every kind of value a collector checkpoint holds:

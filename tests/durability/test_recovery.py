@@ -438,12 +438,8 @@ class TestCrashWhileTheMergerHoldsRemovedRecords:
         assert got.pop("files").keys() == want.pop("files").keys()
         assert got == want  # receipts and every checking counter
         for file_id in uncrashed.cloud.store.file_ids():
-            assert Counter(
-                (record.leaf_offset, record.ciphertext)
-                for _, record in recovered.cloud.store.scan(file_id)
-            ) == Counter(
-                (record.leaf_offset, record.ciphertext)
-                for _, record in uncrashed.cloud.store.scan(file_id)
+            assert Counter(recovered.cloud.store.scan(file_id)) == Counter(
+                uncrashed.cloud.store.scan(file_id)
             )
 
 

@@ -60,14 +60,14 @@ def test_nothing_secret_crosses_the_cloud_boundary(monkeypatch, tmp_path):
     with tcp.TcpFresqueCluster(
         config, SimulatedCipher(keys), seed=3, telemetry=telemetry
     ) as cluster:
-        assert cluster.run_publication(lines) >= len(lines)
+        assert cluster.run_publication(lines).published_pairs >= len(lines)
         # The cloud's side of a query only — decrypting is the client's.
         answer = cluster.cloud.query(RangeQuery(360, 420)).ciphertexts()
         store = cluster.cloud.store
         stored = b"".join(
-            record.ciphertext
+            ciphertext
             for file_id in store.file_ids()
-            for _, record in store.scan(file_id)
+            for _, ciphertext in store.scan(file_id)
         )
     exported = write_jsonl(tmp_path / "run.jsonl", telemetry).read_bytes()
 

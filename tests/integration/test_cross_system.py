@@ -126,8 +126,7 @@ class TestCloudNeverSeesPlaintext:
         ] + list(FluSurveyGenerator(seed=9).raw_lines(100))
         system.run_publication(lines)
         blob = b"".join(
-            record.ciphertext
-            for _, record in system.cloud.store.scan(0)
+            ciphertext for _, ciphertext in system.cloud.store.scan(0)
         )
         assert marker.encode() not in blob
 

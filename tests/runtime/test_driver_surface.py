@@ -42,7 +42,10 @@ SHARED = (
     "pump_dummies",
     "close_publication",
     "finish_publication",
+    "run_publication",
     "crash_node",
+    "make_client",
+    "query",
     "__enter__",
     "__exit__",
 )

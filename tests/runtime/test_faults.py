@@ -270,7 +270,9 @@ class TestSeveredPublication:
             return True
 
         with TcpFresqueCluster(flu_config, fast_cipher, seed=9) as healthy:
-            expected = healthy.run_publication(lines, timeout=60.0)
+            expected = healthy.run_publication(
+                lines, timeout=60.0
+            ).published_pairs
         cluster = _faulty(TcpFresqueCluster)(
             flu_config,
             fast_cipher,
@@ -279,7 +281,9 @@ class TestSeveredPublication:
             fault=sever,
         )
         with cluster:
-            matched = cluster.run_publication(lines, timeout=60.0)
+            matched = cluster.run_publication(
+                lines, timeout=60.0
+            ).published_pairs
         assert matched == expected > 0
         assert cluster.router.reconnects >= 1
 
@@ -304,7 +308,9 @@ class TestDegradedPublication:
         generator = FluSurveyGenerator(seed=84)
         lines = list(generator.raw_lines(600))
         with TcpFresqueCluster(flu_config, fast_cipher, seed=42) as healthy:
-            expected = healthy.run_publication(lines, timeout=60.0)
+            expected = healthy.run_publication(
+                lines, timeout=60.0
+            ).published_pairs
         cluster = _faulty(TcpFresqueCluster)(
             flu_config,
             fast_cipher,
@@ -314,7 +320,9 @@ class TestDegradedPublication:
             fault=delay_and_sever,
         )
         with cluster:
-            matched = cluster.run_publication(lines, timeout=60.0)
+            matched = cluster.run_publication(
+                lines, timeout=60.0
+            ).published_pairs
         # Nothing is lost: matched pairs == pairs the checker released
         # to the cloud == the crash-free run's.
         checking = cluster.checking
@@ -345,10 +353,10 @@ class TestDegradedPublication:
         with cluster:
             first = cluster.run_publication(
                 list(generator.raw_lines(200)), timeout=60.0
-            )
+            ).published_pairs
             second = cluster.run_publication(
                 list(generator.raw_lines(200)), timeout=60.0
-            )
+            ).published_pairs
         assert cluster.dead_nodes == {"cn-0"}
         checking = cluster.checking
         assert first + second == (

@@ -22,7 +22,7 @@ class TestTcpCluster:
     def test_publication_over_sockets(self, cluster, flu_config):
         generator = FluSurveyGenerator(seed=81)
         lines = list(generator.raw_lines(600))
-        matched = cluster.run_publication(lines)
+        matched = cluster.run_publication(lines).published_pairs
         assert matched > 500
         schema = flu_config.schema
         truth = {parse_raw_line(line, schema).values for line in lines}
@@ -35,7 +35,8 @@ class TestTcpCluster:
         generator = FluSurveyGenerator(seed=82)
         first = cluster.run_publication(list(generator.raw_lines(200)))
         second = cluster.run_publication(list(generator.raw_lines(200)))
-        assert first > 150 and second > 150
+        assert (first.publication, second.publication) == (0, 1)
+        assert first.published_pairs > 150 and second.published_pairs > 150
         assert len(cluster.cloud.engine.published) == 2
 
     def test_matches_synchronous_driver(self, flu_config, fast_cipher):
@@ -49,7 +50,7 @@ class TestTcpCluster:
         reference.start()
         expected = reference.run_publication(lines).published_pairs
         with TcpFresqueCluster(flu_config, fast_cipher, seed=9) as cluster:
-            assert cluster.run_publication(lines) == expected
+            assert cluster.run_publication(lines).published_pairs == expected
 
     def test_unencodable_line_rejected_as_in_process(
         self, flu_config, fast_cipher
@@ -65,7 +66,7 @@ class TestTcpCluster:
         reference.start()
         expected = reference.run_publication(lines).published_pairs
         with TcpFresqueCluster(flu_config, fast_cipher, seed=9) as cluster:
-            assert cluster.run_publication(lines) == expected
+            assert cluster.run_publication(lines).published_pairs == expected
             nodes = cluster.computing_nodes
             assert sum(node.rejected for node in nodes) == 2
         assert sum(node.rejected for node in reference.computing_nodes) == 2

@@ -19,15 +19,19 @@ than ``config.max_batch_delay`` (*delay*, checked once per run), or
 when the publication interval closes (*close*) — the close flush is
 what guarantees a batch never straddles a publication boundary.
 ``batch_size=1`` degenerates to per-record dispatch through the exact
-same path.  As in the paper there
-is no flow control: a flushed batch leaves at once.  It is retained
-until the checking node admits it, for a crash re-send (upstream
-backup, docs/PROTOCOL.md).
+same path.  As in the paper the dispatcher has no flow control: a
+flushed batch leaves at once (on TCP, the bounded computing-node links
+can hold its send, docs/RUNTIMES.md).  It is retained until the
+checking node admits it, for a crash re-send (upstream backup,
+docs/PROTOCOL.md).  An admission is only recorded where it arrives —
+on TCP, a node thread, while the driver holds the dispatcher — and
+applied by whatever next reads or changes the retained batches.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from bisect import bisect_left
 from collections import deque
 from operator import itemgetter
@@ -138,6 +142,13 @@ class Dispatcher(Routed):
         #: seq → (destination, batch) of every shipped batch the checking
         #: node has not admitted yet, in seq order.
         self._unadmitted: dict[int, tuple[str, RawBatch]] = {}
+        #: Seqs admitted and not yet dropped from ``_unadmitted``:
+        #: :meth:`on_admitted` only appends (a ``deque`` append needs no
+        #: lock); whatever reads or changes the retained batches drops
+        #: them first (:meth:`_drop_admitted`), under ``_retained`` — a
+        #: lock held for that alone, never across a dispatch.
+        self._admitted: deque[int] = deque()
+        self._retained = threading.Lock()
         self._batch_histogram = self._tel.histogram(
             "dispatcher_batch_records",
             buckets=(
@@ -274,11 +285,13 @@ class Dispatcher(Routed):
         """The batches shipped to ``node_id`` and not yet admitted, in
         seq order: what its crash may have lost, for :meth:`redispatch`."""
         destination = f"cn-{node_id}"
-        return [
-            batch
-            for sent_to, batch in self._unadmitted.values()
-            if sent_to == destination
-        ]
+        with self._retained:
+            self._drop_admitted()
+            return [
+                batch
+                for sent_to, batch in self._unadmitted.values()
+                if sent_to == destination
+            ]
 
     def redispatch(self, message: RawBatch) -> list[tuple[str, object]]:
         """Re-route a batch whose computing node died, retaining it under
@@ -286,20 +299,39 @@ class Dispatcher(Routed):
 
         The message object is forwarded unchanged — its seq/ordinal
         stamps must survive the reroute (the checking node dedups by
-        seq, deterministic IVs key off the ordinal).
+        seq, deterministic IVs key off the ordinal).  A stamped batch
+        admitted since :meth:`resend` listed it reached the checking
+        node after all: nothing is re-sent.
         """
+        with self._retained:
+            self._drop_admitted()
+            if message.seq >= 0 and message.seq not in self._unadmitted:
+                return []
+            destination = self._next_node()
+            self._unadmitted[message.seq] = (destination, message)
         self.records_rerouted += len(message.items)
-        return [self._route(message)]
+        return [(destination, message)]
 
     def on_admitted(self, message: Admitted) -> list[tuple[str, object]]:
-        """The checking node admitted batch ``seq``: stop retaining it."""
-        self._unadmitted.pop(message.seq, None)
+        """The checking node admitted batch ``seq``: record it, so the
+        batch is no longer retained once the admission is applied.
+        Safe to call from any thread while the driver dispatches."""
+        self._admitted.append(message.seq)
         return []
+
+    def _drop_admitted(self) -> None:
+        """Stop retaining every batch admitted so far (``_retained``
+        held)."""
+        admitted, unadmitted = self._admitted, self._unadmitted
+        while admitted:
+            unadmitted.pop(admitted.popleft(), None)
 
     @property
     def oldest_unadmitted(self) -> int | None:
         """The lowest seq still retained (``None``: all admitted)."""
-        return next(iter(self._unadmitted), None)
+        with self._retained:
+            self._drop_admitted()
+            return next(iter(self._unadmitted), None)
 
     def _next_node(self) -> str:
         """The next live computing node's address, round robin."""
@@ -400,7 +432,9 @@ class Dispatcher(Routed):
     def _route(self, message: RawBatch) -> tuple[str, RawBatch]:
         """Route ``message`` round robin, retaining it until admitted."""
         destination = self._next_node()
-        self._unadmitted[message.seq] = (destination, message)
+        with self._retained:
+            self._drop_admitted()
+            self._unadmitted[message.seq] = (destination, message)
         return destination, message
 
     def _flush(self, reason: str) -> list[tuple[str, object]]:

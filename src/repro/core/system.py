@@ -265,13 +265,10 @@ class FresqueSystem:
         self._handlers["checking"] = self.checking.handle
         self._handlers["merger"] = self.merger.handle
         self._handlers["cloud"] = self._cloud_adapter.handle
-        self._handlers["dispatcher"] = self._admit
-
-    def _admit(self, message) -> list:
-        """The dispatcher's handler (:class:`Admitted` only), under the
-        driver lock: on TCP it runs on a node thread."""
-        with self._lock:
-            return self.dispatcher.handle(message)
+        # Admitted only.  No driver lock: the dispatcher records the ack
+        # on whichever thread delivers it and applies it when the driver
+        # next reads its retained batches.
+        self._handlers["dispatcher"] = self.dispatcher.handle
 
     # ------------------------------------------------------------------
     # Sending

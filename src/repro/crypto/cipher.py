@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from abc import ABC, abstractmethod
+from functools import partial
 from itertools import accumulate
 
 from repro.crypto.aes import BLOCK_SIZE, AesBlockCipher
@@ -47,6 +48,11 @@ _BLOCK_TAILS = tuple(
     + bytes(16 if (rest + 16 - rest % 16) % 32 else 0)
     for rest in range(32)
 )
+
+#: IV counters per :class:`SimulatedCipher` counter block: a cipher built
+#: by :meth:`SimulatedCipher.for_process` draws from a block of its own,
+#: and no process draws 2**48 IVs.
+_COUNTER_BLOCK = 1 << 48
 
 
 class DecryptionError(ValueError):
@@ -159,6 +165,14 @@ class RecordCipher(ABC):
             f"{type(self).__name__} does not support seeded IVs"
         )
 
+    @abstractmethod
+    def for_process(self):
+        """A zero-argument callable that builds this cipher afresh from
+        its key store, to be called in another process (a forked
+        computing node): what the new cipher encrypts decrypts here, it
+        draws no IV that this cipher or another one it built draws, and
+        no library context crosses the fork."""
+
     def ciphertext_length(self, plaintext_length: int) -> int:
         """Length in bytes of the ciphertext for a given plaintext length.
 
@@ -181,6 +195,11 @@ class AesCbcCipher(RecordCipher):
         self._keys = keys
         self._block = AesBlockCipher(keys.record_key())
         self._iv_key = keys.derive("fresque/seeded-iv")
+
+    def for_process(self):
+        """Random IVs come from the OS, so only the ``libcrypto``
+        contexts need building anew."""
+        return partial(AesCbcCipher, self._keys)
 
     def encrypt(self, plaintext: bytes) -> bytes:
         return cbc_encrypt_framed(
@@ -252,6 +271,16 @@ class SimulatedCipher(RecordCipher):
         # merger; the counter bump must be atomic or two threads can draw
         # the same IV (keystream reuse).
         self._counter_lock = threading.Lock()
+        #: Counter blocks handed to ciphers built by :meth:`for_process`.
+        self._blocks = 0
+
+    def for_process(self):
+        """The new cipher counts its IVs from the next unused counter
+        block, so it shares none with this one or its siblings."""
+        with self._counter_lock:
+            self._blocks += 1
+            first = self._blocks * _COUNTER_BLOCK
+        return partial(_simulated_from, self._keys, first)
 
     def _keystream(self, iv: bytes, length: int) -> bytes:
         prefix = self._key + iv
@@ -405,3 +434,10 @@ class SimulatedCipher(RecordCipher):
                 out.append(self.decrypt(ciphertext))
             start += (length + 15) >> 5 << 5
         return out
+
+
+def _simulated_from(keys: KeyStore, counter: int) -> SimulatedCipher:
+    """A :class:`SimulatedCipher` whose next IV counter is ``counter + 1``."""
+    cipher = SimulatedCipher(keys)
+    cipher._counter = counter
+    return cipher

@@ -1,17 +1,9 @@
-"""PINED-RQ++ collectors: non-parallel and parallel variants.
+"""The PINED-RQ++ collector.
 
-Functionally the two variants produce identical publications; they differ in
-*where* the pipeline stages run, which only matters for the performance
-model (``repro.simulation`` places the stages on machines accordingly):
+The whole parser → checker → enricher → updater → encrypter workflow runs
+on the single collector node.
 
-* non-parallel — the whole parser → checker → enricher → updater →
-  encrypter workflow runs on the single collector node;
-* parallel — updater and encrypter instances run on ``k`` computing nodes,
-  but the parser and checker stay sequential because the checker reads the
-  shared index template (the *partial parallelism* limitation of
-  Section 4.2).
-
-Both publish *synchronously*: at the end of an interval the collector
+It publishes *synchronously*: at the end of an interval the collector
 encrypts the buffered removed records, builds the overflow arrays and ships
 the publication before any new record is admitted.
 """
@@ -66,10 +58,6 @@ class PinedRqPPCollector:
         Per-publication privacy budget and overflow-sizing probability.
     fanout:
         Index branching factor.
-    parallel_nodes:
-        0 for the non-parallel variant; otherwise the number of computing
-        nodes the updater/encrypter stages are spread over (cost model
-        placement only — the logic is identical).
     rng:
         Seeded randomness.
     """
@@ -82,17 +70,13 @@ class PinedRqPPCollector:
         epsilon: float = 1.0,
         delta: float = 0.99,
         fanout: int = 16,
-        parallel_nodes: int = 0,
         rng: random.Random | None = None,
     ):
-        if parallel_nodes < 0:
-            raise ValueError("parallel_nodes must be non-negative")
         self.schema = schema
         self.domain = domain
         self.epsilon = epsilon
         self.delta = delta
         self.fanout = fanout
-        self.parallel_nodes = parallel_nodes
         self._rng = rng if rng is not None else random.Random()
         self.parser = Parser(schema)
         self.checker = Checker(schema, domain)

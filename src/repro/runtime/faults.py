@@ -8,7 +8,9 @@ Links are reliable and FIFO, and nodes fail only by crashing, so a
   a chosen number of frames, dropping whatever its inbox still holds —
   like a machine going down mid-publication.  A crashed node stays
   down (crash-stop), and the driver learns of it only through
-  supervision;
+  supervision.  A computing node runs in its own process and consults
+  the copy of the plan it was forked with: the crash it fires is not
+  in the driver's :attr:`FaultPlan.schedule`;
 * :class:`~repro.durability.DurableFresqueSystem` — consulted once per
   journalled chunk (:meth:`FaultPlan.on_collector_records`): the
   whole collector process can crash after ingesting a chosen number of

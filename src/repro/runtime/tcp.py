@@ -5,9 +5,30 @@ interface and exchanges the wire-encoded protocol frames of
 :mod:`repro.runtime.wire` — the transport of the paper's deployment, where
 "the TCP socket was used for exchanging data among the components"
 (Section 7.1).  Every node runs its handler on a dedicated worker thread
-(actor-style), but nothing is shared between nodes except bytes on
-sockets, so the same code splits across processes or machines by
-changing the address book.
+(actor-style).  The trusted nodes — checking node, merger, cloud and the
+dispatcher's acknowledgement inbox — run in the driver's process; each
+computing node runs in a child process forked at start-up
+(:class:`ComputingNodeProcess`), so the ``k`` of them parse and encrypt
+in parallel rather than under the driver's interpreter lock.
+
+Topology
+--------
+The collector's one :class:`Router` dials every node, the children
+included, so each destination has exactly one inbound connection and
+the order a sender writes is the order its peer reads.  A child dials
+nobody: its outputs come back already framed over a socketpair, and a
+relay thread in the driver writes them through the Router without
+decoding them.  Nodes share nothing but bytes on sockets, yet a child
+cannot move to another machine by changing the address book alone: it
+would need a Router of its own, and every destination a second inbound
+connection, whose cross-link reordering the protocol does not tolerate
+yet (docs/RUNTIMES.md).
+
+The collector↔computing-node links are bounded (:data:`CN_INBOX_FRAMES`,
+:data:`CN_SOCKET_BUFFER`): a child stops reading its socket while its
+inbox is full, so TCP's own flow control holds the driver a few batches
+ahead of the slowest computing node instead of letting a backlog build
+up for the publication's close to drain.
 
 Fault tolerance
 ---------------
@@ -19,7 +40,8 @@ The runtime survives transient transport faults instead of timing out:
 * :class:`TcpNode` supervises its reader threads (transport failures and
   torn frames are recorded in :attr:`TcpNode.errors`, not swallowed),
   tracks accepted connections so shutdown closes every fd, and reports
-  :meth:`TcpNode.health`;
+  :meth:`TcpNode.health`; :class:`ComputingNodeProcess` reports the
+  same for a child, from the counters its relay records carry;
 * :class:`TcpFresqueCluster` degrades around a dead computing node —
   the dispatcher re-sends the batches the checking node has not
   admitted to the survivors (shared-nothing makes that safe) and a
@@ -28,15 +50,18 @@ The runtime survives transient transport faults instead of timing out:
   carrying a per-node health report instead of a bare ``TimeoutError``.
 
 Node crashes can be injected deterministically through
-:class:`repro.runtime.faults.FaultPlan`.
+:class:`repro.runtime.faults.FaultPlan`; a computing node consults the
+plan in its own process, and a crash ends that process.
 """
 
 from __future__ import annotations
 
 import bisect
+import os
 import queue
 import random
 import socket
+import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -45,11 +70,35 @@ from repro.core.config import FresqueConfig
 from repro.core.system import FresqueSystem
 from repro.crypto.cipher import RecordCipher
 from repro.runtime.poller import FlushPoller, poll_interval
-from repro.runtime.wire import WireError, append_frame, decode_message, read_frames
+from repro.runtime.wire import (
+    WireError,
+    append_frame,
+    decode_message,
+    read_frames,
+    split_frames,
+)
 from repro.telemetry.clock import WALL_CLOCK
 from repro.telemetry.context import coalesce
 
 _STOP = object()
+
+#: Frames a computing node's process lets queue before its reader stops
+#: reading the socket, and the send and receive buffer (bytes, as set)
+#: of each collector↔computing-node connection.  Together they let TCP
+#: flow control hold the driver a few batches ahead of a computing node.
+#: Chosen on ``gowalla_tcp`` (2 computing nodes, 2 vCPUs, medians of
+#: 4–6 repetitions): unbounded, the driver finished ingesting in 53 ms and
+#: each close drained the backlog in 150 ms; with 8 frames and 16 KiB,
+#: 126 ms and 92 ms, at 4 % fewer records/s (docs/RUNTIMES.md).
+CN_INBOX_FRAMES = 8
+CN_SOCKET_BUFFER = 16 * 1024
+
+#: The head of a record on a computing node's relay: the byte lengths of
+#: the frames and of the error text that follow it, then the node's
+#: counters — frames handled, lines parsed, records encrypted, items
+#: rejected, ciphertext bytes out, frames a crash dropped, crashed
+#: (0/1), torn frames seen.
+_RELAY_HEAD = struct.Struct("<II8q")
 
 
 class TransportError(ConnectionError):
@@ -115,6 +164,9 @@ class Router:
         and backoff sleeps.
     retry_policy:
         Reconnect/backoff budget (:class:`RetryPolicy` default).
+    send_buffers:
+        Destination → ``SO_SNDBUF`` of its connection, in bytes; a
+        destination not named keeps the system default.
 
     The backoff jitter is drawn from ``random.Random(0)``.
     """
@@ -124,8 +176,10 @@ class Router:
         address_book: dict[str, int],
         telemetry=None,
         retry_policy: RetryPolicy | None = None,
+        send_buffers: dict[str, int] | None = None,
     ):
         self._addresses = address_book
+        self._send_buffers = send_buffers or {}
         self._connections: dict[str, socket.socket] = {}
         self._locks: dict[str, threading.Lock] = {}
         self._guard = threading.Lock()
@@ -148,13 +202,17 @@ class Router:
         self, destination: str, message, run: bytearray | None = None
     ) -> None:
         """Frame one message to ``destination`` and transmit it,
-        reconnecting (with backoff) around transport failures.
+        reconnecting (with backoff) around transport failures.  A
+        ``bytes`` message is a frame already built (a relayed one) and
+        goes as it is.
 
         Inside :meth:`send_run`, ``run`` is the run's buffer: the frame
         is appended to it and leaves with the rest of the run, so every
         message still passes through here once."""
         if run is None:
             self.send_run(destination, (message,))
+        elif type(message) is bytes:
+            run += message
         else:
             append_frame(run, destination, message)
 
@@ -228,6 +286,9 @@ class Router:
         dialed = socket.create_connection(
             ("127.0.0.1", self._addresses[destination]), timeout=10
         )
+        buffer = self._send_buffers.get(destination)
+        if buffer is not None:
+            dialed.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, buffer)
         with self._guard:
             connection = self._connections.get(destination)
             if connection is None:
@@ -294,6 +355,13 @@ class TcpNode:
         per inbox frame (node crash injection).  A crash in the middle of
         a drain sends the outputs of the frames handled before it and
         drops the rest, as if each frame's outputs had left on its own.
+    inbox_frames:
+        Optional bound: once a read leaves this many frames queued, the
+        reader stops reading until the worker takes them, and the
+        sender's writes back up (``None``: unbounded).
+    socket_buffer:
+        Optional ``SO_RCVBUF`` / ``SO_SNDBUF`` of every accepted
+        connection, in bytes (``None``: the system default).
 
     Supervision: reader-thread failures and torn frames are recorded in
     :attr:`errors` (surfaced by the driver), accepted connections are
@@ -303,7 +371,8 @@ class TcpNode:
 
     def __init__(
         self, name: str, handler, send_all, telemetry=None,
-        fault_plan=None,
+        fault_plan=None, inbox_frames: int | None = None,
+        socket_buffer: int | None = None,
     ):
         self.name = name
         self.handler = handler
@@ -316,10 +385,20 @@ class TcpNode:
         self._fault_plan = fault_plan
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        if socket_buffer is not None:
+            # Set before listen(): accepted connections inherit them.
+            for option in (socket.SO_RCVBUF, socket.SO_SNDBUF):
+                self._server.setsockopt(
+                    socket.SOL_SOCKET, option, socket_buffer
+                )
         self._server.bind(("127.0.0.1", 0))  # a free ephemeral port
         self._server.listen(32)
         self.port = self._server.getsockname()[1]
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._inbox_frames = inbox_frames
+        #: Signalled when the worker takes frames or the node stops: a
+        #: reader waits on it while the inbox is full.
+        self._room = threading.Condition() if inbox_frames else None
         #: Frames the worker took from the inbox whose outputs have not
         #: left yet.
         self._in_hand = 0
@@ -432,6 +511,19 @@ class TcpNode:
                 return
             if self._tel.enabled:
                 self._depth_gauge.set(self._inbox.qsize())
+            if self._room is not None:
+                with self._room:
+                    self._room.wait_for(self._has_room)
+
+    def _has_room(self) -> bool:
+        """Whether a bounded inbox may take another read (or the node
+        is stopping)."""
+        return self._inbox.qsize() < self._inbox_frames or not self._running
+
+    def _wake_readers(self) -> None:
+        if self._room is not None:
+            with self._room:
+                self._room.notify_all()
 
     def _worker_loop(self) -> None:
         inbox = self._inbox
@@ -442,6 +534,7 @@ class TcpNode:
             frames += [inbox.get_nowait() for _ in range(inbox.qsize())]
             with self._lock:
                 self._in_hand = len(frames)
+            self._wake_readers()
             if self._drain(frames):
                 return
 
@@ -497,8 +590,7 @@ class TcpNode:
         Closes the server and every accepted connection (peers see the
         node go away) and discards the ``unread`` frames the worker took
         and did not handle and the rest of the inbox, counting them in
-        :attr:`dropped_frames`.  The node stays dead.  Enacting it again
-        (the worker, after a driver-side :meth:`crash`) only counts.
+        :attr:`dropped_frames`.  The node stays dead.
         """
         with self._lock:
             self.crashed = True
@@ -511,6 +603,7 @@ class TcpNode:
         self._shutdown_socket(self._server)
         for connection in connections:
             self._shutdown_socket(connection)
+        self._wake_readers()
         for reader in readers:
             reader.join(timeout=2)
         dropped = unread
@@ -522,15 +615,6 @@ class TcpNode:
             dropped += item is not _STOP
         with self._lock:
             self.dropped_frames += dropped
-
-    def crash(self) -> None:
-        """Driver-side crash injection: same effect as a fault-plan
-        crash, enacted from outside the worker thread.  Returns once
-        the worker has stopped."""
-        self._enact_crash(0)
-        self._inbox.put(_STOP)
-        if self._worker is not None:
-            self._worker.join(timeout=5)
 
     @staticmethod
     def _shutdown_socket(sock: socket.socket) -> None:
@@ -584,10 +668,275 @@ class TcpNode:
         self._shutdown_socket(self._server)
         for connection in connections:
             self._shutdown_socket(connection)
+        self._wake_readers()
         self._inbox.put(_STOP)
         for thread in (self._acceptor, self._worker, *readers):
             if thread is not None and thread.is_alive():
                 thread.join(timeout=2)
+
+
+class _RelayWriter:
+    """A computing node's end of its relay, in the node's own process.
+
+    :meth:`handle` is the :class:`TcpNode`'s handler and :meth:`send_all`
+    its send path: each drain's outbox leaves as one relay record — the
+    frames, already built, behind a :data:`_RELAY_HEAD` carrying the
+    node's counters and the text of any error recorded since the last
+    record — in one write.
+    """
+
+    def __init__(self, relay: socket.socket, computing_node):
+        self.relay = relay
+        self._computing_node = computing_node
+        #: The node hosting this writer (set once it is built).
+        self.node: TcpNode | None = None
+        self._handled = 0
+        self._reported = 0  # entries of ``node.errors`` already sent
+
+    def handle(self, message) -> list:
+        outbox = self._computing_node.handle(message)
+        self._handled += 1
+        return outbox
+
+    def send_all(self, outbox) -> None:
+        record = bytearray(_RELAY_HEAD.size)
+        for destination, message in outbox:
+            append_frame(record, destination, message)
+        frames = len(record) - _RELAY_HEAD.size
+        node, cn = self.node, self._computing_node
+        errors = node.errors[self._reported :]
+        self._reported += len(errors)
+        torn = sum(isinstance(error, TornFrame) for error in errors)
+        text = "\n".join(
+            repr(error) for error in errors if not isinstance(error, TornFrame)
+        ).encode("utf-8", "replace")
+        record += text
+        _RELAY_HEAD.pack_into(
+            record, 0, frames, len(text), self._handled, cn.parsed,
+            cn.encrypted, cn.rejected, cn.bytes_out, node.dropped_frames,
+            node.crashed, torn,
+        )
+        self.relay.sendall(record)
+
+
+def _serve_computing_node(
+    node: TcpNode, writer: _RelayWriter, make_cipher, inherited
+) -> None:
+    """The body of a computing node's process.
+
+    Closes the sockets it inherited and does not own (``inherited``: the
+    driver's ends of every relay forked so far, its own included, so the
+    driver's exit is seen as the relay's end of file), builds its cipher
+    afresh, and serves until the relay closes — the driver stopped or
+    died — or the node crashes, whose dropped-frame count it reports
+    before the process ends.
+    """
+    for sock in inherited:
+        sock.close()
+    # A computing node stands for a machine of its own: it does not stay
+    # on the one CPU its driver may be pinned to (the ledger pins it).
+    try:
+        os.sched_setaffinity(0, range(os.cpu_count() or 1))
+    # fresque-lint: disable=FRQ-R602 -- not a transport error: the inherited CPUs still serve
+    except (AttributeError, OSError):
+        pass
+    writer._computing_node.cipher = make_cipher()
+    node.start()
+    threading.Thread(
+        target=_stop_at_end_of_relay, args=(writer.relay, node),
+        name=f"tcp-relay-eof-{node.name}", daemon=True,
+    ).start()
+    node._worker.join()
+    if node.crashed:
+        try:
+            writer.send_all([])
+        # fresque-lint: disable=FRQ-R602 -- the driver closed the relay: nobody is left to tell
+        except OSError:
+            pass
+
+
+def _stop_at_end_of_relay(relay: socket.socket, node: TcpNode) -> None:
+    """Stop ``node`` once nobody holds the other end of ``relay``."""
+    while True:
+        try:
+            if not relay.recv(4096):
+                break
+        except OSError:
+            break
+    node.stop()
+
+
+class ComputingNodeProcess:
+    """A computing node forked into a child process, as the driver sees it.
+
+    The child hosts the node's :class:`TcpNode` on the port the Router
+    dials (``port``).  The node's outputs come back over ``relay``; the
+    relay thread applies each record's counters to ``computing_node``
+    (the driver's copy, so ``computing_nodes[i].rejected`` and the like
+    read the child's counts), then hands its frames, undecoded, to
+    ``send_all`` — the cluster's send path, through its one Router.
+    ``sent`` returns the frames the Router has written to this node,
+    for :attr:`pending`.
+
+    It answers the driver's supervision as a :class:`TcpNode` does
+    (``crashed``, ``errors``, :meth:`health`, :meth:`crash`,
+    :meth:`stop`).  The relay's end of file is the child's end: a crash
+    unless the driver was stopping it, and the relay thread then reaps
+    the process.
+    """
+
+    def __init__(
+        self, name: str, port: int, process, relay: socket.socket,
+        computing_node, send_all, sent,
+    ):
+        self.name = name
+        self.port = port
+        self.pid = process.pid
+        #: The child's exit code once reaped (negative: killed by that
+        #: signal); ``None`` while it runs.
+        self.exitcode: int | None = None
+        self._process = process
+        self._relay = relay
+        self._computing_node = computing_node
+        self._send_all = send_all
+        self._sent = sent
+        self.crashed = False
+        self.errors: list[BaseException] = []
+        self._handled = 0
+        self.dropped_frames = 0
+        self._last_seen = 0.0
+        self._stopping = False
+        self._reaped = False
+        self._lock = threading.Lock()
+        self._thread = threading.Thread(
+            target=self._relay_loop, name=f"tcp-relay-{name}", daemon=True
+        )
+
+    def start(self) -> None:
+        """Start relaying the child's outputs."""
+        self._thread.start()
+
+    @property
+    def handled(self) -> int:
+        """Frames the child has handled, as of its last relay record."""
+        return self._handled
+
+    @property
+    def pending(self) -> int:
+        """Frames sent to the child that it has neither handled nor
+        dropped (as of its last relay record)."""
+        if self.crashed:
+            return 0
+        return max(0, self._sent() - self._handled - self.dropped_frames)
+
+    def _relay_loop(self) -> None:
+        buffer = bytearray()
+        head = _RELAY_HEAD.size
+        while True:
+            try:
+                chunk = self._relay.recv(1 << 16)
+            except OSError:
+                chunk = b""
+            if not chunk:
+                break
+            buffer += chunk
+            start = 0
+            while len(buffer) - start >= head:
+                frames, text, *counters = _RELAY_HEAD.unpack_from(
+                    buffer, start
+                )
+                end = start + head + frames + text
+                if end > len(buffer):
+                    break
+                self._record(counters, bytes(buffer[end - text : end]))
+                if frames:
+                    body = start + head
+                    try:
+                        self._send_all(
+                            split_frames(buffer, body, body + frames)
+                        )
+                    except Exception as exc:  # surfaced by the driver
+                        with self._lock:
+                            self.errors.append(exc)
+                start = end
+            del buffer[:start]
+        # A torn record at the end died with the child, like a frame
+        # its crash kept from being sent.
+        self._reap()
+        with self._lock:
+            if not self._stopping:
+                self.crashed = True
+        self._relay.close()
+
+    def _record(self, counters, text: bytes) -> None:
+        """Apply one relay record's counters and errors."""
+        (
+            handled, parsed, encrypted, rejected, bytes_out, dropped,
+            crashed, torn,
+        ) = counters
+        node = self._computing_node
+        node.parsed, node.encrypted = parsed, encrypted
+        node.rejected, node.bytes_out = rejected, bytes_out
+        with self._lock:
+            self._handled, self.dropped_frames = handled, dropped
+            self.errors += [
+                TornFrame(f"{self.name}: peer closed mid-frame")
+            ] * torn
+            if text:
+                self.errors.append(
+                    TransportError(f"{self.name}: {text.decode('utf-8')}")
+                )
+            self._last_seen = WALL_CLOCK.now()
+            if crashed:
+                self.crashed = True
+
+    def _reap(self) -> None:
+        """Wait for the child to exit (killing it if it lingers) and
+        release the process."""
+        process = self._process
+        process.join(timeout=5)
+        if process.exitcode is None:
+            process.kill()
+            process.join()
+        with self._lock:
+            self.exitcode = process.exitcode
+            process.close()
+            self._reaped = True
+
+    def crash(self) -> None:
+        """Crash injection: kill the child like a machine going down
+        (``SIGKILL``).  Returns once the relay has forwarded the records
+        the child wrote before it died and the process is reaped."""
+        with self._lock:
+            if not self._reaped:
+                self._process.kill()
+        if threading.current_thread() is not self._thread:
+            self._thread.join(timeout=10)
+        self.crashed = True
+
+    def health(self) -> dict:
+        """Heartbeat snapshot, as :meth:`TcpNode.health`."""
+        return {
+            "name": self.name,
+            "alive": self._thread.is_alive() and not self.crashed,
+            "crashed": self.crashed,
+            "handled": self._handled,
+            "pending": self.pending,
+            "dropped_frames": self.dropped_frames,
+            "errors": len(self.errors),
+            "last_seen": self._last_seen,
+        }
+
+    def stop(self) -> None:
+        """Close the relay — the child stops at its end of file — and
+        wait until the child has exited."""
+        with self._lock:
+            self._stopping = True
+        TcpNode._shutdown_socket(self._relay)
+        if self._thread.ident is not None:
+            self._thread.join(timeout=10)
+        else:  # never started
+            self._reap()
 
 
 class ClusterTimeout(TimeoutError):
@@ -635,9 +984,11 @@ class TcpFresqueCluster(FresqueSystem):
 
     The collector driver (:class:`~repro.core.system.FresqueSystem`)
     over sockets: the dispatcher runs on the driver thread (it is the
-    cluster's entry point); computing nodes, the checking node, the
-    merger and the cloud are :class:`TcpNode` servers reachable only
-    through their sockets.
+    cluster's entry point); the checking node, the merger and the cloud
+    are :class:`TcpNode` servers in the driver's process, and each
+    computing node a :class:`TcpNode` in a forked child
+    (:class:`ComputingNodeProcess`), all reachable only through their
+    sockets.
 
     Parameters
     ----------
@@ -663,9 +1014,13 @@ class TcpFresqueCluster(FresqueSystem):
         self._fault_plan = fault_plan
         self._address_book: dict[str, int] = {}
         self.router = Router(
-            self._address_book, telemetry=telemetry, retry_policy=retry_policy
+            self._address_book, telemetry=telemetry, retry_policy=retry_policy,
+            send_buffers={
+                f"cn-{node_id}": CN_SOCKET_BUFFER
+                for node_id in range(config.num_computing_nodes)
+            },
         )
-        self._servers: dict[str, TcpNode] = {}
+        self._servers: dict[str, TcpNode | ComputingNodeProcess] = {}
         self._poller = FlushPoller(
             poll_interval(config.max_batch_delay), self._poll_flush
         )
@@ -697,15 +1052,61 @@ class TcpFresqueCluster(FresqueSystem):
         self._address_book[name] = server.port
         return server
 
+    def _fork_computing_node(self, node_id: int, inherited: list) -> None:
+        """Fork computing node ``node_id`` into a child process serving
+        its :class:`TcpNode` on a port bound here, and keep its
+        :class:`ComputingNodeProcess`.  ``inherited`` gathers the
+        driver's relay ends, which every later child closes."""
+        name = f"cn-{node_id}"
+        ours, theirs = socket.socketpair()
+        inherited.append(ours)
+        writer = _RelayWriter(theirs, self.computing_nodes[node_id])
+        node = TcpNode(
+            name, writer.handle, writer.send_all, telemetry=self.telemetry,
+            fault_plan=self._fault_plan, inbox_frames=CN_INBOX_FRAMES,
+            socket_buffer=CN_SOCKET_BUFFER,
+        )
+        writer.node = node
+        # Imported here: the many processes that import this module and
+        # never fork (every durable collector does) need not load it.
+        import multiprocessing
+
+        # Fork, never spawn: a fresh interpreter importing ``repro``
+        # costs ~160 ms per child, a fork ~5 ms.
+        process = multiprocessing.get_context("fork").Process(
+            target=_serve_computing_node,
+            args=(node, writer, self.cipher.for_process(), list(inherited)),
+            name=f"fresque-{name}",
+            daemon=True,
+        )
+        process.start()
+        # The listening socket and the relay's far end are the child's.
+        node._server.close()
+        theirs.close()
+        self._servers[name] = ComputingNodeProcess(
+            name, node.port, process, ours, self.computing_nodes[node_id],
+            self._send_all, lambda: self.router.sent_to.get(name, 0),
+        )
+        self._address_book[name] = node.port
+
     def _spawn(self) -> None:
+        # Every fork comes before the cluster's first thread and first
+        # connection: a child inherits no lock another thread holds and
+        # no socket but those it closes.
+        inherited: list[socket.socket] = []
+        for node_id in range(len(self.computing_nodes)):
+            self._fork_computing_node(node_id, inherited)
         for name in self._handlers:
-            self._add_server(name)
+            if name not in self._servers:
+                self._add_server(name)
         for server in self._servers.values():
             server.start()
         self._poller.start()
 
     def shutdown(self) -> None:
-        """Stop the flush poller, every node, and all connections."""
+        """Stop the flush poller, every node — the computing nodes
+        first, while their relays can still deliver — and all
+        connections."""
         self._poller.stop()
         for server in self._servers.values():
             server.stop()
@@ -715,13 +1116,18 @@ class TcpFresqueCluster(FresqueSystem):
     # Crashes on this substrate
     # ------------------------------------------------------------------
 
-    def _kill_node(self, node_id: int) -> None:
-        """Crash-stop the node, then degrade around it: whatever it held
-        or had not read is lost, and the dispatcher re-sends it."""
+    def _node_down(self, node_id: int) -> None:
+        """Crash-stop computing node ``node_id`` — kill its process,
+        drain its relay, drop its connection — then degrade around it:
+        whatever it sent before dying reaches the checking node ahead of
+        the :class:`NodeDown`, and whatever it held or had not read is
+        lost and re-sent by the dispatcher.  Every path that degrades
+        (``crash_node``, supervision, a failed send) comes through
+        here."""
         name = f"cn-{node_id}"
         self._servers[name].crash()
         self.router.evict(name)
-        self._node_down(node_id)
+        super()._node_down(node_id)
 
     # ------------------------------------------------------------------
     # Settling and supervision

@@ -362,6 +362,21 @@ def decode_message(body) -> tuple[str, object]:
         raise WireError(f"malformed frame: {exc!r}") from exc
 
 
+def split_frames(run, start: int, end: int) -> list[tuple[str, bytes]]:
+    """The whole frames in ``run[start:end]`` as ``(destination, frame)``
+    pairs, each frame length word included and its body not decoded:
+    how a relay forwards frames it did not build."""
+    frames = []
+    while start < end:
+        (length,) = _FRAME_HEADER.unpack_from(run, start)
+        stop = start + _FRAME_HEADER.size + length
+        head = start + _FRAME_HEADER.size + 2
+        destination = str(run[head : head + run[head - 1]], "utf-8")
+        frames.append((destination, bytes(run[start:stop])))
+        start = stop
+    return frames
+
+
 def read_frames(buffer: bytearray):
     """Yield complete frame bodies from ``buffer``, consuming them.
 

@@ -301,6 +301,89 @@ class TestUpstreamBackup:
         assert dispatcher.resend(2) == [one, two]
         assert dispatcher.records_rerouted == 3
 
+    def test_an_ack_from_another_thread_is_seen_by_the_resend(
+        self, dispatcher
+    ):
+        """``Admitted`` is recorded on whichever thread delivers it,
+        without the driver's lock; the next resend still sees it."""
+        import threading
+
+        shipped = self._shipped(dispatcher, 6)
+        acks = threading.Thread(
+            target=lambda: [dispatcher.handle(Admitted(seq)) for seq in (0, 3)]
+        )
+        acks.start()
+        acks.join()
+        assert dispatcher.resend(0) == []
+        assert dispatcher.oldest_unadmitted == 1
+        assert dispatcher.resend(1) == [shipped[1][1], shipped[4][1]]
+
+    def test_acks_and_readers_racing_the_driver_lose_nothing(
+        self, dispatcher
+    ):
+        """Two threads admit every batch as it ships and a third reads
+        ``oldest_unadmitted`` throughout, at a 1 µs switch interval: no
+        reader fails and every admitted batch is freed."""
+        import sys
+        import threading
+
+        count = 1500
+        shipped = [0]
+        errors = []
+        done = threading.Event()
+
+        def admit(parity):
+            try:
+                for seq in range(parity, count, 2):
+                    while shipped[0] <= seq:
+                        pass
+                    dispatcher.handle(Admitted(seq))
+            except Exception as exc:
+                errors.append(exc)
+
+        def read():
+            try:
+                while not done.is_set():
+                    dispatcher.oldest_unadmitted
+            except Exception as exc:
+                errors.append(exc)
+
+        dispatcher.start_publication()
+        threads = [threading.Thread(target=admit, args=(p,)) for p in (0, 1)]
+        threads.append(threading.Thread(target=read))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for i in range(count):
+                dispatcher.on_raw(f"line-{i}")
+                shipped[0] = i + 1
+            for thread in threads[:2]:
+                thread.join(timeout=30)
+            done.set()
+            threads[2].join(timeout=30)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert dispatcher.oldest_unadmitted is None
+
+    def test_a_batch_admitted_after_its_resend_was_listed_is_not_resent(
+        self, dispatcher
+    ):
+        """The dead node's output reached the checking node after all:
+        the batch is not re-sent, and nothing stays retained for it."""
+        (_, zero), (_, one), _ = self._shipped(dispatcher, 3)
+        dispatcher.mark_node_down(0)
+        listed = dispatcher.resend(0)
+        assert listed == [zero]
+        dispatcher.handle(Admitted(0))
+        assert dispatcher.redispatch(zero) == []
+        assert dispatcher.records_rerouted == 0
+        assert dispatcher.oldest_unadmitted == 1
+
 
 class TestDummyScheduleComplexity:
     def test_due_dummies_drains_from_the_front(self, dispatcher):

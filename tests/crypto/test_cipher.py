@@ -132,3 +132,35 @@ class TestCipherThreadSafety:
         assert len(ivs) == 8 * per_thread
         for ciphertext in ciphertexts:
             assert cipher.decrypt(ciphertext) == b"shared-cipher-payload"
+
+
+class TestForProcess:
+    """``for_process`` builds the cipher a forked computing node uses:
+    from the key store, never from the parent's objects."""
+
+    def test_the_new_cipher_round_trips_with_the_parent(self, cipher):
+        child = cipher.for_process()()
+        assert type(child) is type(cipher)
+        assert cipher.decrypt(child.encrypt(b"payload")) == b"payload"
+        assert child.decrypt(cipher.encrypt(b"payload")) == b"payload"
+
+    def test_aes_builds_its_own_libcrypto_contexts(self, keystore):
+        parent = AesCbcCipher(keystore)
+        child = parent.for_process()()
+        assert child._block is not parent._block
+
+    def test_simulated_ciphers_draw_from_disjoint_counter_blocks(
+        self, keystore
+    ):
+        """Neither child continues the parent's counter, nor its
+        sibling's, whatever the parent drew before building them."""
+        parent = SimulatedCipher(keystore)
+        parent.encrypt_batch([b"x"] * 5)
+        first, second = parent.for_process(), parent.for_process()
+        ciphers = [parent, first(), second()]
+        ivs = [
+            ciphertext[:16]
+            for cipher in ciphers
+            for ciphertext in cipher.encrypt_batch([b"y"] * 50)
+        ]
+        assert len(set(ivs)) == len(ivs) == 150

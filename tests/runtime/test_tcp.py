@@ -600,42 +600,140 @@ class TestRunWrite:
         assert any(isinstance(error, TornFrame) for error in sink.errors)
 
 
-def test_a_driver_crash_mid_drain_counts_every_frame_once():
-    """``crash()`` lands while the worker holds a 2,000-frame drain,
-    inside the handler of frame 50: that frame's outputs still count as
-    handled, the 1,950 frames behind it are dropped, none twice."""
-    import threading
+class TestComputingNodeProcesses:
+    """Each computing node runs in a forked child: no child outlives
+    the cluster or its own crash, a child outlives no collector, and
+    the children's IVs never collide with each other's or the
+    merger's."""
 
-    from repro.core.messages import PublishingMsg
-    from repro.runtime.tcp import TcpNode
-    from repro.runtime.wire import encode_message
+    @staticmethod
+    def _config(flu_config, **extra):
+        import dataclasses
 
-    frames = 2000
-    reached, go = threading.Event(), threading.Event()
-    seen = []
+        return dataclasses.replace(flu_config, num_computing_nodes=2, **extra)
 
-    def handler(message):
-        seen.append(message)
-        if len(seen) == 50:
-            reached.set()
-            go.wait(5)
-        return []
+    @staticmethod
+    def _children(cluster):
+        from repro.runtime.tcp import ComputingNodeProcess
 
-    node = TcpNode("n", handler, _discard)
-    for index in range(frames):
-        node._inbox.put(encode_message("n", PublishingMsg(index))[4:])
-    node.start()
-    try:
-        assert reached.wait(5)
-        crasher = threading.Thread(target=node.crash)
-        crasher.start()
-        _wait_until(lambda: node.crashed)
-        go.set()
-        crasher.join(5)
-        assert not crasher.is_alive()
-    finally:
-        go.set()
-        node.stop()
-    assert not node._worker.is_alive()
-    assert node.handled == len(seen) == 50
-    assert node.dropped_frames == frames - 50
+        return {
+            name: server
+            for name, server in cluster._servers.items()
+            if isinstance(server, ComputingNodeProcess)
+        }
+
+    @staticmethod
+    def _alive(pid: int) -> bool:
+        import os
+
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    def _assert_gone(self, pids) -> None:
+        import multiprocessing
+
+        active = {child.pid for child in multiprocessing.active_children()}
+        assert not active & set(pids)
+        assert not [pid for pid in pids if self._alive(pid)]
+
+    def test_no_child_outlives_shutdown(self, flu_config, fast_cipher):
+        lines = list(FluSurveyGenerator(seed=90).raw_lines(120))
+        cluster = TcpFresqueCluster(
+            self._config(flu_config), fast_cipher, seed=3
+        )
+        with cluster:
+            children = self._children(cluster)
+            assert sorted(children) == ["cn-0", "cn-1"]
+            pids = [child.pid for child in children.values()]
+            assert all(self._alive(pid) for pid in pids)
+            assert cluster.run_publication(lines).published_pairs > 100
+        self._assert_gone(pids)
+        assert [child.exitcode for child in children.values()] == [0, 0]
+
+    def test_crash_node_leaves_no_child_behind(self, flu_config, fast_cipher):
+        lines = list(FluSurveyGenerator(seed=91).raw_lines(120))
+        cluster = TcpFresqueCluster(
+            self._config(flu_config), fast_cipher, seed=3
+        )
+        with cluster:
+            children = self._children(cluster)
+            cluster.ingest_batch(lines[:60])
+            cluster.crash_node(0)
+            self._assert_gone([children["cn-0"].pid])
+            assert self._alive(children["cn-1"].pid)
+            cluster.ingest_batch(lines[60:])
+            assert cluster.finish_publication() is not None
+            assert cluster.dead_nodes == {"cn-0"}
+        self._assert_gone([child.pid for child in children.values()])
+
+    def test_a_fault_plan_crash_ends_its_process(
+        self, flu_config, fast_cipher
+    ):
+        from repro.runtime.faults import FaultPlan
+        from repro.runtime.tcp import RetryPolicy
+
+        lines = list(FluSurveyGenerator(seed=92).raw_lines(300))
+        cluster = TcpFresqueCluster(
+            self._config(flu_config),
+            fast_cipher,
+            seed=3,
+            fault_plan=FaultPlan().crash_node("cn-1", after_handled=20),
+            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.005),
+        )
+        with cluster:
+            children = self._children(cluster)
+            assert cluster.run_publication(lines, timeout=60.0).published_pairs
+            assert cluster.dead_nodes == {"cn-1"}
+            self._assert_gone([children["cn-1"].pid])
+            report = cluster.health_report()
+            (victim,) = [n for n in report["nodes"] if n["name"] == "cn-1"]
+            assert victim["crashed"] and not victim["alive"]
+            assert victim["handled"] == 20
+        self._assert_gone([child.pid for child in children.values()])
+
+    def test_a_child_whose_relay_closes_exits_on_its_own(
+        self, flu_config, fast_cipher
+    ):
+        """The relay's end of file is the collector's death: the child
+        stops serving and exits cleanly, not killed."""
+        import socket
+
+        cluster = TcpFresqueCluster(
+            self._config(flu_config), fast_cipher, seed=3
+        )
+        with cluster:
+            child = self._children(cluster)["cn-0"]
+            child._relay.shutdown(socket.SHUT_RDWR)
+            _wait_until(lambda: child.exitcode is not None)
+            assert child.exitcode == 0
+            self._assert_gone([child.pid])
+
+    def test_no_iv_repeats_across_children_and_merger(
+        self, flu_config, fast_cipher
+    ):
+        """Unseeded IVs come from counters: each child draws from a
+        counter block of its own, none from the one it inherited."""
+        generator = FluSurveyGenerator(seed=93)
+        config = self._config(flu_config, deterministic_ivs=False)
+        with TcpFresqueCluster(config, fast_cipher, seed=3) as cluster:
+            for _ in range(2):
+                cluster.run_publication(list(generator.raw_lines(300)))
+            store = cluster.cloud.store
+            ciphertexts = [
+                ciphertext
+                for file_id in store.file_ids()
+                for _, ciphertext in store.scan(file_id)
+            ] + [
+                ciphertext
+                for dataset in cluster.cloud.engine.published
+                for column in dataset.overflow.values()
+                for ciphertext in column
+            ]
+            encrypted = sum(node.encrypted for node in cluster.computing_nodes)
+        ivs = [ciphertext[:16] for ciphertext in ciphertexts]
+        # The nodes' records, and the merger's padding beside them.
+        assert len(ivs) > encrypted >= 600
+        assert len(set(ivs)) == len(ivs)
